@@ -15,6 +15,7 @@ case.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,15 @@ class Profile:
                 f"profile shape {[len(p) for p in self.parts]} does not match "
                 f"dims {space.dims}"
             )
+        flat = self.flat()
+        outside = (flat < -tol) | (flat > 1.0 + tol)
+        rises = np.diff(flat) > tol
+        # A rise from the last entry of one chain to the first of the next is fine.
+        ends = list(itertools.accumulate(len(p) for p in self.parts))
+        rises[[e - 1 for e in ends[:-1]]] = False
+        if not (outside.any() or rises.any()):
+            return
+        # Infeasible: find the first offending chain for the message.
         for i, p in enumerate(self.parts):
             if np.any(p < -tol) or np.any(p > 1.0 + tol):
                 raise ValueError(f"profile chain {i} leaves [0,1]: {p}")
@@ -92,7 +102,7 @@ def theta(rho: Profile, t: float):
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold {t} outside [0,1]")
-    return tuple(int(np.sum(p >= t)) for p in rho.parts)
+    return tuple(sum(v >= t for v in p.tolist()) for p in rho.parts)
 
 
 def profile_from_point(space: ChainProduct, point) -> Profile:
@@ -114,9 +124,9 @@ def _sorted_entries(rho: Profile) -> list[tuple[float, int, int]]:
     # Within a chain the entries are already non-increasing, so position order
     # preserves the required in-chain sequencing for equal values.
     entries = [
-        (float(v), i, j + 1)
+        (v, i, j + 1)
         for i, part in enumerate(rho.parts)
-        for j, v in enumerate(part)
+        for j, v in enumerate(part.tolist())
     ]
     entries.sort(key=lambda e: (-e[0], e[1], e[2]))
     return entries

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 BRUTE_FORCE_CAP = 10**6
 
 # Cross-differences this close to zero (from below the strictness side) are
@@ -95,7 +97,8 @@ class Oracle:
     """A cost function over a chain product, with evaluation counting.
 
     The wrapped callable must be deterministic and finite on every lattice
-    point; solvers only ever see costs through this interface.  The call
+    point; a NaN or infinite value raises ValueError naming the point.
+    Solvers only ever see costs through this interface.  The call
     counter is plain (not atomic): disable or guard it if you evaluate the
     same oracle from several threads.
     """
@@ -107,10 +110,30 @@ class Oracle:
 
     def __call__(self, point: Sequence[int]) -> float:
         self.calls += 1
-        return float(self.fn(tuple(point)))
+        point = tuple(point)
+        value = float(self.fn(point))
+        if not math.isfinite(value):
+            raise ValueError(f"cost at {point} is not finite: {value}")
+        return value
 
     def reset_calls(self) -> None:
         self.calls = 0
+
+    def memoized(self) -> "Oracle":
+        """A view of this oracle that evaluates each distinct point once.
+
+        The view counts every request; this oracle counts only the distinct
+        points the view asked for.  The values live as long as the view.
+        """
+        values: dict[tuple[int, ...], float] = {}
+
+        def lookup(point):
+            value = values.get(point)
+            if value is None:
+                value = values[point] = self(point)
+            return value
+
+        return Oracle(lookup, self.space)
 
 
 @dataclass
@@ -149,6 +172,20 @@ def cross_difference(f: Oracle, point: Sequence[int], i: int, j: int) -> float:
     return (f(tuple(xij)) - f(tuple(xj))) - (f(tuple(xi)) - f(x))
 
 
+def _value_table(f: Oracle, space: ChainProduct) -> np.ndarray:
+    """f at every lattice point, evaluated once each in `space.points()` order."""
+    values = np.fromiter((f(x) for x in space.points()), dtype=float, count=space.cardinality)
+    return values.reshape(space.dims)
+
+
+def _shifted(table: np.ndarray, i: int, j: int, di: int, dj: int) -> np.ndarray:
+    """table[x + di*e_i + dj*e_j] for every x that can step up along chains i and j."""
+    index = [slice(None)] * table.ndim
+    index[i] = slice(di, table.shape[i] - 1 + di)
+    index[j] = slice(dj, table.shape[j] - 1 + dj)
+    return table[tuple(index)]
+
+
 def check_submodular(
     f: Oracle,
     space: ChainProduct | None = None,
@@ -158,24 +195,27 @@ def check_submodular(
 
     Each admissible (point, chain pair) is checked once; the pair order is
     irrelevant because the cross difference is symmetric in (i, j).  A
-    difference above `tol` counts as a strict violation.
+    difference above `tol` counts as a strict violation.  f is evaluated
+    once per lattice point; every cross difference is then computed from
+    that table exactly as `cross_difference` computes it.  Violations are
+    listed by point, then chain pair.
     """
     space = space or f.space
     space._require_within_cap("submodularity check")
+    table = _value_table(f, space)
+    n = space.n_chains
     violations = []
     checked = 0
-    n = space.n_chains
-    for x in space.points():
-        for i in range(n):
-            if x[i] + 1 >= space.dims[i]:
-                continue
-            for j in range(i + 1, n):
-                if x[j] + 1 >= space.dims[j]:
-                    continue
-                checked += 1
-                d = cross_difference(f, x, i, j)
-                if d > tol:
-                    violations.append((x, (i, j), d))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = (_shifted(table, i, j, 1, 1) - _shifted(table, i, j, 0, 1)) - (
+                _shifted(table, i, j, 1, 0) - _shifted(table, i, j, 0, 0)
+            )
+            checked += d.size
+            strict = d > tol
+            for x, value in zip(np.argwhere(strict).tolist(), d[strict].tolist()):
+                violations.append((tuple(x), (i, j), value))
+    violations.sort(key=lambda v: (v[0], v[1]))
     return SubmodularityReport(
         is_submodular=not violations, violations=violations, points_checked=checked
     )
@@ -186,17 +226,13 @@ def brute_force_minimize(
 ) -> tuple[float, set[tuple[int, ...]]]:
     """Exact global minimum of f by full enumeration.
 
-    Returns (minimum value, set of all minimizing points).
+    Returns (minimum value, set of all minimizing points).  f is evaluated
+    once per lattice point.
     """
     space = space or f.space
     space._require_within_cap("brute-force minimization")
-    best = math.inf
-    argmins: set[tuple[int, ...]] = set()
-    for x in space.points():
-        v = f(x)
-        if v < best:
-            best = v
-            argmins = {x}
-        elif v == best:
-            argmins.add(x)
-    return best, argmins
+    table = _value_table(f, space)
+    # The first minimal value in enumeration order (the sign of a zero
+    # minimum is that of its first occurrence).
+    best = table.flat[int(np.argmin(table))].item()
+    return best, {tuple(x) for x in np.argwhere(table == best).tolist()}

@@ -10,6 +10,8 @@ pool-adjacent-violators plus a clip: O(m), no QP solver.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .extension import Profile
@@ -17,19 +19,22 @@ from .extension import Profile
 CLAMP_TOL = 1e-12
 
 
-def _pava_nonincreasing(v: np.ndarray) -> np.ndarray:
-    """Least-squares non-increasing fit by pooling adjacent violators."""
+def _pava_nonincreasing(values: list[float]) -> tuple[list[float], list[int]]:
+    """Least-squares non-increasing fit by pooling adjacent violators.
+
+    Returns the pooled block means and the block lengths.
+    """
     means: list[float] = []
     counts: list[int] = []
-    for x in v:
-        means.append(float(x))
+    for x in values:
+        means.append(x)
         counts.append(1)
         while len(means) > 1 and means[-2] < means[-1]:
             m2, c2 = means.pop(), counts.pop()
             m1, c1 = means.pop(), counts.pop()
             means.append((m1 * c1 + m2 * c2) / (c1 + c2))
             counts.append(c1 + c2)
-    return np.repeat(means, counts)
+    return means, counts
 
 
 def project_monotone_box(v) -> np.ndarray:
@@ -41,12 +46,20 @@ def project_monotone_box(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("projection input must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(v)):
+    values = v.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("projection input has non-finite entries")
-    out = np.clip(_pava_nonincreasing(v), 0.0, 1.0)
-    # Pooling computes block means in float; re-impose monotonicity exactly.
-    np.minimum.accumulate(out, out=out)
-    return out
+    out: list[float] = []
+    for mean, count in zip(*_pava_nonincreasing(values)):
+        # Clip to [0,1], then the running minimum: pooling computes block
+        # means in float, so monotonicity is re-imposed exactly.  Each
+        # comparison keeps the value np.clip and np.minimum.accumulate
+        # would keep, down to the sign of a zero.
+        level = 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
+        if out and out[-1] < level:
+            level = out[-1]
+        out += [level] * count
+    return np.array(out)
 
 
 def project_product(parts, space=None) -> Profile:

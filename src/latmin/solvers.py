@@ -205,6 +205,11 @@ def distributed_minimize(
 
     Returns (points, values, trace): per-agent rounded lattice points, their
     total-cost values, and the per-round trace.
+
+    Each agent's oracle is evaluated at most once per distinct lattice
+    point during one solve, so afterwards its `calls` counts distinct
+    evaluations; repeated requests are answered from a memo dropped on
+    return.
     """
     a = matrix.entries
     n_agents = len(oracles)
@@ -222,6 +227,8 @@ def distributed_minimize(
         for p in initial:
             p.validate(space)
         profiles = [p.copy() for p in initial]
+
+    oracles = [f.memoized() for f in oracles]
 
     def total_cost(point) -> float:
         return sum(f(point) for f in oracles)
@@ -256,8 +263,10 @@ def centralized_minimize(f: Oracle, space: ChainProduct, params: SolverParams):
     """Single-agent projected subgradient on the extension of f.
 
     Returns (point, value, trace) with the point rounded at t_hat after the
-    final iteration.  Tight for submodular f, a heuristic otherwise.
+    final iteration.  Tight for submodular f, a heuristic otherwise.  As in
+    `distributed_minimize`, f is evaluated once per distinct point.
     """
+    f = f.memoized()
     rho = uniform_random_profile(space, params.seed)
     ext_values = np.zeros((params.iterations, 1))
     best_rounded = np.zeros(params.iterations)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from latmin import ChainProduct, Oracle
+from latmin import ChainProduct, Oracle, cross_difference
+from latmin.lattice import DEFAULT_STRICTNESS_TOL
 
 
 def random_table_oracle(space: ChainProduct, rng, low=-5.0, high=5.0) -> Oracle:
@@ -92,4 +95,58 @@ def grid_projection_oracle(v, pitch=1e-3) -> np.ndarray:
     for k in range(v.size):
         level = int(choice[k][level])
         out[k] = grid[level]
+    return out
+
+
+def reference_check_submodular(f: Oracle, space: ChainProduct, tol=DEFAULT_STRICTNESS_TOL):
+    """The point-by-point sweep over the public `cross_difference`.
+
+    Returns (violations, points_checked) in the order the sweep meets them:
+    by point in row-major order, then by chain pair.
+    """
+    violations = []
+    checked = 0
+    n = space.n_chains
+    for x in space.points():
+        for i in range(n):
+            if x[i] + 1 >= space.dims[i]:
+                continue
+            for j in range(i + 1, n):
+                if x[j] + 1 >= space.dims[j]:
+                    continue
+                checked += 1
+                d = cross_difference(f, x, i, j)
+                if d > tol:
+                    violations.append((x, (i, j), d))
+    return violations, checked
+
+
+def reference_brute_force(f: Oracle, space: ChainProduct):
+    """Minimum and all minimizers by a scan in row-major order."""
+    best = math.inf
+    argmins = set()
+    for x in space.points():
+        v = f(x)
+        if v < best:
+            best = v
+            argmins = {x}
+        elif v == best:
+            argmins.add(x)
+    return best, argmins
+
+
+def reference_project_monotone_box(v) -> np.ndarray:
+    """Pool adjacent violators on numpy entries, np.clip, running minimum."""
+    means: list[float] = []
+    counts: list[int] = []
+    for x in np.asarray(v, dtype=float):
+        means.append(float(x))
+        counts.append(1)
+        while len(means) > 1 and means[-2] < means[-1]:
+            m2, c2 = means.pop(), counts.pop()
+            m1, c1 = means.pop(), counts.pop()
+            means.append((m1 * c1 + m2 * c2) / (c1 + c2))
+            counts.append(c1 + c2)
+    out = np.clip(np.repeat(means, counts), 0.0, 1.0)
+    np.minimum.accumulate(out, out=out)
     return out

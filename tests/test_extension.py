@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,13 @@ class TestGreedyExtension:
             greedy_extension(f, Profile([np.array([0.3, 0.8])]), X)
         with pytest.raises(ValueError, match="leaves"):
             greedy_extension(f, Profile([np.array([1.2, 0.1])]), X)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        X = ChainProduct([3, 3])
+        f = Oracle(lambda x: bad if x == (2, 2) else float(x[0] - x[1]), X)
+        with pytest.raises(ValueError, match=rf"\(2, 2\) is not finite: {bad}"):
+            greedy_extension(f, uniform_random_profile(X, 1), X)
 
     def test_shape_mismatch_rejected(self):
         f, X = identity_oracle()
@@ -187,6 +196,30 @@ class TestSetFunctionSpecialization:
             ours = greedy_extension(f, rho, X).value
             classical = self.classical_lovasz(values_by_set, coords)
             assert ours == pytest.approx(classical, rel=1e-12, abs=1e-12)
+
+
+class TestValidate:
+    def test_rise_across_chain_boundary_accepted(self):
+        X = ChainProduct([3, 3])
+        Profile([np.array([0.5, 0.1]), np.array([0.9, 0.3])]).validate(X)
+
+    def test_rise_inside_a_chain_names_that_chain(self):
+        X = ChainProduct([3, 3, 3])
+        rho = Profile([np.array([0.9, 0.1]), np.array([0.8, 0.2]), np.array([0.3, 0.6])])
+        with pytest.raises(ValueError, match="chain 2 is not non-increasing"):
+            rho.validate(X)
+
+    def test_box_violation_names_that_chain(self):
+        X = ChainProduct([3, 3, 3])
+        rho = Profile([np.array([0.9, 0.1]), np.array([0.8, -0.2]), np.array([0.3, 0.1])])
+        with pytest.raises(ValueError, match="chain 1 leaves"):
+            rho.validate(X)
+
+    def test_first_offending_chain_is_named(self):
+        X = ChainProduct([2, 3, 3])
+        rho = Profile([np.array([0.5]), np.array([0.2, 0.4]), np.array([1.5, 0.1])])
+        with pytest.raises(ValueError, match="chain 1 is not non-increasing"):
+            rho.validate(X)
 
 
 class TestTheta:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmin import (
     CapExceededError,
@@ -11,7 +15,15 @@ from latmin import (
     make_chain_product,
 )
 
-from helpers import random_submodular_oracle, random_table_oracle
+from latmin.lattice import DEFAULT_STRICTNESS_TOL
+
+from helpers import (
+    random_submodular_fn,
+    random_submodular_oracle,
+    random_table_oracle,
+    reference_brute_force,
+    reference_check_submodular,
+)
 
 
 def quad_distance_oracle():
@@ -179,3 +191,70 @@ class TestBruteForce:
         v1, a1 = brute_force_minimize(shifted)
         assert a0 == a1
         assert v1 == pytest.approx(v0 + 11.25, abs=1e-12)
+
+
+class TestNonFiniteCosts:
+    def test_oracle_names_point_and_value(self):
+        X = ChainProduct([3, 3])
+        f = Oracle(lambda x: math.nan if x == (1, 1) else float(x[0] * x[1]), X)
+        assert f((0, 2)) == 0.0
+        with pytest.raises(ValueError, match=r"\(1, 1\) is not finite: nan"):
+            f((1, 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_sweeps_reject_a_non_finite_point(self, bad):
+        # x0*x1 is supermodular; one bad point must not hide that or the minimum.
+        X = ChainProduct([3, 3])
+        f = Oracle(lambda x: bad if x == (1, 1) else float(x[0] * x[1]), X)
+        with pytest.raises(ValueError, match=rf"\(1, 1\) is not finite: {bad}"):
+            check_submodular(f)
+        with pytest.raises(ValueError, match=rf"\(1, 1\) is not finite: {bad}"):
+            brute_force_minimize(f)
+
+    def test_all_nan_cost_rejected(self):
+        X = ChainProduct([2, 3])
+        with pytest.raises(ValueError, match=r"\(0, 0\) is not finite"):
+            brute_force_minimize(Oracle(lambda x: math.nan, X))
+
+
+@st.composite
+def table_oracles(draw):
+    """Random value tables: arbitrary floats, small integers with signed zeros
+    (ties between minimizers), or random submodular costs."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    space = ChainProduct(dims)
+    kind = draw(st.sampled_from(["float", "int", "submodular"]))
+    if kind == "submodular":
+        fn = random_submodular_fn(space, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+        values = [float(fn(x)) for x in space.points()]
+    else:
+        entries = (
+            st.floats(-5.0, 5.0, allow_nan=False)
+            if kind == "float"
+            else st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+        )
+        values = draw(st.lists(entries, min_size=space.cardinality, max_size=space.cardinality))
+    table = dict(zip(space.points(), values))
+    return Oracle(table.__getitem__, space)
+
+
+class TestSweepsMatchReference:
+    @given(table_oracles(), st.sampled_from([DEFAULT_STRICTNESS_TOL, 0.0, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_check_and_brute_force_match_point_by_point_sweeps(self, f, tol):
+        X = f.space
+        report = check_submodular(f, tol=tol)
+        assert f.calls == X.cardinality
+        violations, checked = reference_check_submodular(f, X, tol)
+        # repr pins the order, the exact floats and the Python types.
+        assert repr(report.violations) == repr(violations)
+        assert report.points_checked == checked
+        assert report.is_submodular == (not violations)
+
+        f.reset_calls()
+        best, argmins = brute_force_minimize(f)
+        assert f.calls == X.cardinality
+        ref_best, ref_argmins = reference_brute_force(f, X)
+        assert repr(best) == repr(ref_best)
+        assert argmins == ref_argmins
+        assert all(type(c) is int for x in argmins for c in x)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from latmin import ChainProduct, project_monotone_box, project_product
 
-from helpers import grid_projection_oracle
+from helpers import grid_projection_oracle, reference_project_monotone_box
 
 finite_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -36,6 +36,13 @@ class TestMonotoneBox:
             m = int(rng.integers(1, 5))
             v = rng.integers(-100, 200, size=m) * 0.012
             assert np.max(np.abs(project_monotone_box(v) - grid_projection_oracle(v))) < 1e-6
+
+    @given(st.lists(st.one_of(finite_floats, st.sampled_from([-0.0, 0.0, 0.5, 1.0])), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_numpy_clip_and_running_min(self, v):
+        out = project_monotone_box(v)
+        assert out.dtype == np.float64
+        assert out.tobytes() == reference_project_monotone_box(v).tobytes()
 
     @given(st.lists(finite_floats, min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)

@@ -171,6 +171,34 @@ class TestDistributed:
         assert np.array_equal(d_trace.ext_values, c_trace.ext_values)
         assert np.array_equal(d_trace.best_rounded, c_trace.best_rounded)
 
+    def test_each_point_evaluated_at_most_once_per_solve(self):
+        X = ChainProduct([3, 4, 2])
+        rng = np.random.default_rng(21)
+        fs = [random_submodular_oracle(X, rng) for _ in range(3)]
+        matrix = WeightMatrix(line_matrix(3), eta=0.1)
+        params = SolverParams(iterations=200, gamma=0.2, schedule="diminishing", seed=3)
+        first = distributed_minimize(fs, X, matrix, params)
+        calls = [f.calls for f in fs]
+        assert all(0 < c <= X.cardinality for c in calls)
+        # Nothing is remembered between solves: the same solve pays again.
+        for f in fs:
+            f.reset_calls()
+        second = distributed_minimize(fs, X, matrix, params)
+        assert [f.calls for f in fs] == calls
+        assert first[:2] == second[:2]
+
+    def test_centralized_evaluates_each_point_at_most_once_per_solve(self):
+        X = ChainProduct([3, 4, 2])
+        f = random_submodular_oracle(X, np.random.default_rng(22))
+        params = SolverParams(iterations=200, gamma=0.2, schedule="diminishing", seed=4)
+        first = centralized_minimize(f, X, params)
+        calls = f.calls
+        assert 0 < calls <= X.cardinality
+        f.reset_calls()
+        second = centralized_minimize(f, X, params)
+        assert f.calls == calls
+        assert first[:2] == second[:2]
+
     def test_matrix_agent_count_mismatch_rejected(self):
         X = ChainProduct([3])
         fs = [Oracle(lambda x: float(x[0]), X) for _ in range(3)]
