@@ -11,7 +11,6 @@ from .extension import (
     ExtensionResult,
     Profile,
     greedy_extension,
-    profile_from_point,
     theta,
     uniform_random_profile,
 )
@@ -24,7 +23,6 @@ from .lattice import (
     brute_force_minimize,
     check_submodular,
     cross_difference,
-    make_chain_product,
 )
 from .projection import project_monotone_box, project_product
 from .solvers import (
@@ -59,9 +57,7 @@ __all__ = [
     "cross_difference",
     "distributed_minimize",
     "greedy_extension",
-    "make_chain_product",
     "mix_profiles",
-    "profile_from_point",
     "project_monotone_box",
     "project_product",
     "step_size",

@@ -14,10 +14,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .ctf import GameResult, StepContext, build_step_problem, run_game
-from .ctf import adaptive_alpha, attacker_pursuit_weights, avoidance_planes, predict_attackers, threat_distance
+from .ctf import GameResult, first_step_problem, run_game
 from .lattice import CapExceededError, ChainProduct, Oracle, check_submodular
 from .scenario import (
     Problem,
@@ -36,42 +33,6 @@ def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
-def _step_zero_problem(scenario: Scenario):
-    """The joint action problem the defenders face at k = 0."""
-    n_d = len(scenario.defenders_start)
-    rng = np.random.default_rng(scenario.seed)
-    attackers = [tuple(c) for c in scenario.attackers_start]
-    defenders = [tuple(c) for c in scenario.defenders_start]
-    active = [True] * len(attackers)
-    arena = scenario.arena
-    dparams = scenario.defender_params
-    predicted = predict_attackers(attackers, active, arena, scenario.u_max)
-    alphas = []
-    pursuit = np.zeros((n_d, len(attackers)))
-    for i in range(n_d):
-        delta_i = threat_distance(attackers, active, arena.responsibilities[i])
-        alphas.append(
-            adaptive_alpha(
-                delta_i, float(dparams.delta_th[i]), dparams.beta,
-                dparams.alpha_a_nom, dparams.alpha_f_nom,
-            )
-        )
-        pursuit[i] = attacker_pursuit_weights(
-            i, attackers, active, arena.responsibilities[i], dparams.pursuit_gain, rng
-        )
-    ctx = StepContext(
-        arena=arena,
-        u_max=scenario.u_max,
-        defenders=defenders,
-        predicted=predicted,
-        alphas=alphas,
-        pursuit=pursuit,
-        planes=[avoidance_planes(i, defenders, arena.obstacles, scenario.u_max) for i in range(n_d)],
-        params=dparams,
-    )
-    return build_step_problem(ctx)
-
-
 def cmd_check(args) -> int:
     if args.builtin:
         if not args.dims:
@@ -85,7 +46,7 @@ def cmd_check(args) -> int:
             space = record.space()
             oracles = record.oracles()
         else:
-            oracles, space = _step_zero_problem(record)
+            oracles, space = first_step_problem(record)
 
     total = Oracle(lambda x: sum(f(x) for f in oracles), space)
     try:

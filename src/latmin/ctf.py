@@ -439,6 +439,58 @@ def _captured_now(attackers: list[Cell], defenders: list[Cell]) -> list[bool]:
     return [pos in occupied for pos in attackers]
 
 
+def game_start(scenario: "Scenario", seed: int | None = None):
+    """Start state of a game at `seed` (the scenario's own by default).
+
+    Returns (defenders, attackers, captured, streams): the start cells, the
+    capture flags, and the random streams spawned from the seed, in order
+    per-defender pursuit streams, per-attacker policy streams, solver seeds.
+    """
+    defenders = [tuple(c) for c in scenario.defenders_start]
+    attackers = [tuple(c) for c in scenario.attackers_start]
+    root = np.random.SeedSequence(scenario.seed if seed is None else seed)
+    def_ss, att_ss, sol_ss = root.spawn(3)
+    streams = (
+        [np.random.default_rng(s) for s in def_ss.spawn(len(defenders))],
+        [np.random.default_rng(s) for s in att_ss.spawn(len(attackers))],
+        np.random.default_rng(sol_ss),
+    )
+    return defenders, attackers, _captured_now(attackers, defenders), streams
+
+
+def step_context(
+    scenario: "Scenario",
+    defenders: list[Cell],
+    attackers: list[Cell],
+    captured: list[bool],
+    pursuit_rngs: list[np.random.Generator],
+) -> StepContext:
+    """The defenders' view of one game step: predicted attackers, behavior
+    weights, pursuit rows (ties drawn from each defender's stream) and
+    avoidance planes."""
+    arena, dparams, u_max = scenario.arena, scenario.defender_params, scenario.u_max
+    active = [not c for c in captured]
+    predicted = predict_attackers(attackers, active, arena, u_max)
+    alphas = []
+    pursuit = np.zeros((len(defenders), len(attackers)))
+    for i, rng in enumerate(pursuit_rngs):
+        delta_i = threat_distance(attackers, active, arena.responsibilities[i])
+        alphas.append(adaptive_alpha(
+            delta_i, float(dparams.delta_th[i]), dparams.beta, dparams.alpha_a_nom, dparams.alpha_f_nom
+        ))
+        pursuit[i] = attacker_pursuit_weights(
+            i, attackers, active, arena.responsibilities[i], dparams.pursuit_gain, rng
+        )
+    planes = [avoidance_planes(i, defenders, arena.obstacles, u_max) for i in range(len(defenders))]
+    return StepContext(arena, u_max, defenders, predicted, alphas, pursuit, planes, dparams)
+
+
+def first_step_problem(scenario: "Scenario") -> tuple[list[Oracle], ChainProduct]:
+    """The joint action problem `run_game` solves at k = 0, at the scenario's seed."""
+    defenders, attackers, captured, (pursuit_rngs, _, _) = game_start(scenario)
+    return build_step_problem(step_context(scenario, defenders, attackers, captured, pursuit_rngs))
+
+
 def run_game(scenario: "Scenario", seed_override: int | None = None) -> GameResult:
     """Play the receding-horizon game to the horizon or first breach.
 
@@ -449,32 +501,12 @@ def run_game(scenario: "Scenario", seed_override: int | None = None) -> GameResu
     early if an uncaptured attacker stands in the defense zone.
     """
     arena = scenario.arena
-    dparams = scenario.defender_params
     aparams = scenario.attacker_params
     u_max = scenario.u_max
-    n_d = len(scenario.defenders_start)
-    n_a = len(scenario.attackers_start)
-
-    defenders = [tuple(c) for c in scenario.defenders_start]
-    attackers = [tuple(c) for c in scenario.attackers_start]
-    for name, cells in (("defender", defenders), ("attacker", attackers)):
-        for c in cells:
-            if not arena.in_grid(c):
-                raise ValueError(f"{name} starts outside the grid at {c}")
-            if c in arena.obstacles:
-                raise ValueError(f"{name} starts on an obstacle at {c}")
-    if len(set(defenders)) != n_d:
-        raise ValueError("defenders may not share a starting cell")
-
-    seed = scenario.seed if seed_override is None else seed_override
-    root = np.random.SeedSequence(seed)
-    def_ss, att_ss, sol_ss = root.spawn(3)
-    defender_rngs = [np.random.default_rng(s) for s in def_ss.spawn(n_d)]
-    attacker_rngs = [np.random.default_rng(s) for s in att_ss.spawn(n_a)]
-    solver_seed_stream = np.random.default_rng(sol_ss)
-
+    defenders, attackers, captured, streams = game_start(scenario, seed_override)
+    defender_rngs, attacker_rngs, solver_seed_stream = streams
+    n_d, n_a = len(defenders), len(attackers)
     matrix = WeightMatrix(scenario.network_matrix, scenario.network_eta)
-    captured = _captured_now(attackers, defenders)
 
     steps: list[StepRecord] = []
     events: list[Event] = []
@@ -482,28 +514,7 @@ def run_game(scenario: "Scenario", seed_override: int | None = None) -> GameResu
 
     for k in range(arena.horizon):
         active = [not c for c in captured]
-        predicted = predict_attackers(attackers, active, arena, u_max)
-
-        alphas = []
-        pursuit = np.zeros((n_d, n_a))
-        for i in range(n_d):
-            delta_i = threat_distance(attackers, active, arena.responsibilities[i])
-            alphas.append(
-                adaptive_alpha(
-                    delta_i,
-                    float(dparams.delta_th[i]),
-                    dparams.beta,
-                    dparams.alpha_a_nom,
-                    dparams.alpha_f_nom,
-                )
-            )
-            pursuit[i] = attacker_pursuit_weights(
-                i, attackers, active, arena.responsibilities[i],
-                dparams.pursuit_gain, defender_rngs[i],
-            )
-        planes = [
-            avoidance_planes(i, defenders, arena.obstacles, u_max) for i in range(n_d)
-        ]
+        ctx = step_context(scenario, defenders, attackers, captured, defender_rngs)
         etas = [attacker_modes(pos, defenders, aparams)[0] for pos in attackers]
 
         steps.append(
@@ -512,21 +523,11 @@ def run_game(scenario: "Scenario", seed_override: int | None = None) -> GameResu
                 defenders=list(defenders),
                 attackers=list(attackers),
                 captured=list(captured),
-                alpha_a=[a for a, _ in alphas],
+                alpha_a=[a for a, _ in ctx.alphas],
                 eta_avoid=etas,
             )
         )
 
-        ctx = StepContext(
-            arena=arena,
-            u_max=u_max,
-            defenders=defenders,
-            predicted=predicted,
-            alphas=alphas,
-            pursuit=pursuit,
-            planes=planes,
-            params=dparams,
-        )
         oracles, space = build_step_problem(ctx)
         params = dataclasses.replace(
             scenario.solver_params,

@@ -68,7 +68,8 @@ class Profile:
                 f"dims {space.dims}"
             )
         flat = self.flat()
-        outside = (flat < -tol) | (flat > 1.0 + tol)
+        # Written as "not inside" so that NaN entries count as outside.
+        outside = ~((flat >= -tol) & (flat <= 1.0 + tol))
         rises = np.diff(flat) > tol
         # A rise from the last entry of one chain to the first of the next is fine.
         ends = list(itertools.accumulate(len(p) for p in self.parts))
@@ -77,7 +78,7 @@ class Profile:
             return
         # Infeasible: find the first offending chain for the message.
         for i, p in enumerate(self.parts):
-            if np.any(p < -tol) or np.any(p > 1.0 + tol):
+            if not np.all((p >= -tol) & (p <= 1.0 + tol)):
                 raise ValueError(f"profile chain {i} leaves [0,1]: {p}")
             if np.any(np.diff(p) > tol):
                 raise ValueError(f"profile chain {i} is not non-increasing: {p}")
@@ -103,10 +104,6 @@ def theta(rho: Profile, t: float):
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold {t} outside [0,1]")
     return tuple(sum(v >= t for v in p.tolist()) for p in rho.parts)
-
-
-def profile_from_point(space: ChainProduct, point) -> Profile:
-    return Profile.from_point(space, point)
 
 
 @dataclass

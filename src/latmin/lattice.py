@@ -89,10 +89,6 @@ class ChainProduct:
             )
 
 
-def make_chain_product(dims: Sequence[int]) -> ChainProduct:
-    return ChainProduct(dims)
-
-
 class Oracle:
     """A cost function over a chain product, with evaluation counting.
 

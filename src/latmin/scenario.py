@@ -112,9 +112,6 @@ class Problem:
         space = self.space()
         return [build_objective(spec, space) for spec in self.objectives]
 
-    def solver_params(self) -> SolverParams:
-        return SolverParams(seed=self.seed, **self.solver)
-
     def to_dict(self) -> dict:
         out = {
             "kind": "problem",
@@ -133,7 +130,11 @@ class Problem:
 
 @dataclass(eq=False)
 class Scenario:
-    """A full game configuration loaded from file."""
+    """A full game configuration, loaded from file or built in code.
+
+    Construction rejects a speed other than u_max = 1 and start cells off
+    the grid, on an obstacle, or shared by two defenders, naming the field.
+    """
 
     seed: int
     arena: Arena
@@ -145,6 +146,22 @@ class Scenario:
     network_matrix: list[list[float]]
     network_eta: float
     solver_params: SolverParams
+
+    def __post_init__(self):
+        if self.u_max != 1:
+            raise ScenarioInvariantError(f"players.u_max: avoidance planes need 1, got {self.u_max}")
+        for team, cells in (("defenders", self.defenders_start), ("attackers", self.attackers_start)):
+            cells = [tuple(c) for c in cells]
+            for i, c in enumerate(cells):
+                where = f"players.{team}[{i}]: start {c}"
+                if not self.arena.in_grid(c):
+                    raise ScenarioInvariantError(f"{where} outside the grid")
+                if c in self.arena.obstacles:
+                    raise ScenarioInvariantError(f"{where} on an obstacle")
+                if team == "defenders" and c in cells[:i]:
+                    raise ScenarioInvariantError(
+                        f"{where} shared with players.defenders[{cells.index(c)}]"
+                    )
 
     def to_dict(self) -> dict:
         return _scenario_dict(self)
@@ -280,8 +297,6 @@ def _load_game(data: dict, seed: int) -> Scenario:
     defenders_start = _cells(_require(players, "defenders", "players"), "players.defenders")
     attackers_start = _cells(_require(players, "attackers", "players"), "players.attackers")
     u_max = int(players.get("u_max", 1))
-    if u_max < 0:
-        raise ScenarioInvariantError("players.u_max: must be non-negative")
     n_d = len(defenders_start)
     if len(responsibilities) != n_d:
         raise ScenarioInvariantError(

@@ -1,11 +1,12 @@
 """Projected-subgradient minimization via the continuous extension.
 
-Centralized: iterate project(rho - gamma_k * subgrad) and round once at the
-end.  Distributed: N agents each hold one term of the total cost and a local
+Distributed: N agents each hold one term of the total cost and a local
 estimate of the shared profile; every synchronous round they mix neighbor
 estimates with doubly-stochastic weights, step along their own local
-subgradient, and project.  All agents round at the same shared threshold so
-they agree whenever the minimizer is unique.
+subgradient, and project.  All agents round at the same shared threshold
+so they agree whenever the minimizer is unique.  Centralized is the
+one-agent case: iterate project(rho - gamma_k * subgrad) and round once at
+the end.
 """
 
 from __future__ import annotations
@@ -176,6 +177,8 @@ def mix_profiles(
 
 
 def _disagreement(profiles: list[Profile]) -> float:
+    if len(profiles) < 2:
+        return 0.0
     flats = [p.flat() for p in profiles]
     worst = 0.0
     for i in range(len(flats)):
@@ -231,7 +234,8 @@ def distributed_minimize(
     oracles = [f.memoized() for f in oracles]
 
     def total_cost(point) -> float:
-        return sum(f(point) for f in oracles)
+        # A lone agent's cost as is: sum() would turn its -0.0 into 0.0.
+        return sum(f(point) for f in oracles) if n_agents > 1 else oracles[0](point)
 
     ext_values = np.zeros((params.iterations, n_agents))
     disagreement = np.zeros(params.iterations)
@@ -262,27 +266,10 @@ def distributed_minimize(
 def centralized_minimize(f: Oracle, space: ChainProduct, params: SolverParams):
     """Single-agent projected subgradient on the extension of f.
 
-    Returns (point, value, trace) with the point rounded at t_hat after the
-    final iteration.  Tight for submodular f, a heuristic otherwise.  As in
-    `distributed_minimize`, f is evaluated once per distinct point.
+    The one-agent case of `distributed_minimize` (weight matrix [[1]]), so
+    f is likewise evaluated once per distinct point.  Returns (point,
+    value, trace) with the point rounded at t_hat after the final
+    iteration.  Tight for submodular f, a heuristic otherwise.
     """
-    f = f.memoized()
-    rho = uniform_random_profile(space, params.seed)
-    ext_values = np.zeros((params.iterations, 1))
-    best_rounded = np.zeros(params.iterations)
-    best = math.inf
-    for k in range(1, params.iterations + 1):
-        gamma_k = step_size(k, params)
-        res = greedy_extension(f, rho, space)
-        ext_values[k - 1, 0] = res.value
-        stepped = [p - gamma_k * g for p, g in zip(rho.parts, res.subgradient)]
-        rho = project_product(stepped, space)
-        best = min(best, f(theta(rho, params.t_hat)))
-        best_rounded[k - 1] = best
-    point = theta(rho, params.t_hat)
-    trace = SolveTrace(
-        ext_values=ext_values,
-        disagreement=np.zeros(params.iterations),
-        best_rounded=best_rounded,
-    )
-    return point, f(point), trace
+    points, values, trace = distributed_minimize([f], space, WeightMatrix([[1.0]], eta=0.5), params)
+    return points[0], values[0], trace

@@ -6,7 +6,17 @@ import math
 
 import numpy as np
 
-from latmin import ChainProduct, Oracle, cross_difference
+from latmin import (
+    ChainProduct,
+    Oracle,
+    SolverParams,
+    cross_difference,
+    greedy_extension,
+    project_product,
+    step_size,
+    theta,
+    uniform_random_profile,
+)
 from latmin.lattice import DEFAULT_STRICTNESS_TOL
 
 
@@ -150,3 +160,25 @@ def reference_project_monotone_box(v) -> np.ndarray:
     out = np.clip(np.repeat(means, counts), 0.0, 1.0)
     np.minimum.accumulate(out, out=out)
     return out
+
+
+def reference_centralized_minimize(f: Oracle, space: ChainProduct, params: SolverParams):
+    """A single-agent projected-subgradient loop with no mixing step.
+
+    Returns (point, value, ext_values, best_rounded) for comparison with
+    `centralized_minimize`, which runs the consensus loop with one agent.
+    """
+    rho = uniform_random_profile(space, params.seed)
+    ext_values = np.zeros((params.iterations, 1))
+    best_rounded = np.zeros(params.iterations)
+    best = math.inf
+    for k in range(1, params.iterations + 1):
+        gamma_k = step_size(k, params)
+        res = greedy_extension(f, rho, space)
+        ext_values[k - 1, 0] = res.value
+        stepped = [p - gamma_k * g for p, g in zip(rho.parts, res.subgradient)]
+        rho = project_product(stepped, space)
+        best = min(best, f(theta(rho, params.t_hat)))
+        best_rounded[k - 1] = best
+    point = theta(rho, params.t_hat)
+    return point, f(point), ext_values, best_rounded

@@ -9,7 +9,6 @@ from latmin import (
     Profile,
     brute_force_minimize,
     greedy_extension,
-    profile_from_point,
     theta,
     uniform_random_profile,
 )
@@ -215,6 +214,21 @@ class TestValidate:
         with pytest.raises(ValueError, match="chain 1 leaves"):
             rho.validate(X)
 
+    def test_nan_entry_rejected_naming_its_chain(self):
+        X = ChainProduct([3, 3])
+        rho = Profile([np.array([0.9, 0.1]), np.array([np.nan, 0.5])])
+        with pytest.raises(ValueError, match="chain 1 leaves"):
+            rho.validate(X)
+        with pytest.raises(ValueError, match="chain 0 leaves"):
+            Profile([np.array([np.nan, 0.5])]).validate(ChainProduct([3]))
+
+    def test_nan_profile_never_reaches_the_extension(self):
+        X = ChainProduct([3])
+        f = Oracle(lambda x: float(x[0]), X)
+        with pytest.raises(ValueError, match="chain 0 leaves"):
+            greedy_extension(f, Profile([np.array([np.nan, 0.5])]), X)
+        assert f.calls == 0
+
     def test_first_offending_chain_is_named(self):
         X = ChainProduct([2, 3, 3])
         rho = Profile([np.array([0.5]), np.array([0.2, 0.4]), np.array([1.5, 0.1])])
@@ -247,15 +261,15 @@ class TestTheta:
 class TestProfiles:
     def test_profile_from_bottom_point(self):
         X = ChainProduct([3])
-        assert np.array_equal(profile_from_point(X, (0,)).parts[0], [0.0, 0.0])
+        assert np.array_equal(Profile.from_point(X, (0,)).parts[0], [0.0, 0.0])
 
     def test_profile_from_top_point(self):
         X = ChainProduct([3])
-        assert np.array_equal(profile_from_point(X, (2,)).parts[0], [1.0, 1.0])
+        assert np.array_equal(Profile.from_point(X, (2,)).parts[0], [1.0, 1.0])
 
     def test_profile_from_mixed_point(self):
         X = ChainProduct([3, 2])
-        rho = profile_from_point(X, (1, 0))
+        rho = Profile.from_point(X, (1, 0))
         assert np.array_equal(rho.parts[0], [1.0, 0.0])
         assert np.array_equal(rho.parts[1], [0.0])
 

@@ -12,7 +12,6 @@ from latmin import (
     brute_force_minimize,
     check_submodular,
     cross_difference,
-    make_chain_product,
 )
 
 from latmin.lattice import DEFAULT_STRICTNESS_TOL
@@ -34,25 +33,25 @@ def quad_distance_oracle():
 
 class TestChainProduct:
     def test_direct_construction(self):
-        X = make_chain_product([3, 3])
+        X = ChainProduct([3, 3])
         assert X.n_chains == 2
         assert X.dims == (3, 3)
         assert X.cardinality == 9
 
     def test_empty_product_rejected(self):
         with pytest.raises(ValueError, match="empty product"):
-            make_chain_product([])
+            ChainProduct([])
 
     def test_single_element_chain_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            make_chain_product([3, 1])
+            ChainProduct([3, 1])
 
     def test_sort_length_matches_eight_chain_setup(self):
         # 8 chains of size 3: sum(m_i) - N = 24 - 8
-        assert make_chain_product([3] * 8).sort_length == 16
+        assert ChainProduct([3] * 8).sort_length == 16
 
     def test_cap_flag_is_warning_state_not_error(self):
-        X = make_chain_product([101] * 3)
+        X = ChainProduct([101] * 3)
         assert X.exceeds_cap
         f = Oracle(lambda x: 0.0, X)
         with pytest.raises(CapExceededError):
@@ -61,7 +60,7 @@ class TestChainProduct:
             check_submodular(f)
 
     def test_point_validation(self):
-        X = make_chain_product([3, 2])
+        X = ChainProduct([3, 2])
         assert X.contains((2, 1))
         assert not X.contains((3, 0))
         with pytest.raises(ValueError, match="outside lattice"):

@@ -1,8 +1,15 @@
 import csv
+import dataclasses
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latmin import ctf
 from latmin.cli import main
 from latmin.scenario import (
     Problem,
@@ -143,6 +150,79 @@ class TestLoadScenario:
         assert s.defender_params.delta_th.tolist() == [20.0, 8.0, 8.0, 20.0]
 
 
+def write_game(path, **players):
+    """The golden game file with some `players` fields replaced."""
+    data = yaml.safe_load(GOLDEN.read_text())
+    data["players"].update(players)
+    path.write_text(yaml.safe_dump(data))
+    return path
+
+
+class TestStartChecks:
+    @pytest.mark.parametrize("u_max", [0, 2])
+    def test_unsupported_speed_rejected_at_load(self, tmp_path, u_max):
+        path = write_game(tmp_path / "speed.cfg", u_max=u_max)
+        with pytest.raises(ScenarioInvariantError, match=r"players\.u_max"):
+            load_scenario(path)
+
+    def test_defender_on_obstacle_rejected_at_load(self, tmp_path):
+        path = write_game(tmp_path / "rock.cfg", defenders=[[4, 17], [9, 8], [12, 17], [16, 17]])
+        with pytest.raises(ScenarioInvariantError, match=r"players\.defenders\[1\].*obstacle"):
+            load_scenario(path)
+
+    def test_check_refuses_a_defender_on_an_obstacle(self, tmp_path, capsys):
+        path = write_game(tmp_path / "rock.cfg", defenders=[[4, 17], [9, 8], [12, 17], [16, 17]])
+        assert main(["check", str(path)]) == 2
+        assert "players.defenders[1]" in capsys.readouterr().err
+
+    def test_attacker_off_grid_rejected_at_load(self, tmp_path):
+        path = write_game(tmp_path / "off.cfg", attackers=[[3, 2], [8, 1], [12, 20], [17, 1]])
+        with pytest.raises(ScenarioInvariantError, match=r"players\.attackers\[2\].*outside"):
+            load_scenario(path)
+
+    def test_shared_defender_start_rejected_at_load(self, tmp_path):
+        path = write_game(tmp_path / "shared.cfg", defenders=[[4, 17], [8, 17], [4, 17], [16, 17]])
+        with pytest.raises(ScenarioInvariantError, match=r"players\.defenders\[2\].*share"):
+            load_scenario(path)
+
+    def test_programmatic_scenarios_are_checked_too(self):
+        s = load_scenario(GOLDEN)
+        with pytest.raises(ScenarioInvariantError, match=r"players\.u_max"):
+            dataclasses.replace(s, u_max=2)
+        with pytest.raises(ScenarioInvariantError, match=r"players\.defenders\[0\].*obstacle"):
+            dataclasses.replace(s, defenders_start=[(4, 10), (8, 17), (12, 17), (16, 17)])
+
+    # Cells drawn near the 20x20 grid's edges and on its obstacles as well as anywhere.
+    CELLS = st.one_of(
+        st.tuples(st.integers(-1, 20), st.integers(-1, 20)),
+        st.sampled_from([(4, 10), (9, 8), (14, 11), (6, 14), (12, 6), (16, 8)]),
+        st.tuples(st.integers(3, 5), st.integers(16, 18)),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        defenders=st.lists(CELLS, min_size=4, max_size=4),
+        attackers=st.lists(CELLS, min_size=1, max_size=4),
+    )
+    def test_load_fails_exactly_on_bad_starts(self, defenders, attackers):
+        golden = load_scenario(GOLDEN)
+        bad = len(set(defenders)) < len(defenders) or any(
+            not golden.arena.in_grid(c) or c in golden.arena.obstacles
+            for c in defenders + attackers
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_game(
+                Path(tmp) / "starts.cfg",
+                defenders=[list(c) for c in defenders],
+                attackers=[list(c) for c in attackers],
+            )
+            if bad:
+                with pytest.raises(ScenarioInvariantError, match=r"players\.(defenders|attackers)\["):
+                    load_scenario(path)
+            else:
+                assert load_scenario(path).defenders_start == defenders
+
+
 class TestBuiltinObjectives:
     def test_linear(self):
         space = ChainProduct([3, 3])
@@ -197,6 +277,34 @@ class TestCheckCommand:
     def test_game_scenario_step_cost_is_submodular(self, capsys):
         code = main(["check", str(GOLDEN)])
         assert code == 0
+
+    def test_game_file_checks_the_games_own_step_zero(self, tmp_path, monkeypatch):
+        # Defender 2's two nearest attackers (a1, a2) are tied at k = 0, so
+        # its pursuit row depends on which stream draws the tie-break.
+        path = write_game(tmp_path / "tie.cfg", attackers=[[3, 3], [12, 3], [10, 2], [19, 2]])
+        data = yaml.safe_load(path.read_text())
+        data["seed"], data["arena"]["horizon"] = 1, 1
+        path.write_text(yaml.safe_dump(data))
+        contexts = []
+        build = ctf.build_step_problem
+
+        def spy(ctx):
+            contexts.append(ctx)
+            return build(ctx)
+
+        monkeypatch.setattr(ctf, "build_step_problem", spy)
+        assert main(["check", str(path)]) == 0
+        ctf.run_game(load_scenario(path))
+        checked, played = contexts
+        responsibility = played.arena.responsibilities[2]
+        assert ctf.threat_distance([(12, 3)], [True], responsibility) == ctf.threat_distance(
+            [(10, 2)], [True], responsibility
+        )
+        assert np.array_equal(checked.pursuit, played.pursuit)
+        assert checked.alphas == played.alphas
+        assert checked.planes == played.planes
+        assert checked.predicted == played.predicted
+        assert checked.defenders == played.defenders
 
     def test_missing_args_is_usage_error(self, capsys):
         assert main(["check"]) == 2

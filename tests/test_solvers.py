@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,12 @@ from latmin import (
     validate_weight_matrix,
 )
 
-from helpers import random_chain_product, random_submodular_oracle
+from helpers import (
+    random_chain_product,
+    random_submodular_oracle,
+    random_table_oracle,
+    reference_centralized_minimize,
+)
 
 LINE_GRAPH_MATRIX = [
     [0.7, 0.3, 0.0, 0.0],
@@ -135,7 +142,41 @@ class TestCentralized:
         assert np.all(trace.best_rounded == 5.0)
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_plain_single_agent_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        X = random_chain_product(rng)
+        f = random_submodular_oracle(X, rng) if seed % 2 else random_table_oracle(X, rng)
+        schedule = "diminishing" if seed < 3 else "constant"
+        params = SolverParams(iterations=80, gamma=0.2, schedule=schedule, seed=seed)
+        point, value, trace = centralized_minimize(f, X, params)
+        ref_point, ref_value, ref_ext, ref_best = reference_centralized_minimize(f, X, params)
+        assert (point, value) == (ref_point, ref_value)
+        assert np.array_equal(trace.ext_values, ref_ext)
+        assert np.array_equal(trace.best_rounded, ref_best)
+        assert np.array_equal(trace.disagreement, np.zeros(params.iterations))
+
+    def test_negative_zero_cost_keeps_its_sign(self):
+        X = ChainProduct([3, 3])
+        f = Oracle(lambda x: -0.0 if x == (0, 0) else float(x[0] + x[1]), X)
+        params = SolverParams(iterations=100, gamma=0.1, seed=2)
+        point, value, trace = centralized_minimize(f, X, params)
+        assert point == (0, 0)
+        assert math.copysign(1.0, value) == -1.0
+        assert math.copysign(1.0, trace.best_rounded[-1]) == -1.0
+
+
 class TestDistributed:
+    def test_nan_initial_profile_rejected(self):
+        X = ChainProduct([3, 2])
+        fs = [Oracle(lambda x: float(x[0]), X) for _ in range(2)]
+        matrix = WeightMatrix([[0.5, 0.5], [0.5, 0.5]], eta=0.1)
+        params = SolverParams(iterations=5, gamma=0.1, seed=1)
+        good = Profile([np.array([0.6, 0.2]), np.array([0.4])])
+        bad = Profile([np.array([0.6, 0.2]), np.array([np.nan])])
+        with pytest.raises(ValueError, match="chain 1 leaves"):
+            distributed_minimize(fs, X, matrix, params, initial=[good, bad])
+
     def test_two_agent_chain_example(self):
         X = ChainProduct([3])
         f0 = Oracle(lambda x: float(x[0]), X)
