@@ -91,9 +91,20 @@ class Arena:
         return (min(max(c[0], 0), hi), min(max(c[1], 0), hi))
 
 
+def _require_finite(params) -> None:
+    """Reject a NaN or infinite value in any numeric field, naming the field."""
+    for field in dataclasses.fields(params):
+        value = getattr(params, field.name)
+        if not isinstance(value, str) and not np.all(np.isfinite(value)):
+            raise ValueError(f"{field.name}: not finite: {value}")
+
+
 @dataclass
 class DefenderParams:
-    """Cost weights and behavior-switching constants for the defense team."""
+    """Cost weights and behavior-switching constants for the defense team.
+
+    Each construction error starts with the name of the offending field.
+    """
 
     pursuit_gain: float  # weight placed on the single pursued attacker
     cohesion: np.ndarray  # pairwise cohesion weights, zero diagonal allowed
@@ -110,21 +121,29 @@ class DefenderParams:
         self.cohesion = np.asarray(self.cohesion, dtype=float)
         self.mobility = np.atleast_1d(np.asarray(self.mobility, dtype=float))
         self.delta_th = np.atleast_1d(np.asarray(self.delta_th, dtype=float))
+        _require_finite(self)
         if abs(self.alpha_f_nom + self.alpha_a_nom - 1.0) > 1e-9:
-            raise ValueError("nominal behavior weights must sum to 1")
-        if self.zeta1 < 1 or self.zeta2 < 1:
-            raise ValueError("barrier constants zeta1, zeta2 must be at least 1")
+            raise ValueError("alpha_f_nom: nominal behavior weights must sum to 1 with alpha_a_nom")
+        for name in ("zeta1", "zeta2"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: barrier constants zeta1, zeta2 must be at least 1")
         if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0,1]")
-        if self.pursuit_gain < 0 or np.any(self.cohesion < 0) or np.any(self.mobility < 0):
-            raise ValueError("cost weights must be non-negative")
+            raise ValueError("beta: must lie in [0,1]")
+        for name in ("pursuit_gain", "cohesion", "mobility"):
+            if np.any(getattr(self, name) < 0):
+                raise ValueError(f"{name}: cost weights must be non-negative")
         if self.distance not in DISTANCES:
-            raise ValueError(f"unknown distance {self.distance!r}; pick from {sorted(DISTANCES)}")
+            raise ValueError(
+                f"distance: unknown distance {self.distance!r}; pick from {sorted(DISTANCES)}"
+            )
 
 
 @dataclass
 class AttackerParams:
-    """Two-mode stochastic policy constants for the offense team."""
+    """Two-mode stochastic policy constants for the offense team.
+
+    Each construction error starts with the name of the offending field.
+    """
 
     eta_avoid_nom: float
     eta_base_nom: float
@@ -132,12 +151,13 @@ class AttackerParams:
     kappa: float
 
     def __post_init__(self):
+        _require_finite(self)
         if abs(self.eta_avoid_nom + self.eta_base_nom - 1.0) > 1e-9:
-            raise ValueError("nominal mode weights must sum to 1")
+            raise ValueError("eta_avoid_nom: nominal mode weights must sum to 1 with eta_base_nom")
         if not (0.0 <= self.eta_avoid_nom <= 1.0):
-            raise ValueError("nominal mode weights must lie in [0,1]")
+            raise ValueError("eta_avoid_nom: nominal mode weights must lie in [0,1]")
         if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError("kappa must lie in [0,1]")
+            raise ValueError("kappa: must lie in [0,1]")
 
 
 def reachable_cells(pos: Cell, u_max: int, grid_size: int) -> list[Cell]:

@@ -2,8 +2,9 @@
 
 A point of the relaxed domain is a *profile*: one non-increasing vector in
 [0,1]^{m_i-1} per chain (the tail-cumulative coordinates of a product
-probability measure; the leading coordinate is identically 1 and dropped).
-The extension is computed by a single descending sort of all profile
+probability measure; the leading coordinate is identically 1 and dropped),
+held as one flat array in the layout its `ChainProduct` fixes.  The
+extension is computed by a single stable descending sort of all profile
 entries, walking a monotone chain of lattice points from bottom to top and
 charging each unit step with the entry that triggered it.  The subgradient
 falls out of the same walk at no extra cost.
@@ -27,57 +28,53 @@ FEASIBILITY_TOL = 1e-12
 
 @dataclass
 class Profile:
-    """Per-chain non-increasing vectors in [0,1]; the relaxed search space."""
+    """A point of the relaxed search space, flat in its chain product's layout.
 
-    parts: list[np.ndarray]
+    `values` holds the r = sum(m_i) - N coordinates, chain by chain at
+    `space.offsets`; each chain's vector is non-increasing in [0,1].
+    """
+
+    space: ChainProduct
+    values: np.ndarray
 
     @classmethod
     def from_point(cls, space: ChainProduct, point) -> "Profile":
         """Degenerate profile of a lattice point: ones up to the index, then zeros."""
         x = space.check_point(point)
-        parts = []
-        for xi, m in zip(x, space.dims):
-            v = np.zeros(m - 1)
-            v[:xi] = 1.0
-            parts.append(v)
-        return cls(parts)
+        values = np.zeros(space.sort_length)
+        for start, xi in zip(space.offsets, x):
+            values[start : start + xi] = 1.0
+        return cls(space, values)
 
     @classmethod
     def zeros(cls, space: ChainProduct) -> "Profile":
-        return cls([np.zeros(m - 1) for m in space.dims])
+        return cls(space, np.zeros(space.sort_length))
 
     @classmethod
     def ones(cls, space: ChainProduct) -> "Profile":
-        return cls([np.ones(m - 1) for m in space.dims])
+        return cls(space, np.ones(space.sort_length))
 
-    def copy(self) -> "Profile":
-        return Profile([p.copy() for p in self.parts])
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate(self.parts)
-
-    def matches(self, space: ChainProduct) -> bool:
-        return len(self.parts) == space.n_chains and all(
-            len(p) == m - 1 for p, m in zip(self.parts, space.dims)
-        )
+    def chain(self, i: int) -> np.ndarray:
+        """A view of chain i's coordinates."""
+        offsets = self.space.offsets
+        return self.values[offsets[i] : offsets[i + 1]]
 
     def validate(self, space: ChainProduct, tol: float = FEASIBILITY_TOL) -> None:
-        if not self.matches(space):
+        v = self.values
+        if self.space.dims != space.dims or v.shape != (space.sort_length,):
             raise ValueError(
-                f"profile shape {[len(p) for p in self.parts]} does not match "
-                f"dims {space.dims}"
+                f"profile of shape {v.shape} on dims {self.space.dims} does not "
+                f"match dims {space.dims}"
             )
-        flat = self.flat()
         # Written as "not inside" so that NaN entries count as outside.
-        outside = ~((flat >= -tol) & (flat <= 1.0 + tol))
-        rises = np.diff(flat) > tol
+        outside = ~((v >= -tol) & (v <= 1.0 + tol))
         # A rise from the last entry of one chain to the first of the next is fine.
-        ends = list(itertools.accumulate(len(p) for p in self.parts))
-        rises[[e - 1 for e in ends[:-1]]] = False
+        rises = (np.diff(v) > tol) & space.same_chain
         if not (outside.any() or rises.any()):
             return
         # Infeasible: find the first offending chain for the message.
-        for i, p in enumerate(self.parts):
+        for i in range(space.n_chains):
+            p = self.chain(i)
             if not np.all((p >= -tol) & (p <= 1.0 + tol)):
                 raise ValueError(f"profile chain {i} leaves [0,1]: {p}")
             if np.any(np.diff(p) > tol):
@@ -86,12 +83,10 @@ class Profile:
 
 def uniform_random_profile(space: ChainProduct, seed) -> Profile:
     """Per chain, m_i - 1 uniform draws sorted descending; deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    parts = []
-    for m in space.dims:
-        v = np.sort(rng.uniform(0.0, 1.0, size=m - 1))[::-1]
-        parts.append(np.ascontiguousarray(v))
-    return Profile(parts)
+    values = np.random.default_rng(seed).uniform(0.0, 1.0, size=space.sort_length)
+    for start, end in itertools.pairwise(space.offsets):
+        values[start:end] = np.sort(values[start:end])[::-1]
+    return Profile(space, values)
 
 
 def theta(rho: Profile, t: float):
@@ -103,50 +98,41 @@ def theta(rho: Profile, t: float):
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold {t} outside [0,1]")
-    return tuple(sum(v >= t for v in p.tolist()) for p in rho.parts)
+    levels = [0] * rho.space.n_chains
+    for i, v in zip(rho.space.chain_of, rho.values.tolist()):
+        levels[i] += v >= t
+    return tuple(levels)
 
 
 @dataclass
 class ExtensionResult:
-    """Value, subgradient, and the sorted walk that produced them."""
+    """Value, flat subgradient, and the sorted walk that produced them."""
 
     value: float
-    subgradient: list[np.ndarray]
+    subgradient: np.ndarray
     points: list[tuple[int, ...]]
-    entries: list[tuple[float, int, int]]
+    order: list[int]
 
 
-def _sorted_entries(rho: Profile) -> list[tuple[float, int, int]]:
-    # Total order: value descending, then chain index, then in-chain position.
-    # Within a chain the entries are already non-increasing, so position order
-    # preserves the required in-chain sequencing for equal values.
-    entries = [
-        (v, i, j + 1)
-        for i, part in enumerate(rho.parts)
-        for j, v in enumerate(part.tolist())
-    ]
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    return entries
-
-
-def _walk(f: Oracle, space: ChainProduct, entries) -> ExtensionResult:
-    """Evaluate the extension given an explicit entry order (r+1 oracle calls)."""
-    n = space.n_chains
-    x = [0] * n
+def _walk(f: Oracle, space: ChainProduct, values: list[float], order) -> ExtensionResult:
+    """Evaluate the extension given an explicit order of flat indices (r+1 oracle calls)."""
+    chain_of, offsets = space.chain_of, space.offsets
+    x = [0] * space.n_chains
     points = [tuple(x)]
     prev = f(points[0])
     value = prev
-    subgradient = [np.zeros(m - 1) for m in space.dims]
-    for t, i, j in entries:
+    subgradient = [0.0] * len(values)
+    for k in order:
+        i = chain_of[k]
         x[i] += 1
         y = tuple(x)
         points.append(y)
         cur = f(y)
         step = cur - prev
-        value += t * step
-        # This entry is what lifted chain i to level x[i]; by in-chain order
-        # preservation x[i] == j here.
-        subgradient[i][x[i] - 1] = step
+        value += values[k] * step
+        # The step belongs to the level chain i just reached: k itself,
+        # unless a rise within tolerance put a later entry of the chain first.
+        subgradient[offsets[i] + x[i] - 1] = step
         prev = cur
     if points[-1] != space.top():
         raise RuntimeError(
@@ -154,7 +140,7 @@ def _walk(f: Oracle, space: ChainProduct, entries) -> ExtensionResult:
             f"{space.top()}; profile entry bookkeeping is inconsistent"
         )
     return ExtensionResult(
-        value=float(value), subgradient=subgradient, points=points, entries=list(entries)
+        value=float(value), subgradient=np.array(subgradient), points=points, order=order
     )
 
 
@@ -163,12 +149,16 @@ def greedy_extension(f: Oracle, rho: Profile, space: ChainProduct | None = None)
 
     value = f(bottom) + sum_s t(s) * (f(y_s) - f(y_{s-1})) over the entries
     t(1) >= ... >= t(r) sorted descending, where y_s increments the chain
-    the s-th entry belongs to.  Subgradient component (i, j) is the f-step
-    recorded when chain i first reached level j.  Costs exactly r + 1
-    oracle evaluations, r = sum(m_i) - N.
+    the s-th entry belongs to.  Subgradient coordinate k (flat, in rho's
+    layout) is the f-step recorded when k's chain first reached k's level.
+    Costs exactly r + 1 oracle evaluations, r = sum(m_i) - N.
 
     Infeasible profiles are rejected, not projected.
     """
     space = space or f.space
     rho.validate(space)
-    return _walk(f, space, _sorted_entries(rho))
+    values = rho.values.tolist()
+    # Value descending; the sort is stable, so equal values keep flat order,
+    # which is (chain, in-chain position).  Within a chain the entries are
+    # non-increasing, so position order keeps the in-chain sequencing.
+    return _walk(f, space, values, sorted(range(len(values)), key=values.__getitem__, reverse=True))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +29,10 @@ class CapExceededError(ValueError):
 
 @dataclass(frozen=True)
 class ChainProduct:
-    """A product of integer chains, given by the size of each chain."""
+    """A product of integer chains, given by the size of each chain.
+
+    It fixes the flat profile layout: r = sum(m_i) - N coordinates, chain by chain.
+    """
 
     dims: tuple[int, ...]
 
@@ -54,7 +58,24 @@ class ChainProduct:
     @property
     def sort_length(self) -> int:
         """Number of free profile coordinates: sum(m_i) - N."""
-        return sum(self.dims) - len(self.dims)
+        return self.offsets[-1]
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Where each chain's coordinates start in a flat profile, then r."""
+        return tuple(itertools.accumulate((m - 1 for m in self.dims), initial=0))
+
+    @cached_property
+    def chain_of(self) -> tuple[int, ...]:
+        """The chain of each flat profile coordinate."""
+        return tuple(i for i, m in enumerate(self.dims) for _ in range(m - 1))
+
+    @cached_property
+    def same_chain(self) -> np.ndarray:
+        """Read-only mask: flat coordinates k and k + 1 lie on one chain."""
+        mask = np.diff(self.chain_of) == 0
+        mask.flags.writeable = False
+        return mask
 
     @property
     def exceeds_cap(self) -> bool:

@@ -10,13 +10,13 @@ pool-adjacent-violators plus a clip: O(m), no QP solver.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .extension import Profile
-
-CLAMP_TOL = 1e-12
+from .lattice import ChainProduct
 
 
 def _pava_nonincreasing(values: list[float]) -> tuple[list[float], list[int]]:
@@ -46,34 +46,30 @@ def project_monotone_box(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("projection input must be a non-empty 1-d vector")
-    values = v.tolist()
+    return project_product(v, ChainProduct([v.size + 1])).values
+
+
+def project_product(values, space: ChainProduct) -> Profile:
+    """Chain-wise projection of a flat vector in `space`'s layout onto the feasible set."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (space.sort_length,):
+        raise ValueError(
+            f"expected a flat vector of length {space.sort_length}, got shape {values.shape}"
+        )
+    values = values.tolist()
     if not all(map(math.isfinite, values)):
         raise ValueError("projection input has non-finite entries")
     out: list[float] = []
-    for mean, count in zip(*_pava_nonincreasing(values)):
-        # Clip to [0,1], then the running minimum: pooling computes block
-        # means in float, so monotonicity is re-imposed exactly.  Each
-        # comparison keeps the value np.clip and np.minimum.accumulate
-        # would keep, down to the sign of a zero.
-        level = 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
-        if out and out[-1] < level:
-            level = out[-1]
-        out += [level] * count
-    return np.array(out)
-
-
-def project_product(parts, space=None) -> Profile:
-    """Chain-wise projection of profile-shaped vectors onto the feasible set."""
-    if space is not None and len(parts) != space.n_chains:
-        raise ValueError(
-            f"expected {space.n_chains} chain vectors, got {len(parts)}"
-        )
-    projected = []
-    for i, p in enumerate(parts):
-        p = np.asarray(p, dtype=float)
-        if space is not None and p.size != space.dims[i] - 1:
-            raise ValueError(
-                f"chain {i}: expected length {space.dims[i] - 1}, got {p.size}"
-            )
-        projected.append(project_monotone_box(p))
-    return Profile(projected)
+    for start, end in itertools.pairwise(space.offsets):
+        chain: list[float] = []
+        for mean, count in zip(*_pava_nonincreasing(values[start:end])):
+            # Clip to [0,1], then the running minimum: pooling computes block
+            # means in float, so monotonicity is re-imposed exactly.  Each
+            # comparison keeps the value np.clip and np.minimum.accumulate
+            # would keep, down to the sign of a zero.
+            level = 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
+            if chain and chain[-1] < level:
+                level = chain[-1]
+            chain += [level] * count
+        out += chain
+    return Profile(space, np.array(out))

@@ -10,7 +10,9 @@ invariant failures are distinct exception types.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -38,11 +40,26 @@ class ScenarioInvariantError(ScenarioError):
     """The fields parse but violate a domain invariant."""
 
 
+def _convert(value, convert, where: str):
+    """convert(value); a value it cannot read is a schema error naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioSchemaError(f"{where}: cannot read {value!r}: {exc}") from exc
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+_array = partial(np.asarray, dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # Built-in objectives for standalone problems
 
 def _linear(spec, space):
-    coeffs = [float(c) for c in spec.get("coefficients", [])]
+    coeffs = _convert(spec.get("coefficients", []), _floats, "objectives.coefficients")
     if len(coeffs) != space.n_chains:
         raise ScenarioSchemaError(
             f"objectives.coefficients: need {space.n_chains} values, got {len(coeffs)}"
@@ -51,8 +68,8 @@ def _linear(spec, space):
 
 
 def _quadratic(spec, space):
-    centers = [float(c) for c in spec.get("centers", [])]
-    weights = [float(w) for w in spec.get("weights", [1.0] * space.n_chains)]
+    centers = _convert(spec.get("centers", []), _floats, "objectives.centers")
+    weights = _convert(spec.get("weights", [1.0] * space.n_chains), _floats, "objectives.weights")
     if len(centers) != space.n_chains:
         raise ScenarioSchemaError(
             f"objectives.centers: need {space.n_chains} values, got {len(centers)}"
@@ -132,8 +149,11 @@ class Problem:
 class Scenario:
     """A full game configuration, loaded from file or built in code.
 
-    Construction rejects a speed other than u_max = 1 and start cells off
-    the grid, on an obstacle, or shared by two defenders, naming the field.
+    Construction rejects a speed other than u_max = 1, start cells off the
+    grid, on an obstacle, or shared by two defenders, and per-defender
+    fields (responsibilities, delta_th, mobility, cohesion, network) sized
+    for another team, naming the field.  A single delta_th or mobility
+    value is taken for every defender.
     """
 
     seed: int
@@ -162,6 +182,30 @@ class Scenario:
                     raise ScenarioInvariantError(
                         f"{where} shared with players.defenders[{cells.index(c)}]"
                     )
+        n_d = len(self.defenders_start)
+        n_sets = len(self.arena.responsibilities)
+        if n_sets != n_d:
+            raise ScenarioInvariantError(
+                f"arena.responsibilities: {n_sets} sets for {n_d} defenders"
+            )
+        dp = self.defender_params
+        for name in ("delta_th", "mobility"):
+            values = getattr(dp, name)
+            if values.shape not in ((1,), (n_d,)):
+                raise ScenarioInvariantError(
+                    f"defenders.{name}: need 1 or {n_d} values, got {values.size}"
+                )
+        if dp.cohesion.shape != (n_d, n_d):
+            raise ScenarioInvariantError(
+                f"defenders.cohesion: need a {n_d}x{n_d} matrix, got shape {dp.cohesion.shape}"
+            )
+        if len(self.network_matrix) != n_d:
+            raise ScenarioInvariantError(
+                f"network.matrix: {len(self.network_matrix)} agents for {n_d} defenders"
+            )
+        self.defender_params = dataclasses.replace(
+            dp, delta_th=np.resize(dp.delta_th, n_d), mobility=np.resize(dp.mobility, n_d)
+        )
 
     def to_dict(self) -> dict:
         return _scenario_dict(self)
@@ -179,12 +223,14 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+def _read(block: dict, key: str, where: str, convert=float, default=None):
+    """block[key] read by `convert`; required unless a default is given."""
+    value = _require(block, key, where) if default is None else block.get(key, default)
+    return _convert(value, convert, f"{where}.{key}")
+
+
 def _cells(value, where: str) -> list[tuple[int, int]]:
-    try:
-        cells = [(int(x), int(y)) for x, y in value]
-    except (TypeError, ValueError) as exc:
-        raise ScenarioSchemaError(f"{where}: expected a list of [x, y] pairs") from exc
-    return cells
+    return _convert(value, lambda pairs: [(int(x), int(y)) for x, y in pairs], where)
 
 
 def _load_yaml(path) -> dict:
@@ -201,11 +247,8 @@ def _load_yaml(path) -> dict:
     return data
 
 
-def _check_network(matrix, eta, where="network"):
-    try:
-        a = np.asarray(matrix, dtype=float)
-    except ValueError as exc:
-        raise ScenarioSchemaError(f"{where}.matrix: not a numeric matrix") from exc
+def _check_network(matrix, eta, where="network") -> list[list[float]]:
+    a = _convert(matrix, _array, f"{where}.matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ScenarioSchemaError(f"{where}.matrix: must be square, got shape {a.shape}")
     report = validate_weight_matrix(a, eta)
@@ -213,6 +256,7 @@ def _check_network(matrix, eta, where="network"):
         raise ScenarioInvariantError(
             f"{where}.matrix: " + "; ".join(report.failures())
         )
+    return a.tolist()
 
 
 def _solver_block(block: dict, where="solver") -> dict:
@@ -221,22 +265,22 @@ def _solver_block(block: dict, where="solver") -> dict:
     if unknown:
         raise ScenarioSchemaError(f"{where}: unknown fields {sorted(unknown)}")
     out = {
-        "iterations": int(_require(block, "iterations", where)),
-        "gamma": float(_require(block, "gamma", where)),
+        "iterations": _read(block, "iterations", where, int),
+        "gamma": _read(block, "gamma", where),
     }
     if "schedule" in block:
         out["schedule"] = str(block["schedule"])
     if "t_hat" in block:
-        out["t_hat"] = float(block["t_hat"])
+        out["t_hat"] = _read(block, "t_hat", where)
     try:
         SolverParams(seed=0, **out)
     except ValueError as exc:
-        raise ScenarioInvariantError(f"{where}: {exc}") from exc
+        raise ScenarioInvariantError(f"{where}.{exc}") from exc
     return out
 
 
 def _load_problem(data: dict, seed: int) -> Problem:
-    dims = [int(m) for m in _require(data, "dims", "problem")]
+    dims = _read(data, "dims", "problem", lambda ms: [int(m) for m in ms])
     try:
         ChainProduct(dims)
     except ValueError as exc:
@@ -249,8 +293,8 @@ def _load_problem(data: dict, seed: int) -> Problem:
     matrix = eta = None
     if network is not None:
         matrix = _require(network, "matrix", "network")
-        eta = float(_require(network, "eta", "network"))
-        _check_network(matrix, eta)
+        eta = _read(network, "eta", "network")
+        matrix = _check_network(matrix, eta)
         if len(matrix) != len(objectives):
             raise ScenarioInvariantError(
                 f"network.matrix: {len(matrix)} agents but {len(objectives)} objectives"
@@ -283,8 +327,8 @@ def _load_game(data: dict, seed: int) -> Scenario:
     ]
     try:
         arena = Arena(
-            size=int(_require(arena_block, "size", "arena")),
-            horizon=int(_require(arena_block, "horizon", "arena")),
+            size=_read(arena_block, "size", "arena", int),
+            horizon=_read(arena_block, "horizon", "arena", int),
             zone=_cells(_require(arena_block, "defense_zone", "arena"), "arena.defense_zone"),
             responsibilities=responsibilities,
             obstacles=set(_cells(arena_block.get("obstacles", []), "arena.obstacles")),
@@ -296,70 +340,40 @@ def _load_game(data: dict, seed: int) -> Scenario:
 
     defenders_start = _cells(_require(players, "defenders", "players"), "players.defenders")
     attackers_start = _cells(_require(players, "attackers", "players"), "players.attackers")
-    u_max = int(players.get("u_max", 1))
-    n_d = len(defenders_start)
-    if len(responsibilities) != n_d:
-        raise ScenarioInvariantError(
-            f"arena.responsibilities: {len(responsibilities)} sets for {n_d} defenders"
-        )
+    u_max = _read(players, "u_max", "players", int, 1)
 
-    delta_th = defenders_block.get("delta_th", 0.0)
-    if np.isscalar(delta_th):
-        delta_th = [float(delta_th)] * n_d
-    if len(delta_th) != n_d:
-        raise ScenarioInvariantError(
-            f"defenders.delta_th: need 1 or {n_d} values, got {len(delta_th)}"
-        )
-    mobility = defenders_block.get("mobility", 1.0)
-    if np.isscalar(mobility):
-        mobility = [float(mobility)] * n_d
-    if len(mobility) != n_d:
-        raise ScenarioInvariantError(
-            f"defenders.mobility: need 1 or {n_d} values, got {len(mobility)}"
-        )
-    cohesion = np.asarray(_require(defenders_block, "cohesion", "defenders"), dtype=float)
-    if cohesion.shape != (n_d, n_d):
-        raise ScenarioInvariantError(
-            f"defenders.cohesion: need a {n_d}x{n_d} matrix, got shape {cohesion.shape}"
-        )
     try:
         defender_params = DefenderParams(
-            pursuit_gain=float(_require(defenders_block, "pursuit_gain", "defenders")),
-            cohesion=cohesion,
-            mobility=mobility,
-            zeta1=float(_require(defenders_block, "zeta1", "defenders")),
-            zeta2=float(_require(defenders_block, "zeta2", "defenders")),
-            alpha_f_nom=float(_require(defenders_block, "alpha_f_nom", "defenders")),
-            alpha_a_nom=float(_require(defenders_block, "alpha_a_nom", "defenders")),
-            beta=float(_require(defenders_block, "beta", "defenders")),
-            delta_th=[float(d) for d in delta_th],
+            pursuit_gain=_read(defenders_block, "pursuit_gain", "defenders"),
+            cohesion=_read(defenders_block, "cohesion", "defenders", _array),
+            mobility=_read(defenders_block, "mobility", "defenders", _array, 1.0),
+            zeta1=_read(defenders_block, "zeta1", "defenders"),
+            zeta2=_read(defenders_block, "zeta2", "defenders"),
+            alpha_f_nom=_read(defenders_block, "alpha_f_nom", "defenders"),
+            alpha_a_nom=_read(defenders_block, "alpha_a_nom", "defenders"),
+            beta=_read(defenders_block, "beta", "defenders"),
+            delta_th=_read(defenders_block, "delta_th", "defenders", _array, 0.0),
             distance=str(defenders_block.get("distance", "manhattan")),
         )
     except ScenarioError:
         raise
     except ValueError as exc:
-        raise ScenarioInvariantError(f"defenders: {exc}") from exc
+        raise ScenarioInvariantError(f"defenders.{exc}") from exc
 
     try:
         attacker_params = AttackerParams(
-            eta_avoid_nom=float(_require(attackers_block, "eta_avoid_nom", "attackers")),
-            eta_base_nom=float(_require(attackers_block, "eta_base_nom", "attackers")),
-            delta_th=float(_require(attackers_block, "delta_th", "attackers")),
-            kappa=float(_require(attackers_block, "kappa", "attackers")),
+            eta_avoid_nom=_read(attackers_block, "eta_avoid_nom", "attackers"),
+            eta_base_nom=_read(attackers_block, "eta_base_nom", "attackers"),
+            delta_th=_read(attackers_block, "delta_th", "attackers"),
+            kappa=_read(attackers_block, "kappa", "attackers"),
         )
     except ScenarioError:
         raise
     except ValueError as exc:
-        raise ScenarioInvariantError(f"attackers: {exc}") from exc
+        raise ScenarioInvariantError(f"attackers.{exc}") from exc
 
     matrix = _require(network, "matrix", "network")
-    eta = float(_require(network, "eta", "network"))
-    _check_network(matrix, eta)
-    if len(matrix) != n_d:
-        raise ScenarioInvariantError(
-            f"network.matrix: {len(matrix)} agents for {n_d} defenders"
-        )
-
+    eta = _read(network, "eta", "network")
     return Scenario(
         seed=seed,
         arena=arena,
@@ -368,7 +382,7 @@ def _load_game(data: dict, seed: int) -> Scenario:
         attackers_start=attackers_start,
         defender_params=defender_params,
         attacker_params=attacker_params,
-        network_matrix=[[float(v) for v in row] for row in matrix],
+        network_matrix=_check_network(matrix, eta),
         network_eta=eta,
         solver_params=SolverParams(seed=seed, **solver),
     )
@@ -384,7 +398,7 @@ def load_scenario(path) -> Scenario | Problem:
         )
     if "seed" not in data:
         raise ScenarioSchemaError("seed: missing required field (seeds are mandatory)")
-    seed = int(data["seed"])
+    seed = _convert(data["seed"], int, "seed")
     if kind == "problem":
         return _load_problem(data, seed)
     return _load_game(data, seed)

@@ -11,6 +11,7 @@ the end.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -129,14 +130,15 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self):
+        # Each message starts with the name of the offending field.
         if self.iterations < 1:
-            raise ValueError("iterations ≥ 1 required")
-        if not self.gamma > 0:
-            raise ValueError("step size gamma must be positive")
+            raise ValueError("iterations: ≥ 1 required")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma: step size must be positive and finite, got {self.gamma}")
         if self.schedule not in ("constant", "diminishing"):
-            raise ValueError(f"unknown step schedule {self.schedule!r}")
+            raise ValueError(f"schedule: unknown step schedule {self.schedule!r}")
         if not 0.0 < self.t_hat < 1.0:
-            raise ValueError("rounding threshold t_hat must be strictly inside (0,1)")
+            raise ValueError("t_hat: rounding threshold must be strictly inside (0,1)")
 
 
 def step_size(k: int, params: SolverParams) -> float:
@@ -157,34 +159,24 @@ class SolveTrace:
     best_rounded: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def mix_profiles(
-    profiles: list[Profile], weights_row: np.ndarray, self_index: int
-) -> list[np.ndarray]:
-    """Weighted combination of agent profiles, chain by chain.
+def mix_profiles(state: np.ndarray, weights_row: np.ndarray, self_index: int) -> np.ndarray:
+    """Weighted combination of the agents' flat profiles (the rows of `state`).
 
     Computed in deviation form, own profile plus weighted corrections
     toward each neighbor, which is identical for a row summing to 1 and
     keeps agreeing agents agreeing bit-exactly.
     """
-    own = profiles[self_index].parts
-    mixed = [p.copy() for p in own]
-    for w_idx, (w, other) in enumerate(zip(weights_row, profiles)):
-        if w_idx == self_index or w == 0.0:
-            continue
-        for c, part in enumerate(other.parts):
-            mixed[c] += w * (part - own[c])
+    own = state[self_index]
+    mixed = own.copy()
+    for j, w in enumerate(weights_row):
+        if j != self_index and w != 0.0:
+            mixed += w * (state[j] - own)
     return mixed
 
 
-def _disagreement(profiles: list[Profile]) -> float:
-    if len(profiles) < 2:
-        return 0.0
-    flats = [p.flat() for p in profiles]
-    worst = 0.0
-    for i in range(len(flats)):
-        for j in range(i + 1, len(flats)):
-            worst = max(worst, float(np.linalg.norm(flats[i] - flats[j])))
-    return worst
+def _disagreement(state: np.ndarray) -> float:
+    pairs = itertools.combinations(state, 2)
+    return max((float(np.linalg.norm(p - q)) for p, q in pairs), default=0.0)
 
 
 def distributed_minimize(
@@ -220,16 +212,13 @@ def distributed_minimize(
         raise ValueError(
             f"matrix shape {a.shape} does not match {n_agents} agents"
         )
-
-    if initial is None:
-        shared = uniform_random_profile(space, params.seed)
-        profiles = [shared.copy() for _ in range(n_agents)]
-    else:
-        if len(initial) != n_agents:
-            raise ValueError("need one initial profile per agent")
-        for p in initial:
-            p.validate(space)
-        profiles = [p.copy() for p in initial]
+    starts = [uniform_random_profile(space, params.seed)] * n_agents if initial is None else initial
+    if len(starts) != n_agents:
+        raise ValueError("need one initial profile per agent")
+    for p in starts:
+        p.validate(space)
+    # Row i is agent i's profile.
+    state = np.array([p.values for p in starts])
 
     oracles = [f.memoized() for f in oracles]
 
@@ -244,20 +233,19 @@ def distributed_minimize(
 
     for k in range(1, params.iterations + 1):
         gamma_k = step_size(k, params)
-        new_profiles = []
+        new_state = np.empty_like(state)
         for i, f in enumerate(oracles):
-            mixed = mix_profiles(profiles, a[i], i)
-            res = greedy_extension(f, Profile(mixed), space)
+            mixed = mix_profiles(state, a[i], i)
+            res = greedy_extension(f, Profile(space, mixed), space)
             ext_values[k - 1, i] = res.value
-            stepped = [m - gamma_k * g for m, g in zip(mixed, res.subgradient)]
-            new_profiles.append(project_product(stepped, space))
-        profiles = new_profiles
-        disagreement[k - 1] = _disagreement(profiles)
-        for p in profiles:
-            best = min(best, total_cost(theta(p, params.t_hat)))
+            new_state[i] = project_product(mixed - gamma_k * res.subgradient, space).values
+        state = new_state
+        disagreement[k - 1] = _disagreement(state)
+        for row in state:
+            best = min(best, total_cost(theta(Profile(space, row), params.t_hat)))
         best_rounded[k - 1] = best
 
-    points = [theta(p, params.t_hat) for p in profiles]
+    points = [theta(Profile(space, row), params.t_hat) for row in state]
     values = [total_cost(x) for x in points]
     trace = SolveTrace(ext_values=ext_values, disagreement=disagreement, best_rounded=best_rounded)
     return points, values, trace

@@ -176,9 +176,43 @@ def reference_centralized_minimize(f: Oracle, space: ChainProduct, params: Solve
         gamma_k = step_size(k, params)
         res = greedy_extension(f, rho, space)
         ext_values[k - 1, 0] = res.value
-        stepped = [p - gamma_k * g for p, g in zip(rho.parts, res.subgradient)]
-        rho = project_product(stepped, space)
+        rho = project_product(rho.values - gamma_k * res.subgradient, space)
         best = min(best, f(theta(rho, params.t_hat)))
         best_rounded[k - 1] = best
     point = theta(rho, params.t_hat)
     return point, f(point), ext_values, best_rounded
+
+
+def reference_greedy_extension(f: Oracle, space: ChainProduct, parts: list[np.ndarray]):
+    """The extension on a list of per-chain vectors, sorting (value, chain, position) tuples.
+
+    Returns (value, per-chain subgradients, walk points, sorted entries),
+    each entry (value, chain, 1-based position).  No feasibility check.
+    """
+    entries = [(v, i, j + 1) for i, part in enumerate(parts) for j, v in enumerate(part.tolist())]
+    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    x = [0] * space.n_chains
+    points = [tuple(x)]
+    prev = f(points[0])
+    value = prev
+    subgradient = [np.zeros(m - 1) for m in space.dims]
+    for t, i, _ in entries:
+        x[i] += 1
+        points.append(tuple(x))
+        cur = f(points[-1])
+        step = cur - prev
+        value += t * step
+        subgradient[i][x[i] - 1] = step
+        prev = cur
+    return float(value), subgradient, points, entries
+
+
+def reference_theta(parts: list[np.ndarray], t: float) -> tuple[int, ...]:
+    """Per chain, how many entries are at least t."""
+    return tuple(sum(v >= t for v in p.tolist()) for p in parts)
+
+
+def reference_uniform_random_parts(space: ChainProduct, seed) -> list[np.ndarray]:
+    """Per chain in turn, m_i - 1 uniform draws sorted descending."""
+    rng = np.random.default_rng(seed)
+    return [np.sort(rng.uniform(0.0, 1.0, size=m - 1))[::-1] for m in space.dims]

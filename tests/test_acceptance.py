@@ -174,7 +174,7 @@ def test_criterion_2_convexity_iff_submodularity():
         for pair in range(1000):
             a = uniform_random_profile(space, (fn, pair, 0))
             b = uniform_random_profile(space, (fn, pair, 1))
-            mid = Profile([(p + q) / 2 for p, q in zip(a.parts, b.parts)])
+            mid = Profile(space, (a.values + b.values) / 2)
             lhs = greedy_extension(f, mid, space).value
             rhs = (
                 greedy_extension(f, a, space).value + greedy_extension(f, b, space).value
@@ -189,7 +189,7 @@ def test_criterion_2_convexity_iff_submodularity():
     for trial in range(500):
         a = uniform_random_profile(space, 2 * trial)
         b = uniform_random_profile(space, 2 * trial + 1)
-        mid = Profile([(p + q) / 2 for p, q in zip(a.parts, b.parts)])
+        mid = Profile(space, (a.values + b.values) / 2)
         lhs = greedy_extension(product, mid, space).value
         rhs = (
             greedy_extension(product, a, space).value

@@ -552,3 +552,19 @@ class TestArenaValidation:
         with pytest.raises(ValueError, match="outside"):
             Arena(size=6, horizon=5, zone=[(1, 6)], responsibilities=[[(1, 6)]],
                   obstacles=set())
+
+
+class TestParamValidation:
+    @pytest.mark.parametrize(
+        "field", ["pursuit_gain", "cohesion", "mobility", "zeta1", "zeta2", "alpha_a_nom", "beta", "delta_th"]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_defender_field_named(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field}: not finite"):
+            toy_defender_params(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["eta_avoid_nom", "eta_base_nom", "delta_th", "kappa"])
+    def test_non_finite_attacker_field_named(self, field):
+        fields = dict(eta_avoid_nom=0.7, eta_base_nom=0.3, delta_th=4.0, kappa=0.9)
+        with pytest.raises(ValueError, match=rf"^{field}: not finite"):
+            AttackerParams(**{**fields, field: math.nan})

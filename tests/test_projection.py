@@ -82,34 +82,35 @@ class TestMonotoneBox:
 class TestProductProjection:
     def test_feasible_chains_unchanged(self):
         X = ChainProduct([3, 4])
-        rho = project_product([np.array([0.9, 0.1]), np.array([0.7, 0.7, 0.2])], X)
-        assert np.array_equal(rho.parts[0], [0.9, 0.1])
-        assert np.array_equal(rho.parts[1], [0.7, 0.7, 0.2])
+        rho = project_product(np.array([0.9, 0.1, 0.7, 0.7, 0.2]), X)
+        assert np.array_equal(rho.chain(0), [0.9, 0.1])
+        assert np.array_equal(rho.chain(1), [0.7, 0.7, 0.2])
 
     def test_only_infeasible_chain_changes(self):
         X = ChainProduct([3, 3])
-        rho = project_product([np.array([0.9, 0.1]), np.array([0.1, 0.9])], X)
-        assert np.array_equal(rho.parts[0], [0.9, 0.1])
-        assert np.allclose(rho.parts[1], [0.5, 0.5])
+        rho = project_product(np.array([0.9, 0.1, 0.1, 0.9]), X)
+        assert np.array_equal(rho.chain(0), [0.9, 0.1])
+        assert np.allclose(rho.chain(1), [0.5, 0.5])
 
     def test_separable_equals_whole_vector_grid_search(self):
+        X = ChainProduct([3, 2, 4])
         rng = np.random.default_rng(29)
         for _ in range(10):
             parts = [rng.integers(-100, 200, size=k) * 0.012 for k in (2, 1, 3)]
-            rho = project_product(parts)
-            for part, v in zip(rho.parts, parts):
-                assert np.max(np.abs(part - grid_projection_oracle(v))) < 1e-6
+            rho = project_product(np.concatenate(parts), X)
+            for c, v in enumerate(parts):
+                assert np.max(np.abs(rho.chain(c) - grid_projection_oracle(v))) < 1e-6
 
     def test_shape_mismatch_rejected(self):
         X = ChainProduct([3, 3])
-        with pytest.raises(ValueError, match="expected 2 chain vectors"):
-            project_product([np.array([0.5, 0.5])], X)
-        with pytest.raises(ValueError, match="expected length 2"):
-            project_product([np.array([0.5]), np.array([0.5, 0.4])], X)
+        with pytest.raises(ValueError, match=r"length 4, got shape \(2,\)"):
+            project_product(np.array([0.5, 0.5]), X)
+        with pytest.raises(ValueError, match=r"length 4, got shape \(2, 2\)"):
+            project_product(np.array([[0.5, 0.5], [0.5, 0.4]]), X)
 
     def test_result_validates_as_profile(self):
         X = ChainProduct([4, 2, 3])
         rng = np.random.default_rng(31)
         for _ in range(20):
             parts = [rng.uniform(-1, 2, size=m - 1) for m in X.dims]
-            project_product(parts, X).validate(X)
+            project_product(np.concatenate(parts), X).validate(X)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import math
 import tempfile
 from pathlib import Path
 
@@ -192,6 +193,13 @@ class TestStartChecks:
         with pytest.raises(ScenarioInvariantError, match=r"players\.defenders\[0\].*obstacle"):
             dataclasses.replace(s, defenders_start=[(4, 10), (8, 17), (12, 17), (16, 17)])
 
+    def test_programmatic_defender_counts_are_checked(self):
+        s = load_scenario(GOLDEN)
+        with pytest.raises(ScenarioInvariantError, match="4 sets for 5 defenders"):
+            dataclasses.replace(s, defenders_start=s.defenders_start + [(1, 1)])
+        with pytest.raises(ScenarioInvariantError, match=r"network\.matrix: 2 agents for 4"):
+            dataclasses.replace(s, network_matrix=[[0.5, 0.5], [0.5, 0.5]])
+
     # Cells drawn near the 20x20 grid's edges and on its obstacles as well as anywhere.
     CELLS = st.one_of(
         st.tuples(st.integers(-1, 20), st.integers(-1, 20)),
@@ -221,6 +229,72 @@ class TestStartChecks:
                     load_scenario(path)
             else:
                 assert load_scenario(path).defenders_start == defenders
+
+
+def write_golden_with(path, field, value):
+    """The golden game file with one field, given by its dotted name, replaced."""
+    data = yaml.safe_load(GOLDEN.read_text())
+    *blocks, key = field.split(".")
+    target = data
+    for block in blocks:
+        target = target[block]
+    target[key] = value
+    path.write_text(yaml.safe_dump(data))
+    return path
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # Values that int() or float() cannot read.
+            ("solver.iterations", math.inf),
+            ("solver.iterations", [20]),
+            ("seed", "seven"),
+            ("arena.size", math.nan),
+            ("defenders.cohesion", [[0.0, "x"], [1.0, 0.0]]),
+            # Values that read but are not finite.
+            ("attackers.delta_th", math.nan),
+            ("solver.gamma", math.inf),
+            ("defenders.pursuit_gain", math.nan),
+            ("defenders.zeta1", math.inf),
+            ("defenders.delta_th", [20.0, math.nan, 8.0, 20.0]),
+            ("defenders.mobility", -math.inf),
+            ("attackers.eta_base_nom", math.nan),
+        ],
+    )
+    def test_exits_two_naming_the_field(self, tmp_path, capsys, command, field, value):
+        path = write_golden_with(tmp_path / "bad.cfg", field, value)
+        argv = [command, str(path)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("defenders.delta_th", [20, 8, 8], r"defenders\.delta_th: need 1 or 4 values, got 3"),
+            ("defenders.mobility", [1.0, 1.0], r"defenders\.mobility: need 1 or 4 values, got 2"),
+            ("defenders.cohesion", [[0.0, 0.5], [0.5, 0.0]], r"defenders\.cohesion: need a 4x4"),
+            (
+                "arena.responsibilities",
+                [[[6, 19], [7, 19], [8, 19], [9, 19]], [[10, 19], [11, 19], [12, 19], [13, 19]]],
+                r"arena\.responsibilities: 2 sets for 4 defenders",
+            ),
+        ],
+    )
+    def test_per_defender_counts_rejected_at_load(self, tmp_path, field, value, message):
+        path = write_golden_with(tmp_path / "count.cfg", field, value)
+        with pytest.raises(ScenarioInvariantError, match=message):
+            load_scenario(path)
+
+    def test_single_values_apply_to_every_defender(self, tmp_path):
+        path = write_golden_with(tmp_path / "one.cfg", "defenders.mobility", [2.5])
+        assert load_scenario(path).defender_params.mobility.tolist() == [2.5] * 4
 
 
 class TestBuiltinObjectives:

@@ -109,6 +109,8 @@ class TestStepSize:
             SolverParams(iterations=0, gamma=0.1)
         with pytest.raises(ValueError, match="gamma"):
             SolverParams(iterations=5, gamma=0.0)
+        with pytest.raises(ValueError, match="gamma"):
+            SolverParams(iterations=5, gamma=math.inf)
         with pytest.raises(ValueError, match="t_hat"):
             SolverParams(iterations=5, gamma=0.1, t_hat=1.0)
         with pytest.raises(ValueError, match="schedule"):
@@ -149,12 +151,16 @@ class TestCentralized:
         f = random_submodular_oracle(X, rng) if seed % 2 else random_table_oracle(X, rng)
         schedule = "diminishing" if seed < 3 else "constant"
         params = SolverParams(iterations=80, gamma=0.2, schedule=schedule, seed=seed)
-        point, value, trace = centralized_minimize(f, X, params)
         ref_point, ref_value, ref_ext, ref_best = reference_centralized_minimize(f, X, params)
-        assert (point, value) == (ref_point, ref_value)
-        assert np.array_equal(trace.ext_values, ref_ext)
-        assert np.array_equal(trace.best_rounded, ref_best)
-        assert np.array_equal(trace.disagreement, np.zeros(params.iterations))
+        # Centralized, and a one-agent consensus solve called directly.
+        lone = WeightMatrix([[1.0]], eta=0.5)
+        points, values, d_trace = distributed_minimize([f], X, lone, params)
+        solves = [centralized_minimize(f, X, params), (points[0], values[0], d_trace)]
+        for point, value, trace in solves:
+            assert (point, value) == (ref_point, ref_value)
+            assert np.array_equal(trace.ext_values, ref_ext)
+            assert np.array_equal(trace.best_rounded, ref_best)
+            assert np.array_equal(trace.disagreement, np.zeros(params.iterations))
 
     def test_negative_zero_cost_keeps_its_sign(self):
         X = ChainProduct([3, 3])
@@ -172,8 +178,8 @@ class TestDistributed:
         fs = [Oracle(lambda x: float(x[0]), X) for _ in range(2)]
         matrix = WeightMatrix([[0.5, 0.5], [0.5, 0.5]], eta=0.1)
         params = SolverParams(iterations=5, gamma=0.1, seed=1)
-        good = Profile([np.array([0.6, 0.2]), np.array([0.4])])
-        bad = Profile([np.array([0.6, 0.2]), np.array([np.nan])])
+        good = Profile(X, np.array([0.6, 0.2, 0.4]))
+        bad = Profile(X, np.array([0.6, 0.2, np.nan]))
         with pytest.raises(ValueError, match="chain 1 leaves"):
             distributed_minimize(fs, X, matrix, params, initial=[good, bad])
 
@@ -198,19 +204,6 @@ class TestDistributed:
         points, values, trace = distributed_minimize(fs, X, matrix, params)
         assert np.all(trace.disagreement == 0.0)
         assert len(set(points)) == 1
-
-    def test_single_agent_reduces_to_centralized(self):
-        X = ChainProduct([4, 2])
-        rng = np.random.default_rng(8)
-        f = random_submodular_oracle(X, rng)
-        params = SolverParams(iterations=120, gamma=0.15, schedule="diminishing", seed=9)
-        matrix = WeightMatrix([[1.0]], eta=0.5)
-        d_points, d_values, d_trace = distributed_minimize([f], X, matrix, params)
-        c_point, c_value, c_trace = centralized_minimize(f, X, params)
-        assert d_points[0] == c_point
-        assert d_values[0] == c_value
-        assert np.array_equal(d_trace.ext_values, c_trace.ext_values)
-        assert np.array_equal(d_trace.best_rounded, c_trace.best_rounded)
 
     def test_each_point_evaluated_at_most_once_per_solve(self):
         X = ChainProduct([3, 4, 2])
@@ -252,18 +245,19 @@ class TestDistributed:
         X = ChainProduct([4, 3, 5])
         a = np.asarray(LINE_GRAPH_MATRIX)
         profiles = [uniform_random_profile(X, seed) for seed in range(4)]
-        mixed = [Profile(mix_profiles(profiles, a[i], i)) for i in range(4)]
+        state = np.array([p.values for p in profiles])
+        mixed = [Profile(X, mix_profiles(state, a[i], i)) for i in range(4)]
         for c in range(X.n_chains):
-            before = sum(p.parts[c] for p in profiles)
-            after = sum(m.parts[c] for m in mixed)
+            before = sum(p.chain(c) for p in profiles)
+            after = sum(m.chain(c) for m in mixed)
             assert np.max(np.abs(before - after)) <= 1e-12
 
     def test_mixing_feasible_profiles_stays_feasible(self):
         X = ChainProduct([3, 6])
         a = np.asarray(LINE_GRAPH_MATRIX)
-        profiles = [uniform_random_profile(X, seed) for seed in range(4)]
+        state = np.array([uniform_random_profile(X, seed).values for seed in range(4)])
         for i in range(4):
-            Profile(mix_profiles(profiles, a[i], i)).validate(X)
+            Profile(X, mix_profiles(state, a[i], i)).validate(X)
 
     def test_consensus_contraction_over_seeds(self):
         # With distinct starts, diminishing steps shrink the disagreement.
