@@ -359,18 +359,14 @@ class StepContext:
         return len(self.defenders)
 
 
-def defender_cost(i: int, actions: list[tuple[int, int]], ctx: StepContext) -> float:
-    """Local cost of defender i under a joint candidate action.
+def _landing(ctx: StepContext, i: int, u: tuple[int, int]) -> Cell:
+    """Defender i's landing cell under move u, clamped to the grid."""
+    p = ctx.defenders[i]
+    return ctx.arena.clamp((p[0] + u[0], p[1] + u[1]))
 
-    Moves that would leave the grid are charged at the clamped landing
-    cell, which keeps the decision space a full chain product.
-    """
-    d = DISTANCES[ctx.params.distance]
-    nxt = [
-        ctx.arena.clamp((p[0] + u[0], p[1] + u[1]))
-        for p, u in zip(ctx.defenders, actions)
-    ]
-    zi = nxt[i]
+
+def _head(ctx: StepContext, i: int, zi: Cell, d) -> float:
+    """Defender i's zone pull and pursuit at landing cell zi, weighted by its alphas."""
     alpha_a, alpha_f = ctx.alphas[i]
 
     zone_pull = sum(d(zi, z) for z in ctx.arena.responsibilities[i])
@@ -381,21 +377,48 @@ def defender_cost(i: int, actions: list[tuple[int, int]], ctx: StepContext) -> f
         if w != 0.0:
             pursuit += w * d(zi, ctx.predicted[g])
 
-    cohesion = 0.0
-    for j, zj in enumerate(nxt):
-        w = ctx.params.cohesion[i, j]
-        if w != 0.0 and j != i:
-            cohesion += w * d(zi, zj)
+    return alpha_f * zone_pull + alpha_a * pursuit
 
+
+def _partners(ctx: StepContext, i: int) -> list[tuple[int, float]]:
+    """(j, cohesion weight) for every teammate j that defender i is drawn to, in increasing j."""
+    weights = ctx.params.cohesion
+    return [(j, weights[i, j]) for j in range(ctx.n_defenders) if weights[i, j] != 0.0 and j != i]
+
+
+def _cohesion_term(w, distance):
+    """A teammate's pull: its weight times the landing-cell distance (a number or a table)."""
+    return w * distance
+
+
+def _barrier(ctx: StepContext, i: int, zi: Cell) -> float:
+    """Gaussian walls on defender i's avoidance planes at landing cell zi."""
     z1, z2 = ctx.params.zeta1, ctx.params.zeta2
     x_planes, y_planes = ctx.planes[i]
     barrier = sum(z1 * math.exp(-z2 * (zi[0] - cx) ** 2) for cx in sorted(x_planes))
     barrier += sum(z1 * math.exp(-z2 * (zi[1] - cy) ** 2) for cy in sorted(y_planes))
+    return barrier
 
-    ux, uy = actions[i]
-    mobility = ctx.params.mobility[i] * (ux * ux + uy * uy)
 
-    return alpha_f * zone_pull + alpha_a * pursuit + cohesion + barrier + mobility
+def _mobility(ctx: StepContext, i: int, u: tuple[int, int]) -> float:
+    """Defender i's action penalty for move u."""
+    return ctx.params.mobility[i] * (u[0] * u[0] + u[1] * u[1])
+
+
+def defender_cost(i: int, actions: list[tuple[int, int]], ctx: StepContext) -> float:
+    """Local cost of defender i under a joint candidate action.
+
+    Moves that would leave the grid are charged at the clamped landing
+    cell, which keeps the decision space a full chain product.  This is
+    the reference definition; `build_step_problem` tabulates the same
+    terms and adds them in the same order.
+    """
+    d = DISTANCES[ctx.params.distance]
+    zi = _landing(ctx, i, actions[i])
+    cohesion = 0.0
+    for j, w in _partners(ctx, i):
+        cohesion += _cohesion_term(w, d(zi, _landing(ctx, j, actions[j])))
+    return _head(ctx, i, zi, d) + cohesion + _barrier(ctx, i, zi) + _mobility(ctx, i, actions[i])
 
 
 def decode_actions(point, n_defenders: int, u_max: int) -> list[tuple[int, int]]:
@@ -406,22 +429,83 @@ def decode_actions(point, n_defenders: int, u_max: int) -> list[tuple[int, int]]
     ]
 
 
+@dataclass
+class StepTables:
+    """One step's defender costs, tabulated by move index.
+
+    Defender i's move index is a = point[2i] * side + point[2i+1], with
+    side = 2*u_max + 1.  `head[i][a]`, `barrier[i][a]` and `mobility[i][a]`
+    are its own terms under move a; `cohesion[i]` lists (j, table) in
+    increasing j for every teammate j it is drawn to, with table[a][b]
+    the pull of j when i moves by a and j by b.
+    """
+
+    side: int
+    head: list[list[float]]
+    barrier: list[list[float]]
+    mobility: list[list[float]]
+    cohesion: list[list[tuple[int, list[list[float]]]]]
+
+
+def step_tables(ctx: StepContext) -> StepTables:
+    """Evaluate every term of every defender's cost once per own move.
+
+    The cohesion distances of each pair of defenders are tabulated once
+    and read in both directions.
+    """
+    d = DISTANCES[ctx.params.distance]
+    n, u_max = ctx.n_defenders, ctx.u_max
+    steps = range(-u_max, u_max + 1)
+    moves = [(ux, uy) for ux in steps for uy in steps]
+    cells = [[_landing(ctx, i, u) for u in moves] for i in range(n)]
+    distances: dict[tuple[int, int], np.ndarray] = {}
+
+    def distance_table(i, j):
+        lo, hi = min(i, j), max(i, j)
+        if (lo, hi) not in distances:
+            distances[lo, hi] = np.array([[d(a, b) for b in cells[hi]] for a in cells[lo]])
+        return distances[lo, hi] if i < j else distances[lo, hi].T
+
+    return StepTables(
+        side=len(steps),
+        head=[[float(_head(ctx, i, z, d)) for z in cells[i]] for i in range(n)],
+        barrier=[[float(_barrier(ctx, i, z)) for z in cells[i]] for i in range(n)],
+        mobility=[[float(_mobility(ctx, i, u)) for u in moves] for i in range(n)],
+        cohesion=[
+            [(j, _cohesion_term(w, distance_table(i, j)).tolist()) for j, w in _partners(ctx, i)]
+            for i in range(n)
+        ],
+    )
+
+
+def _tabulated_cost(tables: StepTables, i: int) -> Callable[[tuple[int, ...]], float]:
+    """Defender i's cost read from the tables, summed in `defender_cost`'s order."""
+    side, k = tables.side, 2 * i
+    head, barrier, mobility = tables.head[i], tables.barrier[i], tables.mobility[i]
+    pairs = [(table, 2 * j) for j, table in tables.cohesion[i]]
+
+    def cost(point):
+        a = point[k] * side + point[k + 1]
+        cohesion = 0.0
+        for table, kj in pairs:
+            cohesion += table[a][point[kj] * side + point[kj + 1]]
+        return ((head[a] + cohesion) + barrier[a]) + mobility[a]
+
+    return cost
+
+
 def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     """Per-defender cost oracles over the joint action lattice.
 
     One chain of size 2*u_max + 1 per decision coordinate, in the order
-    (ux_0, uy_0, ux_1, uy_1, ...); index u + u_max encodes move u.
+    (ux_0, uy_0, ux_1, uy_1, ...); index u + u_max encodes move u.  The
+    oracles read `step_tables(ctx)`, so they equal `defender_cost` bit for
+    bit at every lattice point, and they capture the context as it is
+    now: changing `ctx` afterwards does not change them.
     """
-    n = ctx.n_defenders
-    space = ChainProduct([2 * ctx.u_max + 1] * (2 * n))
-
-    def make(i):
-        return Oracle(
-            lambda point, i=i: defender_cost(i, decode_actions(point, n, ctx.u_max), ctx),
-            space,
-        )
-
-    return [make(i) for i in range(n)], space
+    space = ChainProduct([2 * ctx.u_max + 1] * (2 * ctx.n_defenders))
+    tables = step_tables(ctx)
+    return [Oracle(_tabulated_cost(tables, i), space) for i in range(ctx.n_defenders)], space
 
 
 @dataclass

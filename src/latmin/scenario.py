@@ -223,6 +223,27 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+def _mapping(value, where: str, known=None) -> dict:
+    """value as a mapping; with `known` given, a key outside it is a schema error.
+
+    `where` is the mapping's dotted name, empty for a file's top level.
+    """
+    if not isinstance(value, dict):
+        raise ScenarioSchemaError(f"{where}: expected a mapping, got {value!r}")
+    unknown = set(value) - set(known) if known is not None else set()
+    if unknown:
+        prefix = f"{where}." if where else ""
+        names = ", ".join(prefix + str(key) for key in sorted(unknown, key=str))
+        raise ScenarioSchemaError(f"{names}: unknown field")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioSchemaError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
 def _read(block: dict, key: str, where: str, convert=float, default=None):
     """block[key] read by `convert`; required unless a default is given."""
     value = _require(block, key, where) if default is None else block.get(key, default)
@@ -231,6 +252,18 @@ def _read(block: dict, key: str, where: str, convert=float, default=None):
 
 def _cells(value, where: str) -> list[tuple[int, int]]:
     return _convert(value, lambda pairs: [(int(x), int(y)) for x, y in pairs], where)
+
+
+NETWORK_FIELDS = ("eta", "matrix")
+
+# The blocks of a game file besides `solver`, and the fields each may hold.
+GAME_BLOCKS = {
+    "arena": ("size", "horizon", "defense_zone", "responsibilities", "obstacles"),
+    "players": ("u_max", "defenders", "attackers"),
+    "defenders": tuple(f.name for f in dataclasses.fields(DefenderParams)),
+    "attackers": tuple(f.name for f in dataclasses.fields(AttackerParams)),
+    "network": NETWORK_FIELDS,
+}
 
 
 def _load_yaml(path) -> dict:
@@ -259,11 +292,8 @@ def _check_network(matrix, eta, where="network") -> list[list[float]]:
     return a.tolist()
 
 
-def _solver_block(block: dict, where="solver") -> dict:
-    known = {"iterations", "gamma", "schedule", "t_hat"}
-    unknown = set(block) - known
-    if unknown:
-        raise ScenarioSchemaError(f"{where}: unknown fields {sorted(unknown)}")
+def _solver_block(block, where="solver") -> dict:
+    block = _mapping(block, where, ("iterations", "gamma", "schedule", "t_hat"))
     out = {
         "iterations": _read(block, "iterations", where, int),
         "gamma": _read(block, "gamma", where),
@@ -280,6 +310,7 @@ def _solver_block(block: dict, where="solver") -> dict:
 
 
 def _load_problem(data: dict, seed: int) -> Problem:
+    _mapping(data, "", ("kind", "seed", "dims", "objectives", "network", "solver"))
     dims = _read(data, "dims", "problem", lambda ms: [int(m) for m in ms])
     try:
         ChainProduct(dims)
@@ -288,10 +319,13 @@ def _load_problem(data: dict, seed: int) -> Problem:
     objectives = _require(data, "objectives", "problem")
     if not isinstance(objectives, list) or not objectives:
         raise ScenarioSchemaError("objectives: need a non-empty list")
+    for k, spec in enumerate(objectives):
+        _mapping(spec, f"objectives[{k}]")
     solver = _solver_block(_require(data, "solver", "problem"))
     network = data.get("network")
     matrix = eta = None
     if network is not None:
+        _mapping(network, "network", NETWORK_FIELDS)
         matrix = _require(network, "matrix", "network")
         eta = _read(network, "eta", "network")
         matrix = _check_network(matrix, eta)
@@ -314,16 +348,18 @@ def _load_problem(data: dict, seed: int) -> Problem:
 
 
 def _load_game(data: dict, seed: int) -> Scenario:
-    arena_block = _require(data, "arena", "scenario")
-    players = _require(data, "players", "scenario")
-    defenders_block = _require(data, "defenders", "scenario")
-    attackers_block = _require(data, "attackers", "scenario")
-    network = _require(data, "network", "scenario")
+    _mapping(data, "", ("kind", "seed", *GAME_BLOCKS, "solver"))
+    arena_block, players, defenders_block, attackers_block, network = (
+        _mapping(_require(data, name, "scenario"), name, GAME_BLOCKS[name])
+        for name in ("arena", "players", "defenders", "attackers", "network")
+    )
     solver = _solver_block(_require(data, "solver", "scenario"))
 
     responsibilities = [
         _cells(r, f"arena.responsibilities[{i}]")
-        for i, r in enumerate(_require(arena_block, "responsibilities", "arena"))
+        for i, r in enumerate(
+            _list(_require(arena_block, "responsibilities", "arena"), "arena.responsibilities")
+        )
     ]
     try:
         arena = Arena(

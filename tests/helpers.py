@@ -17,6 +17,7 @@ from latmin import (
     theta,
     uniform_random_profile,
 )
+from latmin.ctf import DISTANCES, StepContext, decode_actions, defender_cost
 from latmin.lattice import DEFAULT_STRICTNESS_TOL
 
 
@@ -216,3 +217,52 @@ def reference_uniform_random_parts(space: ChainProduct, seed) -> list[np.ndarray
     """Per chain in turn, m_i - 1 uniform draws sorted descending."""
     rng = np.random.default_rng(seed)
     return [np.sort(rng.uniform(0.0, 1.0, size=m - 1))[::-1] for m in space.dims]
+
+
+def reference_build_step_problem(ctx: StepContext):
+    """Per-defender oracles that call `defender_cost` on every point, reading `ctx` live."""
+    n = ctx.n_defenders
+    space = ChainProduct([2 * ctx.u_max + 1] * (2 * n))
+
+    def make(i):
+        return Oracle(
+            lambda point, i=i: defender_cost(i, decode_actions(point, n, ctx.u_max), ctx),
+            space,
+        )
+
+    return [make(i) for i in range(n)], space
+
+
+def reference_defender_cost(i: int, actions: list[tuple[int, int]], ctx: StepContext) -> float:
+    """`defender_cost` written out as one function, all five terms inline."""
+    d = DISTANCES[ctx.params.distance]
+    nxt = [
+        ctx.arena.clamp((p[0] + u[0], p[1] + u[1]))
+        for p, u in zip(ctx.defenders, actions)
+    ]
+    zi = nxt[i]
+    alpha_a, alpha_f = ctx.alphas[i]
+
+    zone_pull = sum(d(zi, z) for z in ctx.arena.responsibilities[i])
+    zone_pull /= len(ctx.arena.responsibilities[i])
+
+    pursuit = 0.0
+    for g, w in enumerate(ctx.pursuit[i]):
+        if w != 0.0:
+            pursuit += w * d(zi, ctx.predicted[g])
+
+    cohesion = 0.0
+    for j, zj in enumerate(nxt):
+        w = ctx.params.cohesion[i, j]
+        if w != 0.0 and j != i:
+            cohesion += w * d(zi, zj)
+
+    z1, z2 = ctx.params.zeta1, ctx.params.zeta2
+    x_planes, y_planes = ctx.planes[i]
+    barrier = sum(z1 * math.exp(-z2 * (zi[0] - cx) ** 2) for cx in sorted(x_planes))
+    barrier += sum(z1 * math.exp(-z2 * (zi[1] - cy) ** 2) for cy in sorted(y_planes))
+
+    ux, uy = actions[i]
+    mobility = ctx.params.mobility[i] * (ux * ux + uy * uy)
+
+    return alpha_f * zone_pull + alpha_a * pursuit + cohesion + barrier + mobility

@@ -1,9 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from latmin import Oracle, check_submodular
+from latmin import ChainProduct, Oracle, check_submodular, ctf
+from latmin.cli import main
 from latmin.ctf import (
     Arena,
     AttackerParams,
@@ -22,8 +26,12 @@ from latmin.ctf import (
     run_game,
     threat_distance,
 )
-from latmin.scenario import Scenario
+from latmin.scenario import Scenario, bundled_scenario_path, load_scenario
 from latmin.solvers import SolverParams
+
+from helpers import reference_build_step_problem, reference_defender_cost
+
+GOLDEN = bundled_scenario_path("paper_fig3.cfg")
 
 
 def toy_arena(size=6, horizon=8, obstacles=()):
@@ -568,3 +576,199 @@ class TestParamValidation:
         fields = dict(eta_avoid_nom=0.7, eta_base_nom=0.3, delta_th=4.0, kappa=0.9)
         with pytest.raises(ValueError, match=rf"^{field}: not finite"):
             AttackerParams(**{**fields, field: math.nan})
+
+
+def as_bytes(value) -> bytes:
+    """A cost's IEEE bytes, so that 0.0 and -0.0 differ."""
+    return struct.pack("<d", float(value))
+
+
+def assert_oracles_equal_defender_cost(ctx, points):
+    """Every step oracle equals `defender_cost` byte for byte at every point,
+    and `defender_cost` equals its one-function form."""
+    oracles, space = build_step_problem(ctx)
+    for point in points:
+        actions = decode_actions(point, ctx.n_defenders, ctx.u_max)
+        for i, f in enumerate(oracles):
+            expected = as_bytes(defender_cost(i, actions, ctx))
+            assert as_bytes(f(point)) == expected, (i, point)
+            assert as_bytes(reference_defender_cost(i, actions, ctx)) == expected, (i, point)
+
+
+ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def step_contexts(draw):
+    """2-3 defenders on a small grid, so moves clamp at edges and corners,
+    with obstacles within reach, so avoidance planes appear."""
+    n = draw(st.integers(2, 3))
+    size = draw(st.integers(3, 6))
+    grid = [(x, y) for x in range(size) for y in range(size)]
+    zone = [(x, size - 1) for x in range(size)]
+    responsibilities = [
+        draw(st.lists(st.sampled_from(zone), min_size=1, max_size=3, unique=True)) for _ in range(n)
+    ]
+    responsibilities[-1] += [c for c in zone if not any(c in r for r in responsibilities)]
+    defenders = draw(st.lists(st.sampled_from(grid), min_size=n, max_size=n, unique=True))
+    near = st.tuples(st.integers(0, n - 1), st.integers(-1, 1), st.integers(-1, 1))
+    obstacles = {
+        (defenders[i][0] + dx, defenders[i][1] + dy)
+        for i, dx, dy in draw(st.lists(near, max_size=3))
+    }
+    arena = Arena(
+        size=size,
+        horizon=5,
+        zone=zone,
+        responsibilities=responsibilities,
+        obstacles={c for c in obstacles if 0 <= min(c) and max(c) < size and c not in zone},
+    )
+    predicted = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3))
+    weight = st.one_of(ZEROS, st.floats(0.01, 50.0))
+    pursuit = np.array([
+        [0.0] * len(predicted) if draw(st.booleans())
+        else draw(st.lists(weight, min_size=len(predicted), max_size=len(predicted)))
+        for _ in range(n)
+    ])
+    alpha_a = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    params = toy_defender_params(
+        # Asymmetric, with zero entries and a diagonal that must be skipped.
+        cohesion=np.array(draw(st.lists(
+            st.lists(st.one_of(ZEROS, st.floats(0.001, 5.0)), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        ))),
+        mobility=draw(st.lists(st.one_of(ZEROS, st.floats(0.0, 5.0)), min_size=n, max_size=n)),
+        zeta1=draw(st.floats(1.0, 300.0)),
+        zeta2=draw(st.floats(1.0, 10.0)),
+        delta_th=[5.0] * n,
+        distance=draw(st.sampled_from(sorted(ctf.DISTANCES))),
+    )
+    return toy_context(
+        defenders=defenders,
+        predicted=predicted,
+        alphas=[(a, 1.0 - a) for a in alpha_a],
+        pursuit=pursuit,
+        planes=[avoidance_planes(i, defenders, arena.obstacles) for i in range(n)],
+        params=params,
+        arena=arena,
+    )
+
+
+def tables_property(**overrides):
+    """The property: on random contexts, the step oracles equal `defender_cost` everywhere."""
+
+    @settings(max_examples=60, deadline=None, database=None, **overrides)
+    @given(step_contexts())
+    def check(ctx):
+        space = ChainProduct([3] * (2 * ctx.n_defenders))
+        assert_oracles_equal_defender_cost(ctx, space.points())
+
+    return check
+
+
+test_step_tables_equal_defender_cost_at_every_point = tables_property()
+
+
+def barrier_before_cohesion(tables, i):
+    """A mutant of the tabulated cost that adds the cohesion after the barrier."""
+    side, k = tables.side, 2 * i
+    head, barrier, mobility = tables.head[i], tables.barrier[i], tables.mobility[i]
+    pairs = [(table, 2 * j) for j, table in tables.cohesion[i]]
+
+    def cost(point):
+        a = point[k] * side + point[k + 1]
+        cohesion = 0.0
+        for table, kj in pairs:
+            cohesion += table[a][point[kj] * side + point[kj + 1]]
+        return ((head[a] + barrier[a]) + cohesion) + mobility[a]
+
+    return cost
+
+
+def fig3_step_zero():
+    scenario = load_scenario(GOLDEN)
+    defenders, attackers, captured, (pursuit_rngs, _, _) = ctf.game_start(scenario)
+    return ctf.step_context(scenario, defenders, attackers, captured, pursuit_rngs)
+
+
+def swarm8_context(seed=3):
+    """An 8-defender step like the generated swarm games: a 20x20 grid, the
+    defenders close enough to exchange planes, obstacles within reach and
+    four attackers, two of them pursued."""
+    rng = np.random.default_rng(seed)
+    n = 8
+    zone = [(2 + c, 19) for c in range(2 * n)]
+    defenders = [(2 + 2 * i, 17 - i % 2) for i in range(n)]
+    obstacles = {(3, 16), (10, 18), (15, 15)}
+    arena = Arena(
+        size=20, horizon=12, zone=zone,
+        responsibilities=[zone[2 * i:2 * i + 2] for i in range(n)], obstacles=obstacles,
+    )
+    attackers = [(4, 13), (11, 2), (16, 12), (0, 5)]
+    active = [True] * len(attackers)
+    alphas, pursuit = [], np.zeros((n, len(attackers)))
+    for i in range(n):
+        delta = threat_distance(attackers, active, arena.responsibilities[i])
+        alphas.append(adaptive_alpha(delta, 20.0, 0.7, 0.1, 0.9))
+        if i in (1, 6):
+            pursuit[i] = attacker_pursuit_weights(
+                i, attackers, active, arena.responsibilities[i], 20.0, rng
+            )
+    cohesion = [[0.0 if i == j else {1: 0.5, 2: 0.1}.get(abs(i - j), 0.01) for j in range(n)]
+                for i in range(n)]
+    cohesion[3][5] = 0.0
+    return toy_context(
+        defenders=defenders,
+        predicted=predict_attackers(attackers, active, arena, 1),
+        alphas=alphas,
+        pursuit=pursuit,
+        planes=[avoidance_planes(i, defenders, obstacles) for i in range(n)],
+        params=toy_defender_params(
+            cohesion=np.array(cohesion), mobility=[1.0] * n, delta_th=[20.0] * n
+        ),
+        arena=arena,
+    )
+
+
+class TestStepTables:
+    def test_fig3_step_zero_every_point(self):
+        ctx = fig3_step_zero()
+        oracles, space = build_step_problem(ctx)
+        assert space.cardinality == 3**8
+        assert_oracles_equal_defender_cost(ctx, space.points())
+
+    def test_swarm8_sized_random_points(self):
+        ctx = swarm8_context()
+        assert sum(len(x) + len(y) for x, y in ctx.planes) >= 8
+        points = np.random.default_rng(11).integers(0, 3, size=(500, 16)).tolist()
+        assert_oracles_equal_defender_cost(ctx, [tuple(p) for p in points])
+
+    def test_property_catches_cohesion_added_after_the_barrier(self, monkeypatch):
+        monkeypatch.setattr(ctf, "_tabulated_cost", barrier_before_cohesion)
+        with pytest.raises(AssertionError):
+            tables_property(phases=[Phase.generate])()
+
+    def test_oracles_capture_the_context_when_built(self):
+        ctx = toy_context(defenders=[(2, 2), (4, 4)], planes=[({3}, set()), (set(), {3})])
+        oracles, _ = build_step_problem(ctx)
+        before = [f((0, 2, 1, 1)) for f in oracles]
+        ctx.defenders[0] = (0, 0)
+        ctx.planes[0] = (set(), set())
+        ctx.params.mobility[:] = 9.0
+        assert [f((0, 2, 1, 1)) for f in oracles] == before
+
+    def test_fig3_game_and_check_match_the_defender_cost_closure(self, tmp_path, monkeypatch, capsys):
+        outputs = []
+        for build in (build_step_problem, reference_build_step_problem):
+            monkeypatch.setattr(ctf, "build_step_problem", build)
+            out = tmp_path / build.__name__
+            assert main(["simulate", str(GOLDEN), "--out", str(out)]) == 0
+            capsys.readouterr()
+            main(["check", str(GOLDEN)])
+            outputs.append((
+                (out / "trajectories.csv").read_bytes(),
+                (out / "events.csv").read_bytes(),
+                capsys.readouterr().out,
+            ))
+        assert outputs[0] == outputs[1]
+        assert "submodular: yes" in outputs[0][2]

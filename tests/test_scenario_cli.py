@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -295,6 +296,73 @@ class TestMalformedFields:
     def test_single_values_apply_to_every_defender(self, tmp_path):
         path = write_golden_with(tmp_path / "one.cfg", "defenders.mobility", [2.5])
         assert load_scenario(path).defender_params.mobility.tolist() == [2.5] * 4
+
+
+class TestBlockShapesAndUnknownKeys:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arena.responsibilities", 5),
+            ("solver", 5),
+            ("players", 5),
+            ("network", 5),
+            ("arena.obstacles", 5),
+            ("defenders", [1, 2]),
+            ("attackers", "fast"),
+            ("arena", [5]),
+        ],
+    )
+    def test_wrong_container_exits_two_naming_the_field(self, tmp_path, capsys, field, value):
+        path = write_golden_with(tmp_path / "bad.cfg", field, value)
+        with pytest.raises(ScenarioSchemaError, match=rf"^{re.escape(field)}: "):
+            load_scenario(path)
+        assert main(["check", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_a_list_for_a_block_is_not_a_missing_field(self, tmp_path, capsys):
+        path = write_golden_with(tmp_path / "bad.cfg", "defenders", [1, 2])
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "defenders: expected a mapping" in err
+        assert "missing" not in err
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "sede",
+            "arena.obstacle",
+            "players.umax",
+            "defenders.mobilty",
+            "attackers.kapa",
+            "network.etta",
+            "solver.iteration",
+        ],
+    )
+    def test_misspelt_game_key_rejected(self, tmp_path, capsys, field):
+        path = write_golden_with(tmp_path / "typo.cfg", field, 2.0)
+        with pytest.raises(ScenarioSchemaError, match=rf"^{re.escape(field)}: unknown field"):
+            load_scenario(path)
+        assert main(["check", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(objective=[]), "objective: unknown field"),
+            (lambda d: d["network"].update(etta=0.1), "network.etta: unknown field"),
+            (lambda d: d.update(network=5), "network: expected a mapping"),
+            (lambda d: d.update(objectives=[5]), r"objectives\[0\]: expected a mapping"),
+        ],
+        ids=["top-level-key", "network-key", "network-scalar", "objective-scalar"],
+    )
+    def test_problem_file_blocks_checked(self, tmp_path, capsys, edit, message):
+        data = yaml.safe_load(PROBLEM_TEXT)
+        edit(data)
+        path = tmp_path / "problem.cfg"
+        path.write_text(yaml.safe_dump(data))
+        with pytest.raises(ScenarioSchemaError, match=rf"^{message}"):
+            load_scenario(path)
+        assert main(["check", str(path)]) == 2
 
 
 class TestBuiltinObjectives:
