@@ -94,7 +94,11 @@ def cmd_solve(args) -> int:
     space = record.space()
     oracles = record.oracles()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"solve: cannot create output dir: {exc}", file=sys.stderr)
+        return USAGE
 
     if args.mode == "central":
         total = Oracle(lambda x: sum(f(x) for f in oracles), space)

@@ -7,7 +7,9 @@ held as one flat array in the layout its `ChainProduct` fixes.  The
 extension is computed by a single stable descending sort of all profile
 entries, walking a monotone chain of lattice points from bottom to top and
 charging each unit step with the entry that triggered it.  The subgradient
-falls out of the same walk at no extra cost.
+falls out of the same walk at no extra cost.  `check_rows`, `extend_rows`
+and `round_rows` do the same for every row of an (n, r) array of profiles;
+`Profile.validate`, `greedy_extension` and `theta` are their one-row cases.
 
 For chains of size 2 this is exactly the classical relaxation of set
 functions on the unit hypercube; no separate code path exists for that
@@ -66,15 +68,24 @@ class Profile:
                 f"profile of shape {v.shape} on dims {self.space.dims} does not "
                 f"match dims {space.dims}"
             )
-        # Written as "not inside" so that NaN entries count as outside.
-        outside = ~((v >= -tol) & (v <= 1.0 + tol))
-        # A rise from the last entry of one chain to the first of the next is fine.
-        rises = (np.diff(v) > tol) & space.same_chain
-        if not (outside.any() or rises.any()):
-            return
-        # Infeasible: find the first offending chain for the message.
-        for i in range(space.n_chains):
-            p = self.chain(i)
+        check_rows(v[None], space, tol)
+
+
+def check_rows(rows: np.ndarray, space: ChainProduct, tol: float = FEASIBILITY_TOL) -> None:
+    """Raise unless every row of an (n, r) array is a feasible profile of `space`.
+
+    The message names the first offending chain of the first infeasible row.
+    """
+    # Written as "not inside" so that NaN entries count as outside.
+    outside = ~((rows >= -tol) & (rows <= 1.0 + tol))
+    # A rise from the last entry of one chain to the first of the next is fine.
+    rises = (np.diff(rows, axis=1) > tol) & space.same_chain
+    if not (outside.any() or rises.any()):
+        return
+    # Infeasible: find the first offending chain for the message.
+    for row in rows:
+        for i, (start, end) in enumerate(itertools.pairwise(space.offsets)):
+            p = row[start:end]
             if not np.all((p >= -tol) & (p <= 1.0 + tol)):
                 raise ValueError(f"profile chain {i} leaves [0,1]: {p}")
             if np.any(np.diff(p) > tol):
@@ -96,12 +107,15 @@ def theta(rho: Profile, t: float):
     0th coordinate is 1.  The comparison is closed so the map is
     deterministic at entry values.
     """
+    return round_rows(rho.values[None], rho.space, t)[0]
+
+
+def round_rows(rows: np.ndarray, space: ChainProduct, t: float) -> list[tuple[int, ...]]:
+    """`theta` of every row of an (n, r) array: per chain, the count of entries >= t."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold {t} outside [0,1]")
-    levels = [0] * rho.space.n_chains
-    for i, v in zip(rho.space.chain_of, rho.values.tolist()):
-        levels[i] += v >= t
-    return tuple(levels)
+    levels = np.add.reduceat(rows >= t, space.offsets[:-1], axis=1, dtype=np.intp)
+    return list(map(tuple, levels.tolist()))
 
 
 @dataclass
@@ -144,6 +158,27 @@ def _walk(f: Oracle, space: ChainProduct, values: list[float], order) -> Extensi
     )
 
 
+def _descending(values: list[float]) -> list[int]:
+    """Flat indices by value descending.
+
+    The sort is stable, so equal values keep flat order, which is (chain,
+    in-chain position).  Within a chain the entries are non-increasing, so
+    position order keeps the in-chain sequencing.
+    """
+    return sorted(range(len(values)), key=values.__getitem__, reverse=True)
+
+
+def extend_rows(oracles: list[Oracle], rows: np.ndarray, space: ChainProduct) -> list[ExtensionResult]:
+    """The extension of oracles[i] at row i of an (n, r) array of profiles.
+
+    The rows are not checked: callers pass rows that `check_rows` accepts.
+    """
+    return [
+        _walk(f, space, values, _descending(values))
+        for f, values in zip(oracles, rows.tolist())
+    ]
+
+
 def greedy_extension(f: Oracle, rho: Profile, space: ChainProduct | None = None) -> ExtensionResult:
     """Extension value and subgradient of f at the profile rho.
 
@@ -157,8 +192,4 @@ def greedy_extension(f: Oracle, rho: Profile, space: ChainProduct | None = None)
     """
     space = space or f.space
     rho.validate(space)
-    values = rho.values.tolist()
-    # Value descending; the sort is stable, so equal values keep flat order,
-    # which is (chain, in-chain position).  Within a chain the entries are
-    # non-increasing, so position order keeps the in-chain sequencing.
-    return _walk(f, space, values, sorted(range(len(values)), key=values.__getitem__, reverse=True))
+    return extend_rows([f], rho.values[None], space)[0]

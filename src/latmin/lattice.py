@@ -142,15 +142,27 @@ class Oracle:
         The view counts every request; this oracle counts only the distinct
         points the view asked for.  The values live as long as the view.
         """
-        values: dict[tuple[int, ...], float] = {}
+        return _Memoized(self)
 
-        def lookup(point):
-            value = values.get(point)
-            if value is None:
-                value = values[point] = self(point)
-            return value
 
-        return Oracle(lookup, self.space)
+class _Memoized(Oracle):
+    """`Oracle.memoized`'s view: a repeated point is one dict lookup.
+
+    `fn` is the wrapped oracle, so a first request is evaluated, counted
+    and checked there; the stored value is already a finite float.
+    """
+
+    def __init__(self, oracle: Oracle):
+        super().__init__(oracle, oracle.space)
+        self.values: dict[tuple[int, ...], float] = {}
+
+    def __call__(self, point: Sequence[int]) -> float:
+        self.calls += 1
+        point = tuple(point)
+        value = self.values.get(point)
+        if value is None:
+            value = self.values[point] = self.fn(point)
+        return value
 
 
 @dataclass

@@ -11,7 +11,6 @@ pool-adjacent-violators plus a clip: O(m), no QP solver.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -56,20 +55,28 @@ def project_product(values, space: ChainProduct) -> Profile:
         raise ValueError(
             f"expected a flat vector of length {space.sort_length}, got shape {values.shape}"
         )
-    values = values.tolist()
-    if not all(map(math.isfinite, values)):
+    return Profile(space, project_rows(values[None], space)[0])
+
+
+def project_rows(rows: np.ndarray, space: ChainProduct) -> np.ndarray:
+    """`project_product` of every row of an (n, r) float array."""
+    if not np.isfinite(rows).all():
         raise ValueError("projection input has non-finite entries")
-    out: list[float] = []
-    for start, end in itertools.pairwise(space.offsets):
-        chain: list[float] = []
-        for mean, count in zip(*_pava_nonincreasing(values[start:end])):
-            # Clip to [0,1], then the running minimum: pooling computes block
-            # means in float, so monotonicity is re-imposed exactly.  Each
-            # comparison keeps the value np.clip and np.minimum.accumulate
-            # would keep, down to the sign of a zero.
-            level = 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
-            if chain and chain[-1] < level:
-                level = chain[-1]
-            chain += [level] * count
-        out += chain
-    return Profile(space, np.array(out))
+    chains = list(itertools.pairwise(space.offsets))
+    out: list[list[float]] = []
+    for values in rows.tolist():
+        row: list[float] = []
+        for start, end in chains:
+            chain: list[float] = []
+            for mean, count in zip(*_pava_nonincreasing(values[start:end])):
+                # Clip to [0,1], then the running minimum: pooling computes
+                # block means in float, so monotonicity is re-imposed exactly.
+                # Each comparison keeps the value np.clip and
+                # np.minimum.accumulate would keep, down to the sign of a zero.
+                level = 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
+                if chain and chain[-1] < level:
+                    level = chain[-1]
+                chain += [level] * count
+            row += chain
+        out.append(row)
+    return np.array(out)

@@ -48,6 +48,13 @@ def _convert(value, convert, where: str):
         raise ScenarioSchemaError(f"{where}: cannot read {value!r}: {exc}") from exc
 
 
+def _whole(value) -> int:
+    """value as an int when it is a whole number: 20 and 20.0 read, 20.9 and true do not."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not a whole number")
+    return int(value)
+
+
 def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
@@ -251,7 +258,7 @@ def _read(block: dict, key: str, where: str, convert=float, default=None):
 
 
 def _cells(value, where: str) -> list[tuple[int, int]]:
-    return _convert(value, lambda pairs: [(int(x), int(y)) for x, y in pairs], where)
+    return _convert(value, lambda pairs: [(_whole(x), _whole(y)) for x, y in pairs], where)
 
 
 NETWORK_FIELDS = ("eta", "matrix")
@@ -295,7 +302,7 @@ def _check_network(matrix, eta, where="network") -> list[list[float]]:
 def _solver_block(block, where="solver") -> dict:
     block = _mapping(block, where, ("iterations", "gamma", "schedule", "t_hat"))
     out = {
-        "iterations": _read(block, "iterations", where, int),
+        "iterations": _read(block, "iterations", where, _whole),
         "gamma": _read(block, "gamma", where),
     }
     if "schedule" in block:
@@ -311,7 +318,7 @@ def _solver_block(block, where="solver") -> dict:
 
 def _load_problem(data: dict, seed: int) -> Problem:
     _mapping(data, "", ("kind", "seed", "dims", "objectives", "network", "solver"))
-    dims = _read(data, "dims", "problem", lambda ms: [int(m) for m in ms])
+    dims = _read(data, "dims", "problem", lambda ms: [_whole(m) for m in ms])
     try:
         ChainProduct(dims)
     except ValueError as exc:
@@ -363,8 +370,8 @@ def _load_game(data: dict, seed: int) -> Scenario:
     ]
     try:
         arena = Arena(
-            size=_read(arena_block, "size", "arena", int),
-            horizon=_read(arena_block, "horizon", "arena", int),
+            size=_read(arena_block, "size", "arena", _whole),
+            horizon=_read(arena_block, "horizon", "arena", _whole),
             zone=_cells(_require(arena_block, "defense_zone", "arena"), "arena.defense_zone"),
             responsibilities=responsibilities,
             obstacles=set(_cells(arena_block.get("obstacles", []), "arena.obstacles")),
@@ -376,7 +383,7 @@ def _load_game(data: dict, seed: int) -> Scenario:
 
     defenders_start = _cells(_require(players, "defenders", "players"), "players.defenders")
     attackers_start = _cells(_require(players, "attackers", "players"), "players.attackers")
-    u_max = _read(players, "u_max", "players", int, 1)
+    u_max = _read(players, "u_max", "players", _whole, 1)
 
     try:
         defender_params = DefenderParams(
@@ -434,7 +441,7 @@ def load_scenario(path) -> Scenario | Problem:
         )
     if "seed" not in data:
         raise ScenarioSchemaError("seed: missing required field (seeds are mandatory)")
-    seed = _convert(data["seed"], int, "seed")
+    seed = _convert(data["seed"], _whole, "seed")
     if kind == "problem":
         return _load_problem(data, seed)
     return _load_game(data, seed)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import Profile, greedy_extension, theta, uniform_random_profile
+from .extension import Profile, check_rows, extend_rows, round_rows, uniform_random_profile
 from .lattice import ChainProduct, Oracle
-from .projection import project_product
+from .projection import project_rows
 
 STOCHASTIC_TOL = 1e-9
 
@@ -131,6 +132,8 @@ class SolverParams:
 
     def __post_init__(self):
         # Each message starts with the name of the offending field.
+        if isinstance(self.iterations, bool) or not isinstance(self.iterations, numbers.Integral):
+            raise ValueError(f"iterations: need an integer, got {self.iterations!r}")
         if self.iterations < 1:
             raise ValueError("iterations: ≥ 1 required")
         if not 0 < self.gamma < math.inf:
@@ -159,24 +162,39 @@ class SolveTrace:
     best_rounded: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def mix_profiles(state: np.ndarray, weights_row: np.ndarray, self_index: int) -> np.ndarray:
-    """Weighted combination of the agents' flat profiles (the rows of `state`).
+def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Every agent's weighted combination of the agents' flat profiles (the rows of `state`).
 
-    Computed in deviation form, own profile plus weighted corrections
-    toward each neighbor, which is identical for a row summing to 1 and
-    keeps agreeing agents agreeing bit-exactly.
+    Row i of the result mixes with row i of `weights`.  Computed in
+    deviation form, own profile plus weighted corrections toward each
+    neighbor, which is identical for a row summing to 1 and keeps agreeing
+    agents agreeing bit-exactly.  A row receives only its neighbors'
+    corrections, added one at a time in increasing neighbor index: a
+    zero-weight term would turn its -0.0 into 0.0.
     """
-    own = state[self_index]
-    mixed = own.copy()
-    for j, w in enumerate(weights_row):
-        if j != self_index and w != 0.0:
-            mixed += w * (state[j] - own)
+    mixed = state.copy()
+    agents, neighbors, ws = [], [], []
+    for i, row in enumerate(weights.tolist()):
+        for j, w in enumerate(row):
+            if j != i and w != 0.0:
+                agents.append(i)
+                neighbors.append(j)
+                ws.append(w)
+    if agents:
+        own = np.array(agents)
+        # np.add.at adds to a repeated row unbuffered, in index order.
+        np.add.at(mixed, own, np.array(ws)[:, None] * (state[neighbors] - state[own]))
     return mixed
 
 
 def _disagreement(state: np.ndarray) -> float:
-    pairs = itertools.combinations(state, 2)
-    return max((float(np.linalg.norm(p - q)) for p, q in pairs), default=0.0)
+    """The largest Euclidean distance between two agents' profiles.
+
+    sqrt is monotone and `np.linalg.norm` of a float vector is sqrt(d.dot(d)),
+    so this equals the largest pairwise norm bit for bit.
+    """
+    squares = (d.dot(d) for d in (p - q for p, q in itertools.combinations(state, 2)))
+    return math.sqrt(max(squares, default=0.0))
 
 
 def distributed_minimize(
@@ -194,9 +212,12 @@ def distributed_minimize(
     start is admissible; a shared one makes identical-cost runs exactly
     symmetric).  Rounds are synchronous and gather-then-update: all mixing
     reads use the previous round's profiles, so execution order within a
-    round cannot matter.  After the last round each agent rounds its profile
-    at the shared threshold; the value reported for an agent is the *total*
-    cost of its rounded point.
+    round cannot matter.  A round works on the whole (n_agents, r) state:
+    it mixes every row, checks every mixed row, walks each agent's
+    extension, then projects, rounds and measures disagreement for all
+    rows.  After the last round each agent rounds its profile at the shared
+    threshold; the value reported for an agent is the *total* cost of its
+    rounded point.
 
     Returns (points, values, trace): per-agent rounded lattice points, their
     total-cost values, and the per-round trace.
@@ -233,19 +254,18 @@ def distributed_minimize(
 
     for k in range(1, params.iterations + 1):
         gamma_k = step_size(k, params)
-        new_state = np.empty_like(state)
-        for i, f in enumerate(oracles):
-            mixed = mix_profiles(state, a[i], i)
-            res = greedy_extension(f, Profile(space, mixed), space)
-            ext_values[k - 1, i] = res.value
-            new_state[i] = project_product(mixed - gamma_k * res.subgradient, space).values
-        state = new_state
+        mixed = mix_profiles(state, a)
+        check_rows(mixed, space)
+        results = extend_rows(oracles, mixed, space)
+        ext_values[k - 1] = [res.value for res in results]
+        subgradients = np.array([res.subgradient for res in results])
+        state = project_rows(mixed - gamma_k * subgradients, space)
         disagreement[k - 1] = _disagreement(state)
-        for row in state:
-            best = min(best, total_cost(theta(Profile(space, row), params.t_hat)))
+        for point in round_rows(state, space, params.t_hat):
+            best = min(best, total_cost(point))
         best_rounded[k - 1] = best
 
-    points = [theta(Profile(space, row), params.t_hat) for row in state]
+    points = round_rows(state, space, params.t_hat)
     values = [total_cost(x) for x in points]
     trace = SolveTrace(ext_values=ext_values, disagreement=disagreement, best_rounded=best_rounded)
     return points, values, trace

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import struct
 
 import numpy as np
 
 from latmin import (
     ChainProduct,
     Oracle,
+    Profile,
     SolverParams,
+    SolveTrace,
+    WeightMatrix,
     cross_difference,
     greedy_extension,
     project_product,
@@ -19,6 +24,11 @@ from latmin import (
 )
 from latmin.ctf import DISTANCES, StepContext, decode_actions, defender_cost
 from latmin.lattice import DEFAULT_STRICTNESS_TOL
+
+
+def as_bytes(value) -> bytes:
+    """A float's IEEE bytes, so that 0.0 and -0.0 differ."""
+    return struct.pack("<d", float(value))
 
 
 def random_table_oracle(space: ChainProduct, rng, low=-5.0, high=5.0) -> Oracle:
@@ -182,6 +192,79 @@ def reference_centralized_minimize(f: Oracle, space: ChainProduct, params: Solve
         best_rounded[k - 1] = best
     point = theta(rho, params.t_hat)
     return point, f(point), ext_values, best_rounded
+
+
+def reference_memoized(f: Oracle) -> Oracle:
+    """A memo in front of f that is itself an `Oracle`.
+
+    Every request passes two `Oracle.__call__` layers.
+    """
+    values: dict[tuple[int, ...], float] = {}
+
+    def lookup(point):
+        value = values.get(point)
+        if value is None:
+            value = values[point] = f(point)
+        return value
+
+    return Oracle(lookup, f.space)
+
+
+def reference_mix_row(state: np.ndarray, weights_row: np.ndarray, self_index: int) -> np.ndarray:
+    """One agent's mixed profile: own row plus each neighbor's correction in index order."""
+    own = state[self_index]
+    mixed = own.copy()
+    for j, w in enumerate(weights_row):
+        if j != self_index and w != 0.0:
+            mixed += w * (state[j] - own)
+    return mixed
+
+
+def reference_distributed_minimize(
+    oracles: list[Oracle],
+    space: ChainProduct,
+    matrix: WeightMatrix,
+    params: SolverParams,
+    initial: list[Profile] | None = None,
+):
+    """The consensus loop one agent at a time: per-row mixing, `greedy_extension`,
+    `project_product`, `theta`, `np.linalg.norm` and a two-layer memo.
+
+    Returns (points, values, trace) like `distributed_minimize`.
+    """
+    a = matrix.entries
+    n_agents = len(oracles)
+    starts = [uniform_random_profile(space, params.seed)] * n_agents if initial is None else initial
+    for p in starts:
+        p.validate(space)
+    state = np.array([p.values for p in starts])
+    oracles = [reference_memoized(f) for f in oracles]
+
+    def total_cost(point) -> float:
+        return sum(f(point) for f in oracles) if n_agents > 1 else oracles[0](point)
+
+    ext_values = np.zeros((params.iterations, n_agents))
+    disagreement = np.zeros(params.iterations)
+    best_rounded = np.zeros(params.iterations)
+    best = math.inf
+    for k in range(1, params.iterations + 1):
+        gamma_k = step_size(k, params)
+        new_state = np.empty_like(state)
+        for i, f in enumerate(oracles):
+            mixed = reference_mix_row(state, a[i], i)
+            res = greedy_extension(f, Profile(space, mixed), space)
+            ext_values[k - 1, i] = res.value
+            new_state[i] = project_product(mixed - gamma_k * res.subgradient, space).values
+        state = new_state
+        pairs = itertools.combinations(state, 2)
+        disagreement[k - 1] = max((float(np.linalg.norm(p - q)) for p, q in pairs), default=0.0)
+        for row in state:
+            best = min(best, total_cost(theta(Profile(space, row), params.t_hat)))
+        best_rounded[k - 1] = best
+    points = [theta(Profile(space, row), params.t_hat) for row in state]
+    values = [total_cost(x) for x in points]
+    trace = SolveTrace(ext_values=ext_values, disagreement=disagreement, best_rounded=best_rounded)
+    return points, values, trace
 
 
 def reference_greedy_extension(f: Oracle, space: ChainProduct, parts: list[np.ndarray]):

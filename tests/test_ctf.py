@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from latmin.ctf import (
 from latmin.scenario import Scenario, bundled_scenario_path, load_scenario
 from latmin.solvers import SolverParams
 
-from helpers import reference_build_step_problem, reference_defender_cost
+from helpers import as_bytes, reference_build_step_problem, reference_defender_cost
 
 GOLDEN = bundled_scenario_path("paper_fig3.cfg")
 
@@ -576,11 +575,6 @@ class TestParamValidation:
         fields = dict(eta_avoid_nom=0.7, eta_base_nom=0.3, delta_th=4.0, kappa=0.9)
         with pytest.raises(ValueError, match=rf"^{field}: not finite"):
             AttackerParams(**{**fields, field: math.nan})
-
-
-def as_bytes(value) -> bytes:
-    """A cost's IEEE bytes, so that 0.0 and -0.0 differ."""
-    return struct.pack("<d", float(value))
 
 
 def assert_oracles_equal_defender_cost(ctx, points):

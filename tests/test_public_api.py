@@ -1,3 +1,7 @@
+import ast
+import importlib
+from pathlib import Path
+
 import latmin
 from latmin import extension, lattice
 from latmin.scenario import Problem
@@ -21,3 +25,20 @@ def test_removed_aliases_stay_removed():
         for name in names:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
             assert name not in latmin.__all__
+
+
+def test_benchmark_traced_names_resolve():
+    # The traced benchmark run wraps these by name; a rename would break it.
+    tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    tree = ast.parse(tracer.read_text())
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    ]
+    assert traced
+    for module, names in traced.items():
+        home = importlib.import_module(f"latmin.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"latmin.{module}.{name}"

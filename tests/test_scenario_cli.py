@@ -297,6 +297,52 @@ class TestMalformedFields:
         path = write_golden_with(tmp_path / "one.cfg", "defenders.mobility", [2.5])
         assert load_scenario(path).defender_params.mobility.tolist() == [2.5] * 4
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("solver.iterations", 20.9),
+            ("solver.iterations", True),
+            ("seed", 7.5),
+            ("seed", False),
+            ("arena.size", 20.5),
+            ("arena.horizon", True),
+            ("players.u_max", 1.5),
+            ("players.defenders", [[4, 17.5], [8, 17], [12, 17], [16, 17]]),
+            ("players.attackers", [[3, 2], [8, True], [12, 2], [17, 1]]),
+            ("arena.obstacles", [[4.2, 10]]),
+            ("arena.defense_zone", [[6, 19.5]]),
+        ],
+    )
+    def test_non_whole_integer_field_exits_two_naming_it(self, tmp_path, capsys, field, value):
+        path = write_golden_with(tmp_path / "bad.cfg", field, value)
+        with pytest.raises(ScenarioSchemaError, match=rf"^{re.escape(field)}: .*not a whole number"):
+            load_scenario(path)
+        assert main(["check", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[3, 2.5], [3, True]])
+    def test_non_whole_dims_rejected(self, tmp_path, value):
+        data = yaml.safe_load(PROBLEM_TEXT)
+        data["dims"] = value
+        path = tmp_path / "problem.cfg"
+        path.write_text(yaml.safe_dump(data))
+        with pytest.raises(ScenarioSchemaError, match=r"^problem\.dims: .*not a whole number"):
+            load_scenario(path)
+
+    def test_whole_floats_still_load(self, tmp_path):
+        data = yaml.safe_load(GOLDEN.read_text())
+        data["seed"] = 7.0
+        data["solver"]["iterations"] = 20.0
+        data["arena"]["size"] = 20.0
+        data["players"]["defenders"][0] = [4.0, 17.0]
+        path = tmp_path / "whole.cfg"
+        path.write_text(yaml.safe_dump(data))
+        loaded = load_scenario(path)
+        assert loaded == load_scenario(GOLDEN)
+        assert type(loaded.solver_params.iterations) is int
+        assert type(loaded.seed) is int
+        assert all(type(c) is int for c in loaded.defenders_start[0])
+
 
 class TestBlockShapesAndUnknownKeys:
     @pytest.mark.parametrize(
@@ -493,6 +539,17 @@ class TestSolveCommand:
             "solver: {iterations: 5, gamma: 0.1}\n"
         )
         assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestOutputDir:
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_existing_file_as_out_exits_two(self, problem_file, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        path = problem_file if command == "solve" else GOLDEN
+        assert main([command, str(path), "--out", str(taken)]) == 2
+        assert f"{command}: cannot create output dir: " in capsys.readouterr().err
+        assert taken.read_text() == "not a directory"
 
 
 class TestSimulateCommand:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmin import (
     ChainProduct,
@@ -19,10 +21,14 @@ from latmin import (
 )
 
 from helpers import (
+    as_bytes,
     random_chain_product,
+    random_submodular_fn,
     random_submodular_oracle,
     random_table_oracle,
     reference_centralized_minimize,
+    reference_distributed_minimize,
+    reference_mix_row,
 )
 
 LINE_GRAPH_MATRIX = [
@@ -103,6 +109,12 @@ class TestStepSize:
         params = SolverParams(iterations=10, gamma=0.1)
         with pytest.raises(ValueError):
             step_size(0, params)
+
+    @pytest.mark.parametrize("iterations", [20.9, 20.0, True, "20"])
+    def test_iterations_must_be_an_integer(self, iterations):
+        with pytest.raises(ValueError, match="^iterations: need an integer"):
+            SolverParams(iterations=iterations, gamma=0.1)
+        assert SolverParams(iterations=np.int64(20), gamma=0.1).iterations == 20
 
     def test_param_validation(self):
         with pytest.raises(ValueError, match="iterations"):
@@ -246,7 +258,7 @@ class TestDistributed:
         a = np.asarray(LINE_GRAPH_MATRIX)
         profiles = [uniform_random_profile(X, seed) for seed in range(4)]
         state = np.array([p.values for p in profiles])
-        mixed = [Profile(X, mix_profiles(state, a[i], i)) for i in range(4)]
+        mixed = [Profile(X, mix_profiles(state, a)[i]) for i in range(4)]
         for c in range(X.n_chains):
             before = sum(p.chain(c) for p in profiles)
             after = sum(m.chain(c) for m in mixed)
@@ -257,7 +269,7 @@ class TestDistributed:
         a = np.asarray(LINE_GRAPH_MATRIX)
         state = np.array([uniform_random_profile(X, seed).values for seed in range(4)])
         for i in range(4):
-            Profile(X, mix_profiles(state, a[i], i)).validate(X)
+            Profile(X, mix_profiles(state, a)[i]).validate(X)
 
     def test_consensus_contraction_over_seeds(self):
         # With distinct starts, diminishing steps shrink the disagreement.
@@ -318,3 +330,131 @@ class TestDistributed:
             if all(v == best for v in values):
                 assert points[0] == points[1]
         assert seen == 5
+
+
+def star_matrix(n):
+    """Hub 0 linked to every other agent, all positive weights 1/n."""
+    a = np.zeros((n, n))
+    a[0, 1:] = a[1:, 0] = 1.0 / n
+    a[np.diag_indices(n)] = 1.0 - a.sum(axis=1)
+    return a
+
+
+GRAPHS = {
+    "line": line_matrix,
+    "complete": lambda n: np.full((n, n), 1.0 / n),
+    "star": star_matrix,
+}
+
+# Entries that test the sign of zero, the ends of [0,1], an underflowing
+# correction (a negative subnormal) and both ends of the tolerance.
+SPECIAL_ENTRIES = [-0.0, 0.0, 1.0, -5e-324, -1e-13, 1.0 + 5e-13]
+
+
+@st.composite
+def profile_entries(draw, m):
+    """One chain's m - 1 entries: non-increasing up to at most one rise within tolerance."""
+    entry = st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(0.0, 1.0))
+    values = sorted(draw(st.lists(entry, min_size=m - 1, max_size=m - 1)), reverse=True)
+    if m > 2 and draw(st.booleans()):
+        k = draw(st.integers(1, m - 2))
+        values[k] = max(values[k], min(values[k - 1] + 5e-13, 1.0))
+    return values
+
+
+@st.composite
+def consensus_cases(draw):
+    """A consensus solve: 1-5 agents on a line, complete or star graph, costs
+    with or without ties, and a shared seeded start or drawn starts."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    space = ChainProduct(dims)
+    n = draw(st.integers(1, 5))
+    graph = GRAPHS[draw(st.sampled_from(sorted(GRAPHS)))] if n > 1 else lambda _: [[1.0]]
+    matrix = WeightMatrix(graph(n), eta=0.05)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ties", "uniform", "submodular"]))
+    tables = []
+    for _ in range(n):
+        if kind == "ties":
+            values = [
+                float(v) or (-0.0 if rng.random() < 0.5 else 0.0)
+                for v in rng.integers(-2, 3, space.cardinality)
+            ]
+        elif kind == "uniform":
+            values = rng.uniform(-5.0, 5.0, space.cardinality).tolist()
+        else:
+            fn = random_submodular_fn(space, rng)
+            values = [float(fn(x)) for x in space.points()]
+        tables.append(dict(zip(space.points(), values)))
+    params = SolverParams(
+        iterations=draw(st.integers(1, 25)),
+        gamma=draw(st.floats(0.01, 0.5)),
+        schedule=draw(st.sampled_from(["constant", "diminishing"])),
+        t_hat=draw(st.floats(0.05, 0.95)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    initial = None
+    if draw(st.booleans()):
+        initial = [
+            Profile(space, np.array([v for m in dims for v in draw(profile_entries(m))]))
+            for _ in range(n)
+        ]
+    return space, tables, matrix, params, initial
+
+
+def solve_bytes(solver, space, tables, matrix, params, initial):
+    """Everything a solve reports, as bytes where a float's sign of zero counts."""
+    fs = [Oracle(table.__getitem__, space) for table in tables]
+    points, values, trace = solver(fs, space, matrix, params, initial=initial)
+    return (
+        repr(points),
+        [as_bytes(v) for v in values],
+        trace.ext_values.tobytes(),
+        trace.disagreement.tobytes(),
+        trace.best_rounded.tobytes(),
+        [f.calls for f in fs],
+    )
+
+
+class TestWholeStateRounds:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(consensus_cases())
+    def test_rounds_match_the_per_agent_loop_byte_for_byte(self, case):
+        expected = solve_bytes(reference_distributed_minimize, *case)
+        assert solve_bytes(distributed_minimize, *case) == expected
+
+    # Hub 0 holds negative subnormals where leaves hold -0.0: a leaf's
+    # correction 0.2 * -5e-324 underflows to -0.0, so its -0.0 survives.
+    STAR_STATE = np.array([
+        [0.5, -5e-324, 1.0, -5e-324],
+        [0.5, -0.0, 1.0, -0.0],
+        [-0.0, -0.0, 0.25, -0.0],
+        [0.9, 0.3, -0.0, -0.0],
+        [1.0, 1.0, 0.6, 0.2],
+    ])
+
+    @staticmethod
+    def assert_mixing_matches_per_row(mix, state, weights):
+        mixed = mix(state, weights)
+        assert mixed.shape == state.shape
+        for i, row in enumerate(mixed):
+            assert row.tobytes() == reference_mix_row(state, weights[i], i).tobytes(), i
+
+    def test_mixing_matches_per_row_form_with_negative_zeros_on_a_star(self):
+        weights = star_matrix(5)
+        mixed = mix_profiles(self.STAR_STATE, weights)
+        assert math.copysign(1.0, mixed[1, 1]) == -1.0
+        self.assert_mixing_matches_per_row(mix_profiles, self.STAR_STATE, weights)
+
+    def test_zero_padded_mixing_fails_the_byte_comparison(self):
+        def zero_padded(state, weights):
+            # Every row takes a term from every other agent, zero weight or not.
+            mixed = state.copy()
+            for i in range(len(state)):
+                for j in range(len(state)):
+                    if j != i:
+                        mixed[i] += weights[i, j] * (state[j] - state[i])
+            return mixed
+
+        with pytest.raises(AssertionError):
+            self.assert_mixing_matches_per_row(zero_padded, self.STAR_STATE, star_matrix(5))
