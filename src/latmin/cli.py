@@ -24,7 +24,7 @@ from .scenario import (
     build_objective,
     load_scenario,
 )
-from .solvers import SolverParams, WeightMatrix, centralized_minimize, distributed_minimize
+from .solvers import WeightMatrix, centralized_minimize, distributed_minimize
 
 OK, VIOLATION, USAGE = 0, 1, 2
 
@@ -84,12 +84,11 @@ def cmd_solve(args) -> int:
     if not isinstance(record, Problem):
         print("solve: expected a problem file (kind: problem)", file=sys.stderr)
         return USAGE
+    params = record.solver
     if args.seed_override is not None:
-        record.seed = args.seed_override
-    solver = dict(record.solver)
+        params = dataclasses.replace(params, seed=args.seed_override)
     if args.iters_override is not None:
-        solver["iterations"] = args.iters_override
-    params = SolverParams(seed=record.seed, **solver)
+        params = dataclasses.replace(params, iterations=args.iters_override)
 
     space = record.space()
     oracles = record.oracles()
@@ -234,6 +233,13 @@ def cmd_simulate(args) -> int:
     return OK
 
 
+def _seed(text: str) -> int:
+    """A seed override: a non-negative integer, else a usage error."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"seeds are non-negative integers, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latmin",
@@ -250,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("path")
     p_solve.add_argument("--mode", choices=["central", "distributed"], default="distributed")
     p_solve.add_argument("--out", default="out")
-    p_solve.add_argument("--seed-override", type=int, default=None)
+    p_solve.add_argument("--seed-override", type=_seed, default=None)
     p_solve.add_argument("--iters-override", type=int, default=None)
 
     p_sim = sub.add_parser("simulate", help="run a game scenario")
     p_sim.add_argument("path")
     p_sim.add_argument("--out", default="out")
     p_sim.add_argument("--svg", action="store_true", help="also render the arena SVG")
-    p_sim.add_argument("--seed-override", type=int, default=None)
+    p_sim.add_argument("--seed-override", type=_seed, default=None)
     p_sim.add_argument("--iters-override", type=int, default=None)
 
     return parser

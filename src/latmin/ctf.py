@@ -49,7 +49,11 @@ DISTANCES: dict[str, Callable[[Cell, Cell], float]] = {
 
 @dataclass
 class Arena:
-    """Grid, protected zone with per-defender responsibilities, obstacles."""
+    """Grid, protected zone with per-defender responsibilities, obstacles.
+
+    Each construction error starts with the scenario-file name of the
+    offending field (`defense_zone` for `zone`).
+    """
 
     size: int
     horizon: int
@@ -62,26 +66,26 @@ class Arena:
         self.responsibilities = [[tuple(c) for c in r] for r in self.responsibilities]
         self.obstacles = {tuple(c) for c in self.obstacles}
         if self.size < 2:
-            raise ValueError("grid size must be at least 2")
+            raise ValueError("size: must be at least 2")
         if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+            raise ValueError("horizon: must be at least 1")
         zone_set = set(self.zone)
-        for name, cells in (("defense zone", self.zone), ("obstacles", self.obstacles)):
+        for name, cells in (("defense_zone", self.zone), ("obstacles", self.obstacles)):
             for c in cells:
                 if not self.in_grid(c):
-                    raise ValueError(f"{name} cell {c} outside the {self.size}x{self.size} grid")
+                    raise ValueError(f"{name}: cell {c} outside the grid of size {self.size}")
         if zone_set & self.obstacles:
-            raise ValueError("defense zone and obstacles overlap")
+            raise ValueError("obstacles: overlap the defense zone")
         covered = set()
         for i, cells in enumerate(self.responsibilities):
             extra = set(cells) - zone_set
             if extra:
-                raise ValueError(f"responsibility set {i} contains non-zone cells {sorted(extra)}")
+                raise ValueError(f"responsibilities[{i}]: contains non-zone cells {sorted(extra)}")
             if not cells:
-                raise ValueError(f"responsibility set {i} is empty")
+                raise ValueError(f"responsibilities[{i}]: empty")
             covered |= set(cells)
         if covered != zone_set:
-            raise ValueError("responsibility sets do not cover the defense zone")
+            raise ValueError("responsibilities: do not cover the defense zone")
 
     def in_grid(self, c: Cell) -> bool:
         return 0 <= c[0] < self.size and 0 <= c[1] < self.size

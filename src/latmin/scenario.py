@@ -4,8 +4,9 @@ A file is either `kind: problem` (a lattice, one objective per agent from
 the built-in registry, optionally a network and solver block) or
 `kind: game` (full arena, teams, behavior parameters, network, solver).
 Seeds are mandatory; nothing in the toolkit draws from the wall clock.
-Every load failure names the offending field, and parse, schema, and
-invariant failures are distinct exception types.
+One field table per kind drives loading, unknown-key checks, defaults and
+writing.  Every load failure names the offending field, and parse,
+schema, and invariant failures are distinct exception types.
 """
 
 from __future__ import annotations
@@ -55,98 +56,244 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    seed = _whole(value)
+    if seed < 0:
+        raise ValueError("seeds are non-negative")
+    return seed
+
+
+def _items(values) -> list:
+    """values when it is a list: a mapping or a string is not read as its keys or characters."""
+    if not isinstance(values, list):
+        raise TypeError("expected a list")
+    return values
+
+
 def _floats(values) -> list[float]:
-    return [float(v) for v in values]
+    numbers = [float(v) for v in _items(values)]
+    if not np.all(np.isfinite(numbers)):
+        raise ValueError("not finite")
+    return numbers
 
 
-_array = partial(np.asarray, dtype=float)
+def _cells(pairs) -> list[tuple[int, int]]:
+    return [(_whole(x), _whole(y)) for x, y in _items(pairs)]
+
+
+def _square(rows) -> list[list[float]]:
+    a = np.asarray(rows, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"must be square, got shape {a.shape}")
+    return a.tolist()
+
+
+def _mapping(value, where: str, known=None) -> dict:
+    """value as a mapping; with `known` given, a key outside it is a schema error.
+
+    `where` is the mapping's dotted name, empty for a file's top level.
+    """
+    if not isinstance(value, dict):
+        raise ScenarioSchemaError(f"{where}: expected a mapping, got {value!r}")
+    unknown = set(value) - set(known) if known is not None else set()
+    if unknown:
+        prefix = f"{where}." if where else ""
+        names = ", ".join(prefix + str(key) for key in sorted(unknown, key=str))
+        raise ScenarioSchemaError(f"{names}: unknown field")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# Field tables.  A reader reads a file value at its dotted name `where` and
+# checks its shape; a field's `write` puts the record's value in file form.
+
+def _leaf(convert, name=None):
+    """A reader of one value that `convert` reads; `name`, if given, names it in messages."""
+    return lambda value, where: _convert(value, convert, name or where)
+
+
+def _each(read):
+    """A reader of a list whose entries `read` reads, each named `where[i]`."""
+    return lambda value, where: [
+        read(v, f"{where}[{i}]") for i, v in enumerate(_convert(value, _items, where))
+    ]
+
+
+def _cell_lists(cells) -> list[list[int]]:
+    return [list(c) for c in cells]
+
+
+@dataclass(frozen=True)
+class Field:
+    """A block's key: its reader, its default when absent (`...`: required;
+    None: set nothing), the record attribute it fills (default: the key),
+    and its writer."""
+
+    key: str
+    read: object
+    default: object = ...
+    attr: str | None = None
+    write: object = lambda value: value  # a block writes with its table
+
+    @property
+    def flat(self) -> bool:
+        """A block that builds no record of its own keeps its fields on the parent's record."""
+        return isinstance(self.read, Table) and self.read.build is dict
+
+
+@dataclass(frozen=True)
+class Table:
+    """A block: its fields in file order, and the record `build(**fields)` makes of them.
+
+    As a reader it rejects unknown keys and turns a ValueError from `build`
+    into an invariant error prefixed by the block's name.  `write` skips
+    None and a block with nothing to write.
+    """
+
+    fields: tuple
+    build: object = dict
+
+    def __call__(self, value, where: str):
+        block = _mapping(value, where, [f.key for f in self.fields])
+        values = {}
+        for f in self.fields:
+            name = f"{where}.{f.key}" if where else f.key
+            if f.key in block:
+                read = f.read(block[f.key], name)
+            elif f.default is ...:
+                raise ScenarioSchemaError(f"{name}: missing required field")
+            elif f.default is None:
+                continue
+            else:
+                read = f.default
+            if f.flat:
+                values.update(read)
+            else:
+                values[f.attr or f.key] = read
+        try:
+            return self.build(**values)
+        except ScenarioError:
+            raise
+        except ValueError as exc:
+            raise ScenarioInvariantError(f"{where}.{exc}" if where else str(exc)) from exc
+
+    def write(self, record) -> dict | None:
+        out = {}
+        for f in self.fields:
+            value = record if f.flat else getattr(record, f.attr or f.key)
+            written = getattr(f.read, "write", f.write)(value)
+            if written is not None:
+                out[f.key] = written
+        return out or None
+
+
+WHOLE = _leaf(_whole)
+FLOAT = _leaf(float)
+TEXT = _leaf(str)
+ARRAY = _leaf(partial(np.asarray, dtype=float))
+FLOATS = _leaf(_floats)
+CELLS = _leaf(_cells)
 
 
 # ---------------------------------------------------------------------------
 # Built-in objectives for standalone problems
 
-def _linear(spec, space):
-    coeffs = _convert(spec.get("coefficients", []), _floats, "objectives.coefficients")
-    if len(coeffs) != space.n_chains:
-        raise ScenarioSchemaError(
-            f"objectives.coefficients: need {space.n_chains} values, got {len(coeffs)}"
-        )
-    return lambda x: sum(c * xi for c, xi in zip(coeffs, x))
+def _linear(x, coefficients):
+    return sum(c * xi for c, xi in zip(coefficients, x))
 
 
-def _quadratic(spec, space):
-    centers = _convert(spec.get("centers", []), _floats, "objectives.centers")
-    weights = _convert(spec.get("weights", [1.0] * space.n_chains), _floats, "objectives.weights")
-    if len(centers) != space.n_chains:
-        raise ScenarioSchemaError(
-            f"objectives.centers: need {space.n_chains} values, got {len(centers)}"
-        )
-    if len(weights) != space.n_chains:
-        raise ScenarioSchemaError(
-            f"objectives.weights: need {space.n_chains} values, got {len(weights)}"
-        )
-    return lambda x: sum(w * (xi - c) ** 2 for w, c, xi in zip(weights, centers, x))
+def _quadratic(x, centers, weights=None):
+    weights = [1.0] * len(x) if weights is None else weights
+    return sum(w * (xi - c) ** 2 for w, c, xi in zip(weights, centers, x))
 
 
-def _product(spec, space):
-    def fn(x):
-        out = 1.0
-        for xi in x:
-            out *= xi
-        return out
-
-    return fn
+def _product(x):
+    out = 1.0
+    for xi in x:
+        out *= xi
+    return out
 
 
+# Each type's cost and field table; every field but `type` holds one number per chain.
+TYPE = Field("type", TEXT)
 OBJECTIVES = {
-    "linear": _linear,
-    "quadratic": _quadratic,
-    "product": _product,
+    "linear": (_linear, Table((TYPE, Field("coefficients", FLOATS)))),
+    "quadratic": (_quadratic, Table((TYPE, Field("centers", FLOATS), Field("weights", FLOATS, None)))),
+    "product": (_product, Table((TYPE,))),
 }
 
 
-def build_objective(spec: dict, space: ChainProduct) -> Oracle:
-    """Instantiate a registry objective as a counting oracle."""
-    kind = spec.get("type")
-    if kind not in OBJECTIVES:
+def _objective(value, where: str) -> dict:
+    """An objective entry, read by the field table its `type` picks."""
+    kind = _mapping(value, where).get("type")
+    if not isinstance(kind, str) or kind not in OBJECTIVES:
         raise ScenarioSchemaError(
-            f"objectives.type: unknown objective {kind!r}; pick from {sorted(OBJECTIVES)}"
+            f"{where}.type: unknown objective {kind!r}; pick from {sorted(OBJECTIVES)}"
         )
-    return Oracle(OBJECTIVES[kind](spec, space), space)
+    return OBJECTIVES[kind][1](value, where)
+
+
+def build_objective(spec: dict, space: ChainProduct, where: str = "objectives") -> Oracle:
+    """Instantiate a registry objective as a counting oracle; errors name it `where`."""
+    values = _objective(spec, where)
+    cost = OBJECTIVES[values.pop("type")][0]
+    for key, numbers in values.items():
+        if len(numbers) != space.n_chains:
+            raise ScenarioSchemaError(
+                f"{where}.{key}: need {space.n_chains} values, got {len(numbers)}"
+            )
+    return Oracle(partial(cost, **values), space)
 
 
 # ---------------------------------------------------------------------------
 # Records
 
+def _check_network(matrix, eta, n_agents: int, team: str) -> None:
+    if len(matrix) != n_agents:
+        raise ScenarioInvariantError(f"network.matrix: {len(matrix)} agents for {n_agents} {team}")
+    if not 0.0 < eta < 1.0:
+        raise ScenarioInvariantError(f"network.eta: must lie in (0,1), got {eta}")
+    report = validate_weight_matrix(matrix, eta)
+    if not report.ok:
+        raise ScenarioInvariantError("network.matrix: " + "; ".join(report.failures()))
+
+
 @dataclass(eq=False)
 class Problem:
-    """A standalone minimization instance loaded from file."""
+    """A standalone minimization instance loaded from file.
+
+    Construction checks `dims`, the objectives and the network, if any,
+    naming the field.  The solver runs at the problem's seed.
+    """
 
     seed: int
     dims: list[int]
     objectives: list[dict]
-    solver: dict
+    solver: SolverParams
     network_matrix: list[list[float]] | None = None
     network_eta: float | None = None
+
+    def __post_init__(self):
+        self.solver = dataclasses.replace(self.solver, seed=self.seed)
+        try:
+            self.space()
+        except ValueError as exc:
+            raise ScenarioInvariantError(f"dims: {exc}") from exc
+        if not self.objectives:
+            raise ScenarioInvariantError("objectives: need a non-empty list")
+        self.oracles()
+        if self.network_matrix is not None:
+            _check_network(self.network_matrix, self.network_eta, len(self.objectives), "objectives")
 
     def space(self) -> ChainProduct:
         return ChainProduct(self.dims)
 
     def oracles(self) -> list[Oracle]:
         space = self.space()
-        return [build_objective(spec, space) for spec in self.objectives]
+        return [build_objective(o, space, f"objectives[{k}]") for k, o in enumerate(self.objectives)]
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": "problem",
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "objectives": [dict(o) for o in self.objectives],
-            "solver": dict(self.solver),
-        }
-        if self.network_matrix is not None:
-            out["network"] = {"eta": self.network_eta, "matrix": self.network_matrix}
-        return out
+        return {"kind": "problem", **PROBLEM.write(self)}
 
     def __eq__(self, other):
         return isinstance(other, Problem) and self.to_dict() == other.to_dict()
@@ -157,10 +304,11 @@ class Scenario:
     """A full game configuration, loaded from file or built in code.
 
     Construction rejects a speed other than u_max = 1, start cells off the
-    grid, on an obstacle, or shared by two defenders, and per-defender
-    fields (responsibilities, delta_th, mobility, cohesion, network) sized
-    for another team, naming the field.  A single delta_th or mobility
-    value is taken for every defender.
+    grid, on an obstacle, or shared by two defenders, per-defender fields
+    (responsibilities, delta_th, mobility, cohesion, network) sized for
+    another team, and a network that fails the consensus conditions,
+    naming the field.  A single delta_th or mobility value is taken for
+    every defender.
     """
 
     seed: int
@@ -206,72 +354,80 @@ class Scenario:
             raise ScenarioInvariantError(
                 f"defenders.cohesion: need a {n_d}x{n_d} matrix, got shape {dp.cohesion.shape}"
             )
-        if len(self.network_matrix) != n_d:
-            raise ScenarioInvariantError(
-                f"network.matrix: {len(self.network_matrix)} agents for {n_d} defenders"
-            )
+        _check_network(self.network_matrix, self.network_eta, n_d, "defenders")
         self.defender_params = dataclasses.replace(
             dp, delta_th=np.resize(dp.delta_th, n_d), mobility=np.resize(dp.mobility, n_d)
         )
 
     def to_dict(self) -> dict:
-        return _scenario_dict(self)
+        return {"kind": "game", **GAME.write(self)}
 
     def __eq__(self, other):
         return isinstance(other, Scenario) and self.to_dict() == other.to_dict()
 
 
 # ---------------------------------------------------------------------------
-# Loading
+# A file's keys are written in the order its table lists them.
 
-def _require(block: dict, key: str, where: str):
-    if key not in block:
-        raise ScenarioSchemaError(f"{where}.{key}: missing required field")
-    return block[key]
+SOLVER = Field("solver", Table((
+    Field("iterations", WHOLE),
+    Field("gamma", FLOAT),
+    Field("schedule", TEXT, "constant"),
+    Field("t_hat", FLOAT, 0.7),
+), SolverParams))
+NETWORK = Table((
+    Field("eta", FLOAT, attr="network_eta"),
+    Field("matrix", _leaf(_square), attr="network_matrix"),
+))
+
+GAME = Table((
+    Field("seed", _leaf(_seed)),
+    Field("arena", Table((
+        Field("size", WHOLE),
+        Field("horizon", WHOLE),
+        Field("defense_zone", CELLS, attr="zone", write=_cell_lists),
+        Field("responsibilities", _each(CELLS), write=lambda sets: [_cell_lists(r) for r in sets]),
+        Field("obstacles", CELLS, (), write=lambda cells: _cell_lists(sorted(cells))),
+    ), Arena)),
+    Field("players", Table((
+        Field("u_max", WHOLE, 1),
+        Field("defenders", CELLS, attr="defenders_start", write=_cell_lists),
+        Field("attackers", CELLS, attr="attackers_start", write=_cell_lists),
+    ))),
+    Field("defenders", Table((
+        Field("pursuit_gain", FLOAT),
+        Field("cohesion", ARRAY, write=np.ndarray.tolist),
+        Field("mobility", ARRAY, 1.0, write=np.ndarray.tolist),
+        Field("zeta1", FLOAT),
+        Field("zeta2", FLOAT),
+        Field("alpha_f_nom", FLOAT),
+        Field("alpha_a_nom", FLOAT),
+        Field("beta", FLOAT),
+        Field("delta_th", ARRAY, 0.0, write=np.ndarray.tolist),
+        Field("distance", TEXT, "manhattan"),
+    ), DefenderParams), attr="defender_params"),
+    Field("attackers", Table((
+        Field("eta_avoid_nom", FLOAT),
+        Field("eta_base_nom", FLOAT),
+        Field("delta_th", FLOAT),
+        Field("kappa", FLOAT),
+    ), AttackerParams), attr="attacker_params"),
+    Field("network", NETWORK),
+    dataclasses.replace(SOLVER, attr="solver_params"),
+), Scenario)
+
+PROBLEM = Table((
+    Field("seed", _leaf(_seed)),
+    # Read errors name it `problem.dims`, which callers match.
+    Field("dims", _leaf(lambda ms: [_whole(m) for m in _items(ms)], "problem.dims")),
+    Field("objectives", _each(_objective), write=lambda specs: [dict(s) for s in specs]),
+    SOLVER,
+    Field("network", NETWORK, None),
+), Problem)
 
 
-def _mapping(value, where: str, known=None) -> dict:
-    """value as a mapping; with `known` given, a key outside it is a schema error.
-
-    `where` is the mapping's dotted name, empty for a file's top level.
-    """
-    if not isinstance(value, dict):
-        raise ScenarioSchemaError(f"{where}: expected a mapping, got {value!r}")
-    unknown = set(value) - set(known) if known is not None else set()
-    if unknown:
-        prefix = f"{where}." if where else ""
-        names = ", ".join(prefix + str(key) for key in sorted(unknown, key=str))
-        raise ScenarioSchemaError(f"{names}: unknown field")
-    return value
-
-
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioSchemaError(f"{where}: expected a list, got {value!r}")
-    return value
-
-
-def _read(block: dict, key: str, where: str, convert=float, default=None):
-    """block[key] read by `convert`; required unless a default is given."""
-    value = _require(block, key, where) if default is None else block.get(key, default)
-    return _convert(value, convert, f"{where}.{key}")
-
-
-def _cells(value, where: str) -> list[tuple[int, int]]:
-    return _convert(value, lambda pairs: [(_whole(x), _whole(y)) for x, y in pairs], where)
-
-
-NETWORK_FIELDS = ("eta", "matrix")
-
-# The blocks of a game file besides `solver`, and the fields each may hold.
-GAME_BLOCKS = {
-    "arena": ("size", "horizon", "defense_zone", "responsibilities", "obstacles"),
-    "players": ("u_max", "defenders", "attackers"),
-    "defenders": tuple(f.name for f in dataclasses.fields(DefenderParams)),
-    "attackers": tuple(f.name for f in dataclasses.fields(AttackerParams)),
-    "network": NETWORK_FIELDS,
-}
-
+# ---------------------------------------------------------------------------
+# Loading and writing
 
 def _load_yaml(path) -> dict:
     try:
@@ -287,211 +443,15 @@ def _load_yaml(path) -> dict:
     return data
 
 
-def _check_network(matrix, eta, where="network") -> list[list[float]]:
-    a = _convert(matrix, _array, f"{where}.matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ScenarioSchemaError(f"{where}.matrix: must be square, got shape {a.shape}")
-    report = validate_weight_matrix(a, eta)
-    if not report.ok:
-        raise ScenarioInvariantError(
-            f"{where}.matrix: " + "; ".join(report.failures())
-        )
-    return a.tolist()
-
-
-def _solver_block(block, where="solver") -> dict:
-    block = _mapping(block, where, ("iterations", "gamma", "schedule", "t_hat"))
-    out = {
-        "iterations": _read(block, "iterations", where, _whole),
-        "gamma": _read(block, "gamma", where),
-    }
-    if "schedule" in block:
-        out["schedule"] = str(block["schedule"])
-    if "t_hat" in block:
-        out["t_hat"] = _read(block, "t_hat", where)
-    try:
-        SolverParams(seed=0, **out)
-    except ValueError as exc:
-        raise ScenarioInvariantError(f"{where}.{exc}") from exc
-    return out
-
-
-def _load_problem(data: dict, seed: int) -> Problem:
-    _mapping(data, "", ("kind", "seed", "dims", "objectives", "network", "solver"))
-    dims = _read(data, "dims", "problem", lambda ms: [_whole(m) for m in ms])
-    try:
-        ChainProduct(dims)
-    except ValueError as exc:
-        raise ScenarioInvariantError(f"dims: {exc}") from exc
-    objectives = _require(data, "objectives", "problem")
-    if not isinstance(objectives, list) or not objectives:
-        raise ScenarioSchemaError("objectives: need a non-empty list")
-    for k, spec in enumerate(objectives):
-        _mapping(spec, f"objectives[{k}]")
-    solver = _solver_block(_require(data, "solver", "problem"))
-    network = data.get("network")
-    matrix = eta = None
-    if network is not None:
-        _mapping(network, "network", NETWORK_FIELDS)
-        matrix = _require(network, "matrix", "network")
-        eta = _read(network, "eta", "network")
-        matrix = _check_network(matrix, eta)
-        if len(matrix) != len(objectives):
-            raise ScenarioInvariantError(
-                f"network.matrix: {len(matrix)} agents but {len(objectives)} objectives"
-            )
-    problem = Problem(
-        seed=seed,
-        dims=dims,
-        objectives=[dict(o) for o in objectives],
-        solver=solver,
-        network_matrix=matrix,
-        network_eta=eta,
-    )
-    space = problem.space()
-    for spec in problem.objectives:
-        build_objective(spec, space)  # validates shapes up front
-    return problem
-
-
-def _load_game(data: dict, seed: int) -> Scenario:
-    _mapping(data, "", ("kind", "seed", *GAME_BLOCKS, "solver"))
-    arena_block, players, defenders_block, attackers_block, network = (
-        _mapping(_require(data, name, "scenario"), name, GAME_BLOCKS[name])
-        for name in ("arena", "players", "defenders", "attackers", "network")
-    )
-    solver = _solver_block(_require(data, "solver", "scenario"))
-
-    responsibilities = [
-        _cells(r, f"arena.responsibilities[{i}]")
-        for i, r in enumerate(
-            _list(_require(arena_block, "responsibilities", "arena"), "arena.responsibilities")
-        )
-    ]
-    try:
-        arena = Arena(
-            size=_read(arena_block, "size", "arena", _whole),
-            horizon=_read(arena_block, "horizon", "arena", _whole),
-            zone=_cells(_require(arena_block, "defense_zone", "arena"), "arena.defense_zone"),
-            responsibilities=responsibilities,
-            obstacles=set(_cells(arena_block.get("obstacles", []), "arena.obstacles")),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioInvariantError(f"arena: {exc}") from exc
-
-    defenders_start = _cells(_require(players, "defenders", "players"), "players.defenders")
-    attackers_start = _cells(_require(players, "attackers", "players"), "players.attackers")
-    u_max = _read(players, "u_max", "players", _whole, 1)
-
-    try:
-        defender_params = DefenderParams(
-            pursuit_gain=_read(defenders_block, "pursuit_gain", "defenders"),
-            cohesion=_read(defenders_block, "cohesion", "defenders", _array),
-            mobility=_read(defenders_block, "mobility", "defenders", _array, 1.0),
-            zeta1=_read(defenders_block, "zeta1", "defenders"),
-            zeta2=_read(defenders_block, "zeta2", "defenders"),
-            alpha_f_nom=_read(defenders_block, "alpha_f_nom", "defenders"),
-            alpha_a_nom=_read(defenders_block, "alpha_a_nom", "defenders"),
-            beta=_read(defenders_block, "beta", "defenders"),
-            delta_th=_read(defenders_block, "delta_th", "defenders", _array, 0.0),
-            distance=str(defenders_block.get("distance", "manhattan")),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioInvariantError(f"defenders.{exc}") from exc
-
-    try:
-        attacker_params = AttackerParams(
-            eta_avoid_nom=_read(attackers_block, "eta_avoid_nom", "attackers"),
-            eta_base_nom=_read(attackers_block, "eta_base_nom", "attackers"),
-            delta_th=_read(attackers_block, "delta_th", "attackers"),
-            kappa=_read(attackers_block, "kappa", "attackers"),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioInvariantError(f"attackers.{exc}") from exc
-
-    matrix = _require(network, "matrix", "network")
-    eta = _read(network, "eta", "network")
-    return Scenario(
-        seed=seed,
-        arena=arena,
-        u_max=u_max,
-        defenders_start=defenders_start,
-        attackers_start=attackers_start,
-        defender_params=defender_params,
-        attacker_params=attacker_params,
-        network_matrix=_check_network(matrix, eta),
-        network_eta=eta,
-        solver_params=SolverParams(seed=seed, **solver),
-    )
-
-
 def load_scenario(path) -> Scenario | Problem:
     """Load and fully validate a scenario or problem file."""
     data = _load_yaml(path)
-    kind = data.get("kind")
+    kind = data.pop("kind", None)
     if kind not in ("problem", "game"):
         raise ScenarioSchemaError(
             f"kind: expected 'problem' or 'game', got {kind!r}"
         )
-    if "seed" not in data:
-        raise ScenarioSchemaError("seed: missing required field (seeds are mandatory)")
-    seed = _convert(data["seed"], _whole, "seed")
-    if kind == "problem":
-        return _load_problem(data, seed)
-    return _load_game(data, seed)
-
-
-# ---------------------------------------------------------------------------
-# Writing
-
-def _scenario_dict(s: Scenario) -> dict:
-    return {
-        "kind": "game",
-        "seed": s.seed,
-        "arena": {
-            "size": s.arena.size,
-            "horizon": s.arena.horizon,
-            "defense_zone": [list(c) for c in s.arena.zone],
-            "responsibilities": [[list(c) for c in r] for r in s.arena.responsibilities],
-            "obstacles": [list(c) for c in sorted(s.arena.obstacles)],
-        },
-        "players": {
-            "u_max": s.u_max,
-            "defenders": [list(c) for c in s.defenders_start],
-            "attackers": [list(c) for c in s.attackers_start],
-        },
-        "defenders": {
-            "pursuit_gain": s.defender_params.pursuit_gain,
-            "cohesion": [[float(v) for v in row] for row in s.defender_params.cohesion],
-            "mobility": [float(v) for v in s.defender_params.mobility],
-            "zeta1": s.defender_params.zeta1,
-            "zeta2": s.defender_params.zeta2,
-            "alpha_f_nom": s.defender_params.alpha_f_nom,
-            "alpha_a_nom": s.defender_params.alpha_a_nom,
-            "beta": s.defender_params.beta,
-            "delta_th": [float(v) for v in s.defender_params.delta_th],
-            "distance": s.defender_params.distance,
-        },
-        "attackers": {
-            "eta_avoid_nom": s.attacker_params.eta_avoid_nom,
-            "eta_base_nom": s.attacker_params.eta_base_nom,
-            "delta_th": s.attacker_params.delta_th,
-            "kappa": s.attacker_params.kappa,
-        },
-        "network": {"eta": s.network_eta, "matrix": s.network_matrix},
-        "solver": {
-            "iterations": s.solver_params.iterations,
-            "gamma": s.solver_params.gamma,
-            "schedule": s.solver_params.schedule,
-            "t_hat": s.solver_params.t_hat,
-        },
-    }
+    return (PROBLEM if kind == "problem" else GAME)(data, "")
 
 
 def write_scenario(path, record: Scenario | Problem) -> None:

@@ -1,0 +1,371 @@
+"""The scenario field tables: malformed fields, unknown keys, seeds, and round trips."""
+
+import copy
+import dataclasses
+import hashlib
+import math
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from latmin.cli import main
+from latmin.ctf import AttackerParams, DefenderParams
+from latmin.scenario import (
+    GAME,
+    PROBLEM,
+    ScenarioSchemaError,
+    bundled_scenario_path,
+    load_scenario,
+    write_scenario,
+)
+from latmin.solvers import SolverParams
+
+GOLDEN = bundled_scenario_path("paper_fig3.cfg")
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_PROBLEM = re.search(r"### `kind: problem`\n\n```yaml\n(.*?)```", README.read_text(), re.S)[1]
+
+
+def field_paths(node, prefix=()):
+    """Every key's path in a file: through mappings and lists of mappings (objective entries)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from field_paths(value, prefix + (key,))
+    elif isinstance(node, list) and node and all(isinstance(v, dict) for v in node):
+        for i, value in enumerate(node):
+            yield prefix + (i,)
+            yield from field_paths(value, prefix + (i,))
+
+
+def dotted(path) -> str:
+    out = ""
+    for step in path:
+        out += f"[{step}]" if isinstance(step, int) else (f".{step}" if out else step)
+    return out
+
+
+FILES = {"fig3": yaml.safe_load(GOLDEN.read_text()), "problem": yaml.safe_load(README_PROBLEM)}
+FIELDS = [(name, path) for name, data in FILES.items() for path in field_paths(data)]
+EDITS = {
+    "scalar": 7,
+    "text": "x",
+    "list": [1, 2],
+    "mapping": {"a": 1},
+    "nan": math.nan,
+    "null": None,
+    "negative": -1,
+}
+
+
+def edited(data, path, edit):
+    """data with the field at `path` replaced by an EDITS value, misspelt or deleted."""
+    data = copy.deepcopy(data)
+    *parents, key = path
+    block = data
+    for step in parents:
+        block = block[step]
+    if edit == "misspell":
+        block[f"{key}x"] = block.pop(key)
+    elif edit == "delete":
+        block.pop(key)
+    else:
+        block[key] = EDITS[edit]
+    return data
+
+
+def names_field(err: str, path) -> bool:
+    """err names the field: its dotted name, or, for a rule between two fields
+    of one block (`alpha_f_nom` sums to 1 with `alpha_a_nom`), the block and its key."""
+    block, key = dotted(path[:-1]), str(path[-1])
+    return dotted(path) in err or (f"{block}." in err and key in err)
+
+
+class TestMalformedFieldProperty:
+    @settings(
+        max_examples=250,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        field=st.sampled_from(FIELDS),
+        edit=st.sampled_from([*EDITS, "misspell", "delete"]),
+    )
+    def test_check_succeeds_or_exits_two_naming_the_field(self, field, edit, capsys):
+        name, path = field
+        assume(not (isinstance(path[-1], int) and edit in ("misspell", "delete")))
+        data = edited(FILES[name], path, edit)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "edited.cfg"
+            cfg.write_text(yaml.safe_dump(data))
+            code = main(["check", str(cfg)])
+        err = capsys.readouterr().err
+        if edit == "misspell":
+            assert code == 2
+            misspelt = (*path[:-1], f"{path[-1]}x")
+            assert names_field(err, path) or names_field(err, misspelt), err
+        else:
+            assert code in (0, 2)
+            assert code == 0 or names_field(err, path), err
+
+
+def problem_with(**fields):
+    data = yaml.safe_load(README_PROBLEM)
+    data.update(fields)
+    return data
+
+
+def write_yaml(path, data):
+    path.write_text(yaml.safe_dump(data))
+    return path
+
+
+class TestObjectiveEntries:
+    @pytest.mark.parametrize(
+        "objectives, message",
+        [
+            (
+                [{"type": "linear", "coefficients": [1.0]},
+                 {"type": "quadratic", "centers": [2.0], "weight": [3.0]}],
+                r"objectives\[1\]\.weight: unknown field",
+            ),
+            ([{"type": ["linear"]}], r"objectives\[0\]\.type: unknown objective \['linear'\]"),
+            ([{"type": {"a": 1}}], r"objectives\[0\]\.type: unknown objective"),
+            (
+                [{"type": "linear", "coefficients": [1.0]},
+                 {"type": "linear", "coefficients": [1.0, 2.0]}],
+                r"objectives\[1\]\.coefficients: need 1 values, got 2",
+            ),
+            ([{"type": "product", "coefficients": [1.0]}], r"objectives\[0\]\.coefficients: unknown"),
+            ([{"type": "linear"}], r"objectives\[0\]\.coefficients: missing required field"),
+        ],
+        ids=["misspelt-key", "type-list", "type-mapping", "entry-named", "foreign-key", "missing"],
+    )
+    def test_entry_errors_name_the_entry(self, tmp_path, capsys, objectives, message):
+        path = write_yaml(tmp_path / "problem.cfg", problem_with(objectives=objectives))
+        with pytest.raises(ScenarioSchemaError, match=rf"^{message}"):
+            load_scenario(path)
+        assert main(["check", str(path)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("field", ["coefficients", "centers", "weights"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_numbers_rejected_before_solving(self, tmp_path, capsys, field, value):
+        objectives = [
+            {"type": "linear", "coefficients": [1.0]},
+            {"type": "quadratic", "centers": [2.0], "weights": [1.0]},
+        ]
+        objectives[0 if field == "coefficients" else 1][field] = [value]
+        path = write_yaml(tmp_path / "problem.cfg", problem_with(objectives=objectives))
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == 2
+        where = f"objectives[{0 if field == 'coefficients' else 1}].{field}"
+        assert f"{where}: cannot read [{value}]: not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_weights_default_to_one(self, tmp_path):
+        objectives = [{"type": "quadratic", "centers": [2.0]} for _ in range(2)]
+        path = write_yaml(tmp_path / "problem.cfg", problem_with(objectives=objectives))
+        problem = load_scenario(path)
+        assert [f((0,)) for f in problem.oracles()] == [4.0, 4.0]
+        assert "weights" not in problem.to_dict()["objectives"][0]
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("kind", ["game", "problem"])
+    def test_negative_seed_in_file_names_seed(self, tmp_path, capsys, kind):
+        data = yaml.safe_load(GOLDEN.read_text()) if kind == "game" else problem_with()
+        data["seed"] = -1
+        path = write_yaml(tmp_path / "seed.cfg", data)
+        with pytest.raises(ScenarioSchemaError, match=r"^seed: .*non-negative"):
+            load_scenario(path)
+        command = "simulate" if kind == "game" else "solve"
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("seed", ["-5", "x", "1.5"])
+    def test_bad_seed_override_is_a_usage_error(self, tmp_path, capsys, command, seed):
+        path = write_yaml(tmp_path / "problem.cfg", problem_with()) if command == "solve" else GOLDEN
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out), "--seed-override", seed]) == 2
+        assert "--seed-override" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_problem_solver_runs_at_the_seed(self, tmp_path):
+        problem = load_scenario(write_yaml(tmp_path / "problem.cfg", problem_with(seed=11)))
+        assert problem.solver.seed == 11
+        assert dataclasses.replace(problem, seed=12).solver.seed == 12
+
+
+# sha256 of `write_scenario` output for the bundled game and the README problem.
+WRITTEN = {
+    "fig3": "77d19101d3add064994a1e9962db570b45ef3bdc086f7944bf54b6fc2eefd845",
+    "problem": "273a3299e075c04bafce38f345010d3ac38dc09ae7531fc43f5c5bfa2b4e5a9a",
+}
+
+
+class TestWriting:
+    @pytest.mark.parametrize("name", sorted(WRITTEN))
+    def test_written_bytes_are_pinned(self, tmp_path, name):
+        source = tmp_path / "source.cfg"
+        source.write_text(README_PROBLEM if name == "problem" else GOLDEN.read_text())
+        out = tmp_path / "written.cfg"
+        write_scenario(out, load_scenario(source))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITTEN[name]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_write_then_load_is_identity_on_generated_games(self, data):
+        assert_round_trip(data.draw(games()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_write_then_load_is_identity_on_generated_problems(self, data):
+        assert_round_trip(data.draw(problems()))
+
+
+def assert_round_trip(data: dict):
+    with tempfile.TemporaryDirectory() as tmp:
+        record = load_scenario(write_yaml(Path(tmp) / "generated.cfg", data))
+        first = Path(tmp) / "first.cfg"
+        write_scenario(first, record)
+        again = load_scenario(first)
+        assert again == record
+        second = Path(tmp) / "second.cfg"
+        write_scenario(second, again)
+        assert second.read_bytes() == first.read_bytes()
+
+
+def line_matrix(n: int) -> list[list[float]]:
+    """A doubly stochastic line-graph mixing matrix, all weights >= 0.1."""
+    rows = [[0.3 if abs(i - j) == 1 else 0.0 for j in range(n)] for i in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1.0 - sum(row)
+    return rows
+
+
+UNIT = st.floats(0.0, 1.0)
+WEIGHTS = st.floats(0.0, 50.0)
+
+
+def optional(draw, block: dict, keys):
+    """block with a drawn subset of its optional keys left out."""
+    for key in keys:
+        if draw(st.booleans()):
+            del block[key]
+    return block
+
+
+def solver_block(draw) -> dict:
+    block = {
+        "iterations": draw(st.integers(1, 100)),
+        "gamma": draw(st.floats(1e-3, 1.0)),
+        "schedule": draw(st.sampled_from(["constant", "diminishing"])),
+        "t_hat": draw(st.floats(0.05, 0.95)),
+    }
+    return optional(draw, block, ["schedule", "t_hat"])
+
+
+@st.composite
+def games(draw) -> dict:
+    n = draw(st.integers(1, 3))
+    size = draw(st.integers(2 * n + 2, 12))
+    zone = [[x, size - 1] for x in range(2 * n)]
+    per_defender = st.one_of(st.floats(0.0, 5.0), st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+    alpha_f, eta_avoid = draw(UNIT), draw(UNIT)
+    return {
+        "kind": "game",
+        "seed": draw(st.integers(0, 2**32)),
+        "arena": optional(draw, {
+            "size": size,
+            "horizon": draw(st.integers(1, 20)),
+            "defense_zone": zone,
+            "responsibilities": [zone[2 * i:2 * i + 2] for i in range(n)],
+            "obstacles": draw(st.lists(
+                st.lists(st.integers(0, size - 1), min_size=2, max_size=2).filter(
+                    lambda c: 1 <= c[1] <= size - 3
+                ),
+                max_size=3,
+            )),
+        }, ["obstacles"]),
+        "players": optional(draw, {
+            "u_max": 1,
+            "defenders": [[2 * i, size - 2] for i in range(n)],
+            "attackers": draw(st.lists(
+                st.lists(st.integers(0, size - 1), min_size=1, max_size=1).map(lambda c: [c[0], 0]),
+                min_size=1, max_size=3,
+            )),
+        }, ["u_max"]),
+        "defenders": optional(draw, {
+            "pursuit_gain": draw(WEIGHTS),
+            "cohesion": draw(st.lists(st.lists(UNIT, min_size=n, max_size=n), min_size=n, max_size=n)),
+            "mobility": draw(per_defender),
+            "zeta1": draw(st.floats(1.0, 300.0)),
+            "zeta2": draw(st.floats(1.0, 10.0)),
+            "alpha_f_nom": alpha_f,
+            "alpha_a_nom": 1.0 - alpha_f,
+            "beta": draw(UNIT),
+            "delta_th": draw(per_defender),
+            "distance": draw(st.sampled_from(["manhattan", "squared"])),
+        }, ["mobility", "delta_th", "distance"]),
+        "attackers": {
+            "eta_avoid_nom": eta_avoid,
+            "eta_base_nom": 1.0 - eta_avoid,
+            "delta_th": draw(st.floats(0.0, 10.0)),
+            "kappa": draw(UNIT),
+        },
+        "network": {"eta": 0.1, "matrix": line_matrix(n)},
+        "solver": solver_block(draw),
+    }
+
+
+@st.composite
+def problems(draw) -> dict:
+    dims = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    numbers = st.lists(st.floats(-10.0, 10.0), min_size=len(dims), max_size=len(dims))
+    objective = st.one_of(
+        st.fixed_dictionaries({"type": st.just("linear"), "coefficients": numbers}),
+        st.fixed_dictionaries(
+            {"type": st.just("quadratic"), "centers": numbers}, optional={"weights": numbers}
+        ),
+        st.just({"type": "product"}),
+    )
+    objectives = draw(st.lists(objective, min_size=1, max_size=3))
+    data = {
+        "kind": "problem",
+        "seed": draw(st.integers(0, 2**32)),
+        "dims": dims,
+        "objectives": objectives,
+        "solver": solver_block(draw),
+    }
+    if draw(st.booleans()):
+        data["network"] = {"eta": 0.1, "matrix": line_matrix(len(objectives))}
+    return data
+
+
+def block_keys(table, key) -> set:
+    (block,) = [f.read for f in table.fields if f.key == key]
+    assert all((f.attr or f.key) == f.key for f in block.fields)
+    return {f.key for f in block.fields}
+
+
+@pytest.mark.parametrize(
+    "table, key, params",
+    [
+        (GAME, "defenders", DefenderParams),
+        (GAME, "attackers", AttackerParams),
+        (GAME, "solver", SolverParams),
+        (PROBLEM, "solver", SolverParams),
+    ],
+)
+def test_parameter_blocks_list_every_parameter(table, key, params):
+    # A parameter added without a file key (or a key without a parameter) fails here.
+    fields = {f.name for f in dataclasses.fields(params)} - {"seed"}
+    assert block_keys(table, key) == fields
