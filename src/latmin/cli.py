@@ -24,13 +24,23 @@ from .scenario import (
     build_objective,
     load_scenario,
 )
-from .solvers import WeightMatrix, centralized_minimize, distributed_minimize
+from .solvers import centralized_minimize, distributed_minimize
 
 OK, VIOLATION, USAGE = 0, 1, 2
 
 
 def _fmt(v) -> str:
     return format(float(v), ".12g")
+
+
+def _overridden(record: Problem | Scenario, args) -> Problem | Scenario:
+    """The loaded record with `--seed-override` and `--iters-override` applied."""
+    changes = {}
+    if args.seed_override is not None:
+        changes["seed"] = args.seed_override
+    if args.iters_override is not None:
+        changes["solver"] = dataclasses.replace(record.solver, iterations=args.iters_override)
+    return dataclasses.replace(record, **changes)
 
 
 def cmd_check(args) -> int:
@@ -84,12 +94,7 @@ def cmd_solve(args) -> int:
     if not isinstance(record, Problem):
         print("solve: expected a problem file (kind: problem)", file=sys.stderr)
         return USAGE
-    params = record.solver
-    if args.seed_override is not None:
-        params = dataclasses.replace(params, seed=args.seed_override)
-    if args.iters_override is not None:
-        params = dataclasses.replace(params, iterations=args.iters_override)
-
+    record = _overridden(record, args)
     space = record.space()
     oracles = record.oracles()
     out = Path(args.out)
@@ -101,14 +106,13 @@ def cmd_solve(args) -> int:
 
     if args.mode == "central":
         total = Oracle(lambda x: sum(f(x) for f in oracles), space)
-        point, value, trace = centralized_minimize(total, space, params)
+        point, value, trace = centralized_minimize(total, space, record.solver)
         points, values, n_agents = [point], [value], 1
     else:
-        if record.network_matrix is None:
+        if record.network is None:
             print("solve: distributed mode needs a network block", file=sys.stderr)
             return USAGE
-        matrix = WeightMatrix(record.network_matrix, record.network_eta)
-        points, values, trace = distributed_minimize(oracles, space, matrix, params)
+        points, values, trace = distributed_minimize(oracles, space, record.network, record.solver)
         n_agents = len(oracles)
 
     with (out / "solution.csv").open("w", newline="") as fh:
@@ -209,10 +213,7 @@ def cmd_simulate(args) -> int:
     if not isinstance(record, Scenario):
         print("simulate: expected a game file (kind: game)", file=sys.stderr)
         return USAGE
-    if args.iters_override is not None:
-        record.solver_params = dataclasses.replace(
-            record.solver_params, iterations=args.iters_override
-        )
+    record = _overridden(record, args)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -220,7 +221,7 @@ def cmd_simulate(args) -> int:
         print(f"simulate: cannot create output dir: {exc}", file=sys.stderr)
         return USAGE
 
-    result = run_game(record, seed_override=args.seed_override)
+    result = run_game(record)
     write_trajectories(out / "trajectories.csv", result)
     write_events(out / "events.csv", result)
     if args.svg:

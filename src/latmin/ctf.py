@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .lattice import ChainProduct, Oracle
-from .solvers import WeightMatrix, distributed_minimize
+from .solvers import distributed_minimize
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -127,7 +127,10 @@ class DefenderParams:
         self.delta_th = np.atleast_1d(np.asarray(self.delta_th, dtype=float))
         _require_finite(self)
         if abs(self.alpha_f_nom + self.alpha_a_nom - 1.0) > 1e-9:
-            raise ValueError("alpha_f_nom: nominal behavior weights must sum to 1 with alpha_a_nom")
+            raise ValueError(
+                "alpha_f_nom, alpha_a_nom: nominal behavior weights must sum to 1, "
+                f"got {self.alpha_f_nom} and {self.alpha_a_nom}"
+            )
         for name in ("zeta1", "zeta2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: barrier constants zeta1, zeta2 must be at least 1")
@@ -157,7 +160,10 @@ class AttackerParams:
     def __post_init__(self):
         _require_finite(self)
         if abs(self.eta_avoid_nom + self.eta_base_nom - 1.0) > 1e-9:
-            raise ValueError("eta_avoid_nom: nominal mode weights must sum to 1 with eta_base_nom")
+            raise ValueError(
+                "eta_avoid_nom, eta_base_nom: nominal mode weights must sum to 1, "
+                f"got {self.eta_avoid_nom} and {self.eta_base_nom}"
+            )
         if not (0.0 <= self.eta_avoid_nom <= 1.0):
             raise ValueError("eta_avoid_nom: nominal mode weights must lie in [0,1]")
         if not 0.0 <= self.kappa <= 1.0:
@@ -547,8 +553,8 @@ def _captured_now(attackers: list[Cell], defenders: list[Cell]) -> list[bool]:
     return [pos in occupied for pos in attackers]
 
 
-def game_start(scenario: "Scenario", seed: int | None = None):
-    """Start state of a game at `seed` (the scenario's own by default).
+def game_start(scenario: "Scenario"):
+    """Start state of a game at the scenario's seed.
 
     Returns (defenders, attackers, captured, streams): the start cells, the
     capture flags, and the random streams spawned from the seed, in order
@@ -556,7 +562,7 @@ def game_start(scenario: "Scenario", seed: int | None = None):
     """
     defenders = [tuple(c) for c in scenario.defenders_start]
     attackers = [tuple(c) for c in scenario.attackers_start]
-    root = np.random.SeedSequence(scenario.seed if seed is None else seed)
+    root = np.random.SeedSequence(scenario.seed)
     def_ss, att_ss, sol_ss = root.spawn(3)
     streams = (
         [np.random.default_rng(s) for s in def_ss.spawn(len(defenders))],
@@ -599,7 +605,7 @@ def first_step_problem(scenario: "Scenario") -> tuple[list[Oracle], ChainProduct
     return build_step_problem(step_context(scenario, defenders, attackers, captured, pursuit_rngs))
 
 
-def run_game(scenario: "Scenario", seed_override: int | None = None) -> GameResult:
+def run_game(scenario: "Scenario") -> GameResult:
     """Play the receding-horizon game to the horizon or first breach.
 
     Each step: predict attackers, refresh behavior weights, pursuit rows and
@@ -611,10 +617,9 @@ def run_game(scenario: "Scenario", seed_override: int | None = None) -> GameResu
     arena = scenario.arena
     aparams = scenario.attacker_params
     u_max = scenario.u_max
-    defenders, attackers, captured, streams = game_start(scenario, seed_override)
+    defenders, attackers, captured, streams = game_start(scenario)
     defender_rngs, attacker_rngs, solver_seed_stream = streams
     n_d, n_a = len(defenders), len(attackers)
-    matrix = WeightMatrix(scenario.network_matrix, scenario.network_eta)
 
     steps: list[StepRecord] = []
     events: list[Event] = []
@@ -638,10 +643,10 @@ def run_game(scenario: "Scenario", seed_override: int | None = None) -> GameResu
 
         oracles, space = build_step_problem(ctx)
         params = dataclasses.replace(
-            scenario.solver_params,
+            scenario.solver,
             seed=int(solver_seed_stream.integers(0, 2**63 - 1)),
         )
-        points, _, _ = distributed_minimize(oracles, space, matrix, params)
+        points, _, _ = distributed_minimize(oracles, space, scenario.network, params)
         moves = [decode_actions(points[i], n_d, u_max)[i] for i in range(n_d)]
         defenders = [
             arena.clamp((p[0] + u[0], p[1] + u[1])) for p, u in zip(defenders, moves)

@@ -22,7 +22,7 @@ import yaml
 
 from .ctf import Arena, AttackerParams, DefenderParams
 from .lattice import ChainProduct, Oracle
-from .solvers import SolverParams, validate_weight_matrix
+from .solvers import SolverParams, WeightMatrix
 
 
 class ScenarioError(ValueError):
@@ -49,11 +49,22 @@ def _convert(value, convert, where: str):
         raise ScenarioSchemaError(f"{where}: cannot read {value!r}: {exc}") from exc
 
 
+def _holds_text(value) -> bool:
+    return isinstance(value, str) or (isinstance(value, list) and any(map(_holds_text, value)))
+
+
+def _numbers(value):
+    """value unless it is or holds a string: a quoted "7" is not read as the number 7."""
+    if _holds_text(value):
+        raise ValueError("expected a number, got a string")
+    return value
+
+
 def _whole(value) -> int:
-    """value as an int when it is a whole number: 20 and 20.0 read, 20.9 and true do not."""
+    """value as an int when it is a whole number: 20 and 20.0 read, 20.9, true and "20" do not."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError("not a whole number")
-    return int(value)
+    return int(_numbers(value))
 
 
 def _seed(value) -> int:
@@ -71,7 +82,7 @@ def _items(values) -> list:
 
 
 def _floats(values) -> list[float]:
-    numbers = [float(v) for v in _items(values)]
+    numbers = [float(v) for v in _items(_numbers(values))]
     if not np.all(np.isfinite(numbers)):
         raise ValueError("not finite")
     return numbers
@@ -79,13 +90,6 @@ def _floats(values) -> list[float]:
 
 def _cells(pairs) -> list[tuple[int, int]]:
     return [(_whole(x), _whole(y)) for x, y in _items(pairs)]
-
-
-def _square(rows) -> list[list[float]]:
-    a = np.asarray(rows, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"must be square, got shape {a.shape}")
-    return a.tolist()
 
 
 def _mapping(value, where: str, known=None) -> dict:
@@ -181,16 +185,16 @@ class Table:
         out = {}
         for f in self.fields:
             value = record if f.flat else getattr(record, f.attr or f.key)
-            written = getattr(f.read, "write", f.write)(value)
+            written = None if value is None else getattr(f.read, "write", f.write)(value)
             if written is not None:
                 out[f.key] = written
         return out or None
 
 
 WHOLE = _leaf(_whole)
-FLOAT = _leaf(float)
+FLOAT = _leaf(lambda value: float(_numbers(value)))
 TEXT = _leaf(str)
-ARRAY = _leaf(partial(np.asarray, dtype=float))
+ARRAY = _leaf(lambda values: np.asarray(_numbers(values), dtype=float))
 FLOATS = _leaf(_floats)
 CELLS = _leaf(_cells)
 
@@ -248,30 +252,24 @@ def build_objective(spec: dict, space: ChainProduct, where: str = "objectives") 
 # ---------------------------------------------------------------------------
 # Records
 
-def _check_network(matrix, eta, n_agents: int, team: str) -> None:
-    if len(matrix) != n_agents:
-        raise ScenarioInvariantError(f"network.matrix: {len(matrix)} agents for {n_agents} {team}")
-    if not 0.0 < eta < 1.0:
-        raise ScenarioInvariantError(f"network.eta: must lie in (0,1), got {eta}")
-    report = validate_weight_matrix(matrix, eta)
-    if not report.ok:
-        raise ScenarioInvariantError("network.matrix: " + "; ".join(report.failures()))
+def _check_network(network: WeightMatrix, n_agents: int, team: str) -> None:
+    if network.n_agents != n_agents:
+        raise ScenarioInvariantError(f"network.matrix: {network.n_agents} agents for {n_agents} {team}")
 
 
 @dataclass(eq=False)
 class Problem:
     """A standalone minimization instance loaded from file.
 
-    Construction checks `dims`, the objectives and the network, if any,
-    naming the field.  The solver runs at the problem's seed.
+    Construction checks `dims`, the objectives and the network's size, if
+    any, naming the field.  The solver runs at the problem's seed.
     """
 
     seed: int
     dims: list[int]
     objectives: list[dict]
     solver: SolverParams
-    network_matrix: list[list[float]] | None = None
-    network_eta: float | None = None
+    network: WeightMatrix | None = None
 
     def __post_init__(self):
         self.solver = dataclasses.replace(self.solver, seed=self.seed)
@@ -282,8 +280,8 @@ class Problem:
         if not self.objectives:
             raise ScenarioInvariantError("objectives: need a non-empty list")
         self.oracles()
-        if self.network_matrix is not None:
-            _check_network(self.network_matrix, self.network_eta, len(self.objectives), "objectives")
+        if self.network is not None:
+            _check_network(self.network, len(self.objectives), "objectives")
 
     def space(self) -> ChainProduct:
         return ChainProduct(self.dims)
@@ -304,11 +302,10 @@ class Scenario:
     """A full game configuration, loaded from file or built in code.
 
     Construction rejects a speed other than u_max = 1, start cells off the
-    grid, on an obstacle, or shared by two defenders, per-defender fields
-    (responsibilities, delta_th, mobility, cohesion, network) sized for
-    another team, and a network that fails the consensus conditions,
-    naming the field.  A single delta_th or mobility value is taken for
-    every defender.
+    grid, on an obstacle, or shared by two defenders, and per-defender
+    fields (responsibilities, delta_th, mobility, cohesion, network) sized
+    for another team, naming the field.  A single delta_th or mobility
+    value is taken for every defender.
     """
 
     seed: int
@@ -318,9 +315,8 @@ class Scenario:
     attackers_start: list[tuple[int, int]]
     defender_params: DefenderParams
     attacker_params: AttackerParams
-    network_matrix: list[list[float]]
-    network_eta: float
-    solver_params: SolverParams
+    network: WeightMatrix
+    solver: SolverParams
 
     def __post_init__(self):
         if self.u_max != 1:
@@ -354,7 +350,7 @@ class Scenario:
             raise ScenarioInvariantError(
                 f"defenders.cohesion: need a {n_d}x{n_d} matrix, got shape {dp.cohesion.shape}"
             )
-        _check_network(self.network_matrix, self.network_eta, n_d, "defenders")
+        _check_network(self.network, n_d, "defenders")
         self.defender_params = dataclasses.replace(
             dp, delta_th=np.resize(dp.delta_th, n_d), mobility=np.resize(dp.mobility, n_d)
         )
@@ -376,9 +372,9 @@ SOLVER = Field("solver", Table((
     Field("t_hat", FLOAT, 0.7),
 ), SolverParams))
 NETWORK = Table((
-    Field("eta", FLOAT, attr="network_eta"),
-    Field("matrix", _leaf(_square), attr="network_matrix"),
-))
+    Field("eta", FLOAT),
+    Field("matrix", ARRAY, attr="entries", write=np.ndarray.tolist),
+), WeightMatrix)
 
 GAME = Table((
     Field("seed", _leaf(_seed)),
@@ -413,7 +409,7 @@ GAME = Table((
         Field("kappa", FLOAT),
     ), AttackerParams), attr="attacker_params"),
     Field("network", NETWORK),
-    dataclasses.replace(SOLVER, attr="solver_params"),
+    SOLVER,
 ), Scenario)
 
 PROBLEM = Table((

@@ -80,9 +80,9 @@ def validate_weight_matrix(matrix, eta: float) -> MatrixReport:
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"weight matrix must be square, got shape {a.shape}")
+        raise ValueError(f"matrix: must be square, got shape {a.shape}")
     if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie in (0,1), got {eta}")
+        raise ValueError(f"eta: must lie in (0,1), got {eta}")
     if np.any(a < 0):
         # Negative weights break every condition's premise; report them as
         # a doubly-stochastic failure rather than a separate channel.
@@ -104,7 +104,7 @@ def validate_weight_matrix(matrix, eta: float) -> MatrixReport:
 
 @dataclass
 class WeightMatrix:
-    """A consensus mixing matrix that has passed all four conditions."""
+    """A consensus mixing matrix that has passed all four conditions; errors name the field."""
 
     entries: np.ndarray
     eta: float
@@ -113,7 +113,7 @@ class WeightMatrix:
         self.entries = np.asarray(self.entries, dtype=float)
         report = validate_weight_matrix(self.entries, self.eta)
         if not report.ok:
-            raise ValueError("invalid weight matrix: " + "; ".join(report.failures()))
+            raise ValueError("matrix: " + "; ".join(report.failures()))
 
     @property
     def n_agents(self) -> int:

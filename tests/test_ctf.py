@@ -26,7 +26,7 @@ from latmin.ctf import (
     threat_distance,
 )
 from latmin.scenario import Scenario, bundled_scenario_path, load_scenario
-from latmin.solvers import SolverParams
+from latmin.solvers import SolverParams, WeightMatrix
 
 from helpers import as_bytes, reference_build_step_problem, reference_defender_cost
 
@@ -99,9 +99,8 @@ def toy_scenario(**overrides):
         attackers_start=[(0, 0), (7, 0)],
         defender_params=toy_defender_params(),
         attacker_params=toy_attacker_params(),
-        network_matrix=[[0.7, 0.3], [0.3, 0.7]],
-        network_eta=0.1,
-        solver_params=SolverParams(iterations=10, gamma=0.1, t_hat=0.7, seed=5),
+        network=WeightMatrix([[0.7, 0.3], [0.3, 0.7]], eta=0.1),
+        solver=SolverParams(iterations=10, gamma=0.1, t_hat=0.7, seed=5),
     )
     arena = overrides.get("arena", fields["arena"])
     if "arena" not in overrides:
@@ -469,7 +468,7 @@ class TestRunGame:
                 responsibilities=[[(2, 7), (3, 7)], [(4, 7), (5, 7)]],
                 obstacles={(1, 3)},
             ),
-            solver_params=SolverParams(iterations=15, gamma=0.1, t_hat=0.7, seed=5),
+            solver=SolverParams(iterations=15, gamma=0.1, t_hat=0.7, seed=5),
         )
         res = run_game(s)
         assert res.outcome == "defense"
@@ -480,7 +479,7 @@ class TestRunGame:
 
     def test_no_unsafe_events_in_seeded_runs(self):
         for seed in (1, 2, 3):
-            res = run_game(toy_scenario(), seed_override=seed)
+            res = run_game(toy_scenario(seed=seed))
             assert not any(e.kind == "collision_check" for e in res.events)
             for rec in res.steps:
                 assert len(set(rec.defenders)) == len(rec.defenders)

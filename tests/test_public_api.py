@@ -1,16 +1,18 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import latmin
-from latmin import extension, lattice
-from latmin.scenario import Problem
+from latmin import ctf, extension, lattice
+from latmin.scenario import Problem, Scenario
 
 REMOVED = {
     latmin: ("make_chain_product", "profile_from_point"),
     lattice: ("make_chain_product",),
     extension: ("profile_from_point",),
-    Problem: ("solver_params",),
+    Problem: ("solver_params", "network_matrix", "network_eta"),
+    Scenario: ("solver_params", "network_matrix", "network_eta"),
 }
 
 
@@ -22,9 +24,18 @@ def test_every_exported_name_resolves():
 
 def test_removed_aliases_stay_removed():
     for owner, names in REMOVED.items():
+        # A record's fields are its constructor's parameters, with or without a default.
+        fields = inspect.signature(owner).parameters if isinstance(owner, type) else {}
         for name in names:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+            assert name not in fields, f"{owner.__name__}.{name}"
             assert name not in latmin.__all__
+
+
+def test_games_read_only_their_scenario():
+    # A seed or budget comes from the record, not from a side option.
+    for play in (ctf.run_game, ctf.game_start):
+        assert list(inspect.signature(play).parameters) == ["scenario"], play.__name__
 
 
 def test_benchmark_traced_names_resolve():

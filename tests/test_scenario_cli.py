@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmin import ctf
+from latmin import cli, ctf, scenario, solvers
 from latmin.cli import main
 from latmin.scenario import (
     Problem,
@@ -25,6 +25,7 @@ from latmin.scenario import (
     write_scenario,
 )
 from latmin.lattice import ChainProduct
+from latmin.solvers import WeightMatrix
 
 GOLDEN = bundled_scenario_path("paper_fig3.cfg")
 
@@ -64,7 +65,7 @@ class TestLoadScenario:
     def test_golden_file_loads_with_line_graph_matrix(self):
         s = load_scenario(GOLDEN)
         assert isinstance(s, Scenario)
-        assert s.network_matrix == [
+        assert s.network.entries.tolist() == [
             [0.7, 0.3, 0.0, 0.0],
             [0.3, 0.6, 0.1, 0.0],
             [0.0, 0.1, 0.6, 0.3],
@@ -72,9 +73,9 @@ class TestLoadScenario:
         ]
         assert s.arena.size == 20
         assert s.arena.horizon == 40
-        assert s.solver_params.iterations == 20
-        assert s.solver_params.gamma == 0.1
-        assert s.solver_params.t_hat == 0.7
+        assert s.solver.iterations == 20
+        assert s.solver.gamma == 0.1
+        assert s.solver.t_hat == 0.7
         assert s.defender_params.zeta1 == 200.0
         assert s.defender_params.zeta2 == 5.0
         assert s.defender_params.pursuit_gain == 20.0
@@ -199,7 +200,7 @@ class TestStartChecks:
         with pytest.raises(ScenarioInvariantError, match="4 sets for 5 defenders"):
             dataclasses.replace(s, defenders_start=s.defenders_start + [(1, 1)])
         with pytest.raises(ScenarioInvariantError, match=r"network\.matrix: 2 agents for 4"):
-            dataclasses.replace(s, network_matrix=[[0.5, 0.5], [0.5, 0.5]])
+            dataclasses.replace(s, network=WeightMatrix([[0.5, 0.5], [0.5, 0.5]], eta=0.1))
 
     # Cells drawn near the 20x20 grid's edges and on its obstacles as well as anywhere.
     CELLS = st.one_of(
@@ -339,7 +340,7 @@ class TestMalformedFields:
         path.write_text(yaml.safe_dump(data))
         loaded = load_scenario(path)
         assert loaded == load_scenario(GOLDEN)
-        assert type(loaded.solver_params.iterations) is int
+        assert type(loaded.solver.iterations) is int
         assert type(loaded.seed) is int
         assert all(type(c) is int for c in loaded.defenders_start[0])
 
@@ -531,6 +532,20 @@ class TestSolveCommand:
         assert code == 2
         assert "iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["central", "distributed"])
+    def test_overrides_match_an_edited_file(self, problem_file, tmp_path, mode):
+        data = yaml.safe_load(problem_file.read_text())
+        data["seed"], data["solver"]["iterations"] = 9, 7
+        edited = tmp_path / "edited.cfg"
+        edited.write_text(yaml.safe_dump(data))
+        a, b = tmp_path / "a", tmp_path / "b"
+        overrides = ["--seed-override", "9", "--iters-override", "7"]
+        assert main(["solve", str(problem_file), "--mode", mode, "--out", str(a), *overrides]) == 0
+        assert main(["solve", str(edited), "--mode", mode, "--out", str(b)]) == 0
+        for name in ("solution.csv", "trace.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert len(read_rows(a / "trace.csv")) == 1 + 7 * (1 if mode == "central" else 2)
+
     def test_distributed_without_network_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "nonet.cfg"
         path.write_text(
@@ -582,6 +597,49 @@ class TestSimulateCommand:
         main(["simulate", str(fast_golden), "--out", str(a)])
         main(["simulate", str(fast_golden), "--out", str(b), "--seed-override", "99"])
         assert (a / "trajectories.csv").read_bytes() != (b / "trajectories.csv").read_bytes()
+
+    def test_overrides_match_an_edited_file(self, fast_golden, tmp_path):
+        data = yaml.safe_load(fast_golden.read_text())
+        data["seed"], data["solver"]["iterations"] = 9, 7
+        edited = tmp_path / "edited.cfg"
+        edited.write_text(yaml.safe_dump(data))
+        a, b, plain = tmp_path / "a", tmp_path / "b", tmp_path / "plain"
+        overrides = ["--seed-override", "9", "--iters-override", "7"]
+        assert main(["simulate", str(fast_golden), "--out", str(a), *overrides]) == 0
+        assert main(["simulate", str(edited), "--out", str(b)]) == 0
+        assert main(["simulate", str(fast_golden), "--out", str(plain)]) == 0
+        for name in ("trajectories.csv", "events.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert (a / "trajectories.csv").read_bytes() != (plain / "trajectories.csv").read_bytes()
+
+    def test_overrides_leave_the_loaded_record_alone(self, fast_golden, tmp_path, monkeypatch):
+        loaded = []
+
+        def spy(path):
+            loaded.append(load_scenario(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_scenario", spy)
+        argv = ["simulate", str(fast_golden), "--out", str(tmp_path / "sim")]
+        assert main([*argv, "--seed-override", "9", "--iters-override", "7"]) == 0
+        (record,) = loaded
+        assert (record.seed, record.solver.iterations) == (7, 20)
+
+    def test_one_simulate_validates_the_network_once(self, fast_golden, tmp_path, monkeypatch):
+        calls = []
+        validate = solvers.validate_weight_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return validate(*args, **kwargs)
+
+        # Every module's binding, so a check through an imported name counts too.
+        for module in (solvers, scenario, ctf, cli):
+            if hasattr(module, "validate_weight_matrix"):
+                monkeypatch.setattr(module, "validate_weight_matrix", counting)
+        argv = ["simulate", str(fast_golden), "--out", str(tmp_path / "sim")]
+        assert main([*argv, "--seed-override", "9", "--iters-override", "7"]) == 0
+        assert len(calls) == 1
 
     def test_svg_written_on_request(self, fast_golden, tmp_path):
         out = tmp_path / "sim"

@@ -18,6 +18,7 @@ from latmin.ctf import AttackerParams, DefenderParams
 from latmin.scenario import (
     GAME,
     PROBLEM,
+    ScenarioInvariantError,
     ScenarioSchemaError,
     bundled_scenario_path,
     load_scenario,
@@ -111,6 +112,54 @@ class TestMalformedFieldProperty:
         else:
             assert code in (0, 2)
             assert code == 0 or names_field(err, path), err
+
+
+# A quoted number in each kind of numeric field: (file, field path, value, field named).
+QUOTED = [
+    ("fig3", ("seed",), "7", "seed"),
+    ("fig3", ("arena", "size"), "20", "arena.size"),
+    ("fig3", ("defenders", "zeta1"), "200", "defenders.zeta1"),
+    ("fig3", ("players", "defenders", 0), ["4", "17"], "players.defenders"),
+    ("fig3", ("defenders", "mobility"), ["1", "1", "1", "1"], "defenders.mobility"),
+    ("fig3", ("network", "eta"), "0.1", "network.eta"),
+    ("fig3", ("network", "matrix", 0, 0), "0.7", "network.matrix"),
+    ("fig3", ("solver", "iterations"), "20", "solver.iterations"),
+    ("problem", ("dims",), ["3", "4"], "problem.dims"),
+    ("problem", ("objectives", 0, "coefficients"), ["0.5", "-1.0"], "objectives[0].coefficients"),
+]
+# A broken sum rule between two fields: (file, field path, value, message).
+SUM_RULES = [
+    ("fig3", ("defenders", "alpha_a_nom"), 5, "defenders.alpha_f_nom, alpha_a_nom: "
+     "nominal behavior weights must sum to 1, got 0.9 and 5.0"),
+    ("fig3", ("attackers", "eta_base_nom"), 5, "attackers.eta_avoid_nom, eta_base_nom: "
+     "nominal mode weights must sum to 1, got 0.7 and 5.0"),
+]
+VALUE_ERRORS = [
+    *[
+        (name, path, value, ScenarioSchemaError,
+         rf"{re.escape(field)}: cannot read .*: expected a number, got a string")
+        for name, path, value, field in QUOTED
+    ],
+    *[(name, path, value, ScenarioInvariantError, re.escape(m)) for name, path, value, m in SUM_RULES],
+]
+
+
+@pytest.mark.parametrize(
+    "name, path, value, error, message", VALUE_ERRORS, ids=[dotted(c[1]) for c in VALUE_ERRORS]
+)
+def test_value_errors_name_the_field(tmp_path, capsys, name, path, value, error, message):
+    data = copy.deepcopy(FILES[name])
+    *parents, key = path
+    block = data
+    for step in parents:
+        block = block[step]
+    block[key] = value
+    cfg = write_yaml(tmp_path / "edited.cfg", data)
+    with pytest.raises(error) as caught:
+        load_scenario(cfg)
+    assert re.fullmatch(message, str(caught.value)), caught.value
+    assert main(["check", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {caught.value}\n"
 
 
 def problem_with(**fields):
