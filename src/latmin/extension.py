@@ -10,6 +10,8 @@ charging each unit step with the entry that triggered it.  The subgradient
 falls out of the same walk at no extra cost.  `check_rows`, `extend_rows`
 and `round_rows` do the same for every row of an (n, r) array of profiles;
 `Profile.validate`, `greedy_extension` and `theta` are their one-row cases.
+The walk reads oracle values from a dict the caller owns and evaluates
+only the points missing there; a solve keeps one dict per agent.
 
 For chains of size 2 this is exactly the classical relaxation of set
 functions on the unit hypercube; no separate code path exists for that
@@ -79,7 +81,7 @@ def check_rows(rows: np.ndarray, space: ChainProduct, tol: float = FEASIBILITY_T
     # Written as "not inside" so that NaN entries count as outside.
     outside = ~((rows >= -tol) & (rows <= 1.0 + tol))
     # A rise from the last entry of one chain to the first of the next is fine.
-    rises = (np.diff(rows, axis=1) > tol) & space.same_chain
+    rises = (rows[:, 1:] - rows[:, :-1] > tol) & space.same_chain
     if not (outside.any() or rises.any()):
         return
     # Infeasible: find the first offending chain for the message.
@@ -128,34 +130,42 @@ class ExtensionResult:
     order: list[int]
 
 
-def _walk(f: Oracle, space: ChainProduct, values: list[float], order) -> ExtensionResult:
-    """Evaluate the extension given an explicit order of flat indices (r+1 oracle calls)."""
-    chain_of, offsets = space.chain_of, space.offsets
+def _walk(
+    f: Oracle, memo: dict, space: ChainProduct, values: list[float], order, top
+) -> tuple[float, list[float]]:
+    """The extension's value and flat subgradient along an explicit order of flat indices.
+
+    The r + 1 walk points are read from `memo`, keyed by their number in
+    `space.points()` order; only a point missing there is evaluated by f
+    and stored.
+    """
+    chain_of, offsets, strides = space.chain_of, space.offsets, space.strides
     x = [0] * space.n_chains
-    points = [tuple(x)]
-    prev = f(points[0])
-    value = prev
+    code = 0
+    if code not in memo:
+        memo[code] = f(tuple(x))
+    prev = value = memo[code]
     subgradient = [0.0] * len(values)
     for k in order:
         i = chain_of[k]
         x[i] += 1
-        y = tuple(x)
-        points.append(y)
-        cur = f(y)
+        code += strides[i]
+        try:  # a hit, the common case, costs one subscript
+            cur = memo[code]
+        except KeyError:
+            cur = memo[code] = f(tuple(x))
         step = cur - prev
         value += values[k] * step
         # The step belongs to the level chain i just reached: k itself,
         # unless a rise within tolerance put a later entry of the chain first.
         subgradient[offsets[i] + x[i] - 1] = step
         prev = cur
-    if points[-1] != space.top():
+    if tuple(x) != top:
         raise RuntimeError(
-            f"extension walk ended at {points[-1]}, not the lattice top "
-            f"{space.top()}; profile entry bookkeeping is inconsistent"
+            f"extension walk ended at {tuple(x)}, not the lattice top "
+            f"{top}; profile entry bookkeeping is inconsistent"
         )
-    return ExtensionResult(
-        value=float(value), subgradient=np.array(subgradient), points=points, order=order
-    )
+    return value, subgradient
 
 
 def _descending(values: list[float]) -> list[int]:
@@ -168,15 +178,21 @@ def _descending(values: list[float]) -> list[int]:
     return sorted(range(len(values)), key=values.__getitem__, reverse=True)
 
 
-def extend_rows(oracles: list[Oracle], rows: np.ndarray, space: ChainProduct) -> list[ExtensionResult]:
+def extend_rows(
+    oracles: list[Oracle], memos: list[dict], rows: np.ndarray, space: ChainProduct
+) -> tuple[list[float], list[list[float]]]:
     """The extension of oracles[i] at row i of an (n, r) array of profiles.
 
-    The rows are not checked: callers pass rows that `check_rows` accepts.
+    Returns the values and the flat subgradients, one per row.  Agent i's
+    walk reads and fills memos[i], keyed by point number (see `_walk`).  The
+    rows are not checked: callers pass rows that `check_rows` accepts.
     """
-    return [
-        _walk(f, space, values, _descending(values))
-        for f, values in zip(oracles, rows.tolist())
+    top = space.top()
+    walks = [
+        _walk(f, memo, space, values, _descending(values), top)
+        for f, memo, values in zip(oracles, memos, rows.tolist())
     ]
+    return [value for value, _ in walks], [subgradient for _, subgradient in walks]
 
 
 def greedy_extension(f: Oracle, rho: Profile, space: ChainProduct | None = None) -> ExtensionResult:
@@ -192,4 +208,12 @@ def greedy_extension(f: Oracle, rho: Profile, space: ChainProduct | None = None)
     """
     space = space or f.space
     rho.validate(space)
-    return extend_rows([f], rho.values[None], space)[0]
+    values = rho.values.tolist()
+    order = _descending(values)
+    value, subgradient = _walk(f, {}, space, values, order, space.top())
+    x = [0] * space.n_chains
+    points = [tuple(x)]
+    for k in order:
+        x[space.chain_of[k]] += 1
+        points.append(tuple(x))
+    return ExtensionResult(value=value, subgradient=np.array(subgradient), points=points, order=order)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -69,6 +70,11 @@ class ChainProduct:
     def chain_of(self) -> tuple[int, ...]:
         """The chain of each flat profile coordinate."""
         return tuple(i for i, m in enumerate(self.dims) for _ in range(m - 1))
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Row-major place values: point x is number sum(x_i * strides_i) of `points()`."""
+        return tuple(itertools.accumulate(reversed(self.dims[1:]), operator.mul, initial=1))[::-1]
 
     @cached_property
     def same_chain(self) -> np.ndarray:
@@ -135,34 +141,6 @@ class Oracle:
 
     def reset_calls(self) -> None:
         self.calls = 0
-
-    def memoized(self) -> "Oracle":
-        """A view of this oracle that evaluates each distinct point once.
-
-        The view counts every request; this oracle counts only the distinct
-        points the view asked for.  The values live as long as the view.
-        """
-        return _Memoized(self)
-
-
-class _Memoized(Oracle):
-    """`Oracle.memoized`'s view: a repeated point is one dict lookup.
-
-    `fn` is the wrapped oracle, so a first request is evaluated, counted
-    and checked there; the stored value is already a finite float.
-    """
-
-    def __init__(self, oracle: Oracle):
-        super().__init__(oracle, oracle.space)
-        self.values: dict[tuple[int, ...], float] = {}
-
-    def __call__(self, point: Sequence[int]) -> float:
-        self.calls += 1
-        point = tuple(point)
-        value = self.values.get(point)
-        if value is None:
-            value = self.values[point] = self.fn(point)
-        return value
 
 
 @dataclass

@@ -5,7 +5,9 @@ non-increasing vectors with entries in [0,1].  Projection decomposes
 chain-wise; each chain is an isotonic regression with a box constraint.
 Because every coordinate shares the same bounds, clipping the
 unconstrained isotonic fit to [0,1] is exact, so the whole thing is
-pool-adjacent-violators plus a clip: O(m), no QP solver.
+pool-adjacent-violators plus a clip: O(m), no QP solver.  Chains of one
+or two coordinates, every chain of a game step, are written out: a clip,
+or the mean of a rising pair then a clip.
 """
 
 from __future__ import annotations
@@ -62,21 +64,35 @@ def project_rows(rows: np.ndarray, space: ChainProduct) -> np.ndarray:
     """`project_product` of every row of an (n, r) float array."""
     if not np.isfinite(rows).all():
         raise ValueError("projection input has non-finite entries")
-    chains = list(itertools.pairwise(space.offsets))
+    chains = [(start, end - start) for start, end in itertools.pairwise(space.offsets)]
     out: list[list[float]] = []
     for values in rows.tolist():
         row: list[float] = []
-        for start, end in chains:
-            chain: list[float] = []
-            for mean, count in zip(*_pava_nonincreasing(values[start:end])):
-                # Clip to [0,1], then the running minimum: pooling computes
-                # block means in float, so monotonicity is re-imposed exactly.
-                # Each comparison keeps the value np.clip and
-                # np.minimum.accumulate would keep, down to the sign of a zero.
-                level = 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
-                if chain and chain[-1] < level:
-                    level = chain[-1]
-                chain += [level] * count
-            row += chain
+        for start, size in chains:
+            # Each comparison below keeps the value np.clip and
+            # np.minimum.accumulate would keep, down to the sign of a zero.
+            if size == 1:
+                v = values[start]
+                row.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+            elif size == 2:
+                a, b = values[start], values[start + 1]
+                if a < b:
+                    # PAVA pools a rising pair into (a*1 + b*1)/2, the same float.
+                    a = b = (a + b) / 2
+                # The clip is monotone, so the clipped pair is already non-increasing.
+                row += (
+                    0.0 if a < 0.0 else 1.0 if a > 1.0 else a,
+                    0.0 if b < 0.0 else 1.0 if b > 1.0 else b,
+                )
+            else:
+                chain: list[float] = []
+                for mean, count in zip(*_pava_nonincreasing(values[start : start + size])):
+                    # Clip to [0,1], then the running minimum: pooling computes
+                    # block means in float, so monotonicity is re-imposed exactly.
+                    level = 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
+                    if chain and chain[-1] < level:
+                        level = chain[-1]
+                    chain += [level] * count
+                row += chain
         out.append(row)
     return np.array(out)

@@ -49,14 +49,15 @@ def _convert(value, convert, where: str):
         raise ScenarioSchemaError(f"{where}: cannot read {value!r}: {exc}") from exc
 
 
-def _holds_text(value) -> bool:
-    return isinstance(value, str) or (isinstance(value, list) and any(map(_holds_text, value)))
+def _holds(value, kind) -> bool:
+    return isinstance(value, kind) or (isinstance(value, list) and any(_holds(v, kind) for v in value))
 
 
 def _numbers(value):
-    """value unless it is or holds a string: a quoted "7" is not read as the number 7."""
-    if _holds_text(value):
-        raise ValueError("expected a number, got a string")
+    """value unless it is or holds a string or a boolean: neither "7" nor true is a number."""
+    for kind, name in ((str, "a string"), (bool, "a boolean")):
+        if _holds(value, kind):
+            raise ValueError(f"expected a number, got {name}")
     return value
 
 

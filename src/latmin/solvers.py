@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +116,13 @@ class WeightMatrix:
         if not report.ok:
             raise ValueError("matrix: " + "; ".join(report.failures()))
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, WeightMatrix)
+            and self.eta == other.eta
+            and np.array_equal(self.entries, other.entries)
+        )
+
     @property
     def n_agents(self) -> int:
         return self.entries.shape[0]
@@ -162,6 +170,28 @@ class SolveTrace:
     best_rounded: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
+def _mixing_plan(weights: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Every nonzero off-diagonal weight as (agent, neighbor, weight), row by row in neighbor order."""
+    agents, neighbors, ws = [], [], []
+    for i, row in enumerate(weights.tolist()):
+        for j, w in enumerate(row):
+            if j != i and w != 0.0:
+                agents.append(i)
+                neighbors.append(j)
+                ws.append(w)
+    return np.array(agents, dtype=np.intp), neighbors, np.array(ws)[:, None]
+
+
+def _mix(state: np.ndarray, plan) -> np.ndarray:
+    """`mix_profiles` with the corrections `_mixing_plan` listed."""
+    own, neighbors, ws = plan
+    mixed = state.copy()
+    if neighbors:
+        # np.add.at adds to a repeated row unbuffered, in index order.
+        np.add.at(mixed, own, ws * (state[neighbors] - state[own]))
+    return mixed
+
+
 def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Every agent's weighted combination of the agents' flat profiles (the rows of `state`).
 
@@ -170,21 +200,10 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     neighbor, which is identical for a row summing to 1 and keeps agreeing
     agents agreeing bit-exactly.  A row receives only its neighbors'
     corrections, added one at a time in increasing neighbor index: a
-    zero-weight term would turn its -0.0 into 0.0.
+    zero-weight term would turn its -0.0 into 0.0.  A solve builds the
+    list of corrections once and mixes with it every round.
     """
-    mixed = state.copy()
-    agents, neighbors, ws = [], [], []
-    for i, row in enumerate(weights.tolist()):
-        for j, w in enumerate(row):
-            if j != i and w != 0.0:
-                agents.append(i)
-                neighbors.append(j)
-                ws.append(w)
-    if agents:
-        own = np.array(agents)
-        # np.add.at adds to a repeated row unbuffered, in index order.
-        np.add.at(mixed, own, np.array(ws)[:, None] * (state[neighbors] - state[own]))
-    return mixed
+    return _mix(state, _mixing_plan(weights))
 
 
 def _disagreement(state: np.ndarray) -> float:
@@ -224,8 +243,8 @@ def distributed_minimize(
 
     Each agent's oracle is evaluated at most once per distinct lattice
     point during one solve, so afterwards its `calls` counts distinct
-    evaluations; repeated requests are answered from a memo dropped on
-    return.
+    evaluations: the walks and the rounded points' total costs read one
+    dict of values per agent, dropped on return.
     """
     a = matrix.entries
     n_agents = len(oracles)
@@ -240,12 +259,19 @@ def distributed_minimize(
         p.validate(space)
     # Row i is agent i's profile.
     state = np.array([p.values for p in starts])
-
-    oracles = [f.memoized() for f in oracles]
+    plan = _mixing_plan(a)
+    # Agent i's oracle values by point number, as `extend_rows` keys them.
+    memos = [{} for _ in oracles]
 
     def total_cost(point) -> float:
+        code = sum(map(operator.mul, point, space.strides))
+        costs = []
+        for f, memo in zip(oracles, memos):
+            if code not in memo:
+                memo[code] = f(point)
+            costs.append(memo[code])
         # A lone agent's cost as is: sum() would turn its -0.0 into 0.0.
-        return sum(f(point) for f in oracles) if n_agents > 1 else oracles[0](point)
+        return sum(costs) if n_agents > 1 else costs[0]
 
     ext_values = np.zeros((params.iterations, n_agents))
     disagreement = np.zeros(params.iterations)
@@ -254,14 +280,13 @@ def distributed_minimize(
 
     for k in range(1, params.iterations + 1):
         gamma_k = step_size(k, params)
-        mixed = mix_profiles(state, a)
+        mixed = _mix(state, plan)
         check_rows(mixed, space)
-        results = extend_rows(oracles, mixed, space)
-        ext_values[k - 1] = [res.value for res in results]
-        subgradients = np.array([res.subgradient for res in results])
-        state = project_rows(mixed - gamma_k * subgradients, space)
+        ext_values[k - 1], subgradients = extend_rows(oracles, memos, mixed, space)
+        state = project_rows(mixed - gamma_k * np.array(subgradients), space)
         disagreement[k - 1] = _disagreement(state)
-        for point in round_rows(state, space, params.t_hat):
+        # Each distinct point once: min over a repeated total keeps `best`.
+        for point in dict.fromkeys(round_rows(state, space, params.t_hat)):
             best = min(best, total_cost(point))
         best_rounded[k - 1] = best
 

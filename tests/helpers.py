@@ -17,7 +17,6 @@ from latmin import (
     WeightMatrix,
     cross_difference,
     greedy_extension,
-    project_product,
     step_size,
     theta,
     uniform_random_profile,
@@ -173,6 +172,13 @@ def reference_project_monotone_box(v) -> np.ndarray:
     return out
 
 
+def reference_project(values, space: ChainProduct) -> np.ndarray:
+    """`reference_project_monotone_box` on each chain of a flat vector in turn."""
+    return np.concatenate(
+        [reference_project_monotone_box(values[start:end]) for start, end in itertools.pairwise(space.offsets)]
+    )
+
+
 def reference_centralized_minimize(f: Oracle, space: ChainProduct, params: SolverParams):
     """A single-agent projected-subgradient loop with no mixing step.
 
@@ -187,7 +193,7 @@ def reference_centralized_minimize(f: Oracle, space: ChainProduct, params: Solve
         gamma_k = step_size(k, params)
         res = greedy_extension(f, rho, space)
         ext_values[k - 1, 0] = res.value
-        rho = project_product(rho.values - gamma_k * res.subgradient, space)
+        rho = Profile(space, reference_project(rho.values - gamma_k * res.subgradient, space))
         best = min(best, f(theta(rho, params.t_hat)))
         best_rounded[k - 1] = best
     point = theta(rho, params.t_hat)
@@ -228,7 +234,8 @@ def reference_distributed_minimize(
     initial: list[Profile] | None = None,
 ):
     """The consensus loop one agent at a time: per-row mixing, `greedy_extension`,
-    `project_product`, `theta`, `np.linalg.norm` and a two-layer memo.
+    chain-by-chain `reference_project_monotone_box`, `theta`, `np.linalg.norm`
+    and a two-layer memo.
 
     Returns (points, values, trace) like `distributed_minimize`.
     """
@@ -254,7 +261,7 @@ def reference_distributed_minimize(
             mixed = reference_mix_row(state, a[i], i)
             res = greedy_extension(f, Profile(space, mixed), space)
             ext_values[k - 1, i] = res.value
-            new_state[i] = project_product(mixed - gamma_k * res.subgradient, space).values
+            new_state[i] = reference_project(mixed - gamma_k * res.subgradient, space)
         state = new_state
         pairs = itertools.combinations(state, 2)
         disagreement[k - 1] = max((float(np.linalg.norm(p - q)) for p, q in pairs), default=0.0)

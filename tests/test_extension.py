@@ -117,7 +117,8 @@ class TestGreedyExtension:
         swapped = list(order)
         a, b = swapped.index(tied[0]), swapped.index(tied[1])
         swapped[a], swapped[b] = swapped[b], swapped[a]
-        assert _walk(f, X, values, swapped).value == greedy_extension(f, rho, X).value
+        value, _ = _walk(f, {}, X, values, swapped, X.top())
+        assert value == greedy_extension(f, rho, X).value
 
     def test_midpoint_convexity_for_submodular_costs(self):
         rng = np.random.default_rng(8)

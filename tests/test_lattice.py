@@ -66,6 +66,12 @@ class TestChainProduct:
         with pytest.raises(ValueError, match="outside lattice"):
             X.check_point((0, 2))
 
+    @pytest.mark.parametrize("dims", [[2], [3, 2, 4], [5, 3]])
+    def test_strides_number_points_in_enumeration_order(self, dims):
+        X = ChainProduct(dims)
+        numbers = [sum(xi * s for xi, s in zip(x, X.strides)) for x in X.points()]
+        assert numbers == list(range(X.cardinality))
+
 
 class TestCrossDifference:
     def test_quadratic_distance_same_axis_is_minus_two(self):
@@ -235,41 +241,6 @@ def table_oracles(draw):
         values = draw(st.lists(entries, min_size=space.cardinality, max_size=space.cardinality))
     table = dict(zip(space.points(), values))
     return Oracle(table.__getitem__, space)
-
-
-class TestMemoizedView:
-    def test_view_counts_requests_and_the_oracle_counts_evaluations(self):
-        X = ChainProduct([3, 2])
-        f = Oracle(lambda x: -0.0 if x == (0, 0) else float(x[0] - x[1]), X)
-        view = f.memoized()
-        values = [view(p) for p in [(0, 0), (2, 1), (0, 0), [2, 1], (0, 0)]]
-        assert values == [-0.0, 1.0, -0.0, 1.0, -0.0]
-        assert math.copysign(1.0, values[2]) == -1.0
-        assert (view.calls, f.calls) == (5, 2)
-
-    def test_a_repeated_point_does_not_reenter_oracle_call(self, monkeypatch):
-        X = ChainProduct([3])
-        f = Oracle(lambda x: float(x[0]), X)
-        view = f.memoized()
-        entered = []
-        call = Oracle.__call__
-
-        def counting(oracle, point):
-            entered.append(oracle)
-            return call(oracle, point)
-
-        monkeypatch.setattr(Oracle, "__call__", counting)
-        view((1,))
-        view((1,))
-        view((2,))
-        assert entered == [f, f]
-        assert view.calls == 3
-
-    def test_non_finite_cost_rejected_through_the_view(self):
-        X = ChainProduct([2])
-        view = Oracle(lambda x: math.nan, X).memoized()
-        with pytest.raises(ValueError, match="not finite"):
-            view((1,))
 
 
 class TestSweepsMatchReference:

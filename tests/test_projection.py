@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from latmin import ChainProduct, project_monotone_box, project_product
 
-from helpers import grid_projection_oracle, reference_project_monotone_box
+from latmin.projection import project_rows
+
+from helpers import grid_projection_oracle, reference_project, reference_project_monotone_box
 
 finite_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -114,3 +116,38 @@ class TestProductProjection:
         for _ in range(20):
             parts = [rng.uniform(-1, 2, size=m - 1) for m in X.dims]
             project_product(np.concatenate(parts), X).validate(X)
+
+
+# Signed zeros, the box ends, subnormals of both signs, entries just past
+# the ends and far outside; drawn from a short list, they also make ties.
+ROW_ENTRIES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, 0.5, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0 + 2**-52, -1.5, 2.5]),
+    st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=True),
+)
+
+
+@st.composite
+def projection_rows(draw):
+    """An (n, r) array over chains of 2-6 elements each: 1-5 coordinates per chain."""
+    space = ChainProduct(draw(st.lists(st.integers(2, 6), min_size=1, max_size=6)))
+    n = draw(st.integers(1, 4))
+    entries = draw(st.lists(ROW_ENTRIES, min_size=n * space.sort_length, max_size=n * space.sort_length))
+    return np.array(entries).reshape(n, space.sort_length), space
+
+
+class TestProjectRows:
+    @given(projection_rows())
+    @settings(max_examples=500, deadline=None)
+    def test_rows_match_the_chain_by_chain_reference_byte_for_byte(self, case):
+        rows, space = case
+        expected = np.array([reference_project(row, space) for row in rows])
+        assert project_rows(rows, space).tobytes() == expected.tobytes()
+
+    def test_a_rising_pair_pools_to_its_mean_then_clips(self):
+        space = ChainProduct([3, 3, 2])
+        rows = np.array([[0.25, 0.75, -0.5, 2.0, 1.5], [-0.0, 0.0, 1.5, 0.5, -0.0]])
+        out = project_rows(rows, space)
+        assert out.tolist() == [[0.5, 0.5, 0.75, 0.75, 1.0], [-0.0, 0.0, 1.0, 0.5, -0.0]]
+        # -0.0 < 0.0 is false: the pair does not rise, and each zero keeps its sign.
+        assert np.signbit(out[1]).tolist() == [True, False, False, False, True]
+

@@ -127,6 +127,14 @@ QUOTED = [
     ("problem", ("dims",), ["3", "4"], "problem.dims"),
     ("problem", ("objectives", 0, "coefficients"), ["0.5", "-1.0"], "objectives[0].coefficients"),
 ]
+# A boolean in a field of each number reader: float, array and float list.
+BOOLEANS = [
+    ("fig3", ("defenders", "zeta1"), True, "defenders.zeta1"),
+    ("fig3", ("solver", "gamma"), True, "solver.gamma"),
+    ("fig3", ("network", "matrix", 0, 0), True, "network.matrix"),
+    ("fig3", ("defenders", "mobility"), [1.0, False, 1.0, 1.0], "defenders.mobility"),
+    ("problem", ("objectives", 0, "coefficients"), [True, -1.0], "objectives[0].coefficients"),
+]
 # A broken sum rule between two fields: (file, field path, value, message).
 SUM_RULES = [
     ("fig3", ("defenders", "alpha_a_nom"), 5, "defenders.alpha_f_nom, alpha_a_nom: "
@@ -418,3 +426,18 @@ def test_parameter_blocks_list_every_parameter(table, key, params):
     # A parameter added without a file key (or a key without a parameter) fails here.
     fields = {f.name for f in dataclasses.fields(params)} - {"seed"}
     assert block_keys(table, key) == fields
+
+
+@pytest.mark.parametrize("name, path, value, field", BOOLEANS, ids=[dotted(c[1]) for c in BOOLEANS])
+def test_booleans_are_not_numbers(tmp_path, name, path, value, field):
+    data = copy.deepcopy(FILES[name])
+    *parents, key = path
+    block = data
+    for step in parents:
+        block = block[step]
+    block[key] = value
+    with pytest.raises(ScenarioSchemaError) as caught:
+        load_scenario(write_yaml(tmp_path / "edited.cfg", data))
+    message = rf"{re.escape(field)}: cannot read .*: expected a number, got a boolean"
+    assert re.fullmatch(message, str(caught.value)), caught.value
+

@@ -20,6 +20,8 @@ from latmin import (
     validate_weight_matrix,
 )
 
+from latmin.scenario import bundled_scenario_path, load_scenario
+
 from helpers import (
     as_bytes,
     random_chain_product,
@@ -93,6 +95,14 @@ class TestWeightMatrix:
             WeightMatrix([[0.6, 0.4], [0.2, 0.8]], eta=0.1)
         ok = WeightMatrix(LINE_GRAPH_MATRIX, eta=0.1)
         assert ok.n_agents == 4
+
+    def test_equality_compares_entries_and_eta(self):
+        fig3 = bundled_scenario_path("paper_fig3.cfg")
+        network = load_scenario(fig3).network
+        assert network == load_scenario(fig3).network
+        assert network != WeightMatrix(np.full((4, 4), 0.25), eta=network.eta)
+        assert network != WeightMatrix(network.entries, eta=network.eta / 2)
+        assert network != network.entries
 
 
 class TestStepSize:
@@ -330,6 +340,65 @@ class TestDistributed:
             if all(v == best for v in values):
                 assert points[0] == points[1]
         assert seen == 5
+
+
+def recording_oracle(fn, space: ChainProduct):
+    """An oracle on fn, and the list of every point fn was asked for."""
+    asked = []
+
+    def logged(x):
+        asked.append(x)
+        return fn(x)
+
+    return Oracle(logged, space), asked
+
+
+class TestSolveMemo:
+    """A solve keeps one dict of values per agent; the walks and the rounded
+    points' total costs read it, and only a missing point reaches the oracle."""
+
+    def test_each_distinct_point_is_evaluated_once_in_the_per_agent_loops_order(self):
+        # Agents that disagree round to several points, some not yet walked:
+        # each is priced once, in the order the agents reach it.
+        X = ChainProduct([4, 3, 3])
+        rng = np.random.default_rng(1)
+        fns = [random_submodular_fn(X, rng) for _ in range(4)]
+        matrix = WeightMatrix(line_matrix(4), eta=0.1)
+        params = SolverParams(iterations=30, gamma=0.55, seed=1)
+        asked = []
+        for solver in (distributed_minimize, reference_distributed_minimize):
+            logged = [recording_oracle(fn, X) for fn in fns]
+            solver([f for f, _ in logged], X, matrix, params)
+            asked.append([points for _, points in logged])
+        assert asked[0] == asked[1]
+        for points in asked[0]:
+            assert len(points) == len(set(points)) > X.sort_length + 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cost_raises_naming_the_point(self, bad):
+        X = ChainProduct([2, 3])
+        f = Oracle(lambda x: bad if x == (1, 2) else float(x[0]), X)
+        params = SolverParams(iterations=5, gamma=0.1, seed=1)
+        with pytest.raises(ValueError, match=rf"cost at \(1, 2\) is not finite: {bad}"):
+            centralized_minimize(f, X, params)
+        with pytest.raises(ValueError, match=r"cost at \(1, 2\) is not finite"):
+            distributed_minimize([f, f], X, WeightMatrix(line_matrix(2), eta=0.1), params)
+
+    def test_lockstep_agents_price_each_rounded_point_once(self):
+        X = ChainProduct([3, 3, 2])
+        fn = random_submodular_fn(X, np.random.default_rng(24))
+        logged = [recording_oracle(fn, X) for _ in range(3)]
+        matrix = WeightMatrix(star_matrix(3), eta=0.1)
+        params = SolverParams(iterations=40, gamma=0.15, seed=9)
+        points, _, trace = distributed_minimize([f for f, _ in logged], X, matrix, params)
+        assert np.all(trace.disagreement == 0.0) and len(set(points)) == 1
+        # Agreeing agents round to one point per round; no agent's oracle sees a point twice.
+        for f, asked in logged:
+            assert asked == logged[0][1]
+            assert len(asked) == len(set(asked)) == f.calls
+        table = {x: float(fn(x)) for x in X.points()}
+        case = (X, [table] * 3, matrix, params, None)
+        assert solve_bytes(distributed_minimize, *case) == solve_bytes(reference_distributed_minimize, *case)
 
 
 def star_matrix(n):
