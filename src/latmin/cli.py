@@ -44,6 +44,11 @@ def _overridden(record: Problem | Scenario, args) -> Problem | Scenario:
 
 
 def cmd_check(args) -> int:
+    if args.path and (args.builtin or args.dims):
+        other = f"--builtin {args.builtin}" if args.builtin else "--dims " + " ".join(map(str, args.dims))
+        print(f"check: give a file or --builtin with --dims, not both (got {args.path} and {other})",
+              file=sys.stderr)
+        return USAGE
     if args.builtin:
         if not args.dims:
             print("check: --builtin needs --dims", file=sys.stderr)

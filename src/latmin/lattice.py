@@ -121,9 +121,11 @@ class Oracle:
 
     The wrapped callable must be deterministic and finite on every lattice
     point; a NaN or infinite value raises ValueError naming the point.
-    Solvers only ever see costs through this interface.  The call
-    counter is plain (not atomic): disable or guard it if you evaluate the
-    same oracle from several threads.
+    Solvers only ever see costs through this interface.  Callers pass
+    points of `space`, which is not checked here because the solvers call
+    oracles in their inner loop; input from outside goes through
+    `space.check_point` first.  The call counter is plain (not atomic):
+    guard the oracle if you evaluate it from several threads.
     """
 
     def __init__(self, fn: Callable[[tuple[int, ...]], float], space: ChainProduct):

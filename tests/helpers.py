@@ -21,7 +21,7 @@ from latmin import (
     theta,
     uniform_random_profile,
 )
-from latmin.ctf import DISTANCES, StepContext, decode_actions, defender_cost
+from latmin.ctf import DISTANCES, StepContext, decode_actions
 from latmin.lattice import DEFAULT_STRICTNESS_TOL
 
 
@@ -310,13 +310,13 @@ def reference_uniform_random_parts(space: ChainProduct, seed) -> list[np.ndarray
 
 
 def reference_build_step_problem(ctx: StepContext):
-    """Per-defender oracles that call `defender_cost` on every point, reading `ctx` live."""
+    """Per-defender oracles that call `reference_defender_cost` on every point, reading `ctx` live."""
     n = ctx.n_defenders
     space = ChainProduct([2 * ctx.u_max + 1] * (2 * n))
 
     def make(i):
         return Oracle(
-            lambda point, i=i: defender_cost(i, decode_actions(point, n, ctx.u_max), ctx),
+            lambda point, i=i: reference_defender_cost(i, decode_actions(point, n, ctx.u_max), ctx),
             space,
         )
 
@@ -324,7 +324,12 @@ def reference_build_step_problem(ctx: StepContext):
 
 
 def reference_defender_cost(i: int, actions: list[tuple[int, int]], ctx: StepContext) -> float:
-    """`defender_cost` written out as one function, all five terms inline."""
+    """Local cost of defender i under a joint action, all five terms inline.
+
+    Moves that would leave the grid are priced at the clamped landing cell.
+    The terms are summed in `build_step_problem`'s order: head, cohesion,
+    barrier, mobility.
+    """
     d = DISTANCES[ctx.params.distance]
     nxt = [
         ctx.arena.clamp((p[0] + u[0], p[1] + u[1]))

@@ -1,4 +1,6 @@
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from latmin.ctf import (
     avoidance_planes,
     build_step_problem,
     decode_actions,
-    defender_cost,
     predict_attackers,
     reachable_cells,
     run_game,
@@ -182,18 +183,24 @@ class TestAvoidancePlanes:
             assert not (set(moves_a) & set(moves_b))
 
 
+def step_cost(ctx, i, actions):
+    """Defender i's step oracle at the lattice point that encodes the joint actions."""
+    oracles, _ = build_step_problem(ctx)
+    return oracles[i](tuple(c + ctx.u_max for u in actions for c in u))
+
+
 class TestDefenderCost:
     def test_everything_off_is_zero(self):
         ctx = toy_context(defenders=[(3, 3)], alphas=[(0.0, 0.0)], params=toy_defender_params(
             cohesion=np.zeros((1, 1)), mobility=[0.0], delta_th=[5.0]
         ))
-        assert defender_cost(0, [(0, 0)], ctx) == 0.0
+        assert step_cost(ctx, 0, [(0, 0)]) == 0.0
 
     def test_mobility_unit_weight_diagonal_step(self):
         ctx = toy_context(defenders=[(3, 3)], alphas=[(0.0, 0.0)], params=toy_defender_params(
             cohesion=np.zeros((1, 1)), mobility=[1.0], delta_th=[5.0]
         ))
-        assert defender_cost(0, [(1, 1)], ctx) == 2.0
+        assert step_cost(ctx, 0, [(1, 1)]) == 2.0
 
     def test_barrier_peaks_at_plane(self):
         ctx = toy_context(
@@ -202,9 +209,9 @@ class TestDefenderCost:
             planes=[({4}, set())],
             params=toy_defender_params(cohesion=np.zeros((1, 1)), mobility=[0.0], delta_th=[5.0]),
         )
-        on_plane = defender_cost(0, [(1, 0)], ctx)
+        on_plane = step_cost(ctx, 0, [(1, 0)])
         assert on_plane == pytest.approx(200.0)
-        beside = defender_cost(0, [(0, 0)], ctx)
+        beside = step_cost(ctx, 0, [(0, 0)])
         assert beside == pytest.approx(200.0 * math.exp(-5.0))
 
     def test_moves_off_grid_priced_at_clamped_cell(self):
@@ -218,7 +225,7 @@ class TestDefenderCost:
             ),
         )
         # stepping out at the corner costs the same as staying
-        assert defender_cost(0, [(-1, -1)], ctx) == defender_cost(0, [(0, 0)], ctx)
+        assert step_cost(ctx, 0, [(-1, -1)]) == step_cost(ctx, 0, [(0, 0)])
 
 
 class TestAdaptiveAlpha:
@@ -377,8 +384,8 @@ class TestStepProblem:
         oracles, space = build_step_problem(ctx)
         for point in [(0, 0, 0, 0), (2, 2, 1, 1), (1, 0, 2, 2)]:
             actions = decode_actions(point, 2, 1)
-            assert oracles[0](point) == defender_cost(0, actions, ctx)
-            assert oracles[1](point) == defender_cost(1, actions, ctx)
+            assert oracles[0](point) == reference_defender_cost(0, actions, ctx)
+            assert oracles[1](point) == reference_defender_cost(1, actions, ctx)
 
 
 def term_context(**kwargs):
@@ -577,15 +584,16 @@ class TestParamValidation:
 
 
 def assert_oracles_equal_defender_cost(ctx, points):
-    """Every step oracle equals `defender_cost` byte for byte at every point,
-    and `defender_cost` equals its one-function form."""
-    oracles, space = build_step_problem(ctx)
+    """Every step oracle equals `reference_defender_cost` byte for byte at every point.
+
+    The builder is looked up on the module, so a patched one is the one checked.
+    """
+    oracles, space = ctf.build_step_problem(ctx)
     for point in points:
         actions = decode_actions(point, ctx.n_defenders, ctx.u_max)
         for i, f in enumerate(oracles):
-            expected = as_bytes(defender_cost(i, actions, ctx))
+            expected = as_bytes(reference_defender_cost(i, actions, ctx))
             assert as_bytes(f(point)) == expected, (i, point)
-            assert as_bytes(reference_defender_cost(i, actions, ctx)) == expected, (i, point)
 
 
 ZEROS = st.sampled_from([0.0, -0.0])
@@ -647,8 +655,8 @@ def step_contexts(draw):
     )
 
 
-def tables_property(**overrides):
-    """The property: on random contexts, the step oracles equal `defender_cost` everywhere."""
+def step_oracles_property(**overrides):
+    """The property: on random contexts, the step oracles equal the reference cost everywhere."""
 
     @settings(max_examples=60, deadline=None, database=None, **overrides)
     @given(step_contexts())
@@ -659,23 +667,16 @@ def tables_property(**overrides):
     return check
 
 
-test_step_tables_equal_defender_cost_at_every_point = tables_property()
+test_step_oracles_equal_reference_cost_at_every_point = step_oracles_property()
 
 
-def barrier_before_cohesion(tables, i):
-    """A mutant of the tabulated cost that adds the cohesion after the barrier."""
-    side, k = tables.side, 2 * i
-    head, barrier, mobility = tables.head[i], tables.barrier[i], tables.mobility[i]
-    pairs = [(table, 2 * j) for j, table in tables.cohesion[i]]
-
-    def cost(point):
-        a = point[k] * side + point[k + 1]
-        cohesion = 0.0
-        for table, kj in pairs:
-            cohesion += table[a][point[kj] * side + point[kj + 1]]
-        return ((head[a] + barrier[a]) + cohesion) + mobility[a]
-
-    return cost
+def mutant_build_step_problem(find, replace):
+    """`build_step_problem` compiled from its own source with one expression replaced."""
+    source = textwrap.dedent(inspect.getsource(ctf.build_step_problem))
+    assert source.count(find) == 1, find
+    namespace = dict(vars(ctf))
+    exec(compile(source.replace(find, replace), ctf.__file__, "exec"), namespace)
+    return namespace["build_step_problem"]
 
 
 def fig3_step_zero():
@@ -723,7 +724,7 @@ def swarm8_context(seed=3):
     )
 
 
-class TestStepTables:
+class TestStepOracles:
     def test_fig3_step_zero_every_point(self):
         ctx = fig3_step_zero()
         oracles, space = build_step_problem(ctx)
@@ -737,9 +738,12 @@ class TestStepTables:
         assert_oracles_equal_defender_cost(ctx, [tuple(p) for p in points])
 
     def test_property_catches_cohesion_added_after_the_barrier(self, monkeypatch):
-        monkeypatch.setattr(ctf, "_tabulated_cost", barrier_before_cohesion)
+        mutant = mutant_build_step_problem(
+            "((head[a] + cohesion) + barrier[a])", "((head[a] + barrier[a]) + cohesion)"
+        )
+        monkeypatch.setattr(ctf, "build_step_problem", mutant)
         with pytest.raises(AssertionError):
-            tables_property(phases=[Phase.generate])()
+            step_oracles_property(phases=[Phase.generate])()
 
     def test_oracles_capture_the_context_when_built(self):
         ctx = toy_context(defenders=[(2, 2), (4, 4)], planes=[({3}, set()), (set(), {3})])

@@ -11,6 +11,7 @@ REMOVED = {
     latmin: ("make_chain_product", "profile_from_point"),
     lattice: ("make_chain_product",),
     extension: ("profile_from_point",),
+    ctf: ("defender_cost", "step_tables", "StepTables"),
     Problem: ("solver_params", "network_matrix", "network_eta"),
     Scenario: ("solver_params", "network_matrix", "network_eta"),
 }
@@ -53,3 +54,26 @@ def test_benchmark_traced_names_resolve():
         home = importlib.import_module(f"latmin.{module}")
         for name in names:
             assert callable(getattr(home, name, None)), f"latmin.{module}.{name}"
+
+
+def test_benchmark_workload_names_resolve():
+    # The untraced benchmark reads these module attributes; a deletion would break it.
+    workloads = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    tree = ast.parse(workloads.read_text())
+    modules = {
+        alias.asname or alias.name: importlib.import_module(f"latmin.{alias.name}")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "latmin"
+        for alias in node.names
+    }
+    assert {"cli", "ctf", "lattice", "solvers", "scen"} <= set(modules)
+    read = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert ("ctf", "build_step_problem") in read
+    for alias, name in sorted(read):
+        assert hasattr(modules[alias], name), f"{alias}.{name}"

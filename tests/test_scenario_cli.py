@@ -498,6 +498,17 @@ class TestCheckCommand:
     def test_missing_args_is_usage_error(self, capsys):
         assert main(["check"]) == 2
 
+    @pytest.mark.parametrize("extra, named", [
+        (["--builtin", "product", "--dims", "2", "2"], "--builtin product"),
+        (["--builtin", "product"], "--builtin product"),
+        (["--dims", "2", "2"], "--dims 2 2"),
+    ])
+    def test_a_file_with_builtin_inputs_is_usage_error(self, capsys, extra, named):
+        assert main(["check", str(GOLDEN), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(GOLDEN) in captured.err and named in captured.err
+
     def test_unreadable_file_is_usage_error(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.cfg")]) == 2
 
