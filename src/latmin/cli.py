@@ -15,15 +15,8 @@ import sys
 from pathlib import Path
 
 from .ctf import GameResult, first_step_problem, run_game
-from .lattice import CapExceededError, ChainProduct, Oracle, check_submodular
-from .scenario import (
-    Problem,
-    Scenario,
-    ScenarioError,
-    ScenarioParseError,
-    build_objective,
-    load_scenario,
-)
+from .lattice import CapExceededError, Oracle, check_submodular
+from .scenario import Problem, Scenario, ScenarioError, ScenarioParseError, load_scenario
 from .solvers import centralized_minimize, distributed_minimize
 
 OK, VIOLATION, USAGE = 0, 1, 2
@@ -43,25 +36,21 @@ def _overridden(record: Problem | Scenario, args) -> Problem | Scenario:
     return dataclasses.replace(record, **changes)
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """One output file: the header, then the rows, through `csv.writer`."""
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def cmd_check(args) -> int:
-    if args.path and (args.builtin or args.dims):
-        other = f"--builtin {args.builtin}" if args.builtin else "--dims " + " ".join(map(str, args.dims))
-        print(f"check: give a file or --builtin with --dims, not both (got {args.path} and {other})",
-              file=sys.stderr)
-        return USAGE
-    if args.builtin:
-        if not args.dims:
-            print("check: --builtin needs --dims", file=sys.stderr)
-            return USAGE
-        space = ChainProduct(args.dims)
-        oracles = [build_objective({"type": args.builtin}, space)]
+    record = load_scenario(args.path)
+    if isinstance(record, Problem):
+        space = record.space()
+        oracles = record.oracles()
     else:
-        record = load_scenario(args.path)
-        if isinstance(record, Problem):
-            space = record.space()
-            oracles = record.oracles()
-        else:
-            oracles, space = first_step_problem(record)
+        oracles, space = first_step_problem(record)
 
     total = Oracle(lambda x: sum(f(x) for f in oracles), space)
     try:
@@ -77,21 +66,6 @@ def cmd_check(args) -> int:
     for x, (i, j), value in report.violations[:20]:
         print(f"  violation at {x}, chains ({i},{j}): cross difference {_fmt(value)}")
     return VIOLATION
-
-
-def _write_trace(path: Path, trace, n_agents: int) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iter", "agent", "ext_value", "disagreement", "best_rounded"])
-        for k in range(trace.ext_values.shape[0]):
-            for a in range(n_agents):
-                w.writerow([
-                    k + 1,
-                    a,
-                    _fmt(trace.ext_values[k, a]),
-                    _fmt(trace.disagreement[k]),
-                    _fmt(trace.best_rounded[k]),
-                ])
 
 
 def cmd_solve(args) -> int:
@@ -112,45 +86,40 @@ def cmd_solve(args) -> int:
     if args.mode == "central":
         total = Oracle(lambda x: sum(f(x) for f in oracles), space)
         point, value, trace = centralized_minimize(total, space, record.solver)
-        points, values, n_agents = [point], [value], 1
+        points, values = [point], [value]
     else:
         if record.network is None:
             print("solve: distributed mode needs a network block", file=sys.stderr)
             return USAGE
         points, values, trace = distributed_minimize(oracles, space, record.network, record.solver)
-        n_agents = len(oracles)
 
-    with (out / "solution.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["agent", "point", "value"])
-        for a, (x, v) in enumerate(zip(points, values)):
-            w.writerow([a, " ".join(str(c) for c in x), _fmt(v)])
-    _write_trace(out / "trace.csv", trace, n_agents)
+    _write_csv(out / "solution.csv", ["agent", "point", "value"], (
+        [a, " ".join(str(c) for c in x), _fmt(v)] for a, (x, v) in enumerate(zip(points, values))
+    ))
+    _write_csv(out / "trace.csv", ["iter", "agent", "ext_value", "disagreement", "best_rounded"], (
+        [k + 1, a, _fmt(ext), _fmt(trace.disagreement[k]), _fmt(trace.best_rounded[k])]
+        for k, row in enumerate(trace.ext_values)
+        for a, ext in enumerate(row)
+    ))
     for a, (x, v) in enumerate(zip(points, values)):
         print(f"agent {a}: point ({', '.join(str(c) for c in x)}) value {_fmt(v)}")
     return OK
 
 
 def write_trajectories(path: Path, result: GameResult) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "player_id", "team", "x", "y", "alpha_a", "captured"])
-        for rec in result.steps:
-            for i, (x, y) in enumerate(rec.defenders):
-                w.writerow([rec.k, f"d{i}", "defender", x, y, _fmt(rec.alpha_a[i]), 0])
-            for g, (x, y) in enumerate(rec.attackers):
-                w.writerow([
-                    rec.k, f"a{g}", "attacker", x, y,
-                    _fmt(rec.eta_avoid[g]), int(rec.captured[g]),
-                ])
+    def rows(rec):
+        for i, (x, y) in enumerate(rec.defenders):
+            yield [rec.k, f"d{i}", "defender", x, y, _fmt(rec.alpha_a[i]), 0]
+        for g, (x, y) in enumerate(rec.attackers):
+            yield [rec.k, f"a{g}", "attacker", x, y, _fmt(rec.eta_avoid[g]), int(rec.captured[g])]
+
+    _write_csv(path, ["k", "player_id", "team", "x", "y", "alpha_a", "captured"],
+               (row for rec in result.steps for row in rows(rec)))
 
 
 def write_events(path: Path, result: GameResult) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "type", "subject", "detail"])
-        for e in result.events:
-            w.writerow([e.k, e.kind, e.subject, e.detail])
+    _write_csv(path, ["k", "type", "subject", "detail"],
+               ([e.k, e.kind, e.subject, e.detail] for e in result.events))
 
 
 def render_svg(result: GameResult, arena, cell: int = 24) -> str:
@@ -254,9 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="exhaustively test a cost for submodularity")
-    p_check.add_argument("path", nargs="?", help="problem or game file")
-    p_check.add_argument("--builtin", help="registry objective instead of a file (e.g. product)")
-    p_check.add_argument("--dims", type=int, nargs="+", help="chain sizes for --builtin")
+    p_check.add_argument("path", help="problem or game file")
 
     p_solve = sub.add_parser("solve", help="minimize a problem file")
     p_solve.add_argument("path")
@@ -283,9 +250,6 @@ def main(argv=None) -> int:
         return USAGE if exc.code else OK
     try:
         if args.command == "check":
-            if not args.builtin and not args.path:
-                print("check: needs a file or --builtin", file=sys.stderr)
-                return USAGE
             return cmd_check(args)
         if args.command == "solve":
             return cmd_solve(args)

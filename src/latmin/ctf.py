@@ -131,6 +131,9 @@ class DefenderParams:
                 "alpha_f_nom, alpha_a_nom: nominal behavior weights must sum to 1, "
                 f"got {self.alpha_f_nom} and {self.alpha_a_nom}"
             )
+        for name in ("alpha_f_nom", "alpha_a_nom"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name}: nominal behavior weights must lie in [0,1]")
         for name in ("zeta1", "zeta2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: barrier constants zeta1, zeta2 must be at least 1")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ChainProduct, Oracle
+from .lattice import ChainProduct, Oracle, _require_oracle_space
 
 FEASIBILITY_TOL = 1e-12
 
@@ -204,9 +204,11 @@ def greedy_extension(f: Oracle, rho: Profile, space: ChainProduct | None = None)
     layout) is the f-step recorded when k's chain first reached k's level.
     Costs exactly r + 1 oracle evaluations, r = sum(m_i) - N.
 
-    Infeasible profiles are rejected, not projected.
+    Infeasible profiles are rejected, not projected, and so is a `space`
+    other than f's.
     """
     space = space or f.space
+    _require_oracle_space(f, space)
     rho.validate(space)
     values = rho.values.tolist()
     order = _descending(values)

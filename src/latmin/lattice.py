@@ -145,6 +145,12 @@ class Oracle:
         self.calls = 0
 
 
+def _require_oracle_space(f: Oracle, space: ChainProduct) -> None:
+    """Refuse a lattice other than f's own; distinct but equal products are the same lattice."""
+    if space != f.space:
+        raise ValueError(f"space with dims {space.dims} is not the oracle's lattice, dims {f.space.dims}")
+
+
 @dataclass
 class SubmodularityReport:
     """Outcome of the exhaustive cross-difference sweep."""
@@ -207,9 +213,10 @@ def check_submodular(
     difference above `tol` counts as a strict violation.  f is evaluated
     once per lattice point; every cross difference is then computed from
     that table exactly as `cross_difference` computes it.  Violations are
-    listed by point, then chain pair.
+    listed by point, then chain pair.  A `space` other than f's is refused.
     """
     space = space or f.space
+    _require_oracle_space(f, space)
     space._require_within_cap("submodularity check")
     table = _value_table(f, space)
     n = space.n_chains
@@ -236,9 +243,10 @@ def brute_force_minimize(
     """Exact global minimum of f by full enumeration.
 
     Returns (minimum value, set of all minimizing points).  f is evaluated
-    once per lattice point.
+    once per lattice point.  A `space` other than f's is refused.
     """
     space = space or f.space
+    _require_oracle_space(f, space)
     space._require_within_cap("brute-force minimization")
     table = _value_table(f, space)
     # The first minimal value in enumeration order (the sign of a zero

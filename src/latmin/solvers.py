@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extension import Profile, check_rows, extend_rows, round_rows, uniform_random_profile
-from .lattice import ChainProduct, Oracle
+from .lattice import ChainProduct, Oracle, _require_oracle_space
 from .projection import project_rows
 
 STOCHASTIC_TOL = 1e-9
@@ -239,7 +239,8 @@ def distributed_minimize(
     rounded point.
 
     Returns (points, values, trace): per-agent rounded lattice points, their
-    total-cost values, and the per-round trace.
+    total-cost values, and the per-round trace.  Every oracle must be
+    defined on `space`.
 
     Each agent's oracle is evaluated at most once per distinct lattice
     point during one solve, so afterwards its `calls` counts distinct
@@ -252,6 +253,8 @@ def distributed_minimize(
         raise ValueError(
             f"matrix shape {a.shape} does not match {n_agents} agents"
         )
+    for f in oracles:
+        _require_oracle_space(f, space)
     starts = [uniform_random_profile(space, params.seed)] * n_agents if initial is None else initial
     if len(starts) != n_agents:
         raise ValueError("need one initial profile per agent")

@@ -576,6 +576,15 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=rf"^{field}: not finite"):
             toy_defender_params(**{field: bad})
 
+    @pytest.mark.parametrize("alpha_f, alpha_a, field", [
+        (1.5, -0.5, "alpha_f_nom"),
+        (-0.5, 1.5, "alpha_f_nom"),
+        (1.0, -1e-10, "alpha_a_nom"),
+    ])
+    def test_nominal_weights_outside_unit_interval_rejected(self, alpha_f, alpha_a, field):
+        with pytest.raises(ValueError, match=rf"^{field}: nominal behavior weights must lie in \[0,1\]"):
+            toy_defender_params(alpha_f_nom=alpha_f, alpha_a_nom=alpha_a)
+
     @pytest.mark.parametrize("field", ["eta_avoid_nom", "eta_base_nom", "delta_th", "kappa"])
     def test_non_finite_attacker_field_named(self, field):
         fields = dict(eta_avoid_nom=0.7, eta_base_nom=0.3, delta_th=4.0, kappa=0.9)

@@ -1,10 +1,12 @@
+import argparse
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import latmin
-from latmin import ctf, extension, lattice
+from latmin import cli, ctf, extension, lattice
 from latmin.scenario import Problem, Scenario
 
 REMOVED = {
@@ -37,6 +39,25 @@ def test_games_read_only_their_scenario():
     # A seed or budget comes from the record, not from a side option.
     for play in (ctf.run_game, ctf.game_start):
         assert list(inspect.signature(play).parameters) == ["scenario"], play.__name__
+
+
+def test_readme_usage_matches_the_parser():
+    # Each `latmin <command>` line of README's "Command line" block, with its
+    # continuation lines, names the file it takes and lists exactly the
+    # subcommand's options, so a removed flag cannot linger in the docs.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme.read_text(), re.S)[1]
+    usages = dict(re.findall(r"^latmin (\w+)(.*(?:\n[ \t]+.*)*)", block, re.M))
+    (commands,) = [
+        a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert usages.keys() == commands.keys()
+    for command, usage in usages.items():
+        actions = commands[command]._actions
+        options = {s for a in actions for s in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", usage)) == options, command
+        assert [a.dest for a in actions if not a.option_strings] == ["path"], command
+        assert re.match(r"\s+<[a-z ]+file>", usage), command
 
 
 def test_benchmark_traced_names_resolve():

@@ -439,8 +439,14 @@ class TestBuiltinObjectives:
 
 
 class TestCheckCommand:
-    def test_builtin_supermodular_demo_fails_with_violation(self, capsys):
-        code = main(["check", "--builtin", "product", "--dims", "2", "2"])
+    def test_builtin_supermodular_demo_fails_with_violation(self, tmp_path, capsys):
+        path = tmp_path / "product.cfg"
+        path.write_text(
+            "kind: problem\nseed: 1\ndims: [2, 2]\n"
+            "objectives: [{type: product}]\n"
+            "solver: {iterations: 5, gamma: 0.1}\n"
+        )
+        code = main(["check", str(path)])
         out = capsys.readouterr().out
         assert code == 1
         assert "submodular: no (1 violations)" in out
@@ -507,7 +513,23 @@ class TestCheckCommand:
         assert main(["check", str(GOLDEN), *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert str(GOLDEN) in captured.err and named in captured.err
+        assert f"unrecognized arguments: {named}" in captured.err
+
+    def test_builtin_without_a_file_is_usage_error(self, capsys):
+        assert main(["check", "--builtin", "product", "--dims", "2", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --builtin" in captured.err
+
+    def test_nominal_weights_outside_unit_interval_are_usage_error(self, tmp_path, capsys):
+        data = yaml.safe_load(GOLDEN.read_text())
+        data["defenders"].update(alpha_f_nom=1.5, alpha_a_nom=-0.5)
+        path = tmp_path / "alpha.cfg"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "defenders.alpha_f_nom: nominal behavior weights must lie in [0,1]" in captured.err
 
     def test_unreadable_file_is_usage_error(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.cfg")]) == 2

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from latmin import (
     WeightMatrix,
     brute_force_minimize,
     centralized_minimize,
+    check_submodular,
     distributed_minimize,
+    greedy_extension,
     mix_profiles,
     step_size,
     uniform_random_profile,
@@ -340,6 +343,37 @@ class TestDistributed:
             if all(v == best for v in values):
                 assert points[0] == points[1]
         assert seen == 5
+
+
+TINY = SolverParams(iterations=3, gamma=0.1, seed=1)
+HALVES = WeightMatrix([[0.5, 0.5], [0.5, 0.5]], eta=0.1)
+
+# Each solve and sweep entry point, given two oracles and a space.
+ENTRY_POINTS = {
+    "distributed_minimize": lambda fs, space: distributed_minimize(fs, space, HALVES, TINY),
+    "centralized_minimize": lambda fs, space: centralized_minimize(fs[0], space, TINY),
+    "check_submodular": lambda fs, space: check_submodular(fs[0], space),
+    "brute_force_minimize": lambda fs, space: brute_force_minimize(fs[0], space),
+    "greedy_extension": lambda fs, space: greedy_extension(fs[0], Profile.zeros(space), space),
+}
+
+
+class TestOracleSpace:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("oracle_dims, space_dims", [([3], [2, 2]), ([2, 2], [3, 3]), ([3], [3, 3])])
+    def test_space_of_another_lattice_rejected(self, entry, oracle_dims, space_dims):
+        X = ChainProduct(oracle_dims)
+        fs = [Oracle(lambda x: float(math.prod(x)), X) for _ in range(2)]
+        Y = ChainProduct(space_dims)
+        message = rf"dims {re.escape(str(Y.dims))} is not the oracle's lattice, dims {re.escape(str(X.dims))}"
+        with pytest.raises(ValueError, match=message):
+            ENTRY_POINTS[entry](fs, Y)
+        assert all(f.calls == 0 for f in fs)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_equal_space_built_apart_accepted(self, entry):
+        fs = [Oracle(lambda x: float(sum(x)), ChainProduct([2, 3])) for _ in range(2)]
+        ENTRY_POINTS[entry](fs, ChainProduct([2, 3]))
 
 
 def recording_oracle(fn, space: ChainProduct):
