@@ -7,9 +7,9 @@ held as one flat array in the layout its `ChainProduct` fixes.  The
 extension is computed by a single stable descending sort of all profile
 entries, walking a monotone chain of lattice points from bottom to top and
 charging each unit step with the entry that triggered it.  The subgradient
-falls out of the same walk at no extra cost.  `check_rows`, `extend_rows`
-and `round_rows` do the same for every row of an (n, r) array of profiles;
-`Profile.validate`, `greedy_extension` and `theta` are their one-row cases.
+falls out of the same walk at no extra cost.  `check_row` checks one
+profile held as a list and `round_rows` rounds every row of an (n, r)
+array of profiles; `Profile.validate` and `theta` apply them to a `Profile`.
 The walk reads oracle values from a dict the caller owns and evaluates
 only the points missing there; a solve keeps one dict per agent.
 
@@ -70,28 +70,27 @@ class Profile:
                 f"profile of shape {v.shape} on dims {self.space.dims} does not "
                 f"match dims {space.dims}"
             )
-        check_rows(v[None], space, tol)
+        check_row(v.tolist(), space, tol)
 
 
-def check_rows(rows: np.ndarray, space: ChainProduct, tol: float = FEASIBILITY_TOL) -> None:
-    """Raise unless every row of an (n, r) array is a feasible profile of `space`.
+def check_row(values: list[float], space: ChainProduct, tol: float = FEASIBILITY_TOL) -> None:
+    """Raise unless `values`, a list in `space`'s flat layout, is a feasible profile.
 
-    The message names the first offending chain of the first infeasible row.
+    The message names the first offending chain.
     """
-    # Written as "not inside" so that NaN entries count as outside.
-    outside = ~((rows >= -tol) & (rows <= 1.0 + tol))
-    # A rise from the last entry of one chain to the first of the next is fine.
-    rises = (rows[:, 1:] - rows[:, :-1] > tol) & space.same_chain
-    if not (outside.any() or rises.any()):
+    lo, hi = -tol, 1.0 + tol
+    # Written as "not inside" so that NaN entries count as outside.  A rise
+    # from the last entry of one chain to the first of the next is fine.
+    if all(lo <= v <= hi for v in values) and not any(
+        values[k + 1] - values[k] > tol for k in space.in_chain_steps
+    ):
         return
-    # Infeasible: find the first offending chain for the message.
-    for row in rows:
-        for i, (start, end) in enumerate(itertools.pairwise(space.offsets)):
-            p = row[start:end]
-            if not np.all((p >= -tol) & (p <= 1.0 + tol)):
-                raise ValueError(f"profile chain {i} leaves [0,1]: {p}")
-            if np.any(np.diff(p) > tol):
-                raise ValueError(f"profile chain {i} is not non-increasing: {p}")
+    for i, (start, end) in enumerate(itertools.pairwise(space.offsets)):
+        p = np.array(values[start:end])
+        if not np.all((p >= -tol) & (p <= 1.0 + tol)):
+            raise ValueError(f"profile chain {i} leaves [0,1]: {p}")
+        if np.any(np.diff(p) > tol):
+            raise ValueError(f"profile chain {i} is not non-increasing: {p}")
 
 
 def uniform_random_profile(space: ChainProduct, seed) -> Profile:
@@ -176,23 +175,6 @@ def _descending(values: list[float]) -> list[int]:
     position order keeps the in-chain sequencing.
     """
     return sorted(range(len(values)), key=values.__getitem__, reverse=True)
-
-
-def extend_rows(
-    oracles: list[Oracle], memos: list[dict], rows: np.ndarray, space: ChainProduct
-) -> tuple[list[float], list[list[float]]]:
-    """The extension of oracles[i] at row i of an (n, r) array of profiles.
-
-    Returns the values and the flat subgradients, one per row.  Agent i's
-    walk reads and fills memos[i], keyed by point number (see `_walk`).  The
-    rows are not checked: callers pass rows that `check_rows` accepts.
-    """
-    top = space.top()
-    walks = [
-        _walk(f, memo, space, values, _descending(values), top)
-        for f, memo, values in zip(oracles, memos, rows.tolist())
-    ]
-    return [value for value, _ in walks], [subgradient for _, subgradient in walks]
 
 
 def greedy_extension(f: Oracle, rho: Profile, space: ChainProduct | None = None) -> ExtensionResult:

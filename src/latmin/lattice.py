@@ -77,11 +77,9 @@ class ChainProduct:
         return tuple(itertools.accumulate(reversed(self.dims[1:]), operator.mul, initial=1))[::-1]
 
     @cached_property
-    def same_chain(self) -> np.ndarray:
-        """Read-only mask: flat coordinates k and k + 1 lie on one chain."""
-        mask = np.diff(self.chain_of) == 0
-        mask.flags.writeable = False
-        return mask
+    def in_chain_steps(self) -> tuple[int, ...]:
+        """Each flat coordinate k whose successor k + 1 lies on the same chain."""
+        return tuple(k for k, (a, b) in enumerate(itertools.pairwise(self.chain_of)) if a == b)
 
     @property
     def exceeds_cap(self) -> bool:

@@ -13,6 +13,7 @@ or the mean of a rising pair then a clip.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -28,13 +29,14 @@ def _pava_nonincreasing(values: list[float]) -> tuple[list[float], list[int]]:
     means: list[float] = []
     counts: list[int] = []
     for x in values:
+        count = 1
+        # The incoming block absorbs each block before it that it rises above.
+        while means and means[-1] < x:
+            mean, n = means.pop(), counts.pop()
+            x = (mean * n + x * count) / (n + count)
+            count += n
         means.append(x)
-        counts.append(1)
-        while len(means) > 1 and means[-2] < means[-1]:
-            m2, c2 = means.pop(), counts.pop()
-            m1, c1 = means.pop(), counts.pop()
-            means.append((m1 * c1 + m2 * c2) / (c1 + c2))
-            counts.append(c1 + c2)
+        counts.append(count)
     return means, counts
 
 
@@ -57,42 +59,37 @@ def project_product(values, space: ChainProduct) -> Profile:
         raise ValueError(
             f"expected a flat vector of length {space.sort_length}, got shape {values.shape}"
         )
-    return Profile(space, project_rows(values[None], space)[0])
+    return Profile(space, np.array(project_row(values.tolist(), space)))
 
 
-def project_rows(rows: np.ndarray, space: ChainProduct) -> np.ndarray:
-    """`project_product` of every row of an (n, r) float array."""
-    if not np.isfinite(rows).all():
+def project_row(values: list[float], space: ChainProduct) -> list[float]:
+    """`project_product` of a list in `space`'s flat layout, returned as a list."""
+    if not all(map(math.isfinite, values)):
         raise ValueError("projection input has non-finite entries")
-    chains = [(start, end - start) for start, end in itertools.pairwise(space.offsets)]
-    out: list[list[float]] = []
-    for values in rows.tolist():
-        row: list[float] = []
-        for start, size in chains:
-            # Each comparison below keeps the value np.clip and
-            # np.minimum.accumulate would keep, down to the sign of a zero.
-            if size == 1:
-                v = values[start]
-                row.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
-            elif size == 2:
-                a, b = values[start], values[start + 1]
-                if a < b:
-                    # PAVA pools a rising pair into (a*1 + b*1)/2, the same float.
-                    a = b = (a + b) / 2
-                # The clip is monotone, so the clipped pair is already non-increasing.
-                row += (
-                    0.0 if a < 0.0 else 1.0 if a > 1.0 else a,
-                    0.0 if b < 0.0 else 1.0 if b > 1.0 else b,
-                )
-            else:
-                chain: list[float] = []
-                for mean, count in zip(*_pava_nonincreasing(values[start : start + size])):
-                    # Clip to [0,1], then the running minimum: pooling computes
-                    # block means in float, so monotonicity is re-imposed exactly.
-                    level = 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
-                    if chain and chain[-1] < level:
-                        level = chain[-1]
-                    chain += [level] * count
-                row += chain
-        out.append(row)
-    return np.array(out)
+    row: list[float] = []
+    append = row.append
+    for start, end in itertools.pairwise(space.offsets):
+        size = end - start
+        # Each comparison below keeps the value np.clip and
+        # np.minimum.accumulate would keep, down to the sign of a zero.
+        if size == 2:
+            a, b = values[start], values[start + 1]
+            if a < b:
+                # PAVA pools a rising pair into (a*1 + b*1)/2, the same float.
+                a = b = (a + b) / 2
+            # The clip is monotone, so the clipped pair is already non-increasing.
+            append(0.0 if a < 0.0 else 1.0 if a > 1.0 else a)
+            append(0.0 if b < 0.0 else 1.0 if b > 1.0 else b)
+        elif size == 1:
+            v = values[start]
+            append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+        else:
+            level = 1.0
+            for mean, count in zip(*_pava_nonincreasing(values[start:end])):
+                # Clip to [0,1], then the running minimum: pooling computes
+                # block means in float, so monotonicity is re-imposed exactly.
+                clipped = 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
+                if clipped <= level:
+                    level = clipped
+                row += [level] * count
+    return row

@@ -11,7 +11,6 @@ the end.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import operator
@@ -19,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import Profile, check_rows, extend_rows, round_rows, uniform_random_profile
+from .extension import Profile, _descending, _walk, check_row, round_rows, uniform_random_profile
 from .lattice import ChainProduct, Oracle, _require_oracle_space
-from .projection import project_rows
+from .projection import project_row
 
 STOCHASTIC_TOL = 1e-9
 
@@ -150,6 +149,8 @@ class SolverParams:
             raise ValueError(f"schedule: unknown step schedule {self.schedule!r}")
         if not 0.0 < self.t_hat < 1.0:
             raise ValueError("t_hat: rounding threshold must be strictly inside (0,1)")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed: need a non-negative integer, got {self.seed!r}")
 
 
 def step_size(k: int, params: SolverParams) -> float:
@@ -170,7 +171,7 @@ class SolveTrace:
     best_rounded: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def _mixing_plan(weights: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+def _mixing_plan(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every nonzero off-diagonal weight as (agent, neighbor, weight), row by row in neighbor order."""
     agents, neighbors, ws = [], [], []
     for i, row in enumerate(weights.tolist()):
@@ -179,14 +180,14 @@ def _mixing_plan(weights: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray
                 agents.append(i)
                 neighbors.append(j)
                 ws.append(w)
-    return np.array(agents, dtype=np.intp), neighbors, np.array(ws)[:, None]
+    return np.array(agents, dtype=np.intp), np.array(neighbors, dtype=np.intp), np.array(ws)[:, None]
 
 
 def _mix(state: np.ndarray, plan) -> np.ndarray:
     """`mix_profiles` with the corrections `_mixing_plan` listed."""
     own, neighbors, ws = plan
     mixed = state.copy()
-    if neighbors:
+    if len(own):
         # np.add.at adds to a repeated row unbuffered, in index order.
         np.add.at(mixed, own, ws * (state[neighbors] - state[own]))
     return mixed
@@ -206,14 +207,14 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return _mix(state, _mixing_plan(weights))
 
 
-def _disagreement(state: np.ndarray) -> float:
-    """The largest Euclidean distance between two agents' profiles.
+def _disagreement(state: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> float:
+    """The largest Euclidean distance between rows pairs[0][p] and pairs[1][p] of `state`.
 
     sqrt is monotone and `np.linalg.norm` of a float vector is sqrt(d.dot(d)),
     so this equals the largest pairwise norm bit for bit.
     """
-    squares = (d.dot(d) for d in (p - q for p, q in itertools.combinations(state, 2)))
-    return math.sqrt(max(squares, default=0.0))
+    first, second = pairs
+    return math.sqrt(max((d.dot(d) for d in state[first] - state[second]), default=0.0))
 
 
 def distributed_minimize(
@@ -231,12 +232,13 @@ def distributed_minimize(
     start is admissible; a shared one makes identical-cost runs exactly
     symmetric).  Rounds are synchronous and gather-then-update: all mixing
     reads use the previous round's profiles, so execution order within a
-    round cannot matter.  A round works on the whole (n_agents, r) state:
-    it mixes every row, checks every mixed row, walks each agent's
-    extension, then projects, rounds and measures disagreement for all
-    rows.  After the last round each agent rounds its profile at the shared
-    threshold; the value reported for an agent is the *total* cost of its
-    rounded point.
+    round cannot matter.  A round mixes the whole (n_agents, r) state in
+    numpy and turns it into lists once; every mixed row is checked, then
+    each agent in turn walks its extension, steps and projects its own
+    row.  The new rows become the state array once more, which the
+    disagreement and the rounding read whole.  After the last round each
+    agent rounds its profile at the shared threshold; the value reported
+    for an agent is the *total* cost of its rounded point.
 
     Returns (points, values, trace): per-agent rounded lattice points, their
     total-cost values, and the per-round trace.  Every oracle must be
@@ -263,7 +265,7 @@ def distributed_minimize(
     # Row i is agent i's profile.
     state = np.array([p.values for p in starts])
     plan = _mixing_plan(a)
-    # Agent i's oracle values by point number, as `extend_rows` keys them.
+    # Agent i's oracle values by point number, as `_walk` keys them.
     memos = [{} for _ in oracles]
 
     def total_cost(point) -> float:
@@ -280,14 +282,23 @@ def distributed_minimize(
     disagreement = np.zeros(params.iterations)
     best_rounded = np.zeros(params.iterations)
     best = math.inf
+    top = space.top()
+    # Every pair of agents, as two index arrays.
+    pairs = np.triu_indices(n_agents, 1)
 
     for k in range(1, params.iterations + 1):
         gamma_k = step_size(k, params)
-        mixed = _mix(state, plan)
-        check_rows(mixed, space)
-        ext_values[k - 1], subgradients = extend_rows(oracles, memos, mixed, space)
-        state = project_rows(mixed - gamma_k * np.array(subgradients), space)
-        disagreement[k - 1] = _disagreement(state)
+        mixed = _mix(state, plan).tolist()
+        for row in mixed:
+            check_row(row, space)
+        rows, values = [], []
+        for f, memo, row in zip(oracles, memos, mixed):
+            value, subgradient = _walk(f, memo, space, row, _descending(row), top)
+            values.append(value)
+            rows.append(project_row([m - gamma_k * g for m, g in zip(row, subgradient)], space))
+        ext_values[k - 1] = values
+        state = np.array(rows)
+        disagreement[k - 1] = _disagreement(state, pairs)
         # Each distinct point once: min over a repeated total keeps `best`.
         for point in dict.fromkeys(round_rows(state, space, params.t_hat)):
             best = min(best, total_cost(point))

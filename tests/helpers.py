@@ -30,6 +30,37 @@ def as_bytes(value) -> bytes:
     return struct.pack("<d", float(value))
 
 
+def line_matrix(n):
+    """Consensus weights on a path of n agents: 0.3 to each neighbor, the rest on the diagonal."""
+    if n == 1:
+        return [[1.0]]
+    a = np.eye(n)
+    for i in range(n - 1):
+        a[i, i] -= 0.3
+        a[i + 1, i + 1] -= 0.3
+        a[i, i + 1] = a[i + 1, i] = 0.3
+    return a
+
+
+def solve_bytes(solver, space, costs, matrix, params, initial=None):
+    """Everything a solve reports, as bytes where a float's sign of zero counts.
+
+    `costs` holds each agent's cost: a value table over the points of
+    `space`, or a function of a point.  Each solve gets fresh oracles, so
+    their call counts are its own.
+    """
+    fs = [Oracle(cost.__getitem__ if isinstance(cost, dict) else cost, space) for cost in costs]
+    points, values, trace = solver(fs, space, matrix, params, initial=initial)
+    return (
+        repr(points),
+        [as_bytes(v) for v in values],
+        trace.ext_values.tobytes(),
+        trace.disagreement.tobytes(),
+        trace.best_rounded.tobytes(),
+        [f.calls for f in fs],
+    )
+
+
 def random_table_oracle(space: ChainProduct, rng, low=-5.0, high=5.0) -> Oracle:
     """An arbitrary (generally non-submodular) cost from a frozen value table."""
     table = {x: float(v) for x, v in zip(space.points(), rng.uniform(low, high, space.cardinality))}

@@ -27,9 +27,16 @@ from latmin.ctf import (
     threat_distance,
 )
 from latmin.scenario import Scenario, bundled_scenario_path, load_scenario
-from latmin.solvers import SolverParams, WeightMatrix
+from latmin.solvers import SolverParams, WeightMatrix, distributed_minimize
 
-from helpers import as_bytes, reference_build_step_problem, reference_defender_cost
+from helpers import (
+    as_bytes,
+    line_matrix,
+    reference_build_step_problem,
+    reference_defender_cost,
+    reference_distributed_minimize,
+    solve_bytes,
+)
 
 GOLDEN = bundled_scenario_path("paper_fig3.cfg")
 
@@ -731,6 +738,28 @@ def swarm8_context(seed=3):
         ),
         arena=arena,
     )
+
+
+class TestGameScaleRounds:
+    """The consensus round against the per-agent loop at the games' row
+    lengths: r = 16 with 4 agents and r = 32 with 8."""
+
+    @staticmethod
+    def assert_rounds_match_the_per_agent_loop(ctx, matrix, params):
+        oracles, space = build_step_problem(ctx)
+        costs = [f.fn for f in oracles]
+        expected = solve_bytes(reference_distributed_minimize, space, costs, matrix, params)
+        assert solve_bytes(distributed_minimize, space, costs, matrix, params) == expected
+
+    def test_fig3_step_zero(self):
+        scenario = load_scenario(GOLDEN)
+        assert scenario.solver.iterations == 20
+        self.assert_rounds_match_the_per_agent_loop(fig3_step_zero(), scenario.network, scenario.solver)
+
+    def test_swarm8_step_on_a_line(self):
+        params = SolverParams(iterations=20, gamma=0.1, seed=7)
+        matrix = WeightMatrix(line_matrix(8), eta=0.1)
+        self.assert_rounds_match_the_per_agent_loop(swarm8_context(), matrix, params)
 
 
 class TestStepOracles:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from latmin import ChainProduct, project_monotone_box, project_product
 
-from latmin.projection import project_rows
+from latmin.projection import project_row
 
 from helpers import grid_projection_oracle, reference_project, reference_project_monotone_box
 
@@ -135,18 +135,18 @@ def projection_rows(draw):
     return np.array(entries).reshape(n, space.sort_length), space
 
 
-class TestProjectRows:
+class TestProjectRow:
     @given(projection_rows())
     @settings(max_examples=500, deadline=None)
     def test_rows_match_the_chain_by_chain_reference_byte_for_byte(self, case):
         rows, space = case
         expected = np.array([reference_project(row, space) for row in rows])
-        assert project_rows(rows, space).tobytes() == expected.tobytes()
+        assert np.array([project_row(row, space) for row in rows.tolist()]).tobytes() == expected.tobytes()
 
     def test_a_rising_pair_pools_to_its_mean_then_clips(self):
         space = ChainProduct([3, 3, 2])
-        rows = np.array([[0.25, 0.75, -0.5, 2.0, 1.5], [-0.0, 0.0, 1.5, 0.5, -0.0]])
-        out = project_rows(rows, space)
+        rows = [[0.25, 0.75, -0.5, 2.0, 1.5], [-0.0, 0.0, 1.5, 0.5, -0.0]]
+        out = np.array([project_row(row, space) for row in rows])
         assert out.tolist() == [[0.5, 0.5, 0.75, 0.75, 1.0], [-0.0, 0.0, 1.0, 0.5, -0.0]]
         # -0.0 < 0.0 is false: the pair does not rise, and each zero keeps its sign.
         assert np.signbit(out[1]).tolist() == [True, False, False, False, True]

@@ -26,7 +26,7 @@ from latmin import (
 from latmin.scenario import bundled_scenario_path, load_scenario
 
 from helpers import (
-    as_bytes,
+    line_matrix,
     random_chain_product,
     random_submodular_fn,
     random_submodular_oracle,
@@ -34,6 +34,7 @@ from helpers import (
     reference_centralized_minimize,
     reference_distributed_minimize,
     reference_mix_row,
+    solve_bytes,
 )
 
 LINE_GRAPH_MATRIX = [
@@ -42,17 +43,6 @@ LINE_GRAPH_MATRIX = [
     [0.0, 0.1, 0.6, 0.3],
     [0.0, 0.0, 0.3, 0.7],
 ]
-
-
-def line_matrix(n):
-    if n == 1:
-        return [[1.0]]
-    a = np.eye(n)
-    for i in range(n - 1):
-        a[i, i] -= 0.3
-        a[i + 1, i + 1] -= 0.3
-        a[i, i + 1] = a[i + 1, i] = 0.3
-    return a
 
 
 class TestWeightMatrix:
@@ -128,6 +118,12 @@ class TestStepSize:
         with pytest.raises(ValueError, match="^iterations: need an integer"):
             SolverParams(iterations=iterations, gamma=0.1)
         assert SolverParams(iterations=np.int64(20), gamma=0.1).iterations == 20
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed: need a non-negative integer"):
+            SolverParams(iterations=5, gamma=0.1, seed=seed)
+        assert SolverParams(iterations=5, gamma=0.1, seed=np.int64(7)).seed == 7
 
     def test_param_validation(self):
         with pytest.raises(ValueError, match="iterations"):
@@ -257,6 +253,19 @@ class TestDistributed:
         second = centralized_minimize(f, X, params)
         assert f.calls == calls
         assert first[:2] == second[:2]
+
+    @pytest.mark.parametrize("dims", [[2, 2], [3, 3], [4, 4]])
+    def test_an_overflowing_step_is_rejected(self, dims):
+        # Neighboring points differ by 2e308, so every subgradient entry
+        # overflows; dims with 1, 2 and 3 coordinates per chain reach each
+        # branch of the projection.
+        X = ChainProduct(dims)
+        f = Oracle(lambda x: 1e308 if sum(x) % 2 else -1e308, X)
+        params = SolverParams(iterations=5, gamma=0.1, seed=1)
+        with pytest.raises(ValueError, match="non-finite"):
+            centralized_minimize(f, X, params)
+        with pytest.raises(ValueError, match="non-finite"):
+            distributed_minimize([f, f], X, WeightMatrix(line_matrix(2), eta=0.1), params)
 
     def test_matrix_agent_count_mismatch_rejected(self):
         X = ChainProduct([3])
@@ -503,20 +512,6 @@ def consensus_cases(draw):
             for _ in range(n)
         ]
     return space, tables, matrix, params, initial
-
-
-def solve_bytes(solver, space, tables, matrix, params, initial):
-    """Everything a solve reports, as bytes where a float's sign of zero counts."""
-    fs = [Oracle(table.__getitem__, space) for table in tables]
-    points, values, trace = solver(fs, space, matrix, params, initial=initial)
-    return (
-        repr(points),
-        [as_bytes(v) for v in values],
-        trace.ext_values.tobytes(),
-        trace.disagreement.tobytes(),
-        trace.best_rounded.tobytes(),
-        [f.calls for f in fs],
-    )
 
 
 class TestWholeStateRounds:
