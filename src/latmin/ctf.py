@@ -46,6 +46,21 @@ DISTANCES: dict[str, Callable[[Cell, Cell], float]] = {
     "squared": squared_euclidean,
 }
 
+_AXIS_TERMS = {"manhattan": np.abs, "squared": np.square}
+
+
+def cell_distances(metric: str, a, b) -> np.ndarray:
+    """`DISTANCES[metric]` between cells, elementwise over integer arrays
+    whose last axis is (x, y); the other axes broadcast as in `a - b`."""
+    terms = _AXIS_TERMS[metric](np.subtract(a, b))
+    return (terms[..., 0] + terms[..., 1]).astype(float)
+
+
+def _gap(cell: Cell, cells) -> int:
+    """Smallest Manhattan distance from cell to any of cells."""
+    x, y = cell
+    return min(abs(x - cx) + abs(y - cy) for cx, cy in cells)
+
 
 @dataclass
 class Arena:
@@ -255,12 +270,8 @@ def adaptive_alpha(
 
 def threat_distance(attackers: list[Cell], active: list[bool], zone_cells: list[Cell]) -> float:
     """Smallest Manhattan distance from any active attacker to the cells."""
-    best = math.inf
-    for pos, live in zip(attackers, active):
-        if not live:
-            continue
-        best = min(best, min(manhattan(pos, z) for z in zone_cells))
-    return best
+    gaps = (_gap(pos, zone_cells) for pos, live in zip(attackers, active) if live)
+    return float(min(gaps, default=math.inf))
 
 
 def attacker_pursuit_weights(
@@ -279,8 +290,7 @@ def attacker_pursuit_weights(
     """
     row = np.zeros(len(attackers))
     dists = [
-        min(manhattan(pos, z) for z in responsibility) if live else math.inf
-        for pos, live in zip(attackers, active)
+        _gap(pos, responsibility) if live else math.inf for pos, live in zip(attackers, active)
     ]
     best = min(dists, default=math.inf)
     if math.isinf(best):
@@ -300,15 +310,18 @@ def predict_attackers(
     """Defense-side mobility model: every active attacker takes the one-step
     move that most reduces its Manhattan distance to the defense zone
     (ties to the smaller x, then smaller y cell); captured attackers stay."""
-    predicted = []
-    for pos, live in zip(attackers, active):
-        if not live:
-            predicted.append(pos)
-            continue
-        candidates = reachable_cells(pos, u_max, arena.size)
-        predicted.append(
-            min(candidates, key=lambda c: (min(manhattan(c, z) for z in arena.zone), c))
-        )
+    predicted = list(attackers)
+    live = [g for g, a in enumerate(active) if a]
+    if live:
+        steps = range(-u_max, u_max + 1)
+        moves = [(ux, uy) for ux in steps for uy in steps]
+        # Every live attacker's one-step cells in sorted order, so the first
+        # nearest one in the grid is the smallest (x, y) among the ties.
+        cells = np.reshape([attackers[g] for g in live], (-1, 1, 2)) + moves
+        gaps = cell_distances("manhattan", cells[:, :, None], arena.zone).min(axis=2)
+        gaps[((cells < 0) | (cells >= arena.size)).any(axis=2)] = math.inf
+        for g, cell in zip(live, cells[np.arange(len(live)), gaps.argmin(axis=1)].tolist()):
+            predicted[g] = tuple(cell)
     return predicted
 
 
@@ -318,7 +331,7 @@ def attacker_modes(
     params: AttackerParams,
 ) -> tuple[float, float]:
     """(eta_avoid, eta_base) mode probabilities at the current separation."""
-    gap = min(manhattan(pos, d) for d in defenders)
+    gap = float(_gap(pos, defenders))
     boosted = params.eta_avoid_nom * math.exp(params.kappa * (params.delta_th - gap))
     eta_avoid = boosted / (params.eta_base_nom + boosted)
     return eta_avoid, 1.0 - eta_avoid
@@ -346,11 +359,11 @@ def attacker_policy(
         c for c in reachable_cells(pos, u_max, arena.size) if c not in arena.obstacles
     ]
     if avoid_mode:
-        score = lambda c: -min(manhattan(c, d) for d in defenders)
+        scores = [-_gap(c, defenders) for c in candidates]
     else:
-        score = lambda c: min(manhattan(c, z) for z in arena.zone)
-    best = min(score(c) for c in candidates)
-    tied = [c for c in candidates if score(c) == best]
+        scores = [_gap(c, arena.zone) for c in candidates]
+    best = min(scores)
+    tied = [c for c, score in zip(candidates, scores) if score == best]
     return tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
 
 
@@ -372,28 +385,18 @@ class StepContext:
         return len(self.defenders)
 
 
-def _head(ctx: StepContext, i: int, zi: Cell, d) -> float:
-    """Defender i's zone pull and pursuit at landing cell zi, weighted by its alphas."""
-    alpha_a, alpha_f = ctx.alphas[i]
+def _barrier(ctx: StepContext, i: int, cells: list[list[int]]) -> list[float]:
+    """Gaussian walls on defender i's avoidance planes at each landing cell.
 
-    zone_pull = sum(d(zi, z) for z in ctx.arena.responsibilities[i])
-    zone_pull /= len(ctx.arena.responsibilities[i])
-
-    pursuit = 0.0
-    for g, w in enumerate(ctx.pursuit[i]):
-        if w != 0.0:
-            pursuit += w * d(zi, ctx.predicted[g])
-
-    return alpha_f * zone_pull + alpha_a * pursuit
-
-
-def _barrier(ctx: StepContext, i: int, zi: Cell) -> float:
-    """Gaussian walls on defender i's avoidance planes at landing cell zi."""
+    The x planes' walls depend only on a cell's x and the y planes' only on
+    its y, so each is summed once per distinct coordinate.
+    """
     z1, z2 = ctx.params.zeta1, ctx.params.zeta2
-    x_planes, y_planes = ctx.planes[i]
-    barrier = sum(z1 * math.exp(-z2 * (zi[0] - cx) ** 2) for cx in sorted(x_planes))
-    barrier += sum(z1 * math.exp(-z2 * (zi[1] - cy) ** 2) for cy in sorted(y_planes))
-    return barrier
+    x_planes, y_planes = (sorted(planes) for planes in ctx.planes[i])
+    xs, ys = {x for x, _ in cells}, {y for _, y in cells}
+    wall_x = {x: sum(z1 * math.exp(-z2 * (x - cx) ** 2) for cx in x_planes) for x in xs}
+    wall_y = {y: sum(z1 * math.exp(-z2 * (y - cy) ** 2) for cy in y_planes) for y in ys}
+    return [float(wall_x[x] + wall_y[y]) for x, y in cells]
 
 
 def decode_actions(point, n_defenders: int, u_max: int) -> list[tuple[int, int]]:
@@ -415,34 +418,44 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     that would leave the grid are priced at the clamped landing cell, which
     keeps the decision space a full chain product.
 
-    Each defender's own terms are evaluated once per own move, and each
-    cohesion pair's landing-cell distances once per step and read in both
-    directions.  So the oracles capture the context as it is now: changing
-    `ctx` afterwards does not change them.
+    Each defender's own terms are evaluated once per own move, and every
+    landing-cell distance (to zone cells, predicted attackers and
+    teammates) comes from integer coordinate arrays, once per step.  So the
+    oracles capture the context as it is now: changing `ctx` afterwards
+    does not change them.
     """
-    d = DISTANCES[ctx.params.distance]
+    metric = ctx.params.distance
     n, steps = ctx.n_defenders, range(-ctx.u_max, ctx.u_max + 1)
     side = len(steps)
     moves = [(ux, uy) for ux in steps for uy in steps]
-    cells = [[ctx.arena.clamp((x + ux, y + uy)) for ux, uy in moves] for x, y in ctx.defenders]
+    # cells[i, a]: defender i's landing cell under its move a, clamped to the grid.
+    cells = np.clip(np.reshape(ctx.defenders, (n, 1, 2)) + moves, 0, ctx.arena.size - 1)
     space = ChainProduct([side] * (2 * n))
-    distances: dict[tuple[int, int], np.ndarray] = {}
+    # pulls[i][j][a][b]: teammate j's pull on defender i when i moves by a and j by b.
+    pulls = (ctx.params.cohesion[:n, :n, None, None] * cell_distances(
+        metric, cells[:, None, :, None], cells[None, :, None, :]
+    )).tolist()
 
-    def pull(i, j, w):
-        """Teammate j's pull on defender i: table[a][b] when i moves by a and j by b."""
-        lo, hi = min(i, j), max(i, j)
-        if (lo, hi) not in distances:
-            distances[lo, hi] = np.array([[d(a, b) for b in cells[hi]] for a in cells[lo]])
-        table = distances[lo, hi]
-        return (w * (table if i < j else table.T)).tolist()
+    def head_terms(i):
+        """Zone pull and pursuit at each landing cell, weighted by defender i's alphas."""
+        alpha_a, alpha_f = ctx.alphas[i]
+        zone, row = ctx.arena.responsibilities[i], ctx.pursuit[i]
+        hunted = np.flatnonzero(row)
+        # Columns: defender i's zone cells, then the attackers it pursues.
+        dist = cell_distances(metric, cells[i, :, None], zone + [ctx.predicted[g] for g in hunted])
+        zone_pull = dist[:, :len(zone)].sum(axis=1) / len(zone)
+        pursuit = 0.0
+        for column, g in enumerate(hunted, len(zone)):
+            pursuit = pursuit + row[g] * dist[:, column]
+        return (alpha_f * zone_pull + alpha_a * pursuit).tolist()
 
     def oracle(i):
         k = 2 * i
-        head = [float(_head(ctx, i, z, d)) for z in cells[i]]
-        barrier = [float(_barrier(ctx, i, z)) for z in cells[i]]
+        head = head_terms(i)
+        barrier = _barrier(ctx, i, cells[i].tolist())
         mobility = [float(ctx.params.mobility[i] * (ux * ux + uy * uy)) for ux, uy in moves]
         weights = ctx.params.cohesion[i]
-        pairs = [(pull(i, j, weights[j]), 2 * j) for j in range(n) if weights[j] != 0.0 and j != i]
+        pairs = [(pulls[i][j], 2 * j) for j in range(n) if weights[j] != 0.0 and j != i]
 
         def cost(point):
             a = point[k] * side + point[k + 1]
@@ -557,7 +570,8 @@ def run_game(scenario: "Scenario") -> GameResult:
     u_max = scenario.u_max
     defenders, attackers, captured, streams = game_start(scenario)
     defender_rngs, attacker_rngs, solver_seed_stream = streams
-    n_d, n_a = len(defenders), len(attackers)
+    n_a = len(attackers)
+    zone = set(arena.zone)
 
     steps: list[StepRecord] = []
     events: list[Event] = []
@@ -585,7 +599,8 @@ def run_game(scenario: "Scenario") -> GameResult:
             seed=int(solver_seed_stream.integers(0, 2**63 - 1)),
         )
         points, _, _ = distributed_minimize(oracles, space, scenario.network, params)
-        moves = [decode_actions(points[i], n_d, u_max)[i] for i in range(n_d)]
+        # Each defender applies its own slice of its own answer.
+        moves = [(p[2 * i] - u_max, p[2 * i + 1] - u_max) for i, p in enumerate(points)]
         defenders = [
             arena.clamp((p[0] + u[0], p[1] + u[1])) for p, u in zip(defenders, moves)
         ]
@@ -616,9 +631,7 @@ def run_game(scenario: "Scenario") -> GameResult:
                 events.append(Event(k, "release", f"a{g}", f"freed at {attackers[g]}"))
         captured = now
 
-        breach = [
-            g for g in range(n_a) if not captured[g] and attackers[g] in set(arena.zone)
-        ]
+        breach = [g for g in range(n_a) if not captured[g] and attackers[g] in zone]
         if breach:
             g = breach[0]
             events.append(Event(k, "flag", f"a{g}", f"entered zone at {attackers[g]}"))

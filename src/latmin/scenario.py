@@ -426,13 +426,18 @@ PROBLEM = Table((
 # ---------------------------------------------------------------------------
 # Loading and writing
 
+# libyaml's parser when PyYAML was built with it.  Both loaders resolve and
+# construct with the same safe rules, so they load the same records.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_yaml(path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{path}: not valid structured text: {exc}") from exc
     if not isinstance(data, dict):

@@ -21,7 +21,7 @@ from latmin import (
     theta,
     uniform_random_profile,
 )
-from latmin.ctf import DISTANCES, StepContext, decode_actions
+from latmin.ctf import DISTANCES, StepContext, decode_actions, manhattan, reachable_cells
 from latmin.lattice import DEFAULT_STRICTNESS_TOL
 
 
@@ -392,3 +392,67 @@ def reference_defender_cost(i: int, actions: list[tuple[int, int]], ctx: StepCon
     mobility = ctx.params.mobility[i] * (ux * ux + uy * uy)
 
     return alpha_f * zone_pull + alpha_a * pursuit + cohesion + barrier + mobility
+
+
+# ---------------------------------------------------------------------------
+# Attacker-side geometry, one `manhattan` call per cell pair
+
+def reference_threat_distance(attackers, active, zone_cells) -> float:
+    best = math.inf
+    for pos, live in zip(attackers, active):
+        if not live:
+            continue
+        best = min(best, min(manhattan(pos, z) for z in zone_cells))
+    return best
+
+
+def reference_attacker_pursuit_weights(i, attackers, active, responsibility, gain, rng) -> np.ndarray:
+    row = np.zeros(len(attackers))
+    dists = [
+        min(manhattan(pos, z) for z in responsibility) if live else math.inf
+        for pos, live in zip(attackers, active)
+    ]
+    best = min(dists, default=math.inf)
+    if math.isinf(best):
+        return row
+    tied = [g for g, d in enumerate(dists) if d == best]
+    target = tied[0] if len(tied) == 1 else int(rng.choice(tied))
+    row[target] = gain
+    return row
+
+
+def reference_predict_attackers(attackers, active, arena, u_max):
+    predicted = []
+    for pos, live in zip(attackers, active):
+        if not live:
+            predicted.append(pos)
+            continue
+        candidates = reachable_cells(pos, u_max, arena.size)
+        predicted.append(
+            min(candidates, key=lambda c: (min(manhattan(c, z) for z in arena.zone), c))
+        )
+    return predicted
+
+
+def reference_attacker_modes(pos, defenders, params):
+    gap = min(manhattan(pos, d) for d in defenders)
+    boosted = params.eta_avoid_nom * math.exp(params.kappa * (params.delta_th - gap))
+    eta_avoid = boosted / (params.eta_base_nom + boosted)
+    return eta_avoid, 1.0 - eta_avoid
+
+
+def reference_attacker_policy(i, attackers, defenders, params, arena, u_max, rng):
+    """Scores every candidate twice: once for the best score, once for the ties."""
+    pos = attackers[i]
+    eta_avoid, _ = reference_attacker_modes(pos, defenders, params)
+    avoid_mode = rng.uniform() < eta_avoid
+    candidates = [
+        c for c in reachable_cells(pos, u_max, arena.size) if c not in arena.obstacles
+    ]
+    if avoid_mode:
+        score = lambda c: -min(manhattan(c, d) for d in defenders)
+    else:
+        score = lambda c: min(manhattan(c, z) for z in arena.zone)
+    best = min(score(c) for c in candidates)
+    tied = [c for c in candidates if score(c) == best]
+    return tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]

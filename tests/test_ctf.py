@@ -32,9 +32,14 @@ from latmin.solvers import SolverParams, WeightMatrix, distributed_minimize
 from helpers import (
     as_bytes,
     line_matrix,
+    reference_attacker_modes,
+    reference_attacker_policy,
+    reference_attacker_pursuit_weights,
     reference_build_step_problem,
     reference_defender_cost,
     reference_distributed_minimize,
+    reference_predict_attackers,
+    reference_threat_distance,
     solve_bytes,
 )
 
@@ -366,6 +371,85 @@ class TestAttackerPolicy:
             rng = np.random.default_rng(seed)
             cell = attacker_policy(0, [(2, 1)], [(5, 5)], params, arena, 1, rng)
             assert zone_gap(cell) == zone_gap((2, 1)) - 1
+
+
+@st.composite
+def attacker_scenes(draw):
+    """Small grids, so equal distances and tied candidates are common, with
+    obstacles, captured attackers and one to four zone cells and defenders."""
+    size = draw(st.integers(2, 7))
+    grid = [(x, y) for x in range(size) for y in range(size)]
+    zone = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=4, unique=True))
+    free = [c for c in grid if c not in zone]
+    obstacles = set(draw(st.lists(st.sampled_from(free), max_size=4))) if free else set()
+    open_cells = [c for c in grid if c not in obstacles]
+    attackers = draw(st.lists(st.sampled_from(open_cells), min_size=1, max_size=4))
+    active = draw(st.lists(st.booleans(), min_size=len(attackers), max_size=len(attackers)))
+    defenders = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=4))
+    eta = draw(st.floats(0.0, 1.0))
+    params = AttackerParams(
+        eta_avoid_nom=eta, eta_base_nom=1.0 - eta,
+        delta_th=draw(st.floats(0.0, 6.0)), kappa=draw(st.floats(0.0, 1.0)),
+    )
+    arena = Arena(size=size, horizon=5, zone=zone, responsibilities=[zone], obstacles=obstacles)
+    return arena, attackers, active, defenders, params, draw(st.integers(0, 2)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(attacker_scenes())
+def test_attacker_geometry_equals_the_per_pair_reference(scene):
+    """Every attacker-side function returns what the one-`manhattan`-call-per-pair
+    form returns, and draws the same numbers from the stream."""
+    arena, attackers, active, defenders, params, u_max, seed = scene
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert predict_attackers(attackers, active, arena, u_max) == reference_predict_attackers(
+        attackers, active, arena, u_max
+    )
+    for cells in (arena.zone, arena.zone[:1]):
+        assert as_bytes(threat_distance(attackers, active, cells)) == as_bytes(
+            reference_threat_distance(attackers, active, cells)
+        )
+        row = attacker_pursuit_weights(0, attackers, active, cells, 20.0, rng)
+        assert row.tobytes() == reference_attacker_pursuit_weights(0, attackers, active, cells, 20.0, ref_rng).tobytes()
+    for pos in attackers:
+        modes = attacker_modes(pos, defenders, params)
+        assert list(map(as_bytes, modes)) == list(map(as_bytes, reference_attacker_modes(pos, defenders, params)))
+    for g, live in enumerate(active):
+        if live:
+            move = attacker_policy(g, attackers, defenders, params, arena, u_max, rng)
+            assert move == reference_attacker_policy(g, attackers, defenders, params, arena, u_max, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+CELL_SETS = st.lists(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(sorted(ctf.DISTANCES)), CELL_SETS, CELL_SETS, st.integers(2, 7))
+def test_cell_distances_equal_the_scalar_distances(metric, a, b, size):
+    """The array helper gives `DISTANCES[metric]` byte for byte between every
+    pair of cells, raw (some off the grid) and clamped to the grid."""
+    arena = Arena(size=size, horizon=1, zone=[(0, 0)], responsibilities=[[(0, 0)]], obstacles=set())
+    d = ctf.DISTANCES[metric]
+    for cells_a, cells_b in ((a, b), ([arena.clamp(c) for c in a], [arena.clamp(c) for c in b])):
+        table = ctf.cell_distances(metric, np.array(cells_a)[:, None], np.array(cells_b)[None])
+        assert table.dtype == np.float64
+        assert [[as_bytes(v) for v in row] for row in table.tolist()] == [
+            [as_bytes(d(p, q)) for q in cells_b] for p in cells_a
+        ]
+
+
+def test_a_game_calls_no_scalar_distance(monkeypatch):
+    """Step geometry comes from integer arithmetic, never from a call per cell pair."""
+    def refuse(a, b):
+        raise AssertionError("scalar distance called")
+
+    for name in ctf.DISTANCES:
+        monkeypatch.setitem(ctf.DISTANCES, name, refuse)
+    monkeypatch.setattr(ctf, "manhattan", refuse)
+    monkeypatch.setattr(ctf, "squared_euclidean", refuse)
+    result = run_game(toy_scenario())
+    assert len(result.steps) > 1
 
 
 class TestStepProblem:

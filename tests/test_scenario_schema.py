@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 from latmin.cli import main
 from latmin.ctf import AttackerParams, DefenderParams
+from latmin import scenario
 from latmin.scenario import (
     GAME,
     PROBLEM,
     ScenarioInvariantError,
+    ScenarioParseError,
     ScenarioSchemaError,
     bundled_scenario_path,
     load_scenario,
@@ -441,3 +443,78 @@ def test_booleans_are_not_numbers(tmp_path, name, path, value, field):
     message = rf"{re.escape(field)}: cannot read .*: expected a number, got a boolean"
     assert re.fullmatch(message, str(caught.value)), caught.value
 
+
+
+def eight_defender_game() -> dict:
+    """A swarm-sized game: 8 defenders and attackers on a 20x20 grid, a
+    16-cell zone, obstacles, and weights whose shortest repr is long."""
+    n, size = 8, 20
+    zone = [[2 + c, size - 1] for c in range(2 * n)]
+    return {
+        "kind": "game",
+        "seed": 7,
+        "arena": {
+            "size": size,
+            "horizon": 12,
+            "defense_zone": zone,
+            "responsibilities": [zone[2 * i:2 * i + 2] for i in range(n)],
+            "obstacles": [[3, 9], [10, 12], [15, 7], [0, 5]],
+        },
+        "players": {
+            "u_max": 1,
+            "defenders": [[2 + 2 * i, size - 3] for i in range(n)],
+            "attackers": [[2 * i + 1, i % 3] for i in range(n)],
+        },
+        "defenders": {
+            "pursuit_gain": 20.0,
+            "cohesion": [[0.0 if i == j else 1 / (1 + abs(i - j)) ** 2 for j in range(n)] for i in range(n)],
+            "mobility": [1.0 + i / 7 for i in range(n)],
+            "zeta1": 200.0,
+            "zeta2": 5.0,
+            "alpha_f_nom": 0.9,
+            "alpha_a_nom": 0.1,
+            "beta": 0.7,
+            "delta_th": 20,
+            "distance": "manhattan",
+        },
+        "attackers": {"eta_avoid_nom": 0.7, "eta_base_nom": 0.3, "delta_th": 4.0, "kappa": 0.9},
+        "network": {"eta": 0.1, "matrix": line_matrix(n)},
+        "solver": {"iterations": 20, "gamma": 0.1, "schedule": "constant", "t_hat": 0.7},
+    }
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestLibyamlLoader:
+    """Files are parsed by libyaml; the pure-Python loader would read the same records."""
+
+    LOADERS = (yaml.SafeLoader, yaml.CSafeLoader)
+
+    def test_libyaml_parses_when_available(self):
+        assert scenario._LOADER is yaml.CSafeLoader
+
+    @pytest.mark.parametrize("name", ["fig3", "eight_defenders"])
+    def test_both_loaders_read_equal_records(self, tmp_path, monkeypatch, name):
+        path = GOLDEN if name == "fig3" else write_yaml(tmp_path / "swarm.cfg", eight_defender_game())
+        loaded = []
+        for loader in self.LOADERS:
+            monkeypatch.setattr(scenario, "_LOADER", loader)
+            # repr tells 1 from 1.0, which == on the dicts would not.
+            loaded.append((repr(scenario._load_yaml(path)), load_scenario(path)))
+        assert loaded[0] == loaded[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_both_loaders_agree_on_generated_files(self, data):
+        text = yaml.safe_dump(data.draw(st.one_of(games(), problems())), sort_keys=False)
+        assert repr(yaml.load(text, Loader=yaml.SafeLoader)) == repr(yaml.load(text, Loader=yaml.CSafeLoader))
+
+    @pytest.mark.parametrize("text", [
+        "{: not yaml ::", "key: [1, 2", "a:\n\t- 1\n", "- a\nb: c\n", "a: 'unclosed", "&x a: *y", "\x00",
+    ])
+    def test_malformed_text_is_a_parse_error_with_both_loaders(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        for loader in self.LOADERS:
+            monkeypatch.setattr(scenario, "_LOADER", loader)
+            with pytest.raises(ScenarioParseError, match="not valid structured text"):
+                load_scenario(path)
