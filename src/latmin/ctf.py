@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,24 +33,13 @@ if TYPE_CHECKING:  # pragma: no cover
 Cell = tuple[int, int]
 
 
-def manhattan(a: Cell, b: Cell) -> float:
-    return float(abs(a[0] - b[0]) + abs(a[1] - b[1]))
-
-
-def squared_euclidean(a: Cell, b: Cell) -> float:
-    return float((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2)
-
-
-DISTANCES: dict[str, Callable[[Cell, Cell], float]] = {
-    "manhattan": manhattan,
-    "squared": squared_euclidean,
-}
-
+# Each metric's per-axis term: a distance is the sum of the two.
 _AXIS_TERMS = {"manhattan": np.abs, "squared": np.square}
 
 
 def cell_distances(metric: str, a, b) -> np.ndarray:
-    """`DISTANCES[metric]` between cells, elementwise over integer arrays
+    """The `metric` distance between cells, |dx| + |dy| ("manhattan") or
+    dx^2 + dy^2 ("squared") cast to float, elementwise over integer arrays
     whose last axis is (x, y); the other axes broadcast as in `a - b`."""
     terms = _AXIS_TERMS[metric](np.subtract(a, b))
     return (terms[..., 0] + terms[..., 1]).astype(float)
@@ -157,9 +146,9 @@ class DefenderParams:
         for name in ("pursuit_gain", "cohesion", "mobility"):
             if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name}: cost weights must be non-negative")
-        if self.distance not in DISTANCES:
+        if self.distance not in _AXIS_TERMS:
             raise ValueError(
-                f"distance: unknown distance {self.distance!r}; pick from {sorted(DISTANCES)}"
+                f"distance: unknown distance {self.distance!r}; pick from {sorted(_AXIS_TERMS)}"
             )
 
 

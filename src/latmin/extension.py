@@ -8,10 +8,11 @@ extension is computed by a single stable descending sort of all profile
 entries, walking a monotone chain of lattice points from bottom to top and
 charging each unit step with the entry that triggered it.  The subgradient
 falls out of the same walk at no extra cost.  `check_row` checks one
-profile held as a list and `round_rows` rounds every row of an (n, r)
-array of profiles; `Profile.validate` and `theta` apply them to a `Profile`.
-The walk reads oracle values from a dict the caller owns and evaluates
-only the points missing there; a solve keeps one dict per agent.
+profile held as a list and `rounding_rule` rounds one to the number of its
+lattice point, which `point_of_number` decodes; `Profile.validate` and
+`theta` apply them to a `Profile`.  The walk reads oracle values from a
+dict the caller owns and evaluates only the points missing there; a solve
+keeps one dict per agent.
 
 For chains of size 2 this is exactly the classical relaxation of set
 functions on the unit hypercube; no separate code path exists for that
@@ -20,8 +21,11 @@ case.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -102,21 +106,33 @@ def uniform_random_profile(space: ChainProduct, seed) -> Profile:
 
 
 def theta(rho: Profile, t: float):
-    """Round a profile to a lattice point at threshold t.
+    """Round a profile to a lattice point at threshold t (see `rounding_rule`)."""
+    number = rounding_rule(rho.space, t)(rho.values.tolist())
+    return point_of_number(rho.space, number)
 
-    Per chain, the largest index l with rho_i(l) >= t, where the implicit
-    0th coordinate is 1.  The comparison is closed so the map is
+
+def rounding_rule(space: ChainProduct, t: float) -> Callable[[list[float]], int]:
+    """The one rounding rule: a profile list in `space`'s flat layout to the
+    number, in `space.points()` order, of its lattice point at threshold t.
+
+    Per chain the point's level is the chain's count of entries >= t: for
+    a non-increasing chain, the largest index l with rho_i(l) >= t, where
+    the implicit 0th coordinate is 1.  So each entry >= t adds its chain's
+    stride to the number.  The comparison is closed so the map is
     deterministic at entry values.
     """
-    return round_rows(rho.values[None], rho.space, t)[0]
-
-
-def round_rows(rows: np.ndarray, space: ChainProduct, t: float) -> list[tuple[int, ...]]:
-    """`theta` of every row of an (n, r) array: per chain, the count of entries >= t."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold {t} outside [0,1]")
-    levels = np.add.reduceat(rows >= t, space.offsets[:-1], axis=1, dtype=np.intp)
-    return list(map(tuple, levels.tolist()))
+    place = [space.strides[i] for i in space.chain_of]
+    # operator.le, not t.__le__: a float's own method returns the truthy
+    # NotImplemented for a numpy scalar entry.
+    at_least_t = functools.partial(operator.le, t)
+    return lambda row: sum(itertools.compress(place, map(at_least_t, row)))
+
+
+def point_of_number(space: ChainProduct, number: int) -> tuple[int, ...]:
+    """The lattice point numbered `number` in `space.points()` order."""
+    return tuple(number // s % m for s, m in zip(space.strides, space.dims))
 
 
 @dataclass

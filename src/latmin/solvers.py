@@ -6,23 +6,37 @@ estimates with doubly-stochastic weights, step along their own local
 subgradient, and project.  All agents round at the same shared threshold
 so they agree whenever the minimizer is unique.  Centralized is the
 one-agent case: iterate project(rho - gamma_k * subgrad) and round once at
-the end.
+the end.  The trace's bookkeeping is paid once per solve where it can be:
+each round's rounded points are read off the projected rows as point
+numbers and each distinct number is priced once per solve, and the
+disagreement is computed in one batch after the last round.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import Profile, _descending, _walk, check_row, round_rows, uniform_random_profile
+from .extension import (
+    Profile,
+    _descending,
+    _walk,
+    check_row,
+    point_of_number,
+    rounding_rule,
+    uniform_random_profile,
+)
 from .lattice import ChainProduct, Oracle, _require_oracle_space
 from .projection import project_row
 
 STOCHASTIC_TOL = 1e-9
+
+# The most floats one batch of the disagreement's pairwise differences
+# holds, so its temporaries stay small next to the kept state.
+_DISAGREEMENT_BATCH = 1 << 12
 
 
 @dataclass
@@ -164,7 +178,14 @@ def step_size(k: int, params: SolverParams) -> float:
 
 @dataclass
 class SolveTrace:
-    """Per-round diagnostics; rounded values are recorded for inspection only."""
+    """Per-round diagnostics, recorded for inspection only.
+
+    Row k of `ext_values` holds each agent's extension value where it walked
+    in round k + 1; `disagreement[k]` is the largest Euclidean distance
+    between two agents' profiles after that round (0 for one agent); and
+    `best_rounded[k]` is the lowest total cost of any point an agent has
+    rounded to in the rounds up to it.
+    """
 
     ext_values: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     disagreement: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -207,14 +228,26 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return _mix(state, _mixing_plan(weights))
 
 
-def _disagreement(state: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> float:
-    """The largest Euclidean distance between rows pairs[0][p] and pairs[1][p] of `state`.
+def _disagreement_trace(history: np.ndarray) -> np.ndarray:
+    """Per round, the largest Euclidean distance between two agents' rows of
+    `history`, an (iterations, n_agents, r) array of every round's state.
 
-    sqrt is monotone and `np.linalg.norm` of a float vector is sqrt(d.dot(d)),
-    so this equals the largest pairwise norm bit for bit.
+    sqrt is monotone and `np.vecdot` of a float vector with itself gives
+    the bytes of BLAS `d.dot(d)`, which `np.linalg.norm` takes too, so each
+    entry equals the largest pairwise norm bit for bit.  Rounds go in
+    batches of at most `_DISAGREEMENT_BATCH` differences.  One agent has no
+    pairs and keeps zeros.
     """
-    first, second = pairs
-    return math.sqrt(max((d.dot(d) for d in state[first] - state[second]), default=0.0))
+    iterations, n_agents, r = history.shape
+    disagreement = np.zeros(iterations)
+    first, second = np.triu_indices(n_agents, 1)
+    if len(first):
+        step = max(1, _DISAGREEMENT_BATCH // (len(first) * r))
+        for start in range(0, iterations, step):
+            rounds = history[start : start + step]
+            d = rounds[:, first] - rounds[:, second]
+            disagreement[start : start + step] = np.sqrt(np.vecdot(d, d).max(axis=1))
+    return disagreement
 
 
 def distributed_minimize(
@@ -235,10 +268,14 @@ def distributed_minimize(
     round cannot matter.  A round mixes the whole (n_agents, r) state in
     numpy and turns it into lists once; every mixed row is checked, then
     each agent in turn walks its extension, steps and projects its own
-    row.  The new rows become the state array once more, which the
-    disagreement and the rounding read whole.  After the last round each
-    agent rounds its profile at the shared threshold; the value reported
-    for an agent is the *total* cost of its rounded point.
+    row, and reads the number of the point that row rounds to at the
+    shared threshold (`extension.rounding_rule`).  The new rows become the
+    state array once more, kept per round; the whole disagreement trace is
+    computed from it after the last round.  The points a round's agents
+    round to are priced in agent order, each number once per solve, so
+    `best_rounded` costs a dict lookup per agent and round.  Each agent
+    returns its last round's point; the value reported for an agent is the
+    *total* cost of that point.
 
     Returns (points, values, trace): per-agent rounded lattice points, their
     total-cost values, and the per-round trace.  Every oracle must be
@@ -247,7 +284,8 @@ def distributed_minimize(
     Each agent's oracle is evaluated at most once per distinct lattice
     point during one solve, so afterwards its `calls` counts distinct
     evaluations: the walks and the rounded points' total costs read one
-    dict of values per agent, dropped on return.
+    dict of values per agent, dropped on return.  Keeping every round's
+    state costs 8 * iterations * n_agents * r bytes for the solve.
     """
     a = matrix.entries
     n_agents = len(oracles)
@@ -268,45 +306,53 @@ def distributed_minimize(
     # Agent i's oracle values by point number, as `_walk` keys them.
     memos = [{} for _ in oracles]
 
-    def total_cost(point) -> float:
-        code = sum(map(operator.mul, point, space.strides))
+    def total_cost(number) -> float:
+        point = point_of_number(space, number)
         costs = []
         for f, memo in zip(oracles, memos):
-            if code not in memo:
-                memo[code] = f(point)
-            costs.append(memo[code])
+            if number not in memo:
+                memo[number] = f(point)
+            costs.append(memo[number])
         # A lone agent's cost as is: sum() would turn its -0.0 into 0.0.
         return sum(costs) if n_agents > 1 else costs[0]
 
     ext_values = np.zeros((params.iterations, n_agents))
-    disagreement = np.zeros(params.iterations)
     best_rounded = np.zeros(params.iterations)
     best = math.inf
     top = space.top()
-    # Every pair of agents, as two index arrays.
-    pairs = np.triu_indices(n_agents, 1)
+    number_of = rounding_rule(space, params.t_hat)
+    # Total costs by point number, each priced when an agent first rounds to it.
+    totals = {}
+    # Round k's projected rows are history[k - 1].
+    history = np.empty((params.iterations, n_agents, space.sort_length))
 
     for k in range(1, params.iterations + 1):
         gamma_k = step_size(k, params)
         mixed = _mix(state, plan).tolist()
         for row in mixed:
             check_row(row, space)
-        rows, values = [], []
+        rows, values, numbers = [], [], []
         for f, memo, row in zip(oracles, memos, mixed):
             value, subgradient = _walk(f, memo, space, row, _descending(row), top)
             values.append(value)
-            rows.append(project_row([m - gamma_k * g for m, g in zip(row, subgradient)], space))
+            projected = project_row([m - gamma_k * g for m, g in zip(row, subgradient)], space)
+            rows.append(projected)
+            numbers.append(number_of(projected))
         ext_values[k - 1] = values
-        state = np.array(rows)
-        disagreement[k - 1] = _disagreement(state, pairs)
-        # Each distinct point once: min over a repeated total keeps `best`.
-        for point in dict.fromkeys(round_rows(state, space, params.t_hat)):
-            best = min(best, total_cost(point))
+        state = history[k - 1]
+        state[:] = rows
+        # A point priced before is in `best` already: min() would keep `best`.
+        for number in numbers:
+            if number not in totals:
+                total = totals[number] = total_cost(number)
+                best = min(best, total)
         best_rounded[k - 1] = best
 
-    points = round_rows(state, space, params.t_hat)
-    values = [total_cost(x) for x in points]
-    trace = SolveTrace(ext_values=ext_values, disagreement=disagreement, best_rounded=best_rounded)
+    points = [point_of_number(space, number) for number in numbers]
+    values = [totals[number] for number in numbers]
+    trace = SolveTrace(
+        ext_values=ext_values, disagreement=_disagreement_trace(history), best_rounded=best_rounded
+    )
     return points, values, trace
 
 

@@ -21,8 +21,25 @@ from latmin import (
     theta,
     uniform_random_profile,
 )
-from latmin.ctf import DISTANCES, StepContext, decode_actions, manhattan, reachable_cells
+from latmin.ctf import StepContext, decode_actions, reachable_cells
 from latmin.lattice import DEFAULT_STRICTNESS_TOL
+
+Cell = tuple[int, int]
+
+
+def manhattan(a: Cell, b: Cell) -> float:
+    return float(abs(a[0] - b[0]) + abs(a[1] - b[1]))
+
+
+def squared_euclidean(a: Cell, b: Cell) -> float:
+    return float((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2)
+
+
+# The scalar distances a `DefenderParams.distance` names, one cell pair per call.
+DISTANCES = {
+    "manhattan": manhattan,
+    "squared": squared_euclidean,
+}
 
 
 def as_bytes(value) -> bytes:

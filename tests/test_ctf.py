@@ -30,6 +30,7 @@ from latmin.scenario import Scenario, bundled_scenario_path, load_scenario
 from latmin.solvers import SolverParams, WeightMatrix, distributed_minimize
 
 from helpers import (
+    DISTANCES,
     as_bytes,
     line_matrix,
     reference_attacker_modes,
@@ -425,12 +426,12 @@ CELL_SETS = st.lists(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), min_size
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(st.sampled_from(sorted(ctf.DISTANCES)), CELL_SETS, CELL_SETS, st.integers(2, 7))
+@given(st.sampled_from(sorted(DISTANCES)), CELL_SETS, CELL_SETS, st.integers(2, 7))
 def test_cell_distances_equal_the_scalar_distances(metric, a, b, size):
     """The array helper gives `DISTANCES[metric]` byte for byte between every
     pair of cells, raw (some off the grid) and clamped to the grid."""
     arena = Arena(size=size, horizon=1, zone=[(0, 0)], responsibilities=[[(0, 0)]], obstacles=set())
-    d = ctf.DISTANCES[metric]
+    d = DISTANCES[metric]
     for cells_a, cells_b in ((a, b), ([arena.clamp(c) for c in a], [arena.clamp(c) for c in b])):
         table = ctf.cell_distances(metric, np.array(cells_a)[:, None], np.array(cells_b)[None])
         assert table.dtype == np.float64
@@ -439,17 +440,16 @@ def test_cell_distances_equal_the_scalar_distances(metric, a, b, size):
         ]
 
 
-def test_a_game_calls_no_scalar_distance(monkeypatch):
-    """Step geometry comes from integer arithmetic, never from a call per cell pair."""
-    def refuse(a, b):
-        raise AssertionError("scalar distance called")
+def test_the_game_has_no_scalar_distances():
+    """Step geometry comes from integer arithmetic; the per-pair distances
+    live in the tests only, as references."""
+    for name in ("manhattan", "squared_euclidean", "DISTANCES"):
+        assert not hasattr(ctf, name), name
 
-    for name in ctf.DISTANCES:
-        monkeypatch.setitem(ctf.DISTANCES, name, refuse)
-    monkeypatch.setattr(ctf, "manhattan", refuse)
-    monkeypatch.setattr(ctf, "squared_euclidean", refuse)
-    result = run_game(toy_scenario())
-    assert len(result.steps) > 1
+
+def test_an_unknown_distance_is_rejected_naming_both_metrics():
+    with pytest.raises(ValueError, match=r"distance: unknown distance 'euclid'; pick from \['manhattan', 'squared'\]"):
+        toy_defender_params(distance="euclid")
 
 
 class TestStepProblem:
@@ -742,7 +742,7 @@ def step_contexts(draw):
         zeta1=draw(st.floats(1.0, 300.0)),
         zeta2=draw(st.floats(1.0, 10.0)),
         delta_th=[5.0] * n,
-        distance=draw(st.sampled_from(sorted(ctf.DISTANCES))),
+        distance=draw(st.sampled_from(sorted(DISTANCES))),
     )
     return toy_context(
         defenders=defenders,

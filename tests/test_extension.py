@@ -14,7 +14,7 @@ from latmin import (
     theta,
     uniform_random_profile,
 )
-from latmin.extension import FEASIBILITY_TOL, _walk
+from latmin.extension import FEASIBILITY_TOL, _walk, point_of_number, rounding_rule
 
 from helpers import (
     random_chain_product,
@@ -327,6 +327,34 @@ class TestTheta:
         rho = Profile(ChainProduct([3]), np.array([0.8, 0.3]))
         with pytest.raises(ValueError, match="outside"):
             theta(rho, 1.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dims=st.lists(st.integers(2, 5), min_size=1, max_size=4), t=st.floats(0.05, 0.95))
+    def test_point_number_is_the_strides_dot_the_per_chain_counts(self, data, dims, t):
+        """A row with entries at t, at -0.0, 0.0 and 1.0 rounds to the number
+        strides . (per chain, the count of entries >= t), which decodes to
+        that tuple of counts."""
+        space = ChainProduct(dims)
+        entry = st.one_of(st.sampled_from([t, -0.0, 0.0, 1.0]), st.floats(0.0, 1.0))
+        row = data.draw(st.lists(entry, min_size=space.sort_length, max_size=space.sort_length))
+        counts = tuple(
+            int(np.count_nonzero(np.array(row[start:end]) >= t))
+            for start, end in zip(space.offsets, space.offsets[1:])
+        )
+        number = rounding_rule(space, t)(row)
+        assert number == sum(c * s for c, s in zip(counts, space.strides))
+        assert point_of_number(space, number) == counts
+        assert all(type(x) is int for x in point_of_number(space, number))
+        assert theta(Profile(space, np.array(row)), t) == counts
+
+    def test_negative_zero_meets_a_zero_threshold(self):
+        space = ChainProduct([3, 2])
+        assert rounding_rule(space, 0.0)([-0.0, -1e-13, 0.0]) == 1 * 2 + 1
+
+    def test_numpy_scalar_entries_round_like_python_numbers(self):
+        space = ChainProduct([3, 2])
+        assert rounding_rule(space, 0.5)(list(np.array([1, 0, 1]))) == 1 * 2 + 1
+        assert rounding_rule(space, 0.5)(list(np.array([0.9, 0.2, 0.4], dtype=np.float32))) == 1 * 2
 
 
 class TestProfiles:

@@ -23,6 +23,7 @@ from latmin import (
     validate_weight_matrix,
 )
 
+from latmin import solvers
 from latmin.scenario import bundled_scenario_path, load_scenario
 
 from helpers import (
@@ -556,3 +557,48 @@ class TestWholeStateRounds:
 
         with pytest.raises(AssertionError):
             self.assert_mixing_matches_per_row(zero_padded, self.STAR_STATE, star_matrix(5))
+
+
+class TestBatchedDisagreement:
+    """The disagreement trace, computed in batches after the last round,
+    has the bytes of the per-round largest pairwise norm."""
+
+    @staticmethod
+    def disagreement_bytes(solver, space, tables, matrix, params):
+        fs = [Oracle(table.__getitem__, space) for table in tables]
+        return solver(fs, space, matrix, params)[2].disagreement.tobytes()
+
+    @staticmethod
+    def tables(space, n, seed):
+        rng = np.random.default_rng(seed)
+        fns = [random_submodular_fn(space, rng) for _ in range(n)]
+        return [{x: float(fn(x)) for x in space.points()} for fn in fns]
+
+    def test_one_agent_keeps_zeros(self):
+        X = ChainProduct([4, 3, 5])
+        case = (X, self.tables(X, 1, 3), WeightMatrix([[1.0]], eta=0.5), SolverParams(iterations=12, gamma=0.2, seed=2))
+        got = self.disagreement_bytes(distributed_minimize, *case)
+        assert got == self.disagreement_bytes(reference_distributed_minimize, *case)
+        assert got == np.zeros(12).tobytes()
+
+    def test_a_single_round(self):
+        X = ChainProduct([3, 4])
+        case = (X, self.tables(X, 3, 4), WeightMatrix(line_matrix(3), eta=0.1), SolverParams(iterations=1, gamma=0.3, seed=5))
+        got = self.disagreement_bytes(distributed_minimize, *case)
+        assert got == self.disagreement_bytes(reference_distributed_minimize, *case)
+        assert np.frombuffer(got)[0] > 0.0
+
+    # 10 pairs of 5 agents times r = 9 differences per round: caps of one
+    # round's, three rounds' and just under five rounds' worth, and the default.
+    @pytest.mark.parametrize("cap", [90, 270, 449, None])
+    def test_five_agents_over_ragged_batches(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(solvers, "_DISAGREEMENT_BATCH", cap)
+        X = ChainProduct([5, 3, 4])
+        assert X.sort_length == 9
+        matrix = WeightMatrix(np.full((5, 5), 0.2), eta=0.1)
+        # 37 rounds: a multiple of none of the batch lengths 1 < 3 < 4 < 37.
+        case = (X, self.tables(X, 5, 6), matrix, SolverParams(iterations=37, gamma=0.4, seed=7))
+        got = self.disagreement_bytes(distributed_minimize, *case)
+        assert got == self.disagreement_bytes(reference_distributed_minimize, *case)
+        assert np.count_nonzero(np.frombuffer(got)) > 0
