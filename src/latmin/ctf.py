@@ -257,10 +257,14 @@ def adaptive_alpha(
     return alpha_a, 1.0 - alpha_a
 
 
+def _attacker_gaps(attackers: list[Cell], active: list[bool], cells: list[Cell]) -> list[float]:
+    """Each attacker's Manhattan gap to the cells; inf for an inactive one."""
+    return [_gap(pos, cells) if live else math.inf for pos, live in zip(attackers, active)]
+
+
 def threat_distance(attackers: list[Cell], active: list[bool], zone_cells: list[Cell]) -> float:
     """Smallest Manhattan distance from any active attacker to the cells."""
-    gaps = (_gap(pos, zone_cells) for pos, live in zip(attackers, active) if live)
-    return float(min(gaps, default=math.inf))
+    return float(min(_attacker_gaps(attackers, active, zone_cells), default=math.inf))
 
 
 def attacker_pursuit_weights(
@@ -277,14 +281,16 @@ def attacker_pursuit_weights(
     exact ties are broken by a draw from the defender's stream.  With no
     active attacker the row is all zeros.
     """
-    row = np.zeros(len(attackers))
-    dists = [
-        _gap(pos, responsibility) if live else math.inf for pos, live in zip(attackers, active)
-    ]
-    best = min(dists, default=math.inf)
+    return _pursuit_row(_attacker_gaps(attackers, active, responsibility), gain, rng)
+
+
+def _pursuit_row(gaps: list[float], gain: float, rng: np.random.Generator) -> np.ndarray:
+    """`attacker_pursuit_weights` from the attackers' gaps to the responsibility."""
+    row = np.zeros(len(gaps))
+    best = min(gaps, default=math.inf)
     if math.isinf(best):
         return row
-    tied = [g for g, d in enumerate(dists) if d == best]
+    tied = [g for g, d in enumerate(gaps) if d == best]
     target = tied[0] if len(tied) == 1 else int(rng.choice(tied))
     row[target] = gain
     return row
@@ -528,13 +534,13 @@ def step_context(
     alphas = []
     pursuit = np.zeros((len(defenders), len(attackers)))
     for i, rng in enumerate(pursuit_rngs):
-        delta_i = threat_distance(attackers, active, arena.responsibilities[i])
+        # One gap list serves threat_distance and attacker_pursuit_weights.
+        gaps = _attacker_gaps(attackers, active, arena.responsibilities[i])
+        delta_i = float(min(gaps, default=math.inf))
         alphas.append(adaptive_alpha(
             delta_i, float(dparams.delta_th[i]), dparams.beta, dparams.alpha_a_nom, dparams.alpha_f_nom
         ))
-        pursuit[i] = attacker_pursuit_weights(
-            i, attackers, active, arena.responsibilities[i], dparams.pursuit_gain, rng
-        )
+        pursuit[i] = _pursuit_row(gaps, dparams.pursuit_gain, rng)
     planes = [avoidance_planes(i, defenders, arena.obstacles, u_max) for i in range(len(defenders))]
     return StepContext(arena, u_max, defenders, predicted, alphas, pursuit, planes, dparams)
 

@@ -124,12 +124,20 @@ class Oracle:
     oracles in their inner loop; input from outside goes through
     `space.check_point` first.  The call counter is plain (not atomic):
     guard the oracle if you evaluate it from several threads.
+
+    `table` is None until the first exhaustive sweep (`check_submodular`
+    or `brute_force_minimize`) completes.  That sweep keeps f at every
+    point, shaped like `space.dims` and read-only: 8 bytes per point, at
+    most 8 MB at `BRUTE_FORCE_CAP`, for as long as the oracle lives.
+    Later sweeps read it and evaluate nothing, so `fn` must not change
+    after a sweep.
     """
 
     def __init__(self, fn: Callable[[tuple[int, ...]], float], space: ChainProduct):
         self.fn = fn
         self.space = space
         self.calls = 0
+        self.table: np.ndarray | None = None
 
     def __call__(self, point: Sequence[int]) -> float:
         self.calls += 1
@@ -186,9 +194,14 @@ def cross_difference(f: Oracle, point: Sequence[int], i: int, j: int) -> float:
 
 
 def _value_table(f: Oracle, space: ChainProduct) -> np.ndarray:
-    """f at every lattice point, evaluated once each in `space.points()` order."""
-    values = np.fromiter((f(x) for x in space.points()), dtype=float, count=space.cardinality)
-    return values.reshape(space.dims)
+    """f's read-only value table, built on the first call: f at every
+    lattice point, evaluated once each in `space.points()` order.  A sweep
+    that raises keeps nothing, so the next one raises again."""
+    if f.table is None:
+        values = np.fromiter(map(f, space.points()), dtype=float, count=space.cardinality)
+        values.flags.writeable = False
+        f.table = values.reshape(space.dims)
+    return f.table
 
 
 def _shifted(table: np.ndarray, i: int, j: int, di: int, dj: int) -> np.ndarray:
@@ -209,9 +222,11 @@ def check_submodular(
     Each admissible (point, chain pair) is checked once; the pair order is
     irrelevant because the cross difference is symmetric in (i, j).  A
     difference above `tol` counts as a strict violation.  f is evaluated
-    once per lattice point; every cross difference is then computed from
-    that table exactly as `cross_difference` computes it.  Violations are
-    listed by point, then chain pair.  A `space` other than f's is refused.
+    once per lattice point into its value table (`Oracle.table`, 8 bytes
+    per point), unless an earlier sweep of f built it; every cross
+    difference is then computed from that table exactly as
+    `cross_difference` computes it.  Violations are listed by point, then
+    chain pair.  A `space` other than f's is refused.
     """
     space = space or f.space
     _require_oracle_space(f, space)
@@ -240,8 +255,11 @@ def brute_force_minimize(
 ) -> tuple[float, set[tuple[int, ...]]]:
     """Exact global minimum of f by full enumeration.
 
-    Returns (minimum value, set of all minimizing points).  f is evaluated
-    once per lattice point.  A `space` other than f's is refused.
+    Returns (minimum value, set of all minimizing points).  It reads f's
+    value table (`Oracle.table`, 8 bytes per point), which the first sweep
+    of f builds by evaluating f once per lattice point; after
+    `check_submodular(f)` it evaluates nothing.  A `space` other than f's
+    is refused.
     """
     space = space or f.space
     _require_oracle_space(f, space)

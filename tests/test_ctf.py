@@ -422,6 +422,34 @@ def test_attacker_geometry_equals_the_per_pair_reference(scene):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_step_context_equals_the_per_defender_reference(data):
+    """`step_context` gives each defender the threat distance and pursuit row
+    of the per-pair references, drawing ties from its stream as they do."""
+    scenario = load_scenario(GOLDEN)
+    arena, dp = scenario.arena, scenario.defender_params
+    defenders, _, _, _ = ctf.game_start(scenario)
+    cells = st.tuples(st.integers(0, arena.size - 1), st.integers(0, arena.size - 9))
+    attackers = data.draw(st.lists(cells, min_size=1, max_size=4))
+    # Repeated cells make exact ties, so streams draw.
+    attackers += data.draw(st.lists(st.sampled_from(attackers), max_size=3))
+    captured = data.draw(st.lists(st.booleans(), min_size=len(attackers), max_size=len(attackers)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rngs = [np.random.default_rng([seed, i]) for i in range(len(defenders))]
+    ref_rngs = [np.random.default_rng([seed, i]) for i in range(len(defenders))]
+    ctx = ctf.step_context(scenario, defenders, attackers, captured, rngs)
+    active = [not c for c in captured]
+    for i, ref_rng in enumerate(ref_rngs):
+        zone = arena.responsibilities[i]
+        delta = reference_threat_distance(attackers, active, zone)
+        alphas = adaptive_alpha(float(delta), float(dp.delta_th[i]), dp.beta, dp.alpha_a_nom, dp.alpha_f_nom)
+        assert list(map(as_bytes, ctx.alphas[i])) == list(map(as_bytes, alphas))
+        row = reference_attacker_pursuit_weights(i, attackers, active, zone, dp.pursuit_gain, ref_rng)
+        assert ctx.pursuit[i].tobytes() == row.tobytes()
+        assert rngs[i].bit_generator.state == ref_rng.bit_generator.state
+
+
 CELL_SETS = st.lists(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), min_size=1, max_size=6)
 
 

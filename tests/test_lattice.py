@@ -158,8 +158,7 @@ class TestCheckSubmodular:
         f = random_table_oracle(X, np.random.default_rng(5))
         f.reset_calls()
         check_submodular(f)
-        n = X.n_chains
-        assert f.calls <= 4 * X.cardinality * n * (n - 1) // 2
+        assert f.calls == X.cardinality
 
     def test_strictness_tolerance_absorbs_noise(self):
         X = ChainProduct([2, 2])
@@ -258,8 +257,69 @@ class TestSweepsMatchReference:
 
         f.reset_calls()
         best, argmins = brute_force_minimize(f)
-        assert f.calls == X.cardinality
+        assert f.calls == 0
+        fresh = Oracle(f.fn, X)
+        fresh_best, fresh_argmins = brute_force_minimize(fresh)
+        assert fresh.calls == X.cardinality
         ref_best, ref_argmins = reference_brute_force(f, X)
-        assert repr(best) == repr(ref_best)
-        assert argmins == ref_argmins
-        assert all(type(c) is int for x in argmins for c in x)
+        for b, a in ((best, argmins), (fresh_best, fresh_argmins)):
+            assert repr(b) == repr(ref_best)
+            assert a == ref_argmins
+            assert all(type(c) is int for x in a for c in x)
+
+
+class TestValueTable:
+    """Each oracle keeps the table of its first exhaustive sweep."""
+
+    def test_check_then_brute_force_evaluates_each_point_once(self):
+        X = ChainProduct([3, 4, 2])
+        f = random_submodular_oracle(X, np.random.default_rng(21))
+        assert f.table is None
+        assert check_submodular(f).is_submodular
+        value, argmins = brute_force_minimize(f)
+        assert f.calls == X.cardinality
+        assert f.table.shape == X.dims
+        assert value == min(f.fn(x) for x in X.points())
+        assert argmins == {x for x in X.points() if f.fn(x) == value}
+
+    def test_a_non_finite_sweep_keeps_no_table(self):
+        X = ChainProduct([3, 3])
+        f = Oracle(lambda x: math.inf if x == (2, 1) else float(x[0] + x[1]), X)
+        with pytest.raises(ValueError, match=r"\(2, 1\) is not finite: inf"):
+            brute_force_minimize(f)
+        assert f.table is None
+        with pytest.raises(ValueError, match=r"\(2, 1\) is not finite: inf"):
+            check_submodular(f)
+        assert f.table is None
+        assert f.calls == 2 * (X.cardinality - 1)
+
+    def test_the_table_is_read_only(self):
+        f = random_table_oracle(ChainProduct([2, 3]), np.random.default_rng(3))
+        brute_force_minimize(f)
+        with pytest.raises(ValueError, match="read-only"):
+            f.table[0, 0] = -100.0
+        with pytest.raises(ValueError, match="read-only"):
+            f.table.base[0] = -100.0
+
+    def test_reset_calls_keeps_the_table(self):
+        X = ChainProduct([3, 3])
+        f = random_table_oracle(X, np.random.default_rng(4))
+        first = check_submodular(f)
+        table = f.table
+        f.reset_calls()
+        assert f.table is table
+        again = check_submodular(f)
+        assert f.calls == 0
+        assert repr(again) == repr(first)
+
+    def test_an_equal_space_reuses_the_table(self):
+        X = ChainProduct([2, 3, 2])
+        f = random_table_oracle(X, np.random.default_rng(6))
+        check_submodular(f, X)
+        table = f.table
+        f.reset_calls()
+        equal = ChainProduct([2, 3, 2])
+        assert equal is not X
+        brute_force_minimize(f, equal)
+        assert f.calls == 0
+        assert f.table is table

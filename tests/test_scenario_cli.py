@@ -457,6 +457,57 @@ class TestCheckCommand:
         assert code == 0
         assert "submodular: yes" in out
 
+    def test_minimum_line_follows_the_verdict(self, tmp_path, problem_file, capsys):
+        # x + (x - 2)^2 on {0, 1, 2}: 4, 2, 2.
+        assert main(["check", str(problem_file)]) == 0
+        assert capsys.readouterr().out == (
+            "checked 0 cross differences on (3,)\n"
+            "submodular: yes\n"
+            "minimum: 2 at 2 of 3 points\n"
+        )
+        path = tmp_path / "product.cfg"
+        path.write_text(
+            "kind: problem\nseed: 1\ndims: [2, 2]\n"
+            "objectives: [{type: product}]\n"
+            "solver: {iterations: 5, gamma: 0.1}\n"
+        )
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "checked 1 cross differences on (2, 2)\n"
+            "submodular: no (1 violations)\n"
+            "  violation at (0, 0), chains (0,1): cross difference 1\n"
+            "minimum: 0 at 3 of 4 points\n"
+        )
+
+    def test_the_minimum_costs_no_evaluations(self, problem_file, monkeypatch, capsys):
+        built = []
+        oracles = Problem.oracles
+
+        def spy(problem):
+            built.append(oracles(problem))
+            return built[-1]
+
+        monkeypatch.setattr(Problem, "oracles", spy)
+        assert main(["check", str(problem_file)]) == 0
+        assert "minimum: 2 at 2 of 3 points" in capsys.readouterr().out
+        # Loading validates the objectives too; the check sums the last build.
+        assert [f.calls for f in built[-1]] == [3, 3]
+
+    def test_the_game_minimum_costs_no_evaluations(self, monkeypatch, capsys):
+        built = []
+        first = cli.first_step_problem
+
+        def spy(record):
+            built.append(first(record))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "first_step_problem", spy)
+        assert main(["check", str(GOLDEN)]) == 0
+        out = capsys.readouterr().out
+        ((fs, space),) = built
+        assert f"at 1 of {space.cardinality} points" in out
+        assert [f.calls for f in fs] == [space.cardinality] * len(fs)
+
     def test_single_chain_reports_zero_pairs(self, tmp_path, capsys):
         path = tmp_path / "one.cfg"
         path.write_text(
