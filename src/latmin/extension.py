@@ -67,33 +67,33 @@ class Profile:
         offsets = self.space.offsets
         return self.values[offsets[i] : offsets[i + 1]]
 
-    def validate(self, space: ChainProduct, tol: float = FEASIBILITY_TOL) -> None:
+    def validate(self, space: ChainProduct) -> None:
         v = self.values
         if self.space.dims != space.dims or v.shape != (space.sort_length,):
             raise ValueError(
                 f"profile of shape {v.shape} on dims {self.space.dims} does not "
                 f"match dims {space.dims}"
             )
-        check_row(v.tolist(), space, tol)
+        check_row(v.tolist(), space)
 
 
-def check_row(values: list[float], space: ChainProduct, tol: float = FEASIBILITY_TOL) -> None:
+def check_row(values: list[float], space: ChainProduct) -> None:
     """Raise unless `values`, a list in `space`'s flat layout, is a feasible profile.
 
     The message names the first offending chain.
     """
-    lo, hi = -tol, 1.0 + tol
+    lo, hi = -FEASIBILITY_TOL, 1.0 + FEASIBILITY_TOL
     # Written as "not inside" so that NaN entries count as outside.  A rise
     # from the last entry of one chain to the first of the next is fine.
     if all(lo <= v <= hi for v in values) and not any(
-        values[k + 1] - values[k] > tol for k in space.in_chain_steps
+        values[k + 1] - values[k] > FEASIBILITY_TOL for k in space.in_chain_steps
     ):
         return
     for i, (start, end) in enumerate(itertools.pairwise(space.offsets)):
         p = np.array(values[start:end])
-        if not np.all((p >= -tol) & (p <= 1.0 + tol)):
+        if not np.all((p >= lo) & (p <= hi)):
             raise ValueError(f"profile chain {i} leaves [0,1]: {p}")
-        if np.any(np.diff(p) > tol):
+        if np.any(np.diff(p) > FEASIBILITY_TOL):
             raise ValueError(f"profile chain {i} is not non-increasing: {p}")
 
 

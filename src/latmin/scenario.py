@@ -369,8 +369,8 @@ class Scenario:
 SOLVER = Field("solver", Table((
     Field("iterations", WHOLE),
     Field("gamma", FLOAT),
-    Field("schedule", TEXT, "constant"),
-    Field("t_hat", FLOAT, 0.7),
+    Field("schedule", TEXT, None),
+    Field("t_hat", FLOAT, None),
 ), SolverParams))
 NETWORK = Table((
     Field("eta", FLOAT),
@@ -401,7 +401,7 @@ GAME = Table((
         Field("alpha_a_nom", FLOAT),
         Field("beta", FLOAT),
         Field("delta_th", ARRAY, 0.0, write=np.ndarray.tolist),
-        Field("distance", TEXT, "manhattan"),
+        Field("distance", TEXT, None),
     ), DefenderParams), attr="defender_params"),
     Field("attackers", Table((
         Field("eta_avoid_nom", FLOAT),

@@ -39,6 +39,15 @@ STOCHASTIC_TOL = 1e-9
 _DISAGREEMENT_BATCH = 1 << 12
 
 
+# Each condition's report field and the message its failure prints, in order.
+_CONDITIONS = {
+    "strongly_connected": "condition 1: support graph is not strongly connected",
+    "diagonal_at_least_eta": "condition 2: some self-weight is below eta",
+    "edges_at_least_eta": "condition 3: some positive edge weight is below eta",
+    "doubly_stochastic": "condition 4: matrix is not doubly stochastic",
+}
+
+
 @dataclass
 class MatrixReport:
     """Pass/fail per condition on a consensus weight matrix."""
@@ -50,65 +59,47 @@ class MatrixReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.strongly_connected
-            and self.diagonal_at_least_eta
-            and self.edges_at_least_eta
-            and self.doubly_stochastic
-        )
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        out = []
-        if not self.strongly_connected:
-            out.append("condition 1: support graph is not strongly connected")
-        if not self.diagonal_at_least_eta:
-            out.append("condition 2: some self-weight is below eta")
-        if not self.edges_at_least_eta:
-            out.append("condition 3: some positive edge weight is below eta")
-        if not self.doubly_stochastic:
-            out.append("condition 4: matrix is not doubly stochastic")
-        return out
+        return [message for name, message in _CONDITIONS.items() if not getattr(self, name)]
 
 
 def _strongly_connected(support: np.ndarray) -> bool:
+    """Whether every agent reaches every other along `support`'s edges.  Each squaring of
+    the reachability of `support | I` doubles the path length it covers, up to n - 1."""
     n = support.shape[0]
-    for start in range(n):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(support[u]):
-                if v not in seen:
-                    seen.add(int(v))
-                    stack.append(int(v))
-        if len(seen) < n:
-            return False
-    return True
+    reach = support | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
 
 
 def validate_weight_matrix(matrix, eta: float) -> MatrixReport:
     """Check the four consensus conditions on a mixing matrix.
 
     1. strong connectivity of the support graph, 2. self-weights >= eta,
-    3. positive neighbor weights >= eta, 4. rows and columns sum to 1.
+    3. positive weights >= eta, 4. rows and columns sum to 1.  A matrix
+    that is not square, or has a negative or non-finite entry, raises a
+    ValueError naming it.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix: must be square, got shape {a.shape}")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta: must lie in (0,1), got {eta}")
-    if np.any(a < 0):
-        # Negative weights break every condition's premise; report them as
-        # a doubly-stochastic failure rather than a separate channel.
-        return MatrixReport(False, False, False, False)
-    diag = np.diag(a)
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    positive = a[a > 0]
+    # Written as "inside" so that NaN entries count as outside.
+    inside = (a >= 0.0) & (a < math.inf)
+    if not inside.all():
+        i, j = np.argwhere(~inside)[0].tolist()
+        raise ValueError(
+            f"matrix: entry ({i}, {j}) is {a[i, j].item()}; weights must be finite and non-negative"
+        )
+    support = a > 0
     return MatrixReport(
-        strongly_connected=_strongly_connected(off > 0),
-        diagonal_at_least_eta=bool(np.all(diag >= eta)),
-        edges_at_least_eta=bool(positive.size == 0 or np.all(positive >= eta)),
+        strongly_connected=_strongly_connected(support),
+        diagonal_at_least_eta=bool(np.all(np.diag(a) >= eta)),
+        edges_at_least_eta=bool(np.all(a[support] >= eta)),
         doubly_stochastic=bool(
             np.all(np.abs(a.sum(axis=0) - 1.0) <= STOCHASTIC_TOL)
             and np.all(np.abs(a.sum(axis=1) - 1.0) <= STOCHASTIC_TOL)
@@ -118,13 +109,15 @@ def validate_weight_matrix(matrix, eta: float) -> MatrixReport:
 
 @dataclass
 class WeightMatrix:
-    """A consensus mixing matrix that has passed all four conditions; errors name the field."""
+    """A consensus mixing matrix that has passed all four conditions, held as a read-only
+    copy so that it stays as checked; errors name the field."""
 
     entries: np.ndarray
     eta: float
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
+        self.entries = np.array(self.entries, dtype=float)
+        self.entries.flags.writeable = False
         report = validate_weight_matrix(self.entries, self.eta)
         if not report.ok:
             raise ValueError("matrix: " + "; ".join(report.failures()))
@@ -194,14 +187,10 @@ class SolveTrace:
 
 def _mixing_plan(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every nonzero off-diagonal weight as (agent, neighbor, weight), row by row in neighbor order."""
-    agents, neighbors, ws = [], [], []
-    for i, row in enumerate(weights.tolist()):
-        for j, w in enumerate(row):
-            if j != i and w != 0.0:
-                agents.append(i)
-                neighbors.append(j)
-                ws.append(w)
-    return np.array(agents, dtype=np.intp), np.array(neighbors, dtype=np.intp), np.array(ws)[:, None]
+    off_diagonal = weights != 0.0
+    np.fill_diagonal(off_diagonal, False)
+    agents, neighbors = np.nonzero(off_diagonal)
+    return agents, neighbors, weights[agents, neighbors][:, None]
 
 
 def _mix(state: np.ndarray, plan) -> np.ndarray:

@@ -274,6 +274,35 @@ def reference_mix_row(state: np.ndarray, weights_row: np.ndarray, self_index: in
     return mixed
 
 
+def reference_strongly_connected(support: np.ndarray) -> bool:
+    """Whether a depth-first search from every agent reaches all agents along `support`'s edges."""
+    n = support.shape[0]
+    for start in range(n):
+        seen = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in np.flatnonzero(support[u]):
+                if v not in seen:
+                    seen.add(int(v))
+                    stack.append(int(v))
+        if len(seen) < n:
+            return False
+    return True
+
+
+def reference_mixing_plan(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonzero off-diagonal weight as (agent, neighbor, weight), listed entry by entry."""
+    agents, neighbors, ws = [], [], []
+    for i, row in enumerate(weights.tolist()):
+        for j, w in enumerate(row):
+            if j != i and w != 0.0:
+                agents.append(i)
+                neighbors.append(j)
+                ws.append(w)
+    return np.array(agents, dtype=np.intp), np.array(neighbors, dtype=np.intp), np.array(ws)[:, None]
+
+
 def reference_distributed_minimize(
     oracles: list[Oracle],
     space: ChainProduct,

@@ -276,6 +276,20 @@ class TestMalformedFields:
         assert field in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_a_nan_weight_exits_two_naming_its_entry(self, tmp_path, capsys, command):
+        text = GOLDEN.read_text()
+        first_row = "- [0.7, 0.3, 0.0, 0.0]"
+        assert text.count(first_row) == 1
+        path = tmp_path / "nan.cfg"
+        path.write_text(text.replace(first_row, "- [.nan, 0.3, 0.0, 0.0]"))
+        argv = [command, str(path)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "network.matrix: entry (0, 0) is nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

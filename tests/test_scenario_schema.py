@@ -430,6 +430,22 @@ def test_parameter_blocks_list_every_parameter(table, key, params):
     assert block_keys(table, key) == fields
 
 
+@pytest.mark.parametrize(
+    "block, key, record, params",
+    [
+        ("solver", "schedule", lambda s: s.solver, SolverParams),
+        ("solver", "t_hat", lambda s: s.solver, SolverParams),
+        ("defenders", "distance", lambda s: s.defender_params, DefenderParams),
+    ],
+)
+def test_a_left_out_key_takes_the_record_default(tmp_path, block, key, record, params):
+    # The record's dataclass is the one home of these defaults.
+    data = copy.deepcopy(FILES["fig3"])
+    del data[block][key]
+    loaded = record(load_scenario(write_yaml(tmp_path / "default.cfg", data)))
+    assert getattr(loaded, key) == params.__dataclass_fields__[key].default
+
+
 @pytest.mark.parametrize("name, path, value, field", BOOLEANS, ids=[dotted(c[1]) for c in BOOLEANS])
 def test_booleans_are_not_numbers(tmp_path, name, path, value, field):
     data = copy.deepcopy(FILES[name])

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latmin import (
@@ -35,6 +35,8 @@ from helpers import (
     reference_centralized_minimize,
     reference_distributed_minimize,
     reference_mix_row,
+    reference_mixing_plan,
+    reference_strongly_connected,
     solve_bytes,
 )
 
@@ -97,6 +99,73 @@ class TestWeightMatrix:
         assert network != WeightMatrix(np.full((4, 4), 0.25), eta=network.eta)
         assert network != WeightMatrix(network.entries, eta=network.eta / 2)
         assert network != network.entries
+
+
+def with_entries(matrix, *entries):
+    """A copy of `matrix` with each (i, j, value) of `entries` written in."""
+    a = np.array(matrix, dtype=float)
+    for i, j, value in entries:
+        a[i, j] = value
+    return a
+
+
+class TestNetworkBoundary:
+    # The first bad entry in row-major order is the one named; a later one is not.
+    @pytest.mark.parametrize("build", [validate_weight_matrix, WeightMatrix])
+    @pytest.mark.parametrize(
+        "entries, named",
+        [
+            ([(1, 2, math.nan), (3, 3, -0.5)], "entry (1, 2) is nan"),
+            ([(2, 1, math.inf)], "entry (2, 1) is inf"),
+            ([(0, 0, -math.inf), (0, 1, math.nan)], "entry (0, 0) is -inf"),
+            ([(0, 1, -0.1), (2, 2, math.inf)], "entry (0, 1) is -0.1"),
+        ],
+    )
+    def test_a_bad_entry_is_rejected_by_name(self, build, entries, named):
+        message = f"matrix: {named}; weights must be finite and non-negative"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(with_entries(LINE_GRAPH_MATRIX, *entries), eta=0.1)
+
+    def test_negative_zero_is_a_zero_weight(self):
+        assert validate_weight_matrix(with_entries(LINE_GRAPH_MATRIX, (0, 2, -0.0)), eta=0.1).ok
+
+    def test_entries_are_a_read_only_copy(self):
+        source = np.array(LINE_GRAPH_MATRIX)
+        network = WeightMatrix(source, eta=0.1)
+        with pytest.raises(ValueError, match="read-only"):
+            network.entries[0, 0] = 0.5
+        source[0, 0] = 0.5
+        assert network.entries.tolist() == LINE_GRAPH_MATRIX
+
+
+@st.composite
+def supports(draw):
+    n = draw(st.integers(1, 9))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))
+    return np.array(cells).reshape(n, n) < density
+
+
+@st.composite
+def weight_matrices(draw):
+    n = draw(st.integers(1, 9))
+    weight = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1.0)
+    return np.array(draw(st.lists(weight, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+
+class TestNetworkInternals:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(supports())
+    def test_closure_agrees_with_a_search_from_every_agent(self, support):
+        assert solvers._strongly_connected(support) == reference_strongly_connected(support)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(weight_matrices())
+    @example(np.array([[1.0]]))
+    def test_mixing_plan_equals_the_entry_loop(self, weights):
+        for got, want in zip(solvers._mixing_plan(weights), reference_mixing_plan(weights), strict=True):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestStepSize:
