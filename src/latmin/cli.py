@@ -44,6 +44,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+def _cannot_write(command: str, exc: OSError) -> int:
+    """Report an output file that could not be opened for writing; the error names it."""
+    print(f"{command}: cannot write output: {exc}", file=sys.stderr)
+    return USAGE
+
+
 def cmd_check(args) -> int:
     record = load_scenario(args.path)
     if isinstance(record, Problem):
@@ -96,14 +102,17 @@ def cmd_solve(args) -> int:
             return USAGE
         points, values, trace = distributed_minimize(oracles, space, record.network, record.solver)
 
-    _write_csv(out / "solution.csv", ["agent", "point", "value"], (
-        [a, " ".join(str(c) for c in x), _fmt(v)] for a, (x, v) in enumerate(zip(points, values))
-    ))
-    _write_csv(out / "trace.csv", ["iter", "agent", "ext_value", "disagreement", "best_rounded"], (
-        [k + 1, a, _fmt(ext), _fmt(trace.disagreement[k]), _fmt(trace.best_rounded[k])]
-        for k, row in enumerate(trace.ext_values)
-        for a, ext in enumerate(row)
-    ))
+    try:
+        _write_csv(out / "solution.csv", ["agent", "point", "value"], (
+            [a, " ".join(str(c) for c in x), _fmt(v)] for a, (x, v) in enumerate(zip(points, values))
+        ))
+        _write_csv(out / "trace.csv", ["iter", "agent", "ext_value", "disagreement", "best_rounded"], (
+            [k + 1, a, _fmt(ext), _fmt(trace.disagreement[k]), _fmt(trace.best_rounded[k])]
+            for k, row in enumerate(trace.ext_values)
+            for a, ext in enumerate(row)
+        ))
+    except OSError as exc:
+        return _cannot_write("solve", exc)
     for a, (x, v) in enumerate(zip(points, values)):
         print(f"agent {a}: point ({', '.join(str(c) for c in x)}) value {_fmt(v)}")
     return OK
@@ -199,10 +208,13 @@ def cmd_simulate(args) -> int:
         return USAGE
 
     result = run_game(record)
-    write_trajectories(out / "trajectories.csv", result)
-    write_events(out / "events.csv", result)
-    if args.svg:
-        (out / "arena.svg").write_text(render_svg(result, record.arena))
+    try:
+        write_trajectories(out / "trajectories.csv", result)
+        write_events(out / "events.csv", result)
+        if args.svg:
+            (out / "arena.svg").write_text(render_svg(result, record.arena))
+    except OSError as exc:
+        return _cannot_write("simulate", exc)
     captures = sum(1 for e in result.events if e.kind == "capture")
     print(
         f"{len(result.steps)} steps, outcome {result.outcome}, "

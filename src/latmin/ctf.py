@@ -18,6 +18,7 @@ subsystem's draws can perturb another's.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -93,10 +94,6 @@ class Arena:
 
     def in_grid(self, c: Cell) -> bool:
         return 0 <= c[0] < self.size and 0 <= c[1] < self.size
-
-    def clamp(self, c: Cell) -> Cell:
-        hi = self.size - 1
-        return (min(max(c[0], 0), hi), min(max(c[1], 0), hi))
 
 
 def _require_finite(params) -> None:
@@ -177,15 +174,12 @@ class AttackerParams:
             raise ValueError("kappa: must lie in [0,1]")
 
 
-def reachable_cells(pos: Cell, u_max: int, grid_size: int) -> list[Cell]:
-    """All cells reachable in one step, clipped to the grid, sorted."""
-    cells = []
-    for ux in range(-u_max, u_max + 1):
-        for uy in range(-u_max, u_max + 1):
-            c = (pos[0] + ux, pos[1] + uy)
-            if 0 <= c[0] < grid_size and 0 <= c[1] < grid_size:
-                cells.append(c)
-    return sorted(cells)
+def _one_step_moves(u_max: int) -> list[Cell]:
+    """Every one-step move (ux, uy), ux in the outer loop: chain levels
+    (lx, ly) encode move lx * side + ly, and a cell's landing cells come
+    out in (x, y) order."""
+    steps = range(-u_max, u_max + 1)
+    return [(ux, uy) for ux in steps for uy in steps]
 
 
 def _separating_axis(dx: int, dy: int) -> str:
@@ -308,11 +302,9 @@ def predict_attackers(
     predicted = list(attackers)
     live = [g for g, a in enumerate(active) if a]
     if live:
-        steps = range(-u_max, u_max + 1)
-        moves = [(ux, uy) for ux in steps for uy in steps]
         # Every live attacker's one-step cells in sorted order, so the first
         # nearest one in the grid is the smallest (x, y) among the ties.
-        cells = np.reshape([attackers[g] for g in live], (-1, 1, 2)) + moves
+        cells = np.reshape([attackers[g] for g in live], (-1, 1, 2)) + _one_step_moves(u_max)
         gaps = cell_distances("manhattan", cells[:, :, None], arena.zone).min(axis=2)
         gaps[((cells < 0) | (cells >= arena.size)).any(axis=2)] = math.inf
         for g, cell in zip(live, cells[np.arange(len(live)), gaps.argmin(axis=1)].tolist()):
@@ -351,7 +343,8 @@ def attacker_policy(
     eta_avoid, _ = attacker_modes(pos, defenders, params)
     avoid_mode = rng.uniform() < eta_avoid
     candidates = [
-        c for c in reachable_cells(pos, u_max, arena.size) if c not in arena.obstacles
+        c for c in ((pos[0] + ux, pos[1] + uy) for ux, uy in _one_step_moves(u_max))
+        if arena.in_grid(c) and c not in arena.obstacles
     ]
     if avoid_mode:
         scores = [-_gap(c, defenders) for c in candidates]
@@ -379,6 +372,14 @@ class StepContext:
     def n_defenders(self) -> int:
         return len(self.defenders)
 
+    @functools.cached_property
+    def landing(self) -> np.ndarray:
+        """landing[i, lx, ly]: defender i's cell after the move its chain
+        levels (lx, ly) encode, clamped to the grid.  Computed on first read."""
+        side = 2 * self.u_max + 1
+        cells = np.reshape(self.defenders, (-1, 1, 2)) + _one_step_moves(self.u_max)
+        return np.clip(cells, 0, self.arena.size - 1).reshape(-1, side, side, 2)
+
 
 def _barrier(ctx: StepContext, i: int, cells: list[list[int]]) -> list[float]:
     """Gaussian walls on defender i's avoidance planes at each landing cell.
@@ -394,24 +395,17 @@ def _barrier(ctx: StepContext, i: int, cells: list[list[int]]) -> list[float]:
     return [float(wall_x[x] + wall_y[y]) for x, y in cells]
 
 
-def decode_actions(point, n_defenders: int, u_max: int) -> list[tuple[int, int]]:
-    """Lattice point over 2*n_d chains -> per-defender (ux, uy) moves."""
-    return [
-        (point[2 * i] - u_max, point[2 * i + 1] - u_max)
-        for i in range(n_defenders)
-    ]
-
-
 def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     """Per-defender cost oracles over the joint action lattice.
 
     One chain of size side = 2*u_max + 1 per decision coordinate, in the
     order (ux_0, uy_0, ux_1, uy_1, ...); index u + u_max encodes move u, so
     defender i's move index is a = point[2i] * side + point[2i+1].  Its
-    cost at landing cell z_i is ((head + cohesion) + barrier) + mobility,
-    with the pulls of its cohesion partners added in increasing j.  Moves
-    that would leave the grid are priced at the clamped landing cell, which
-    keeps the decision space a full chain product.
+    cost at landing cell z_i = ctx.landing[i, point[2i], point[2i+1]] is
+    ((head + cohesion) + barrier) + mobility, with the pulls of its
+    cohesion partners added in increasing j.  Moves that would leave the
+    grid are priced at the clamped landing cell, the cell `run_game`
+    applies, which keeps the decision space a full chain product.
 
     Each defender's own terms are evaluated once per own move, and every
     landing-cell distance (to zone cells, predicted attackers and
@@ -420,11 +414,9 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     does not change them.
     """
     metric = ctx.params.distance
-    n, steps = ctx.n_defenders, range(-ctx.u_max, ctx.u_max + 1)
-    side = len(steps)
-    moves = [(ux, uy) for ux in steps for uy in steps]
-    # cells[i, a]: defender i's landing cell under its move a, clamped to the grid.
-    cells = np.clip(np.reshape(ctx.defenders, (n, 1, 2)) + moves, 0, ctx.arena.size - 1)
+    n, side, moves = ctx.n_defenders, 2 * ctx.u_max + 1, _one_step_moves(ctx.u_max)
+    # cells[i, a]: defender i's landing cell under its move a.
+    cells = ctx.landing.reshape(n, side * side, 2)
     space = ChainProduct([side] * (2 * n))
     # pulls[i][j][a][b]: teammate j's pull on defender i when i moves by a and j by b.
     pulls = (ctx.params.cohesion[:n, :n, None, None] * cell_distances(
@@ -562,7 +554,6 @@ def run_game(scenario: "Scenario") -> GameResult:
     """
     arena = scenario.arena
     aparams = scenario.attacker_params
-    u_max = scenario.u_max
     defenders, attackers, captured, streams = game_start(scenario)
     defender_rngs, attacker_rngs, solver_seed_stream = streams
     n_a = len(attackers)
@@ -595,10 +586,7 @@ def run_game(scenario: "Scenario") -> GameResult:
         )
         points, _, _ = distributed_minimize(oracles, space, scenario.network, params)
         # Each defender applies its own slice of its own answer.
-        moves = [(p[2 * i] - u_max, p[2 * i + 1] - u_max) for i, p in enumerate(points)]
-        defenders = [
-            arena.clamp((p[0] + u[0], p[1] + u[1])) for p, u in zip(defenders, moves)
-        ]
+        defenders = [tuple(ctx.landing[i, p[2 * i], p[2 * i + 1]].tolist()) for i, p in enumerate(points)]
 
         # Safety audit: violations become events, silence means all clear.
         seen: dict[Cell, int] = {}
@@ -612,7 +600,7 @@ def run_game(scenario: "Scenario") -> GameResult:
                 events.append(Event(k, "collision_check", f"d{i}", f"obstacle cell {pos}"))
 
         attackers = [
-            attacker_policy(g, attackers, defenders, aparams, arena, u_max, attacker_rngs[g])
+            attacker_policy(g, attackers, defenders, aparams, arena, scenario.u_max, attacker_rngs[g])
             if live
             else attackers[g]
             for g, live in enumerate(active)

@@ -12,6 +12,7 @@ schema, and invariant failures are distinct exception types.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -426,9 +427,27 @@ PROBLEM = Table((
 # ---------------------------------------------------------------------------
 # Loading and writing
 
-# libyaml's parser when PyYAML was built with it.  Both loaders resolve and
-# construct with the same safe rules, so they load the same records.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's parser when PyYAML was built with it.  Both loaders resolve
+    and construct with the same safe rules, so they load the same records.
+    A key given twice in one mapping is refused, naming both of its lines."""
+
+    def construct_mapping(self, node, deep=False):
+        first_lines = {}
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                continue  # the base class rejects it
+            if key in first_lines:
+                raise yaml.constructor.ConstructorError(
+                    None, None,
+                    f"duplicate key {key!r} (first given on line {first_lines[key]})",
+                    key_node.start_mark,
+                )
+            first_lines[key] = key_node.start_mark.line + 1
+        return super().construct_mapping(node, deep=deep)
 
 
 def _load_yaml(path) -> dict:

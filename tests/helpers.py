@@ -21,7 +21,7 @@ from latmin import (
     theta,
     uniform_random_profile,
 )
-from latmin.ctf import StepContext, decode_actions, reachable_cells
+from latmin.ctf import StepContext
 from latmin.lattice import DEFAULT_STRICTNESS_TOL
 
 Cell = tuple[int, int]
@@ -386,6 +386,27 @@ def reference_uniform_random_parts(space: ChainProduct, seed) -> list[np.ndarray
     return [np.sort(rng.uniform(0.0, 1.0, size=m - 1))[::-1] for m in space.dims]
 
 
+# ---------------------------------------------------------------------------
+# One-step geometry, one cell at a time
+
+def reference_decode(point, n_defenders: int, u_max: int) -> list[tuple[int, int]]:
+    """Each defender's (ux, uy) move at a lattice point: chains 2i and 2i+1
+    hold ux + u_max and uy + u_max."""
+    return [(point[2 * i] - u_max, point[2 * i + 1] - u_max) for i in range(n_defenders)]
+
+
+def reference_clamp(cell: Cell, size: int) -> Cell:
+    """The grid cell nearest to `cell` on each axis."""
+    return (min(max(cell[0], 0), size - 1), min(max(cell[1], 0), size - 1))
+
+
+def reference_reachable_cells(pos: Cell, u_max: int, size: int) -> list[Cell]:
+    """Every grid cell at most u_max away from pos on each axis, sorted."""
+    x, y = pos
+    box = itertools.product(range(x - u_max, x + u_max + 1), range(y - u_max, y + u_max + 1))
+    return sorted(c for c in box if 0 <= c[0] < size and 0 <= c[1] < size)
+
+
 def reference_build_step_problem(ctx: StepContext):
     """Per-defender oracles that call `reference_defender_cost` on every point, reading `ctx` live."""
     n = ctx.n_defenders
@@ -393,7 +414,7 @@ def reference_build_step_problem(ctx: StepContext):
 
     def make(i):
         return Oracle(
-            lambda point, i=i: reference_defender_cost(i, decode_actions(point, n, ctx.u_max), ctx),
+            lambda point, i=i: reference_defender_cost(i, reference_decode(point, n, ctx.u_max), ctx),
             space,
         )
 
@@ -409,7 +430,7 @@ def reference_defender_cost(i: int, actions: list[tuple[int, int]], ctx: StepCon
     """
     d = DISTANCES[ctx.params.distance]
     nxt = [
-        ctx.arena.clamp((p[0] + u[0], p[1] + u[1]))
+        reference_clamp((p[0] + u[0], p[1] + u[1]), ctx.arena.size)
         for p, u in zip(ctx.defenders, actions)
     ]
     zi = nxt[i]
@@ -473,7 +494,7 @@ def reference_predict_attackers(attackers, active, arena, u_max):
         if not live:
             predicted.append(pos)
             continue
-        candidates = reachable_cells(pos, u_max, arena.size)
+        candidates = reference_reachable_cells(pos, u_max, arena.size)
         predicted.append(
             min(candidates, key=lambda c: (min(manhattan(c, z) for z in arena.zone), c))
         )
@@ -493,7 +514,7 @@ def reference_attacker_policy(i, attackers, defenders, params, arena, u_max, rng
     eta_avoid, _ = reference_attacker_modes(pos, defenders, params)
     avoid_mode = rng.uniform() < eta_avoid
     candidates = [
-        c for c in reachable_cells(pos, u_max, arena.size) if c not in arena.obstacles
+        c for c in reference_reachable_cells(pos, u_max, arena.size) if c not in arena.obstacles
     ]
     if avoid_mode:
         score = lambda c: -min(manhattan(c, d) for d in defenders)

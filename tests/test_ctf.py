@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import textwrap
@@ -20,9 +21,7 @@ from latmin.ctf import (
     attacker_pursuit_weights,
     avoidance_planes,
     build_step_problem,
-    decode_actions,
     predict_attackers,
-    reachable_cells,
     run_game,
     threat_distance,
 )
@@ -37,9 +36,12 @@ from helpers import (
     reference_attacker_policy,
     reference_attacker_pursuit_weights,
     reference_build_step_problem,
+    reference_clamp,
+    reference_decode,
     reference_defender_cost,
     reference_distributed_minimize,
     reference_predict_attackers,
+    reference_reachable_cells,
     reference_threat_distance,
     solve_bytes,
 )
@@ -129,15 +131,37 @@ def toy_scenario(**overrides):
     return Scenario(**fields)
 
 
-class TestReachableCells:
+def landing_cells(ctx, i):
+    """The distinct cells defender i can land on, sorted."""
+    return sorted({tuple(c) for c in ctx.landing[i].reshape(-1, 2).tolist()})
+
+
+class TestLanding:
     def test_interior_cell_reaches_nine(self):
-        assert len(reachable_cells((3, 3), 1, 6)) == 9
+        assert landing_cells(toy_context(defenders=[(3, 3)]), 0) == reference_reachable_cells((3, 3), 1, 6)
 
     def test_corner_cell_reaches_four(self):
-        assert len(reachable_cells((0, 0), 1, 6)) == 4
+        assert len(landing_cells(toy_context(defenders=[(0, 0)]), 0)) == 4
 
     def test_zero_speed_is_singleton(self):
-        assert reachable_cells((2, 5), 0, 6) == [(2, 5)]
+        ctx = dataclasses.replace(toy_context(defenders=[(2, 5)]), u_max=0)
+        assert ctx.landing.tolist() == [[[[2, 5]]]]
+
+    @pytest.mark.parametrize("u_max", [0, 1, 2])
+    def test_every_chain_level_lands_on_the_clamped_cell(self, u_max):
+        # Every start cell of a 4x4 grid, so the clamp bites on every edge and corner.
+        arena = Arena(size=4, horizon=1, zone=[(0, 3)], responsibilities=[[(0, 3)]], obstacles=set())
+        starts = [(x, y) for x in range(4) for y in range(4)]
+        ctx = dataclasses.replace(toy_context(defenders=starts, arena=arena), u_max=u_max)
+        side = 2 * u_max + 1
+        assert ctx.landing.shape == (len(starts), side, side, 2)
+        for i, pos in enumerate(starts):
+            assert landing_cells(ctx, i) == reference_reachable_cells(pos, u_max, 4)
+            for lx in range(side):
+                for ly in range(side):
+                    (ux, uy), = reference_decode((lx, ly), 1, u_max)
+                    expected = reference_clamp((pos[0] + ux, pos[1] + uy), 4)
+                    assert tuple(ctx.landing[i, lx, ly].tolist()) == expected
 
 
 class TestAvoidancePlanes:
@@ -186,11 +210,11 @@ class TestAvoidancePlanes:
             pa = avoidance_planes(0, defenders, set())
             pb = avoidance_planes(1, defenders, set())
             moves_a = [
-                c for c in reachable_cells(a, 1, 10)
+                c for c in reference_reachable_cells(a, 1, 10)
                 if c[0] not in pa[0] and c[1] not in pa[1]
             ]
             moves_b = [
-                c for c in reachable_cells(b, 1, 10)
+                c for c in reference_reachable_cells(b, 1, 10)
                 if c[0] not in pb[0] and c[1] not in pb[1]
             ]
             assert not (set(moves_a) & set(moves_b))
@@ -458,9 +482,9 @@ CELL_SETS = st.lists(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), min_size
 def test_cell_distances_equal_the_scalar_distances(metric, a, b, size):
     """The array helper gives `DISTANCES[metric]` byte for byte between every
     pair of cells, raw (some off the grid) and clamped to the grid."""
-    arena = Arena(size=size, horizon=1, zone=[(0, 0)], responsibilities=[[(0, 0)]], obstacles=set())
     d = DISTANCES[metric]
-    for cells_a, cells_b in ((a, b), ([arena.clamp(c) for c in a], [arena.clamp(c) for c in b])):
+    clamped_a, clamped_b = ([reference_clamp(c, size) for c in cells] for cells in (a, b))
+    for cells_a, cells_b in ((a, b), (clamped_a, clamped_b)):
         table = ctf.cell_distances(metric, np.array(cells_a)[:, None], np.array(cells_b)[None])
         assert table.dtype == np.float64
         assert [[as_bytes(v) for v in row] for row in table.tolist()] == [
@@ -495,14 +519,16 @@ class TestStepProblem:
         assert space.cardinality == 9**4 == 6561
         assert len(oracles) == 4
 
-    def test_decode_roundtrip(self):
-        assert decode_actions((0, 1, 2, 1), 2, 1) == [(-1, 0), (1, 0)]
+    def test_chain_levels_pick_the_landing_cell(self):
+        ctx = toy_context(defenders=[(2, 2), (4, 4)])
+        assert ctx.landing[0, 0, 1].tolist() == [1, 2]
+        assert ctx.landing[1, 2, 1].tolist() == [5, 4]
 
     def test_oracle_matches_defender_cost(self):
         ctx = toy_context(defenders=[(2, 2), (4, 4)])
         oracles, space = build_step_problem(ctx)
         for point in [(0, 0, 0, 0), (2, 2, 1, 1), (1, 0, 2, 2)]:
-            actions = decode_actions(point, 2, 1)
+            actions = reference_decode(point, 2, 1)
             assert oracles[0](point) == reference_defender_cost(0, actions, ctx)
             assert oracles[1](point) == reference_defender_cost(1, actions, ctx)
 
@@ -618,6 +644,30 @@ class TestRunGame:
         assert a.events == b.events
         assert a.outcome == b.outcome
 
+    def test_each_defender_lands_on_its_own_slice_clamped(self, monkeypatch):
+        # Random answers, a different one per agent, from starts at the edge,
+        # so a defender that read another agent's slice, or skipped the
+        # clamp, would land elsewhere.
+        rng = np.random.default_rng(5)
+        answers = []
+
+        def solve(oracles, space, network, params):
+            answers.append([tuple(rng.integers(0, 3, size=space.n_chains).tolist()) for _ in oracles])
+            return answers[-1], None, None
+
+        monkeypatch.setattr(ctf, "distributed_minimize", solve)
+        s = toy_scenario(attackers_start=[], defenders_start=[(0, 1), (7, 0)])
+        result = run_game(s)
+        tracks = [rec.defenders for rec in result.steps] + [result.final_defenders]
+        assert len(answers) == s.arena.horizon
+        clamped = 0
+        for before, after, points in zip(tracks, tracks[1:], answers):
+            moves = [reference_decode(p, 2, 1)[i] for i, p in enumerate(points)]
+            raw = [(x + ux, y + uy) for (x, y), (ux, uy) in zip(before, moves)]
+            assert after == [reference_clamp(c, s.arena.size) for c in raw]
+            clamped += sum(not s.arena.in_grid(c) for c in raw)
+        assert clamped
+
     def test_capture_flag_matches_cooccupancy_in_every_record(self):
         # capture status at k holds exactly when a defender shares the cell at k
         s = toy_scenario(
@@ -718,7 +768,7 @@ def assert_oracles_equal_defender_cost(ctx, points):
     """
     oracles, space = ctf.build_step_problem(ctx)
     for point in points:
-        actions = decode_actions(point, ctx.n_defenders, ctx.u_max)
+        actions = reference_decode(point, ctx.n_defenders, ctx.u_max)
         for i, f in enumerate(oracles):
             expected = as_bytes(reference_defender_cost(i, actions, ctx))
             assert as_bytes(f(point)) == expected, (i, point)

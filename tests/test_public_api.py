@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -13,7 +14,8 @@ REMOVED = {
     latmin: ("make_chain_product", "profile_from_point"),
     lattice: ("make_chain_product",),
     extension: ("profile_from_point",),
-    ctf: ("defender_cost", "step_tables", "StepTables"),
+    ctf: ("defender_cost", "step_tables", "StepTables", "reachable_cells", "decode_actions"),
+    ctf.Arena: ("clamp",),
     Problem: ("solver_params", "network_matrix", "network_eta"),
     Scenario: ("solver_params", "network_matrix", "network_eta"),
 }
@@ -33,6 +35,13 @@ def test_removed_aliases_stay_removed():
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
             assert name not in fields, f"{owner.__name__}.{name}"
             assert name not in latmin.__all__
+
+
+def test_step_context_fields_stay_positional():
+    # The audit benchmark builds a StepContext from these eight, by position.
+    assert [f.name for f in dataclasses.fields(ctf.StepContext)] == [
+        "arena", "u_max", "defenders", "predicted", "alphas", "pursuit", "planes", "params"
+    ]
 
 
 def test_games_read_only_their_scenario():

@@ -665,6 +665,19 @@ class TestOutputDir:
         assert taken.read_text() == "not a directory"
 
 
+    @pytest.mark.parametrize("command, name", [("solve", "solution.csv"), ("simulate", "trajectories.csv")])
+    def test_an_unwritable_output_file_exits_two(self, problem_file, tmp_path, capsys, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        path = problem_file if command == "solve" else GOLDEN
+        assert main([command, str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"{command}: cannot write output: " in captured.err
+        assert str(out / name) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestSimulateCommand:
     @pytest.fixture
     def fast_golden(self, tmp_path):

@@ -506,7 +506,7 @@ class TestLibyamlLoader:
     LOADERS = (yaml.SafeLoader, yaml.CSafeLoader)
 
     def test_libyaml_parses_when_available(self):
-        assert scenario._LOADER is yaml.CSafeLoader
+        assert issubclass(scenario._LOADER, yaml.CSafeLoader)
 
     @pytest.mark.parametrize("name", ["fig3", "eight_defenders"])
     def test_both_loaders_read_equal_records(self, tmp_path, monkeypatch, name):
@@ -534,3 +534,45 @@ class TestLibyamlLoader:
             monkeypatch.setattr(scenario, "_LOADER", loader)
             with pytest.raises(ScenarioParseError, match="not valid structured text"):
                 load_scenario(path)
+
+
+class TestDuplicateKeys:
+    """A key given twice in one mapping is refused, not silently overwritten."""
+
+    @pytest.mark.parametrize("line, repeat", [
+        ("seed: 7\n", "seed: 9\n"),
+        ("  gamma: 0.1\n", "  gamma: 0.5\n"),
+        ("  size: 20\n", "  size: 20\n"),
+    ])
+    def test_a_repeated_key_is_a_parse_error_naming_it_and_its_lines(self, tmp_path, capsys, line, repeat):
+        text = GOLDEN.read_text()
+        first = text[:text.index(line)].count("\n") + 1
+        path = tmp_path / "twice.cfg"
+        path.write_text(text.replace(line, line + repeat, 1))
+        key = line.split(":")[0].strip()
+        message = rf"duplicate key '{key}' \(first given on line {first}\)\n.*line {first + 1}, column"
+        with pytest.raises(ScenarioParseError, match=message):
+            load_scenario(path)
+        assert main(["check", str(path)]) == 2
+        assert f"duplicate key '{key}'" in capsys.readouterr().err
+
+    def test_a_repeated_key_in_a_list_entry_is_refused(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text(
+            "kind: problem\nseed: 1\ndims: [3]\n"
+            "objectives: [{type: linear, coefficients: [1.0], type: linear}]\n"
+            "solver: {iterations: 5, gamma: 0.1}\n"
+        )
+        with pytest.raises(ScenarioParseError, match=r"duplicate key 'type' \(first given on line 4\)"):
+            load_scenario(path)
+
+    def test_an_unhashable_key_is_still_a_parse_error(self, tmp_path):
+        path = tmp_path / "list_key.cfg"
+        path.write_text("[1]: a\n[1]: b\n")
+        with pytest.raises(ScenarioParseError, match="found unhashable key"):
+            load_scenario(path)
+
+    def test_a_merged_key_may_be_overridden(self, tmp_path):
+        path = tmp_path / "merge.cfg"
+        path.write_text("base: &b {x: 1, y: 2}\nother:\n  <<: *b\n  x: 3\n")
+        assert scenario._load_yaml(path) == {"base": {"x": 1, "y": 2}, "other": {"x": 3, "y": 2}}
