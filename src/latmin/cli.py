@@ -230,6 +230,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _iterations(text: str) -> int:
+    """An iterations override: a positive integer, else a usage error."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"iterations are integers ≥ 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latmin",
@@ -245,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--mode", choices=["central", "distributed"], default="distributed")
     p_solve.add_argument("--out", default="out")
     p_solve.add_argument("--seed-override", type=_seed, default=None)
-    p_solve.add_argument("--iters-override", type=int, default=None)
+    p_solve.add_argument("--iters-override", type=_iterations, default=None)
 
     p_sim = sub.add_parser("simulate", help="run a game scenario")
     p_sim.add_argument("path")
     p_sim.add_argument("--out", default="out")
     p_sim.add_argument("--svg", action="store_true", help="also render the arena SVG")
     p_sim.add_argument("--seed-override", type=_seed, default=None)
-    p_sim.add_argument("--iters-override", type=int, default=None)
+    p_sim.add_argument("--iters-override", type=_iterations, default=None)
 
     return parser
 

@@ -7,7 +7,12 @@ held as one flat array in the layout its `ChainProduct` fixes.  The
 extension is computed by a single stable descending sort of all profile
 entries, walking a monotone chain of lattice points from bottom to top and
 charging each unit step with the entry that triggered it.  The subgradient
-falls out of the same walk at no extra cost.  `check_row` checks one
+falls out of the same walk at no extra cost.  The extension is linear on
+each cone of profiles that share one sort order (Lovász 1983): there the
+walk visits the same points, so its f-steps and subgradient are the same,
+and its value is f(bottom) plus each entry times its step, in visit
+order.  `_walk` returns the steps, so a caller that meets an order again
+can price it without walking.  `check_row` checks one
 profile held as a list and `rounding_rule` rounds one to the number of its
 lattice point, which `point_of_number` decodes; `Profile.validate` and
 `theta` apply them to a `Profile`.  The walk reads oracle values from a
@@ -83,10 +88,16 @@ def check_row(values: list[float], space: ChainProduct) -> None:
     The message names the first offending chain.
     """
     lo, hi = -FEASIBILITY_TOL, 1.0 + FEASIBILITY_TOL
-    # Written as "not inside" so that NaN entries count as outside.  A rise
-    # from the last entry of one chain to the first of the next is fine.
-    if all(lo <= v <= hi for v in values) and not any(
-        values[k + 1] - values[k] > FEASIBILITY_TOL for k in space.in_chain_steps
+    later, earlier = space.in_chain_pairs
+    # min and max can pass over a NaN, but a sum with one is NaN, and NaN
+    # is not equal to itself.  A rise from the last entry of one chain to
+    # the first of the next is fine.
+    total = sum(values)
+    if (
+        lo <= min(values)
+        and max(values) <= hi
+        and total == total
+        and max(map(operator.sub, later(values), earlier(values))) <= FEASIBILITY_TOL
     ):
         return
     for i, (start, end) in enumerate(itertools.pairwise(space.offsets)):
@@ -147,12 +158,14 @@ class ExtensionResult:
 
 def _walk(
     f: Oracle, memo: dict, space: ChainProduct, values: list[float], order, top
-) -> tuple[float, list[float]]:
-    """The extension's value and flat subgradient along an explicit order of flat indices.
+) -> tuple[float, list[float], list[float]]:
+    """The extension's value, flat subgradient and f-steps along an explicit order of flat indices.
 
     The r + 1 walk points are read from `memo`, keyed by their number in
     `space.points()` order; only a point missing there is evaluated by f
-    and stored.
+    and stored.  The steps are listed in visit order: the value is
+    memo[0] plus values[k] * step for each in turn, so another profile
+    with the same order has its value from the steps alone.
     """
     chain_of, offsets, strides = space.chain_of, space.offsets, space.strides
     x = [0] * space.n_chains
@@ -161,15 +174,16 @@ def _walk(
         memo[code] = f(tuple(x))
     prev = value = memo[code]
     subgradient = [0.0] * len(values)
+    steps = []
     for k in order:
         i = chain_of[k]
         x[i] += 1
         code += strides[i]
-        try:  # a hit, the common case, costs one subscript
-            cur = memo[code]
-        except KeyError:
+        cur = memo.get(code)
+        if cur is None:
             cur = memo[code] = f(tuple(x))
         step = cur - prev
+        steps.append(step)
         value += values[k] * step
         # The step belongs to the level chain i just reached: k itself,
         # unless a rise within tolerance put a later entry of the chain first.
@@ -180,7 +194,7 @@ def _walk(
             f"extension walk ended at {tuple(x)}, not the lattice top "
             f"{top}; profile entry bookkeeping is inconsistent"
         )
-    return value, subgradient
+    return value, subgradient, steps
 
 
 def _descending(values: list[float]) -> list[int]:
@@ -210,7 +224,7 @@ def greedy_extension(f: Oracle, rho: Profile, space: ChainProduct | None = None)
     rho.validate(space)
     values = rho.values.tolist()
     order = _descending(values)
-    value, subgradient = _walk(f, {}, space, values, order, space.top())
+    value, subgradient, _ = _walk(f, {}, space, values, order, space.top())
     x = [0] * space.n_chains
     points = [tuple(x)]
     for k in order:

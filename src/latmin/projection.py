@@ -7,7 +7,8 @@ Because every coordinate shares the same bounds, clipping the
 unconstrained isotonic fit to [0,1] is exact, so the whole thing is
 pool-adjacent-violators plus a clip: O(m), no QP solver.  Chains of one
 or two coordinates, every chain of a game step, are written out: a clip,
-or the mean of a rising pair then a clip.
+or the mean of a rising pair then a clip.  Longer chains pool in the same
+loop, with no call per chain.
 """
 
 from __future__ import annotations
@@ -19,25 +20,6 @@ import numpy as np
 
 from .extension import Profile
 from .lattice import ChainProduct
-
-
-def _pava_nonincreasing(values: list[float]) -> tuple[list[float], list[int]]:
-    """Least-squares non-increasing fit by pooling adjacent violators.
-
-    Returns the pooled block means and the block lengths.
-    """
-    means: list[float] = []
-    counts: list[int] = []
-    for x in values:
-        count = 1
-        # The incoming block absorbs each block before it that it rises above.
-        while means and means[-1] < x:
-            mean, n = means.pop(), counts.pop()
-            x = (mean * n + x * count) / (n + count)
-            count += n
-        means.append(x)
-        counts.append(count)
-    return means, counts
 
 
 def project_monotone_box(v) -> np.ndarray:
@@ -84,8 +66,21 @@ def project_row(values: list[float], space: ChainProduct) -> list[float]:
             v = values[start]
             append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
         else:
+            # Pool adjacent violators: the incoming entry absorbs each block
+            # before it that it rises above, into the least-squares
+            # non-increasing fit's block means and lengths.
+            means: list[float] = []
+            counts: list[int] = []
+            for x in values[start:end]:
+                count = 1
+                while means and means[-1] < x:
+                    mean, n = means.pop(), counts.pop()
+                    x = (mean * n + x * count) / (n + count)
+                    count += n
+                means.append(x)
+                counts.append(count)
             level = 1.0
-            for mean, count in zip(*_pava_nonincreasing(values[start:end])):
+            for mean, count in zip(means, counts):
                 # Clip to [0,1], then the running minimum: pooling computes
                 # block means in float, so monotonicity is re-imposed exactly.
                 clipped = 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean

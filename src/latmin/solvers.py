@@ -9,7 +9,12 @@ one-agent case: iterate project(rho - gamma_k * subgrad) and round once at
 the end.  The trace's bookkeeping is paid once per solve where it can be:
 each round's rounded points are read off the projected rows as point
 numbers and each distinct number is priced once per solve, and the
-disagreement is computed in one batch after the last round.
+disagreement is computed in one batch after the last round.  So is the
+walk: the extension is linear on each sort order's cone, so each agent
+keeps the f-steps and subgradient of every order it walked, and an order
+met again costs r products and no oracle request.  Mixing adds one
+correction slot to the whole state at a time, with slots built once per
+solve.
 """
 
 from __future__ import annotations
@@ -150,7 +155,7 @@ class SolverParams:
             raise ValueError(f"iterations: need an integer, got {self.iterations!r}")
         if self.iterations < 1:
             raise ValueError("iterations: ≥ 1 required")
-        if not 0 < self.gamma < math.inf:
+        if isinstance(self.gamma, bool) or not 0 < self.gamma < math.inf:
             raise ValueError(f"gamma: step size must be positive and finite, got {self.gamma}")
         if self.schedule not in ("constant", "diminishing"):
             raise ValueError(f"schedule: unknown step schedule {self.schedule!r}")
@@ -193,13 +198,34 @@ def _mixing_plan(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return agents, neighbors, weights[agents, neighbors][:, None]
 
 
-def _mix(state: np.ndarray, plan) -> np.ndarray:
-    """`mix_profiles` with the corrections `_mixing_plan` listed."""
-    own, neighbors, ws = plan
-    mixed = state.copy()
-    if len(own):
-        # np.add.at adds to a repeated row unbuffered, in index order.
-        np.add.at(mixed, own, ws * (state[neighbors] - state[own]))
+def _mixing_slots(weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`_mixing_plan`'s corrections as slots: slot s holds every agent's s-th
+    (neighbor, weight) in the plan's order, as an agent-indexed neighbor array
+    and a weight column.  An agent with fewer corrections takes its own row at
+    weight -0.0 there, since -0.0 * (x - x) = -0.0 and y + -0.0 = y, even for
+    y = -0.0: an exact identity on finite rows.
+    """
+    own, neighbors, ws = _mixing_plan(weights)
+    n_agents = len(weights)
+    counts = np.bincount(own, minlength=n_agents)
+    # Each correction's place among its agent's corrections.
+    rank = np.arange(len(own)) - np.repeat(np.cumsum(counts) - counts, counts)
+    slots = []
+    for s in range(counts.max(initial=0)):
+        at = rank == s
+        slot_neighbors = np.arange(n_agents)
+        slot_neighbors[own[at]] = neighbors[at]
+        slot_ws = np.full((n_agents, 1), -0.0)
+        slot_ws[own[at]] = ws[at]
+        slots.append((slot_neighbors, slot_ws))
+    return slots
+
+
+def _mix(state: np.ndarray, slots) -> np.ndarray:
+    """`mix_profiles` with the slots `_mixing_slots` built; `state` itself when there are none."""
+    mixed = state
+    for neighbors, ws in slots:
+        mixed = mixed + ws * (state[neighbors] - state)
     return mixed
 
 
@@ -211,10 +237,13 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     neighbor, which is identical for a row summing to 1 and keeps agreeing
     agents agreeing bit-exactly.  A row receives only its neighbors'
     corrections, added one at a time in increasing neighbor index: a
-    zero-weight term would turn its -0.0 into 0.0.  A solve builds the
-    list of corrections once and mixes with it every round.
+    zero-weight term would turn its -0.0 into 0.0.  The whole state takes
+    one correction slot at a time, and a row with fewer neighbors than the
+    most connected agent fills its spare slots with its own row at weight
+    -0.0, which leaves every finite entry as it was, -0.0 included.  A
+    solve builds the slots once and mixes with them every round.
     """
-    return _mix(state, _mixing_plan(weights))
+    return _mix(state.copy(), _mixing_slots(weights))
 
 
 def _disagreement_trace(history: np.ndarray) -> np.ndarray:
@@ -255,10 +284,15 @@ def distributed_minimize(
     symmetric).  Rounds are synchronous and gather-then-update: all mixing
     reads use the previous round's profiles, so execution order within a
     round cannot matter.  A round mixes the whole (n_agents, r) state in
-    numpy and turns it into lists once; every mixed row is checked, then
-    each agent in turn walks its extension, steps and projects its own
-    row, and reads the number of the point that row rounds to at the
-    shared threshold (`extension.rounding_rule`).  The new rows become the
+    numpy, one correction slot at a time (see `mix_profiles`), and turns
+    it into lists once; every mixed row is checked, then each agent in
+    turn walks its extension, steps and projects its own row, and reads
+    the number of the point that row rounds to at the shared threshold
+    (`extension.rounding_rule`).  An agent walks each sort order once per
+    solve: it keeps the order's f-steps in visit order and its
+    subgradient, and for the same order later takes the value as the walk
+    would, f(bottom) plus each entry times its step in visit order, so
+    the bytes are the walk's.  The new rows become the
     state array once more, kept per round; the whole disagreement trace is
     computed from it after the last round.  The points a round's agents
     round to are priced in agent order, each number once per solve, so
@@ -274,7 +308,9 @@ def distributed_minimize(
     point during one solve, so afterwards its `calls` counts distinct
     evaluations: the walks and the rounded points' total costs read one
     dict of values per agent, dropped on return.  Keeping every round's
-    state costs 8 * iterations * n_agents * r bytes for the solve.
+    state costs 8 * iterations * n_agents * r bytes for the solve.  The
+    walks by sort order hold at most one entry per round per agent, each
+    two lists of r floats and the order's key, also dropped on return.
     """
     a = matrix.entries
     n_agents = len(oracles)
@@ -291,9 +327,11 @@ def distributed_minimize(
         p.validate(space)
     # Row i is agent i's profile.
     state = np.array([p.values for p in starts])
-    plan = _mixing_plan(a)
+    slots = _mixing_slots(a)
     # Agent i's oracle values by point number, as `_walk` keys them.
     memos = [{} for _ in oracles]
+    # Agent i's walks by sort order: the f-steps in visit order and the subgradient.
+    walks = [{} for _ in oracles]
 
     def total_cost(number) -> float:
         point = point_of_number(space, number)
@@ -317,12 +355,23 @@ def distributed_minimize(
 
     for k in range(1, params.iterations + 1):
         gamma_k = step_size(k, params)
-        mixed = _mix(state, plan).tolist()
+        mixed = _mix(state, slots).tolist()
         for row in mixed:
             check_row(row, space)
         rows, values, numbers = [], [], []
-        for f, memo, row in zip(oracles, memos, mixed):
-            value, subgradient = _walk(f, memo, space, row, _descending(row), top)
+        for f, memo, walked, row in zip(oracles, memos, walks, mixed):
+            order = _descending(row)
+            key = tuple(order)
+            seen = walked.get(key)
+            if seen is None:
+                value, subgradient, steps = _walk(f, memo, space, row, order, top)
+                walked[key] = steps, subgradient
+            else:
+                # The walk's own sum, from the point it starts at: the same bytes.
+                steps, subgradient = seen
+                value = memo[0]
+                for index, step in zip(order, steps):
+                    value += row[index] * step
             values.append(value)
             projected = project_row([m - gamma_k * g for m, g in zip(row, subgradient)], space)
             rows.append(projected)

@@ -22,6 +22,7 @@ from latmin import (
     uniform_random_profile,
 )
 from latmin.ctf import StepContext
+from latmin.extension import FEASIBILITY_TOL
 from latmin.lattice import DEFAULT_STRICTNESS_TOL
 
 Cell = tuple[int, int]
@@ -201,6 +202,23 @@ def reference_brute_force(f: Oracle, space: ChainProduct):
         elif v == best:
             argmins.add(x)
     return best, argmins
+
+
+def reference_check_row(values: list[float], space: ChainProduct) -> None:
+    """The row check as two generators over the entries, then a chain-by-chain
+    numpy pass that raises the message naming the first offending chain."""
+    lo, hi = -FEASIBILITY_TOL, 1.0 + FEASIBILITY_TOL
+    # Written as "not inside" so that NaN entries count as outside.
+    if all(lo <= v <= hi for v in values) and not any(
+        values[k + 1] - values[k] > FEASIBILITY_TOL for k in space.in_chain_steps
+    ):
+        return
+    for i, (start, end) in enumerate(itertools.pairwise(space.offsets)):
+        p = np.array(values[start:end])
+        if not np.all((p >= lo) & (p <= hi)):
+            raise ValueError(f"profile chain {i} leaves [0,1]: {p}")
+        if np.any(np.diff(p) > FEASIBILITY_TOL):
+            raise ValueError(f"profile chain {i} is not non-increasing: {p}")
 
 
 def reference_project_monotone_box(v) -> np.ndarray:

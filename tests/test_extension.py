@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latmin import (
@@ -14,12 +14,13 @@ from latmin import (
     theta,
     uniform_random_profile,
 )
-from latmin.extension import FEASIBILITY_TOL, _walk, point_of_number, rounding_rule
+from latmin.extension import FEASIBILITY_TOL, _walk, check_row, point_of_number, rounding_rule
 
 from helpers import (
     random_chain_product,
     random_submodular_oracle,
     random_table_oracle,
+    reference_check_row,
     reference_greedy_extension,
     reference_theta,
     reference_uniform_random_parts,
@@ -117,7 +118,7 @@ class TestGreedyExtension:
         swapped = list(order)
         a, b = swapped.index(tied[0]), swapped.index(tied[1])
         swapped[a], swapped[b] = swapped[b], swapped[a]
-        value, _ = _walk(f, {}, X, values, swapped, X.top())
+        value, _, _ = _walk(f, {}, X, values, swapped, X.top())
         assert value == greedy_extension(f, rho, X).value
 
     def test_midpoint_convexity_for_submodular_costs(self):
@@ -305,6 +306,62 @@ class TestValidate:
         rho = Profile(X, np.array([0.5, 0.2, 0.4, 1.5, 0.1]))
         with pytest.raises(ValueError, match="chain 1 is not non-increasing"):
             rho.validate(X)
+
+
+# Entries at and past both ends of the box, signed zeros, and non-finite values.
+ROW_ENTRIES = [
+    -0.0, 0.0, 1.0, -FEASIBILITY_TOL, 1.0 + FEASIBILITY_TOL, -2e-12, 1.0 + 2e-12,
+    math.nan, math.inf, -math.inf,
+]
+# In-chain rises of exactly the tolerance and of the next float above it.
+EDGE_RISES = [FEASIBILITY_TOL, math.nextafter(FEASIBILITY_TOL, 1.0)]
+
+
+@st.composite
+def checked_rows(draw):
+    """A layout of 1-4 chains of 2-5 elements and a row for it: entries from
+    the box's edges or anywhere near it, each chain sorted descending or
+    not, then perhaps one in-chain rise at the tolerance and one NaN."""
+    space = draw(DIMS)
+    entry = st.sampled_from(ROW_ENTRIES) | st.floats(-0.1, 1.1)
+    values = draw(st.lists(entry, min_size=space.sort_length, max_size=space.sort_length))
+    if draw(st.booleans()):
+        for start, end in zip(space.offsets, space.offsets[1:]):
+            values[start:end] = sorted(values[start:end], reverse=True)
+    if space.in_chain_steps and draw(st.booleans()):
+        k = draw(st.sampled_from(space.in_chain_steps))
+        base = draw(st.sampled_from([0.0, -0.0, 0.5]))
+        values[k], values[k + 1] = base, base + draw(st.sampled_from(EDGE_RISES))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, space.sort_length - 1))] = math.nan
+    return space, values
+
+
+def row_check_outcome(check, space, values):
+    """None if `check` accepts the row, else its message."""
+    try:
+        check(values, space)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestRowCheck:
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(checked_rows())
+    # A single in-chain step that rises by exactly the tolerance, and just above it.
+    @example((ChainProduct([3]), [0.0, FEASIBILITY_TOL]))
+    @example((ChainProduct([2, 3]), [0.5, 0.0, EDGE_RISES[1]]))
+    # One-coordinate chains only: no in-chain step at all.
+    @example((ChainProduct([2, 2, 2]), [0.0, 1.0, 0.3]))
+    @example((ChainProduct([2, 2]), [math.inf, 0.3]))
+    @example((ChainProduct([2, 2]), [0.3, -math.inf]))
+    # A NaN that min and max both pass over.
+    @example((ChainProduct([3, 2]), [0.5, math.nan, 0.3]))
+    def test_matches_the_generator_form(self, case):
+        space, values = case
+        want = row_check_outcome(reference_check_row, space, values)
+        assert row_check_outcome(check_row, space, values) == want
 
 
 class TestTheta:

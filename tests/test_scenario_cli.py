@@ -622,13 +622,16 @@ class TestSolveCommand:
         assert len(solution) == 2
         assert solution[1][2] == "2"
 
-    def test_iters_override_zero_is_usage_error(self, problem_file, tmp_path, capsys):
-        code = main([
-            "solve", str(problem_file), "--out", str(tmp_path / "x"),
-            "--iters-override", "0",
-        ])
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("iterations", ["0", "-3", "x"])
+    def test_iters_override_zero_is_usage_error(self, problem_file, tmp_path, capsys, command, iterations):
+        path = problem_file if command == "solve" else GOLDEN
+        out = tmp_path / "x"
+        code = main([command, str(path), "--out", str(out), "--iters-override", iterations])
         assert code == 2
-        assert "iterations" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--iters-override" in err and "iterations" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["central", "distributed"])
     def test_overrides_match_an_edited_file(self, problem_file, tmp_path, mode):

@@ -202,6 +202,8 @@ class TestStepSize:
             SolverParams(iterations=5, gamma=0.0)
         with pytest.raises(ValueError, match="gamma"):
             SolverParams(iterations=5, gamma=math.inf)
+        with pytest.raises(ValueError, match="^gamma: "):
+            SolverParams(iterations=5, gamma=True)
         with pytest.raises(ValueError, match="t_hat"):
             SolverParams(iterations=5, gamma=0.1, t_hat=1.0)
         with pytest.raises(ValueError, match="schedule"):
@@ -514,6 +516,58 @@ class TestSolveMemo:
         assert solve_bytes(distributed_minimize, *case) == solve_bytes(reference_distributed_minimize, *case)
 
 
+@st.composite
+def long_budget_cases(draw):
+    """A consensus solve of 1-4 agents on a line, on at most 4 chains of 2-4
+    elements, with random submodular costs and 100-300 diminishing rounds:
+    late rounds take small steps, so agents walk orders they walked before."""
+    space = ChainProduct(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fns = [random_submodular_fn(space, rng) for _ in range(n)]
+    tables = [{x: float(fn(x)) for x in space.points()} for fn in fns]
+    params = SolverParams(
+        iterations=draw(st.integers(100, 300)),
+        gamma=draw(st.floats(0.05, 0.5)),
+        schedule="diminishing",
+        t_hat=draw(st.floats(0.05, 0.95)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return space, tables, WeightMatrix(line_matrix(n), eta=0.1), params
+
+
+class TestWalkCache:
+    """An agent that meets a sort order again reuses that order's f-steps and
+    subgradient: same bytes, same oracle requests, fewer walks."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(long_budget_cases())
+    def test_long_budgets_match_the_per_agent_loop(self, case):
+        space, tables, matrix, params = case
+        got = []
+        for solver in (distributed_minimize, reference_distributed_minimize):
+            logged = [recording_oracle(table.__getitem__, space) for table in tables]
+            costs = [f for f, _ in logged]
+            got.append((solve_bytes(solver, space, costs, matrix, params), [asked for _, asked in logged]))
+        assert got[0] == got[1]
+
+    def test_a_repeated_order_is_not_walked_again(self, monkeypatch):
+        walks = []
+
+        def counted_walk(*args):
+            walks.append(args[4])
+            return walk(*args)
+
+        walk = solvers._walk
+        monkeypatch.setattr(solvers, "_walk", counted_walk)
+        X = ChainProduct([3, 4, 2])
+        rng = np.random.default_rng(5)
+        fs = [random_submodular_oracle(X, rng) for _ in range(3)]
+        params = SolverParams(iterations=200, gamma=0.2, schedule="diminishing", seed=3)
+        distributed_minimize(fs, X, WeightMatrix(line_matrix(3), eta=0.1), params)
+        assert 0 < len(walks) < 3 * params.iterations // 10
+
+
 def star_matrix(n):
     """Hub 0 linked to every other agent, all positive weights 1/n."""
     a = np.zeros((n, n))
@@ -613,6 +667,16 @@ class TestWholeStateRounds:
         mixed = mix_profiles(self.STAR_STATE, weights)
         assert math.copysign(1.0, mixed[1, 1]) == -1.0
         self.assert_mixing_matches_per_row(mix_profiles, self.STAR_STATE, weights)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(weight_matrices(), st.data())
+    def test_mixing_matches_per_row_form_on_random_weights(self, weights, data):
+        # Every agent with fewer neighbors than the most connected one pads its slots.
+        n = len(weights)
+        r = data.draw(st.integers(1, 5))
+        entry = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 0.3, 1.0])
+        state = np.array(data.draw(st.lists(entry, min_size=n * r, max_size=n * r))).reshape(n, r)
+        self.assert_mixing_matches_per_row(mix_profiles, state, weights)
 
     def test_zero_padded_mixing_fails_the_byte_comparison(self):
         def zero_padded(state, weights):
