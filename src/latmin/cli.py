@@ -225,7 +225,7 @@ def cmd_simulate(args) -> int:
 
 def _seed(text: str) -> int:
     """A seed override: a non-negative integer, else a usage error."""
-    if not text.isdigit():
+    if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"seeds are non-negative integers, got {text!r}")
     return int(text)
 

@@ -26,9 +26,7 @@ case.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,16 +86,10 @@ def check_row(values: list[float], space: ChainProduct) -> None:
     The message names the first offending chain.
     """
     lo, hi = -FEASIBILITY_TOL, 1.0 + FEASIBILITY_TOL
-    later, earlier = space.in_chain_pairs
-    # min and max can pass over a NaN, but a sum with one is NaN, and NaN
-    # is not equal to itself.  A rise from the last entry of one chain to
-    # the first of the next is fine.
-    total = sum(values)
-    if (
-        lo <= min(values)
-        and max(values) <= hi
-        and total == total
-        and max(map(operator.sub, later(values), earlier(values))) <= FEASIBILITY_TOL
+    # Written as "inside" so that NaN entries count as outside.  A rise from
+    # the last entry of one chain to the first of the next is fine.
+    if all(lo <= v <= hi for v in values) and not any(
+        values[k + 1] - values[k] > FEASIBILITY_TOL for k in space.in_chain_steps
     ):
         return
     for i, (start, end) in enumerate(itertools.pairwise(space.offsets)):
@@ -135,10 +127,7 @@ def rounding_rule(space: ChainProduct, t: float) -> Callable[[list[float]], int]
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold {t} outside [0,1]")
     place = [space.strides[i] for i in space.chain_of]
-    # operator.le, not t.__le__: a float's own method returns the truthy
-    # NotImplemented for a numpy scalar entry.
-    at_least_t = functools.partial(operator.le, t)
-    return lambda row: sum(itertools.compress(place, map(at_least_t, row)))
+    return lambda row: sum(p for p, v in zip(place, row) if v >= t)
 
 
 def point_of_number(space: ChainProduct, number: int) -> tuple[int, ...]:

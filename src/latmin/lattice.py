@@ -81,20 +81,6 @@ class ChainProduct:
         """Each flat coordinate k whose successor k + 1 lies on the same chain."""
         return tuple(k for k, (a, b) in enumerate(itertools.pairwise(self.chain_of)) if a == b)
 
-    @cached_property
-    def in_chain_pairs(self) -> tuple[Callable, Callable]:
-        """Getters of the later and the earlier entry of every in-chain step from a flat profile.
-
-        Each leads with entry 0 twice, pairs that differ by 0, so both
-        return tuples of equal length even with no in-chain step or one: an
-        `itemgetter` of one index returns a bare item.
-        """
-        steps = self.in_chain_steps
-        return (
-            operator.itemgetter(0, 0, *(k + 1 for k in steps)),
-            operator.itemgetter(0, 0, *steps),
-        )
-
     @property
     def exceeds_cap(self) -> bool:
         return self.cardinality > BRUTE_FORCE_CAP

@@ -112,17 +112,18 @@ def validate_weight_matrix(matrix, eta: float) -> MatrixReport:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightMatrix:
-    """A consensus mixing matrix that has passed all four conditions, held as a read-only
-    copy so that it stays as checked; errors name the field."""
+    """A consensus mixing matrix that has passed all four conditions, frozen and held as a
+    read-only copy so that it stays as checked; errors name the field."""
 
     entries: np.ndarray
     eta: float
 
     def __post_init__(self):
-        self.entries = np.array(self.entries, dtype=float)
-        self.entries.flags.writeable = False
+        entries = np.array(self.entries, dtype=float)
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
         report = validate_weight_matrix(self.entries, self.eta)
         if not report.ok:
             raise ValueError("matrix: " + "; ".join(report.failures()))
@@ -190,34 +191,23 @@ class SolveTrace:
     best_rounded: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def _mixing_plan(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every nonzero off-diagonal weight as (agent, neighbor, weight), row by row in neighbor order."""
-    off_diagonal = weights != 0.0
-    np.fill_diagonal(off_diagonal, False)
-    agents, neighbors = np.nonzero(off_diagonal)
-    return agents, neighbors, weights[agents, neighbors][:, None]
-
-
 def _mixing_slots(weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """`_mixing_plan`'s corrections as slots: slot s holds every agent's s-th
-    (neighbor, weight) in the plan's order, as an agent-indexed neighbor array
-    and a weight column.  An agent with fewer corrections takes its own row at
-    weight -0.0 there, since -0.0 * (x - x) = -0.0 and y + -0.0 = y, even for
-    y = -0.0: an exact identity on finite rows.
+    """Slot s holds every agent's s-th nonzero off-diagonal (neighbor, weight), read
+    off `weights.tolist()` in neighbor order, as an agent-indexed neighbor array and
+    a weight column.  An agent with fewer takes its own row at weight -0.0 there,
+    since -0.0 * (x - x) = -0.0 and y + -0.0 = y, even for y = -0.0: an exact
+    identity on finite rows.  A -0.0 weight is zero and gets no slot.
     """
-    own, neighbors, ws = _mixing_plan(weights)
-    n_agents = len(weights)
-    counts = np.bincount(own, minlength=n_agents)
-    # Each correction's place among its agent's corrections.
-    rank = np.arange(len(own)) - np.repeat(np.cumsum(counts) - counts, counts)
+    pairs = []
+    for i, row in enumerate(weights.tolist()):
+        pairs.append([(j, w) for j, w in enumerate(row) if j != i and w != 0.0])
     slots = []
-    for s in range(counts.max(initial=0)):
-        at = rank == s
-        slot_neighbors = np.arange(n_agents)
-        slot_neighbors[own[at]] = neighbors[at]
-        slot_ws = np.full((n_agents, 1), -0.0)
-        slot_ws[own[at]] = ws[at]
-        slots.append((slot_neighbors, slot_ws))
+    for s in range(max(map(len, pairs), default=0)):
+        neighbors, ws = np.arange(len(pairs)), np.full((len(pairs), 1), -0.0)
+        for i, own in enumerate(pairs):
+            if s < len(own):
+                neighbors[i], ws[i] = own[s]
+        slots.append((neighbors, ws))
     return slots
 
 
@@ -238,8 +228,8 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     agents agreeing bit-exactly.  A row receives only its neighbors'
     corrections, added one at a time in increasing neighbor index: a
     zero-weight term would turn its -0.0 into 0.0.  The whole state takes
-    one correction slot at a time, and a row with fewer neighbors than the
-    most connected agent fills its spare slots with its own row at weight
+    one correction slot at a time: slot s holds every agent's s-th
+    neighbor, and a row with fewer neighbors takes its own row at weight
     -0.0, which leaves every finite entry as it was, -0.0 included.  A
     solve builds the slots once and mixes with them every round.
     """
@@ -358,7 +348,7 @@ def distributed_minimize(
         mixed = _mix(state, slots).tolist()
         for row in mixed:
             check_row(row, space)
-        rows, values, numbers = [], [], []
+        rows, values, rounded = [], [], []
         for f, memo, walked, row in zip(oracles, memos, walks, mixed):
             order = _descending(row)
             key = tuple(order)
@@ -375,19 +365,19 @@ def distributed_minimize(
             values.append(value)
             projected = project_row([m - gamma_k * g for m, g in zip(row, subgradient)], space)
             rows.append(projected)
-            numbers.append(number_of(projected))
+            rounded.append(number_of(projected))
         ext_values[k - 1] = values
         state = history[k - 1]
         state[:] = rows
         # A point priced before is in `best` already: min() would keep `best`.
-        for number in numbers:
+        for number in rounded:
             if number not in totals:
                 total = totals[number] = total_cost(number)
                 best = min(best, total)
         best_rounded[k - 1] = best
 
-    points = [point_of_number(space, number) for number in numbers]
-    values = [totals[number] for number in numbers]
+    points = [point_of_number(space, number) for number in rounded]
+    values = [totals[number] for number in rounded]
     trace = SolveTrace(
         ext_values=ext_values, disagreement=_disagreement_trace(history), best_rounded=best_rounded
     )

@@ -34,6 +34,7 @@ from latmin.scenario import bundled_scenario_path, load_scenario
 
 from helpers import (
     grid_projection_oracle,
+    line_matrix,
     random_chain_product,
     random_submodular_oracle,
     random_table_oracle,
@@ -52,17 +53,6 @@ LINE_GRAPH_MATRIX = [
 def report(n, ok, detail):
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-def line_matrix(n):
-    if n == 1:
-        return [[1.0]]
-    a = np.eye(n)
-    for i in range(n - 1):
-        a[i, i] -= 0.3
-        a[i + 1, i + 1] -= 0.3
-        a[i, i + 1] = a[i + 1, i] = 0.3
-    return a
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import latmin
-from latmin import cli, ctf, extension, lattice
+from latmin import ChainProduct, cli, ctf, extension, lattice
 from latmin.scenario import Problem, Scenario
 
 REMOVED = {
@@ -16,6 +16,7 @@ REMOVED = {
     extension: ("profile_from_point",),
     ctf: ("defender_cost", "step_tables", "StepTables", "reachable_cells", "decode_actions"),
     ctf.Arena: ("clamp",),
+    ChainProduct: ("in_chain_pairs",),
     Problem: ("solver_params", "network_matrix", "network_eta"),
     Scenario: ("solver_params", "network_matrix", "network_eta"),
 }

@@ -249,12 +249,14 @@ class TestSeeds:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "simulate"])
-    @pytest.mark.parametrize("seed", ["-5", "x", "1.5"])
+    @pytest.mark.parametrize("seed", ["-5", "x", "1.5", "²"])
     def test_bad_seed_override_is_a_usage_error(self, tmp_path, capsys, command, seed):
         path = write_yaml(tmp_path / "problem.cfg", problem_with()) if command == "solve" else GOLDEN
         out = tmp_path / "out"
         assert main([command, str(path), "--out", str(out), "--seed-override", seed]) == 2
-        assert "--seed-override" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--seed-override" in err
+        assert "seeds are non-negative integers" in err
         assert not out.exists()
 
     def test_problem_solver_runs_at_the_seed(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -136,6 +137,11 @@ class TestNetworkBoundary:
             network.entries[0, 0] = 0.5
         source[0, 0] = 0.5
         assert network.entries.tolist() == LINE_GRAPH_MATRIX
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            network.entries = np.array([[-1.0, 2.0], [2.0, -1.0]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            network.eta = 5.0
+        assert network == WeightMatrix(LINE_GRAPH_MATRIX, eta=0.1)
 
 
 @st.composite
@@ -162,10 +168,25 @@ class TestNetworkInternals:
     @settings(max_examples=200, deadline=None, database=None)
     @given(weight_matrices())
     @example(np.array([[1.0]]))
-    def test_mixing_plan_equals_the_entry_loop(self, weights):
-        for got, want in zip(solvers._mixing_plan(weights), reference_mixing_plan(weights), strict=True):
-            assert (got.dtype, got.shape) == (want.dtype, want.shape)
-            assert got.tobytes() == want.tobytes()
+    def test_mixing_slots_equal_the_entry_loop(self, weights):
+        # Slot s from the entry loop's plan: each agent's s-th correction, else
+        # the agent's own row at weight -0.0.
+        agents, neighbors, ws = reference_mixing_plan(weights)
+        n_agents = len(weights)
+        mine = [np.flatnonzero(agents == i) for i in range(n_agents)]
+        want = []
+        for s in range(max(len(m) for m in mine)):
+            slot_neighbors = np.arange(n_agents)
+            slot_ws = np.full((n_agents, 1), -0.0)
+            for i, m in enumerate(mine):
+                if s < len(m):
+                    slot_neighbors[i] = neighbors[m[s]]
+                    slot_ws[i] = ws[m[s]]
+            want.append((slot_neighbors, slot_ws))
+        for got_slot, want_slot in zip(solvers._mixing_slots(weights), want, strict=True):
+            for g, w in zip(got_slot, want_slot, strict=True):
+                assert (g.dtype, g.shape) == (w.dtype, w.shape)
+                assert g.tobytes() == w.tobytes()
 
 
 class TestStepSize:
