@@ -182,11 +182,6 @@ def _one_step_moves(u_max: int) -> list[Cell]:
     return [(ux, uy) for ux in steps for uy in steps]
 
 
-def _separating_axis(dx: int, dy: int) -> str:
-    # Separate along the axis with more room; ties go to x.
-    return "x" if abs(dx) >= abs(dy) else "y"
-
-
 def avoidance_planes(
     i: int,
     defenders: list[Cell],
@@ -195,36 +190,26 @@ def avoidance_planes(
 ) -> tuple[set[int], set[int]]:
     """Column/row coordinates defender i must keep off next step.
 
-    For every teammate whose one-step reachable box overlaps defender i's,
-    both agents give up the plane one step toward the other along the axis
-    where they are farthest apart; staying on their own sides of those
-    planes makes a shared landing cell impossible.  Obstacles inside the
-    reachable box are walled off by the plane through the obstacle along
-    its largest offset axis.
+    A teammate within 2 * u_max and an obstacle within u_max on both axes
+    each cost defender i the plane one step toward it, along the axis with
+    the larger offset (ties to x).  Two teammates that keep off the planes
+    they give up can never land on one cell, and a plane given up to an
+    obstacle runs through it.  A teammate on defender i's cell gives none.
     """
     if u_max != 1:
         raise ValueError("avoidance planes are only supported for u_max = 1")
     xi, yi = defenders[i]
     x_planes: set[int] = set()
     y_planes: set[int] = set()
-    for j, (xj, yj) in enumerate(defenders):
-        if j == i:
-            continue
-        dx, dy = xj - xi, yj - yi
-        if abs(dx) > 2 * u_max or abs(dy) > 2 * u_max or (dx, dy) == (0, 0):
-            continue
-        if _separating_axis(dx, dy) == "x":
-            x_planes.add(xi + (1 if dx > 0 else -1))
-        else:
-            y_planes.add(yi + (1 if dy > 0 else -1))
-    for ox, oy in obstacles:
-        dx, dy = ox - xi, oy - yi
-        if abs(dx) > u_max or abs(dy) > u_max or (dx, dy) == (0, 0):
-            continue
-        if _separating_axis(dx, dy) == "x":
-            x_planes.add(ox)
-        else:
-            y_planes.add(oy)
+    for cells, reach in ((defenders, 2 * u_max), (obstacles, u_max)):
+        for x, y in cells:
+            dx, dy = x - xi, y - yi
+            if abs(dx) > reach or abs(dy) > reach or (dx, dy) == (0, 0):
+                continue
+            if abs(dx) >= abs(dy):
+                x_planes.add(xi + (1 if dx > 0 else -1))
+            else:
+                y_planes.add(yi + (1 if dy > 0 else -1))
     return x_planes, y_planes
 
 
@@ -251,14 +236,10 @@ def adaptive_alpha(
     return alpha_a, 1.0 - alpha_a
 
 
-def _attacker_gaps(attackers: list[Cell], active: list[bool], cells: list[Cell]) -> list[float]:
-    """Each attacker's Manhattan gap to the cells; inf for an inactive one."""
-    return [_gap(pos, cells) if live else math.inf for pos, live in zip(attackers, active)]
-
-
 def threat_distance(attackers: list[Cell], active: list[bool], zone_cells: list[Cell]) -> float:
     """Smallest Manhattan distance from any active attacker to the cells."""
-    return float(min(_attacker_gaps(attackers, active, zone_cells), default=math.inf))
+    gaps = [_gap(pos, zone_cells) for pos, live in zip(attackers, active) if live]
+    return float(min(gaps, default=math.inf))
 
 
 def attacker_pursuit_weights(
@@ -275,11 +256,7 @@ def attacker_pursuit_weights(
     exact ties are broken by a draw from the defender's stream.  With no
     active attacker the row is all zeros.
     """
-    return _pursuit_row(_attacker_gaps(attackers, active, responsibility), gain, rng)
-
-
-def _pursuit_row(gaps: list[float], gain: float, rng: np.random.Generator) -> np.ndarray:
-    """`attacker_pursuit_weights` from the attackers' gaps to the responsibility."""
+    gaps = [_gap(pos, responsibility) if live else math.inf for pos, live in zip(attackers, active)]
     row = np.zeros(len(gaps))
     best = min(gaps, default=math.inf)
     if math.isinf(best):
@@ -458,7 +435,13 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
 
 @dataclass
 class StepRecord:
-    """State at the start of step k plus the behavior weights used in it."""
+    """State at the start of step k and the behavior weights at that state.
+
+    `alpha_a[i]` is the attack weight of defender i's step cost.
+    `eta_avoid[g]` is `attacker_modes` at attacker g's cell against these
+    defender cells; attacker g's mode draw in step k comes after the
+    defenders move, so it uses the weight at their new cells.
+    """
 
     k: int
     defenders: list[Cell]
@@ -526,13 +509,12 @@ def step_context(
     alphas = []
     pursuit = np.zeros((len(defenders), len(attackers)))
     for i, rng in enumerate(pursuit_rngs):
-        # One gap list serves threat_distance and attacker_pursuit_weights.
-        gaps = _attacker_gaps(attackers, active, arena.responsibilities[i])
-        delta_i = float(min(gaps, default=math.inf))
+        cells = arena.responsibilities[i]
+        delta_i = threat_distance(attackers, active, cells)
         alphas.append(adaptive_alpha(
             delta_i, float(dparams.delta_th[i]), dparams.beta, dparams.alpha_a_nom, dparams.alpha_f_nom
         ))
-        pursuit[i] = _pursuit_row(gaps, dparams.pursuit_gain, rng)
+        pursuit[i] = attacker_pursuit_weights(i, attackers, active, cells, dparams.pursuit_gain, rng)
     planes = [avoidance_planes(i, defenders, arena.obstacles, u_max) for i in range(len(defenders))]
     return StepContext(arena, u_max, defenders, predicted, alphas, pursuit, planes, dparams)
 

@@ -425,6 +425,38 @@ def reference_reachable_cells(pos: Cell, u_max: int, size: int) -> list[Cell]:
     return sorted(c for c in box if 0 <= c[0] < size and 0 <= c[1] < size)
 
 
+def reference_avoidance_planes(i, defenders, obstacles, u_max=1) -> tuple[set[int], set[int]]:
+    """Teammates and obstacles in two loops, each naming its separating axis."""
+    if u_max != 1:
+        raise ValueError("avoidance planes are only supported for u_max = 1")
+
+    def separating_axis(dx, dy):
+        return "x" if abs(dx) >= abs(dy) else "y"
+
+    xi, yi = defenders[i]
+    x_planes: set[int] = set()
+    y_planes: set[int] = set()
+    for j, (xj, yj) in enumerate(defenders):
+        if j == i:
+            continue
+        dx, dy = xj - xi, yj - yi
+        if abs(dx) > 2 * u_max or abs(dy) > 2 * u_max or (dx, dy) == (0, 0):
+            continue
+        if separating_axis(dx, dy) == "x":
+            x_planes.add(xi + (1 if dx > 0 else -1))
+        else:
+            y_planes.add(yi + (1 if dy > 0 else -1))
+    for ox, oy in obstacles:
+        dx, dy = ox - xi, oy - yi
+        if abs(dx) > u_max or abs(dy) > u_max or (dx, dy) == (0, 0):
+            continue
+        if separating_axis(dx, dy) == "x":
+            x_planes.add(ox)
+        else:
+            y_planes.add(oy)
+    return x_planes, y_planes
+
+
 def reference_build_step_problem(ctx: StepContext):
     """Per-defender oracles that call `reference_defender_cost` on every point, reading `ctx` live."""
     n = ctx.n_defenders

@@ -35,6 +35,7 @@ from helpers import (
     reference_attacker_modes,
     reference_attacker_policy,
     reference_attacker_pursuit_weights,
+    reference_avoidance_planes,
     reference_build_step_problem,
     reference_clamp,
     reference_decode,
@@ -197,6 +198,22 @@ class TestAvoidancePlanes:
     def test_unsupported_speed_rejected(self):
         with pytest.raises(ValueError, match="u_max"):
             avoidance_planes(0, [(1, 1), (2, 2)], set(), u_max=2)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_equals_the_two_loop_reference(self, data):
+        # Some defenders share a cell; obstacles lie 0-3 cells from a defender.
+        size = data.draw(st.integers(2, 8))
+        cells = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        defenders = data.draw(st.lists(cells, min_size=1, max_size=8))
+        defenders += data.draw(st.lists(st.sampled_from(defenders), max_size=8 - len(defenders)))
+        defenders = data.draw(st.permutations(defenders))
+        offsets = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        near = data.draw(st.lists(st.tuples(st.sampled_from(defenders), offsets), max_size=6))
+        obstacles = {(x + dx, y + dy) for (x, y), (dx, dy) in near}
+        for i in range(len(defenders)):
+            expected = reference_avoidance_planes(i, defenders, obstacles)
+            assert avoidance_planes(i, defenders, obstacles) == expected
 
     def test_planes_guarantee_pairwise_separation(self):
         # Exhaustive: for every overlapping pair, no legal move pair collides.
@@ -717,6 +734,21 @@ class TestRunGame:
             assert len(rec.eta_avoid) == 2
             assert all(0.0 <= a <= 1.0 for a in rec.alpha_a)
             assert all(0.0 <= e <= 1.0 for e in rec.eta_avoid)
+
+    def test_attacker_weight_is_the_one_at_the_recorded_cells(self):
+        # eta_avoid is attacker_modes against the defenders' cells at the
+        # start of step k; the mode draw uses their cells after the move.
+        scenario = load_scenario(GOLDEN)
+        scenario = dataclasses.replace(scenario, arena=dataclasses.replace(scenario.arena, horizon=6))
+        params = scenario.attacker_params
+        steps = run_game(scenario).steps
+        for rec in steps:
+            assert rec.eta_avoid == [attacker_modes(a, rec.defenders, params)[0] for a in rec.attackers]
+        drawn = [
+            [attacker_modes(a, after.defenders, params)[0] for a in rec.attackers]
+            for rec, after in zip(steps, steps[1:])
+        ]
+        assert any(rec.eta_avoid != weights for rec, weights in zip(steps, drawn))
 
 
 class TestArenaValidation:

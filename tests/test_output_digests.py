@@ -6,7 +6,8 @@ moves a player, reorders an event or formats a float differently does not.
 The inputs are the bundled fig3 game at its seed, at the bundled budget
 and at 200 rounds, and an 8-defender game written out below, whose
 defenders reach the top row, so moves off the grid are clamped, and whose
-attackers are captured, freed and finally breach the zone.
+attackers are captured, freed and finally breach the zone. fig3's
+`--svg` drawing is pinned too.
 """
 
 import hashlib
@@ -113,3 +114,14 @@ def test_simulate_writes_the_pinned_bytes(game, tmp_path, capsys):
         hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("trajectories.csv", "events.csv")
     )
     assert digests == DIGESTS[game]
+
+
+# arena.svg sha256 digest of the bundled fig3 game.
+FIG3_SVG = "bc3fe19eb7b73082504d91572de017128e397fd0139d9aa275e92a4984098255"
+
+
+def test_simulate_draws_the_pinned_svg(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", str(bundled_scenario_path("paper_fig3.cfg")), "--out", str(out), "--svg"]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((out / "arena.svg").read_bytes()).hexdigest() == FIG3_SVG

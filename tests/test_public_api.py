@@ -108,3 +108,26 @@ def test_benchmark_workload_names_resolve():
     assert ("ctf", "build_step_problem") in read
     for alias, name in sorted(read):
         assert hasattr(modules[alias], name), f"{alias}.{name}"
+
+
+def test_readme_lists_the_entry_points_the_program_does_not_call():
+    # A public function no src module uses is either an entry point for
+    # callers, listed in README, or dead code; re-exports do not count.
+    src = Path(latmin.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    public = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for name, tree in trees.items()
+        if name != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (line,) = re.findall(r"^Entry points the program does not call: (.*)$", readme, re.M)
+    assert set(re.findall(r"`(\w+)`", line)) == public - referenced
