@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .ctf import GameResult, first_step_problem, run_game
-from .lattice import CapExceededError, Oracle, brute_force_minimize, check_submodular
+from .lattice import CapExceededError, Oracle, _left_sum, brute_force_minimize, check_submodular
 from .scenario import Problem, Scenario, ScenarioError, ScenarioParseError, load_scenario
 from .solvers import centralized_minimize, distributed_minimize
 
@@ -58,7 +58,7 @@ def cmd_check(args) -> int:
     else:
         oracles, space = first_step_problem(record)
 
-    total = Oracle(lambda x: sum(f(x) for f in oracles), space)
+    total = Oracle(lambda x: _left_sum(f(x) for f in oracles), space)
     try:
         report = check_submodular(total, space)
     except CapExceededError as exc:
@@ -93,7 +93,7 @@ def cmd_solve(args) -> int:
         return USAGE
 
     if args.mode == "central":
-        total = Oracle(lambda x: sum(f(x) for f in oracles), space)
+        total = Oracle(lambda x: _left_sum(f(x) for f in oracles), space)
         point, value, trace = centralized_minimize(total, space, record.solver)
         points, values = [point], [value]
     else:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lattice import ChainProduct, Oracle
+from .lattice import ChainProduct, Oracle, _left_sum
 from .solvers import distributed_minimize
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -367,8 +367,8 @@ def _barrier(ctx: StepContext, i: int, cells: list[list[int]]) -> list[float]:
     z1, z2 = ctx.params.zeta1, ctx.params.zeta2
     x_planes, y_planes = (sorted(planes) for planes in ctx.planes[i])
     xs, ys = {x for x, _ in cells}, {y for _, y in cells}
-    wall_x = {x: sum(z1 * math.exp(-z2 * (x - cx) ** 2) for cx in x_planes) for x in xs}
-    wall_y = {y: sum(z1 * math.exp(-z2 * (y - cy) ** 2) for cy in y_planes) for y in ys}
+    wall_x = {x: _left_sum(z1 * math.exp(-z2 * (x - cx) ** 2) for cx in x_planes) for x in xs}
+    wall_y = {y: _left_sum(z1 * math.exp(-z2 * (y - cy) ** 2) for cy in y_planes) for y in ys}
     return [float(wall_x[x] + wall_y[y]) for x, y in cells]
 
 

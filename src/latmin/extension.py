@@ -15,7 +15,10 @@ order.  `_walk` returns the steps, so a caller that meets an order again
 can price it without walking.  `check_row` checks one
 profile held as a list and `rounding_rule` rounds one to the number of its
 lattice point, which `point_of_number` decodes; `Profile.validate` and
-`theta` apply them to a `Profile`.  The walk reads oracle values from a
+`theta` apply them to a `Profile`.  A solver does not call
+`rounding_rule` each round: the projection counts the same entries while
+it writes each chain, and `rounding_rule` is the definition that count
+is tested against.  The walk reads oracle values from a
 dict the caller owns and evaluates only the points missing there; a solve
 keeps one dict per agent.
 
@@ -122,7 +125,8 @@ def rounding_rule(space: ChainProduct, t: float) -> Callable[[list[float]], int]
     a non-increasing chain, the largest index l with rho_i(l) >= t, where
     the implicit 0th coordinate is 1.  So each entry >= t adds its chain's
     stride to the number.  The comparison is closed so the map is
-    deterministic at entry values.
+    deterministic at entry values.  On a projected row this is the number
+    the projection returns with it (`projection._project`).
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold {t} outside [0,1]")

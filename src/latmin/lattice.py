@@ -12,7 +12,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,6 +75,12 @@ class ChainProduct:
     def strides(self) -> tuple[int, ...]:
         """Row-major place values: point x is number sum(x_i * strides_i) of `points()`."""
         return tuple(itertools.accumulate(reversed(self.dims[1:]), operator.mul, initial=1))[::-1]
+
+    @cached_property
+    def chain_spans(self) -> tuple[tuple[int, int, int], ...]:
+        """Each chain's (start, end, stride): its coordinates are flat[start:end], and
+        each of them that rounds up adds the chain's stride to the point's number."""
+        return tuple(zip(self.offsets, self.offsets[1:], self.strides))
 
     @cached_property
     def in_chain_steps(self) -> tuple[int, ...]:
@@ -149,6 +155,12 @@ class Oracle:
 
     def reset_calls(self) -> None:
         self.calls = 0
+
+
+def _left_sum(values) -> float:
+    """`values` added left to right from 0.0: the float `sum()` of Python 3.10 and
+    3.11, which 3.12 replaced with a compensated sum that can round differently."""
+    return reduce(operator.add, values, 0.0)
 
 
 def _require_oracle_space(f: Oracle, space: ChainProduct) -> None:

@@ -8,12 +8,16 @@ unconstrained isotonic fit to [0,1] is exact, so the whole thing is
 pool-adjacent-violators plus a clip: O(m), no QP solver.  Chains of one
 or two coordinates, every chain of a game step, are written out: a clip,
 or the mean of a rising pair then a clip.  Longer chains pool in the same
-loop, with no call per chain.
+loop, with no call per chain, over the (start, end, stride) table
+`ChainProduct.chain_spans` keeps.  Each chain's output is non-increasing,
+so an entry counts toward the rounded point exactly when it is at least
+the threshold: the loop that writes a chain can add its stride for each
+such entry, and a solver reads the rounded point's number
+(`extension.rounding_rule`) off the projection with no second pass.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -46,11 +50,19 @@ def project_product(values, space: ChainProduct) -> Profile:
 
 def project_row(values: list[float], space: ChainProduct) -> list[float]:
     """`project_product` of a list in `space`'s flat layout, returned as a list."""
+    return _project(values, space, math.inf)[0]
+
+
+def _project(values: list[float], space: ChainProduct, t: float) -> tuple[list[float], int]:
+    """`project_row` and the number of the point its row rounds to at threshold t,
+    as `rounding_rule(space, t)` would count it: every entry >= t adds its chain's
+    stride.  An infinite t counts nothing."""
     if not all(map(math.isfinite, values)):
         raise ValueError("projection input has non-finite entries")
     row: list[float] = []
     append = row.append
-    for start, end in itertools.pairwise(space.offsets):
+    number = 0
+    for start, end, stride in space.chain_spans:
         size = end - start
         # Each comparison below keeps the value np.clip and
         # np.minimum.accumulate would keep, down to the sign of a zero.
@@ -60,11 +72,21 @@ def project_row(values: list[float], space: ChainProduct) -> list[float]:
                 # PAVA pools a rising pair into (a*1 + b*1)/2, the same float.
                 a = b = (a + b) / 2
             # The clip is monotone, so the clipped pair is already non-increasing.
-            append(0.0 if a < 0.0 else 1.0 if a > 1.0 else a)
-            append(0.0 if b < 0.0 else 1.0 if b > 1.0 else b)
+            a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+            b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+            append(a)
+            append(b)
+            # b <= a, so b >= t means both count.
+            if b >= t:
+                number += 2 * stride
+            elif a >= t:
+                number += stride
         elif size == 1:
             v = values[start]
-            append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+            v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+            append(v)
+            if v >= t:
+                number += stride
         else:
             # Pool adjacent violators: the incoming entry absorbs each block
             # before it that it rises above, into the least-squares
@@ -87,4 +109,6 @@ def project_row(values: list[float], space: ChainProduct) -> list[float]:
                 if clipped <= level:
                     level = clipped
                 row += [level] * count
-    return row
+                if level >= t:
+                    number += count * stride
+    return row, number

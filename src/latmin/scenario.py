@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .ctf import Arena, AttackerParams, DefenderParams
-from .lattice import ChainProduct, Oracle
+from .lattice import ChainProduct, Oracle, _left_sum
 from .solvers import SolverParams, WeightMatrix
 
 
@@ -205,12 +205,12 @@ CELLS = _leaf(_cells)
 # Built-in objectives for standalone problems
 
 def _linear(x, coefficients):
-    return sum(c * xi for c, xi in zip(coefficients, x))
+    return _left_sum(c * xi for c, xi in zip(coefficients, x))
 
 
 def _quadratic(x, centers, weights=None):
     weights = [1.0] * len(x) if weights is None else weights
-    return sum(w * (xi - c) ** 2 for w, c, xi in zip(weights, centers, x))
+    return _left_sum(w * (xi - c) ** 2 for w, c, xi in zip(weights, centers, x))
 
 
 def _product(x):

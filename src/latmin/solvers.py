@@ -12,9 +12,12 @@ numbers and each distinct number is priced once per solve, and the
 disagreement is computed in one batch after the last round.  So is the
 walk: the extension is linear on each sort order's cone, so each agent
 keeps the f-steps and subgradient of every order it walked, and an order
-met again costs r products and no oracle request.  Mixing adds one
-correction slot to the whole state at a time, with slots built once per
-solve.
+met again costs r products and no oracle request.  An agent's round is
+one pass over its row: the projection that writes each chain also counts
+the entries that round up, so the rounded point's number comes with the
+projected row.  Mixing computes every correction slot of the whole state
+in one array step, with slots stacked once per solve, and adds them in
+slot order.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ from .extension import (
     _walk,
     check_row,
     point_of_number,
-    rounding_rule,
     uniform_random_profile,
 )
-from .lattice import ChainProduct, Oracle, _require_oracle_space
-from .projection import project_row
+from .lattice import ChainProduct, Oracle, _left_sum, _require_oracle_space
+from .projection import _project
 
 STOCHASTIC_TOL = 1e-9
 
@@ -211,11 +213,25 @@ def _mixing_slots(weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return slots
 
 
-def _mix(state: np.ndarray, slots) -> np.ndarray:
-    """`mix_profiles` with the slots `_mixing_slots` built; `state` itself when there are none."""
-    mixed = state
-    for neighbors, ws in slots:
-        mixed = mixed + ws * (state[neighbors] - state)
+def _slot_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_mixing_slots(weights)` stacked: the neighbors as an (S, n) array and the
+    weights as an (S, n, 1) array, S = 0 included."""
+    slots = _mixing_slots(weights)
+    n = len(weights)
+    neighbors = np.array([neighbor for neighbor, _ in slots], dtype=np.intp).reshape(len(slots), n)
+    ws = np.array([w for _, w in slots], dtype=float).reshape(len(slots), n, 1)
+    return neighbors, ws
+
+
+def _mix(state: np.ndarray, neighbors: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """`mix_profiles` with the slots `_slot_arrays` stacked: every slot's corrections in
+    one array step, then added to `state` in slot order; `state` itself when there are none."""
+    if not len(ws):
+        return state
+    corrections = ws * (state.take(neighbors, axis=0) - state)
+    mixed = state + corrections[0]
+    for s in range(1, len(corrections)):
+        mixed += corrections[s]
     return mixed
 
 
@@ -227,13 +243,15 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     neighbor, which is identical for a row summing to 1 and keeps agreeing
     agents agreeing bit-exactly.  A row receives only its neighbors'
     corrections, added one at a time in increasing neighbor index: a
-    zero-weight term would turn its -0.0 into 0.0.  The whole state takes
-    one correction slot at a time: slot s holds every agent's s-th
-    neighbor, and a row with fewer neighbors takes its own row at weight
-    -0.0, which leaves every finite entry as it was, -0.0 included.  A
-    solve builds the slots once and mixes with them every round.
+    zero-weight term would turn its -0.0 into 0.0.  Slot s holds every
+    agent's s-th neighbor, and a row with fewer neighbors takes its own row
+    at weight -0.0, which leaves every finite entry as it was, -0.0
+    included.  All slots' corrections are computed in one array step and
+    added in slot order, each entry through the same operations in the same
+    order as one slot at a time.  A solve stacks the slots once and mixes
+    with them every round.
     """
-    return _mix(state.copy(), _mixing_slots(weights))
+    return _mix(state.copy(), *_slot_arrays(weights))
 
 
 def _disagreement_trace(history: np.ndarray) -> np.ndarray:
@@ -274,12 +292,13 @@ def distributed_minimize(
     symmetric).  Rounds are synchronous and gather-then-update: all mixing
     reads use the previous round's profiles, so execution order within a
     round cannot matter.  A round mixes the whole (n_agents, r) state in
-    numpy, one correction slot at a time (see `mix_profiles`), and turns
-    it into lists once; every mixed row is checked, then each agent in
-    turn walks its extension, steps and projects its own row, and reads
-    the number of the point that row rounds to at the shared threshold
-    (`extension.rounding_rule`).  An agent walks each sort order once per
-    solve: it keeps the order's f-steps in visit order and its
+    numpy, every correction slot in one array step (see `mix_profiles`),
+    and turns it into lists once; every mixed row is checked, then each
+    agent in turn walks its extension, steps and projects its own row.
+    The projection also returns the number of the point that row rounds
+    to at the shared threshold, counted as `extension.rounding_rule`
+    counts it while each chain is written.  An agent walks each sort
+    order once per solve: it keeps the order's f-steps in visit order and its
     subgradient, and for the same order later takes the value as the walk
     would, f(bottom) plus each entry times its step in visit order, so
     the bytes are the walk's.  The new rows become the
@@ -317,7 +336,7 @@ def distributed_minimize(
         p.validate(space)
     # Row i is agent i's profile.
     state = np.array([p.values for p in starts])
-    slots = _mixing_slots(a)
+    neighbors, ws = _slot_arrays(a)
     # Agent i's oracle values by point number, as `_walk` keys them.
     memos = [{} for _ in oracles]
     # Agent i's walks by sort order: the f-steps in visit order and the subgradient.
@@ -330,14 +349,14 @@ def distributed_minimize(
             if number not in memo:
                 memo[number] = f(point)
             costs.append(memo[number])
-        # A lone agent's cost as is: sum() would turn its -0.0 into 0.0.
-        return sum(costs) if n_agents > 1 else costs[0]
+        # A lone agent's cost as is: a sum from 0.0 would turn its -0.0 into 0.0.
+        return _left_sum(costs) if n_agents > 1 else costs[0]
 
     ext_values = np.zeros((params.iterations, n_agents))
     best_rounded = np.zeros(params.iterations)
     best = math.inf
     top = space.top()
-    number_of = rounding_rule(space, params.t_hat)
+    t_hat = params.t_hat
     # Total costs by point number, each priced when an agent first rounds to it.
     totals = {}
     # Round k's projected rows are history[k - 1].
@@ -345,7 +364,7 @@ def distributed_minimize(
 
     for k in range(1, params.iterations + 1):
         gamma_k = step_size(k, params)
-        mixed = _mix(state, slots).tolist()
+        mixed = _mix(state, neighbors, ws).tolist()
         for row in mixed:
             check_row(row, space)
         rows, values, rounded = [], [], []
@@ -363,9 +382,9 @@ def distributed_minimize(
                 for index, step in zip(order, steps):
                     value += row[index] * step
             values.append(value)
-            projected = project_row([m - gamma_k * g for m, g in zip(row, subgradient)], space)
+            projected, number = _project([m - gamma_k * g for m, g in zip(row, subgradient)], space, t_hat)
             rows.append(projected)
-            rounded.append(number_of(projected))
+            rounded.append(number)
         ext_values[k - 1] = values
         state = history[k - 1]
         state[:] = rows

@@ -43,6 +43,14 @@ DISTANCES = {
 }
 
 
+def left_sum(values) -> float:
+    """Floats added one at a time from 0.0, left to right: `sum()` before Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def as_bytes(value) -> bytes:
     """A float's IEEE bytes, so that 0.0 and -0.0 differ."""
     return struct.pack("<d", float(value))
@@ -107,7 +115,7 @@ def random_submodular_fn(space: ChainProduct, rng):
     concave_w = float(rng.uniform(0.0, 1.0))
 
     def fn(x):
-        total = sum(float(per_chain[i][xi]) for i, xi in enumerate(x))
+        total = left_sum(float(per_chain[i][xi]) for i, xi in enumerate(x))
         for i, j, kind, a in pair_terms:
             if kind == 0:
                 total += a * abs(x[i] - x[j])
@@ -343,7 +351,7 @@ def reference_distributed_minimize(
     oracles = [reference_memoized(f) for f in oracles]
 
     def total_cost(point) -> float:
-        return sum(f(point) for f in oracles) if n_agents > 1 else oracles[0](point)
+        return left_sum(f(point) for f in oracles) if n_agents > 1 else oracles[0](point)
 
     ext_values = np.zeros((params.iterations, n_agents))
     disagreement = np.zeros(params.iterations)
@@ -486,7 +494,7 @@ def reference_defender_cost(i: int, actions: list[tuple[int, int]], ctx: StepCon
     zi = nxt[i]
     alpha_a, alpha_f = ctx.alphas[i]
 
-    zone_pull = sum(d(zi, z) for z in ctx.arena.responsibilities[i])
+    zone_pull = left_sum(d(zi, z) for z in ctx.arena.responsibilities[i])
     zone_pull /= len(ctx.arena.responsibilities[i])
 
     pursuit = 0.0
@@ -502,8 +510,8 @@ def reference_defender_cost(i: int, actions: list[tuple[int, int]], ctx: StepCon
 
     z1, z2 = ctx.params.zeta1, ctx.params.zeta2
     x_planes, y_planes = ctx.planes[i]
-    barrier = sum(z1 * math.exp(-z2 * (zi[0] - cx) ** 2) for cx in sorted(x_planes))
-    barrier += sum(z1 * math.exp(-z2 * (zi[1] - cy) ** 2) for cy in sorted(y_planes))
+    barrier = left_sum(z1 * math.exp(-z2 * (zi[0] - cx) ** 2) for cx in sorted(x_planes))
+    barrier += left_sum(z1 * math.exp(-z2 * (zi[1] - cy) ** 2) for cy in sorted(y_planes))
 
     ux, uy = actions[i]
     mobility = ctx.params.mobility[i] * (ux * ux + uy * uy)

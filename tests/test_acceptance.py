@@ -34,6 +34,7 @@ from latmin.scenario import bundled_scenario_path, load_scenario
 
 from helpers import (
     grid_projection_oracle,
+    left_sum,
     line_matrix,
     random_chain_product,
     random_submodular_oracle,
@@ -63,7 +64,7 @@ def solve_instance(trial: int):
     space = random_chain_product(rng, max_chains=4, max_size=5)
     n_agents = int(rng.integers(2, 5))
     oracles = [random_submodular_oracle(space, rng) for _ in range(n_agents)]
-    total = Oracle(lambda x: sum(f(x) for f in oracles), space)
+    total = Oracle(lambda x: left_sum(f(x) for f in oracles), space)
     best, _ = brute_force_minimize(total)
     matrix = WeightMatrix(line_matrix(n_agents), eta=0.1)
     params = SolverParams(

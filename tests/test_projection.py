@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from latmin import ChainProduct, project_monotone_box, project_product
 
-from latmin.projection import project_row
+from latmin.extension import rounding_rule
+from latmin.projection import _project, project_row
 
 from helpers import grid_projection_oracle, reference_project, reference_project_monotone_box
 
@@ -151,3 +154,29 @@ class TestProjectRow:
         # -0.0 < 0.0 is false: the pair does not rise, and each zero keeps its sign.
         assert np.signbit(out[1]).tolist() == [True, False, False, False, True]
 
+
+
+@st.composite
+def rounding_cases(draw):
+    """A row on 1-4 chains of 2-5 elements, a threshold t in (0, 1), and entries at t,
+    just below it, at the box ends and just past them, signed zeros and outside."""
+    t = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    space = ChainProduct(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    below_t = math.nextafter(t, -math.inf)
+    entry = st.one_of(
+        st.sampled_from([-0.0, 0.0, t, below_t, 1.0, 1.0 + 1e-13, -1e-13, 1.5, -0.5]),
+        st.floats(-0.5, 1.5),
+    )
+    values = draw(st.lists(entry, min_size=space.sort_length, max_size=space.sort_length))
+    return values, space, t
+
+
+class TestProjectionRounding:
+    @given(rounding_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_number_is_the_rounding_rule_of_the_projected_row(self, case):
+        values, space, t = case
+        row, number = _project(values, space, t)
+        assert number == rounding_rule(space, t)(row)
+        assert np.array(row).tobytes() == np.array(project_row(values, space)).tobytes()
+        assert np.array(row).tobytes() == reference_project(np.array(values), space).tobytes()

@@ -432,6 +432,12 @@ class TestBuiltinObjectives:
         f = build_objective({"type": "linear", "coefficients": [2.0, 1.0]}, space)
         assert f((1, 2)) == 4.0
 
+    def test_linear_adds_terms_left_to_right_from_zero(self):
+        # Python 3.12's compensated sum() gives 0.2 for these terms; 3.10 and 3.11 give 0.1.
+        space = ChainProduct([2, 2, 2, 2])
+        f = build_objective({"type": "linear", "coefficients": [0.1, 1e16, -1e16, 0.1]}, space)
+        assert f((1, 1, 1, 1)) == 0.1
+
     def test_quadratic(self):
         space = ChainProduct([3])
         f = build_objective({"type": "quadratic", "centers": [2.0], "weights": [1.5]}, space)

@@ -28,6 +28,7 @@ from latmin import solvers
 from latmin.scenario import bundled_scenario_path, load_scenario
 
 from helpers import (
+    left_sum,
     line_matrix,
     random_chain_product,
     random_submodular_fn,
@@ -297,6 +298,15 @@ class TestDistributed:
         with pytest.raises(ValueError, match="chain 1 leaves"):
             distributed_minimize(fs, X, matrix, params, initial=[good, bad])
 
+    def test_total_cost_adds_agents_left_to_right_from_zero(self):
+        # Python 3.12's compensated sum() gives 0.2 for these costs; 3.10 and 3.11 give 0.1.
+        X = ChainProduct([2])
+        fs = [Oracle(lambda x, c=c: c, X) for c in (0.1, 1e16, -1e16, 0.1)]
+        matrix = WeightMatrix(line_matrix(4), eta=0.1)
+        _, values, trace = distributed_minimize(fs, X, matrix, SolverParams(iterations=2, gamma=0.1))
+        assert values == [0.1] * 4
+        assert trace.best_rounded.tolist() == [0.1, 0.1]
+
     def test_two_agent_chain_example(self):
         X = ChainProduct([3])
         f0 = Oracle(lambda x: float(x[0]), X)
@@ -411,7 +421,7 @@ class TestDistributed:
             X = random_chain_product(rng, max_chains=4, max_size=5)
             n_agents = int(rng.integers(2, 5))
             fs = [random_submodular_oracle(X, rng) for _ in range(n_agents)]
-            total = Oracle(lambda x: sum(f(x) for f in fs), X)
+            total = Oracle(lambda x: left_sum(f(x) for f in fs), X)
             best, _ = brute_force_minimize(total)
             matrix = WeightMatrix(line_matrix(n_agents), eta=0.1)
             params = SolverParams(
