@@ -17,7 +17,11 @@ one pass over its row: the projection that writes each chain also counts
 the entries that round up, so the rounded point's number comes with the
 projected row.  Mixing computes every correction slot of the whole state
 in one array step, with slots stacked once per solve, and adds them in
-slot order.
+slot order.  The feasibility check of the mixed rows is paid once per
+solve too: each round's mixed state is written into a buffer kept for the
+solve, and the buffer is checked in one array pass after the last round,
+or as soon as anything fails, so that an infeasible row still raises
+before any failure that followed it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extension import (
+    FEASIBILITY_TOL,
     Profile,
     _descending,
     _walk,
@@ -114,10 +119,11 @@ def validate_weight_matrix(matrix, eta: float) -> MatrixReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """A consensus mixing matrix that has passed all four conditions, frozen and held as a
-    read-only copy so that it stays as checked; errors name the field."""
+    read-only copy so that it stays as checked; errors name the field.  It compares by
+    value and, like the array it holds, is unhashable."""
 
     entries: np.ndarray
     eta: float
@@ -223,16 +229,18 @@ def _slot_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return neighbors, ws
 
 
-def _mix(state: np.ndarray, neighbors: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """`mix_profiles` with the slots `_slot_arrays` stacked: every slot's corrections in
-    one array step, then added to `state` in slot order; `state` itself when there are none."""
+def _mix(state: np.ndarray, neighbors: np.ndarray, ws: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`mix_profiles` with the slots `_slot_arrays` stacked, written into `out` and returned:
+    every slot's corrections in one array step, then added to `state` in slot order;
+    a copy of `state` when there are none."""
     if not len(ws):
-        return state
+        out[:] = state
+        return out
     corrections = ws * (state.take(neighbors, axis=0) - state)
-    mixed = state + corrections[0]
+    np.add(state, corrections[0], out=out)
     for s in range(1, len(corrections)):
-        mixed += corrections[s]
-    return mixed
+        out += corrections[s]
+    return out
 
 
 def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -249,9 +257,9 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     included.  All slots' corrections are computed in one array step and
     added in slot order, each entry through the same operations in the same
     order as one slot at a time.  A solve stacks the slots once and mixes
-    with them every round.
+    with them every round.  The result is a new float array.
     """
-    return _mix(state.copy(), *_slot_arrays(weights))
+    return _mix(state, *_slot_arrays(weights), np.empty(state.shape))
 
 
 def _disagreement_trace(history: np.ndarray) -> np.ndarray:
@@ -276,6 +284,28 @@ def _disagreement_trace(history: np.ndarray) -> np.ndarray:
     return disagreement
 
 
+def _check_mixed(kept: np.ndarray, space: ChainProduct) -> None:
+    """`check_row` on every row of `kept`, an (rounds, n_agents, r) array of each
+    round's mixed state, in one array pass: the first infeasible row, by round
+    then agent, raises `check_row`'s own error.
+
+    The bounds and the in-chain rise test are `check_row`'s, on the same
+    floats, so the pass flags exactly the rows `check_row` rejects.  Rows go
+    in batches of at most `_DISAGREEMENT_BATCH` entries.
+    """
+    r = space.sort_length
+    rows = kept.reshape(-1, r)
+    steps = np.array(space.in_chain_steps, dtype=np.intp)
+    batch = max(1, _DISAGREEMENT_BATCH // r)
+    for start in range(0, len(rows), batch):
+        block = rows[start : start + batch]
+        inside = (block >= -FEASIBILITY_TOL) & (block <= 1.0 + FEASIBILITY_TOL)
+        rises = np.diff(block)[:, steps] > FEASIBILITY_TOL
+        bad = ~inside.all(axis=1) | rises.any(axis=1)
+        if bad.any():
+            check_row(block[bad.argmax()].tolist(), space)
+
+
 def distributed_minimize(
     oracles: list[Oracle],
     space: ChainProduct,
@@ -293,8 +323,9 @@ def distributed_minimize(
     reads use the previous round's profiles, so execution order within a
     round cannot matter.  A round mixes the whole (n_agents, r) state in
     numpy, every correction slot in one array step (see `mix_profiles`),
-    and turns it into lists once; every mixed row is checked, then each
-    agent in turn walks its extension, steps and projects its own row.
+    into that round's slot of a buffer kept for the solve, and turns it
+    into lists once; then each agent in turn walks its extension, steps
+    and projects its own row.
     The projection also returns the number of the point that row rounds
     to at the shared threshold, counted as `extension.rounding_rule`
     counts it while each chain is written.  An agent walks each sort
@@ -317,9 +348,19 @@ def distributed_minimize(
     point during one solve, so afterwards its `calls` counts distinct
     evaluations: the walks and the rounded points' total costs read one
     dict of values per agent, dropped on return.  Keeping every round's
-    state costs 8 * iterations * n_agents * r bytes for the solve.  The
+    state costs 8 * iterations * n_agents * r bytes for the solve, and
+    keeping every round's mixed state as much again.  The
     walks by sort order hold at most one entry per round per agent, each
     two lists of r floats and the order's key, also dropped on return.
+
+    Every mixed row must pass `check_row`.  The rows are checked in one
+    array pass over the buffer (see `_check_mixed`) after the last round,
+    or when anything raises during the rounds (an oracle, the walk or the
+    projection); then the first infeasible row, by round then agent,
+    raises `check_row`'s error.  A lone agent's mixed row is its previous
+    projected row, kept and checked the same way.  So a solve raises the
+    same error as one that checked each round's rows before its walks,
+    though an oracle may have been asked for more points by then.
     """
     a = matrix.entries
     n_agents = len(oracles)
@@ -362,38 +403,45 @@ def distributed_minimize(
     # Round k's projected rows are history[k - 1].
     history = np.empty((params.iterations, n_agents, space.sort_length))
 
-    for k in range(1, params.iterations + 1):
-        gamma_k = step_size(k, params)
-        mixed = _mix(state, neighbors, ws).tolist()
-        for row in mixed:
-            check_row(row, space)
-        rows, values, rounded = [], [], []
-        for f, memo, walked, row in zip(oracles, memos, walks, mixed):
-            order = _descending(row)
-            key = tuple(order)
-            seen = walked.get(key)
-            if seen is None:
-                value, subgradient, steps = _walk(f, memo, space, row, order, top)
-                walked[key] = steps, subgradient
-            else:
-                # The walk's own sum, from the point it starts at: the same bytes.
-                steps, subgradient = seen
-                value = memo[0]
-                for index, step in zip(order, steps):
-                    value += row[index] * step
-            values.append(value)
-            projected, number = _project([m - gamma_k * g for m, g in zip(row, subgradient)], space, t_hat)
-            rows.append(projected)
-            rounded.append(number)
-        ext_values[k - 1] = values
-        state = history[k - 1]
-        state[:] = rows
-        # A point priced before is in `best` already: min() would keep `best`.
-        for number in rounded:
-            if number not in totals:
-                total = totals[number] = total_cost(number)
-                best = min(best, total)
-        best_rounded[k - 1] = best
+    # Round k's mixed rows are kept[k - 1], checked once the loop ends however it ends:
+    # a walk, oracle or projection failure may follow from a bad row, which outranks it.
+    kept = np.empty_like(history)
+    mixed_rounds = 0
+
+    try:
+        for k in range(1, params.iterations + 1):
+            gamma_k = step_size(k, params)
+            mixed = _mix(state, neighbors, ws, kept[k - 1]).tolist()
+            mixed_rounds = k
+            rows, values, rounded = [], [], []
+            for f, memo, walked, row in zip(oracles, memos, walks, mixed):
+                order = _descending(row)
+                key = tuple(order)
+                seen = walked.get(key)
+                if seen is None:
+                    value, subgradient, steps = _walk(f, memo, space, row, order, top)
+                    walked[key] = steps, subgradient
+                else:
+                    # The walk's own sum, from the point it starts at: the same bytes.
+                    steps, subgradient = seen
+                    value = memo[0]
+                    for index, step in zip(order, steps):
+                        value += row[index] * step
+                values.append(value)
+                projected, number = _project([m - gamma_k * g for m, g in zip(row, subgradient)], space, t_hat)
+                rows.append(projected)
+                rounded.append(number)
+            ext_values[k - 1] = values
+            state = history[k - 1]
+            state[:] = rows
+            # A point priced before is in `best` already: min() would keep `best`.
+            for number in rounded:
+                if number not in totals:
+                    total = totals[number] = total_cost(number)
+                    best = min(best, total)
+            best_rounded[k - 1] = best
+    finally:
+        _check_mixed(kept[:mixed_rounds], space)
 
     points = [point_of_number(space, number) for number in rounded]
     values = [totals[number] for number in rounded]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from latmin import (
 )
 
 from latmin import solvers
+from latmin.extension import FEASIBILITY_TOL, check_row
 from latmin.scenario import bundled_scenario_path, load_scenario
 
 from helpers import (
@@ -101,6 +103,11 @@ class TestWeightMatrix:
         assert network != WeightMatrix(np.full((4, 4), 0.25), eta=network.eta)
         assert network != WeightMatrix(network.entries, eta=network.eta / 2)
         assert network != network.entries
+
+    def test_is_unhashable_by_its_own_name(self):
+        # Equal by value, so not hashable: the error names the class, not the array it holds.
+        with pytest.raises(TypeError, match=re.escape("unhashable type: 'WeightMatrix'")):
+            hash(WeightMatrix([[1.0]], eta=0.5))
 
 
 def with_entries(matrix, *entries):
@@ -766,3 +773,178 @@ class TestBatchedDisagreement:
         got = self.disagreement_bytes(distributed_minimize, *case)
         assert got == self.disagreement_bytes(reference_distributed_minimize, *case)
         assert np.count_nonzero(np.frombuffer(got)) > 0
+
+
+def raised_message(call, *args):
+    """The message of the ValueError `call(*args)` raises, or None if it returns."""
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# Entries at and past the edges of [0,1] and its tolerance, and in-chain
+# rises of exactly the tolerance and of the next float above it.
+EDGE_ENTRIES = [math.nan, math.inf, -math.inf, -0.0, -FEASIBILITY_TOL, -2e-12, 1.0 + FEASIBILITY_TOL, 1.0 + 2e-12]
+EDGE_RISES = [FEASIBILITY_TOL, math.nextafter(FEASIBILITY_TOL, 1.0)]
+
+
+@st.composite
+def mixed_buffers(draw):
+    """1-6 rounds of 1-4 agents' rows on 1-4 chains of 2-5 elements: each row
+    per chain sorted uniform draws, then up to three entries set to an edge
+    value or lifted into an in-chain rise, exact at 0 and 0.5."""
+    space = ChainProduct(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    rounds, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rows = []
+    for _ in range(rounds * n):
+        row = []
+        for m in space.dims:
+            row += sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=m - 1, max_size=m - 1)), reverse=True)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if space.in_chain_steps and draw(st.booleans()):
+            k = draw(st.sampled_from(space.in_chain_steps))
+            row[k] = draw(st.sampled_from([row[k], 0.0, -0.0, 0.5]))
+            row[k + 1] = row[k] + draw(st.sampled_from(EDGE_RISES))
+        else:
+            row[draw(st.integers(0, space.sort_length - 1))] = draw(st.sampled_from(EDGE_ENTRIES))
+    return space, np.array(rows).reshape(rounds, n, space.sort_length)
+
+
+# Each way to spoil a row, and the words of the error `check_row` then raises.
+SPOILED = {"nan": "leaves [0,1]", "above": "leaves [0,1]", "rise": "is not non-increasing"}
+
+
+def spoil(row, kind):
+    """Make `row`, a flat profile on ChainProduct([4, 3, 3]), infeasible:
+    a NaN in chain 1, an entry just past 1 + tol in chain 2, or a rise just
+    past tol inside chain 0."""
+    if kind == "nan":
+        row[4] = math.nan
+    elif kind == "above":
+        row[5] = 1.0 + 2 * FEASIBILITY_TOL
+    else:
+        row[:3] = [0.5, 0.5, 0.5 + 2 * FEASIBILITY_TOL]
+
+
+def spoiling_mix(monkeypatch, spoiled):
+    """Wrap `solvers._mix` so that round k's mixed state has row i spoiled as
+    `spoiled[k][i]` says.  Returns the list of rounds mixed so far and a dict
+    that gets each spoiled row, by (round, agent), as a list."""
+    mix = solvers._mix
+    rounds, rows = [], {}
+
+    def spoiling(*args):
+        mixed = mix(*args)
+        rounds.append(len(rounds) + 1)
+        for i, kind in spoiled.get(len(rounds), {}).items():
+            spoil(mixed[i], kind)
+            rows[len(rounds), i] = mixed[i].tolist()
+        return mixed
+
+    monkeypatch.setattr(solvers, "_mix", spoiling)
+    return rounds, rows
+
+
+SPOILED_SPACE = ChainProduct([4, 3, 3])
+
+
+def spoiled_solve(n, iterations=6, oracle=None):
+    """A seeded solve of n agents on SPOILED_SPACE, centralized for one agent."""
+    rng = np.random.default_rng(n)
+    fs = [random_submodular_oracle(SPOILED_SPACE, rng) if oracle is None else oracle for _ in range(n)]
+    params = SolverParams(iterations=iterations, gamma=0.3, seed=2)
+    if n == 1:
+        return centralized_minimize(fs[0], SPOILED_SPACE, params)
+    return distributed_minimize(fs, SPOILED_SPACE, WeightMatrix(line_matrix(n), eta=0.1), params)
+
+
+class TestMixedRowCheck:
+    """The mixed rows are checked in one array pass per solve.  A bad one
+    raises `check_row`'s error for the first bad row, by round then agent,
+    ahead of anything that failed after that row was mixed."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(mixed_buffers(), st.sampled_from([None, 1, 7, 40]))
+    # One-coordinate chains only, and a rise of exactly tol before one just past it.
+    @example((ChainProduct([2, 2, 2]), np.array([[[0.0, 1.0, math.nan]]])), None)
+    @example((ChainProduct([3]), np.array([[[0.0, FEASIBILITY_TOL]], [[0.0, EDGE_RISES[1]]]])), None)
+    def test_raises_check_rows_error_on_the_first_row_it_rejects(self, case, cap):
+        space, kept = case
+        errors = [raised_message(check_row, row, space) for row in kept.reshape(-1, space.sort_length).tolist()]
+        with pytest.MonkeyPatch.context() as patch:
+            if cap is not None:
+                patch.setattr(solvers, "_DISAGREEMENT_BATCH", cap)
+            got = raised_message(solvers._check_mixed, kept, space)
+        assert got == next(filter(None, errors), None)
+
+    def test_temporaries_stay_within_a_batch(self):
+        # 2000 rounds of 4 agents on 4 chains of 5: 128,000 floats in 32 batches.
+        space = ChainProduct([5, 5, 5, 5])
+        kept = np.tile(np.linspace(1.0, 0.0, space.sort_length), (2000, 4, 1))
+        tracemalloc.start()
+        try:
+            solvers._check_mixed(kept, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Eight floats per entry of a batch, and less than half the buffer: one pass over
+        # the whole buffer at once would peak above its size.
+        assert peak < 8 * 8 * solvers._DISAGREEMENT_BATCH < kept.nbytes / 2
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("kind", sorted(SPOILED))
+    @pytest.mark.parametrize("bad_round", [1, 4])
+    def test_a_spoiled_mixed_row_raises_check_rows_error(self, monkeypatch, n, kind, bad_round):
+        _, rows = spoiling_mix(monkeypatch, {bad_round: {n - 1: kind}})
+        with pytest.raises(ValueError) as raised:
+            spoiled_solve(n)
+        want = raised_message(check_row, rows[bad_round, n - 1], SPOILED_SPACE)
+        assert SPOILED[kind] in want
+        assert str(raised.value) == want
+
+    # The first spoiled row by round, then by agent, is the one named.
+    @pytest.mark.parametrize(
+        "spoiled, first",
+        [
+            ({2: {2: "above"}, 3: {0: "nan"}}, (2, 2)),
+            ({2: {2: "nan", 1: "rise"}}, (2, 1)),
+        ],
+    )
+    def test_the_first_spoiled_row_is_named(self, monkeypatch, spoiled, first):
+        _, rows = spoiling_mix(monkeypatch, spoiled)
+        with pytest.raises(ValueError) as raised:
+            spoiled_solve(3)
+        assert str(raised.value) == raised_message(check_row, rows[first], SPOILED_SPACE)
+
+    @pytest.mark.parametrize("spoiled", [{}, {2: {1: "above"}}])
+    def test_an_oracle_failing_in_a_later_round_loses_to_a_spoiled_row(self, monkeypatch, spoiled):
+        rounds, rows = spoiling_mix(monkeypatch, spoiled)
+        fn = random_submodular_fn(SPOILED_SPACE, np.random.default_rng(11))
+        failed = []
+
+        def cost(x):
+            # Up from round 3 every new point fails.
+            if len(rounds) >= 3:
+                failed.append(x)
+                raise RuntimeError(f"no cost at {x}")
+            return fn(x)
+
+        with pytest.raises((ValueError, RuntimeError)) as raised:
+            spoiled_solve(3, oracle=Oracle(cost, SPOILED_SPACE))
+        if spoiled:
+            assert str(raised.value) == raised_message(check_row, rows[2, 1], SPOILED_SPACE)
+        else:
+            assert raised.type is RuntimeError and str(raised.value) == f"no cost at {failed[0]}"
+        # The oracle did fail, after the spoiled row was mixed.
+        assert failed and len(rounds) >= 3
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_row_is_checked_one_at_a_time(self, monkeypatch, n):
+        checked = []
+        monkeypatch.setattr(solvers, "check_row", lambda row, space: checked.append(row))
+        spoiled_solve(n, iterations=30)
+        assert checked == []
