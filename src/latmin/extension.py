@@ -12,14 +12,15 @@ each cone of profiles that share one sort order (Lovász 1983): there the
 walk visits the same points, so its f-steps and subgradient are the same,
 and its value is f(bottom) plus each entry times its step, in visit
 order.  `_walk` returns the steps, so a caller that meets an order again
-can price it without walking.  `check_row` checks one
-profile held as a list and `rounding_rule` rounds one to the number of its
-lattice point, which `point_of_number` decodes; `Profile.validate` and
-`theta` apply them to a `Profile`.  A solver does not call
-`rounding_rule` each round: the projection counts the same entries while
-it writes each chain, and `rounding_rule` is the definition that count
-is tested against.  The walk reads oracle values from a
-dict the caller owns and evaluates only the points missing there; a solve
+can price it without walking.  `check_rows` is the one feasibility
+check: one numpy pass over the rows of an array, which `Profile.validate`
+and a solve's mixed rows both go through.  `rounding_rule` rounds a
+profile held as a list to the number of its lattice point, which
+`point_of_number` decodes; `theta` applies it to a `Profile`.  A solver
+does not call `rounding_rule` each round: the projection counts the same
+entries while it writes each chain, and `rounding_rule` is the definition
+that count is tested against.  The walk reads oracle values from a dict
+the caller owns and evaluates only the points missing there; a solve
 keeps one dict per agent.
 
 For chains of size 2 this is exactly the classical relaxation of set
@@ -38,6 +39,10 @@ import numpy as np
 from .lattice import ChainProduct, Oracle, _require_oracle_space
 
 FEASIBILITY_TOL = 1e-12
+
+# The most floats one batch of an array pass over many rows holds, so its
+# temporaries stay small next to the rows it reads.
+_BATCH_FLOATS = 1 << 12
 
 
 @dataclass
@@ -80,27 +85,39 @@ class Profile:
                 f"profile of shape {v.shape} on dims {self.space.dims} does not "
                 f"match dims {space.dims}"
             )
-        check_row(v.tolist(), space)
+        check_rows(v[None], space)
 
 
-def check_row(values: list[float], space: ChainProduct) -> None:
-    """Raise unless `values`, a list in `space`'s flat layout, is a feasible profile.
+def check_rows(rows, space: ChainProduct) -> None:
+    """Raise unless every row of `rows`, an (m, r) array in `space`'s flat layout,
+    is a feasible profile: every entry inside [0,1] and no chain rising, each
+    within `FEASIBILITY_TOL`.
 
-    The message names the first offending chain.
+    The message names the first infeasible row's first offending chain; a
+    chain that leaves [0,1] is named so even if it also rises.  Rows go in
+    batches of at most `_BATCH_FLOATS` entries.
     """
-    lo, hi = -FEASIBILITY_TOL, 1.0 + FEASIBILITY_TOL
-    # Written as "inside" so that NaN entries count as outside.  A rise from
-    # the last entry of one chain to the first of the next is fine.
-    if all(lo <= v <= hi for v in values) and not any(
-        values[k + 1] - values[k] > FEASIBILITY_TOL for k in space.in_chain_steps
-    ):
-        return
-    for i, (start, end) in enumerate(itertools.pairwise(space.offsets)):
-        p = np.array(values[start:end])
-        if not np.all((p >= lo) & (p <= hi)):
-            raise ValueError(f"profile chain {i} leaves [0,1]: {p}")
-        if np.any(np.diff(p) > FEASIBILITY_TOL):
-            raise ValueError(f"profile chain {i} is not non-increasing: {p}")
+    rows = np.asarray(rows, dtype=float)
+    steps = np.array(space.in_chain_steps, dtype=np.intp)
+    batch = max(1, _BATCH_FLOATS // space.sort_length)
+    for start in range(0, len(rows), batch):
+        block = rows[start : start + batch]
+        # Written as "inside" so that NaN entries count as outside.
+        outside = ~((block >= -FEASIBILITY_TOL) & (block <= 1.0 + FEASIBILITY_TOL))
+        # A rise from the last entry of one chain to the first of the next is fine.
+        # Infinite or huge entries give NaN or overflowing rises, which do not count.
+        with np.errstate(invalid="ignore", over="ignore"):
+            rises = block[:, steps + 1] - block[:, steps] > FEASIBILITY_TOL
+        bad = outside.any(axis=1) | rises.any(axis=1)
+        if bad.any():
+            i = bad.argmax()
+            n = space.n_chains
+            leaves = space.chain_of[outside[i].argmax()] if outside[i].any() else n
+            rising = space.chain_of[steps[rises[i].argmax()]] if rises[i].any() else n
+            chain = min(leaves, rising)
+            p = block[i, space.offsets[chain] : space.offsets[chain + 1]]
+            what = "leaves [0,1]" if leaves <= rising else "is not non-increasing"
+            raise ValueError(f"profile chain {chain} {what}: {p}")
 
 
 def uniform_random_profile(space: ChainProduct, seed) -> Profile:

@@ -14,6 +14,8 @@ so an entry counts toward the rounded point exactly when it is at least
 the threshold: the loop that writes a chain can add its stride for each
 such entry, and a solver reads the rounded point's number
 (`extension.rounding_rule`) off the projection with no second pass.
+That loop, `_project`, is the one projection: `project_product` calls it
+with no threshold.
 """
 
 from __future__ import annotations
@@ -45,18 +47,14 @@ def project_product(values, space: ChainProduct) -> Profile:
         raise ValueError(
             f"expected a flat vector of length {space.sort_length}, got shape {values.shape}"
         )
-    return Profile(space, np.array(project_row(values.tolist(), space)))
-
-
-def project_row(values: list[float], space: ChainProduct) -> list[float]:
-    """`project_product` of a list in `space`'s flat layout, returned as a list."""
-    return _project(values, space, math.inf)[0]
+    return Profile(space, np.array(_project(values.tolist(), space, math.inf)[0]))
 
 
 def _project(values: list[float], space: ChainProduct, t: float) -> tuple[list[float], int]:
-    """`project_row` and the number of the point its row rounds to at threshold t,
-    as `rounding_rule(space, t)` would count it: every entry >= t adds its chain's
-    stride.  An infinite t counts nothing."""
+    """The projection of a list in `space`'s flat layout, as a list, and the number
+    of the point it rounds to at threshold t, as `rounding_rule(space, t)` would
+    count it: every entry >= t adds its chain's stride.  An infinite t counts
+    nothing."""
     if not all(map(math.isfinite, values)):
         raise ValueError("projection input has non-finite entries")
     row: list[float] = []

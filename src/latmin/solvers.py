@@ -16,12 +16,12 @@ met again costs r products and no oracle request.  An agent's round is
 one pass over its row: the projection that writes each chain also counts
 the entries that round up, so the rounded point's number comes with the
 projected row.  Mixing computes every correction slot of the whole state
-in one array step, with slots stacked once per solve, and adds them in
-slot order.  The feasibility check of the mixed rows is paid once per
-solve too: each round's mixed state is written into a buffer kept for the
-solve, and the buffer is checked in one array pass after the last round,
-or as soon as anything fails, so that an infeasible row still raises
-before any failure that followed it.
+in one array step, from one slot table built once per solve
+(`_slot_arrays`), and adds them in slot order.  The mixed rows go through
+the one row check, `extension.check_rows`, once per solve: each round's
+mixed state is written into a buffer kept for the solve, and the buffer
+is checked after the last round, or as soon as anything fails, so that
+an infeasible row still raises before any failure that followed it.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extension import (
-    FEASIBILITY_TOL,
+    _BATCH_FLOATS,
     Profile,
     _descending,
     _walk,
-    check_row,
+    check_rows,
     point_of_number,
     uniform_random_profile,
 )
@@ -45,10 +45,6 @@ from .lattice import ChainProduct, Oracle, _left_sum, _require_oracle_space
 from .projection import _project
 
 STOCHASTIC_TOL = 1e-9
-
-# The most floats one batch of the disagreement's pairwise differences
-# holds, so its temporaries stay small next to the kept state.
-_DISAGREEMENT_BATCH = 1 << 12
 
 
 # Each condition's report field and the message its failure prints, in order.
@@ -92,12 +88,14 @@ def validate_weight_matrix(matrix, eta: float) -> MatrixReport:
 
     1. strong connectivity of the support graph, 2. self-weights >= eta,
     3. positive weights >= eta, 4. rows and columns sum to 1.  A matrix
-    that is not square, or has a negative or non-finite entry, raises a
-    ValueError naming it.
+    that is not square, has no agent, or has a negative or non-finite
+    entry, raises a ValueError naming it.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix: must be square, got shape {a.shape}")
+    if not len(a):
+        raise ValueError("matrix: need at least one agent")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta: must lie in (0,1), got {eta}")
     # Written as "inside" so that NaN entries count as outside.
@@ -199,38 +197,28 @@ class SolveTrace:
     best_rounded: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def _mixing_slots(weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Slot s holds every agent's s-th nonzero off-diagonal (neighbor, weight), read
-    off `weights.tolist()` in neighbor order, as an agent-indexed neighbor array and
-    a weight column.  An agent with fewer takes its own row at weight -0.0 there,
-    since -0.0 * (x - x) = -0.0 and y + -0.0 = y, even for y = -0.0: an exact
-    identity on finite rows.  A -0.0 weight is zero and gets no slot.
-    """
-    pairs = []
-    for i, row in enumerate(weights.tolist()):
-        pairs.append([(j, w) for j, w in enumerate(row) if j != i and w != 0.0])
-    slots = []
-    for s in range(max(map(len, pairs), default=0)):
-        neighbors, ws = np.arange(len(pairs)), np.full((len(pairs), 1), -0.0)
-        for i, own in enumerate(pairs):
-            if s < len(own):
-                neighbors[i], ws[i] = own[s]
-        slots.append((neighbors, ws))
-    return slots
-
-
 def _slot_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_mixing_slots(weights)` stacked: the neighbors as an (S, n) array and the
-    weights as an (S, n, 1) array, S = 0 included."""
-    slots = _mixing_slots(weights)
+    """Every agent's nonzero off-diagonal weights as correction slots: slot s holds
+    each agent's s-th neighbor, by increasing index, in an (S, n) neighbor array
+    and its weight in an (S, n, 1) array, S the most neighbors any agent has.  An
+    agent with fewer takes its own row at weight -0.0 there, since
+    -0.0 * (x - x) = -0.0 and y + -0.0 = y, even for y = -0.0: an exact identity
+    on finite rows.  A -0.0 weight is zero and gets no slot.
+    """
     n = len(weights)
-    neighbors = np.array([neighbor for neighbor, _ in slots], dtype=np.intp).reshape(len(slots), n)
-    ws = np.array([w for _, w in slots], dtype=float).reshape(len(slots), n, 1)
+    edges = (weights != 0.0) & ~np.eye(n, dtype=bool)
+    counts = edges.sum(axis=1)
+    slots = np.arange(counts.max(initial=0))[:, None]
+    # A stable sort of "not an edge" lists each agent's neighbors first, in index order.
+    order = np.argsort(~edges, axis=1, kind="stable").T[: len(slots)]
+    filled = slots < counts
+    neighbors = np.where(filled, order, np.arange(n))
+    ws = np.where(filled, weights[np.arange(n), order], -0.0)[:, :, None]
     return neighbors, ws
 
 
 def _mix(state: np.ndarray, neighbors: np.ndarray, ws: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`mix_profiles` with the slots `_slot_arrays` stacked, written into `out` and returned:
+    """`mix_profiles` with the slot table `_slot_arrays` builds, written into `out` and returned:
     every slot's corrections in one array step, then added to `state` in slot order;
     a copy of `state` when there are none."""
     if not len(ws):
@@ -256,8 +244,8 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     at weight -0.0, which leaves every finite entry as it was, -0.0
     included.  All slots' corrections are computed in one array step and
     added in slot order, each entry through the same operations in the same
-    order as one slot at a time.  A solve stacks the slots once and mixes
-    with them every round.  The result is a new float array.
+    order as one slot at a time.  A solve builds the slot table once and
+    mixes with it every round.  The result is a new float array.
     """
     return _mix(state, *_slot_arrays(weights), np.empty(state.shape))
 
@@ -269,41 +257,19 @@ def _disagreement_trace(history: np.ndarray) -> np.ndarray:
     sqrt is monotone and `np.vecdot` of a float vector with itself gives
     the bytes of BLAS `d.dot(d)`, which `np.linalg.norm` takes too, so each
     entry equals the largest pairwise norm bit for bit.  Rounds go in
-    batches of at most `_DISAGREEMENT_BATCH` differences.  One agent has no
+    batches of at most `_BATCH_FLOATS` differences.  One agent has no
     pairs and keeps zeros.
     """
     iterations, n_agents, r = history.shape
     disagreement = np.zeros(iterations)
     first, second = np.triu_indices(n_agents, 1)
     if len(first):
-        step = max(1, _DISAGREEMENT_BATCH // (len(first) * r))
+        step = max(1, _BATCH_FLOATS // (len(first) * r))
         for start in range(0, iterations, step):
             rounds = history[start : start + step]
             d = rounds[:, first] - rounds[:, second]
             disagreement[start : start + step] = np.sqrt(np.vecdot(d, d).max(axis=1))
     return disagreement
-
-
-def _check_mixed(kept: np.ndarray, space: ChainProduct) -> None:
-    """`check_row` on every row of `kept`, an (rounds, n_agents, r) array of each
-    round's mixed state, in one array pass: the first infeasible row, by round
-    then agent, raises `check_row`'s own error.
-
-    The bounds and the in-chain rise test are `check_row`'s, on the same
-    floats, so the pass flags exactly the rows `check_row` rejects.  Rows go
-    in batches of at most `_DISAGREEMENT_BATCH` entries.
-    """
-    r = space.sort_length
-    rows = kept.reshape(-1, r)
-    steps = np.array(space.in_chain_steps, dtype=np.intp)
-    batch = max(1, _DISAGREEMENT_BATCH // r)
-    for start in range(0, len(rows), batch):
-        block = rows[start : start + batch]
-        inside = (block >= -FEASIBILITY_TOL) & (block <= 1.0 + FEASIBILITY_TOL)
-        rises = np.diff(block)[:, steps] > FEASIBILITY_TOL
-        bad = ~inside.all(axis=1) | rises.any(axis=1)
-        if bad.any():
-            check_row(block[bad.argmax()].tolist(), space)
 
 
 def distributed_minimize(
@@ -353,11 +319,11 @@ def distributed_minimize(
     walks by sort order hold at most one entry per round per agent, each
     two lists of r floats and the order's key, also dropped on return.
 
-    Every mixed row must pass `check_row`.  The rows are checked in one
-    array pass over the buffer (see `_check_mixed`) after the last round,
-    or when anything raises during the rounds (an oracle, the walk or the
-    projection); then the first infeasible row, by round then agent,
-    raises `check_row`'s error.  A lone agent's mixed row is its previous
+    Every mixed row must pass `extension.check_rows`, the one row check,
+    which `Profile.validate` uses too.  It runs once over the buffer after
+    the last round, or when anything raises during the rounds (an oracle,
+    the walk or the projection); then the first infeasible row, by round
+    then agent, raises its error.  A lone agent's mixed row is its previous
     projected row, kept and checked the same way.  So a solve raises the
     same error as one that checked each round's rows before its walks,
     though an oracle may have been asked for more points by then.
@@ -441,7 +407,7 @@ def distributed_minimize(
                     best = min(best, total)
             best_rounded[k - 1] = best
     finally:
-        _check_mixed(kept[:mixed_rounds], space)
+        check_rows(kept[:mixed_rounds].reshape(-1, space.sort_length), space)
 
     points = [point_of_number(space, number) for number in rounded]
     values = [totals[number] for number in rounded]

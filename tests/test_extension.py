@@ -14,7 +14,7 @@ from latmin import (
     theta,
     uniform_random_profile,
 )
-from latmin.extension import FEASIBILITY_TOL, _walk, check_row, point_of_number, rounding_rule
+from latmin.extension import FEASIBILITY_TOL, _walk, check_rows, point_of_number, rounding_rule
 
 from helpers import (
     random_chain_product,
@@ -358,10 +358,15 @@ class TestRowCheck:
     @example((ChainProduct([2, 2]), [0.3, -math.inf]))
     # A NaN that min and max both pass over.
     @example((ChainProduct([3, 2]), [0.5, math.nan, 0.3]))
+    # Adjacent same-sign infinities, across a chain boundary and within one chain,
+    # and a rise that overflows: none of them may warn.
+    @example((ChainProduct((2, 2, 2, 3)), [-math.inf, -math.inf, 0.0, 0.0, 0.0]))
+    @example((ChainProduct([3]), [math.inf, math.inf]))
+    @example((ChainProduct([3]), [-1e308, 1e308]))
     def test_matches_the_generator_form(self, case):
         space, values = case
         want = row_check_outcome(reference_check_row, space, values)
-        assert row_check_outcome(check_row, space, values) == want
+        assert row_check_outcome(lambda row, space: check_rows([row], space), space, values) == want
 
 
 class TestTheta:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from latmin import ChainProduct, project_monotone_box, project_product
 
 from latmin.extension import rounding_rule
-from latmin.projection import _project, project_row
+from latmin.projection import _project
 
 from helpers import grid_projection_oracle, reference_project, reference_project_monotone_box
 
@@ -144,12 +144,12 @@ class TestProjectRow:
     def test_rows_match_the_chain_by_chain_reference_byte_for_byte(self, case):
         rows, space = case
         expected = np.array([reference_project(row, space) for row in rows])
-        assert np.array([project_row(row, space) for row in rows.tolist()]).tobytes() == expected.tobytes()
+        assert np.array([project_product(row, space).values for row in rows]).tobytes() == expected.tobytes()
 
     def test_a_rising_pair_pools_to_its_mean_then_clips(self):
         space = ChainProduct([3, 3, 2])
         rows = [[0.25, 0.75, -0.5, 2.0, 1.5], [-0.0, 0.0, 1.5, 0.5, -0.0]]
-        out = np.array([project_row(row, space) for row in rows])
+        out = np.array([project_product(row, space).values for row in rows])
         assert out.tolist() == [[0.5, 0.5, 0.75, 0.75, 1.0], [-0.0, 0.0, 1.0, 0.5, -0.0]]
         # -0.0 < 0.0 is false: the pair does not rise, and each zero keeps its sign.
         assert np.signbit(out[1]).tolist() == [True, False, False, False, True]
@@ -178,5 +178,5 @@ class TestProjectionRounding:
         values, space, t = case
         row, number = _project(values, space, t)
         assert number == rounding_rule(space, t)(row)
-        assert np.array(row).tobytes() == np.array(project_row(values, space)).tobytes()
+        assert np.array(row).tobytes() == project_product(values, space).values.tobytes()
         assert np.array(row).tobytes() == reference_project(np.array(values), space).tobytes()

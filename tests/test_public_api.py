@@ -7,13 +7,14 @@ import re
 from pathlib import Path
 
 import latmin
-from latmin import ChainProduct, cli, ctf, extension, lattice
+from latmin import ChainProduct, cli, ctf, extension, lattice, projection
 from latmin.scenario import Problem, Scenario
 
 REMOVED = {
     latmin: ("make_chain_product", "profile_from_point"),
     lattice: ("make_chain_product",),
-    extension: ("profile_from_point",),
+    extension: ("profile_from_point", "check_row"),
+    projection: ("project_row",),
     ctf: ("defender_cost", "step_tables", "StepTables", "reachable_cells", "decode_actions"),
     ctf.Arena: ("clamp",),
     ChainProduct: ("in_chain_pairs",),

@@ -25,8 +25,8 @@ from latmin import (
     validate_weight_matrix,
 )
 
-from latmin import solvers
-from latmin.extension import FEASIBILITY_TOL, check_row
+from latmin import extension, solvers
+from latmin.extension import FEASIBILITY_TOL, check_rows
 from latmin.scenario import bundled_scenario_path, load_scenario
 
 from helpers import (
@@ -37,6 +37,7 @@ from helpers import (
     random_submodular_oracle,
     random_table_oracle,
     reference_centralized_minimize,
+    reference_check_row,
     reference_distributed_minimize,
     reference_mix_row,
     reference_mixing_plan,
@@ -89,6 +90,12 @@ class TestWeightMatrix:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             validate_weight_matrix(np.ones((2, 3)) / 3, eta=0.1)
+
+    @pytest.mark.parametrize("build", [validate_weight_matrix, WeightMatrix])
+    def test_no_agent_rejected(self, build):
+        # Each condition holds vacuously on an empty matrix, and a solve would then fail in numpy.
+        with pytest.raises(ValueError, match="^matrix: need at least one agent$"):
+            build(np.zeros((0, 0)), eta=0.5)
 
     def test_weight_matrix_type_rejects_invalid(self):
         with pytest.raises(ValueError, match="condition 4"):
@@ -182,7 +189,7 @@ class TestNetworkInternals:
         agents, neighbors, ws = reference_mixing_plan(weights)
         n_agents = len(weights)
         mine = [np.flatnonzero(agents == i) for i in range(n_agents)]
-        want = []
+        want_neighbors, want_ws = [], []
         for s in range(max(len(m) for m in mine)):
             slot_neighbors = np.arange(n_agents)
             slot_ws = np.full((n_agents, 1), -0.0)
@@ -190,11 +197,15 @@ class TestNetworkInternals:
                 if s < len(m):
                     slot_neighbors[i] = neighbors[m[s]]
                     slot_ws[i] = ws[m[s]]
-            want.append((slot_neighbors, slot_ws))
-        for got_slot, want_slot in zip(solvers._mixing_slots(weights), want, strict=True):
-            for g, w in zip(got_slot, want_slot, strict=True):
-                assert (g.dtype, g.shape) == (w.dtype, w.shape)
-                assert g.tobytes() == w.tobytes()
+            want_neighbors.append(slot_neighbors)
+            want_ws.append(slot_ws)
+        want = (
+            np.array(want_neighbors, dtype=np.intp).reshape(len(want_neighbors), n_agents),
+            np.array(want_ws, dtype=float).reshape(len(want_ws), n_agents, 1),
+        )
+        for g, w in zip(solvers._slot_arrays(weights), want, strict=True):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
 
 
 class TestStepSize:
@@ -764,7 +775,7 @@ class TestBatchedDisagreement:
     @pytest.mark.parametrize("cap", [90, 270, 449, None])
     def test_five_agents_over_ragged_batches(self, monkeypatch, cap):
         if cap is not None:
-            monkeypatch.setattr(solvers, "_DISAGREEMENT_BATCH", cap)
+            monkeypatch.setattr(solvers, "_BATCH_FLOATS", cap)
         X = ChainProduct([5, 3, 4])
         assert X.sort_length == 9
         matrix = WeightMatrix(np.full((5, 5), 0.2), eta=0.1)
@@ -814,7 +825,7 @@ def mixed_buffers(draw):
     return space, np.array(rows).reshape(rounds, n, space.sort_length)
 
 
-# Each way to spoil a row, and the words of the error `check_row` then raises.
+# Each way to spoil a row, and the words of the error `check_rows` then raises.
 SPOILED = {"nan": "leaves [0,1]", "above": "leaves [0,1]", "rise": "is not non-increasing"}
 
 
@@ -863,22 +874,29 @@ def spoiled_solve(n, iterations=6, oracle=None):
 
 
 class TestMixedRowCheck:
-    """The mixed rows are checked in one array pass per solve.  A bad one
-    raises `check_row`'s error for the first bad row, by round then agent,
-    ahead of anything that failed after that row was mixed."""
+    """The mixed rows are checked in one `check_rows` pass per solve.  A bad
+    one raises the row check's error for the first bad row, by round then
+    agent, ahead of anything that failed after that row was mixed."""
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(mixed_buffers(), st.sampled_from([None, 1, 7, 40]))
     # One-coordinate chains only, and a rise of exactly tol before one just past it.
     @example((ChainProduct([2, 2, 2]), np.array([[[0.0, 1.0, math.nan]]])), None)
     @example((ChainProduct([3]), np.array([[[0.0, FEASIBILITY_TOL]], [[0.0, EDGE_RISES[1]]]])), None)
+    # Adjacent same-sign infinities, across a chain boundary and within one chain:
+    # their difference is NaN, which must not warn.
+    @example((ChainProduct((2, 2, 2, 3)), np.array([[[-math.inf, -math.inf, 0.0, 0.0, 0.0]]])), None)
+    @example((ChainProduct([3]), np.array([[[math.inf, math.inf]]])), None)
+    # A rise that overflows.
+    @example((ChainProduct([3]), np.array([[[-1e308, 1e308]]])), None)
     def test_raises_check_rows_error_on_the_first_row_it_rejects(self, case, cap):
         space, kept = case
-        errors = [raised_message(check_row, row, space) for row in kept.reshape(-1, space.sort_length).tolist()]
+        rows = kept.reshape(-1, space.sort_length)
+        errors = [raised_message(reference_check_row, row, space) for row in rows.tolist()]
         with pytest.MonkeyPatch.context() as patch:
             if cap is not None:
-                patch.setattr(solvers, "_DISAGREEMENT_BATCH", cap)
-            got = raised_message(solvers._check_mixed, kept, space)
+                patch.setattr(extension, "_BATCH_FLOATS", cap)
+            got = raised_message(check_rows, rows, space)
         assert got == next(filter(None, errors), None)
 
     def test_temporaries_stay_within_a_batch(self):
@@ -887,13 +905,13 @@ class TestMixedRowCheck:
         kept = np.tile(np.linspace(1.0, 0.0, space.sort_length), (2000, 4, 1))
         tracemalloc.start()
         try:
-            solvers._check_mixed(kept, space)
+            check_rows(kept.reshape(-1, space.sort_length), space)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # Eight floats per entry of a batch, and less than half the buffer: one pass over
         # the whole buffer at once would peak above its size.
-        assert peak < 8 * 8 * solvers._DISAGREEMENT_BATCH < kept.nbytes / 2
+        assert peak < 8 * 8 * extension._BATCH_FLOATS < kept.nbytes / 2
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("kind", sorted(SPOILED))
@@ -902,7 +920,7 @@ class TestMixedRowCheck:
         _, rows = spoiling_mix(monkeypatch, {bad_round: {n - 1: kind}})
         with pytest.raises(ValueError) as raised:
             spoiled_solve(n)
-        want = raised_message(check_row, rows[bad_round, n - 1], SPOILED_SPACE)
+        want = raised_message(check_rows, [rows[bad_round, n - 1]], SPOILED_SPACE)
         assert SPOILED[kind] in want
         assert str(raised.value) == want
 
@@ -918,7 +936,7 @@ class TestMixedRowCheck:
         _, rows = spoiling_mix(monkeypatch, spoiled)
         with pytest.raises(ValueError) as raised:
             spoiled_solve(3)
-        assert str(raised.value) == raised_message(check_row, rows[first], SPOILED_SPACE)
+        assert str(raised.value) == raised_message(check_rows, [rows[first]], SPOILED_SPACE)
 
     @pytest.mark.parametrize("spoiled", [{}, {2: {1: "above"}}])
     def test_an_oracle_failing_in_a_later_round_loses_to_a_spoiled_row(self, monkeypatch, spoiled):
@@ -936,7 +954,7 @@ class TestMixedRowCheck:
         with pytest.raises((ValueError, RuntimeError)) as raised:
             spoiled_solve(3, oracle=Oracle(cost, SPOILED_SPACE))
         if spoiled:
-            assert str(raised.value) == raised_message(check_row, rows[2, 1], SPOILED_SPACE)
+            assert str(raised.value) == raised_message(check_rows, [rows[2, 1]], SPOILED_SPACE)
         else:
             assert raised.type is RuntimeError and str(raised.value) == f"no cost at {failed[0]}"
         # The oracle did fail, after the spoiled row was mixed.
@@ -945,6 +963,6 @@ class TestMixedRowCheck:
     @pytest.mark.parametrize("n", [1, 3])
     def test_no_row_is_checked_one_at_a_time(self, monkeypatch, n):
         checked = []
-        monkeypatch.setattr(solvers, "check_row", lambda row, space: checked.append(row))
+        monkeypatch.setattr(solvers, "check_rows", lambda rows, space: checked.append(rows.shape))
         spoiled_solve(n, iterations=30)
-        assert checked == []
+        assert checked == [(30 * n, SPOILED_SPACE.sort_length)]
