@@ -9,10 +9,11 @@ entries, walking a monotone chain of lattice points from bottom to top and
 charging each unit step with the entry that triggered it.  The subgradient
 falls out of the same walk at no extra cost.  The extension is linear on
 each cone of profiles that share one sort order (Lovász 1983): there the
-walk visits the same points, so its f-steps and subgradient are the same,
-and its value is f(bottom) plus each entry times its step, in visit
-order.  `_walk` returns the steps, so a caller that meets an order again
-can price it without walking.  `check_rows` is the one feasibility
+walk visits the same points, so its f-steps and subgradient are the same.
+That pair is the linear piece `_walk` returns, and `_value` is the one
+sum that prices a profile from it: f(bottom) plus each entry times its
+step, in visit order.  So a caller that meets an order again prices it
+without walking.  `check_rows` is the one feasibility
 check: one numpy pass over the rows of an array, which `Profile.validate`
 and a solve's mixed rows both go through.  `rounding_rule` rounds a
 profile held as a list to the number of its lattice point, which
@@ -64,19 +65,6 @@ class Profile:
         for start, xi in zip(space.offsets, x):
             values[start : start + xi] = 1.0
         return cls(space, values)
-
-    @classmethod
-    def zeros(cls, space: ChainProduct) -> "Profile":
-        return cls(space, np.zeros(space.sort_length))
-
-    @classmethod
-    def ones(cls, space: ChainProduct) -> "Profile":
-        return cls(space, np.ones(space.sort_length))
-
-    def chain(self, i: int) -> np.ndarray:
-        """A view of chain i's coordinates."""
-        offsets = self.space.offsets
-        return self.values[offsets[i] : offsets[i + 1]]
 
     def validate(self, space: ChainProduct) -> None:
         v = self.values
@@ -158,32 +146,28 @@ def point_of_number(space: ChainProduct, number: int) -> tuple[int, ...]:
 
 @dataclass
 class ExtensionResult:
-    """Value, flat subgradient, and the sorted walk that produced them."""
+    """The extension's value and flat subgradient at a profile."""
 
     value: float
     subgradient: np.ndarray
-    points: list[tuple[int, ...]]
-    order: list[int]
 
 
-def _walk(
-    f: Oracle, memo: dict, space: ChainProduct, values: list[float], order, top
-) -> tuple[float, list[float], list[float]]:
-    """The extension's value, flat subgradient and f-steps along an explicit order of flat indices.
+def _walk(f: Oracle, memo: dict, space: ChainProduct, order) -> tuple[list[float], list[float]]:
+    """The linear piece of the extension on the cone of an order of flat indices:
+    the flat subgradient and the f-steps in visit order.
 
     The r + 1 walk points are read from `memo`, keyed by their number in
     `space.points()` order; only a point missing there is evaluated by f
-    and stored.  The steps are listed in visit order: the value is
-    memo[0] plus values[k] * step for each in turn, so another profile
-    with the same order has its value from the steps alone.
+    and stored.  `_value` prices any profile with this order from the
+    steps.
     """
     chain_of, offsets, strides = space.chain_of, space.offsets, space.strides
     x = [0] * space.n_chains
     code = 0
     if code not in memo:
         memo[code] = f(tuple(x))
-    prev = value = memo[code]
-    subgradient = [0.0] * len(values)
+    prev = memo[code]
+    subgradient = [0.0] * space.sort_length
     steps = []
     for k in order:
         i = chain_of[k]
@@ -194,17 +178,20 @@ def _walk(
             cur = memo[code] = f(tuple(x))
         step = cur - prev
         steps.append(step)
-        value += values[k] * step
         # The step belongs to the level chain i just reached: k itself,
         # unless a rise within tolerance put a later entry of the chain first.
         subgradient[offsets[i] + x[i] - 1] = step
         prev = cur
-    if tuple(x) != top:
-        raise RuntimeError(
-            f"extension walk ended at {tuple(x)}, not the lattice top "
-            f"{top}; profile entry bookkeeping is inconsistent"
-        )
-    return value, subgradient, steps
+    return subgradient, steps
+
+
+def _value(bottom: float, row: list[float], order, steps: list[float]) -> float:
+    """The extension's value at `row` on `order`'s cone: `bottom`, f at the
+    lattice bottom, plus row[k] times its step for each k, added in visit order."""
+    value = bottom
+    for k, step in zip(order, steps):
+        value += row[k] * step
+    return value
 
 
 def _descending(values: list[float]) -> list[int]:
@@ -234,10 +221,6 @@ def greedy_extension(f: Oracle, rho: Profile, space: ChainProduct | None = None)
     rho.validate(space)
     values = rho.values.tolist()
     order = _descending(values)
-    value, subgradient, _ = _walk(f, {}, space, values, order, space.top())
-    x = [0] * space.n_chains
-    points = [tuple(x)]
-    for k in order:
-        x[space.chain_of[k]] += 1
-        points.append(tuple(x))
-    return ExtensionResult(value=value, subgradient=np.array(subgradient), points=points, order=order)
+    memo = {}
+    subgradient, steps = _walk(f, memo, space, order)
+    return ExtensionResult(value=_value(memo[0], values, order, steps), subgradient=np.array(subgradient))

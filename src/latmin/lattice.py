@@ -153,9 +153,6 @@ class Oracle:
             raise ValueError(f"cost at {point} is not finite: {value}")
         return value
 
-    def reset_calls(self) -> None:
-        self.calls = 0
-
 
 def _left_sum(values) -> float:
     """`values` added left to right from 0.0: the float `sum()` of Python 3.10 and

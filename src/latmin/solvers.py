@@ -36,6 +36,7 @@ from .extension import (
     _BATCH_FLOATS,
     Profile,
     _descending,
+    _value,
     _walk,
     check_rows,
     point_of_number,
@@ -245,9 +246,11 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     included.  All slots' corrections are computed in one array step and
     added in slot order, each entry through the same operations in the same
     order as one slot at a time.  A solve builds the slot table once and
-    mixes with it every round.  The result is a new float array.
+    mixes with it every round.  `state` and `weights` may be arrays or
+    nested lists; the result is a new float array.
     """
-    return _mix(state, *_slot_arrays(weights), np.empty(state.shape))
+    state = np.asarray(state, dtype=float)
+    return _mix(state, *_slot_arrays(np.asarray(weights, dtype=float)), np.empty(state.shape))
 
 
 def _disagreement_trace(history: np.ndarray) -> np.ndarray:
@@ -283,11 +286,12 @@ def distributed_minimize(
 
     Exactness rests on every f_i being submodular (the relaxation is convex
     and tight exactly then); the checker in `lattice` can certify that at
-    desk scale.  Every agent starts from the same seeded feasible profile (any feasible
-    start is admissible; a shared one makes identical-cost runs exactly
-    symmetric).  Rounds are synchronous and gather-then-update: all mixing
-    reads use the previous round's profiles, so execution order within a
-    round cannot matter.  A round mixes the whole (n_agents, r) state in
+    desk scale.  Every agent starts from the same seeded feasible profile,
+    checked once (any feasible start is admissible; a shared one makes
+    identical-cost runs exactly symmetric); each of a caller's `initial`
+    profiles is checked in turn.  Rounds are synchronous and
+    gather-then-update: all mixing reads use the previous round's
+    profiles, so execution order within a round cannot matter.  A round mixes the whole (n_agents, r) state in
     numpy, every correction slot in one array step (see `mix_profiles`),
     into that round's slot of a buffer kept for the solve, and turns it
     into lists once; then each agent in turn walks its extension, steps
@@ -295,12 +299,11 @@ def distributed_minimize(
     The projection also returns the number of the point that row rounds
     to at the shared threshold, counted as `extension.rounding_rule`
     counts it while each chain is written.  An agent walks each sort
-    order once per solve: it keeps the order's f-steps in visit order and its
-    subgradient, and for the same order later takes the value as the walk
-    would, f(bottom) plus each entry times its step in visit order, so
-    the bytes are the walk's.  The new rows become the
-    state array once more, kept per round; the whole disagreement trace is
-    computed from it after the last round.  The points a round's agents
+    order once per solve and keeps the order's linear piece, the
+    subgradient and f-steps `_walk` returns; every round prices the row
+    with `extension._value` from them, whether the walk is fresh or kept.
+    The new rows become the state array once more, kept per round; the
+    whole disagreement trace is computed from it after the last round.  The points a round's agents
     round to are priced in agent order, each number once per solve, so
     `best_rounded` costs a dict lookup per agent and round.  Each agent
     returns its last round's point; the value reported for an agent is the
@@ -336,17 +339,23 @@ def distributed_minimize(
         )
     for f in oracles:
         _require_oracle_space(f, space)
-    starts = [uniform_random_profile(space, params.seed)] * n_agents if initial is None else initial
-    if len(starts) != n_agents:
-        raise ValueError("need one initial profile per agent")
-    for p in starts:
-        p.validate(space)
+    if initial is None:
+        # Every agent holds the same start, so it is checked once.
+        start = uniform_random_profile(space, params.seed)
+        start.validate(space)
+        starts = [start] * n_agents
+    else:
+        if len(initial) != n_agents:
+            raise ValueError("need one initial profile per agent")
+        for p in initial:
+            p.validate(space)
+        starts = initial
     # Row i is agent i's profile.
     state = np.array([p.values for p in starts])
     neighbors, ws = _slot_arrays(a)
     # Agent i's oracle values by point number, as `_walk` keys them.
     memos = [{} for _ in oracles]
-    # Agent i's walks by sort order: the f-steps in visit order and the subgradient.
+    # Agent i's walks by sort order: the subgradient and the f-steps in visit order.
     walks = [{} for _ in oracles]
 
     def total_cost(number) -> float:
@@ -362,7 +371,6 @@ def distributed_minimize(
     ext_values = np.zeros((params.iterations, n_agents))
     best_rounded = np.zeros(params.iterations)
     best = math.inf
-    top = space.top()
     t_hat = params.t_hat
     # Total costs by point number, each priced when an agent first rounds to it.
     totals = {}
@@ -383,17 +391,11 @@ def distributed_minimize(
             for f, memo, walked, row in zip(oracles, memos, walks, mixed):
                 order = _descending(row)
                 key = tuple(order)
-                seen = walked.get(key)
-                if seen is None:
-                    value, subgradient, steps = _walk(f, memo, space, row, order, top)
-                    walked[key] = steps, subgradient
-                else:
-                    # The walk's own sum, from the point it starts at: the same bytes.
-                    steps, subgradient = seen
-                    value = memo[0]
-                    for index, step in zip(order, steps):
-                        value += row[index] * step
-                values.append(value)
+                walk = walked.get(key)
+                if walk is None:
+                    walk = walked[key] = _walk(f, memo, space, order)
+                subgradient, steps = walk
+                values.append(_value(memo[0], row, order, steps))
                 projected, number = _project([m - gamma_k * g for m, g in zip(row, subgradient)], space, t_hat)
                 rows.append(projected)
                 rounded.append(number)

@@ -401,6 +401,23 @@ def reference_greedy_extension(f: Oracle, space: ChainProduct, parts: list[np.nd
     return float(value), subgradient, points, entries
 
 
+def walk_points(space: ChainProduct, order) -> list[tuple[int, ...]]:
+    """The r + 1 points the extension's walk visits along an order of flat
+    indices: the bottom, then one unit step on each index's chain in turn."""
+    x = [0] * space.n_chains
+    points = [tuple(x)]
+    for k in order:
+        x[space.chain_of[k]] += 1
+        points.append(tuple(x))
+    return points
+
+
+def profile_chain(rho: Profile, i: int) -> np.ndarray:
+    """A view of chain i's coordinates of a profile."""
+    offsets = rho.space.offsets
+    return rho.values[offsets[i] : offsets[i + 1]]
+
+
 def reference_theta(parts: list[np.ndarray], t: float) -> tuple[int, ...]:
     """Per chain, how many entries are at least t."""
     return tuple(sum(v >= t for v in p.tolist()) for p in parts)

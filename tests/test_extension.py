@@ -14,9 +14,18 @@ from latmin import (
     theta,
     uniform_random_profile,
 )
-from latmin.extension import FEASIBILITY_TOL, _walk, check_rows, point_of_number, rounding_rule
+from latmin.extension import (
+    FEASIBILITY_TOL,
+    _descending,
+    _value,
+    _walk,
+    check_rows,
+    point_of_number,
+    rounding_rule,
+)
 
 from helpers import (
+    profile_chain,
     random_chain_product,
     random_submodular_oracle,
     random_table_oracle,
@@ -24,6 +33,7 @@ from helpers import (
     reference_greedy_extension,
     reference_theta,
     reference_uniform_random_parts,
+    walk_points,
 )
 
 
@@ -39,8 +49,9 @@ class TestGreedyExtension:
         res = greedy_extension(f, rho, X)
         assert res.value == pytest.approx(1.1, abs=1e-12)
         assert np.allclose(res.subgradient, [1.0, 1.0])
-        assert res.points == [(0,), (1,), (2,)]
-        assert [rho.values[k] for k in res.order] == [0.8, 0.3]
+        order = _descending(rho.values.tolist())
+        assert walk_points(X, order) == [(0,), (1,), (2,)]
+        assert [rho.values[k] for k in order] == [0.8, 0.3]
 
     def test_degenerate_profile_recovers_f(self):
         f, X = identity_oracle()
@@ -51,8 +62,8 @@ class TestGreedyExtension:
         rng = np.random.default_rng(2)
         X = ChainProduct([3, 4, 2])
         f = random_table_oracle(X, rng)
-        assert greedy_extension(f, Profile.zeros(X), X).value == pytest.approx(f(X.bottom()))
-        assert greedy_extension(f, Profile.ones(X), X).value == pytest.approx(f(X.top()))
+        assert greedy_extension(f, Profile.from_point(X, X.bottom()), X).value == pytest.approx(f(X.bottom()))
+        assert greedy_extension(f, Profile.from_point(X, X.top()), X).value == pytest.approx(f(X.top()))
 
     def test_agreement_at_every_lattice_point(self):
         rng = np.random.default_rng(4)
@@ -68,7 +79,7 @@ class TestGreedyExtension:
             X = random_chain_product(rng)
             f = random_table_oracle(X, rng)
             rho = uniform_random_profile(X, int(rng.integers(1000)))
-            f.reset_calls()
+            f.calls = 0
             greedy_extension(f, rho, X)
             assert f.calls == X.sort_length + 1
 
@@ -77,13 +88,14 @@ class TestGreedyExtension:
         X = ChainProduct([3, 3, 2])
         f = random_table_oracle(X, rng)
         rho = uniform_random_profile(X, 9)
-        res = greedy_extension(f, rho, X)
-        assert res.points[0] == X.bottom()
-        assert res.points[-1] == X.top()
-        assert len(res.points) == X.sort_length + 1
-        for prev, cur in zip(res.points, res.points[1:]):
+        order = _descending(rho.values.tolist())
+        points = walk_points(X, order)
+        assert points[0] == X.bottom()
+        assert points[-1] == X.top()
+        assert len(points) == X.sort_length + 1
+        for prev, cur in zip(points, points[1:]):
             assert sum(c - p for p, c in zip(prev, cur)) == 1
-        values = [rho.values[k] for k in res.order]
+        values = [rho.values[k] for k in order]
         assert values == sorted(values, reverse=True)
 
     def test_infeasible_profile_rejected_not_projected(self):
@@ -112,14 +124,15 @@ class TestGreedyExtension:
         f = Oracle(table.__getitem__, X)
         rho = Profile(X, np.array([0.75, 0.5, 0.5, 0.25]))
         values = rho.values.tolist()
-        order = greedy_extension(f, rho, X).order
+        order = _descending(values)
         tied = [k for k in order if values[k] == 0.5]
         assert len(tied) == 2 and X.chain_of[tied[0]] != X.chain_of[tied[1]]
         swapped = list(order)
         a, b = swapped.index(tied[0]), swapped.index(tied[1])
         swapped[a], swapped[b] = swapped[b], swapped[a]
-        value, _, _ = _walk(f, {}, X, values, swapped, X.top())
-        assert value == greedy_extension(f, rho, X).value
+        memo = {}
+        _, steps = _walk(f, memo, X, swapped)
+        assert _value(memo[0], values, swapped, steps) == greedy_extension(f, rho, X).value
 
     def test_midpoint_convexity_for_submodular_costs(self):
         rng = np.random.default_rng(8)
@@ -219,9 +232,10 @@ class TestFlatLayoutMatchesPerChainReference:
         res = greedy_extension(f, rho, space)
         value, subgradient, points, entries = reference_greedy_extension(f, space, parts)
         assert bits(res.value) == bits(value)
-        assert res.points == points
+        order = _descending(rho.values.tolist())
+        assert walk_points(space, order) == points
         assert res.subgradient.tobytes() == np.concatenate(subgradient).tobytes()
-        assert res.order == [space.offsets[i] + j - 1 for _, i, j in entries]
+        assert order == [space.offsets[i] + j - 1 for _, i, j in entries]
         for t in (0.0, FEASIBILITY_TOL / 4, 0.25, 0.5, 0.7, 1.0, data.draw(st.floats(0.0, 1.0))):
             assert theta(rho, t) == reference_theta(parts, t)
 
@@ -422,23 +436,23 @@ class TestTheta:
 class TestProfiles:
     def test_profile_from_bottom_point(self):
         X = ChainProduct([3])
-        assert np.array_equal(Profile.from_point(X, (0,)).chain(0), [0.0, 0.0])
+        assert np.array_equal(profile_chain(Profile.from_point(X, (0,)), 0), [0.0, 0.0])
 
     def test_profile_from_top_point(self):
         X = ChainProduct([3])
-        assert np.array_equal(Profile.from_point(X, (2,)).chain(0), [1.0, 1.0])
+        assert np.array_equal(profile_chain(Profile.from_point(X, (2,)), 0), [1.0, 1.0])
 
     def test_profile_from_mixed_point(self):
         X = ChainProduct([3, 2])
         rho = Profile.from_point(X, (1, 0))
-        assert np.array_equal(rho.chain(0), [1.0, 0.0])
-        assert np.array_equal(rho.chain(1), [0.0])
+        assert np.array_equal(profile_chain(rho, 0), [1.0, 0.0])
+        assert np.array_equal(profile_chain(rho, 1), [0.0])
 
     def test_random_profile_deterministic_per_seed(self):
         X = ChainProduct([3, 3])
         a = uniform_random_profile(X, 123)
         b = uniform_random_profile(X, 123)
-        assert all(np.array_equal(a.chain(c), b.chain(c)) for c in range(X.n_chains))
+        assert all(np.array_equal(profile_chain(a, c), profile_chain(b, c)) for c in range(X.n_chains))
 
     def test_random_profile_feasible(self):
         X = ChainProduct([4, 2, 6])
@@ -448,5 +462,5 @@ class TestProfiles:
     def test_random_profile_leading_entry_mean(self):
         # First entry of a size-3 chain is the max of two uniforms: mean 2/3.
         X = ChainProduct([3])
-        draws = [uniform_random_profile(X, seed).chain(0)[0] for seed in range(10_000)]
+        draws = [profile_chain(uniform_random_profile(X, seed), 0)[0] for seed in range(10_000)]
         assert np.mean(draws) == pytest.approx(2 / 3, abs=0.02)

@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import latmin
-from latmin import ChainProduct, cli, ctf, extension, lattice, projection
+from latmin import ChainProduct, ExtensionResult, Oracle, Profile, cli, ctf, extension, lattice, projection
 from latmin.scenario import Problem, Scenario
 
 REMOVED = {
@@ -18,6 +18,9 @@ REMOVED = {
     ctf: ("defender_cost", "step_tables", "StepTables", "reachable_cells", "decode_actions"),
     ctf.Arena: ("clamp",),
     ChainProduct: ("in_chain_pairs",),
+    Profile: ("zeros", "ones", "chain"),
+    ExtensionResult: ("points", "order"),
+    Oracle: ("reset_calls",),
     Problem: ("solver_params", "network_matrix", "network_eta"),
     Scenario: ("solver_params", "network_matrix", "network_eta"),
 }

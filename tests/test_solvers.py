@@ -32,6 +32,7 @@ from latmin.scenario import bundled_scenario_path, load_scenario
 from helpers import (
     left_sum,
     line_matrix,
+    profile_chain,
     random_chain_product,
     random_submodular_fn,
     random_submodular_oracle,
@@ -316,6 +317,16 @@ class TestDistributed:
         with pytest.raises(ValueError, match="chain 1 leaves"):
             distributed_minimize(fs, X, matrix, params, initial=[good, bad])
 
+    def test_initial_profile_of_another_lattice_rejected(self):
+        X = ChainProduct([3, 2])
+        fs = [Oracle(lambda x: float(x[0]), X) for _ in range(2)]
+        matrix = WeightMatrix([[0.5, 0.5], [0.5, 0.5]], eta=0.1)
+        params = SolverParams(iterations=5, gamma=0.1, seed=1)
+        good = Profile(X, np.array([0.6, 0.2, 0.4]))
+        other = Profile(ChainProduct([2, 3]), np.array([0.6, 0.4, 0.2]))
+        with pytest.raises(ValueError, match=r"on dims \(2, 3\) does not match dims \(3, 2\)"):
+            distributed_minimize(fs, X, matrix, params, initial=[good, other])
+
     def test_total_cost_adds_agents_left_to_right_from_zero(self):
         # Python 3.12's compensated sum() gives 0.2 for these costs; 3.10 and 3.11 give 0.1.
         X = ChainProduct([2])
@@ -358,7 +369,7 @@ class TestDistributed:
         assert all(0 < c <= X.cardinality for c in calls)
         # Nothing is remembered between solves: the same solve pays again.
         for f in fs:
-            f.reset_calls()
+            f.calls = 0
         second = distributed_minimize(fs, X, matrix, params)
         assert [f.calls for f in fs] == calls
         assert first[:2] == second[:2]
@@ -370,7 +381,7 @@ class TestDistributed:
         first = centralized_minimize(f, X, params)
         calls = f.calls
         assert 0 < calls <= X.cardinality
-        f.reset_calls()
+        f.calls = 0
         second = centralized_minimize(f, X, params)
         assert f.calls == calls
         assert first[:2] == second[:2]
@@ -403,8 +414,8 @@ class TestDistributed:
         state = np.array([p.values for p in profiles])
         mixed = [Profile(X, mix_profiles(state, a)[i]) for i in range(4)]
         for c in range(X.n_chains):
-            before = sum(p.chain(c) for p in profiles)
-            after = sum(m.chain(c) for m in mixed)
+            before = sum(profile_chain(p, c) for p in profiles)
+            after = sum(profile_chain(m, c) for m in mixed)
             assert np.max(np.abs(before - after)) <= 1e-12
 
     def test_mixing_feasible_profiles_stays_feasible(self):
@@ -484,7 +495,7 @@ ENTRY_POINTS = {
     "centralized_minimize": lambda fs, space: centralized_minimize(fs[0], space, TINY),
     "check_submodular": lambda fs, space: check_submodular(fs[0], space),
     "brute_force_minimize": lambda fs, space: brute_force_minimize(fs[0], space),
-    "greedy_extension": lambda fs, space: greedy_extension(fs[0], Profile.zeros(space), space),
+    "greedy_extension": lambda fs, space: greedy_extension(fs[0], Profile.from_point(space, space.bottom()), space),
 }
 
 
@@ -604,7 +615,7 @@ class TestWalkCache:
         walks = []
 
         def counted_walk(*args):
-            walks.append(args[4])
+            walks.append(args[3])
             return walk(*args)
 
         walk = solvers._walk
@@ -726,6 +737,13 @@ class TestWholeStateRounds:
         entry = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 0.3, 1.0])
         state = np.array(data.draw(st.lists(entry, min_size=n * r, max_size=n * r))).reshape(n, r)
         self.assert_mixing_matches_per_row(mix_profiles, state, weights)
+
+    def test_mixing_takes_nested_lists(self):
+        weights = star_matrix(5)
+        expected = mix_profiles(self.STAR_STATE, weights)
+        for state, ws in ((self.STAR_STATE.tolist(), weights), (self.STAR_STATE, weights.tolist())):
+            assert mix_profiles(state, ws).tobytes() == expected.tobytes()
+        assert mix_profiles(np.eye(2), [[0.5, 0.5], [0.5, 0.5]]).tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
     def test_zero_padded_mixing_fails_the_byte_comparison(self):
         def zero_padded(state, weights):
