@@ -2,8 +2,9 @@
 
 Exit status contract: 0 success (or submodularity confirmed), 1 domain
 failure (a violation was found), 2 usage, parse, or validation errors.
-All file outputs use fixed column orders and C-locale decimal points, and
-are byte-stable for a given scenario and seed.
+The commands raise, and `main` alone maps a failure to its stderr message
+and exit code.  All file outputs use fixed column orders and C-locale
+decimal points, and are byte-stable for a given scenario and seed.
 """
 
 from __future__ import annotations
@@ -21,19 +22,47 @@ from .solvers import centralized_minimize, distributed_minimize
 
 OK, VIOLATION, USAGE = 0, 1, 2
 
+# Pixels per arena cell in `arena.svg`.
+SVG_CELL = 24
+
+
+class _Refusal(Exception):
+    """A command declines its input; `main` prints `<command>: <cause>`."""
+
 
 def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
-def _overridden(record: Problem | Scenario, args) -> Problem | Scenario:
-    """The loaded record with `--seed-override` and `--iters-override` applied."""
+def _total(oracles, space) -> Oracle:
+    """The total cost: the oracles' values, added left to right."""
+    return Oracle(lambda x: _left_sum(f(x) for f in oracles), space)
+
+
+def _run_input(args, kind: type, name: str, need_network: bool = False):
+    """The run's record and its made `--out` directory.
+
+    The loaded file must be a `kind` record (`kind: name`), with a network
+    block if `need_network`; `--seed-override` and `--iters-override` are
+    applied to it.  Every refusal comes before the directory is made.
+    """
+    record = load_scenario(args.path)
+    if not isinstance(record, kind):
+        raise _Refusal(f"expected a {name} file (kind: {name})")
+    if need_network and record.network is None:
+        raise _Refusal("distributed mode needs a network block")
     changes = {}
     if args.seed_override is not None:
         changes["seed"] = args.seed_override
     if args.iters_override is not None:
         changes["solver"] = dataclasses.replace(record.solver, iterations=args.iters_override)
-    return dataclasses.replace(record, **changes)
+    record = dataclasses.replace(record, **changes)
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _Refusal(f"cannot create output dir: {exc}") from exc
+    return record, out
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -44,12 +73,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def _cannot_write(command: str, exc: OSError) -> int:
-    """Report an output file that could not be opened for writing; the error names it."""
-    print(f"{command}: cannot write output: {exc}", file=sys.stderr)
-    return USAGE
-
-
 def cmd_check(args) -> int:
     record = load_scenario(args.path)
     if isinstance(record, Problem):
@@ -58,12 +81,8 @@ def cmd_check(args) -> int:
     else:
         oracles, space = first_step_problem(record)
 
-    total = Oracle(lambda x: _left_sum(f(x) for f in oracles), space)
-    try:
-        report = check_submodular(total, space)
-    except CapExceededError as exc:
-        print(f"check: {exc}", file=sys.stderr)
-        return USAGE
+    total = _total(oracles, space)
+    report = check_submodular(total, space)
     print(f"checked {report.points_checked} cross differences on {space.dims}")
     if report.is_submodular:
         print("submodular: yes")
@@ -78,41 +97,23 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    record = load_scenario(args.path)
-    if not isinstance(record, Problem):
-        print("solve: expected a problem file (kind: problem)", file=sys.stderr)
-        return USAGE
-    record = _overridden(record, args)
+    record, out = _run_input(args, Problem, "problem", need_network=args.mode == "distributed")
     space = record.space()
     oracles = record.oracles()
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"solve: cannot create output dir: {exc}", file=sys.stderr)
-        return USAGE
-
     if args.mode == "central":
-        total = Oracle(lambda x: _left_sum(f(x) for f in oracles), space)
-        point, value, trace = centralized_minimize(total, space, record.solver)
+        point, value, trace = centralized_minimize(_total(oracles, space), space, record.solver)
         points, values = [point], [value]
     else:
-        if record.network is None:
-            print("solve: distributed mode needs a network block", file=sys.stderr)
-            return USAGE
         points, values, trace = distributed_minimize(oracles, space, record.network, record.solver)
 
-    try:
-        _write_csv(out / "solution.csv", ["agent", "point", "value"], (
-            [a, " ".join(str(c) for c in x), _fmt(v)] for a, (x, v) in enumerate(zip(points, values))
-        ))
-        _write_csv(out / "trace.csv", ["iter", "agent", "ext_value", "disagreement", "best_rounded"], (
-            [k + 1, a, _fmt(ext), _fmt(trace.disagreement[k]), _fmt(trace.best_rounded[k])]
-            for k, row in enumerate(trace.ext_values)
-            for a, ext in enumerate(row)
-        ))
-    except OSError as exc:
-        return _cannot_write("solve", exc)
+    _write_csv(out / "solution.csv", ["agent", "point", "value"], (
+        [a, " ".join(str(c) for c in x), _fmt(v)] for a, (x, v) in enumerate(zip(points, values))
+    ))
+    _write_csv(out / "trace.csv", ["iter", "agent", "ext_value", "disagreement", "best_rounded"], (
+        [k + 1, a, _fmt(ext), _fmt(trace.disagreement[k]), _fmt(trace.best_rounded[k])]
+        for k, row in enumerate(trace.ext_values)
+        for a, ext in enumerate(row)
+    ))
     for a, (x, v) in enumerate(zip(points, values)):
         print(f"agent {a}: point ({', '.join(str(c) for c in x)}) value {_fmt(v)}")
     return OK
@@ -134,14 +135,14 @@ def write_events(path: Path, result: GameResult) -> None:
                ([e.k, e.kind, e.subject, e.detail] for e in result.events))
 
 
-def render_svg(result: GameResult, arena, cell: int = 24) -> str:
+def render_svg(result: GameResult, arena) -> str:
     """Arena, zone, obstacles, and player trajectories as standalone SVG."""
     size = arena.size
-    w = size * cell
+    w = size * SVG_CELL
 
     def px(c):
         # Cell centers; y flipped so the zone at high y renders at the top.
-        return (c[0] + 0.5) * cell, (size - 1 - c[1] + 0.5) * cell
+        return (c[0] + 0.5) * SVG_CELL, (size - 1 - c[1] + 0.5) * SVG_CELL
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{w}" '
@@ -151,23 +152,22 @@ def render_svg(result: GameResult, arena, cell: int = 24) -> str:
     for z in arena.zone:
         x, y = px(z)
         parts.append(
-            f'<rect x="{x - cell / 2:.1f}" y="{y - cell / 2:.1f}" width="{cell}" '
-            f'height="{cell}" fill="#cfe8ff"/>'
+            f'<rect x="{x - SVG_CELL / 2:.1f}" y="{y - SVG_CELL / 2:.1f}" width="{SVG_CELL}" '
+            f'height="{SVG_CELL}" fill="#cfe8ff"/>'
         )
     for i in range(size + 1):
-        parts.append(f'<line x1="0" y1="{i * cell}" x2="{w}" y2="{i * cell}" stroke="#eeeeee"/>')
-        parts.append(f'<line x1="{i * cell}" y1="0" x2="{i * cell}" y2="{w}" stroke="#eeeeee"/>')
+        at = i * SVG_CELL
+        parts.append(f'<line x1="0" y1="{at}" x2="{w}" y2="{at}" stroke="#eeeeee"/>')
+        parts.append(f'<line x1="{at}" y1="0" x2="{at}" y2="{w}" stroke="#eeeeee"/>')
     for o in sorted(arena.obstacles):
         x, y = px(o)
-        r = cell * 0.3
+        r = SVG_CELL * 0.3
         parts.append(
             f'<path d="M {x - r:.1f} {y - r:.1f} L {x + r:.1f} {y + r:.1f} '
             f'M {x - r:.1f} {y + r:.1f} L {x + r:.1f} {y - r:.1f}" '
             f'stroke="#333333" stroke-width="2"/>'
         )
 
-    n_d = len(result.steps[0].defenders) if result.steps else 0
-    n_a = len(result.steps[0].attackers) if result.steps else 0
     defender_colors = ["#1f77b4", "#17becf", "#2ca02c", "#9467bd", "#7f7f7f", "#8c564b"]
     attacker_colors = ["#d62728", "#ff7f0e", "#e377c2", "#bcbd22", "#aec7e8", "#ffbb78"]
 
@@ -184,10 +184,10 @@ def render_svg(result: GameResult, arena, cell: int = 24) -> str:
             f'<rect x="{x1 - 4:.1f}" y="{y1 - 4:.1f}" width="8" height="8" fill="{color}"/>'
         )
 
-    for i in range(n_d):
+    for i in range(len(result.final_defenders)):
         track = [rec.defenders[i] for rec in result.steps] + [result.final_defenders[i]]
         polyline(track, defender_colors[i % len(defender_colors)])
-    for g in range(n_a):
+    for g in range(len(result.final_attackers)):
         track = [rec.attackers[g] for rec in result.steps] + [result.final_attackers[g]]
         polyline(track, attacker_colors[g % len(attacker_colors)])
     parts.append("</svg>")
@@ -195,26 +195,12 @@ def render_svg(result: GameResult, arena, cell: int = 24) -> str:
 
 
 def cmd_simulate(args) -> int:
-    record = load_scenario(args.path)
-    if not isinstance(record, Scenario):
-        print("simulate: expected a game file (kind: game)", file=sys.stderr)
-        return USAGE
-    record = _overridden(record, args)
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"simulate: cannot create output dir: {exc}", file=sys.stderr)
-        return USAGE
-
+    record, out = _run_input(args, Scenario, "game")
     result = run_game(record)
-    try:
-        write_trajectories(out / "trajectories.csv", result)
-        write_events(out / "events.csv", result)
-        if args.svg:
-            (out / "arena.svg").write_text(render_svg(result, record.arena))
-    except OSError as exc:
-        return _cannot_write("simulate", exc)
+    write_trajectories(out / "trajectories.csv", result)
+    write_events(out / "events.csv", result)
+    if args.svg:
+        (out / "arena.svg").write_text(render_svg(result, record.arena))
     captures = sum(1 for e in result.events if e.kind == "capture")
     print(
         f"{len(result.steps)} steps, outcome {result.outcome}, "
@@ -246,42 +232,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="exhaustively test a cost for submodularity")
     p_check.add_argument("path", help="problem or game file")
+    p_check.set_defaults(run=cmd_check)
 
-    p_solve = sub.add_parser("solve", help="minimize a problem file")
-    p_solve.add_argument("path")
+    # The input and output options that `solve` and `simulate` share.
+    run_options = argparse.ArgumentParser(add_help=False)
+    run_options.add_argument("path")
+    run_options.add_argument("--out", default="out")
+    run_options.add_argument("--seed-override", type=_seed, default=None)
+    run_options.add_argument("--iters-override", type=_iterations, default=None)
+
+    p_solve = sub.add_parser("solve", parents=[run_options], help="minimize a problem file")
     p_solve.add_argument("--mode", choices=["central", "distributed"], default="distributed")
-    p_solve.add_argument("--out", default="out")
-    p_solve.add_argument("--seed-override", type=_seed, default=None)
-    p_solve.add_argument("--iters-override", type=_iterations, default=None)
+    p_solve.set_defaults(run=cmd_solve)
 
-    p_sim = sub.add_parser("simulate", help="run a game scenario")
-    p_sim.add_argument("path")
-    p_sim.add_argument("--out", default="out")
+    p_sim = sub.add_parser("simulate", parents=[run_options], help="run a game scenario")
     p_sim.add_argument("--svg", action="store_true", help="also render the arena SVG")
-    p_sim.add_argument("--seed-override", type=_seed, default=None)
-    p_sim.add_argument("--iters-override", type=_iterations, default=None)
+    p_sim.set_defaults(run=cmd_simulate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the only place a failure becomes a stderr message and exit 2."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else OK
     try:
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        return cmd_simulate(args)
+        return args.run(args)
+    # A CapExceededError is a ValueError, so it is caught first.
+    except (_Refusal, CapExceededError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return USAGE
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    # Reads fail as ScenarioParseError, so an OSError here is a write.
+    except OSError as exc:
+        print(f"{args.command}: cannot write output: {exc}", file=sys.stderr)
+    return USAGE
 
 
 if __name__ == "__main__":

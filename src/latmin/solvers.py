@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,9 +193,9 @@ class SolveTrace:
     rounded to in the rounds up to it.
     """
 
-    ext_values: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    disagreement: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    best_rounded: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    ext_values: np.ndarray
+    disagreement: np.ndarray
+    best_rounded: np.ndarray
 
 
 def _slot_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -660,7 +660,12 @@ class TestSolveCommand:
             "objectives: [{type: linear, coefficients: [1.0]}]\n"
             "solver: {iterations: 5, gamma: 0.1}\n"
         )
-        assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["solve", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "solve: distributed mode needs a network block\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestOutputDir:
@@ -685,6 +690,34 @@ class TestOutputDir:
         assert str(out / name) in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestRefusals:
+    CAP_PROBLEM = (
+        "kind: problem\nseed: 1\ndims: [" + ", ".join(["2"] * 21) + "]\n"
+        "objectives: [{type: linear, coefficients: [" + ", ".join(["1.0"] * 21) + "]}]\n"
+        "solver: {iterations: 5, gamma: 0.1}\n"
+    )
+
+    @pytest.mark.parametrize("command, given, line", [
+        ("solve", "game", "solve: expected a problem file (kind: problem)"),
+        ("simulate", "problem", "simulate: expected a game file (kind: game)"),
+        ("check", "cap", "check: submodularity check refused: 2097152 points exceeds "
+                         "the brute-force cap of 1000000"),
+    ])
+    def test_one_stderr_line_and_nothing_else(self, tmp_path, capsys, command, given, line):
+        if given == "game":
+            path = GOLDEN
+        else:
+            path = tmp_path / "given.cfg"
+            path.write_text(PROBLEM_TEXT if given == "problem" else self.CAP_PROBLEM)
+        before = sorted(tmp_path.iterdir())
+        out = ["--out", str(tmp_path / "out")] if command != "check" else []
+        assert main([command, str(path), *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestSimulateCommand:
