@@ -40,12 +40,9 @@ def _total(oracles, space) -> Oracle:
 
 
 def _run_input(args, kind: type, name: str, need_network: bool = False):
-    """The run's record and its made `--out` directory.
-
-    The loaded file must be a `kind` record (`kind: name`), with a network
-    block if `need_network`; `--seed-override` and `--iters-override` are
-    applied to it.  Every refusal comes before the directory is made.
-    """
+    """The run's record: the loaded file, which must be a `kind` record
+    (`kind: name`), with a network block if `need_network`, and with
+    `--seed-override` and `--iters-override` applied."""
     record = load_scenario(args.path)
     if not isinstance(record, kind):
         raise _Refusal(f"expected a {name} file (kind: {name})")
@@ -56,13 +53,17 @@ def _run_input(args, kind: type, name: str, need_network: bool = False):
         changes["seed"] = args.seed_override
     if args.iters_override is not None:
         changes["solver"] = dataclasses.replace(record.solver, iterations=args.iters_override)
-    record = dataclasses.replace(record, **changes)
+    return dataclasses.replace(record, **changes)
+
+
+def _out_dir(args) -> Path:
+    """The made `--out` directory: made after the run, so a refused run makes none."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _Refusal(f"cannot create output dir: {exc}") from exc
-    return record, out
+    return out
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -97,7 +98,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    record, out = _run_input(args, Problem, "problem", need_network=args.mode == "distributed")
+    record = _run_input(args, Problem, "problem", need_network=args.mode == "distributed")
     space = record.space()
     oracles = record.oracles()
     if args.mode == "central":
@@ -106,6 +107,7 @@ def cmd_solve(args) -> int:
     else:
         points, values, trace = distributed_minimize(oracles, space, record.network, record.solver)
 
+    out = _out_dir(args)
     _write_csv(out / "solution.csv", ["agent", "point", "value"], (
         [a, " ".join(str(c) for c in x), _fmt(v)] for a, (x, v) in enumerate(zip(points, values))
     ))
@@ -195,8 +197,9 @@ def render_svg(result: GameResult, arena) -> str:
 
 
 def cmd_simulate(args) -> int:
-    record, out = _run_input(args, Scenario, "game")
+    record = _run_input(args, Scenario, "game")
     result = run_game(record)
+    out = _out_dir(args)
     write_trajectories(out / "trajectories.csv", result)
     write_events(out / "events.csv", result)
     if args.svg:

@@ -15,12 +15,11 @@ sum that prices a profile from it: f(bottom) plus each entry times its
 step, in visit order.  So a caller that meets an order again prices it
 without walking.  `check_rows` is the one feasibility
 check: one numpy pass over the rows of an array, which `Profile.validate`
-and a solve's mixed rows both go through.  `rounding_rule` rounds a
-profile held as a list to the number of its lattice point, which
-`point_of_number` decodes; `theta` applies it to a `Profile`.  A solver
-does not call `rounding_rule` each round: the projection counts the same
-entries while it writes each chain, and `rounding_rule` is the definition
-that count is tested against.  The walk reads oracle values from a dict
+and a solve's mixed rows both go through.  `theta` is the rounding
+rule: per chain, the count of entries at least the threshold.  A solver
+does not call it each round: the projection counts what `theta` counts
+while it writes each chain, and returns the rounded point's number,
+which `ChainProduct.point` decodes.  The walk reads oracle values from a dict
 the caller owns and evaluates only the points missing there; a solve
 keeps one dict per agent.
 
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -116,32 +114,19 @@ def uniform_random_profile(space: ChainProduct, seed) -> Profile:
     return Profile(space, values)
 
 
-def theta(rho: Profile, t: float):
-    """Round a profile to a lattice point at threshold t (see `rounding_rule`)."""
-    number = rounding_rule(rho.space, t)(rho.values.tolist())
-    return point_of_number(rho.space, number)
-
-
-def rounding_rule(space: ChainProduct, t: float) -> Callable[[list[float]], int]:
-    """The one rounding rule: a profile list in `space`'s flat layout to the
-    number, in `space.points()` order, of its lattice point at threshold t.
+def theta(rho: Profile, t: float) -> tuple[int, ...]:
+    """The rounding rule: the lattice point of a profile at threshold t.
 
     Per chain the point's level is the chain's count of entries >= t: for
     a non-increasing chain, the largest index l with rho_i(l) >= t, where
-    the implicit 0th coordinate is 1.  So each entry >= t adds its chain's
-    stride to the number.  The comparison is closed so the map is
-    deterministic at entry values.  On a projected row this is the number
-    the projection returns with it (`projection._project`).
+    the implicit 0th coordinate is 1.  The comparison is closed so the map
+    is deterministic at entry values.  On a projected row the projection
+    counts the same entries (`projection._project`).
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold {t} outside [0,1]")
-    place = [space.strides[i] for i in space.chain_of]
-    return lambda row: sum(p for p, v in zip(place, row) if v >= t)
-
-
-def point_of_number(space: ChainProduct, number: int) -> tuple[int, ...]:
-    """The lattice point numbered `number` in `space.points()` order."""
-    return tuple(number // s % m for s, m in zip(space.strides, space.dims))
+    values = rho.values.tolist()
+    return tuple(sum(v >= t for v in values[a:b]) for a, b in itertools.pairwise(rho.space.offsets))
 
 
 @dataclass

@@ -112,12 +112,9 @@ class ChainProduct:
         """Iterate all lattice points in row-major order."""
         return itertools.product(*(range(m) for m in self.dims))
 
-    def _require_within_cap(self, what: str) -> None:
-        if self.exceeds_cap:
-            raise CapExceededError(
-                f"{what} refused: {self.cardinality} points exceeds the "
-                f"brute-force cap of {BRUTE_FORCE_CAP}"
-            )
+    def point(self, number: int) -> tuple[int, ...]:
+        """The lattice point numbered `number` in `points()` order, decoded by `strides`."""
+        return tuple(number // s % m for s, m in zip(self.strides, self.dims))
 
 
 class Oracle:
@@ -202,15 +199,23 @@ def cross_difference(f: Oracle, point: Sequence[int], i: int, j: int) -> float:
     return (f(tuple(xij)) - f(tuple(xj))) - (f(tuple(xi)) - f(x))
 
 
-def _value_table(f: Oracle, space: ChainProduct) -> np.ndarray:
-    """f's read-only value table, built on the first call: f at every
-    lattice point, evaluated once each in `space.points()` order.  A sweep
+def _value_table(f: Oracle, space: ChainProduct | None, what: str) -> tuple[ChainProduct, np.ndarray]:
+    """The lattice of the sweep `what` (f's by default; another one, or one above the
+    cap, is refused) and f's read-only value table, built on the first call: f at
+    every lattice point, evaluated once each in `space.points()` order.  A sweep
     that raises keeps nothing, so the next one raises again."""
+    space = space or f.space
+    _require_oracle_space(f, space)
+    if space.exceeds_cap:
+        raise CapExceededError(
+            f"{what} refused: {space.cardinality} points exceeds the "
+            f"brute-force cap of {BRUTE_FORCE_CAP}"
+        )
     if f.table is None:
         values = np.fromiter(map(f, space.points()), dtype=float, count=space.cardinality)
         values.flags.writeable = False
         f.table = values.reshape(space.dims)
-    return f.table
+    return space, f.table
 
 
 def _shifted(table: np.ndarray, i: int, j: int, di: int, dj: int) -> np.ndarray:
@@ -237,10 +242,7 @@ def check_submodular(
     `cross_difference` computes it.  Violations are listed by point, then
     chain pair.  A `space` other than f's is refused.
     """
-    space = space or f.space
-    _require_oracle_space(f, space)
-    space._require_within_cap("submodularity check")
-    table = _value_table(f, space)
+    space, table = _value_table(f, space, "submodularity check")
     n = space.n_chains
     violations = []
     checked = 0
@@ -270,10 +272,7 @@ def brute_force_minimize(
     `check_submodular(f)` it evaluates nothing.  A `space` other than f's
     is refused.
     """
-    space = space or f.space
-    _require_oracle_space(f, space)
-    space._require_within_cap("brute-force minimization")
-    table = _value_table(f, space)
+    space, table = _value_table(f, space, "brute-force minimization")
     # The first minimal value in enumeration order (the sign of a zero
     # minimum is that of its first occurrence).
     best = table.flat[int(np.argmin(table))].item()

@@ -11,9 +11,9 @@ or the mean of a rising pair then a clip.  Longer chains pool in the same
 loop, with no call per chain, over the (start, end, stride) table
 `ChainProduct.chain_spans` keeps.  Each chain's output is non-increasing,
 so an entry counts toward the rounded point exactly when it is at least
-the threshold: the loop that writes a chain can add its stride for each
-such entry, and a solver reads the rounded point's number
-(`extension.rounding_rule`) off the projection with no second pass.
+the threshold: the loop that writes a chain counts what `extension.theta`
+counts, adding its stride for each such entry, and a solver reads the
+rounded point's number off the projection with no second pass.
 That loop, `_project`, is the one projection: `project_product` calls it
 with no threshold.
 """
@@ -52,8 +52,8 @@ def project_product(values, space: ChainProduct) -> Profile:
 
 def _project(values: list[float], space: ChainProduct, t: float) -> tuple[list[float], int]:
     """The projection of a list in `space`'s flat layout, as a list, and the number
-    of the point it rounds to at threshold t, as `rounding_rule(space, t)` would
-    count it: every entry >= t adds its chain's stride.  An infinite t counts
+    of the point it rounds to at threshold t: it counts what `extension.theta`
+    counts, and every entry >= t adds its chain's stride.  An infinite t counts
     nothing."""
     if not all(map(math.isfinite, values)):
         raise ValueError("projection input has non-finite entries")

@@ -450,6 +450,15 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         return super().construct_mapping(node, deep=deep)
 
 
+def _one_line(exc: yaml.YAMLError) -> str:
+    """The parser's report in one line: the problem and where it is, by line and
+    column, or by position for a character that cannot be read."""
+    if isinstance(exc, yaml.reader.ReaderError):
+        return f"unacceptable character #x{exc.character:04x}: {exc.reason} at position {exc.position}"
+    mark = exc.problem_mark
+    return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+
+
 def _load_yaml(path) -> dict:
     try:
         text = Path(path).read_text()
@@ -458,7 +467,7 @@ def _load_yaml(path) -> dict:
     try:
         data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"{path}: not valid structured text: {exc}") from exc
+        raise ScenarioParseError(f"{path}: not valid structured text: {_one_line(exc)}") from exc
     if not isinstance(data, dict):
         raise ScenarioParseError(f"{path}: empty or top level is not a mapping")
     return data

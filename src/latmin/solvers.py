@@ -39,7 +39,6 @@ from .extension import (
     _value,
     _walk,
     check_rows,
-    point_of_number,
     uniform_random_profile,
 )
 from .lattice import ChainProduct, Oracle, _left_sum, _require_oracle_space
@@ -286,10 +285,10 @@ def distributed_minimize(
 
     Exactness rests on every f_i being submodular (the relaxation is convex
     and tight exactly then); the checker in `lattice` can certify that at
-    desk scale.  Every agent starts from the same seeded feasible profile,
-    checked once (any feasible start is admissible; a shared one makes
-    identical-cost runs exactly symmetric); each of a caller's `initial`
-    profiles is checked in turn.  Rounds are synchronous and
+    desk scale.  Every agent starts from the same seeded profile, feasible
+    by construction and so not checked (any feasible start is admissible;
+    a shared one makes identical-cost runs exactly symmetric); each of a
+    caller's `initial` profiles is checked in turn.  Rounds are synchronous and
     gather-then-update: all mixing reads use the previous round's
     profiles, so execution order within a round cannot matter.  A round mixes the whole (n_agents, r) state in
     numpy, every correction slot in one array step (see `mix_profiles`),
@@ -297,8 +296,8 @@ def distributed_minimize(
     into lists once; then each agent in turn walks its extension, steps
     and projects its own row.
     The projection also returns the number of the point that row rounds
-    to at the shared threshold, counted as `extension.rounding_rule`
-    counts it while each chain is written.  An agent walks each sort
+    to at the shared threshold: while it writes each chain it counts what
+    `extension.theta` counts, and `space.point` decodes the number.  An agent walks each sort
     order once per solve and keeps the order's linear piece, the
     subgradient and f-steps `_walk` returns; every round prices the row
     with `extension._value` from them, whether the walk is fresh or kept.
@@ -340,10 +339,8 @@ def distributed_minimize(
     for f in oracles:
         _require_oracle_space(f, space)
     if initial is None:
-        # Every agent holds the same start, so it is checked once.
-        start = uniform_random_profile(space, params.seed)
-        start.validate(space)
-        starts = [start] * n_agents
+        # Feasible by construction, and shared: a seeded start is not checked.
+        starts = [uniform_random_profile(space, params.seed)] * n_agents
     else:
         if len(initial) != n_agents:
             raise ValueError("need one initial profile per agent")
@@ -359,7 +356,7 @@ def distributed_minimize(
     walks = [{} for _ in oracles]
 
     def total_cost(number) -> float:
-        point = point_of_number(space, number)
+        point = space.point(number)
         costs = []
         for f, memo in zip(oracles, memos):
             if number not in memo:
@@ -411,7 +408,7 @@ def distributed_minimize(
     finally:
         check_rows(kept[:mixed_rounds].reshape(-1, space.sort_length), space)
 
-    points = [point_of_number(space, number) for number in rounded]
+    points = [space.point(number) for number in rounded]
     values = [totals[number] for number in rounded]
     trace = SolveTrace(
         ext_values=ext_values, disagreement=_disagreement_trace(history), best_rounded=best_rounded

@@ -20,8 +20,6 @@ from latmin.extension import (
     _value,
     _walk,
     check_rows,
-    point_of_number,
-    rounding_rule,
 )
 
 from helpers import (
@@ -407,9 +405,9 @@ class TestTheta:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), dims=st.lists(st.integers(2, 5), min_size=1, max_size=4), t=st.floats(0.05, 0.95))
     def test_point_number_is_the_strides_dot_the_per_chain_counts(self, data, dims, t):
-        """A row with entries at t, at -0.0, 0.0 and 1.0 rounds to the number
-        strides . (per chain, the count of entries >= t), which decodes to
-        that tuple of counts."""
+        """A row with entries at t, at -0.0, 0.0 and 1.0 rounds to the tuple of
+        per-chain counts of entries >= t, whose number strides . counts
+        `space.point` decodes back to that tuple."""
         space = ChainProduct(dims)
         entry = st.one_of(st.sampled_from([t, -0.0, 0.0, 1.0]), st.floats(0.0, 1.0))
         row = data.draw(st.lists(entry, min_size=space.sort_length, max_size=space.sort_length))
@@ -417,20 +415,21 @@ class TestTheta:
             int(np.count_nonzero(np.array(row[start:end]) >= t))
             for start, end in zip(space.offsets, space.offsets[1:])
         )
-        number = rounding_rule(space, t)(row)
-        assert number == sum(c * s for c, s in zip(counts, space.strides))
-        assert point_of_number(space, number) == counts
-        assert all(type(x) is int for x in point_of_number(space, number))
-        assert theta(Profile(space, np.array(row)), t) == counts
+        number = sum(c * s for c, s in zip(counts, space.strides))
+        assert space.point(number) == counts
+        assert all(type(x) is int for x in space.point(number))
+        point = theta(Profile(space, np.array(row)), t)
+        assert point == counts
+        assert all(type(x) is int for x in point)
 
     def test_negative_zero_meets_a_zero_threshold(self):
         space = ChainProduct([3, 2])
-        assert rounding_rule(space, 0.0)([-0.0, -1e-13, 0.0]) == 1 * 2 + 1
+        assert theta(Profile(space, np.array([-0.0, -1e-13, 0.0])), 0.0) == (1, 1)
 
     def test_numpy_scalar_entries_round_like_python_numbers(self):
         space = ChainProduct([3, 2])
-        assert rounding_rule(space, 0.5)(list(np.array([1, 0, 1]))) == 1 * 2 + 1
-        assert rounding_rule(space, 0.5)(list(np.array([0.9, 0.2, 0.4], dtype=np.float32))) == 1 * 2
+        assert theta(Profile(space, np.array([1, 0, 1])), 0.5) == (1, 1)
+        assert theta(Profile(space, np.array([0.9, 0.2, 0.4], dtype=np.float32)), 0.5) == (1, 0)
 
 
 class TestProfiles:
@@ -458,6 +457,13 @@ class TestProfiles:
         X = ChainProduct([4, 2, 6])
         for seed in range(50):
             uniform_random_profile(X, seed).validate(X)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dims=st.lists(st.integers(2, 6), min_size=1, max_size=4), seed=st.integers(0, 2**64 - 1))
+    def test_random_profile_passes_the_row_check(self, dims, seed):
+        # A solve does not check its own seeded start: this is why it need not.
+        X = ChainProduct(dims)
+        check_rows(uniform_random_profile(X, seed).values[None], X)
 
     def test_random_profile_leading_entry_mean(self):
         # First entry of a size-3 chain is the max of two uniforms: mean 2/3.

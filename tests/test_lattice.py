@@ -72,6 +72,12 @@ class TestChainProduct:
         numbers = [sum(xi * s for xi, s in zip(x, X.strides)) for x in X.points()]
         assert numbers == list(range(X.cardinality))
 
+    @settings(max_examples=100, deadline=None)
+    @given(dims=st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    def test_point_decodes_every_number_in_enumeration_order(self, dims):
+        X = ChainProduct(dims)
+        assert [X.point(k) for k in range(X.cardinality)] == list(X.points())
+
 
 class TestCrossDifference:
     def test_quadratic_distance_same_axis_is_minus_two(self):

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmin import ChainProduct, project_monotone_box, project_product
-
-from latmin.extension import rounding_rule
+from latmin import ChainProduct, Profile, project_monotone_box, project_product, theta
 from latmin.projection import _project
 
 from helpers import grid_projection_oracle, profile_chain, reference_project, reference_project_monotone_box
@@ -177,6 +175,6 @@ class TestProjectionRounding:
     def test_number_is_the_rounding_rule_of_the_projected_row(self, case):
         values, space, t = case
         row, number = _project(values, space, t)
-        assert number == rounding_rule(space, t)(row)
+        assert space.point(number) == theta(Profile(space, np.array(row)), t)
         assert np.array(row).tobytes() == project_product(values, space).values.tobytes()
         assert np.array(row).tobytes() == reference_project(np.array(values), space).tobytes()

@@ -13,7 +13,7 @@ from latmin.scenario import Problem, Scenario
 REMOVED = {
     latmin: ("make_chain_product", "profile_from_point"),
     lattice: ("make_chain_product",),
-    extension: ("profile_from_point", "check_row"),
+    extension: ("profile_from_point", "check_row", "rounding_rule", "point_of_number"),
     projection: ("project_row",),
     ctf: ("defender_cost", "step_tables", "StepTables", "reachable_cells", "decode_actions"),
     ctf.Arena: ("clamp",),

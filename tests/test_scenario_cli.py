@@ -699,23 +699,38 @@ class TestRefusals:
         "solver: {iterations: 5, gamma: 0.1}\n"
     )
 
+    # A cost that overflows at the top point: the run is refused after it starts.
+    OVERFLOW_PROBLEM = (
+        "kind: problem\nseed: 1\ndims: [3]\n"
+        "objectives: [{type: linear, coefficients: [1.0e+308]}]\n"
+        "solver: {iterations: 5, gamma: 0.1}\n"
+    )
+
     @pytest.mark.parametrize("command, given, line", [
         ("solve", "game", "solve: expected a problem file (kind: problem)"),
         ("simulate", "problem", "simulate: expected a game file (kind: game)"),
         ("check", "cap", "check: submodularity check refused: 2097152 points exceeds "
                          "the brute-force cap of 1000000"),
+        ("solve --mode central", "overflow", "error: cost at (2,) is not finite: inf"),
+        ("check", "unparsable", "parse error: {path}: not valid structured text: "
+                                "did not find expected key at line 1, column 1"),
     ])
     def test_one_stderr_line_and_nothing_else(self, tmp_path, capsys, command, given, line):
         if given == "game":
             path = GOLDEN
         else:
             path = tmp_path / "given.cfg"
-            path.write_text(PROBLEM_TEXT if given == "problem" else self.CAP_PROBLEM)
+            path.write_text({
+                "problem": PROBLEM_TEXT,
+                "cap": self.CAP_PROBLEM,
+                "overflow": self.OVERFLOW_PROBLEM,
+                "unparsable": ": : :",
+            }[given])
         before = sorted(tmp_path.iterdir())
         out = ["--out", str(tmp_path / "out")] if command != "check" else []
-        assert main([command, str(path), *out]) == 2
+        assert main([*command.split(), str(path), *out]) == 2
         captured = capsys.readouterr()
-        assert captured.err == line + "\n"
+        assert captured.err == line.format(path=path) + "\n"
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == before
 

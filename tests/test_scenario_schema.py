@@ -552,7 +552,7 @@ class TestDuplicateKeys:
         path = tmp_path / "twice.cfg"
         path.write_text(text.replace(line, line + repeat, 1))
         key = line.split(":")[0].strip()
-        message = rf"duplicate key '{key}' \(first given on line {first}\)\n.*line {first + 1}, column"
+        message = rf"duplicate key '{key}' \(first given on line {first}\) at line {first + 1}, column"
         with pytest.raises(ScenarioParseError, match=message):
             load_scenario(path)
         assert main(["check", str(path)]) == 2
