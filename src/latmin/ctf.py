@@ -96,12 +96,20 @@ class Arena:
         return 0 <= c[0] < self.size and 0 <= c[1] < self.size
 
 
-def _require_finite(params) -> None:
-    """Reject a NaN or infinite value in any numeric field, naming the field."""
+def _check_nominal(params, first: str, second: str, what: str) -> None:
+    """Reject a NaN or infinite value in any numeric field, then nominal
+    `what` weights `first` and `second` that do not sum to 1 or leave [0,1],
+    naming the field."""
     for field in dataclasses.fields(params):
         value = getattr(params, field.name)
         if not isinstance(value, str) and not np.all(np.isfinite(value)):
             raise ValueError(f"{field.name}: not finite: {value}")
+    a, b = getattr(params, first), getattr(params, second)
+    if abs(a + b - 1.0) > 1e-9:
+        raise ValueError(f"{first}, {second}: nominal {what} weights must sum to 1, got {a} and {b}")
+    for name, value in ((first, a), (second, b)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name}: nominal {what} weights must lie in [0,1]")
 
 
 @dataclass
@@ -126,15 +134,7 @@ class DefenderParams:
         self.cohesion = np.asarray(self.cohesion, dtype=float)
         self.mobility = np.atleast_1d(np.asarray(self.mobility, dtype=float))
         self.delta_th = np.atleast_1d(np.asarray(self.delta_th, dtype=float))
-        _require_finite(self)
-        if abs(self.alpha_f_nom + self.alpha_a_nom - 1.0) > 1e-9:
-            raise ValueError(
-                "alpha_f_nom, alpha_a_nom: nominal behavior weights must sum to 1, "
-                f"got {self.alpha_f_nom} and {self.alpha_a_nom}"
-            )
-        for name in ("alpha_f_nom", "alpha_a_nom"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name}: nominal behavior weights must lie in [0,1]")
+        _check_nominal(self, "alpha_f_nom", "alpha_a_nom", "behavior")
         for name in ("zeta1", "zeta2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: barrier constants zeta1, zeta2 must be at least 1")
@@ -162,14 +162,7 @@ class AttackerParams:
     kappa: float
 
     def __post_init__(self):
-        _require_finite(self)
-        if abs(self.eta_avoid_nom + self.eta_base_nom - 1.0) > 1e-9:
-            raise ValueError(
-                "eta_avoid_nom, eta_base_nom: nominal mode weights must sum to 1, "
-                f"got {self.eta_avoid_nom} and {self.eta_base_nom}"
-            )
-        if not (0.0 <= self.eta_avoid_nom <= 1.0):
-            raise ValueError("eta_avoid_nom: nominal mode weights must lie in [0,1]")
+        _check_nominal(self, "eta_avoid_nom", "eta_base_nom", "mode")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError("kappa: must lie in [0,1]")
 

@@ -240,8 +240,11 @@ def check_submodular(
     per point), unless an earlier sweep of f built it; every cross
     difference is then computed from that table exactly as
     `cross_difference` computes it.  Violations are listed by point, then
-    chain pair.  A `space` other than f's is refused.
+    chain pair.  A `space` other than f's, or a `tol` that is not finite,
+    is refused.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol: must be finite, got {tol}")
     space, table = _value_table(f, space, "submodularity check")
     n = space.n_chains
     violations = []

@@ -113,9 +113,9 @@ def _mapping(value, where: str, known=None) -> dict:
 # Field tables.  A reader reads a file value at its dotted name `where` and
 # checks its shape; a field's `write` puts the record's value in file form.
 
-def _leaf(convert, name=None):
-    """A reader of one value that `convert` reads; `name`, if given, names it in messages."""
-    return lambda value, where: _convert(value, convert, name or where)
+def _leaf(convert):
+    """A reader of one value that `convert` reads."""
+    return lambda value, where: _convert(value, convert, where)
 
 
 def _each(read):
@@ -416,8 +416,7 @@ GAME = Table((
 
 PROBLEM = Table((
     Field("seed", _leaf(_seed)),
-    # Read errors name it `problem.dims`, which callers match.
-    Field("dims", _leaf(lambda ms: [_whole(m) for m in _items(ms)], "problem.dims")),
+    Field("dims", _leaf(lambda ms: [_whole(m) for m in _items(ms)])),
     Field("objectives", _each(_objective), write=lambda specs: [dict(s) for s in specs]),
     SOLVER,
     Field("network", NETWORK, None),
@@ -451,21 +450,25 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
 
 def _one_line(exc: yaml.YAMLError) -> str:
-    """The parser's report in one line: the problem and where it is, by line and
-    column, or by position for a character that cannot be read."""
+    """The parser's report in one line: its context, then its problem, each with
+    its line and column when it has a mark, or the position of a character that
+    cannot be read."""
     if isinstance(exc, yaml.reader.ReaderError):
         return f"unacceptable character #x{exc.character:04x}: {exc.reason} at position {exc.position}"
-    mark = exc.problem_mark
-    return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+    return "; ".join(
+        text + (f" at line {mark.line + 1}, column {mark.column + 1}" if mark else "")
+        for text, mark in ((exc.context, exc.context_mark), (exc.problem, exc.problem_mark))
+        if text
+    )
 
 
 def _load_yaml(path) -> dict:
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()  # PyYAML decodes UTF-8, or UTF-16 with a BOM
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     try:
-        data = yaml.load(text, Loader=_LOADER)
+        data = yaml.load(raw, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{path}: not valid structured text: {_one_line(exc)}") from exc
     if not isinstance(data, dict):

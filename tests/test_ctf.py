@@ -786,6 +786,10 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=rf"^{field}: nominal behavior weights must lie in \[0,1\]"):
             toy_defender_params(alpha_f_nom=alpha_f, alpha_a_nom=alpha_a)
 
+    def test_base_mode_weight_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"^eta_base_nom: nominal mode weights must lie in \[0,1\]"):
+            AttackerParams(eta_avoid_nom=0.0, eta_base_nom=1.0000000005, delta_th=4.0, kappa=0.9)
+
     @pytest.mark.parametrize("field", ["eta_avoid_nom", "eta_base_nom", "delta_th", "kappa"])
     def test_non_finite_attacker_field_named(self, field):
         fields = dict(eta_avoid_nom=0.7, eta_base_nom=0.3, delta_th=4.0, kappa=0.9)

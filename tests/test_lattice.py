@@ -159,6 +159,13 @@ class TestCheckSubmodular:
             both = Oracle(lambda x: f(x) + g(x), X)
             assert check_submodular(both).is_submodular
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_refused_before_any_evaluation(self, tol):
+        f = Oracle(lambda x: x[0] * x[1], ChainProduct([2, 2]))
+        with pytest.raises(ValueError, match="^tol: "):
+            check_submodular(f, tol=tol)
+        assert f.calls == 0
+
     def test_evaluation_count_bound(self):
         X = ChainProduct([3, 4, 2])
         f = random_table_oracle(X, np.random.default_rng(5))

@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -341,7 +344,7 @@ class TestMalformedFields:
         data["dims"] = value
         path = tmp_path / "problem.cfg"
         path.write_text(yaml.safe_dump(data))
-        with pytest.raises(ScenarioSchemaError, match=r"^problem\.dims: .*not a whole number"):
+        with pytest.raises(ScenarioSchemaError, match=r"^dims: .*not a whole number"):
             load_scenario(path)
 
     def test_whole_floats_still_load(self, tmp_path):
@@ -470,6 +473,21 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "submodular: no (1 violations)" in out
+
+    def test_a_non_ascii_comment_reads_the_same_under_an_ascii_locale(self, tmp_path, capsys):
+        path = tmp_path / "fig3.cfg"
+        path.write_bytes("# step size \u03b3 \u2265 0\n".encode() + GOLDEN.read_bytes())
+        assert main(["check", str(path)]) == 0
+        utf8_out = capsys.readouterr().out
+        env = {
+            **os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+            "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+        }
+        run = subprocess.run(
+            [sys.executable, "-m", "latmin.cli", "check", str(path)],
+            env=env, capture_output=True, encoding="utf-8",
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (0, utf8_out, "")
 
     def test_problem_file_passes(self, problem_file, capsys):
         code = main(["check", str(problem_file)])
@@ -713,24 +731,30 @@ class TestRefusals:
                          "the brute-force cap of 1000000"),
         ("solve --mode central", "overflow", "error: cost at (2,) is not finite: inf"),
         ("check", "unparsable", "parse error: {path}: not valid structured text: "
+                                "while parsing a block mapping at line 1, column 1; "
                                 "did not find expected key at line 1, column 1"),
+        # "..." stands for the reason, which libyaml and the pure loader word differently.
+        ("solve --mode central", "undecodable", "parse error: {path}: not valid structured text: "
+                                                "unacceptable character #x00ff: ... at position 21"),
     ])
     def test_one_stderr_line_and_nothing_else(self, tmp_path, capsys, command, given, line):
         if given == "game":
             path = GOLDEN
         else:
             path = tmp_path / "given.cfg"
-            path.write_text({
-                "problem": PROBLEM_TEXT,
-                "cap": self.CAP_PROBLEM,
-                "overflow": self.OVERFLOW_PROBLEM,
-                "unparsable": ": : :",
+            path.write_bytes({
+                "problem": PROBLEM_TEXT.encode(),
+                "cap": self.CAP_PROBLEM.encode(),
+                "overflow": self.OVERFLOW_PROBLEM.encode(),
+                "unparsable": b": : :",
+                "undecodable": b"kind: problem\nseed: 1\xff\n",
             }[given])
         before = sorted(tmp_path.iterdir())
         out = ["--out", str(tmp_path / "out")] if command != "check" else []
         assert main([*command.split(), str(path), *out]) == 2
         captured = capsys.readouterr()
-        assert captured.err == line.format(path=path) + "\n"
+        expected = re.escape(line.format(path=path)).replace(re.escape("..."), "[^\n]+")
+        assert re.fullmatch(expected + "\n", captured.err), captured.err
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == before
 

@@ -126,7 +126,7 @@ QUOTED = [
     ("fig3", ("network", "eta"), "0.1", "network.eta"),
     ("fig3", ("network", "matrix", 0, 0), "0.7", "network.matrix"),
     ("fig3", ("solver", "iterations"), "20", "solver.iterations"),
-    ("problem", ("dims",), ["3", "4"], "problem.dims"),
+    ("problem", ("dims",), ["3", "4"], "dims"),
     ("problem", ("objectives", 0, "coefficients"), ["0.5", "-1.0"], "objectives[0].coefficients"),
 ]
 # A boolean in a field of each number reader: float, array and float list.
@@ -536,6 +536,39 @@ class TestLibyamlLoader:
             monkeypatch.setattr(scenario, "_LOADER", loader)
             with pytest.raises(ScenarioParseError, match="not valid structured text"):
                 load_scenario(path)
+
+    def test_a_utf16_file_with_a_bom_loads_the_bundled_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "fig3-utf16.cfg"
+        path.write_bytes(GOLDEN.read_text(encoding="utf-8").encode("utf-16"))
+        assert path.read_bytes()[:2] in (b"\xff\xfe", b"\xfe\xff")
+        for loader in self.LOADERS:
+            monkeypatch.setattr(scenario, "_LOADER", loader)
+            assert load_scenario(path) == load_scenario(GOLDEN)
+
+    @pytest.mark.parametrize("text, report", [
+        # The pure loader also names the anchor: "found duplicate anchor 'a'".
+        ("&a x: &a y\n", "; first occurrence at line 1, column 1; second occurrence at line 1, column 7"),
+        ("a: 1\n---\nb: 2\n", "expected a single document in the stream at line 1, column 1; "
+                              "but found another document at line 2, column 1"),
+    ])
+    def test_a_composer_error_keeps_its_context(self, tmp_path, monkeypatch, text, report):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        for loader in self.LOADERS:
+            monkeypatch.setattr(scenario, "_LOADER", loader)
+            with pytest.raises(ScenarioParseError) as caught:
+                load_scenario(path)
+            assert str(caught.value).endswith(report)
+
+    def test_a_context_without_a_mark_is_printed_without_a_position(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "tab.cfg"
+        path.write_text("a:\n\t- 1\n")
+        monkeypatch.setattr(scenario, "_LOADER", yaml.SafeLoader)
+        with pytest.raises(ScenarioParseError, match="while scanning for the next token; found character"):
+            load_scenario(path)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {path}: ") and err.count("\n") == 1
 
 
 class TestDuplicateKeys:
