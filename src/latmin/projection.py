@@ -6,14 +6,18 @@ chain-wise; each chain is an isotonic regression with a box constraint.
 Because every coordinate shares the same bounds, clipping the
 unconstrained isotonic fit to [0,1] is exact, so the whole thing is
 pool-adjacent-violators plus a clip: O(m), no QP solver.  Chains of one
-or two coordinates, every chain of a game step, are written out: a clip,
-or the mean of a rising pair then a clip.  Longer chains pool in the same
-loop, with no call per chain, over the (start, end, stride) table
-`ChainProduct.chain_spans` keeps.  Each chain's output is non-increasing,
-so an entry counts toward the rounded point exactly when it is at least
-the threshold: the loop that writes a chain counts what `extension.theta`
-counts, adding its stride for each such entry, and a solver reads the
-rounded point's number off the projection with no second pass.
+to four coordinates (every chain of a game step has two) are written
+out: each decision of the pooling stack is one comparison, each pooled
+mean has the stack's exact arithmetic and operand order, and a clip
+follows.  The stack's means never rise and the clip is monotone, so no
+running minimum is needed.  Chains of five or more coordinates pool in
+the stack loop.  All go in one loop, with no call per chain, over the
+(start, end, stride) table `ChainProduct.chain_spans` keeps.  Each
+chain's output is non-increasing, so an entry counts toward the rounded
+point exactly when it is at least the threshold: the loop that writes a
+chain counts what `extension.theta` counts, adding its stride for each
+such entry, and a solver reads the rounded point's number off the
+projection with no second pass.
 That loop, `_project`, is the one projection: `project_product` calls it
 with no threshold.
 """
@@ -84,6 +88,71 @@ def _project(values: list[float], space: ChainProduct, t: float) -> tuple[list[f
             v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
             append(v)
             if v >= t:
+                number += stride
+        elif size == 3:
+            a, b, c = values[start], values[start + 1], values[start + 2]
+            # The pooling stack's decisions, each pooled mean in its arithmetic
+            # (mean*n + x*count)/(n + count); a factor 1 is dropped, exactly.
+            if a < b:
+                a = b = (a + b) / 2
+                if a < c:
+                    a = b = c = (a * 2 + c) / 3
+            elif b < c:
+                b = c = (b + c) / 2
+                if a < b:
+                    a = b = c = (a + b * 2) / 3
+            # The stack's means do not rise and the clip is monotone: no running minimum.
+            a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+            b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+            c = 0.0 if c < 0.0 else 1.0 if c > 1.0 else c
+            row += (a, b, c)
+            if c >= t:
+                number += 3 * stride
+            elif b >= t:
+                number += 2 * stride
+            elif a >= t:
+                number += stride
+        elif size == 4:
+            a, b, c, d = values[start], values[start + 1], values[start + 2], values[start + 3]
+            # The first three as above, then d against the blocks they left.
+            if a < b:
+                a = b = (a + b) / 2
+                if a < c:
+                    a = b = c = (a * 2 + c) / 3
+                    if a < d:
+                        a = b = c = d = (a * 3 + d) / 4
+                elif c < d:
+                    c = d = (c + d) / 2
+                    if a < c:
+                        a = b = c = d = (a * 2 + c * 2) / 4
+            elif b < c:
+                b = c = (b + c) / 2
+                if a < b:
+                    a = b = c = (a + b * 2) / 3
+                    if a < d:
+                        a = b = c = d = (a * 3 + d) / 4
+                elif b < d:
+                    b = c = d = (b * 2 + d) / 3
+                    if a < b:
+                        a = b = c = d = (a + b * 3) / 4
+            elif c < d:
+                c = d = (c + d) / 2
+                if b < c:
+                    b = c = d = (b + c * 2) / 3
+                    if a < b:
+                        a = b = c = d = (a + b * 3) / 4
+            a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+            b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+            c = 0.0 if c < 0.0 else 1.0 if c > 1.0 else c
+            d = 0.0 if d < 0.0 else 1.0 if d > 1.0 else d
+            row += (a, b, c, d)
+            if d >= t:
+                number += 4 * stride
+            elif c >= t:
+                number += 3 * stride
+            elif b >= t:
+                number += 2 * stride
+            elif a >= t:
                 number += stride
         else:
             # Pool adjacent violators: the incoming entry absorbs each block

@@ -6,26 +6,31 @@ estimates with doubly-stochastic weights, step along their own local
 subgradient, and project.  All agents round at the same shared threshold
 so they agree whenever the minimizer is unique.  Centralized is the
 one-agent case: iterate project(rho - gamma_k * subgrad) and round once at
-the end.  The trace's bookkeeping is paid once per solve where it can be:
-each round's rounded points are read off the projected rows as point
-numbers and each distinct number is priced once per solve, and the
-disagreement is computed in one batch after the last round.  So is the
-walk: the extension is linear on each sort order's cone, so each agent
-keeps the f-steps and subgradient of every order it walked, and an order
-met again costs r products and no oracle request.  An agent's round is
-one pass over its row: the projection that writes each chain also counts
-the entries that round up, so the rounded point's number comes with the
-projected row.  Mixing computes every correction slot of the whole state
-in one array step, from one slot table built once per solve
-(`_slot_arrays`), and adds them in slot order.  The mixed rows go through
-the one row check, `extension.check_rows`, once per solve: each round's
-mixed state is written into a buffer kept for the solve, and the buffer
-is checked after the last round, or as soon as anything fails, so that
-an infeasible row still raises before any failure that followed it.
+the end.  The trace's bookkeeping is paid once per solve where it can be,
+and only when read: each round's rounded points are read off the
+projected rows as point numbers and each distinct number is priced once
+per solve, and a round only logs each agent's walk.  The extension values
+and the disagreement are computed from that log and the solve's two
+round buffers when the trace is first read (`SolveTrace`), so a caller
+that never reads them, as a game does not, never pays for them.  The
+walk is paid once per order: the extension is linear on each sort
+order's cone, so each agent keeps the order, f-steps and subgradient of
+every order it walked, and an order met again costs no oracle request.
+An agent's round is one pass over its row: the projection that writes
+each chain also counts the entries that round up, so the rounded point's
+number comes with the projected row.  Mixing computes every correction
+slot of the whole state in one array step, from one slot table built
+once per solve (`_slot_arrays`), and adds them in slot order.  The mixed
+rows go through the one row check, `extension.check_rows`, once per
+solve: each round's mixed state is written into a buffer kept for the
+solve, and the buffer is checked after the last round, or as soon as
+anything fails, so that an infeasible row still raises before any
+failure that followed it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -181,7 +186,6 @@ def step_size(k: int, params: SolverParams) -> float:
     return params.gamma / math.sqrt(k)
 
 
-@dataclass
 class SolveTrace:
     """Per-round diagnostics, recorded for inspection only.
 
@@ -190,11 +194,45 @@ class SolveTrace:
     between two agents' profiles after that round (0 for one agent); and
     `best_rounded[k]` is the lowest total cost of any point an agent has
     rounded to in the rounds up to it.
+
+    Built from the three arrays, it holds them as given.  A solve passes
+    `best_rounded` and a `log` instead of the other two: each agent's
+    f(bottom), the (iterations, n_agents, r) buffers of mixed and of
+    projected rows, and each agent-round's walk (order, subgradient,
+    f-steps) in round then agent order.  The first read of `ext_values`
+    or `disagreement` computes both from it, with `_value` on each mixed
+    row and `_disagreement_trace` on the projected ones, keeps them and
+    drops the log.  So a solve whose trace is never read prices no row
+    after its walks, and the log lives until the trace is read or dropped.
     """
 
-    ext_values: np.ndarray
-    disagreement: np.ndarray
-    best_rounded: np.ndarray
+    def __init__(self, ext_values=None, disagreement=None, best_rounded=None, *, log=None):
+        self._ext_values = ext_values
+        self._disagreement = disagreement
+        self.best_rounded = best_rounded
+        self._log = log
+
+    def _read(self) -> None:
+        if self._log is not None:
+            bottoms, kept, walks, history = self._log
+            rows = kept.reshape(-1, kept.shape[2]).tolist()
+            values = [
+                _value(bottom, row, order, steps)
+                for bottom, row, (order, _, steps) in zip(itertools.cycle(bottoms), rows, walks)
+            ]
+            self._ext_values = np.array(values).reshape(kept.shape[:2])
+            self._disagreement = _disagreement_trace(history)
+            self._log = None
+
+    @property
+    def ext_values(self) -> np.ndarray:
+        self._read()
+        return self._ext_values
+
+    @property
+    def disagreement(self) -> np.ndarray:
+        self._read()
+        return self._disagreement
 
 
 def _slot_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,10 +337,11 @@ def distributed_minimize(
     to at the shared threshold: while it writes each chain it counts what
     `extension.theta` counts, and `space.point` decodes the number.  An agent walks each sort
     order once per solve and keeps the order's linear piece, the
-    subgradient and f-steps `_walk` returns; every round prices the row
-    with `extension._value` from them, whether the walk is fresh or kept.
-    The new rows become the state array once more, kept per round; the
-    whole disagreement trace is computed from it after the last round.  The points a round's agents
+    subgradient and f-steps `_walk` returns; every round logs a reference
+    to it, fresh or kept, and steps along its subgradient.  The new rows
+    become the state array once more, kept per round.  The trace prices
+    each logged row with `extension._value` and computes the disagreement
+    from the kept states when it is first read, not in the rounds.  The points a round's agents
     round to are priced in agent order, each number once per solve, so
     `best_rounded` costs a dict lookup per agent and round.  Each agent
     returns its last round's point; the value reported for an agent is the
@@ -316,10 +355,13 @@ def distributed_minimize(
     point during one solve, so afterwards its `calls` counts distinct
     evaluations: the walks and the rounded points' total costs read one
     dict of values per agent, dropped on return.  Keeping every round's
-    state costs 8 * iterations * n_agents * r bytes for the solve, and
-    keeping every round's mixed state as much again.  The
-    walks by sort order hold at most one entry per round per agent, each
-    two lists of r floats and the order's key, also dropped on return.
+    state costs 8 * iterations * n_agents * r bytes, and keeping every
+    round's mixed state as much again.  The walks by sort order hold at
+    most one entry per round per agent, each two lists of r floats and the
+    order's key.  For the trace, the solve keeps the two round buffers,
+    each agent's f(bottom) and one reference to a walk per agent and round
+    (8 bytes each) until the trace is read or dropped; so the walks those
+    references name live as long.
 
     Every mixed row must pass `extension.check_rows`, the one row check,
     which `Profile.validate` uses too.  It runs once over the buffer after
@@ -352,7 +394,7 @@ def distributed_minimize(
     neighbors, ws = _slot_arrays(a)
     # Agent i's oracle values by point number, as `_walk` keys them.
     memos = [{} for _ in oracles]
-    # Agent i's walks by sort order: the subgradient and the f-steps in visit order.
+    # Agent i's walks by sort order: the order, the subgradient and the f-steps in visit order.
     walks = [{} for _ in oracles]
 
     def total_cost(number) -> float:
@@ -365,7 +407,9 @@ def distributed_minimize(
         # A lone agent's cost as is: a sum from 0.0 would turn its -0.0 into 0.0.
         return _left_sum(costs) if n_agents > 1 else costs[0]
 
-    ext_values = np.zeros((params.iterations, n_agents))
+    # Each agent-round's walk, in round then agent order, for the trace.
+    log = []
+    logged = log.append
     best_rounded = np.zeros(params.iterations)
     best = math.inf
     t_hat = params.t_hat
@@ -384,19 +428,16 @@ def distributed_minimize(
             gamma_k = step_size(k, params)
             mixed = _mix(state, neighbors, ws, kept[k - 1]).tolist()
             mixed_rounds = k
-            rows, values, rounded = [], [], []
+            rows, rounded = [], []
             for f, memo, walked, row in zip(oracles, memos, walks, mixed):
-                order = _descending(row)
-                key = tuple(order)
+                key = tuple(_descending(row))
                 walk = walked.get(key)
                 if walk is None:
-                    walk = walked[key] = _walk(f, memo, space, order)
-                subgradient, steps = walk
-                values.append(_value(memo[0], row, order, steps))
-                projected, number = _project([m - gamma_k * g for m, g in zip(row, subgradient)], space, t_hat)
+                    walk = walked[key] = (key, *_walk(f, memo, space, key))
+                logged(walk)
+                projected, number = _project([m - gamma_k * g for m, g in zip(row, walk[1])], space, t_hat)
                 rows.append(projected)
                 rounded.append(number)
-            ext_values[k - 1] = values
             state = history[k - 1]
             state[:] = rows
             # A point priced before is in `best` already: min() would keep `best`.
@@ -410,9 +451,7 @@ def distributed_minimize(
 
     points = [space.point(number) for number in rounded]
     values = [totals[number] for number in rounded]
-    trace = SolveTrace(
-        ext_values=ext_values, disagreement=_disagreement_trace(history), best_rounded=best_rounded
-    )
+    trace = SolveTrace(best_rounded=best_rounded, log=([memo[0] for memo in memos], kept, log, history))
     return points, values, trace
 
 

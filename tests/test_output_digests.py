@@ -1,4 +1,4 @@
-"""`latmin simulate`'s output bytes, pinned by digest.
+"""`latmin simulate`'s and `latmin solve`'s output bytes, pinned by digest.
 
 The CSVs are byte-stable for a given scenario and seed, so a change that
 only restructures the game leaves these digests as they are, and one that
@@ -7,7 +7,8 @@ The inputs are the bundled fig3 game at its seed, at the bundled budget
 and at 200 rounds, and an 8-defender game written out below, whose
 defenders reach the top row, so moves off the grid are clamped, and whose
 attackers are captured, freed and finally breach the zone. fig3's
-`--svg` drawing is pinned too.
+`--svg` drawing is pinned too, and so are the README problem's
+`solution.csv` and `trace.csv` in both solve modes.
 """
 
 import hashlib
@@ -125,3 +126,47 @@ def test_simulate_draws_the_pinned_svg(tmp_path, capsys):
     assert main(["simulate", str(bundled_scenario_path("paper_fig3.cfg")), "--out", str(out), "--svg"]) == 0
     capsys.readouterr()
     assert hashlib.sha256((out / "arena.svg").read_bytes()).hexdigest() == FIG3_SVG
+
+
+# The README's problem file. `latmin solve` is the one reader of a solve's trace.
+README_PROBLEM = """\
+kind: problem
+seed: 3
+dims: [3]
+objectives:
+  - {type: linear, coefficients: [1.0]}
+  - {type: quadratic, centers: [2.0], weights: [1.0]}
+network:
+  eta: 0.1
+  matrix:
+    - [0.7, 0.3]
+    - [0.3, 0.7]
+solver:
+  iterations: 4000
+  gamma: 0.01
+  schedule: diminishing
+  t_hat: 0.7
+"""
+
+# (solution.csv, trace.csv) sha256 digests per --mode.
+SOLVE_DIGESTS = {
+    "central": (
+        "7344171188cf60b879bbee45d1a4b9950d6754c50b92604605e8c38b3951e5e6",
+        "6102e3ef48a77802a288638e07262ba5a5121d3a147e4a3d9ce82640732da342",
+    ),
+    "distributed": (
+        "e939a958d206c72acc43251ac4a0d3480d6dcf6adfaf706551bcde2a1c4be13a",
+        "dc43efb9348b572e40e8f50d0ec1d8a9234b2ac1474e788ff0d9a3ad14496603",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SOLVE_DIGESTS))
+def test_solve_writes_the_pinned_bytes(mode, tmp_path, capsys):
+    path = tmp_path / "problem.cfg"
+    path.write_text(README_PROBLEM)
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--mode", mode, "--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("solution.csv", "trace.csv"))
+    assert digests == SOLVE_DIGESTS[mode]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -151,6 +152,21 @@ class TestProjectRow:
         assert out.tolist() == [[0.5, 0.5, 0.75, 0.75, 1.0], [-0.0, 0.0, 1.0, 0.5, -0.0]]
         # -0.0 < 0.0 is false: the pair does not rise, and each zero keeps its sign.
         assert np.signbit(out[1]).tolist() == [True, False, False, False, True]
+
+    # Signed zeros, the smallest subnormal, both box ends, past them, and ties.
+    POOL_ENTRIES = [-0.5, -0.0, 0.0, 5e-324, 0.3, 0.7, 1.0, 1.5]
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_every_pool_path_of_a_written_out_chain(self, m):
+        # The chain goes first, at stride 2; a fixed 1-coordinate chain follows.
+        space = ChainProduct([m + 1, 2])
+        for entries in itertools.product(self.POOL_ENTRIES, repeat=m):
+            values = [*entries, 0.5]
+            expected = reference_project(np.array(values), space).tobytes()
+            for t in (0.3, 0.7, 1.0):
+                row, number = _project(values, space, t)
+                assert np.array(row).tobytes() == expected, (entries, t)
+                assert space.point(number) == theta(Profile(space, np.array(row)), t), (entries, t)
 
 
 

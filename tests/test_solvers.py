@@ -760,7 +760,7 @@ class TestWholeStateRounds:
 
 
 class TestBatchedDisagreement:
-    """The disagreement trace, computed in batches after the last round,
+    """The disagreement trace, computed in batches when the trace is read,
     has the bytes of the per-round largest pairwise norm."""
 
     @staticmethod
@@ -802,6 +802,65 @@ class TestBatchedDisagreement:
         got = self.disagreement_bytes(distributed_minimize, *case)
         assert got == self.disagreement_bytes(reference_distributed_minimize, *case)
         assert np.count_nonzero(np.frombuffer(got)) > 0
+
+
+class TestTraceOnRead:
+    """A solve's `ext_values` and `disagreement` are computed when first read."""
+
+    X = ChainProduct([4, 3, 5])
+    PARAMS = SolverParams(iterations=60, gamma=0.3, schedule="diminishing", seed=4)
+
+    def case(self):
+        rng = np.random.default_rng(8)
+        fns = [random_submodular_fn(self.X, rng) for _ in range(3)]
+        tables = [{x: float(fn(x)) for x in self.X.points()} for fn in fns]
+        return self.X, tables, WeightMatrix(line_matrix(3), eta=0.1), self.PARAMS
+
+    @pytest.fixture
+    def priced(self, monkeypatch):
+        """Every `solvers._value` call's row, as the solve's trace makes them."""
+        rows = []
+
+        def counted(bottom, row, order, steps):
+            rows.append(row)
+            return value(bottom, row, order, steps)
+
+        value = solvers._value
+        monkeypatch.setattr(solvers, "_value", counted)
+        return rows
+
+    def test_an_unread_trace_prices_no_row(self, priced):
+        space, tables, matrix, params = self.case()
+        _, _, trace = distributed_minimize([Oracle(t.__getitem__, space) for t in tables], space, matrix, params)
+        assert trace.best_rounded.shape == (params.iterations,)
+        assert priced == []
+        trace.disagreement
+        assert len(priced) == params.iterations * len(tables)
+
+    def test_a_read_trace_has_the_per_agent_loops_bytes(self):
+        space, tables, matrix, params = self.case()
+        traces = [
+            solver([Oracle(t.__getitem__, space) for t in tables], space, matrix, params)[2]
+            for solver in (distributed_minimize, reference_distributed_minimize)
+        ]
+        # Read in the other order than `solve_bytes` reads: disagreement first.
+        got, expected = [(t.disagreement.tobytes(), t.ext_values.tobytes(), t.best_rounded.tobytes()) for t in traces]
+        assert got == expected
+
+    def test_a_second_read_returns_the_same_arrays(self, priced):
+        space, tables, matrix, params = self.case()
+        _, _, trace = distributed_minimize([Oracle(t.__getitem__, space) for t in tables], space, matrix, params)
+        ext_values, disagreement = trace.ext_values, trace.disagreement
+        assert len(priced) == params.iterations * len(tables)
+        assert trace.ext_values is ext_values and trace.disagreement is disagreement
+        assert len(priced) == params.iterations * len(tables)
+
+    def test_a_trace_builds_from_arrays(self):
+        ext_values, disagreement, best_rounded = np.ones((2, 3)), np.zeros(2), np.array([4.0, 3.0])
+        trace = solvers.SolveTrace(ext_values=ext_values, disagreement=disagreement, best_rounded=best_rounded)
+        assert trace.ext_values is ext_values
+        assert trace.disagreement is disagreement
+        assert trace.best_rounded is best_rounded
 
 
 def raised_message(call, *args):
