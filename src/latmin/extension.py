@@ -108,10 +108,11 @@ def check_rows(rows, space: ChainProduct) -> None:
 
 def uniform_random_profile(space: ChainProduct, seed) -> Profile:
     """Per chain, m_i - 1 uniform draws sorted descending; deterministic per seed."""
-    values = np.random.default_rng(seed).uniform(0.0, 1.0, size=space.sort_length)
-    for start, end in itertools.pairwise(space.offsets):
-        values[start:end] = np.sort(values[start:end])[::-1]
-    return Profile(space, values)
+    draws = np.random.default_rng(seed).uniform(0.0, 1.0, size=space.sort_length).tolist()
+    values = [
+        v for start, end in itertools.pairwise(space.offsets) for v in sorted(draws[start:end], reverse=True)
+    ]
+    return Profile(space, np.array(values))
 
 
 def theta(rho: Profile, t: float) -> tuple[int, ...]:
@@ -121,7 +122,7 @@ def theta(rho: Profile, t: float) -> tuple[int, ...]:
     a non-increasing chain, the largest index l with rho_i(l) >= t, where
     the implicit 0th coordinate is 1.  The comparison is closed so the map
     is deterministic at entry values.  On a projected row the projection
-    counts the same entries (`projection._project`).
+    counts the same entries (`projection._kernel`).
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold {t} outside [0,1]")

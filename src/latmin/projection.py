@@ -5,31 +5,198 @@ non-increasing vectors with entries in [0,1].  Projection decomposes
 chain-wise; each chain is an isotonic regression with a box constraint.
 Because every coordinate shares the same bounds, clipping the
 unconstrained isotonic fit to [0,1] is exact, so the whole thing is
-pool-adjacent-violators plus a clip: O(m), no QP solver.  Chains of one
-to four coordinates (every chain of a game step has two) are written
-out: each decision of the pooling stack is one comparison, each pooled
-mean has the stack's exact arithmetic and operand order, and a clip
-follows.  The stack's means never rise and the clip is monotone, so no
-running minimum is needed.  Chains of five or more coordinates pool in
-the stack loop.  All go in one loop, with no call per chain, over the
-(start, end, stride) table `ChainProduct.chain_spans` keeps.  Each
-chain's output is non-increasing, so an entry counts toward the rounded
-point exactly when it is at least the threshold: the loop that writes a
-chain counts what `extension.theta` counts, adding its stride for each
-such entry, and a solver reads the rounded point's number off the
-projection with no second pass.
-That loop, `_project`, is the one projection: `project_product` calls it
-with no threshold.
+pool-adjacent-violators plus a clip: O(m), no QP solver.
+
+A lattice's shape never changes within a solve, so the projection is one
+straight-line function per chain-product shape, a *kernel*, generated
+from the per-size pooling blocks below and compiled once (`_kernel`).
+It takes a row, a subgradient and a step gamma, computes each stepped
+entry `m - gamma * g` as a local, refuses a non-finite one before it
+projects anything, and projects chain by chain.  Chains of one to four
+coordinates (every chain of a game step has two) are written out: each
+decision of the pooling stack is one comparison, each pooled mean has
+the stack's exact arithmetic and operand order, and a clip follows.
+Chains of five or more coordinates call the stack loop, `_pool`.  The
+stack's means never rise and the clip is monotone, so no running
+minimum is needed.  Each chain's output is non-increasing, so an entry
+counts toward the rounded point exactly when it is at least the
+threshold t: the kernel counts what `extension.theta` counts, adding
+the chain's stride for each such entry, and returns the rounded point's
+number with the projected row, so a solver needs no second pass.  The
+kernel is the one projection: `project_product` calls it with a zero
+step and no threshold.
+
+Kernels are kept in a cache keyed by `dims` and bounded at
+`KERNEL_CACHE_SIZE`, least recently used first out.  A kernel's code
+grows with the shape's coordinate count and compiling one takes about a
+millisecond, so a solve reuses its shape's kernel while a process that
+meets shape after shape (a sweep over random lattices, a property test)
+holds at most that many.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import textwrap
 
 import numpy as np
 
 from .extension import Profile
 from .lattice import ChainProduct
+
+# The most kernels kept at once, each for one lattice shape.
+KERNEL_CACHE_SIZE = 256
+
+# The pooling stack's decisions on a written-out chain of 1-4 coordinates
+# a, b, c, d, each pooled mean in its arithmetic (mean*n + x*count)/(n + count);
+# a factor 1 is dropped, exactly.  Each comparison keeps the value np.clip
+# and np.minimum.accumulate would keep, down to the sign of a zero.
+_POOLING = {
+    1: "",
+    2: """
+        if {a} < {b}:
+            {a} = {b} = ({a} + {b}) / 2
+        """,
+    3: """
+        if {a} < {b}:
+            {a} = {b} = ({a} + {b}) / 2
+            if {a} < {c}:
+                {a} = {b} = {c} = ({a} * 2 + {c}) / 3
+        elif {b} < {c}:
+            {b} = {c} = ({b} + {c}) / 2
+            if {a} < {b}:
+                {a} = {b} = {c} = ({a} + {b} * 2) / 3
+        """,
+    # The first three as above, then d against the blocks they left.
+    4: """
+        if {a} < {b}:
+            {a} = {b} = ({a} + {b}) / 2
+            if {a} < {c}:
+                {a} = {b} = {c} = ({a} * 2 + {c}) / 3
+                if {a} < {d}:
+                    {a} = {b} = {c} = {d} = ({a} * 3 + {d}) / 4
+            elif {c} < {d}:
+                {c} = {d} = ({c} + {d}) / 2
+                if {a} < {c}:
+                    {a} = {b} = {c} = {d} = ({a} * 2 + {c} * 2) / 4
+        elif {b} < {c}:
+            {b} = {c} = ({b} + {c}) / 2
+            if {a} < {b}:
+                {a} = {b} = {c} = ({a} + {b} * 2) / 3
+                if {a} < {d}:
+                    {a} = {b} = {c} = {d} = ({a} * 3 + {d}) / 4
+            elif {b} < {d}:
+                {b} = {c} = {d} = ({b} * 2 + {d}) / 3
+                if {a} < {b}:
+                    {a} = {b} = {c} = {d} = ({a} + {b} * 3) / 4
+        elif {c} < {d}:
+            {c} = {d} = ({c} + {d}) / 2
+            if {b} < {c}:
+                {b} = {c} = {d} = ({b} + {c} * 2) / 3
+                if {a} < {b}:
+                    {a} = {b} = {c} = {d} = ({a} + {b} * 3) / 4
+        """,
+}
+
+# The most terms of one sum in the finiteness test.  A sum nests one level
+# per term, and on Python 3.11 one of 3000 terms exceeds the compiler's
+# recursion limit, so a long row is tested in several sums.
+_TERMS_PER_SUM = 32
+
+
+def _pool(values: list[float], t: float) -> tuple[list[float], int]:
+    """A chain of any length projected in the stack loop, and its count of
+    entries >= t.
+
+    Pool adjacent violators: the incoming entry absorbs each block before
+    it that it rises above, into the least-squares non-increasing fit's
+    block means and lengths.  A mean is pushed only onto one that is not
+    smaller, so the means never rise, and the clip is monotone: the
+    clipped blocks are non-increasing as they stand.
+    """
+    means: list[float] = []
+    counts: list[int] = []
+    for x in values:
+        count = 1
+        while means and means[-1] < x:
+            mean, n = means.pop(), counts.pop()
+            x = (mean * n + x * count) / (n + count)
+            count += n
+        means.append(x)
+        counts.append(count)
+    row: list[float] = []
+    above = 0
+    for mean, count in zip(means, counts):
+        level = 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
+        row += [level] * count
+        if level >= t:
+            above += count
+    return row, above
+
+
+def _source(space: ChainProduct) -> str:
+    """The kernel's source for `space`: only the integers of its chain spans
+    are written into it."""
+    r = space.sort_length
+    names = [f"x{k}" for k in range(r)]
+    lines = [
+        "def kernel(m, g, gamma, t):",
+        f"    {', '.join(f'm{k}' for k in range(r))}, = m",
+        f"    {', '.join(f'g{k}' for k in range(r))}, = g",
+        *(f"    x{k} = m{k} - gamma * g{k}" for k in range(r)),
+        # 0.0 * x is a zero for a finite x and NaN for an infinite or NaN one.
+        "    if not ("
+        + " and ".join(
+            " + ".join(f"0.0 * {x}" for x in names[i : i + _TERMS_PER_SUM]) + " == 0.0"
+            for i in range(0, r, _TERMS_PER_SUM)
+        )
+        + "):",
+        '        raise ValueError("projection input has non-finite entries")',
+        "    number = 0",
+    ]
+    row = []
+    for start, end, stride in space.chain_spans:
+        chain = names[start:end]
+        if len(chain) > 4:
+            lines.append(f"    p{start}, above = _pool([{', '.join(chain)}], t)")
+            lines.append(f"    number += above * {stride}")
+            row.append(f"*p{start}")
+            continue
+        block = _POOLING[len(chain)].format(**dict(zip("abcd", chain)))
+        lines.append(textwrap.indent(textwrap.dedent(block).strip("\n"), "    "))
+        lines += (f"    {x} = 0.0 if {x} < 0.0 else 1.0 if {x} > 1.0 else {x}" for x in chain)
+        # The chain is non-increasing: its last entry >= t means all count.
+        keyword = "if"
+        for size in range(len(chain), 0, -1):
+            lines.append(f"    {keyword} {chain[size - 1]} >= t:")
+            lines.append(f"        number += {size * stride}")
+            keyword = "elif"
+        row += chain
+    lines.append(f"    return [{', '.join(row)}], number")
+    return "\n".join(line for line in lines if line.strip()) + "\n"
+
+
+def _compile(space: ChainProduct):
+    """The kernel of `space`'s shape, compiled."""
+    namespace = {"_pool": _pool}
+    exec(compile(_source(space), f"<projection kernel {space.dims}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _kernel(dims: tuple[int, ...]):
+    """The projection of lattices of shape `dims`:
+    `kernel(m, g, gamma, t) -> (row, number)`.
+
+    It projects the list of every `m[k] - gamma * g[k]` in the flat layout
+    and returns the projection as a list, with the number of the point it
+    rounds to at threshold t: it counts what `extension.theta` counts, and
+    every entry >= t adds its chain's stride.  An infinite t counts
+    nothing.  A non-finite stepped entry raises a ValueError before
+    anything is projected.  `m` and `g` are lists of r floats.
+    """
+    return _compile(ChainProduct(dims))
 
 
 def project_monotone_box(v) -> np.ndarray:
@@ -51,131 +218,5 @@ def project_product(values, space: ChainProduct) -> Profile:
         raise ValueError(
             f"expected a flat vector of length {space.sort_length}, got shape {values.shape}"
         )
-    return Profile(space, np.array(_project(values.tolist(), space, math.inf)[0]))
-
-
-def _project(values: list[float], space: ChainProduct, t: float) -> tuple[list[float], int]:
-    """The projection of a list in `space`'s flat layout, as a list, and the number
-    of the point it rounds to at threshold t: it counts what `extension.theta`
-    counts, and every entry >= t adds its chain's stride.  An infinite t counts
-    nothing."""
-    if not all(map(math.isfinite, values)):
-        raise ValueError("projection input has non-finite entries")
-    row: list[float] = []
-    append = row.append
-    number = 0
-    for start, end, stride in space.chain_spans:
-        size = end - start
-        # Each comparison below keeps the value np.clip and
-        # np.minimum.accumulate would keep, down to the sign of a zero.
-        if size == 2:
-            a, b = values[start], values[start + 1]
-            if a < b:
-                # PAVA pools a rising pair into (a*1 + b*1)/2, the same float.
-                a = b = (a + b) / 2
-            # The clip is monotone, so the clipped pair is already non-increasing.
-            a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
-            b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
-            append(a)
-            append(b)
-            # b <= a, so b >= t means both count.
-            if b >= t:
-                number += 2 * stride
-            elif a >= t:
-                number += stride
-        elif size == 1:
-            v = values[start]
-            v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-            append(v)
-            if v >= t:
-                number += stride
-        elif size == 3:
-            a, b, c = values[start], values[start + 1], values[start + 2]
-            # The pooling stack's decisions, each pooled mean in its arithmetic
-            # (mean*n + x*count)/(n + count); a factor 1 is dropped, exactly.
-            if a < b:
-                a = b = (a + b) / 2
-                if a < c:
-                    a = b = c = (a * 2 + c) / 3
-            elif b < c:
-                b = c = (b + c) / 2
-                if a < b:
-                    a = b = c = (a + b * 2) / 3
-            # The stack's means do not rise and the clip is monotone: no running minimum.
-            a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
-            b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
-            c = 0.0 if c < 0.0 else 1.0 if c > 1.0 else c
-            row += (a, b, c)
-            if c >= t:
-                number += 3 * stride
-            elif b >= t:
-                number += 2 * stride
-            elif a >= t:
-                number += stride
-        elif size == 4:
-            a, b, c, d = values[start], values[start + 1], values[start + 2], values[start + 3]
-            # The first three as above, then d against the blocks they left.
-            if a < b:
-                a = b = (a + b) / 2
-                if a < c:
-                    a = b = c = (a * 2 + c) / 3
-                    if a < d:
-                        a = b = c = d = (a * 3 + d) / 4
-                elif c < d:
-                    c = d = (c + d) / 2
-                    if a < c:
-                        a = b = c = d = (a * 2 + c * 2) / 4
-            elif b < c:
-                b = c = (b + c) / 2
-                if a < b:
-                    a = b = c = (a + b * 2) / 3
-                    if a < d:
-                        a = b = c = d = (a * 3 + d) / 4
-                elif b < d:
-                    b = c = d = (b * 2 + d) / 3
-                    if a < b:
-                        a = b = c = d = (a + b * 3) / 4
-            elif c < d:
-                c = d = (c + d) / 2
-                if b < c:
-                    b = c = d = (b + c * 2) / 3
-                    if a < b:
-                        a = b = c = d = (a + b * 3) / 4
-            a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
-            b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
-            c = 0.0 if c < 0.0 else 1.0 if c > 1.0 else c
-            d = 0.0 if d < 0.0 else 1.0 if d > 1.0 else d
-            row += (a, b, c, d)
-            if d >= t:
-                number += 4 * stride
-            elif c >= t:
-                number += 3 * stride
-            elif b >= t:
-                number += 2 * stride
-            elif a >= t:
-                number += stride
-        else:
-            # Pool adjacent violators: the incoming entry absorbs each block
-            # before it that it rises above, into the least-squares
-            # non-increasing fit's block means and lengths.
-            means: list[float] = []
-            counts: list[int] = []
-            for x in values[start:end]:
-                count = 1
-                while means and means[-1] < x:
-                    mean, n = means.pop(), counts.pop()
-                    x = (mean * n + x * count) / (n + count)
-                    count += n
-                means.append(x)
-                counts.append(count)
-            level = 1.0
-            for mean, count in zip(means, counts):
-                # Clip to [0,1], then the running minimum: pooling computes
-                # block means in float, so monotonicity is re-imposed exactly.
-                clipped = 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
-                if clipped <= level:
-                    level = clipped
-                row += [level] * count
-                if level >= t:
-                    number += count * stride
-    return row, number
+    row, _ = _kernel(space.dims)(values.tolist(), [0.0] * space.sort_length, 0.0, math.inf)
+    return Profile(space, np.array(row))

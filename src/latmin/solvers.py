@@ -16,11 +16,14 @@ that never reads them, as a game does not, never pays for them.  The
 walk is paid once per order: the extension is linear on each sort
 order's cone, so each agent keeps the order, f-steps and subgradient of
 every order it walked, and an order met again costs no oracle request.
-An agent's round is one pass over its row: the projection that writes
-each chain also counts the entries that round up, so the rounded point's
-number comes with the projected row.  Mixing computes every correction
-slot of the whole state in one array step, from one slot table built
-once per solve (`_slot_arrays`), and adds them in slot order.  The mixed
+An agent's round is one call of the projection kernel of the solve's
+lattice shape (`projection._kernel`, compiled once per shape): it steps
+the mixed row along the subgradient, projects each chain and counts the
+entries that round up, so the rounded point's number comes with the
+projected row.  Mixing computes every correction slot of the whole state
+in one array step, from the network's slot table (`_slot_arrays`), built
+on a `WeightMatrix`'s first solve and kept read-only for every later
+one, and adds them in slot order.  The mixed
 rows go through the one row check, `extension.check_rows`, once per
 solve: each round's mixed state is written into a buffer kept for the
 solve, and the buffer is checked after the last round, or as soon as
@@ -34,6 +37,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +51,7 @@ from .extension import (
     uniform_random_profile,
 )
 from .lattice import ChainProduct, Oracle, _left_sum, _require_oracle_space
-from .projection import _project
+from .projection import _kernel
 
 STOCHASTIC_TOL = 1e-9
 
@@ -149,6 +153,15 @@ class WeightMatrix:
     @property
     def n_agents(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The slot table `_slot_arrays` builds from `entries`, built on first use,
+        kept for every later solve on this network and read-only."""
+        table = _slot_arrays(self.entries)
+        for array in table:
+            array.flags.writeable = False
+        return table
 
 
 @dataclass
@@ -282,9 +295,10 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     at weight -0.0, which leaves every finite entry as it was, -0.0
     included.  All slots' corrections are computed in one array step and
     added in slot order, each entry through the same operations in the same
-    order as one slot at a time.  A solve builds the slot table once and
-    mixes with it every round.  `state` and `weights` may be arrays or
-    nested lists; the result is a new float array.
+    order as one slot at a time.  A solve mixes with its network's slot
+    table, which the `WeightMatrix` builds once and keeps.  `state` and
+    `weights` may be arrays or nested lists; the result is a new float
+    array.
     """
     state = np.asarray(state, dtype=float)
     return _mix(state, *_slot_arrays(np.asarray(weights, dtype=float)), np.empty(state.shape))
@@ -328,12 +342,14 @@ def distributed_minimize(
     a shared one makes identical-cost runs exactly symmetric); each of a
     caller's `initial` profiles is checked in turn.  Rounds are synchronous and
     gather-then-update: all mixing reads use the previous round's
-    profiles, so execution order within a round cannot matter.  A round mixes the whole (n_agents, r) state in
-    numpy, every correction slot in one array step (see `mix_profiles`),
-    into that round's slot of a buffer kept for the solve, and turns it
-    into lists once; then each agent in turn walks its extension, steps
-    and projects its own row.
-    The projection also returns the number of the point that row rounds
+    profiles, so execution order within a round cannot matter.  A round
+    mixes the whole (n_agents, r) state in numpy, every correction slot in
+    one array step (see `mix_profiles`) with the slot table `matrix`
+    keeps, into that round's slot of a buffer kept for the solve, and
+    turns it into lists once; then each agent in turn walks its extension,
+    and steps and projects its own row in one call of the kernel of
+    `space`'s shape, fetched once per solve.
+    The kernel also returns the number of the point that row rounds
     to at the shared threshold: while it writes each chain it counts what
     `extension.theta` counts, and `space.point` decodes the number.  An agent walks each sort
     order once per solve and keeps the order's linear piece, the
@@ -391,7 +407,8 @@ def distributed_minimize(
         starts = initial
     # Row i is agent i's profile.
     state = np.array([p.values for p in starts])
-    neighbors, ws = _slot_arrays(a)
+    neighbors, ws = matrix._slots
+    project = _kernel(space.dims)
     # Agent i's oracle values by point number, as `_walk` keys them.
     memos = [{} for _ in oracles]
     # Agent i's walks by sort order: the order, the subgradient and the f-steps in visit order.
@@ -435,7 +452,7 @@ def distributed_minimize(
                 if walk is None:
                     walk = walked[key] = (key, *_walk(f, memo, space, key))
                 logged(walk)
-                projected, number = _project([m - gamma_k * g for m, g in zip(row, walk[1])], space, t_hat)
+                projected, number = project(row, walk[1], gamma_k, t_hat)
                 rows.append(projected)
                 rounded.append(number)
             state = history[k - 1]

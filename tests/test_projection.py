@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmin import ChainProduct, Profile, project_monotone_box, project_product, theta
-from latmin.projection import _project
+from latmin import projection
+from latmin.projection import _kernel
 
 from helpers import grid_projection_oracle, profile_chain, reference_project, reference_project_monotone_box
 
@@ -160,14 +161,55 @@ class TestProjectRow:
     def test_every_pool_path_of_a_written_out_chain(self, m):
         # The chain goes first, at stride 2; a fixed 1-coordinate chain follows.
         space = ChainProduct([m + 1, 2])
+        kernel = _kernel(space.dims)
+        # A unit step from a row of -0.0 along the negated entries: every stepped
+        # entry is the drawn one exactly, signed zeros included.
+        row_in, gamma = [-0.0] * (m + 1), 1.0
         for entries in itertools.product(self.POOL_ENTRIES, repeat=m):
-            values = [*entries, 0.5]
-            expected = reference_project(np.array(values), space).tobytes()
+            g = [-x for x in (*entries, 0.5)]
+            stepped = np.array(row_in) - gamma * np.array(g)
+            expected = reference_project(stepped, space).tobytes()
             for t in (0.3, 0.7, 1.0):
-                row, number = _project(values, space, t)
+                row, number = kernel(row_in, g, gamma, t)
                 assert np.array(row).tobytes() == expected, (entries, t)
                 assert space.point(number) == theta(Profile(space, np.array(row)), t), (entries, t)
 
+
+class TestKernel:
+    @pytest.mark.parametrize(
+        "row, g, gamma",
+        [
+            ([0.5, 0.5, 0.5], [1e308, 0.0, 0.0], 10.0),  # gamma * g overflows to inf
+            ([0.5, 0.5, 0.5], [0.0, 0.0, -1e308], 1e10),
+            ([0.5, np.nan, 0.5], [0.0, 0.0, 0.0], 1.0),
+            ([0.5, 0.5, 0.5], [0.0, 0.0, np.inf], 1.0),
+        ],
+    )
+    def test_non_finite_stepped_entry_is_refused(self, row, g, gamma):
+        with pytest.raises(ValueError, match="projection input has non-finite entries"):
+            _kernel((3, 2))(row, g, gamma, 0.5)
+
+    def test_long_shapes_compile(self, fresh_kernels):
+        # More coordinates than one sum can test for finiteness (on Python 3.11 a sum of
+        # 3000 terms nests past the compiler's recursion limit), and a chain in the stack loop.
+        space = ChainProduct([2] * 4000 + [60])
+        values = np.linspace(-0.5, 1.5, space.sort_length)
+        expected = reference_project(values, space).tobytes()
+        assert project_product(values, space).values.tobytes() == expected
+        with pytest.raises(ValueError, match="non-finite"):
+            project_product(np.append(values[:-1], np.inf), space)
+
+    def test_the_cache_never_grows_past_its_bound(self, monkeypatch, fresh_kernels):
+        monkeypatch.setattr(projection, "_compile", lambda space: space.dims)
+        bound = projection.KERNEL_CACHE_SIZE
+        for m in range(2, bound + 12):
+            assert fresh_kernels((m,)) == (m,)
+            assert fresh_kernels.cache_info().currsize <= bound
+        assert fresh_kernels.cache_info().currsize == bound
+        # The least recently used shapes went first.
+        fresh_kernels((bound + 11,))
+        fresh_kernels((2,))
+        assert fresh_kernels.cache_info()[:2] == (1, bound + 11)
 
 
 @st.composite
@@ -190,7 +232,7 @@ class TestProjectionRounding:
     @settings(max_examples=500, deadline=None)
     def test_number_is_the_rounding_rule_of_the_projected_row(self, case):
         values, space, t = case
-        row, number = _project(values, space, t)
+        row, number = _kernel(space.dims)(values, [0.0] * space.sort_length, 0.0, t)
         assert space.point(number) == theta(Profile(space, np.array(row)), t)
         assert np.array(row).tobytes() == project_product(values, space).values.tobytes()
         assert np.array(row).tobytes() == reference_project(np.array(values), space).tobytes()

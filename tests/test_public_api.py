@@ -14,7 +14,7 @@ REMOVED = {
     latmin: ("make_chain_product", "profile_from_point"),
     lattice: ("make_chain_product",),
     extension: ("profile_from_point", "check_row", "rounding_rule", "point_of_number"),
-    projection: ("project_row",),
+    projection: ("project_row", "_project"),
     ctf: ("defender_cost", "step_tables", "StepTables", "reachable_cells", "decode_actions"),
     ctf.Arena: ("clamp",),
     ChainProduct: ("in_chain_pairs",),

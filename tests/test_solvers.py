@@ -25,7 +25,7 @@ from latmin import (
     validate_weight_matrix,
 )
 
-from latmin import extension, solvers
+from latmin import extension, projection, solvers
 from latmin.extension import FEASIBILITY_TOL, check_rows
 from latmin.scenario import bundled_scenario_path, load_scenario
 
@@ -207,6 +207,28 @@ class TestNetworkInternals:
         for g, w in zip(solvers._slot_arrays(weights), want, strict=True):
             assert (g.dtype, g.shape) == (w.dtype, w.shape)
             assert g.tobytes() == w.tobytes()
+
+
+class TestSlotTable:
+    def test_two_solves_on_one_network_build_its_slot_table_once(self, monkeypatch):
+        built = []
+        slot_arrays = solvers._slot_arrays
+        monkeypatch.setattr(solvers, "_slot_arrays", lambda weights: built.append(weights) or slot_arrays(weights))
+        matrix = WeightMatrix(LINE_GRAPH_MATRIX, eta=0.1)
+        X = ChainProduct([3, 3])
+        rng = np.random.default_rng(8)
+        fs = [random_submodular_oracle(X, rng) for _ in range(4)]
+        for seed in (1, 2):
+            distributed_minimize(fs, X, matrix, SolverParams(iterations=5, gamma=0.2, seed=seed))
+        assert len(built) == 1
+        for kept, fresh in zip(matrix._slots, slot_arrays(matrix.entries), strict=True):
+            assert not kept.flags.writeable
+            assert kept.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0
+        state = np.array([uniform_random_profile(X, seed).values for seed in range(4)])
+        expected = mix_profiles(state, LINE_GRAPH_MATRIX).tobytes()
+        assert solvers._mix(state, *matrix._slots, np.empty_like(state)).tobytes() == expected
 
 
 class TestStepSize:
@@ -574,6 +596,42 @@ class TestSolveMemo:
         table = {x: float(fn(x)) for x in X.points()}
         case = (X, [table] * 3, matrix, params, None)
         assert solve_bytes(distributed_minimize, *case) == solve_bytes(reference_distributed_minimize, *case)
+
+
+class TestKernelPerShape:
+    def test_solves_on_equal_dims_share_one_kernel(self, monkeypatch, fresh_kernels):
+        compiled = []
+        compile_kernel = projection._compile
+        monkeypatch.setattr(projection, "_compile", lambda space: compiled.append(space.dims) or compile_kernel(space))
+        rng = np.random.default_rng(6)
+        for dims in ([3, 4, 2], [3, 4, 2], [4, 3, 2]):
+            X = ChainProduct(dims)
+            fs = [random_submodular_oracle(X, rng) for _ in range(2)]
+            distributed_minimize(fs, X, WeightMatrix(line_matrix(2), eta=0.1), TINY)
+        assert compiled == [(3, 4, 2), (4, 3, 2)]
+
+    def test_chains_of_six_and_seven_elements_go_through_the_stack_loop(self, monkeypatch, fresh_kernels):
+        # Every other solver test draws chains of at most 5 elements, written out
+        # in the kernel; these pool in `projection._pool`.
+        pooled = []
+        pool = projection._pool
+
+        def recorded_pool(values, t):
+            pooled.append(values)
+            return pool(values, t)
+
+        monkeypatch.setattr(projection, "_pool", recorded_pool)
+        X = ChainProduct([6, 7, 3])
+        rng = np.random.default_rng(41)
+        fns = [random_submodular_fn(X, rng) for _ in range(3)]
+        tables = [{x: float(fn(x)) for x in X.points()} for fn in fns]
+        matrix = WeightMatrix(line_matrix(3), eta=0.1)
+        params = SolverParams(iterations=80, gamma=0.6, schedule="diminishing", t_hat=0.6, seed=4)
+        case = (X, tables, matrix, params, None)
+        assert solve_bytes(distributed_minimize, *case) == solve_bytes(reference_distributed_minimize, *case)
+        assert {len(values) for values in pooled} == {5, 6}
+        # Some stepped chain rose, so the stack pooled it.
+        assert any(a < b for values in pooled for a, b in zip(values, values[1:]))
 
 
 @st.composite
