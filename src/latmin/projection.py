@@ -9,29 +9,30 @@ pool-adjacent-violators plus a clip: O(m), no QP solver.
 
 A lattice's shape never changes within a solve, so the projection is one
 straight-line function per chain-product shape, a *kernel*, generated
-from the per-size pooling blocks below and compiled once (`_kernel`).
-It takes a row, a subgradient and a step gamma, computes each stepped
-entry `m - gamma * g` as a local, refuses a non-finite one before it
-projects anything, and projects chain by chain.  Chains of one to four
-coordinates (every chain of a game step has two) are written out: each
-decision of the pooling stack is one comparison, each pooled mean has
-the stack's exact arithmetic and operand order, and a clip follows.
-Chains of five or more coordinates call the stack loop, `_pool`.  The
-stack's means never rise and the clip is monotone, so no running
-minimum is needed.  Each chain's output is non-increasing, so an entry
-counts toward the rounded point exactly when it is at least the
-threshold t: the kernel counts what `extension.theta` counts, adding
-the chain's stride for each such entry, and returns the rounded point's
+and compiled once (`_kernel`).  It takes a row, a subgradient and a step
+gamma, computes each stepped entry `m - gamma * g` as a local, refuses a
+non-finite one before it projects anything, and projects chain by chain.
+Chains of one and two coordinates (every chain of a game step has two)
+are written out from the pooling blocks below: the pooling stack's
+decision is one comparison, the pooled mean has the stack's exact
+arithmetic and operand order, and a clip follows.  A chain of three or
+four coordinates is one call of `_pool3` or `_pool4`, plain functions
+written the same way, and a chain of five or more calls the stack loop,
+`_pool`.  The stack's means never rise and the clip is monotone, so no
+running minimum is needed.  Each chain's output is non-increasing, so an
+entry counts toward the rounded point exactly when it is at least the
+threshold t: the kernel counts what `extension.theta` counts, adding the
+chain's stride for each such entry, and returns the rounded point's
 number with the projected row, so a solver needs no second pass.  The
 kernel is the one projection: `project_product` calls it with a zero
 step and no threshold.
 
 Kernels are kept in a cache keyed by `dims` and bounded at
 `KERNEL_CACHE_SIZE`, least recently used first out.  A kernel's code
-grows with the shape's coordinate count and compiling one takes about a
-millisecond, so a solve reuses its shape's kernel while a process that
-meets shape after shape (a sweep over random lattices, a property test)
-holds at most that many.
+grows with the shape's coordinate count and compiling one takes about
+0.3 ms, so a solve reuses its shape's kernel while a process that meets
+shape after shape (a sweep over random lattices, a property test) holds
+at most that many.
 """
 
 from __future__ import annotations
@@ -48,56 +49,78 @@ from .lattice import ChainProduct
 # The most kernels kept at once, each for one lattice shape.
 KERNEL_CACHE_SIZE = 256
 
-# The pooling stack's decisions on a written-out chain of 1-4 coordinates
-# a, b, c, d, each pooled mean in its arithmetic (mean*n + x*count)/(n + count);
-# a factor 1 is dropped, exactly.  Each comparison keeps the value np.clip
-# and np.minimum.accumulate would keep, down to the sign of a zero.
+# The pooling stack's decision on a written-out chain of 1-2 coordinates a, b,
+# the pooled mean in its arithmetic (mean*n + x*count)/(n + count); a factor 1
+# is dropped, exactly.  The comparison keeps the value np.clip and
+# np.minimum.accumulate would keep, down to the sign of a zero.
 _POOLING = {
     1: "",
     2: """
         if {a} < {b}:
             {a} = {b} = ({a} + {b}) / 2
         """,
-    3: """
-        if {a} < {b}:
-            {a} = {b} = ({a} + {b}) / 2
-            if {a} < {c}:
-                {a} = {b} = {c} = ({a} * 2 + {c}) / 3
-        elif {b} < {c}:
-            {b} = {c} = ({b} + {c}) / 2
-            if {a} < {b}:
-                {a} = {b} = {c} = ({a} + {b} * 2) / 3
-        """,
-    # The first three as above, then d against the blocks they left.
-    4: """
-        if {a} < {b}:
-            {a} = {b} = ({a} + {b}) / 2
-            if {a} < {c}:
-                {a} = {b} = {c} = ({a} * 2 + {c}) / 3
-                if {a} < {d}:
-                    {a} = {b} = {c} = {d} = ({a} * 3 + {d}) / 4
-            elif {c} < {d}:
-                {c} = {d} = ({c} + {d}) / 2
-                if {a} < {c}:
-                    {a} = {b} = {c} = {d} = ({a} * 2 + {c} * 2) / 4
-        elif {b} < {c}:
-            {b} = {c} = ({b} + {c}) / 2
-            if {a} < {b}:
-                {a} = {b} = {c} = ({a} + {b} * 2) / 3
-                if {a} < {d}:
-                    {a} = {b} = {c} = {d} = ({a} * 3 + {d}) / 4
-            elif {b} < {d}:
-                {b} = {c} = {d} = ({b} * 2 + {d}) / 3
-                if {a} < {b}:
-                    {a} = {b} = {c} = {d} = ({a} + {b} * 3) / 4
-        elif {c} < {d}:
-            {c} = {d} = ({c} + {d}) / 2
-            if {b} < {c}:
-                {b} = {c} = {d} = ({b} + {c} * 2) / 3
-                if {a} < {b}:
-                    {a} = {b} = {c} = {d} = ({a} + {b} * 3) / 4
-        """,
 }
+
+
+def _pool3(a: float, b: float, c: float, t: float) -> tuple[float, float, float, int]:
+    """A chain of 3 coordinates projected, and its count of entries >= t.
+
+    Each decision of the pooling stack is one comparison and each pooled
+    mean has its arithmetic, (mean*n + x*count)/(n + count) with a factor
+    1 dropped, exactly; each comparison keeps the value np.clip and
+    np.minimum.accumulate would keep, down to the sign of a zero.
+    """
+    if a < b:
+        a = b = (a + b) / 2
+        if a < c:
+            a = b = c = (a * 2 + c) / 3
+    elif b < c:
+        b = c = (b + c) / 2
+        if a < b:
+            a = b = c = (a + b * 2) / 3
+    a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+    b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+    c = 0.0 if c < 0.0 else 1.0 if c > 1.0 else c
+    # The chain is non-increasing: its last entry >= t means all count.
+    return a, b, c, 3 if c >= t else 2 if b >= t else 1 if a >= t else 0
+
+
+def _pool4(a: float, b: float, c: float, d: float, t: float) -> tuple[float, float, float, float, int]:
+    """A chain of 4 coordinates projected, and its count of entries >= t,
+    as `_pool3` does it: the first three as there, then d against the
+    blocks they left."""
+    if a < b:
+        a = b = (a + b) / 2
+        if a < c:
+            a = b = c = (a * 2 + c) / 3
+            if a < d:
+                a = b = c = d = (a * 3 + d) / 4
+        elif c < d:
+            c = d = (c + d) / 2
+            if a < c:
+                a = b = c = d = (a * 2 + c * 2) / 4
+    elif b < c:
+        b = c = (b + c) / 2
+        if a < b:
+            a = b = c = (a + b * 2) / 3
+            if a < d:
+                a = b = c = d = (a * 3 + d) / 4
+        elif b < d:
+            b = c = d = (b * 2 + d) / 3
+            if a < b:
+                a = b = c = d = (a + b * 3) / 4
+    elif c < d:
+        c = d = (c + d) / 2
+        if b < c:
+            b = c = d = (b + c * 2) / 3
+            if a < b:
+                a = b = c = d = (a + b * 3) / 4
+    a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+    b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+    c = 0.0 if c < 0.0 else 1.0 if c > 1.0 else c
+    d = 0.0 if d < 0.0 else 1.0 if d > 1.0 else d
+    return a, b, c, d, 4 if d >= t else 3 if c >= t else 2 if b >= t else 1 if a >= t else 0
+
 
 # The most terms of one sum in the finiteness test.  A sum nests one level
 # per term, and on Python 3.11 one of 3000 terms exceeds the compiler's
@@ -158,12 +181,17 @@ def _source(space: ChainProduct) -> str:
     row = []
     for start, end, stride in space.chain_spans:
         chain = names[start:end]
-        if len(chain) > 4:
-            lines.append(f"    p{start}, above = _pool([{', '.join(chain)}], t)")
+        if len(chain) > 2:
+            args = ", ".join(chain)
+            if len(chain) > 4:
+                lines.append(f"    p{start}, above = _pool([{args}], t)")
+                row.append(f"*p{start}")
+            else:
+                lines.append(f"    {args}, above = _pool{len(chain)}({args}, t)")
+                row += chain
             lines.append(f"    number += above * {stride}")
-            row.append(f"*p{start}")
             continue
-        block = _POOLING[len(chain)].format(**dict(zip("abcd", chain)))
+        block = _POOLING[len(chain)].format(**dict(zip("ab", chain)))
         lines.append(textwrap.indent(textwrap.dedent(block).strip("\n"), "    "))
         lines += (f"    {x} = 0.0 if {x} < 0.0 else 1.0 if {x} > 1.0 else {x}" for x in chain)
         # The chain is non-increasing: its last entry >= t means all count.
@@ -179,7 +207,7 @@ def _source(space: ChainProduct) -> str:
 
 def _compile(space: ChainProduct):
     """The kernel of `space`'s shape, compiled."""
-    namespace = {"_pool": _pool}
+    namespace = {"_pool": _pool, "_pool3": _pool3, "_pool4": _pool4}
     exec(compile(_source(space), f"<projection kernel {space.dims}>", "exec"), namespace)
     return namespace["kernel"]
 

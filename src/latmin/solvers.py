@@ -37,7 +37,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -162,6 +162,14 @@ class WeightMatrix:
         for array in table:
             array.flags.writeable = False
         return table
+
+
+@cache
+def _lone_agent() -> WeightMatrix:
+    """The one-agent network of every central solve, checked on the first one and kept,
+    its slot table with it; built on first use, so an import that solves nothing pays
+    nothing for it."""
+    return WeightMatrix([[1.0]], eta=0.5)
 
 
 @dataclass
@@ -439,10 +447,10 @@ def distributed_minimize(
     # a walk, oracle or projection failure may follow from a bad row, which outranks it.
     kept = np.empty_like(history)
     mixed_rounds = 0
+    gammas = [step_size(k, params) for k in range(1, params.iterations + 1)]
 
     try:
-        for k in range(1, params.iterations + 1):
-            gamma_k = step_size(k, params)
+        for k, gamma_k in enumerate(gammas, 1):
             mixed = _mix(state, neighbors, ws, kept[k - 1]).tolist()
             mixed_rounds = k
             rows, rounded = [], []
@@ -475,10 +483,11 @@ def distributed_minimize(
 def centralized_minimize(f: Oracle, space: ChainProduct, params: SolverParams):
     """Single-agent projected subgradient on the extension of f.
 
-    The one-agent case of `distributed_minimize` (weight matrix [[1]]), so
-    f is likewise evaluated once per distinct point.  Returns (point,
-    value, trace) with the point rounded at t_hat after the final
-    iteration.  Tight for submodular f, a heuristic otherwise.
+    The one-agent case of `distributed_minimize`, on one weight matrix
+    [[1]] kept for every call, so f is likewise evaluated once per
+    distinct point.  Returns (point, value, trace) with the point rounded
+    at t_hat after the final iteration.  Tight for submodular f, a
+    heuristic otherwise.
     """
-    points, values, trace = distributed_minimize([f], space, WeightMatrix([[1.0]], eta=0.5), params)
+    points, values, trace = distributed_minimize([f], space, _lone_agent(), params)
     return points[0], values[0], trace

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -174,6 +175,17 @@ class TestProjectRow:
                 assert np.array(row).tobytes() == expected, (entries, t)
                 assert space.point(number) == theta(Profile(space, np.array(row)), t), (entries, t)
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_every_pool_path_of_pool3_and_pool4(self, m):
+        pool = {3: projection._pool3, 4: projection._pool4}[m]
+        space = ChainProduct([m + 1])
+        for entries in itertools.product(self.POOL_ENTRIES, repeat=m):
+            expected = reference_project(np.array(entries), space).tobytes()
+            for t in (0.3, 0.7, 1.0):
+                *row, above = pool(*entries, t)
+                assert np.array(row).tobytes() == expected, (entries, t)
+                assert (above,) == theta(Profile(space, np.array(row)), t), (entries, t)
+
 
 class TestKernel:
     @pytest.mark.parametrize(
@@ -198,6 +210,33 @@ class TestKernel:
         assert project_product(values, space).values.tobytes() == expected
         with pytest.raises(ValueError, match="non-finite"):
             project_product(np.append(values[:-1], np.inf), space)
+
+    # The sha256 of the kernel source of the fig3 and swarm8 shapes, unchanged
+    # since kernels were introduced: two-coordinate chains are written out.
+    @pytest.mark.parametrize(
+        "dims, digest",
+        [
+            ([3] * 8, "909fad19ea00978460427102437cf3dffd93f52a5c1906ebbc29ba2ea74396c8"),
+            ([3] * 16, "d61f0d26daaecf8be04c44acaf88245f2c229c8a825e7efd283015dc47c4e1a6"),
+        ],
+    )
+    def test_two_coordinate_chains_call_no_pooling_function(self, dims, digest):
+        source = projection._source(ChainProduct(dims))
+        assert "_pool" not in source
+        assert hashlib.sha256(source.encode()).hexdigest() == digest
+
+    def test_three_and_four_coordinate_chains_call_pool3_and_pool4_once(self, monkeypatch, fresh_kernels):
+        called = []
+        for name in ("_pool3", "_pool4"):
+            pool = getattr(projection, name)
+            monkeypatch.setattr(projection, name, lambda *args, name=name, pool=pool: called.append(name) or pool(*args))
+        space = ChainProduct([5, 4, 3])
+        values = [0.9, 0.2, 0.6, 0.7, 0.8, 0.3, 0.9, 0.4, 0.7]
+        row, number = fresh_kernels(space.dims)(values, [0.0] * space.sort_length, 0.0, 0.5)
+        assert called == ["_pool4", "_pool3"]
+        assert "_pool(" not in projection._source(space)
+        assert np.array(row).tobytes() == reference_project(np.array(values), space).tobytes()
+        assert space.point(number) == theta(Profile(space, np.array(row)), 0.5)
 
     def test_the_cache_never_grows_past_its_bound(self, monkeypatch, fresh_kernels):
         monkeypatch.setattr(projection, "_compile", lambda space: space.dims)

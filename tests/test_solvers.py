@@ -30,6 +30,7 @@ from latmin.extension import FEASIBILITY_TOL, check_rows
 from latmin.scenario import bundled_scenario_path, load_scenario
 
 from helpers import (
+    as_bytes,
     left_sum,
     line_matrix,
     profile_chain,
@@ -229,6 +230,22 @@ class TestSlotTable:
         state = np.array([uniform_random_profile(X, seed).values for seed in range(4)])
         expected = mix_profiles(state, LINE_GRAPH_MATRIX).tobytes()
         assert solvers._mix(state, *matrix._slots, np.empty_like(state)).tobytes() == expected
+
+    def test_central_solves_build_the_lone_agents_slot_table_at_most_once(self, monkeypatch):
+        built = []
+        slot_arrays = solvers._slot_arrays
+        monkeypatch.setattr(solvers, "_slot_arrays", lambda weights: built.append(weights) or slot_arrays(weights))
+        X = ChainProduct([3, 4])
+        rng = np.random.default_rng(10)
+        for seed in (1, 2):
+            f = random_submodular_oracle(X, rng)
+            params = SolverParams(iterations=40, gamma=0.3, schedule="diminishing", seed=seed)
+            point, value, trace = centralized_minimize(f, X, params)
+            ref_point, ref_value, ref_ext, ref_best = reference_centralized_minimize(f, X, params)
+            assert (point, as_bytes(value)) == (ref_point, as_bytes(ref_value))
+            assert trace.ext_values.tobytes() == ref_ext.tobytes()
+            assert trace.best_rounded.tobytes() == ref_best.tobytes()
+        assert len(built) <= 1
 
 
 class TestStepSize:
