@@ -266,6 +266,9 @@ def main(argv=None) -> int:
     # A CapExceededError is a ValueError, so it is caught first.
     except (_Refusal, CapExceededError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+    # numpy refuses an array it cannot allocate, such as a trace of 10**15 rounds.
+    except MemoryError as exc:
+        print(f"{args.command}: out of memory: {exc}", file=sys.stderr)
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
     except (ScenarioError, ValueError) as exc:

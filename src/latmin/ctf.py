@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -112,6 +113,18 @@ def _check_nominal(params, first: str, second: str, what: str) -> None:
             raise ValueError(f"{name}: nominal {what} weights must lie in [0,1]")
 
 
+# The largest x with a finite math.exp(x).
+_EXP_LIMIT = math.log(sys.float_info.max)
+
+
+def _check_switch_exponent(params, rate: str) -> None:
+    """Reject a `delta_th` at which the switch weight exp(rate * (delta_th - gap))
+    overflows: gaps are never negative, so rate * delta_th is its largest exponent."""
+    top = float(np.max(getattr(params, rate) * params.delta_th))
+    if top > _EXP_LIMIT:
+        raise ValueError(f"delta_th: {rate} * delta_th must be at most {_EXP_LIMIT:.12g}, got {top:.12g}")
+
+
 @dataclass
 class DefenderParams:
     """Cost weights and behavior-switching constants for the defense team.
@@ -140,6 +153,7 @@ class DefenderParams:
                 raise ValueError(f"{name}: barrier constants zeta1, zeta2 must be at least 1")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta: must lie in [0,1]")
+        _check_switch_exponent(self, "beta")
         for name in ("pursuit_gain", "cohesion", "mobility"):
             if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name}: cost weights must be non-negative")
@@ -165,6 +179,7 @@ class AttackerParams:
         _check_nominal(self, "eta_avoid_nom", "eta_base_nom", "mode")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError("kappa: must lie in [0,1]")
+        _check_switch_exponent(self, "kappa")
 
 
 def _one_step_moves(u_max: int) -> list[Cell]:

@@ -121,7 +121,8 @@ class Oracle:
     """A cost function over a chain product, with evaluation counting.
 
     The wrapped callable must be deterministic and finite on every lattice
-    point; a NaN or infinite value raises ValueError naming the point.
+    point; a NaN or infinite value, or an OverflowError from the callable
+    (float `**` and `math.exp` raise one), raises ValueError naming the point.
     Solvers only ever see costs through this interface.  Callers pass
     points of `space`, which is not checked here because the solvers call
     oracles in their inner loop; input from outside goes through
@@ -145,7 +146,10 @@ class Oracle:
     def __call__(self, point: Sequence[int]) -> float:
         self.calls += 1
         point = tuple(point)
-        value = float(self.fn(point))
+        try:
+            value = float(self.fn(point))
+        except OverflowError as exc:
+            raise ValueError(f"cost at {point} is not finite: overflow") from exc
         if not math.isfinite(value):
             raise ValueError(f"cost at {point} is not finite: {value}")
         return value

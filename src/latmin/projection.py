@@ -13,7 +13,7 @@ and compiled once (`_kernel`).  It takes a row, a subgradient and a step
 gamma, computes each stepped entry `m - gamma * g` as a local, refuses a
 non-finite one before it projects anything, and projects chain by chain.
 Chains of one and two coordinates (every chain of a game step has two)
-are written out from the pooling blocks below: the pooling stack's
+are written out line by line (`_source`): the pooling stack's
 decision is one comparison, the pooled mean has the stack's exact
 arithmetic and operand order, and a clip follows.  A chain of three or
 four coordinates is one call of `_pool3` or `_pool4`, plain functions
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import textwrap
 
 import numpy as np
 
@@ -48,19 +47,6 @@ from .lattice import ChainProduct
 
 # The most kernels kept at once, each for one lattice shape.
 KERNEL_CACHE_SIZE = 256
-
-# The pooling stack's decision on a written-out chain of 1-2 coordinates a, b,
-# the pooled mean in its arithmetic (mean*n + x*count)/(n + count); a factor 1
-# is dropped, exactly.  The comparison keeps the value np.clip and
-# np.minimum.accumulate would keep, down to the sign of a zero.
-_POOLING = {
-    1: "",
-    2: """
-        if {a} < {b}:
-            {a} = {b} = ({a} + {b}) / 2
-        """,
-}
-
 
 def _pool3(a: float, b: float, c: float, t: float) -> tuple[float, float, float, int]:
     """A chain of 3 coordinates projected, and its count of entries >= t.
@@ -191,8 +177,13 @@ def _source(space: ChainProduct) -> str:
                 row += chain
             lines.append(f"    number += above * {stride}")
             continue
-        block = _POOLING[len(chain)].format(**dict(zip("ab", chain)))
-        lines.append(textwrap.indent(textwrap.dedent(block).strip("\n"), "    "))
+        if len(chain) == 2:
+            # The pooling stack's one decision, and the pooled mean in its arithmetic
+            # (mean*n + x*count)/(n + count) with a factor 1 dropped, exactly.  The
+            # comparison keeps the value np.clip and np.minimum.accumulate would keep,
+            # down to the sign of a zero.
+            a, b = chain
+            lines += [f"    if {a} < {b}:", f"        {a} = {b} = ({a} + {b}) / 2"]
         lines += (f"    {x} = 0.0 if {x} < 0.0 else 1.0 if {x} > 1.0 else {x}" for x in chain)
         # The chain is non-increasing: its last entry >= t means all count.
         keyword = "if"
@@ -202,7 +193,7 @@ def _source(space: ChainProduct) -> str:
             keyword = "elif"
         row += chain
     lines.append(f"    return [{', '.join(row)}], number")
-    return "\n".join(line for line in lines if line.strip()) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _compile(space: ChainProduct):

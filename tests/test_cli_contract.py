@@ -1,0 +1,143 @@
+"""The `latmin` command-line contract: one table of cases, each run as a process.
+
+A case runs in a new directory holding only its input, `given.cfg`, so its
+messages name the file `given.cfg` and the output directory `out`.  It runs
+through the `latmin` script installed with this interpreter when there is
+one, else as `python -m latmin.cli`, on the `latmin` these tests import, and
+a numpy RuntimeWarning fails it.
+"""
+
+import os
+import re
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import pytest
+
+import latmin
+from latmin.scenario import bundled_scenario_path
+
+FIG3 = bundled_scenario_path("paper_fig3.cfg").read_bytes()
+FIG3_CHECK = (
+    "checked 81648 cross differences on (3, 3, 3, 3, 3, 3, 3, 3)\n"
+    "submodular: yes\n"
+    "minimum: 416.601545942 at 1 of 6561 points\n"
+)
+PROBLEM = b"""kind: problem
+seed: 3
+dims: [3, 4]
+objectives:
+  - {type: linear, coefficients: [1.0, -0.5]}
+  - {type: quadratic, centers: [1.0, 2.0]}
+solver: {iterations: 200, gamma: 0.1, schedule: diminishing}
+"""
+NETWORK = b"network: {eta: 0.1, matrix: [[0.7, 0.3], [0.3, 0.7]]}\n"
+
+
+def problem(dims: list[int], objective: str) -> bytes:
+    solver = "{iterations: 5, gamma: 0.1}"
+    return f"kind: problem\nseed: 1\ndims: {dims}\nobjectives: [{objective}]\nsolver: {solver}\n".encode()
+
+
+def fig3_with(old: bytes, new: bytes) -> bytes:
+    assert FIG3.count(old) == 1, old
+    return FIG3.replace(old, new)
+
+
+@dataclass(frozen=True)
+class Case:
+    """One command line and all it must do: `stdout` is the whole of stdout,
+    `stderr` its one line (a pattern matches it in full; empty, no stderr at
+    all), and `files` the non-empty files under `out`, and no others (with
+    none, `out` must not exist)."""
+
+    name: str
+    argv: str
+    given: bytes
+    code: int
+    stdout: str
+    stderr: str | re.Pattern = ""
+    files: tuple[str, ...] = ()
+    env: dict = field(default_factory=dict)
+
+
+UNDECODABLE = b"kind: problem\nseed: 1\xff\n"
+# libyaml and the pure loader word the reason differently.
+UNDECODABLE_LINE = re.compile(
+    r"parse error: given\.cfg: not valid structured text: unacceptable character #x00ff: .+ at position 21"
+)
+OUT = ("solution.csv", "trace.csv")
+CASES = [
+    Case("check-fig3", "check given.cfg", FIG3, 0, FIG3_CHECK),
+    # Files are decoded by PyYAML, not by the locale.
+    Case("check-fig3-utf8-comment-ascii-locale", "check given.cfg", "# step size γ ≥ 0\n".encode() + FIG3, 0,
+         FIG3_CHECK, env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}),
+    Case("simulate-fig3", "simulate given.cfg --out out", FIG3, 0,
+         "40 steps, outcome defense, 2 captures, 4 events -> out\n", files=("events.csv", "trajectories.csv")),
+    Case("solve-central", "solve given.cfg --mode central --out out", PROBLEM + NETWORK, 0,
+         "agent 0: point (0, 2) value 0\n", files=OUT),
+    Case("solve-distributed", "solve given.cfg --mode distributed --out out", PROBLEM + NETWORK, 0,
+         "agent 0: point (0, 2) value 0\nagent 1: point (0, 2) value 0\n", files=OUT),
+    # A refusal: exit 2, one stderr line, nothing on stdout and no `out`.
+    Case("solve-game-file", "solve given.cfg --out out", FIG3, 2, "",
+         "solve: expected a problem file (kind: problem)"),
+    Case("simulate-problem-file", "simulate given.cfg --out out", PROBLEM + NETWORK, 2, "",
+         "simulate: expected a game file (kind: game)"),
+    # Distributed is the default mode.
+    Case("solve-without-network", "solve given.cfg --out out", PROBLEM, 2, "",
+         "solve: distributed mode needs a network block"),
+    Case("check-above-the-cap", "check given.cfg", problem([2] * 21, "{type: product}"), 2, "",
+         "check: submodularity check refused: 2097152 points exceeds the brute-force cap of 1000000"),
+    Case("check-unparsable", "check given.cfg", b": : :\n", 2, "",
+         "parse error: given.cfg: not valid structured text: while parsing a block mapping at "
+         "line 1, column 1; did not find expected key at line 1, column 1"),
+    Case("check-undecodable-byte", "check given.cfg", UNDECODABLE, 2, "", UNDECODABLE_LINE),
+    Case("solve-central-undecodable-byte", "solve given.cfg --mode central --out out", UNDECODABLE, 2, "",
+         UNDECODABLE_LINE),
+    # Refused on the way: the run starts, and `out` is made only after it ends.
+    Case("solve-central-linear-overflow", "solve given.cfg --mode central --out out",
+         problem([3], "{type: linear, coefficients: [1.0e+308]}"), 2, "",
+         "error: cost at (2,) is not finite: inf"),
+    Case("solve-central-quadratic-overflow", "solve given.cfg --mode central --out out",
+         problem([3], "{type: quadratic, centers: [1.0e+200]}"), 2, "",
+         "error: cost at (0,) is not finite: overflow"),
+    # numpy refuses 8 * 10**15 bytes before it touches a page.
+    Case("solve-iterations-out-of-memory", "solve given.cfg --iters-override 1000000000000000 --out out",
+         PROBLEM + NETWORK, 2, "", "solve: out of memory: Unable to allocate 7.11 PiB for an array with shape "
+         "(1000000000000000,) and data type float64"),
+    Case("check-defender-delta-th-overflow", "check given.cfg",
+         fig3_with(b"delta_th: 20\n", b"delta_th: 5000.0\n"), 2, "",
+         "error: defenders.delta_th: beta * delta_th must be at most 709.782712893, got 3500"),
+    Case("simulate-attacker-delta-th-overflow", "simulate given.cfg --out out",
+         fig3_with(b"delta_th: 4.0\n", b"delta_th: 5000.0\n"), 2, "",
+         "error: attackers.delta_th: kappa * delta_th must be at most 709.782712893, got 4500"),
+]
+
+
+def launcher() -> list[str]:
+    """The `latmin` script installed with this interpreter, else the module."""
+    script = shutil.which("latmin", path=sysconfig.get_path("scripts"))
+    return [script] if script else [sys.executable, "-m", "latmin.cli"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
+def test_the_command_line_contract(tmp_path, case):
+    (tmp_path / "given.cfg").write_bytes(case.given)
+    argv = [*launcher(), *case.argv.split()]
+    env = {**os.environ, "PYTHONPATH": str(Path(latmin.__file__).parents[1]),
+           "PYTHONWARNINGS": "error::RuntimeWarning", **case.env}
+    run = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    stdout, stderr = run.stdout.decode(), run.stderr.decode()
+    where = f"{shlex.join(argv)}\nstderr: {stderr}"
+    assert (run.returncode, stdout) == (case.code, case.stdout), where
+    line = case.stderr.pattern if isinstance(case.stderr, re.Pattern) else re.escape(case.stderr)
+    assert re.fullmatch(f"{line}\n" if line else "", stderr), where
+    out = [f"out/{name}" for name in case.files]
+    left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+    assert left == sorted(["given.cfg", *(["out"] if out else []), *out]), where
+    assert all((tmp_path / name).stat().st_size > 0 for name in out), where

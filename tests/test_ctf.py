@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import sys
 import textwrap
 
 import numpy as np
@@ -789,6 +790,17 @@ class TestParamValidation:
     def test_base_mode_weight_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match=r"^eta_base_nom: nominal mode weights must lie in \[0,1\]"):
             AttackerParams(eta_avoid_nom=0.0, eta_base_nom=1.0000000005, delta_th=4.0, kappa=0.9)
+
+    def test_a_switch_weight_that_overflows_is_refused(self):
+        limit = math.log(sys.float_info.max)
+        params = toy_defender_params(beta=1.0, delta_th=[5.0, limit])
+        assert math.isfinite(adaptive_alpha(0.0, limit, 1.0, 0.1, 0.9)[0])
+        with pytest.raises(ValueError, match=r"^delta_th: beta \* delta_th must be at most 709\.782712893, got 710$"):
+            dataclasses.replace(params, delta_th=[5.0, 710.0])
+        attacker = AttackerParams(eta_avoid_nom=0.7, eta_base_nom=0.3, delta_th=limit, kappa=1.0)
+        assert math.isfinite(attacker_modes((0, 0), [(0, 0)], attacker)[0])
+        with pytest.raises(ValueError, match=r"^delta_th: kappa \* delta_th must be at most 709\.782712893, got 720$"):
+            dataclasses.replace(attacker, kappa=0.9, delta_th=800.0)
 
     @pytest.mark.parametrize("field", ["eta_avoid_nom", "eta_base_nom", "delta_th", "kappa"])
     def test_non_finite_attacker_field_named(self, field):

@@ -218,6 +218,14 @@ class TestNonFiniteCosts:
         with pytest.raises(ValueError, match=r"\(1, 1\) is not finite: nan"):
             f((1, 1))
 
+    def test_an_overflowing_cost_names_its_point(self):
+        X = ChainProduct([3])
+        f = Oracle(lambda x: (x[0] - 1e200) ** 2, X)
+        with pytest.raises(ValueError, match=r"^cost at \(2,\) is not finite: overflow$") as info:
+            f((2,))
+        assert isinstance(info.value.__cause__, OverflowError)
+        assert f.calls == 1
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_sweeps_reject_a_non_finite_point(self, bad):
         # x0*x1 is supermodular; one bad point must not hide that or the minimum.

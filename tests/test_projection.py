@@ -225,6 +225,31 @@ class TestKernel:
         assert "_pool" not in source
         assert hashlib.sha256(source.encode()).hexdigest() == digest
 
+    def test_a_two_and_a_one_coordinate_chain_are_written_out(self):
+        assert projection._source(ChainProduct([3, 2])) == (
+            "def kernel(m, g, gamma, t):\n"
+            "    m0, m1, m2, = m\n"
+            "    g0, g1, g2, = g\n"
+            "    x0 = m0 - gamma * g0\n"
+            "    x1 = m1 - gamma * g1\n"
+            "    x2 = m2 - gamma * g2\n"
+            "    if not (0.0 * x0 + 0.0 * x1 + 0.0 * x2 == 0.0):\n"
+            '        raise ValueError("projection input has non-finite entries")\n'
+            "    number = 0\n"
+            "    if x0 < x1:\n"
+            "        x0 = x1 = (x0 + x1) / 2\n"
+            "    x0 = 0.0 if x0 < 0.0 else 1.0 if x0 > 1.0 else x0\n"
+            "    x1 = 0.0 if x1 < 0.0 else 1.0 if x1 > 1.0 else x1\n"
+            "    if x1 >= t:\n"
+            "        number += 4\n"
+            "    elif x0 >= t:\n"
+            "        number += 2\n"
+            "    x2 = 0.0 if x2 < 0.0 else 1.0 if x2 > 1.0 else x2\n"
+            "    if x2 >= t:\n"
+            "        number += 1\n"
+            "    return [x0, x1, x2], number\n"
+        )
+
     def test_three_and_four_coordinate_chains_call_pool3_and_pool4_once(self, monkeypatch, fresh_kernels):
         called = []
         for name in ("_pool3", "_pool4"):

@@ -1,10 +1,7 @@
 import csv
 import dataclasses
 import math
-import os
 import re
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -474,21 +471,6 @@ class TestCheckCommand:
         assert code == 1
         assert "submodular: no (1 violations)" in out
 
-    def test_a_non_ascii_comment_reads_the_same_under_an_ascii_locale(self, tmp_path, capsys):
-        path = tmp_path / "fig3.cfg"
-        path.write_bytes("# step size \u03b3 \u2265 0\n".encode() + GOLDEN.read_bytes())
-        assert main(["check", str(path)]) == 0
-        utf8_out = capsys.readouterr().out
-        env = {
-            **os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
-            "PYTHONPATH": str(Path(cli.__file__).parents[1]),
-        }
-        run = subprocess.run(
-            [sys.executable, "-m", "latmin.cli", "check", str(path)],
-            env=env, capture_output=True, encoding="utf-8",
-        )
-        assert (run.returncode, run.stdout, run.stderr) == (0, utf8_out, "")
-
     def test_problem_file_passes(self, problem_file, capsys):
         code = main(["check", str(problem_file)])
         out = capsys.readouterr().out
@@ -671,20 +653,6 @@ class TestSolveCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
         assert len(read_rows(a / "trace.csv")) == 1 + 7 * (1 if mode == "central" else 2)
 
-    def test_distributed_without_network_is_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "nonet.cfg"
-        path.write_text(
-            "kind: problem\nseed: 1\ndims: [3]\n"
-            "objectives: [{type: linear, coefficients: [1.0]}]\n"
-            "solver: {iterations: 5, gamma: 0.1}\n"
-        )
-        out = tmp_path / "o"
-        assert main(["solve", str(path), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "solve: distributed mode needs a network block\n"
-        assert captured.out == ""
-        assert not out.exists()
-
 
 class TestOutputDir:
     @pytest.mark.parametrize("command", ["solve", "simulate"])
@@ -708,55 +676,6 @@ class TestOutputDir:
         assert str(out / name) in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
-
-
-class TestRefusals:
-    CAP_PROBLEM = (
-        "kind: problem\nseed: 1\ndims: [" + ", ".join(["2"] * 21) + "]\n"
-        "objectives: [{type: linear, coefficients: [" + ", ".join(["1.0"] * 21) + "]}]\n"
-        "solver: {iterations: 5, gamma: 0.1}\n"
-    )
-
-    # A cost that overflows at the top point: the run is refused after it starts.
-    OVERFLOW_PROBLEM = (
-        "kind: problem\nseed: 1\ndims: [3]\n"
-        "objectives: [{type: linear, coefficients: [1.0e+308]}]\n"
-        "solver: {iterations: 5, gamma: 0.1}\n"
-    )
-
-    @pytest.mark.parametrize("command, given, line", [
-        ("solve", "game", "solve: expected a problem file (kind: problem)"),
-        ("simulate", "problem", "simulate: expected a game file (kind: game)"),
-        ("check", "cap", "check: submodularity check refused: 2097152 points exceeds "
-                         "the brute-force cap of 1000000"),
-        ("solve --mode central", "overflow", "error: cost at (2,) is not finite: inf"),
-        ("check", "unparsable", "parse error: {path}: not valid structured text: "
-                                "while parsing a block mapping at line 1, column 1; "
-                                "did not find expected key at line 1, column 1"),
-        # "..." stands for the reason, which libyaml and the pure loader word differently.
-        ("solve --mode central", "undecodable", "parse error: {path}: not valid structured text: "
-                                                "unacceptable character #x00ff: ... at position 21"),
-    ])
-    def test_one_stderr_line_and_nothing_else(self, tmp_path, capsys, command, given, line):
-        if given == "game":
-            path = GOLDEN
-        else:
-            path = tmp_path / "given.cfg"
-            path.write_bytes({
-                "problem": PROBLEM_TEXT.encode(),
-                "cap": self.CAP_PROBLEM.encode(),
-                "overflow": self.OVERFLOW_PROBLEM.encode(),
-                "unparsable": b": : :",
-                "undecodable": b"kind: problem\nseed: 1\xff\n",
-            }[given])
-        before = sorted(tmp_path.iterdir())
-        out = ["--out", str(tmp_path / "out")] if command != "check" else []
-        assert main([*command.split(), str(path), *out]) == 2
-        captured = capsys.readouterr()
-        expected = re.escape(line.format(path=path)).replace(re.escape("..."), "[^\n]+")
-        assert re.fullmatch(expected + "\n", captured.err), captured.err
-        assert captured.out == ""
-        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestSimulateCommand:

@@ -144,13 +144,23 @@ SUM_RULES = [
     ("fig3", ("attackers", "eta_base_nom"), 5, "attackers.eta_avoid_nom, eta_base_nom: "
      "nominal mode weights must sum to 1, got 0.7 and 5.0"),
 ]
+# A switch threshold whose mode weight exp(rate * delta_th) overflows at distance 0.
+SWITCH_EXPONENTS = [
+    ("fig3", ("defenders", "delta_th"), 5000.0,
+     "defenders.delta_th: beta * delta_th must be at most 709.782712893, got 3500"),
+    ("fig3", ("attackers", "delta_th"), 5000.0,
+     "attackers.delta_th: kappa * delta_th must be at most 709.782712893, got 4500"),
+]
 VALUE_ERRORS = [
     *[
         (name, path, value, ScenarioSchemaError,
          rf"{re.escape(field)}: cannot read .*: expected a number, got a string")
         for name, path, value, field in QUOTED
     ],
-    *[(name, path, value, ScenarioInvariantError, re.escape(m)) for name, path, value, m in SUM_RULES],
+    *[
+        (name, path, value, ScenarioInvariantError, re.escape(m))
+        for name, path, value, m in SUM_RULES + SWITCH_EXPONENTS
+    ],
 ]
 
 
