@@ -35,8 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover
 Cell = tuple[int, int]
 
 
-# Each metric's per-axis term: a distance is the sum of the two.
-_AXIS_TERMS = {"manhattan": np.abs, "squared": np.square}
+# Each metric's per-axis term, over integer arrays and ints alike: a distance
+# is the sum of the two.
+_AXIS_TERMS = {"manhattan": abs, "squared": lambda d: d * d}
 
 
 def cell_distances(metric: str, a, b) -> np.ndarray:
@@ -51,6 +52,59 @@ def _gap(cell: Cell, cells) -> int:
     """Smallest Manhattan distance from cell to any of cells."""
     x, y = cell
     return min(abs(x - cx) + abs(y - cy) for cx, cy in cells)
+
+
+# Quantities whose targets never move during a game (the zone, each
+# defender's responsibility cells, the barrier constants) are kept per
+# process: one table per distinct target content, at most FIELD_TABLES
+# tables of each kind, each holding at most FIELD_KEYS values.
+FIELD_TABLES = 64
+FIELD_KEYS = 4096
+
+
+class _Field(dict):
+    """`fill(key)` by key, computed on first read and kept while there is room."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self.fill(key)
+        if len(self) < FIELD_KEYS:
+            self[key] = value
+        return value
+
+
+@functools.lru_cache(maxsize=FIELD_TABLES)
+def _gaps(targets: tuple[Cell, ...]) -> _Field:
+    """`_gap` from a cell to `targets`, by cell."""
+    return _Field(lambda cell: _gap(cell, targets))
+
+
+@functools.lru_cache(maxsize=FIELD_TABLES)
+def _mean_distances(metric: str, targets: tuple[Cell, ...]) -> _Field:
+    """Mean `metric` distance from a cell to `targets`, by cell.  The
+    distances are integers, so the sum is exact in any order."""
+    term = _AXIS_TERMS[metric]
+
+    def mean(cell):
+        x, y = cell
+        return sum(term(x - tx) + term(y - ty) for tx, ty in targets) / len(targets)
+
+    return _Field(mean)
+
+
+@functools.lru_cache(maxsize=FIELD_TABLES)
+def _walls(zeta1: float, zeta2: float) -> _Field:
+    """Barrier wall height at integer offset d from a plane, by d."""
+    return _Field(lambda d: zeta1 * math.exp(-zeta2 * d ** 2))
+
+
+@functools.lru_cache(maxsize=FIELD_TABLES)
+def _joint_space(n_chains: int, side: int) -> ChainProduct:
+    """The joint action lattice, one per team size, so its layout is computed once."""
+    return ChainProduct([side] * n_chains)
 
 
 @dataclass
@@ -246,8 +300,8 @@ def adaptive_alpha(
 
 def threat_distance(attackers: list[Cell], active: list[bool], zone_cells: list[Cell]) -> float:
     """Smallest Manhattan distance from any active attacker to the cells."""
-    gaps = [_gap(pos, zone_cells) for pos, live in zip(attackers, active) if live]
-    return float(min(gaps, default=math.inf))
+    gaps = _gaps(tuple(map(tuple, zone_cells)))
+    return float(min((gaps[tuple(pos)] for pos, live in zip(attackers, active) if live), default=math.inf))
 
 
 def attacker_pursuit_weights(
@@ -264,7 +318,8 @@ def attacker_pursuit_weights(
     exact ties are broken by a draw from the defender's stream.  With no
     active attacker the row is all zeros.
     """
-    gaps = [_gap(pos, responsibility) if live else math.inf for pos, live in zip(attackers, active)]
+    table = _gaps(tuple(map(tuple, responsibility)))
+    gaps = [table[tuple(pos)] if live else math.inf for pos, live in zip(attackers, active)]
     row = np.zeros(len(gaps))
     best = min(gaps, default=math.inf)
     if math.isinf(best):
@@ -284,17 +339,18 @@ def predict_attackers(
     """Defense-side mobility model: every active attacker takes the one-step
     move that most reduces its Manhattan distance to the defense zone
     (ties to the smaller x, then smaller y cell); captured attackers stay."""
-    predicted = list(attackers)
-    live = [g for g, a in enumerate(active) if a]
-    if live:
-        # Every live attacker's one-step cells in sorted order, so the first
-        # nearest one in the grid is the smallest (x, y) among the ties.
-        cells = np.reshape([attackers[g] for g in live], (-1, 1, 2)) + _one_step_moves(u_max)
-        gaps = cell_distances("manhattan", cells[:, :, None], arena.zone).min(axis=2)
-        gaps[((cells < 0) | (cells >= arena.size)).any(axis=2)] = math.inf
-        for g, cell in zip(live, cells[np.arange(len(live)), gaps.argmin(axis=1)].tolist()):
-            predicted[g] = tuple(cell)
-    return predicted
+    gaps = _gaps(tuple(arena.zone))
+
+    def gap(cell):
+        return gaps[cell] if arena.in_grid(cell) else math.inf
+
+    # One-step cells come in sorted order, so the first nearest one is the
+    # smallest (x, y) among the ties.
+    moves = _one_step_moves(u_max)
+    return [
+        min(((x + ux, y + uy) for ux, uy in moves), key=gap) if live else (x, y)
+        for (x, y), live in zip(attackers, active)
+    ]
 
 
 def attacker_modes(
@@ -334,7 +390,8 @@ def attacker_policy(
     if avoid_mode:
         scores = [-_gap(c, defenders) for c in candidates]
     else:
-        scores = [_gap(c, arena.zone) for c in candidates]
+        gaps = _gaps(tuple(arena.zone))
+        scores = [gaps[c] for c in candidates]
     best = min(scores)
     tied = [c for c, score in zip(candidates, scores) if score == best]
     return tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
@@ -370,13 +427,14 @@ def _barrier(ctx: StepContext, i: int, cells: list[list[int]]) -> list[float]:
     """Gaussian walls on defender i's avoidance planes at each landing cell.
 
     The x planes' walls depend only on a cell's x and the y planes' only on
-    its y, so each is summed once per distinct coordinate.
+    its y, so each is summed once per distinct coordinate, from wall
+    heights kept per pair of barrier constants.
     """
-    z1, z2 = ctx.params.zeta1, ctx.params.zeta2
+    walls = _walls(ctx.params.zeta1, ctx.params.zeta2)
     x_planes, y_planes = (sorted(planes) for planes in ctx.planes[i])
     xs, ys = {x for x, _ in cells}, {y for _, y in cells}
-    wall_x = {x: _left_sum(z1 * math.exp(-z2 * (x - cx) ** 2) for cx in x_planes) for x in xs}
-    wall_y = {y: _left_sum(z1 * math.exp(-z2 * (y - cy) ** 2) for cy in y_planes) for y in ys}
+    wall_x = {x: _left_sum(walls[x - cx] for cx in x_planes) for x in xs}
+    wall_y = {y: _left_sum(walls[y - cy] for cy in y_planes) for y in ys}
     return [float(wall_x[x] + wall_y[y]) for x, y in cells]
 
 
@@ -392,47 +450,53 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     grid are priced at the clamped landing cell, the cell `run_game`
     applies, which keeps the decision space a full chain product.
 
-    Each defender's own terms are evaluated once per own move, and every
-    landing-cell distance (to zone cells, predicted attackers and
-    teammates) comes from integer coordinate arrays, once per step.  So the
-    oracles capture the context as it is now: changing `ctx` afterwards
-    does not change them.
+    Each defender's own terms are evaluated once per own move.  Its zone
+    pull and its walls are read from tables kept per responsibility set
+    and per pair of barrier constants; the distances to predicted attackers
+    and between the landing cells of each pair whose pull an oracle reads
+    come from integer coordinate arrays, once per step.  So the oracles
+    capture the context as it is now: changing `ctx` afterwards does not
+    change them.
     """
-    metric = ctx.params.distance
+    metric, weights = ctx.params.distance, ctx.params.cohesion
     n, side, moves = ctx.n_defenders, 2 * ctx.u_max + 1, _one_step_moves(ctx.u_max)
     # cells[i, a]: defender i's landing cell under its move a.
     cells = ctx.landing.reshape(n, side * side, 2)
-    space = ChainProduct([side] * (2 * n))
-    # pulls[i][j][a][b]: teammate j's pull on defender i when i moves by a and j by b.
-    pulls = (ctx.params.cohesion[:n, :n, None, None] * cell_distances(
-        metric, cells[:, None, :, None], cells[None, :, None, :]
+    landing = cells.tolist()
+    space = _joint_space(2 * n, side)
+    # The pairs (i, j) with j's pull in defender i's cost, i then j increasing.
+    own, partner = np.nonzero((weights[:n, :n] != 0.0) & ~np.eye(n, dtype=bool))
+    # Each pair's pull[a][b], when i moves by a and j by b.
+    pulls = (weights[own, partner, None, None] * cell_distances(
+        metric, cells[own, :, None], cells[partner, None, :]
     )).tolist()
+    pairs = [[] for _ in range(n)]
+    for i, j, pull in zip(own.tolist(), partner.tolist(), pulls):
+        pairs[i].append((pull, 2 * j))
 
     def head_terms(i):
         """Zone pull and pursuit at each landing cell, weighted by defender i's alphas."""
         alpha_a, alpha_f = ctx.alphas[i]
-        zone, row = ctx.arena.responsibilities[i], ctx.pursuit[i]
-        hunted = np.flatnonzero(row)
-        # Columns: defender i's zone cells, then the attackers it pursues.
-        dist = cell_distances(metric, cells[i, :, None], zone + [ctx.predicted[g] for g in hunted])
-        zone_pull = dist[:, :len(zone)].sum(axis=1) / len(zone)
-        pursuit = 0.0
-        for column, g in enumerate(hunted, len(zone)):
-            pursuit = pursuit + row[g] * dist[:, column]
-        return (alpha_f * zone_pull + alpha_a * pursuit).tolist()
+        mean = _mean_distances(metric, tuple(ctx.arena.responsibilities[i]))
+        pursuit = [0.0] * len(landing[i])
+        for g, w in enumerate(ctx.pursuit[i].tolist()):
+            if w != 0.0:
+                dist = cell_distances(metric, cells[i], ctx.predicted[g]).tolist()
+                pursuit = [p + w * d for p, d in zip(pursuit, dist)]
+        return [alpha_f * mean[x, y] + alpha_a * p for (x, y), p in zip(landing[i], pursuit)]
 
     def oracle(i):
         k = 2 * i
         head = head_terms(i)
-        barrier = _barrier(ctx, i, cells[i].tolist())
-        mobility = [float(ctx.params.mobility[i] * (ux * ux + uy * uy)) for ux, uy in moves]
-        weights = ctx.params.cohesion[i]
-        pairs = [(pulls[i][j], 2 * j) for j in range(n) if weights[j] != 0.0 and j != i]
+        barrier = _barrier(ctx, i, landing[i])
+        weight = float(ctx.params.mobility[i])
+        mobility = [weight * (ux * ux + uy * uy) for ux, uy in moves]
+        terms = pairs[i]
 
         def cost(point):
             a = point[k] * side + point[k + 1]
             cohesion = 0.0
-            for table, kj in pairs:
+            for table, kj in terms:
                 cohesion += table[a][point[kj] * side + point[kj + 1]]
             return ((head[a] + cohesion) + barrier[a]) + mobility[a]
 

@@ -12,6 +12,7 @@ schema, and invariant failures are distinct exception types.
 from __future__ import annotations
 
 import dataclasses
+import reprlib
 from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import partial
@@ -47,11 +48,25 @@ def _convert(value, convert, where: str):
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioSchemaError(f"{where}: cannot read {value!r}: {exc}") from exc
+        # Cut short in depth and length: a file can nest lists deeper than
+        # `repr` can recurse, or make a list that holds itself.
+        raise ScenarioSchemaError(f"{where}: cannot read {reprlib.repr(value)}: {exc}") from exc
 
 
 def _holds(value, kind) -> bool:
-    return isinstance(value, kind) or (isinstance(value, list) and any(_holds(v, kind) for v in value))
+    """Whether value is a `kind`, or a list that holds one at any depth.
+
+    Each list is walked once: a YAML alias can make a list that holds itself.
+    """
+    pending, seen = [value], set()
+    while pending:
+        value = pending.pop()
+        if isinstance(value, kind):
+            return True
+        if isinstance(value, list) and id(value) not in seen:
+            seen.add(id(value))
+            pending.extend(value)
+    return False
 
 
 def _numbers(value):
@@ -100,7 +115,7 @@ def _mapping(value, where: str, known=None) -> dict:
     `where` is the mapping's dotted name, empty for a file's top level.
     """
     if not isinstance(value, dict):
-        raise ScenarioSchemaError(f"{where}: expected a mapping, got {value!r}")
+        raise ScenarioSchemaError(f"{where}: expected a mapping, got {reprlib.repr(value)}")
     unknown = set(value) - set(known) if known is not None else set()
     if unknown:
         prefix = f"{where}." if where else ""
@@ -234,7 +249,7 @@ def _objective(value, where: str) -> dict:
     kind = _mapping(value, where).get("type")
     if not isinstance(kind, str) or kind not in OBJECTIVES:
         raise ScenarioSchemaError(
-            f"{where}.type: unknown objective {kind!r}; pick from {sorted(OBJECTIVES)}"
+            f"{where}.type: unknown objective {reprlib.repr(kind)}; pick from {sorted(OBJECTIVES)}"
         )
     return OBJECTIVES[kind][1](value, where)
 
@@ -482,7 +497,7 @@ def load_scenario(path) -> Scenario | Problem:
     kind = data.pop("kind", None)
     if kind not in ("problem", "game"):
         raise ScenarioSchemaError(
-            f"kind: expected 'problem' or 'game', got {kind!r}"
+            f"kind: expected 'problem' or 'game', got {reprlib.repr(kind)}"
         )
     return (PROBLEM if kind == "problem" else GAME)(data, "")
 

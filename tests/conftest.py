@@ -1,6 +1,10 @@
 import pytest
 
+from latmin import ctf
 from latmin.projection import _kernel
+
+# The game's per-process tables: distances to fixed cells, wall heights and joint lattices.
+FIELD_CACHES = (ctf._gaps, ctf._mean_distances, ctf._walls, ctf._joint_space)
 
 
 @pytest.fixture
@@ -10,3 +14,14 @@ def fresh_kernels():
     _kernel.cache_clear()
     yield _kernel
     _kernel.cache_clear()
+
+
+@pytest.fixture
+def fresh_fields():
+    """Empty game field caches, emptied again afterwards, so that a table
+    filled under a test's monkeypatch or a mutant of `ctf` is never kept."""
+    for cache in FIELD_CACHES:
+        cache.cache_clear()
+    yield FIELD_CACHES
+    for cache in FIELD_CACHES:
+        cache.cache_clear()

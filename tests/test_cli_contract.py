@@ -72,6 +72,15 @@ UNDECODABLE_LINE = re.compile(
     r"parse error: given\.cfg: not valid structured text: unacceptable character #x00ff: .+ at position 21"
 )
 OUT = ("solution.csv", "trace.csv")
+# A value nested deeper than `repr` and a recursive check can go.
+DEEP = b"[" * 3000 + b"1" + b"]" * 3000
+
+
+def deep_line(field: str) -> re.Pattern:
+    """The refusal of a list in `field` nested deeper than a message shows: the value is shown cut short."""
+    return re.compile(re.escape(f"error: {field}: cannot read [[[[[[[...]]]]]]]: ") + r"int\(\) argument .+")
+
+
 CASES = [
     Case("check-fig3", "check given.cfg", FIG3, 0, FIG3_CHECK),
     # Files are decoded by PyYAML, not by the locale.
@@ -106,6 +115,13 @@ CASES = [
     Case("solve-central-quadratic-overflow", "solve given.cfg --mode central --out out",
          problem([3], "{type: quadratic, centers: [1.0e+200]}"), 2, "",
          "error: cost at (0,) is not finite: overflow"),
+    Case("solve-central-deeply-nested-seed", "solve given.cfg --mode central --out out",
+         PROBLEM.replace(b"seed: 3", b"seed: " + DEEP), 2, "", deep_line("seed")),
+    # A YAML alias makes a list that holds itself.
+    Case("solve-central-self-holding-seed", "solve given.cfg --mode central --out out",
+         PROBLEM.replace(b"seed: 3", b"seed: &a [*a]"), 2, "", deep_line("seed")),
+    Case("check-deeply-nested-dims", "check given.cfg", PROBLEM.replace(b"dims: [3, 4]", b"dims: " + DEEP), 2, "",
+         deep_line("dims")),
     # numpy refuses 8 * 10**15 bytes before it touches a page.
     Case("solve-iterations-out-of-memory", "solve given.cfg --iters-override 1000000000000000 --out out",
          PROBLEM + NETWORK, 2, "", "solve: out of memory: Unable to allocate 7.11 PiB for an array with shape "

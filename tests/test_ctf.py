@@ -1,14 +1,17 @@
 import dataclasses
 import inspect
 import math
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import latmin
 from latmin import ChainProduct, Oracle, check_submodular, ctf
 from latmin.cli import main
 from latmin.ctf import (
@@ -517,6 +520,92 @@ def test_the_game_has_no_scalar_distances():
         assert not hasattr(ctf, name), name
 
 
+@st.composite
+def field_arenas(draw):
+    """A 2-8 grid whose zone is split at random into responsibility sets."""
+    size = draw(st.integers(2, 8))
+    grid = [(x, y) for x in range(size) for y in range(size)]
+    zone = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=8, unique=True))
+    k = draw(st.integers(1, len(zone)))
+    owners = list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=len(zone) - k, max_size=len(zone) - k))
+    responsibilities = [[c for c, owner in zip(zone, owners) if owner == i] for i in range(k)]
+    return Arena(size=size, horizon=1, zone=zone, responsibilities=responsibilities, obstacles=set())
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(field_arenas(), st.sampled_from(sorted(DISTANCES)), st.floats(1.0, 300.0), st.floats(1.0, 10.0))
+def test_field_tables_equal_what_they_keep(arena, metric, z1, z2):
+    """At every grid cell, each kept gap is `_gap` and each kept mean distance
+    the row mean from `cell_distances`; each kept wall height is the Gaussian,
+    also at offsets past the +-2 of a step (a hand-built context can have them)."""
+    grid = [(x, y) for x in range(arena.size) for y in range(arena.size)]
+    for targets in (arena.zone, *arena.responsibilities):
+        gaps = ctf._gaps(tuple(targets))
+        assert [gaps[c] for c in grid] == [ctf._gap(c, targets) for c in grid]
+        means = ctf._mean_distances(metric, tuple(targets))
+        rows = ctf.cell_distances(metric, np.array(grid)[:, None], np.array(targets)[None])
+        assert [as_bytes(means[c]) for c in grid] == list(map(as_bytes, (rows.sum(axis=1) / len(targets)).tolist()))
+    walls = ctf._walls(z1, z2)
+    for d in range(-8, 9):
+        assert as_bytes(walls[d]) == as_bytes(z1 * math.exp(-z2 * d ** 2))
+
+
+def test_equal_targets_share_one_table_and_changed_ones_get_their_own(fresh_fields):
+    gaps, means, walls, spaces = fresh_fields
+    zone = [(1, 5), (2, 5)]
+    assert [threat_distance([(0, 0)], [True], cells) for cells in (zone, list(zone), zone + [(0, 1)])] == [6, 6, 1]
+    assert gaps.cache_info()[:2] == (1, 2)
+    # Each build reads one mean table per defender and one wall table per defender;
+    # every toy arena and parameter record is a new object with equal content.
+    for params in (toy_defender_params(), toy_defender_params(), toy_defender_params(zeta1=300.0)):
+        build_step_problem(toy_context(
+            defenders=[(2, 2), (4, 4)], planes=[({3}, set()), (set(), {3})], params=params, arena=toy_arena()
+        ))
+    assert means.cache_info()[:2] == (4, 2)
+    assert walls.cache_info()[:2] == (4, 2)
+    assert spaces.cache_info()[:2] == (2, 1)
+
+
+def test_cells_given_as_lists_read_the_tables_of_their_tuples(fresh_fields):
+    zone, attackers = [(1, 5), (2, 5)], [(0, 0), (2, 3)]
+    for cells, positions in ((zone, attackers), ([list(c) for c in zone], [list(p) for p in attackers])):
+        assert threat_distance(positions, [True, True], cells) == 2.0
+        row = attacker_pursuit_weights(0, positions, [True, True], cells, 20.0, np.random.default_rng(0))
+        assert row.tolist() == [0.0, 20.0]
+    assert fresh_fields[0].cache_info()[:3] == (3, 1, ctf.FIELD_TABLES)
+
+
+def test_each_field_cache_stops_at_its_bound(fresh_fields):
+    bound = ctf.FIELD_TABLES
+    for k in range(bound + 5):
+        ctf._gaps(((k, 0),))
+        ctf._mean_distances("squared", ((k, 0),))
+        ctf._walls(1.0 + k, 1.0)
+        ctf._joint_space(k + 1, 3)
+    assert [cache.cache_info()[2:] for cache in fresh_fields] == [(bound, bound)] * 4
+    # A table keeps FIELD_KEYS values and computes the rest on every read.
+    table = ctf._gaps(((0, 0),))
+    cells = [(x, 0) for x in range(ctf.FIELD_KEYS + 10)]
+    assert [table[c] for c in cells] == list(range(ctf.FIELD_KEYS + 10))
+    assert [table[c] for c in cells[::-1]] == list(range(ctf.FIELD_KEYS + 10))[::-1]
+    assert len(table) == ctf.FIELD_KEYS
+
+
+def test_import_and_load_fill_no_field_table():
+    """Tables are filled by the first game step that reads them, never by
+    importing `latmin` or loading a scenario."""
+    code = (
+        "import latmin\n"
+        "from latmin import ctf\n"
+        "from latmin.scenario import bundled_scenario_path, load_scenario\n"
+        "load_scenario(bundled_scenario_path('paper_fig3.cfg'))\n"
+        "print([f.cache_info().currsize for f in (ctf._gaps, ctf._mean_distances, ctf._walls, ctf._joint_space)])\n"
+    )
+    env = {"PYTHONPATH": str(Path(latmin.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[0, 0, 0, 0]\n", "")
+
+
 def test_an_unknown_distance_is_rejected_naming_both_metrics():
     with pytest.raises(ValueError, match=r"distance: unknown distance 'euclid'; pick from \['manhattan', 'squared'\]"):
         toy_defender_params(distance="euclid")
@@ -985,7 +1074,7 @@ class TestStepOracles:
         points = np.random.default_rng(11).integers(0, 3, size=(500, 16)).tolist()
         assert_oracles_equal_defender_cost(ctx, [tuple(p) for p in points])
 
-    def test_property_catches_cohesion_added_after_the_barrier(self, monkeypatch):
+    def test_property_catches_cohesion_added_after_the_barrier(self, monkeypatch, fresh_fields):
         mutant = mutant_build_step_problem(
             "((head[a] + cohesion) + barrier[a])", "((head[a] + barrier[a]) + cohesion)"
         )
@@ -1002,7 +1091,7 @@ class TestStepOracles:
         ctx.params.mobility[:] = 9.0
         assert [f((0, 2, 1, 1)) for f in oracles] == before
 
-    def test_fig3_game_and_check_match_the_defender_cost_closure(self, tmp_path, monkeypatch, capsys):
+    def test_fig3_game_and_check_match_the_defender_cost_closure(self, tmp_path, monkeypatch, capsys, fresh_fields):
         outputs = []
         for build in (build_step_problem, reference_build_step_problem):
             monkeypatch.setattr(ctf, "build_step_problem", build)
