@@ -134,7 +134,10 @@ class Oracle:
     point, shaped like `space.dims` and read-only: 8 bytes per point, at
     most 8 MB at `BRUTE_FORCE_CAP`, for as long as the oracle lives.
     Later sweeps read it and evaluate nothing, so `fn` must not change
-    after a sweep.
+    after a sweep.  A clean sweep, every value a finite float, calls `fn`
+    directly rather than through this wrapper and adds the point count to
+    `calls` once; any other sweep goes through the wrapper point by point,
+    so it raises and counts exactly as calling the oracle would.
     """
 
     def __init__(self, fn: Callable[[tuple[int, ...]], float], space: ChainProduct):
@@ -206,8 +209,13 @@ def cross_difference(f: Oracle, point: Sequence[int], i: int, j: int) -> float:
 def _value_table(f: Oracle, space: ChainProduct | None, what: str) -> tuple[ChainProduct, np.ndarray]:
     """The lattice of the sweep `what` (f's by default; another one, or one above the
     cap, is refused) and f's read-only value table, built on the first call: f at
-    every lattice point, evaluated once each in `space.points()` order.  A sweep
-    that raises keeps nothing, so the next one raises again."""
+    every lattice point, evaluated once each in `space.points()` order.
+
+    The values are read from `f.fn` straight into the array and checked for
+    finiteness once.  If that raises or leaves a non-finite value, the sweep is
+    run again through `f` point by point, which raises the first point's error
+    and counts the calls up to it.  A sweep that raises keeps nothing, so the
+    next one raises again."""
     space = space or f.space
     _require_oracle_space(f, space)
     if space.exceeds_cap:
@@ -216,18 +224,27 @@ def _value_table(f: Oracle, space: ChainProduct | None, what: str) -> tuple[Chai
             f"brute-force cap of {BRUTE_FORCE_CAP}"
         )
     if f.table is None:
-        values = np.fromiter(map(f, space.points()), dtype=float, count=space.cardinality)
+        n = space.cardinality
+        try:
+            values = np.fromiter(map(float, map(f.fn, space.points())), dtype=float, count=n)
+            clean = bool(np.isfinite(values).all())
+        except Exception:  # the per-point sweep below raises it again, naming its point
+            clean = False
+        if clean:
+            f.calls += n
+        else:
+            values = np.fromiter(map(f, space.points()), dtype=float, count=n)
         values.flags.writeable = False
         f.table = values.reshape(space.dims)
     return space, f.table
 
 
-def _shifted(table: np.ndarray, i: int, j: int, di: int, dj: int) -> np.ndarray:
-    """table[x + di*e_i + dj*e_j] for every x that can step up along chains i and j."""
-    index = [slice(None)] * table.ndim
-    index[i] = slice(di, table.shape[i] - 1 + di)
-    index[j] = slice(dj, table.shape[j] - 1 + dj)
-    return table[tuple(index)]
+def _steps(table: np.ndarray, axis: int) -> np.ndarray:
+    """table[x + e_axis] - table[x] for every x that can step up along `axis`."""
+    up = [slice(None)] * table.ndim
+    down = list(up)
+    up[axis], down[axis] = slice(1, None), slice(None, -1)
+    return table[tuple(up)] - table[tuple(down)]
 
 
 def check_submodular(
@@ -241,27 +258,29 @@ def check_submodular(
     irrelevant because the cross difference is symmetric in (i, j).  A
     difference above `tol` counts as a strict violation.  f is evaluated
     once per lattice point into its value table (`Oracle.table`, 8 bytes
-    per point), unless an earlier sweep of f built it; every cross
-    difference is then computed from that table exactly as
-    `cross_difference` computes it.  Violations are listed by point, then
-    chain pair.  A `space` other than f's, or a `tol` that is not finite,
-    is refused.
+    per point), unless an earlier sweep of f built it.  Each chain i's step
+    table, f(x + e_i) - f(x), is taken from it once, and the cross
+    differences of a pair (i, j) are that step table's differences along
+    chain j: the same two subtractions, in the same order, as
+    `cross_difference`, so every value is bit-identical to it.  Violations
+    are listed by point, then chain pair.  A `space` other than f's, or a
+    `tol` that is not finite, is refused.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tol: must be finite, got {tol}")
     space, table = _value_table(f, space, "submodularity check")
     n = space.n_chains
+    steps = [_steps(table, i) for i in range(n)]
     violations = []
     checked = 0
     for i in range(n):
         for j in range(i + 1, n):
-            d = (_shifted(table, i, j, 1, 1) - _shifted(table, i, j, 0, 1)) - (
-                _shifted(table, i, j, 1, 0) - _shifted(table, i, j, 0, 0)
-            )
+            d = _steps(steps[i], j)
             checked += d.size
             strict = d > tol
-            for x, value in zip(np.argwhere(strict).tolist(), d[strict].tolist()):
-                violations.append((tuple(x), (i, j), value))
+            if strict.any():
+                for x, value in zip(np.argwhere(strict).tolist(), d[strict].tolist()):
+                    violations.append((tuple(x), (i, j), value))
     violations.sort(key=lambda v: (v[0], v[1]))
     return SubmodularityReport(
         is_submodular=not violations, violations=violations, points_checked=checked

@@ -477,12 +477,36 @@ def _one_line(exc: yaml.YAMLError) -> str:
     )
 
 
+# Deepest collection nesting a file may have.  libyaml's composer recurses per
+# level and kills the process at about 25,000; the parser's events do not recurse.
+MAX_NESTING = 10_000
+
+
+def _refuse_deep_nesting(raw: bytes) -> None:
+    """Raise a parse error at the first collection that starts more than
+    MAX_NESTING levels deep.  Every collection starts at one of the bytes
+    `[{-:?`, so a file with no more of them than the limit is not walked."""
+    if sum(map(raw.count, (b"[", b"{", b"-", b":", b"?"))) <= MAX_NESTING:
+        return
+    depth = 0
+    for event in yaml.parse(raw, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise yaml.MarkedYAMLError(
+                    problem=f"nested deeper than {MAX_NESTING} levels", problem_mark=event.start_mark
+                )
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
 def _load_yaml(path) -> dict:
     try:
         raw = Path(path).read_bytes()  # PyYAML decodes UTF-8, or UTF-16 with a BOM
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     try:
+        _refuse_deep_nesting(raw)
         data = yaml.load(raw, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{path}: not valid structured text: {_one_line(exc)}") from exc

@@ -122,6 +122,10 @@ CASES = [
          PROBLEM.replace(b"seed: 3", b"seed: &a [*a]"), 2, "", deep_line("seed")),
     Case("check-deeply-nested-dims", "check given.cfg", PROBLEM.replace(b"dims: [3, 4]", b"dims: " + DEEP), 2, "",
          deep_line("dims")),
+    # libyaml's loader would crash the process on this file (segmentation fault, exit 139).
+    Case("check-nested-past-the-limit", "check given.cfg",
+         PROBLEM.replace(b"seed: 3", b"seed: " + b"[" * 30000 + b"1" + b"]" * 30000), 2, "",
+         "parse error: given.cfg: not valid structured text: nested deeper than 10000 levels at line 2, column 10006"),
     # numpy refuses 8 * 10**15 bytes before it touches a page.
     Case("solve-iterations-out-of-memory", "solve given.cfg --iters-override 1000000000000000 --out out",
          PROBLEM + NETWORK, 2, "", "solve: out of memory: Unable to allocate 7.11 PiB for an array with shape "

@@ -1068,6 +1068,21 @@ class TestStepOracles:
         assert space.cardinality == 3**8
         assert_oracles_equal_defender_cost(ctx, space.points())
 
+    def test_every_fig3_term_is_submodular_on_its_own(self, monkeypatch):
+        # A lower bound from the agents' subgradients needs each agent's own
+        # term submodular, not only their sum.
+        reports = []
+
+        def build_and_check(ctx):
+            oracles, space = build_step_problem(ctx)
+            reports.extend(check_submodular(Oracle(f.fn, space)) for f in oracles)
+            return oracles, space
+
+        monkeypatch.setattr(ctf, "build_step_problem", build_and_check)
+        result = run_game(load_scenario(GOLDEN))
+        assert len(reports) == 4 * len(result.steps) == 160
+        assert all(r.is_submodular and r.points_checked == 28 * 2**2 * 3**6 for r in reports)
+
     def test_swarm8_sized_random_points(self):
         ctx = swarm8_context()
         assert sum(len(x) + len(y) for x, y in ctx.planes) >= 8

@@ -236,6 +236,15 @@ class TestNonFiniteCosts:
         with pytest.raises(ValueError, match=rf"\(1, 1\) is not finite: {bad}"):
             brute_force_minimize(f)
 
+    def test_a_cost_that_overflows_inside_a_sweep_names_its_point(self):
+        X = ChainProduct([3, 3])
+        f = Oracle(lambda x: math.exp(800.0 * x[0]), X)
+        with pytest.raises(ValueError, match=r"^cost at \(1, 0\) is not finite: overflow$") as info:
+            check_submodular(f)
+        assert isinstance(info.value.__cause__, OverflowError)
+        assert f.table is None
+        assert f.calls == 4  # (0, 0), (0, 1), (0, 2), then (1, 0)
+
     def test_all_nan_cost_rejected(self):
         X = ChainProduct([2, 3])
         with pytest.raises(ValueError, match=r"\(0, 0\) is not finite"):
@@ -313,6 +322,20 @@ class TestValueTable:
             check_submodular(f)
         assert f.table is None
         assert f.calls == 2 * (X.cardinality - 1)
+
+    def test_a_cost_that_raises_partway_raises_that_error(self):
+        X = ChainProduct([2, 3])
+
+        def fn(x):
+            if x == (1, 1):
+                raise TypeError("no cost at (1, 1)")
+            return float(sum(x))
+
+        f = Oracle(fn, X)
+        with pytest.raises(TypeError, match=r"^no cost at \(1, 1\)$"):
+            brute_force_minimize(f)
+        assert f.table is None
+        assert f.calls == 5  # (1, 1) is point number 4
 
     def test_the_table_is_read_only(self):
         f = random_table_oracle(ChainProduct([2, 3]), np.random.default_rng(3))

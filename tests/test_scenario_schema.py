@@ -581,6 +581,38 @@ class TestLibyamlLoader:
         assert err.startswith(f"parse error: {path}: ") and err.count("\n") == 1
 
 
+class TestNestingLimit:
+    """Collections nested deeper than MAX_NESTING are refused before a loader
+    composes them; the walk that counts them reads only the parser's events."""
+
+    @staticmethod
+    def nested(levels: int) -> bytes:
+        return b"seed: " + b"[" * levels + b"1" + b"]" * levels
+
+    def test_the_first_collection_past_the_limit_is_named(self):
+        limit = scenario.MAX_NESTING
+        scenario._refuse_deep_nesting(self.nested(limit - 1))
+        # Siblings do not add up: a collection's end closes its level.
+        scenario._refuse_deep_nesting(b"seed: [" + b"[1], " * limit + b"]")
+        with pytest.raises(yaml.MarkedYAMLError) as caught:
+            scenario._refuse_deep_nesting(self.nested(limit))
+        mark = caught.value.problem_mark
+        assert (mark.line, mark.column) == (0, len(b"seed: ") + limit - 1)
+
+    def test_a_shallow_file_with_many_collection_bytes_is_walked_and_loads(self, tmp_path):
+        path = tmp_path / "dashes.cfg"
+        path.write_text("# " + "-" * 2 * scenario.MAX_NESTING + "\n" + README_PROBLEM)
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(README_PROBLEM)
+        assert load_scenario(path) == load_scenario(plain)
+
+    def test_a_parse_error_met_by_the_walk_keeps_its_report(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("# " + "-" * 2 * scenario.MAX_NESTING + "\nkey: [1, 2\n")
+        with pytest.raises(ScenarioParseError, match="not valid structured text: while parsing a flow sequence"):
+            load_scenario(path)
+
+
 class TestDuplicateKeys:
     """A key given twice in one mapping is refused, not silently overwritten."""
 
