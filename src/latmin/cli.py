@@ -106,14 +106,16 @@ def cmd_solve(args) -> int:
         points, values = [point], [value]
     else:
         points, values, trace = distributed_minimize(oracles, space, record.network, record.solver)
+    # The trace prices its columns when read, and a cost error there refuses the run: read before `out`.
+    ext_values, disagreement, best_rounded = trace.ext_values, trace.disagreement, trace.best_rounded
 
     out = _out_dir(args)
     _write_csv(out / "solution.csv", ["agent", "point", "value"], (
         [a, " ".join(str(c) for c in x), _fmt(v)] for a, (x, v) in enumerate(zip(points, values))
     ))
     _write_csv(out / "trace.csv", ["iter", "agent", "ext_value", "disagreement", "best_rounded"], (
-        [k + 1, a, _fmt(ext), _fmt(trace.disagreement[k]), _fmt(trace.best_rounded[k])]
-        for k, row in enumerate(trace.ext_values)
+        [k + 1, a, _fmt(ext), _fmt(disagreement[k]), _fmt(best_rounded[k])]
+        for k, row in enumerate(ext_values)
         for a, ext in enumerate(row)
     ))
     for a, (x, v) in enumerate(zip(points, values)):

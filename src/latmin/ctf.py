@@ -638,7 +638,8 @@ def run_game(scenario: "Scenario") -> GameResult:
             scenario.solver,
             seed=int(solver_seed_stream.integers(0, 2**63 - 1)),
         )
-        points, _, _ = distributed_minimize(oracles, space, scenario.network, params)
+        # Only the points: the trace, which holds the step's memos until read, is dropped here.
+        points = distributed_minimize(oracles, space, scenario.network, params)[0]
         # Each defender applies its own slice of its own answer.
         defenders = [tuple(ctx.landing[i, p[2 * i], p[2 * i + 1]].tolist()) for i, p in enumerate(points)]
 

@@ -480,21 +480,26 @@ def _one_line(exc: yaml.YAMLError) -> str:
 # Deepest collection nesting a file may have.  libyaml's composer recurses per
 # level and kills the process at about 25,000; the parser's events do not recurse.
 MAX_NESTING = 10_000
+# The same without libyaml: the pure-Python composer takes two Python frames a
+# level, so it raises RecursionError at about 500 under the default limit of 1,000.
+PURE_MAX_NESTING = 200
 
 
 def _refuse_deep_nesting(raw: bytes) -> None:
-    """Raise a parse error at the first collection that starts more than
-    MAX_NESTING levels deep.  Every collection starts at one of the bytes
-    `[{-:?`, so a file with no more of them than the limit is not walked."""
-    if sum(map(raw.count, (b"[", b"{", b"-", b":", b"?"))) <= MAX_NESTING:
+    """Raise a parse error at the first collection that starts more levels
+    deep than `_LOADER`'s limit: MAX_NESTING for libyaml, else PURE_MAX_NESTING.
+    Every collection starts at one of the bytes `[{-:?`, so a file with no
+    more of them than the limit is not walked."""
+    limit = MAX_NESTING if issubclass(_LOADER, getattr(yaml, "CSafeLoader", ())) else PURE_MAX_NESTING
+    if sum(map(raw.count, (b"[", b"{", b"-", b":", b"?"))) <= limit:
         return
     depth = 0
     for event in yaml.parse(raw, Loader=_LOADER):
         if isinstance(event, yaml.CollectionStartEvent):
             depth += 1
-            if depth > MAX_NESTING:
+            if depth > limit:
                 raise yaml.MarkedYAMLError(
-                    problem=f"nested deeper than {MAX_NESTING} levels", problem_mark=event.start_mark
+                    problem=f"nested deeper than {limit} levels", problem_mark=event.start_mark
                 )
         elif isinstance(event, yaml.CollectionEndEvent):
             depth -= 1

@@ -6,16 +6,16 @@ estimates with doubly-stochastic weights, step along their own local
 subgradient, and project.  All agents round at the same shared threshold
 so they agree whenever the minimizer is unique.  Centralized is the
 one-agent case: iterate project(rho - gamma_k * subgrad) and round once at
-the end.  The trace's bookkeeping is paid once per solve where it can be,
-and only when read: each round's rounded points are read off the
-projected rows as point numbers and each distinct number is priced once
-per solve, and a round only logs each agent's walk.  The extension values
-and the disagreement are computed from that log and the solve's two
-round buffers when the trace is first read (`SolveTrace`), so a caller
-that never reads them, as a game does not, never pays for them.  The
-walk is paid once per order: the extension is linear on each sort
-order's cone, so each agent keeps the order, f-steps and subgradient of
-every order it walked, and an order met again costs no oracle request.
+the end.  The trace's bookkeeping is paid only when read: a round logs
+each agent's walk and the numbers of the points the agents round to,
+read off the projected rows, and the solve prices only its final points.
+The extension values, the disagreement and `best_rounded` are computed
+from those logs, the two round buffers and the value dicts when the
+trace is first read (`SolveTrace`), so a caller that never reads them,
+as a game does not, never pays for them.  The walk is paid once per
+order: the extension is linear on each sort order's cone, so each agent
+keeps the order, f-steps and subgradient of every order it walked, and
+an order met again costs no oracle request.
 An agent's round is one call of the projection kernel of the solve's
 lattice shape (`projection._kernel`, compiled once per shape): it steps
 the mixed row along the subgradient, projects each chain and counts the
@@ -217,21 +217,27 @@ class SolveTrace:
     rounded to in the rounds up to it.
 
     Built from the three arrays, it holds them as given.  A solve passes
-    `best_rounded` and a `log` instead of the other two: each agent's
-    f(bottom), the (iterations, n_agents, r) buffers of mixed and of
-    projected rows, and each agent-round's walk (order, subgradient,
-    f-steps) in round then agent order.  The first read of `ext_values`
-    or `disagreement` computes both from it, with `_value` on each mixed
-    row and `_disagreement_trace` on the projected ones, keeps them and
-    drops the log.  So a solve whose trace is never read prices no row
-    after its walks, and the log lives until the trace is read or dropped.
+    a `log` instead of the first two: each agent's f(bottom), the
+    (iterations, n_agents, r) buffers of mixed and of projected rows, and
+    each agent-round's walk (order, subgradient, f-steps) in round then
+    agent order.  The first read of `ext_values` or `disagreement`
+    computes both from it, with `_value` on each mixed row and
+    `_disagreement_trace` on the projected ones, keeps them and drops the
+    log.  It passes `best_rounded` unfilled, with `rounds`: each round's
+    rounded point numbers and the solve's `price`.  The first read of
+    `best_rounded` fills it with the running minimum of the prices in
+    round then agent order and drops `rounds`; a non-finite cost met there
+    raises, naming its point.  So a solve whose trace is never read prices
+    no row after its walks and no point but its final ones, and the logs
+    and the solve's value dicts live until the trace is read or dropped.
     """
 
-    def __init__(self, ext_values=None, disagreement=None, best_rounded=None, *, log=None):
+    def __init__(self, ext_values=None, disagreement=None, best_rounded=None, *, log=None, rounds=None):
         self._ext_values = ext_values
         self._disagreement = disagreement
-        self.best_rounded = best_rounded
+        self._best_rounded = best_rounded
         self._log = log
+        self._rounds = rounds
 
     def _read(self) -> None:
         if self._log is not None:
@@ -254,6 +260,18 @@ class SolveTrace:
     def disagreement(self) -> np.ndarray:
         self._read()
         return self._disagreement
+
+    @property
+    def best_rounded(self) -> np.ndarray:
+        if self._rounds is not None:
+            rounds, price = self._rounds
+            best = math.inf
+            for k, numbers in enumerate(rounds):
+                for number in numbers:
+                    best = min(best, price(number))
+                self._best_rounded[k] = best
+            self._rounds = None
+        return self._best_rounded
 
 
 def _slot_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,29 +381,31 @@ def distributed_minimize(
     order once per solve and keeps the order's linear piece, the
     subgradient and f-steps `_walk` returns; every round logs a reference
     to it, fresh or kept, and steps along its subgradient.  The new rows
-    become the state array once more, kept per round.  The trace prices
-    each logged row with `extension._value` and computes the disagreement
-    from the kept states when it is first read, not in the rounds.  The points a round's agents
-    round to are priced in agent order, each number once per solve, so
-    `best_rounded` costs a dict lookup per agent and round.  Each agent
-    returns its last round's point; the value reported for an agent is the
-    *total* cost of that point.
+    become the state array once more, kept per round, and the round logs
+    its rounded point numbers, unpriced.  Each agent returns its last
+    round's point; the value reported for an agent is the *total* cost of
+    that point, priced after the last round.  The trace prices the logged
+    rows with `extension._value`, the disagreement and the other rounded
+    points when it is first read, not in the rounds.
 
     Returns (points, values, trace): per-agent rounded lattice points, their
     total-cost values, and the per-round trace.  Every oracle must be
     defined on `space`.
 
     Each agent's oracle is evaluated at most once per distinct lattice
-    point during one solve, so afterwards its `calls` counts distinct
-    evaluations: the walks and the rounded points' total costs read one
-    dict of values per agent, dropped on return.  Keeping every round's
-    state costs 8 * iterations * n_agents * r bytes, and keeping every
-    round's mixed state as much again.  The walks by sort order hold at
-    most one entry per round per agent, each two lists of r floats and the
-    order's key.  For the trace, the solve keeps the two round buffers,
-    each agent's f(bottom) and one reference to a walk per agent and round
-    (8 bytes each) until the trace is read or dropped; so the walks those
-    references name live as long.
+    point during one solve and its trace, so afterwards its `calls` counts
+    distinct evaluations: the walks and the total costs read one dict of
+    values per agent.  The solve asks for the walks' points, then the
+    final points; a point only an earlier round rounded to is asked for
+    when `best_rounded` is first read, where a non-finite cost raises.
+    Keeping every round's state costs 8 * iterations * n_agents * r
+    bytes, and keeping every round's mixed state as much again.  The
+    walks by sort order hold at most one entry per round per agent, each
+    two lists of r floats and the order's key.  For the trace, the solve
+    keeps the two round buffers, each agent's f(bottom), a walk reference
+    and a point number per agent and round, and the value dicts, until
+    the trace is read or dropped; so the walks those references name live
+    as long.
 
     Every mixed row must pass `extension.check_rows`, the one row check,
     which `Profile.validate` uses too.  It runs once over the buffer after
@@ -432,14 +452,12 @@ def distributed_minimize(
         # A lone agent's cost as is: a sum from 0.0 would turn its -0.0 into 0.0.
         return _left_sum(costs) if n_agents > 1 else costs[0]
 
-    # Each agent-round's walk, in round then agent order, for the trace.
+    # Each agent-round's walk and rounded point number, in round then agent order, for the trace.
     log = []
     logged = log.append
+    rounds = []
     best_rounded = np.zeros(params.iterations)
-    best = math.inf
     t_hat = params.t_hat
-    # Total costs by point number, each priced when an agent first rounds to it.
-    totals = {}
     # Round k's projected rows are history[k - 1].
     history = np.empty((params.iterations, n_agents, space.sort_length))
 
@@ -465,18 +483,26 @@ def distributed_minimize(
                 rounded.append(number)
             state = history[k - 1]
             state[:] = rows
-            # A point priced before is in `best` already: min() would keep `best`.
-            for number in rounded:
-                if number not in totals:
-                    total = totals[number] = total_cost(number)
-                    best = min(best, total)
-            best_rounded[k - 1] = best
+            rounds.append(rounded)
     finally:
         check_rows(kept[:mixed_rounds].reshape(-1, space.sort_length), space)
 
+    # Total costs by point number, each priced once: the final points' now, the rest on read.
+    totals = {}
+
+    def price(number) -> float:
+        total = totals.get(number)
+        if total is None:
+            total = totals[number] = total_cost(number)
+        return total
+
     points = [space.point(number) for number in rounded]
-    values = [totals[number] for number in rounded]
-    trace = SolveTrace(best_rounded=best_rounded, log=([memo[0] for memo in memos], kept, log, history))
+    values = [price(number) for number in rounded]
+    trace = SolveTrace(
+        best_rounded=best_rounded,
+        log=([memo[0] for memo in memos], kept, log, history),
+        rounds=(rounds, price),
+    )
     return points, values, trace
 
 

@@ -338,7 +338,8 @@ def reference_distributed_minimize(
 ):
     """The consensus loop one agent at a time: per-row mixing, `greedy_extension`,
     chain-by-chain `reference_project_monotone_box`, `theta`, `np.linalg.norm`
-    and a two-layer memo.
+    and a two-layer memo.  It prices the final points, then every round's
+    rounded points for `best_rounded` in round then agent order.
 
     Returns (points, values, trace) like `distributed_minimize`.
     """
@@ -355,8 +356,7 @@ def reference_distributed_minimize(
 
     ext_values = np.zeros((params.iterations, n_agents))
     disagreement = np.zeros(params.iterations)
-    best_rounded = np.zeros(params.iterations)
-    best = math.inf
+    rounded = []
     for k in range(1, params.iterations + 1):
         gamma_k = step_size(k, params)
         new_state = np.empty_like(state)
@@ -368,11 +368,16 @@ def reference_distributed_minimize(
         state = new_state
         pairs = itertools.combinations(state, 2)
         disagreement[k - 1] = max((float(np.linalg.norm(p - q)) for p, q in pairs), default=0.0)
-        for row in state:
-            best = min(best, total_cost(theta(Profile(space, row), params.t_hat)))
-        best_rounded[k - 1] = best
-    points = [theta(Profile(space, row), params.t_hat) for row in state]
+        rounded.append([theta(Profile(space, row), params.t_hat) for row in state])
+    points = rounded[-1]
     values = [total_cost(x) for x in points]
+    # The running minimum is priced after the final values, as a solve's trace prices it when read.
+    best_rounded = np.zeros(params.iterations)
+    best = math.inf
+    for k, round_points in enumerate(rounded):
+        for x in round_points:
+            best = min(best, total_cost(x))
+        best_rounded[k] = best
     trace = SolveTrace(ext_values=ext_values, disagreement=disagreement, best_rounded=best_rounded)
     return points, values, trace
 

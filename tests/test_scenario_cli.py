@@ -653,6 +653,30 @@ class TestSolveCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
         assert len(read_rows(a / "trace.csv")) == 1 + 7 * (1 if mode == "central" else 2)
 
+    def test_a_cost_error_met_when_the_trace_is_read_makes_no_out(self, tmp_path, capsys):
+        # The first objective is not finite at (0, 2) alone: an agent rounds to it in an
+        # earlier round, but agent 0 never walks it and no agent returns it.
+        path = tmp_path / "late.cfg"
+        path.write_text(
+            "kind: problem\nseed: 0\ndims: [3, 3]\nobjectives:\n"
+            "  - {type: quadratic, centers: [2.0, 0.0], weights: [2.5e+307, 2.5e+307]}\n"
+            "  - {type: linear, coefficients: [0.0, -3.0e+307]}\n"
+            "network: {eta: 0.1, matrix: [[0.7, 0.3], [0.3, 0.7]]}\n"
+            "solver: {iterations: 6, gamma: 0.3, schedule: constant, t_hat: 0.7}\n"
+        )
+        record = load_scenario(path)
+        points, _, trace = solvers.distributed_minimize(
+            record.oracles(), record.space(), record.network, record.solver
+        )
+        assert (0, 2) not in points
+        with pytest.raises(ValueError, match=r"cost at \(0, 2\) is not finite: inf"):
+            trace.best_rounded
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: cost at (0, 2) is not finite: inf\n")
+        assert not out.exists()
+
 
 class TestOutputDir:
     @pytest.mark.parametrize("command", ["solve", "simulate"])

@@ -599,6 +599,22 @@ class TestNestingLimit:
         mark = caught.value.problem_mark
         assert (mark.line, mark.column) == (0, len(b"seed: ") + limit - 1)
 
+    def test_the_pure_loader_refuses_a_file_its_composer_cannot_recurse_through(self, tmp_path, monkeypatch, capsys):
+        # Without libyaml the pure loader parses, and its recursive composer fails near 500 levels.
+        monkeypatch.setattr(scenario, "_LOADER", yaml.SafeLoader)
+        limit = scenario.PURE_MAX_NESTING
+        path = tmp_path / "deep.cfg"
+        path.write_bytes(b"kind: problem\n" + self.nested(limit - 1))
+        assert scenario._load_yaml(path)["kind"] == "problem"
+        path.write_bytes(b"kind: problem\n" + self.nested(3000))
+        assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert captured.err == (
+            f"parse error: {path}: not valid structured text: "
+            f"nested deeper than {limit} levels at line 2, column {len(b'seed: ') + limit}\n"
+        )
+
     def test_a_shallow_file_with_many_collection_bytes_is_walked_and_loads(self, tmp_path):
         path = tmp_path / "dashes.cfg"
         path.write_text("# " + "-" * 2 * scenario.MAX_NESTING + "\n" + README_PROBLEM)

@@ -582,11 +582,44 @@ class TestSolveMemo:
         asked = []
         for solver in (distributed_minimize, reference_distributed_minimize):
             logged = [recording_oracle(fn, X) for fn in fns]
-            solver([f for f, _ in logged], X, matrix, params)
+            trace = solver([f for f, _ in logged], X, matrix, params)[2]
+            trace.best_rounded
             asked.append([points for _, points in logged])
         assert asked[0] == asked[1]
         for points in asked[0]:
             assert len(points) == len(set(points)) > X.sort_length + 1
+
+    def test_an_unread_trace_asks_for_no_point_after_the_final_ones(self):
+        # The rounds ask only for walk points, the solve then for its final points;
+        # the points rounded to in earlier rounds alone are asked for when the trace is read.
+        X = ChainProduct([4, 3, 3])
+        rng = np.random.default_rng(1)
+        fns = [random_submodular_fn(X, rng) for _ in range(4)]
+        matrix = WeightMatrix(line_matrix(4), eta=0.1)
+        params = SolverParams(iterations=30, gamma=0.55, seed=1)
+        unread = [recording_oracle(fn, X) for fn in fns]
+        points = distributed_minimize([f for f, _ in unread], X, matrix, params)[0]
+        assert len(set(points)) > 1
+        read = [recording_oracle(fn, X) for fn in fns]
+        distributed_minimize([f for f, _ in read], X, matrix, params)[2].best_rounded
+        for (f, cut), (g, asked) in zip(unread, read):
+            assert cut == asked[: len(cut)] and set(points) <= set(cut)
+            assert f.calls == len(cut) < len(asked) == g.calls
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_cost_only_rounded_to_raises_when_the_trace_is_read(self, bad):
+        # Agent 1 rounds to (0, 1) in an earlier round; agent 0 never walks it, and no agent returns it.
+        X = ChainProduct([3, 3])
+        rng = np.random.default_rng(0)
+        fns = [random_submodular_fn(X, rng) for _ in range(2)]
+        f = Oracle(lambda x: bad if x == (0, 1) else fns[0](x), X)
+        params = SolverParams(iterations=8, gamma=0.4, seed=0)
+        points, _, trace = distributed_minimize([f, Oracle(fns[1], X)], X, WeightMatrix(line_matrix(2), eta=0.1), params)
+        assert (0, 1) not in points
+        assert trace.ext_values.shape == (8, 2) and trace.disagreement.shape == (8,)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=rf"cost at \(0, 1\) is not finite: {bad}"):
+                trace.best_rounded
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_cost_raises_naming_the_point(self, bad):
