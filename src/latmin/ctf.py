@@ -438,6 +438,35 @@ def _barrier(ctx: StepContext, i: int, cells: list[list[int]]) -> list[float]:
     return [float(wall_x[x] + wall_y[y]) for x, y in cells]
 
 
+def _cost_source(k: int, partners: tuple[int, ...], side: int) -> str:
+    """Source of `make(head, barrier, mobility, *pulls)`, which binds one
+    step's tables to the cost of the defender whose move is chains k and
+    k + 1 and whose cohesion partners are `partners`, one pull table each,
+    in increasing j."""
+    pulls = [f"pull{j}[a][point[{2 * j}] * {side} + point[{2 * j + 1}]]" for j in partners]
+    # One statement per pull, so no expression nests deeper as the team grows.
+    cohesion = [f"c = 0.0 + {pulls[0]}", *(f"c += {pull}" for pull in pulls[1:])] if pulls else ["c = 0.0"]
+    lines = [
+        f"def make(head, barrier, mobility{''.join(f', pull{j}' for j in partners)}):",
+        "    def cost(point):",
+        f"        a = point[{k}] * {side} + point[{k + 1}]",
+        *(f"        {line}" for line in cohesion),
+        "        return ((head[a] + c) + barrier[a]) + mobility[a]",
+        "    return cost",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=FIELD_TABLES)
+def _cost_maker(k: int, partners: tuple[int, ...], side: int):
+    """`_cost_source`'s `make` for this layout, compiled once per process
+    (at most FIELD_TABLES layouts are kept)."""
+    namespace: dict = {}
+    filename = f"<defender cost: chain {k}, partners {partners}, side {side}>"
+    exec(compile(_cost_source(k, partners, side), filename, "exec"), namespace)
+    return namespace["make"]
+
+
 def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     """Per-defender cost oracles over the joint action lattice.
 
@@ -457,6 +486,12 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     come from integer coordinate arrays, once per step.  So the oracles
     capture the context as it is now: changing `ctx` afterwards does not
     change them.
+
+    Pricing a point is straight-line table lookups: each defender's cost
+    is a function generated from its layout (its chain, its partners in
+    increasing j and `side`) by `_cost_source`, compiled once per process
+    by `_cost_maker` and bound here to this step's head, barrier, mobility
+    and pull tables.  It sums in the order above, one statement per pull.
     """
     metric, weights = ctx.params.distance, ctx.params.cohesion
     n, side, moves = ctx.n_defenders, 2 * ctx.u_max + 1, _one_step_moves(ctx.u_max)
@@ -470,9 +505,10 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     pulls = (weights[own, partner, None, None] * cell_distances(
         metric, cells[own, :, None], cells[partner, None, :]
     )).tolist()
-    pairs = [[] for _ in range(n)]
+    partners, tables = [[] for _ in range(n)], [[] for _ in range(n)]
     for i, j, pull in zip(own.tolist(), partner.tolist(), pulls):
-        pairs[i].append((pull, 2 * j))
+        partners[i].append(j)
+        tables[i].append(pull)
 
     def head_terms(i):
         """Zone pull and pursuit at each landing cell, weighted by defender i's alphas."""
@@ -486,21 +522,10 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
         return [alpha_f * mean[x, y] + alpha_a * p for (x, y), p in zip(landing[i], pursuit)]
 
     def oracle(i):
-        k = 2 * i
-        head = head_terms(i)
-        barrier = _barrier(ctx, i, landing[i])
         weight = float(ctx.params.mobility[i])
         mobility = [weight * (ux * ux + uy * uy) for ux, uy in moves]
-        terms = pairs[i]
-
-        def cost(point):
-            a = point[k] * side + point[k + 1]
-            cohesion = 0.0
-            for table, kj in terms:
-                cohesion += table[a][point[kj] * side + point[kj + 1]]
-            return ((head[a] + cohesion) + barrier[a]) + mobility[a]
-
-        return Oracle(cost, space)
+        make = _cost_maker(2 * i, tuple(partners[i]), side)
+        return Oracle(make(head_terms(i), _barrier(ctx, i, landing[i]), mobility, *tables[i]), space)
 
     return [oracle(i) for i in range(n)], space
 

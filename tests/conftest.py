@@ -3,8 +3,9 @@ import pytest
 from latmin import ctf
 from latmin.projection import _kernel
 
-# The game's per-process tables: distances to fixed cells, wall heights and joint lattices.
-FIELD_CACHES = (ctf._gaps, ctf._mean_distances, ctf._walls, ctf._joint_space)
+# The game's per-process tables: distances to fixed cells, wall heights, joint
+# lattices and the compiled defender costs.
+FIELD_CACHES = (ctf._gaps, ctf._mean_distances, ctf._walls, ctf._joint_space, ctf._cost_maker)
 
 
 @pytest.fixture
@@ -19,7 +20,8 @@ def fresh_kernels():
 @pytest.fixture
 def fresh_fields():
     """Empty game field caches, emptied again afterwards, so that a table
-    filled under a test's monkeypatch or a mutant of `ctf` is never kept."""
+    filled or a cost compiled under a test's monkeypatch or a mutant of
+    `ctf` is never kept."""
     for cache in FIELD_CACHES:
         cache.cache_clear()
     yield FIELD_CACHES

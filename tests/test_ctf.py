@@ -1,9 +1,9 @@
 import dataclasses
 import inspect
 import math
+import os
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -551,7 +551,7 @@ def test_field_tables_equal_what_they_keep(arena, metric, z1, z2):
 
 
 def test_equal_targets_share_one_table_and_changed_ones_get_their_own(fresh_fields):
-    gaps, means, walls, spaces = fresh_fields
+    gaps, means, walls, spaces, makers = fresh_fields
     zone = [(1, 5), (2, 5)]
     assert [threat_distance([(0, 0)], [True], cells) for cells in (zone, list(zone), zone + [(0, 1)])] == [6, 6, 1]
     assert gaps.cache_info()[:2] == (1, 2)
@@ -564,6 +564,7 @@ def test_equal_targets_share_one_table_and_changed_ones_get_their_own(fresh_fiel
     assert means.cache_info()[:2] == (4, 2)
     assert walls.cache_info()[:2] == (4, 2)
     assert spaces.cache_info()[:2] == (2, 1)
+    assert makers.cache_info()[:2] == (4, 2)
 
 
 def test_cells_given_as_lists_read_the_tables_of_their_tuples(fresh_fields):
@@ -582,7 +583,8 @@ def test_each_field_cache_stops_at_its_bound(fresh_fields):
         ctf._mean_distances("squared", ((k, 0),))
         ctf._walls(1.0 + k, 1.0)
         ctf._joint_space(k + 1, 3)
-    assert [cache.cache_info()[2:] for cache in fresh_fields] == [(bound, bound)] * 4
+        ctf._cost_maker(0, (k + 1,), 3)
+    assert [cache.cache_info()[2:] for cache in fresh_fields] == [(bound, bound)] * 5
     # A table keeps FIELD_KEYS values and computes the rest on every read.
     table = ctf._gaps(((0, 0),))
     cells = [(x, 0) for x in range(ctf.FIELD_KEYS + 10)]
@@ -599,11 +601,13 @@ def test_import_and_load_fill_no_field_table():
         "from latmin import ctf\n"
         "from latmin.scenario import bundled_scenario_path, load_scenario\n"
         "load_scenario(bundled_scenario_path('paper_fig3.cfg'))\n"
-        "print([f.cache_info().currsize for f in (ctf._gaps, ctf._mean_distances, ctf._walls, ctf._joint_space)])\n"
+        "caches = (ctf._gaps, ctf._mean_distances, ctf._walls, ctf._joint_space, ctf._cost_maker)\n"
+        "print([f.cache_info().currsize for f in caches])\n"
     )
-    env = {"PYTHONPATH": str(Path(latmin.__file__).parents[1])}
+    # The rest of the environment is passed on, PYTHONDONTWRITEBYTECODE included.
+    env = {**os.environ, "PYTHONPATH": str(Path(latmin.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "[0, 0, 0, 0]\n", "")
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[0, 0, 0, 0, 0]\n", "")
 
 
 def test_an_unknown_distance_is_rejected_naming_both_metrics():
@@ -985,13 +989,14 @@ def step_oracles_property(**overrides):
 test_step_oracles_equal_reference_cost_at_every_point = step_oracles_property()
 
 
-def mutant_build_step_problem(find, replace):
-    """`build_step_problem` compiled from its own source with one expression replaced."""
-    source = textwrap.dedent(inspect.getsource(ctf.build_step_problem))
+def mutant_cost_source(find, replace):
+    """`ctf._cost_source`, the template of every defender's cost, compiled
+    from its own source with one piece of text replaced."""
+    source = inspect.getsource(ctf._cost_source)
     assert source.count(find) == 1, find
     namespace = dict(vars(ctf))
     exec(compile(source.replace(find, replace), ctf.__file__, "exec"), namespace)
-    return namespace["build_step_problem"]
+    return namespace["_cost_source"]
 
 
 def fig3_step_zero():
@@ -1035,6 +1040,35 @@ def swarm8_context(seed=3):
         params=toy_defender_params(
             cohesion=np.array(cohesion), mobility=[1.0] * n, delta_th=[20.0] * n
         ),
+        arena=arena,
+    )
+
+
+def team_context(n, lonely=None):
+    """n defenders in two rows on a (2n + 4)-square grid, each pulled toward
+    every teammate by a distinct weight, so the order of the pulls shows in
+    their sum; defender `lonely`, if given, has a zero cohesion row and
+    column."""
+    rng = np.random.default_rng(n)
+    size = 2 * n + 4
+    zone = [(2 + c, size - 1) for c in range(2 * n)]
+    defenders = [(2 + 2 * i, size - 3 - i % 2) for i in range(n)]
+    arena = Arena(
+        size=size, horizon=12, zone=zone,
+        responsibilities=[zone[2 * i:2 * i + 2] for i in range(n)], obstacles={(3, size - 4)},
+    )
+    cohesion = rng.uniform(0.01, 1.0, size=(n, n))
+    np.fill_diagonal(cohesion, 0.0)
+    if lonely is not None:
+        cohesion[lonely, :] = cohesion[:, lonely] = 0.0
+    predicted = [(1, 3), (size - 2, 5)]
+    return toy_context(
+        defenders=defenders,
+        predicted=predicted,
+        alphas=[(a, 1.0 - a) for a in rng.uniform(0.0, 1.0, size=n).tolist()],
+        pursuit=np.where(np.arange(n)[:, None] % 4 == np.arange(2), 20.0, 0.0),
+        planes=[avoidance_planes(i, defenders, arena.obstacles) for i in range(n)],
+        params=toy_defender_params(cohesion=cohesion, mobility=[1.0] * n, delta_th=[20.0] * n),
         arena=arena,
     )
 
@@ -1089,13 +1123,49 @@ class TestStepOracles:
         points = np.random.default_rng(11).integers(0, 3, size=(500, 16)).tolist()
         assert_oracles_equal_defender_cost(ctx, [tuple(p) for p in points])
 
+    @pytest.mark.parametrize("lonely", [None, 5])
+    def test_sixteen_defenders_at_random_points(self, lonely):
+        ctx = team_context(16, lonely)
+        pulls = [int(np.count_nonzero(row)) for row in ctx.params.cohesion]
+        assert pulls == [15] * 16 if lonely is None else [0 if i == 5 else 14 for i in range(16)]
+        points = np.random.default_rng(5).integers(0, 3, size=(150, 32)).tolist()
+        assert_oracles_equal_defender_cost(ctx, [tuple(p) for p in points])
+
     def test_property_catches_cohesion_added_after_the_barrier(self, monkeypatch, fresh_fields):
-        mutant = mutant_build_step_problem(
-            "((head[a] + cohesion) + barrier[a])", "((head[a] + barrier[a]) + cohesion)"
-        )
-        monkeypatch.setattr(ctf, "build_step_problem", mutant)
+        mutant = mutant_cost_source("((head[a] + c) + barrier[a])", "((head[a] + barrier[a]) + c)")
+        monkeypatch.setattr(ctf, "_cost_source", mutant)
         with pytest.raises(AssertionError):
             step_oracles_property(phases=[Phase.generate])()
+
+    def test_swarm8_points_catch_pulls_added_in_decreasing_j(self, monkeypatch, fresh_fields):
+        # Two pulls commute, so the 2-3-defender property cannot see this.
+        mutant = mutant_cost_source("for j in partners]", "for j in partners[::-1]]")
+        monkeypatch.setattr(ctf, "_cost_source", mutant)
+        with pytest.raises(AssertionError):
+            self.test_swarm8_sized_random_points()
+
+    def test_each_layout_is_compiled_once_per_process(self, monkeypatch, fresh_fields):
+        layouts, source = [], ctf._cost_source
+
+        def counted(k, partners, side):
+            layouts.append((k, partners))
+            return source(k, partners, side)
+
+        monkeypatch.setattr(ctf, "_cost_source", counted)
+        first, _ = build_step_problem(fig3_step_zero())
+        again, _ = build_step_problem(fig3_step_zero())
+        # fig3's cohesion matrix has no zero off the diagonal.
+        assert layouts == [(2 * i, tuple(j for j in range(4) if j != i)) for i in range(4)]
+        assert [f.fn.__code__ for f in first] == [f.fn.__code__ for f in again]
+        assert fresh_fields[-1].cache_info()[:2] == (4, 4)
+
+    def test_the_cost_code_names_its_layout(self):
+        oracles, _ = build_step_problem(swarm8_context())
+        # swarm8 has cohesion[3][5] == 0, so defender 3 does not pull toward 5.
+        assert oracles[3].fn.__code__.co_filename == "<defender cost: chain 6, partners (0, 1, 2, 4, 6, 7), side 3>"
+        with pytest.raises(IndexError) as raised:
+            oracles[3].fn((0,) * 6 + (3, 0) + (0,) * 8)
+        assert raised.traceback[-1].path == oracles[3].fn.__code__.co_filename
 
     def test_oracles_capture_the_context_when_built(self):
         ctx = toy_context(defenders=[(2, 2), (4, 4)], planes=[({3}, set()), (set(), {3})])
