@@ -56,9 +56,14 @@ def _run_input(args, kind: type, name: str, need_network: bool = False):
     return dataclasses.replace(record, **changes)
 
 
-def _out_dir(args) -> Path:
-    """The made `--out` directory: made after the run, so a refused run makes none."""
+def _out_dir(args, names) -> Path:
+    """The made `--out` directory: made after the run, so a refused run makes none.
+    A path among `names`, the files the run writes there, that holds something
+    other than a regular file, such as a directory, refuses the run before any is written."""
     out = Path(args.out)
+    for name in names:
+        if (out / name).exists() and not (out / name).is_file():
+            raise _Refusal(f"cannot write output: {out / name} is not a regular file")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -109,7 +114,7 @@ def cmd_solve(args) -> int:
     # The trace prices its columns when read, and a cost error there refuses the run: read before `out`.
     ext_values, disagreement, best_rounded = trace.ext_values, trace.disagreement, trace.best_rounded
 
-    out = _out_dir(args)
+    out = _out_dir(args, ["solution.csv", "trace.csv"])
     _write_csv(out / "solution.csv", ["agent", "point", "value"], (
         [a, " ".join(str(c) for c in x), _fmt(v)] for a, (x, v) in enumerate(zip(points, values))
     ))
@@ -201,7 +206,7 @@ def render_svg(result: GameResult, arena) -> str:
 def cmd_simulate(args) -> int:
     record = _run_input(args, Scenario, "game")
     result = run_game(record)
-    out = _out_dir(args)
+    out = _out_dir(args, ["trajectories.csv", "events.csv", *(["arena.svg"] if args.svg else [])])
     write_trajectories(out / "trajectories.csv", result)
     write_events(out / "events.csv", result)
     if args.svg:

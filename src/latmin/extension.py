@@ -15,7 +15,8 @@ sum that prices a profile from it: f(bottom) plus each entry times its
 step, in visit order.  So a caller that meets an order again prices it
 without walking.  `check_rows` is the one feasibility
 check: one numpy pass over the rows of an array, which `Profile.validate`
-and a solve's mixed rows both go through.  `theta` is the rounding
+and a solve's mixed rows both go through; a batch of feasible rows passes
+on three reductions.  `theta` is the rounding
 rule: per chain, the count of entries at least the threshold.  A solver
 does not call it each round: the projection counts what `theta` counts
 while it writes each chain, and returns the rounded point's number,
@@ -81,13 +82,23 @@ def check_rows(rows, space: ChainProduct) -> None:
 
     The message names the first infeasible row's first offending chain; a
     chain that leaves [0,1] is named so even if it also rises.  Rows go in
-    batches of at most `_BATCH_FLOATS` entries.
+    batches of at most `_BATCH_FLOATS` entries.  A batch passes on three
+    reductions, its least and largest entry and its largest in-chain rise,
+    any NaN failing all three; only a batch that fails them is searched
+    row by row for its first bad row.
     """
     rows = np.asarray(rows, dtype=float)
     steps = np.array(space.in_chain_steps, dtype=np.intp)
     batch = max(1, _BATCH_FLOATS // space.sort_length)
     for start in range(0, len(rows), batch):
         block = rows[start : start + batch]
+        # Entries inside the bounds are finite, so their rises are too.
+        if (
+            block.min() >= -FEASIBILITY_TOL
+            and block.max() <= 1.0 + FEASIBILITY_TOL
+            and (block[:, steps + 1] - block[:, steps]).max(initial=-np.inf) <= FEASIBILITY_TOL
+        ):
+            continue
         # Written as "inside" so that NaN entries count as outside.
         outside = ~((block >= -FEASIBILITY_TOL) & (block <= 1.0 + FEASIBILITY_TOL))
         # A rise from the last entry of one chain to the first of the next is fine.
@@ -185,7 +196,9 @@ def _descending(values: list[float]) -> list[int]:
 
     The sort is stable, so equal values keep flat order, which is (chain,
     in-chain position).  Within a chain the entries are non-increasing, so
-    position order keeps the in-chain sequencing.
+    position order keeps the in-chain sequencing.  A solve's round writes
+    this sort out in place; the tests that hold a solve byte-equal to one
+    sorting through `greedy_extension` keep the two the same.
     """
     return sorted(range(len(values)), key=values.__getitem__, reverse=True)
 

@@ -29,10 +29,18 @@ step and no threshold.
 
 Kernels are kept in a cache keyed by `dims` and bounded at
 `KERNEL_CACHE_SIZE`, least recently used first out.  A kernel's code
-grows with the shape's coordinate count and compiling one takes about
-0.3 ms, so a solve reuses its shape's kernel while a process that meets
-shape after shape (a sweep over random lattices, a property test) holds
-at most that many.
+grows with the shape's coordinate count, so a solve reuses its shape's
+kernel while a process that meets shape after shape (a sweep over random
+lattices, a property test) holds at most that many.  Such a process pays
+for the compiles: the bench's population pass meets 95 new shapes at
+seed 7 (92 at seed 23), compiled in about 17 ms, about 180 us a shape
+on a 2-core x86-64 VM (Python 3.11), almost all of it in `compile`;
+writing the source takes 15 us, and dropping the finiteness test saves
+7%.  A pass with every kernel compiled ahead runs about a tenth faster.
+The compile stays per shape: a kernel composed of one call per chain
+needs no compile but costs about 0.8 ms more per 200-round population
+solve, and writing `_pool3` and `_pool4` into the source would lengthen
+every compile.
 """
 
 from __future__ import annotations

@@ -15,7 +15,10 @@ trace is first read (`SolveTrace`), so a caller that never reads them,
 as a game does not, never pays for them.  The walk is paid once per
 order: the extension is linear on each sort order's cone, so each agent
 keeps the order, f-steps and subgradient of every order it walked, and
-an order met again costs no oracle request.
+an order met again costs no oracle request.  The round writes out the sort
+that keys the walks, the stable descending sort `extension._descending`
+states, and a solve lists every round's step size before the first
+(`_step_sizes`), so neither costs a call per round.
 An agent's round is one call of the projection kernel of the solve's
 lattice shape (`projection._kernel`, compiled once per shape): it steps
 the mixed row along the subgradient, projects each chain and counts the
@@ -44,7 +47,6 @@ import numpy as np
 from .extension import (
     _BATCH_FLOATS,
     Profile,
-    _descending,
     _value,
     _walk,
     check_rows,
@@ -205,6 +207,16 @@ def step_size(k: int, params: SolverParams) -> float:
     if params.schedule == "constant":
         return params.gamma
     return params.gamma / math.sqrt(k)
+
+
+def _step_sizes(params: SolverParams) -> list[float]:
+    """`step_size(k, params)` for every round k of a solve, with no call per round.
+    numpy's square root is correctly rounded, as `math.sqrt` is, and the division
+    stays Python's, so each size is the same number of the same type."""
+    gamma, n = params.gamma, params.iterations
+    if params.schedule == "constant":
+        return [gamma] * n
+    return [gamma / root for root in np.sqrt(np.arange(1, n + 1)).tolist()]
 
 
 class SolveTrace:
@@ -465,15 +477,16 @@ def distributed_minimize(
     # a walk, oracle or projection failure may follow from a bad row, which outranks it.
     kept = np.empty_like(history)
     mixed_rounds = 0
-    gammas = [step_size(k, params) for k in range(1, params.iterations + 1)]
+    flat = range(space.sort_length)
 
     try:
-        for k, gamma_k in enumerate(gammas, 1):
+        for k, gamma_k in enumerate(_step_sizes(params), 1):
             mixed = _mix(state, neighbors, ws, kept[k - 1]).tolist()
             mixed_rounds = k
             rows, rounded = [], []
             for f, memo, walked, row in zip(oracles, memos, walks, mixed):
-                key = tuple(_descending(row))
+                # `extension._descending`, written out: the stable descending sort of flat indices.
+                key = tuple(sorted(flat, key=row.__getitem__, reverse=True))
                 walk = walked.get(key)
                 if walk is None:
                     walk = walked[key] = (key, *_walk(f, memo, space, key))

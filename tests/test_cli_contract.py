@@ -54,7 +54,8 @@ class Case:
     """One command line and all it must do: `stdout` is the whole of stdout,
     `stderr` its one line (a pattern matches it in full; empty, no stderr at
     all), and `files` the non-empty files under `out`, and no others (with
-    none, `out` must not exist)."""
+    none and nothing `made`, `out` must not exist).  `made` names the
+    directories made before the run, which must stay, empty."""
 
     name: str
     argv: str
@@ -64,6 +65,7 @@ class Case:
     stderr: str | re.Pattern = ""
     files: tuple[str, ...] = ()
     env: dict = field(default_factory=dict)
+    made: tuple[str, ...] = ()
 
 
 UNDECODABLE = b"kind: problem\nseed: 1\xff\n"
@@ -126,6 +128,11 @@ CASES = [
     Case("check-nested-past-the-limit", "check given.cfg",
          PROBLEM.replace(b"seed: 3", b"seed: " + b"[" * 30000 + b"1" + b"]" * 30000), 2, "",
          "parse error: given.cfg: not valid structured text: nested deeper than 10000 levels at line 2, column 10006"),
+    # A directory standing where an output file goes: refused before the first write, so no file is written.
+    Case("solve-trace-path-is-a-directory", "solve given.cfg --out out", PROBLEM + NETWORK, 2, "",
+         "solve: cannot write output: out/trace.csv is not a regular file", made=("out/trace.csv",)),
+    Case("simulate-svg-path-is-a-directory", "simulate given.cfg --out out --svg", FIG3, 2, "",
+         "simulate: cannot write output: out/arena.svg is not a regular file", made=("out/arena.svg",)),
     # numpy refuses 8 * 10**15 bytes before it touches a page.
     Case("solve-iterations-out-of-memory", "solve given.cfg --iters-override 1000000000000000 --out out",
          PROBLEM + NETWORK, 2, "", "solve: out of memory: Unable to allocate 7.11 PiB for an array with shape "
@@ -148,6 +155,8 @@ def launcher() -> list[str]:
 @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
 def test_the_command_line_contract(tmp_path, case):
     (tmp_path / "given.cfg").write_bytes(case.given)
+    for name in case.made:
+        (tmp_path / name).mkdir(parents=True)
     argv = [*launcher(), *case.argv.split()]
     env = {**os.environ, "PYTHONPATH": str(Path(latmin.__file__).parents[1]),
            "PYTHONWARNINGS": "error::RuntimeWarning", **case.env}
@@ -159,5 +168,5 @@ def test_the_command_line_contract(tmp_path, case):
     assert re.fullmatch(f"{line}\n" if line else "", stderr), where
     out = [f"out/{name}" for name in case.files]
     left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
-    assert left == sorted(["given.cfg", *(["out"] if out else []), *out]), where
+    assert left == sorted(["given.cfg", *(["out"] if out or case.made else []), *out, *case.made]), where
     assert all((tmp_path / name).stat().st_size > 0 for name in out), where

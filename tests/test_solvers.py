@@ -275,6 +275,28 @@ class TestStepSize:
             SolverParams(iterations=5, gamma=0.1, seed=seed)
         assert SolverParams(iterations=5, gamma=0.1, seed=np.int64(7)).seed == 7
 
+    @pytest.mark.parametrize("iterations", [1, 10_000])
+    @pytest.mark.parametrize("gamma", [0.2, 1, 7.25, 3e-9])
+    @pytest.mark.parametrize("schedule", ["constant", "diminishing"])
+    def test_a_solve_steps_by_step_size_bit_for_bit(self, monkeypatch, schedule, gamma, iterations):
+        kernel, used = solvers._kernel, []
+
+        def recording(dims):
+            project = kernel(dims)
+
+            def stepping(row, g, gamma_k, t_hat):
+                used.append(gamma_k)
+                return project(row, g, gamma_k, t_hat)
+
+            return stepping
+
+        monkeypatch.setattr(solvers, "_kernel", recording)
+        space = ChainProduct([3, 2])
+        params = SolverParams(iterations=iterations, gamma=gamma, schedule=schedule)
+        centralized_minimize(Oracle(lambda x: x[0] - x[1], space), space, params)
+        want = [step_size(k, params) for k in range(1, iterations + 1)]
+        assert [(type(g), as_bytes(g)) for g in used] == [(type(g), as_bytes(g)) for g in want]
+
     def test_param_validation(self):
         with pytest.raises(ValueError, match="iterations"):
             SolverParams(iterations=0, gamma=0.1)
@@ -1058,6 +1080,33 @@ def spoiled_solve(n, iterations=6, oracle=None):
     return distributed_minimize(fs, SPOILED_SPACE, WeightMatrix(line_matrix(n), eta=0.1), params)
 
 
+# Edge rows for the row check, by space: each kind changes a random feasible row's
+# entries, by flat index, and says whether the row stays feasible.  On [4, 3, 3]
+# the chains sit at 0:3, 3:5 and 5:7; on [2, 2, 2, 2] no chain has an in-chain step.
+HIDDEN = {
+    ChainProduct([4, 3, 3]): {
+        "nan": ({4: math.nan}, False),
+        "inf": ({0: math.inf}, False),
+        "-inf": ({6: -math.inf}, False),
+        "-0.0": ({2: -0.0}, True),
+        "at -tol": ({6: -FEASIBILITY_TOL}, True),
+        "past -tol": ({6: -2e-12}, False),
+        "at 1 + tol": ({3: 1.0 + FEASIBILITY_TOL}, True),
+        "past 1 + tol": ({3: 1.0 + 2e-12}, False),
+        "rise at tol": ({1: 0.0, 2: EDGE_RISES[0]}, True),
+        "rise past tol": ({1: 0.0, 2: EDGE_RISES[1]}, False),
+        "rise across a chain boundary": ({2: 0.0, 3: 1.0}, True),
+    },
+    ChainProduct([2, 2, 2, 2]): {
+        "nan": ({1: math.nan}, False),
+        "inf": ({3: math.inf}, False),
+        "-inf": ({0: -math.inf}, False),
+        "past 1 + tol": ({2: 1.0 + 2e-12}, False),
+        "rises across every chain boundary": ({0: 0.0, 1: 1.0, 2: -0.0, 3: 1.0 + FEASIBILITY_TOL}, True),
+    },
+}
+
+
 class TestMixedRowCheck:
     """The mixed rows are checked in one `check_rows` pass per solve.  A bad
     one raises the row check's error for the first bad row, by round then
@@ -1097,6 +1146,25 @@ class TestMixedRowCheck:
         # Eight floats per entry of a batch, and less than half the buffer: one pass over
         # the whole buffer at once would peak above its size.
         assert peak < 8 * 8 * extension._BATCH_FLOATS < kept.nbytes / 2
+
+    @pytest.mark.parametrize("where", [1, 5, 11])
+    @pytest.mark.parametrize("space, kind", [
+        pytest.param(space, kind, id=f"{'x'.join(map(str, space.dims))}-{kind}")
+        for space, kinds in HIDDEN.items()
+        for kind in kinds
+    ])
+    def test_one_edge_row_hidden_in_a_batch_is_ruled_on_as_the_reference_does(self, space, kind, where):
+        # Twelve rows in batches of four: row 1 sits in the first batch, 5 in the middle one, 11 in the last.
+        changes, feasible = HIDDEN[space][kind]
+        rows = np.array([uniform_random_profile(space, seed).values for seed in range(12)])
+        for index, value in changes.items():
+            rows[where, index] = value
+        want = [raised_message(reference_check_row, row, space) for row in rows.tolist()]
+        assert (want[where] is None) == feasible and want.count(None) >= 11
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(extension, "_BATCH_FLOATS", 4 * space.sort_length)
+            assert raised_message(check_rows, rows, space) == want[where]
+            assert [raised_message(check_rows, row[None], space) for row in rows] == want
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("kind", sorted(SPOILED))
