@@ -10,18 +10,20 @@ charging each unit step with the entry that triggered it.  The subgradient
 falls out of the same walk at no extra cost.  The extension is linear on
 each cone of profiles that share one sort order (Lovász 1983): there the
 walk visits the same points, so its f-steps and subgradient are the same.
-That pair is the linear piece `_walk` returns, and `_value` is the one
-sum that prices a profile from it: f(bottom) plus each entry times its
-step, in visit order.  So a caller that meets an order again prices it
-without walking.  `check_rows` is the one feasibility
-check: one numpy pass over the rows of an array, which `Profile.validate`
-and a solve's mixed rows both go through; a batch of feasible rows passes
-on three reductions.  `theta` is the rounding
+The subgradient holds every f-step, so it is the linear piece `_walk`
+returns, and `_value` is the one sum that prices a profile from it:
+f(bottom) plus each entry times its step, in visit order, each step
+recovered by replaying the chain levels along the order.  So a caller
+that meets an order again prices it without walking.  `check_rows` is
+the one feasibility check: one numpy pass over the rows of an array,
+which `Profile.validate` and a solve's mixed rows both go through; a
+batch of feasible rows passes on three reductions.  `theta` is the rounding
 rule: per chain, the count of entries at least the threshold.  A solver
 does not call it each round: the projection counts what `theta` counts
 while it writes each chain, and returns the rounded point's number,
 which `ChainProduct.point` decodes.  The walk reads oracle values from a dict
-the caller owns and evaluates only the points missing there; a solve
+the caller owns and evaluates only the points missing there, straight
+from the cost function under the oracle's rules (see `Oracle`); a solve
 keeps one dict per agent.
 
 For chains of size 2 this is exactly the classical relaxation of set
@@ -32,6 +34,7 @@ case.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,45 +152,66 @@ class ExtensionResult:
     subgradient: np.ndarray
 
 
-def _walk(f: Oracle, memo: dict, space: ChainProduct, order) -> tuple[list[float], list[float]]:
+def _walk(f: Oracle, memo: dict, space: ChainProduct, order) -> list[float]:
     """The linear piece of the extension on the cone of an order of flat indices:
-    the flat subgradient and the f-steps in visit order.
+    the flat subgradient, whose entries are the walk's f-steps.
 
     The r + 1 walk points are read from `memo`, keyed by their number in
-    `space.points()` order; only a point missing there is evaluated by f
-    and stored.  `_value` prices any profile with this order from the
-    steps.
+    `space.points()` order; only a point missing there is evaluated and
+    stored.  A missing point is read from `f.fn` directly and counted in
+    `f.calls` as `f` counts it; a value that overflows or is not finite is
+    asked for again through `f`, which raises naming the point.  `_value`
+    prices any profile with this order from the subgradient.
     """
     chain_of, offsets, strides = space.chain_of, space.offsets, space.strides
+    fn = f.fn
     x = [0] * space.n_chains
     code = 0
     if code not in memo:
         memo[code] = f(tuple(x))
     prev = memo[code]
     subgradient = [0.0] * space.sort_length
-    steps = []
+    misses = 0
+    try:
+        for k in order:
+            i = chain_of[k]
+            x[i] += 1
+            code += strides[i]
+            cur = memo.get(code)
+            if cur is None:
+                point = tuple(x)
+                misses += 1
+                try:
+                    cur = float(fn(point))
+                except OverflowError:  # asked for again below, like a value that is not finite
+                    cur = math.nan
+                if not math.isfinite(cur):
+                    misses -= 1
+                    cur = f(point)
+                memo[code] = cur
+            # The step belongs to the level chain i just reached: k itself,
+            # unless a rise within tolerance put a later entry of the chain first.
+            subgradient[offsets[i] + x[i] - 1] = cur - prev
+            prev = cur
+    finally:
+        f.calls += misses
+    return subgradient
+
+
+def _value(bottom: float, row: list[float], order, subgradient: list[float], space: ChainProduct) -> float:
+    """The extension's value at `row` on `order`'s cone: `bottom`, f at the
+    lattice bottom, plus row[k] times its f-step for each k, added in visit
+    order.  The step of a visit that lifts chain i to level l is
+    subgradient[offsets[i] + l - 1], so the chain levels are replayed along
+    `order`."""
+    chain_of = space.chain_of
+    # Chain i's next level's step is subgradient[slot[i]].
+    slot = list(space.offsets)
+    value = bottom
     for k in order:
         i = chain_of[k]
-        x[i] += 1
-        code += strides[i]
-        cur = memo.get(code)
-        if cur is None:
-            cur = memo[code] = f(tuple(x))
-        step = cur - prev
-        steps.append(step)
-        # The step belongs to the level chain i just reached: k itself,
-        # unless a rise within tolerance put a later entry of the chain first.
-        subgradient[offsets[i] + x[i] - 1] = step
-        prev = cur
-    return subgradient, steps
-
-
-def _value(bottom: float, row: list[float], order, steps: list[float]) -> float:
-    """The extension's value at `row` on `order`'s cone: `bottom`, f at the
-    lattice bottom, plus row[k] times its step for each k, added in visit order."""
-    value = bottom
-    for k, step in zip(order, steps):
-        value += row[k] * step
+        value += row[k] * subgradient[slot[i]]
+        slot[i] += 1
     return value
 
 
@@ -221,5 +245,6 @@ def greedy_extension(f: Oracle, rho: Profile, space: ChainProduct | None = None)
     values = rho.values.tolist()
     order = _descending(values)
     memo = {}
-    subgradient, steps = _walk(f, memo, space, order)
-    return ExtensionResult(value=_value(memo[0], values, order, steps), subgradient=np.array(subgradient))
+    subgradient = _walk(f, memo, space, order)
+    value = _value(memo[0], values, order, subgradient, space)
+    return ExtensionResult(value=value, subgradient=np.array(subgradient))

@@ -123,7 +123,13 @@ class Oracle:
     The wrapped callable must be deterministic and finite on every lattice
     point; a NaN or infinite value, or an OverflowError from the callable
     (float `**` and `math.exp` raise one), raises ValueError naming the point.
-    Solvers only ever see costs through this interface.  Callers pass
+    Two hot paths call `fn` directly instead, `_value_table`'s sweep and
+    the extension's walk (`extension._walk`), under one rule: they keep
+    `float(fn(point))` only when it is finite, and add one to `calls` per
+    point asked for, as this wrapper counts.  On an overflow or a value
+    that is not finite they ask again through this wrapper (a sweep runs
+    again point by point, on any error), so every error and message is
+    this wrapper's, and a failing point may reach `fn` twice.  Callers pass
     points of `space`, which is not checked here because the solvers call
     oracles in their inner loop; input from outside goes through
     `space.check_point` first.  The call counter is plain (not atomic):
@@ -134,10 +140,10 @@ class Oracle:
     point, shaped like `space.dims` and read-only: 8 bytes per point, at
     most 8 MB at `BRUTE_FORCE_CAP`, for as long as the oracle lives.
     Later sweeps read it and evaluate nothing, so `fn` must not change
-    after a sweep.  A clean sweep, every value a finite float, calls `fn`
-    directly rather than through this wrapper and adds the point count to
-    `calls` once; any other sweep goes through the wrapper point by point,
-    so it raises and counts exactly as calling the oracle would.
+    after a sweep.  A clean sweep, every value a finite float, adds the
+    point count to `calls` once; any other sweep goes through the wrapper
+    point by point, so it raises and counts exactly as calling the oracle
+    would.
     """
 
     def __init__(self, fn: Callable[[tuple[int, ...]], float], space: ChainProduct):

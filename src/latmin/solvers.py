@@ -14,8 +14,9 @@ from those logs, the two round buffers and the value dicts when the
 trace is first read (`SolveTrace`), so a caller that never reads them,
 as a game does not, never pays for them.  The walk is paid once per
 order: the extension is linear on each sort order's cone, so each agent
-keeps the order, f-steps and subgradient of every order it walked, and
-an order met again costs no oracle request.  The round writes out the sort
+keeps the order and subgradient of every order it walked, and an order
+met again costs no oracle request; a trace read recovers the f-steps
+from the subgradient.  The round writes out the sort
 that keys the walks, the stable descending sort `extension._descending`
 states, and a solve lists every round's step size before the first
 (`_step_sizes`), so neither costs a call per round.
@@ -198,6 +199,9 @@ class SolverParams:
             raise ValueError("t_hat: rounding threshold must be strictly inside (0,1)")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed: need a non-negative integer, got {self.seed!r}")
+        # Held as Python floats: a numpy float32 would carry the whole solve into single precision.
+        self.gamma = float(self.gamma)
+        self.t_hat = float(self.t_hat)
 
 
 def step_size(k: int, params: SolverParams) -> float:
@@ -231,9 +235,10 @@ class SolveTrace:
     Built from the three arrays, it holds them as given.  A solve passes
     a `log` instead of the first two: each agent's f(bottom), the
     (iterations, n_agents, r) buffers of mixed and of projected rows, and
-    each agent-round's walk (order, subgradient, f-steps) in round then
-    agent order.  The first read of `ext_values` or `disagreement`
-    computes both from it, with `_value` on each mixed row and
+    each agent-round's walk (order, subgradient) in round then agent
+    order, with the solve's lattice.  The first read of `ext_values` or
+    `disagreement` computes both from it, with `_value` on each mixed row,
+    which recovers the walk's f-steps from its subgradient, and
     `_disagreement_trace` on the projected ones, keeps them and drops the
     log.  It passes `best_rounded` unfilled, with `rounds`: each round's
     rounded point numbers and the solve's `price`.  The first read of
@@ -253,11 +258,11 @@ class SolveTrace:
 
     def _read(self) -> None:
         if self._log is not None:
-            bottoms, kept, walks, history = self._log
+            space, bottoms, kept, walks, history = self._log
             rows = kept.reshape(-1, kept.shape[2]).tolist()
             values = [
-                _value(bottom, row, order, steps)
-                for bottom, row, (order, _, steps) in zip(itertools.cycle(bottoms), rows, walks)
+                _value(bottom, row, order, subgradient, space)
+                for bottom, row, (order, subgradient) in zip(itertools.cycle(bottoms), rows, walks)
             ]
             self._ext_values = np.array(values).reshape(kept.shape[:2])
             self._disagreement = _disagreement_trace(history)
@@ -390,8 +395,8 @@ def distributed_minimize(
     The kernel also returns the number of the point that row rounds
     to at the shared threshold: while it writes each chain it counts what
     `extension.theta` counts, and `space.point` decodes the number.  An agent walks each sort
-    order once per solve and keeps the order's linear piece, the
-    subgradient and f-steps `_walk` returns; every round logs a reference
+    order once per solve and keeps the order with its linear piece, the
+    subgradient `_walk` returns; every round logs a reference
     to it, fresh or kept, and steps along its subgradient.  The new rows
     become the state array once more, kept per round, and the round logs
     its rounded point numbers, unpriced.  Each agent returns its last
@@ -413,7 +418,7 @@ def distributed_minimize(
     Keeping every round's state costs 8 * iterations * n_agents * r
     bytes, and keeping every round's mixed state as much again.  The
     walks by sort order hold at most one entry per round per agent, each
-    two lists of r floats and the order's key.  For the trace, the solve
+    a list of r floats and the order's key.  For the trace, the solve
     keeps the two round buffers, each agent's f(bottom), a walk reference
     and a point number per agent and round, and the value dicts, until
     the trace is read or dropped; so the walks those references name live
@@ -451,7 +456,7 @@ def distributed_minimize(
     project = _kernel(space.dims)
     # Agent i's oracle values by point number, as `_walk` keys them.
     memos = [{} for _ in oracles]
-    # Agent i's walks by sort order: the order, the subgradient and the f-steps in visit order.
+    # Agent i's walks by sort order: the order and the subgradient.
     walks = [{} for _ in oracles]
 
     def total_cost(number) -> float:
@@ -489,7 +494,7 @@ def distributed_minimize(
                 key = tuple(sorted(flat, key=row.__getitem__, reverse=True))
                 walk = walked.get(key)
                 if walk is None:
-                    walk = walked[key] = (key, *_walk(f, memo, space, key))
+                    walk = walked[key] = (key, _walk(f, memo, space, key))
                 logged(walk)
                 projected, number = project(row, walk[1], gamma_k, t_hat)
                 rows.append(projected)
@@ -513,7 +518,7 @@ def distributed_minimize(
     values = [price(number) for number in rounded]
     trace = SolveTrace(
         best_rounded=best_rounded,
-        log=([memo[0] for memo in memos], kept, log, history),
+        log=(space, [memo[0] for memo in memos], kept, log, history),
         rounds=(rounds, price),
     )
     return points, values, trace

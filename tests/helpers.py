@@ -22,7 +22,7 @@ from latmin import (
     uniform_random_profile,
 )
 from latmin.ctf import StepContext
-from latmin.extension import FEASIBILITY_TOL
+from latmin.extension import FEASIBILITY_TOL, ExtensionResult
 from latmin.lattice import DEFAULT_STRICTNESS_TOL
 
 Cell = tuple[int, int]
@@ -335,10 +335,12 @@ def reference_distributed_minimize(
     matrix: WeightMatrix,
     params: SolverParams,
     initial: list[Profile] | None = None,
+    extension=greedy_extension,
 ):
-    """The consensus loop one agent at a time: per-row mixing, `greedy_extension`,
-    chain-by-chain `reference_project_monotone_box`, `theta`, `np.linalg.norm`
-    and a two-layer memo.  It prices the final points, then every round's
+    """The consensus loop one agent at a time: per-row mixing, `extension`
+    (`greedy_extension` by default), chain-by-chain
+    `reference_project_monotone_box`, `theta`, `np.linalg.norm` and a
+    two-layer memo.  It prices the final points, then every round's
     rounded points for `best_rounded` in round then agent order.
 
     Returns (points, values, trace) like `distributed_minimize`.
@@ -362,7 +364,7 @@ def reference_distributed_minimize(
         new_state = np.empty_like(state)
         for i, f in enumerate(oracles):
             mixed = reference_mix_row(state, a[i], i)
-            res = greedy_extension(f, Profile(space, mixed), space)
+            res = extension(f, Profile(space, mixed), space)
             ext_values[k - 1, i] = res.value
             new_state[i] = reference_project(mixed - gamma_k * res.subgradient, space)
         state = new_state
@@ -404,6 +406,30 @@ def reference_greedy_extension(f: Oracle, space: ChainProduct, parts: list[np.nd
         subgradient[i][x[i] - 1] = step
         prev = cur
     return float(value), subgradient, points, entries
+
+
+def reference_steps_extension(f: Oracle, rho: Profile, space: ChainProduct) -> ExtensionResult:
+    """The extension as priced from a list of f-steps: one walk along the stable
+    descending sort asks f for every point and records each step in visit
+    order, and the value adds row[k] times the k-th visit's step to f(bottom).
+    No feasibility check."""
+    values = rho.values.tolist()
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    x = [0] * space.n_chains
+    bottom = prev = f(tuple(x))
+    subgradient = [0.0] * space.sort_length
+    steps = []
+    for k in order:
+        i = space.chain_of[k]
+        x[i] += 1
+        cur = f(tuple(x))
+        steps.append(cur - prev)
+        subgradient[space.offsets[i] + x[i] - 1] = cur - prev
+        prev = cur
+    value = bottom
+    for k, step in zip(order, steps):
+        value += values[k] * step
+    return ExtensionResult(value=value, subgradient=np.array(subgradient))
 
 
 def walk_points(space: ChainProduct, order) -> list[tuple[int, ...]]:

@@ -129,8 +129,8 @@ class TestGreedyExtension:
         a, b = swapped.index(tied[0]), swapped.index(tied[1])
         swapped[a], swapped[b] = swapped[b], swapped[a]
         memo = {}
-        _, steps = _walk(f, memo, X, swapped)
-        assert _value(memo[0], values, swapped, steps) == greedy_extension(f, rho, X).value
+        subgradient = _walk(f, memo, X, swapped)
+        assert _value(memo[0], values, swapped, subgradient, X) == greedy_extension(f, rho, X).value
 
     def test_midpoint_convexity_for_submodular_costs(self):
         rng = np.random.default_rng(8)

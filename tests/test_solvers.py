@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import tracemalloc
@@ -43,6 +44,7 @@ from helpers import (
     reference_distributed_minimize,
     reference_mix_row,
     reference_mixing_plan,
+    reference_steps_extension,
     reference_strongly_connected,
     solve_bytes,
 )
@@ -310,6 +312,31 @@ class TestStepSize:
             SolverParams(iterations=5, gamma=0.1, t_hat=1.0)
         with pytest.raises(ValueError, match="schedule"):
             SolverParams(iterations=5, gamma=0.1, schedule="warp")
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gamma", np.float32(0.3)), ("gamma", np.float64(0.3)), ("gamma", 2), ("t_hat", np.float32(0.55)), ("t_hat", np.float64(0.55))],
+    )
+    def test_a_numpy_or_int_value_solves_as_its_python_float(self, field, value):
+        # A float32 step size or threshold would carry the solve into single precision.
+        X = ChainProduct([3, 3, 2])
+        rng = np.random.default_rng(6)
+        # Costs flat along the last chain, whose one entry then stays just below
+        # the float32 threshold, where a float32 comparison would round it up.
+        fns = [random_submodular_fn(ChainProduct([3, 3]), rng) for _ in range(2)]
+        tables = [{x: float(fn(x[:2])) for x in X.points()} for fn in fns]
+        start = uniform_random_profile(X, 1).values
+        start[4] = np.nextafter(float(np.float32(0.55)), 0.0)
+        fields = {"iterations": 12, "gamma": 0.3, "schedule": "diminishing", "t_hat": 0.7, field: value}
+        params = SolverParams(**fields)
+        assert type(getattr(params, field)) is float
+        want = SolverParams(**{**fields, field: float(value)})
+        case = (X, tables, WeightMatrix(line_matrix(2), eta=0.1))
+        initial = [Profile(X, start)] * 2
+        assert solve_bytes(distributed_minimize, *case, params, initial) == solve_bytes(
+            distributed_minimize, *case, want, initial
+        )
 
 
 class TestCentralized:
@@ -758,6 +785,110 @@ class TestWalkCache:
         assert 0 < len(walks) < 3 * params.iterations // 10
 
 
+class FloatSub(float):
+    """A float subclass, which a cost may return."""
+
+
+def overflowing(value):
+    raise OverflowError("math range error")
+
+
+def missing(value):
+    raise KeyError("no cost here")
+
+
+# What a cost gives at one point, from its true value there: (the cost, whether the
+# walk asks for that point again through the `Oracle`, so that the cost sees it twice).
+MISSES = {
+    "int": (lambda v: 3, False),
+    "huge int": (lambda v: 10**400, True),
+    "np.float64": (np.float64, False),
+    "float subclass": (FloatSub, False),
+    "inf": (lambda v: math.inf, True),
+    "-inf": (lambda v: -math.inf, True),
+    "nan": (lambda v: math.nan, True),
+    "OverflowError": (overflowing, True),
+    "KeyError": (missing, False),
+}
+
+
+def cost_with_miss(fn, k, miss):
+    """fn, but `miss(fn(x))` at the k-th distinct point asked for (0 is the first);
+    and the list of every point asked for."""
+    asked, seen = [], {}
+
+    def cost(x):
+        asked.append(x)
+        value = fn(x)
+        return miss(value) if seen.setdefault(x, len(seen)) == k else value
+
+    return cost, asked
+
+
+def outcome(call):
+    """What `call()` returned, or the type, message and cause type of what it raised."""
+    try:
+        return "returned", call()
+    except Exception as exc:
+        return "raised", type(exc), str(exc), type(exc.__cause__)
+
+
+class TestWalkMiss:
+    """A walk takes a missing point's value straight from the cost function, and
+    asks again through the `Oracle` when it overflows or is not finite: every
+    result, error, message and `calls` is what asking through the `Oracle` gives,
+    and so is every request, except that on an error path the failing point
+    reaches the cost a second time."""
+
+    @staticmethod
+    def check(got, want, kind, k):
+        (got_result, got_calls, got_asked), (want_result, want_calls, want_asked) = got, want
+        assert got_result == want_result
+        assert got_calls == want_calls
+        twice = MISSES[kind][1] and k > 0  # the bottom is asked for through the `Oracle`
+        assert got_asked == want_asked + want_asked[-1:] * twice
+        assert len(set(want_asked)) > k
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    @pytest.mark.parametrize("kind", MISSES)
+    def test_an_extension_miss_keeps_the_oracle_contract(self, kind, k):
+        X = ChainProduct([3, 4, 2])
+        fn = random_submodular_fn(X, np.random.default_rng(3))
+        rho = uniform_random_profile(X, 5)
+        runs = []
+        for extension in (greedy_extension, reference_steps_extension):
+            cost, asked = cost_with_miss(fn, k, MISSES[kind][0])
+            f = Oracle(cost, X)
+
+            def walk():
+                res = extension(f, rho, X)
+                return as_bytes(res.value), res.subgradient.tobytes()
+
+            runs.append((outcome(walk), f.calls, asked))
+        self.check(*runs, kind, k)
+
+    @pytest.mark.parametrize("k", [0, 3, 14])
+    @pytest.mark.parametrize("kind", MISSES)
+    def test_a_solve_miss_keeps_the_oracle_contract(self, kind, k):
+        # The reference asks for every point through two `Oracle` layers.
+        X = ChainProduct([4, 3, 3])
+        rng = np.random.default_rng(2)
+        fns = [random_submodular_fn(X, rng) for _ in range(2)]
+        matrix = WeightMatrix(line_matrix(2), eta=0.1)
+        params = SolverParams(iterations=10, gamma=0.4, seed=2)
+        runs = []
+        for solver in (distributed_minimize, reference_distributed_minimize):
+            cost, asked = cost_with_miss(fns[0], k, MISSES[kind][0])
+            fs = [Oracle(cost, X), Oracle(fns[1], X)]
+
+            def solve():
+                points, values, trace = solver(fs, X, matrix, params)
+                return repr(points), [as_bytes(v) for v in values], trace.ext_values.tobytes(), trace.best_rounded.tobytes()
+
+            runs.append((outcome(solve), [f.calls for f in fs], asked))
+        self.check(*runs, kind, k)
+
+
 def star_matrix(n):
     """Hub 0 linked to every other agent, all positive weights 1/n."""
     a = np.zeros((n, n))
@@ -951,9 +1082,9 @@ class TestTraceOnRead:
         """Every `solvers._value` call's row, as the solve's trace makes them."""
         rows = []
 
-        def counted(bottom, row, order, steps):
+        def counted(bottom, row, *piece):
             rows.append(row)
-            return value(bottom, row, order, steps)
+            return value(bottom, row, *piece)
 
         value = solvers._value
         monkeypatch.setattr(solvers, "_value", counted)
@@ -991,6 +1122,31 @@ class TestTraceOnRead:
         assert trace.ext_values is ext_values
         assert trace.disagreement is disagreement
         assert trace.best_rounded is best_rounded
+
+
+class TestStepRecovery:
+    """A trace read recovers each visit's f-step from the walk's subgradient by
+    replaying the chain levels along the order, so `ext_values` are the sum over
+    a list of steps in visit order, byte for byte, also where a rise within
+    tolerance puts a later entry of a chain first."""
+
+    @pytest.mark.parametrize("rise", ["ulp", "half tolerance"])
+    def test_rising_rows_price_as_a_list_of_steps(self, rise):
+        X = ChainProduct([4, 3, 5])
+        rng = np.random.default_rng(12)
+        # Arbitrary costs, so that no two steps are alike.
+        tables = [{x: float(v) for x, v in zip(X.points(), rng.uniform(-5.0, 5.0, X.cardinality))} for _ in range(3)]
+        start = uniform_random_profile(X, 3).values.tolist()
+        # Every chain rises at each step, within tolerance, so its entries sort last first.
+        for k in X.in_chain_steps:
+            start[k + 1] = np.nextafter(start[k], 2.0) if rise == "ulp" else start[k] + FEASIBILITY_TOL / 2
+        order = sorted(range(X.sort_length), key=start.__getitem__, reverse=True)
+        assert order.index(X.offsets[1] + 1) < order.index(X.offsets[1])
+        # Agents that start alike mix to their start, so the first round walks these rows.
+        initial = [Profile(X, np.array(start))] * 3
+        case = (X, tables, WeightMatrix(line_matrix(3), eta=0.1), SolverParams(iterations=20, gamma=0.3, seed=1), initial)
+        by_steps = functools.partial(reference_distributed_minimize, extension=reference_steps_extension)
+        assert solve_bytes(distributed_minimize, *case) == solve_bytes(by_steps, *case)
 
 
 def raised_message(call, *args):
