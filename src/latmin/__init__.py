@@ -33,7 +33,6 @@ from .solvers import (
     centralized_minimize,
     distributed_minimize,
     mix_profiles,
-    step_size,
     validate_weight_matrix,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "mix_profiles",
     "project_monotone_box",
     "project_product",
-    "step_size",
     "theta",
     "uniform_random_profile",
     "validate_weight_matrix",

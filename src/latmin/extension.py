@@ -7,24 +7,11 @@ held as one flat array in the layout its `ChainProduct` fixes.  The
 extension is computed by a single stable descending sort of all profile
 entries, walking a monotone chain of lattice points from bottom to top and
 charging each unit step with the entry that triggered it.  The subgradient
-falls out of the same walk at no extra cost.  The extension is linear on
-each cone of profiles that share one sort order (Lovász 1983): there the
-walk visits the same points, so its f-steps and subgradient are the same.
-The subgradient holds every f-step, so it is the linear piece `_walk`
-returns, and `_value` is the one sum that prices a profile from it:
-f(bottom) plus each entry times its step, in visit order, each step
-recovered by replaying the chain levels along the order.  So a caller
-that meets an order again prices it without walking.  `check_rows` is
-the one feasibility check: one numpy pass over the rows of an array,
-which `Profile.validate` and a solve's mixed rows both go through; a
-batch of feasible rows passes on three reductions.  `theta` is the rounding
-rule: per chain, the count of entries at least the threshold.  A solver
-does not call it each round: the projection counts what `theta` counts
-while it writes each chain, and returns the rounded point's number,
-which `ChainProduct.point` decodes.  The walk reads oracle values from a dict
-the caller owns and evaluates only the points missing there, straight
-from the cost function under the oracle's rules (see `Oracle`); a solve
-keeps one dict per agent.
+falls out of the same walk and holds every f-step.  The extension is
+linear on each cone of profiles that share one sort order (Lovász 1983),
+so the subgradient `_walk` returns is its linear piece there, and `_value`
+prices any profile of that cone from it without walking again.
+`check_rows` is the one feasibility check, and `theta` the rounding rule.
 
 For chains of size 2 this is exactly the classical relaxation of set
 functions on the unit hypercube; no separate code path exists for that

@@ -38,15 +38,16 @@ class ChainProduct:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(m) for m in self.dims)
+        dims = tuple(self.dims)
         if len(dims) == 0:
             raise ValueError("empty product: need at least one chain")
         for i, m in enumerate(dims):
+            # What `operator.index` takes, ints and numpy ints, but no bool.
+            if isinstance(m, bool) or not hasattr(type(m), "__index__"):
+                raise ValueError(f"chain {i} has size {m!r}; chain sizes must be integers")
             if m < 2:
-                raise ValueError(
-                    f"chain {i} has size {m}; every chain needs at least 2 elements"
-                )
-        object.__setattr__(self, "dims", dims)
+                raise ValueError(f"chain {i} has size {m}; every chain needs at least 2 elements")
+        object.__setattr__(self, "dims", tuple(map(operator.index, dims)))
 
     @property
     def n_chains(self) -> int:
@@ -123,27 +124,22 @@ class Oracle:
     The wrapped callable must be deterministic and finite on every lattice
     point; a NaN or infinite value, or an OverflowError from the callable
     (float `**` and `math.exp` raise one), raises ValueError naming the point.
-    Two hot paths call `fn` directly instead, `_value_table`'s sweep and
-    the extension's walk (`extension._walk`), under one rule: they keep
-    `float(fn(point))` only when it is finite, and add one to `calls` per
-    point asked for, as this wrapper counts.  On an overflow or a value
-    that is not finite they ask again through this wrapper (a sweep runs
-    again point by point, on any error), so every error and message is
-    this wrapper's, and a failing point may reach `fn` twice.  Callers pass
-    points of `space`, which is not checked here because the solvers call
-    oracles in their inner loop; input from outside goes through
-    `space.check_point` first.  The call counter is plain (not atomic):
-    guard the oracle if you evaluate it from several threads.
+    `_value_table`'s sweep and the extension's walk (`extension._walk`) call
+    `fn` directly, under one rule: they keep `float(fn(point))` only when
+    it is finite, and add one to `calls` per point asked for, as this
+    wrapper counts; otherwise they ask again through this wrapper (a sweep
+    point by point, on any error), so every error and message is this
+    wrapper's, and a failing point may reach `fn` twice.  Points are not
+    checked against `space`, because the solvers call oracles in their
+    inner loop; input from outside goes through `space.check_point` first.
+    The call counter is plain (not atomic): guard the oracle if you
+    evaluate it from several threads.
 
     `table` is None until the first exhaustive sweep (`check_submodular`
-    or `brute_force_minimize`) completes.  That sweep keeps f at every
-    point, shaped like `space.dims` and read-only: 8 bytes per point, at
-    most 8 MB at `BRUTE_FORCE_CAP`, for as long as the oracle lives.
-    Later sweeps read it and evaluate nothing, so `fn` must not change
-    after a sweep.  A clean sweep, every value a finite float, adds the
-    point count to `calls` once; any other sweep goes through the wrapper
-    point by point, so it raises and counts exactly as calling the oracle
-    would.
+    or `brute_force_minimize`) completes.  It then holds f at every point,
+    shaped like `space.dims` and read-only: 8 bytes per point, at most 8 MB
+    at `BRUTE_FORCE_CAP`, for as long as the oracle lives.  Later sweeps
+    read it and evaluate nothing, so `fn` must not change after a sweep.
     """
 
     def __init__(self, fn: Callable[[tuple[int, ...]], float], space: ChainProduct):

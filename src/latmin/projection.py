@@ -12,35 +12,25 @@ straight-line function per chain-product shape, a *kernel*, generated
 and compiled once (`_kernel`).  It takes a row, a subgradient and a step
 gamma, computes each stepped entry `m - gamma * g` as a local, refuses a
 non-finite one before it projects anything, and projects chain by chain.
-Chains of one and two coordinates (every chain of a game step has two)
-are written out line by line (`_source`): the pooling stack's
-decision is one comparison, the pooled mean has the stack's exact
-arithmetic and operand order, and a clip follows.  A chain of three or
-four coordinates is one call of `_pool3` or `_pool4`, plain functions
-written the same way, and a chain of five or more calls the stack loop,
-`_pool`.  The stack's means never rise and the clip is monotone, so no
-running minimum is needed.  Each chain's output is non-increasing, so an
-entry counts toward the rounded point exactly when it is at least the
-threshold t: the kernel counts what `extension.theta` counts, adding the
-chain's stride for each such entry, and returns the rounded point's
-number with the projected row, so a solver needs no second pass.  The
-kernel is the one projection: `project_product` calls it with a zero
-step and no threshold.
+A chain of one or two coordinates is written out in the source
+(`_source`), one of three or four is a call of `_pool3` or `_pool4`, and
+a longer one calls the stack loop, `_pool`; each keeps the stack's exact
+arithmetic and operand order.  The stack's means never rise and the clip
+is monotone, so no running minimum is needed.  Each chain's output is
+non-increasing, so an entry counts toward the rounded point exactly when
+it is at least the threshold t: the kernel counts what `extension.theta`
+counts, adding the chain's stride for each such entry, and returns the
+rounded point's number with the projected row.  The kernel is the one
+projection: `project_product` calls it with a zero step and no threshold.
 
 Kernels are kept in a cache keyed by `dims` and bounded at
 `KERNEL_CACHE_SIZE`, least recently used first out.  A kernel's code
 grows with the shape's coordinate count, so a solve reuses its shape's
 kernel while a process that meets shape after shape (a sweep over random
-lattices, a property test) holds at most that many.  Such a process pays
-for the compiles: the bench's population pass meets 95 new shapes at
-seed 7 (92 at seed 23), compiled in about 17 ms, about 180 us a shape
-on a 2-core x86-64 VM (Python 3.11), almost all of it in `compile`;
-writing the source takes 15 us, and dropping the finiteness test saves
-7%.  A pass with every kernel compiled ahead runs about a tenth faster.
-The compile stays per shape: a kernel composed of one call per chain
-needs no compile but costs about 0.8 ms more per 200-round population
-solve, and writing `_pool3` and `_pool4` into the source would lengthen
-every compile.
+lattices, a property test) holds at most that many and compiles each new
+one.  The compile stays per shape: a kernel composed of one call per chain
+would need none but runs slower per round, and writing `_pool3` and
+`_pool4` into the source would lengthen every compile.
 """
 
 from __future__ import annotations

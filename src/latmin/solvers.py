@@ -6,33 +6,10 @@ estimates with doubly-stochastic weights, step along their own local
 subgradient, and project.  All agents round at the same shared threshold
 so they agree whenever the minimizer is unique.  Centralized is the
 one-agent case: iterate project(rho - gamma_k * subgrad) and round once at
-the end.  The trace's bookkeeping is paid only when read: a round logs
-each agent's walk and the numbers of the points the agents round to,
-read off the projected rows, and the solve prices only its final points.
-The extension values, the disagreement and `best_rounded` are computed
-from those logs, the two round buffers and the value dicts when the
-trace is first read (`SolveTrace`), so a caller that never reads them,
-as a game does not, never pays for them.  The walk is paid once per
-order: the extension is linear on each sort order's cone, so each agent
-keeps the order and subgradient of every order it walked, and an order
-met again costs no oracle request; a trace read recovers the f-steps
-from the subgradient.  The round writes out the sort
-that keys the walks, the stable descending sort `extension._descending`
-states, and a solve lists every round's step size before the first
-(`_step_sizes`), so neither costs a call per round.
-An agent's round is one call of the projection kernel of the solve's
-lattice shape (`projection._kernel`, compiled once per shape): it steps
-the mixed row along the subgradient, projects each chain and counts the
-entries that round up, so the rounded point's number comes with the
-projected row.  Mixing computes every correction slot of the whole state
-in one array step, from the network's slot table (`_slot_arrays`), built
-on a `WeightMatrix`'s first solve and kept read-only for every later
-one, and adds them in slot order.  The mixed
-rows go through the one row check, `extension.check_rows`, once per
-solve: each round's mixed state is written into a buffer kept for the
-solve, and the buffer is checked after the last round, or as soon as
-anything fails, so that an infeasible row still raises before any
-failure that followed it.
+the end.  A round prices nothing for its trace: `SolveTrace` computes the
+extension values, the disagreement and `best_rounded` from the solve's
+logs when first read, so a caller that never reads them, as a game does
+not, never pays for them.
 """
 
 from __future__ import annotations
@@ -85,6 +62,11 @@ class MatrixReport:
         return [message for name, message in _CONDITIONS.items() if not getattr(self, name)]
 
 
+def _real(x) -> bool:
+    """Whether x is a real number and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _strongly_connected(support: np.ndarray) -> bool:
     """Whether every agent reaches every other along `support`'s edges.  Each squaring of
     the reachability of `support | I` doubles the path length it covers, up to n - 1."""
@@ -108,8 +90,8 @@ def validate_weight_matrix(matrix, eta: float) -> MatrixReport:
         raise ValueError(f"matrix: must be square, got shape {a.shape}")
     if not len(a):
         raise ValueError("matrix: need at least one agent")
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta: must lie in (0,1), got {eta}")
+    if not (_real(eta) and 0.0 < eta < 1.0):
+        raise ValueError(f"eta: must lie in (0,1), got {eta!r}")
     # Written as "inside" so that NaN entries count as outside.
     inside = (a >= 0.0) & (a < math.inf)
     if not inside.all():
@@ -191,11 +173,11 @@ class SolverParams:
             raise ValueError(f"iterations: need an integer, got {self.iterations!r}")
         if self.iterations < 1:
             raise ValueError("iterations: ≥ 1 required")
-        if isinstance(self.gamma, bool) or not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma: step size must be positive and finite, got {self.gamma}")
+        if not (_real(self.gamma) and 0 < self.gamma < math.inf):
+            raise ValueError(f"gamma: step size must be positive and finite, got {self.gamma!r}")
         if self.schedule not in ("constant", "diminishing"):
             raise ValueError(f"schedule: unknown step schedule {self.schedule!r}")
-        if not 0.0 < self.t_hat < 1.0:
+        if not (_real(self.t_hat) and 0.0 < self.t_hat < 1.0):
             raise ValueError("t_hat: rounding threshold must be strictly inside (0,1)")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed: need a non-negative integer, got {self.seed!r}")
@@ -204,19 +186,10 @@ class SolverParams:
         self.t_hat = float(self.t_hat)
 
 
-def step_size(k: int, params: SolverParams) -> float:
-    """Step length for round k (1-based)."""
-    if k < 1:
-        raise ValueError("round index starts at 1")
-    if params.schedule == "constant":
-        return params.gamma
-    return params.gamma / math.sqrt(k)
-
-
 def _step_sizes(params: SolverParams) -> list[float]:
-    """`step_size(k, params)` for every round k of a solve, with no call per round.
-    numpy's square root is correctly rounded, as `math.sqrt` is, and the division
-    stays Python's, so each size is the same number of the same type."""
+    """Every round's step size, in round order: gamma, or gamma / math.sqrt(k) in
+    round k on the diminishing schedule.  numpy's square root is correctly rounded,
+    as `math.sqrt` is, and the division stays Python's, so each size is that float."""
     gamma, n = params.gamma, params.iterations
     if params.schedule == "constant":
         return [gamma] * n
@@ -224,7 +197,7 @@ def _step_sizes(params: SolverParams) -> list[float]:
 
 
 class SolveTrace:
-    """Per-round diagnostics, recorded for inspection only.
+    """Per-round diagnostics of one solve, computed when first read.
 
     Row k of `ext_values` holds each agent's extension value where it walked
     in round k + 1; `disagreement[k]` is the largest Euclidean distance
@@ -232,63 +205,51 @@ class SolveTrace:
     `best_rounded[k]` is the lowest total cost of any point an agent has
     rounded to in the rounds up to it.
 
-    Built from the three arrays, it holds them as given.  A solve passes
-    a `log` instead of the first two: each agent's f(bottom), the
-    (iterations, n_agents, r) buffers of mixed and of projected rows, and
-    each agent-round's walk (order, subgradient) in round then agent
-    order, with the solve's lattice.  The first read of `ext_values` or
-    `disagreement` computes both from it, with `_value` on each mixed row,
-    which recovers the walk's f-steps from its subgradient, and
-    `_disagreement_trace` on the projected ones, keeps them and drops the
-    log.  It passes `best_rounded` unfilled, with `rounds`: each round's
-    rounded point numbers and the solve's `price`.  The first read of
-    `best_rounded` fills it with the running minimum of the prices in
-    round then agent order and drops `rounds`; a non-finite cost met there
-    raises, naming its point.  So a solve whose trace is never read prices
-    no row after its walks and no point but its final ones, and the logs
-    and the solve's value dicts live until the trace is read or dropped.
+    Built from the solve's log: its lattice, each agent's f(bottom), the
+    (iterations, n_agents, r) buffers of mixed and of projected rows, each
+    agent-round's walk (order, subgradient) in round then agent order, each
+    round's rounded point numbers and the solve's `price`.  The first read
+    of `ext_values` or `disagreement` computes both, with `_value` on each
+    mixed row and `_disagreement_trace` on the projected ones.
+    `best_rounded` is the running minimum of the prices in round then agent
+    order; a non-finite cost met there raises, naming its point, on every
+    read.  Each column drops the log it read once it is computed.
     """
 
-    def __init__(self, ext_values=None, disagreement=None, best_rounded=None, *, log=None, rounds=None):
-        self._ext_values = ext_values
-        self._disagreement = disagreement
-        self._best_rounded = best_rounded
-        self._log = log
-        self._rounds = rounds
+    def __init__(self, space, bottoms, mixed, walks, projected, rounds, price):
+        self._log = space, bottoms, mixed, walks, projected
+        self._rounds = rounds, price
 
-    def _read(self) -> None:
-        if self._log is not None:
-            space, bottoms, kept, walks, history = self._log
-            rows = kept.reshape(-1, kept.shape[2]).tolist()
-            values = [
-                _value(bottom, row, order, subgradient, space)
-                for bottom, row, (order, subgradient) in zip(itertools.cycle(bottoms), rows, walks)
-            ]
-            self._ext_values = np.array(values).reshape(kept.shape[:2])
-            self._disagreement = _disagreement_trace(history)
-            self._log = None
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        space, bottoms, mixed, walks, projected = self._log
+        rows = mixed.reshape(-1, mixed.shape[2]).tolist()
+        values = [
+            _value(bottom, row, order, subgradient, space)
+            for bottom, row, (order, subgradient) in zip(itertools.cycle(bottoms), rows, walks)
+        ]
+        columns = np.array(values).reshape(mixed.shape[:2]), _disagreement_trace(projected)
+        del self._log
+        return columns
 
     @property
     def ext_values(self) -> np.ndarray:
-        self._read()
-        return self._ext_values
+        return self._columns[0]
 
     @property
     def disagreement(self) -> np.ndarray:
-        self._read()
-        return self._disagreement
+        return self._columns[1]
 
-    @property
+    @cached_property
     def best_rounded(self) -> np.ndarray:
-        if self._rounds is not None:
-            rounds, price = self._rounds
-            best = math.inf
-            for k, numbers in enumerate(rounds):
-                for number in numbers:
-                    best = min(best, price(number))
-                self._best_rounded[k] = best
-            self._rounds = None
-        return self._best_rounded
+        rounds, price = self._rounds
+        best, running = math.inf, []
+        for rounded in rounds:
+            for number in rounded:
+                best = min(best, price(number))
+            running.append(best)
+        del self._rounds
+        return np.array(running)
 
 
 def _slot_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,16 +293,12 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     deviation form, own profile plus weighted corrections toward each
     neighbor, which is identical for a row summing to 1 and keeps agreeing
     agents agreeing bit-exactly.  A row receives only its neighbors'
-    corrections, added one at a time in increasing neighbor index: a
-    zero-weight term would turn its -0.0 into 0.0.  Slot s holds every
-    agent's s-th neighbor, and a row with fewer neighbors takes its own row
-    at weight -0.0, which leaves every finite entry as it was, -0.0
-    included.  All slots' corrections are computed in one array step and
-    added in slot order, each entry through the same operations in the same
-    order as one slot at a time.  A solve mixes with its network's slot
-    table, which the `WeightMatrix` builds once and keeps.  `state` and
-    `weights` may be arrays or nested lists; the result is a new float
-    array.
+    corrections, added in increasing neighbor index: a zero-weight term
+    would turn its -0.0 into 0.0.  The corrections come from the slot table
+    of `_slot_arrays`, computed in one array step and added in slot order,
+    each entry through the same operations in the same order as one
+    neighbor at a time.  `state` and `weights` may be arrays or nested
+    lists; the result is a new float array.
     """
     state = np.asarray(state, dtype=float)
     return _mix(state, *_slot_arrays(np.asarray(weights, dtype=float)), np.empty(state.shape))
@@ -383,62 +340,42 @@ def distributed_minimize(
     desk scale.  Every agent starts from the same seeded profile, feasible
     by construction and so not checked (any feasible start is admissible;
     a shared one makes identical-cost runs exactly symmetric); each of a
-    caller's `initial` profiles is checked in turn.  Rounds are synchronous and
-    gather-then-update: all mixing reads use the previous round's
-    profiles, so execution order within a round cannot matter.  A round
-    mixes the whole (n_agents, r) state in numpy, every correction slot in
-    one array step (see `mix_profiles`) with the slot table `matrix`
-    keeps, into that round's slot of a buffer kept for the solve, and
-    turns it into lists once; then each agent in turn walks its extension,
-    and steps and projects its own row in one call of the kernel of
-    `space`'s shape, fetched once per solve.
-    The kernel also returns the number of the point that row rounds
-    to at the shared threshold: while it writes each chain it counts what
-    `extension.theta` counts, and `space.point` decodes the number.  An agent walks each sort
-    order once per solve and keeps the order with its linear piece, the
-    subgradient `_walk` returns; every round logs a reference
-    to it, fresh or kept, and steps along its subgradient.  The new rows
-    become the state array once more, kept per round, and the round logs
-    its rounded point numbers, unpriced.  Each agent returns its last
-    round's point; the value reported for an agent is the *total* cost of
-    that point, priced after the last round.  The trace prices the logged
-    rows with `extension._value`, the disagreement and the other rounded
-    points when it is first read, not in the rounds.
+    caller's `initial` profiles is checked in turn.  Rounds are synchronous
+    and gather-then-update: all mixing reads use the previous round's
+    profiles, so execution order within a round cannot matter.  In a round
+    each agent walks its extension at its mixed row, then steps, projects
+    and rounds the row in one call of the projection kernel of `space`'s
+    shape.  The extension is linear on each sort order's cone, so an agent
+    walks each order once per solve and steps along the kept subgradient
+    when it meets the order again.
 
-    Returns (points, values, trace): per-agent rounded lattice points, their
-    total-cost values, and the per-round trace.  Every oracle must be
-    defined on `space`.
+    Returns (points, values, trace): each agent's point rounded at t_hat in
+    the last round, the *total* cost of each, and the per-round
+    `SolveTrace`.  Every oracle must be defined on `space`.
 
-    Each agent's oracle is evaluated at most once per distinct lattice
-    point during one solve and its trace, so afterwards its `calls` counts
-    distinct evaluations: the walks and the total costs read one dict of
-    values per agent.  The solve asks for the walks' points, then the
-    final points; a point only an earlier round rounded to is asked for
-    when `best_rounded` is first read, where a non-finite cost raises.
-    Keeping every round's state costs 8 * iterations * n_agents * r
-    bytes, and keeping every round's mixed state as much again.  The
-    walks by sort order hold at most one entry per round per agent, each
-    a list of r floats and the order's key.  For the trace, the solve
-    keeps the two round buffers, each agent's f(bottom), a walk reference
-    and a point number per agent and round, and the value dicts, until
-    the trace is read or dropped; so the walks those references name live
-    as long.
+    Each agent's oracle is asked for each distinct lattice point at most
+    once per solve and its trace, so afterwards its `calls` counts distinct
+    evaluations.  The solve asks for the walks' points, then the final
+    points; a point only an earlier round rounded to is asked for when
+    `best_rounded` is first read, where a non-finite cost raises.
 
-    Every mixed row must pass `extension.check_rows`, the one row check,
-    which `Profile.validate` uses too.  It runs once over the buffer after
-    the last round, or when anything raises during the rounds (an oracle,
-    the walk or the projection); then the first infeasible row, by round
-    then agent, raises its error.  A lone agent's mixed row is its previous
-    projected row, kept and checked the same way.  So a solve raises the
+    Memory: the mixed and the projected rows of every round, each 8 *
+    iterations * n_agents * r bytes; per agent, at most one walk (the
+    order's key and r floats) per round; and per agent-round, a reference
+    to its walk and a point number.  The trace holds these and the value
+    dicts until it is read or dropped.
+
+    Every mixed row must pass `extension.check_rows`, the one row check.  It
+    runs once over the buffer after the last round, or when anything raises
+    during the rounds (an oracle, the walk or the projection); then the
+    first infeasible row, by round then agent, raises its error.  A lone
+    agent's mixed row is its previous projected row.  So a solve raises the
     same error as one that checked each round's rows before its walks,
     though an oracle may have been asked for more points by then.
     """
-    a = matrix.entries
     n_agents = len(oracles)
-    if a.shape != (n_agents, n_agents):
-        raise ValueError(
-            f"matrix shape {a.shape} does not match {n_agents} agents"
-        )
+    if matrix.entries.shape != (n_agents, n_agents):
+        raise ValueError(f"matrix shape {matrix.entries.shape} does not match {n_agents} agents")
     for f in oracles:
         _require_oracle_space(f, space)
     if initial is None:
@@ -458,22 +395,10 @@ def distributed_minimize(
     memos = [{} for _ in oracles]
     # Agent i's walks by sort order: the order and the subgradient.
     walks = [{} for _ in oracles]
-
-    def total_cost(number) -> float:
-        point = space.point(number)
-        costs = []
-        for f, memo in zip(oracles, memos):
-            if number not in memo:
-                memo[number] = f(point)
-            costs.append(memo[number])
-        # A lone agent's cost as is: a sum from 0.0 would turn its -0.0 into 0.0.
-        return _left_sum(costs) if n_agents > 1 else costs[0]
-
     # Each agent-round's walk and rounded point number, in round then agent order, for the trace.
     log = []
     logged = log.append
     rounds = []
-    best_rounded = np.zeros(params.iterations)
     t_hat = params.t_hat
     # Round k's projected rows are history[k - 1].
     history = np.empty((params.iterations, n_agents, space.sort_length))
@@ -490,7 +415,7 @@ def distributed_minimize(
             mixed_rounds = k
             rows, rounded = [], []
             for f, memo, walked, row in zip(oracles, memos, walks, mixed):
-                # `extension._descending`, written out: the stable descending sort of flat indices.
+                # The stable descending sort of flat indices, as `extension._descending` sorts.
                 key = tuple(sorted(flat, key=row.__getitem__, reverse=True))
                 walk = walked.get(key)
                 if walk is None:
@@ -511,17 +436,19 @@ def distributed_minimize(
     def price(number) -> float:
         total = totals.get(number)
         if total is None:
-            total = totals[number] = total_cost(number)
+            point = space.point(number)
+            for f, memo in zip(oracles, memos):
+                if number not in memo:
+                    memo[number] = f(point)
+            costs = [memo[number] for memo in memos]
+            # A lone agent's cost as is: a sum from 0.0 would turn its -0.0 into 0.0.
+            total = totals[number] = _left_sum(costs) if n_agents > 1 else costs[0]
         return total
 
     points = [space.point(number) for number in rounded]
     values = [price(number) for number in rounded]
-    trace = SolveTrace(
-        best_rounded=best_rounded,
-        log=(space, [memo[0] for memo in memos], kept, log, history),
-        rounds=(rounds, price),
-    )
-    return points, values, trace
+    bottoms = [memo[0] for memo in memos]
+    return points, values, SolveTrace(space, bottoms, kept, log, history, rounds, price)
 
 
 def centralized_minimize(f: Oracle, space: ChainProduct, params: SolverParams):

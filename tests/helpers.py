@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import types
 
 import numpy as np
 
@@ -13,11 +14,9 @@ from latmin import (
     Oracle,
     Profile,
     SolverParams,
-    SolveTrace,
     WeightMatrix,
     cross_difference,
     greedy_extension,
-    step_size,
     theta,
     uniform_random_profile,
 )
@@ -54,6 +53,16 @@ def left_sum(values) -> float:
 def as_bytes(value) -> bytes:
     """A float's IEEE bytes, so that 0.0 and -0.0 differ."""
     return struct.pack("<d", float(value))
+
+
+def step_size(k: int, params: SolverParams) -> float:
+    """Step length for round k (1-based), one round at a time: the reference for the
+    step sizes a solve lists before its first round."""
+    if k < 1:
+        raise ValueError("round index starts at 1")
+    if params.schedule == "constant":
+        return params.gamma
+    return params.gamma / math.sqrt(k)
 
 
 def line_matrix(n):
@@ -343,7 +352,8 @@ def reference_distributed_minimize(
     two-layer memo.  It prices the final points, then every round's
     rounded points for `best_rounded` in round then agent order.
 
-    Returns (points, values, trace) like `distributed_minimize`.
+    Returns (points, values, trace) like `distributed_minimize`, the trace
+    a namespace of the three arrays.
     """
     a = matrix.entries
     n_agents = len(oracles)
@@ -380,7 +390,7 @@ def reference_distributed_minimize(
         for x in round_points:
             best = min(best, total_cost(x))
         best_rounded[k] = best
-    trace = SolveTrace(ext_values=ext_values, disagreement=disagreement, best_rounded=best_rounded)
+    trace = types.SimpleNamespace(ext_values=ext_values, disagreement=disagreement, best_rounded=best_rounded)
     return points, values, trace
 
 

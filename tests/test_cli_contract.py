@@ -133,10 +133,10 @@ CASES = [
          "solve: cannot write output: out/trace.csv is not a regular file", made=("out/trace.csv",)),
     Case("simulate-svg-path-is-a-directory", "simulate given.cfg --out out --svg", FIG3, 2, "",
          "simulate: cannot write output: out/arena.svg is not a regular file", made=("out/arena.svg",)),
-    # numpy refuses 8 * 10**15 bytes before it touches a page.
+    # numpy refuses the first round buffer, 8 * 10**15 * 2 agents * 5 coordinates bytes, before it touches a page.
     Case("solve-iterations-out-of-memory", "solve given.cfg --iters-override 1000000000000000 --out out",
-         PROBLEM + NETWORK, 2, "", "solve: out of memory: Unable to allocate 7.11 PiB for an array with shape "
-         "(1000000000000000,) and data type float64"),
+         PROBLEM + NETWORK, 2, "", "solve: out of memory: Unable to allocate 71.1 PiB for an array with shape "
+         "(1000000000000000, 2, 5) and data type float64"),
     Case("check-defender-delta-th-overflow", "check given.cfg",
          fig3_with(b"delta_th: 20\n", b"delta_th: 5000.0\n"), 2, "",
          "error: defenders.delta_th: beta * delta_th must be at most 709.782712893, got 3500"),

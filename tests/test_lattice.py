@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,16 @@ class TestChainProduct:
     def test_single_element_chain_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             ChainProduct([3, 1])
+
+    @pytest.mark.parametrize("size", [2.7, 3.0, "3", True, np.float64(3.0), np.True_])
+    def test_a_size_that_is_not_an_integer_is_refused(self, size):
+        message = f"chain 1 has size {size!r}; chain sizes must be integers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ChainProduct([3, size])
+
+    def test_numpy_integer_sizes_become_ints(self):
+        X = ChainProduct(np.array([3, 4]))
+        assert X.dims == (3, 4) and all(type(m) is int for m in X.dims)
 
     def test_sort_length_matches_eight_chain_setup(self):
         # 8 chains of size 3: sum(m_i) - N = 24 - 8

@@ -7,14 +7,15 @@ import re
 from pathlib import Path
 
 import latmin
-from latmin import ChainProduct, ExtensionResult, Oracle, Profile, cli, ctf, extension, lattice, projection
+from latmin import ChainProduct, ExtensionResult, Oracle, Profile, cli, ctf, extension, lattice, projection, solvers
 from latmin.scenario import Problem, Scenario
 
 REMOVED = {
-    latmin: ("make_chain_product", "profile_from_point"),
+    latmin: ("make_chain_product", "profile_from_point", "step_size"),
     lattice: ("make_chain_product",),
     extension: ("profile_from_point", "check_row", "rounding_rule", "point_of_number"),
     projection: ("project_row", "_project"),
+    solvers: ("step_size",),
     ctf: ("defender_cost", "step_tables", "StepTables", "reachable_cells", "decode_actions"),
     ctf.Arena: ("clamp",),
     ChainProduct: ("in_chain_pairs",),

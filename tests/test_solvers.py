@@ -1,8 +1,10 @@
 import dataclasses
 import functools
+import gc
 import math
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from latmin import (
     distributed_minimize,
     greedy_extension,
     mix_profiles,
-    step_size,
     uniform_random_profile,
     validate_weight_matrix,
 )
@@ -47,6 +48,7 @@ from helpers import (
     reference_steps_extension,
     reference_strongly_connected,
     solve_bytes,
+    step_size,
 )
 
 LINE_GRAPH_MATRIX = [
@@ -100,6 +102,12 @@ class TestWeightMatrix:
         # Each condition holds vacuously on an empty matrix, and a solve would then fail in numpy.
         with pytest.raises(ValueError, match="^matrix: need at least one agent$"):
             build(np.zeros((0, 0)), eta=0.5)
+
+    @pytest.mark.parametrize("eta", ["x", None, True, 0.0, math.nan])
+    @pytest.mark.parametrize("build", [validate_weight_matrix, WeightMatrix])
+    def test_an_eta_outside_the_open_unit_interval_is_refused_by_name(self, build, eta):
+        with pytest.raises(ValueError, match=rf"^eta: must lie in \(0,1\), got {re.escape(repr(eta))}$"):
+            build([[1.0]], eta=eta)
 
     def test_weight_matrix_type_rejects_invalid(self):
         with pytest.raises(ValueError, match="condition 4"):
@@ -313,6 +321,19 @@ class TestStepSize:
         with pytest.raises(ValueError, match="schedule"):
             SolverParams(iterations=5, gamma=0.1, schedule="warp")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("gamma", "0.1", "gamma: step size must be positive and finite, got '0.1'"),
+            ("gamma", None, "gamma: step size must be positive and finite, got None"),
+            ("gamma", [0.1], "gamma: step size must be positive and finite, got [0.1]"),
+            ("t_hat", "0.5", "t_hat: rounding threshold must be strictly inside (0,1)"),
+            ("t_hat", None, "t_hat: rounding threshold must be strictly inside (0,1)"),
+        ],
+    )
+    def test_a_value_that_is_not_a_number_is_refused_naming_its_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SolverParams(**{"iterations": 5, "gamma": 0.1, field: value})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1116,12 +1137,32 @@ class TestTraceOnRead:
         assert trace.ext_values is ext_values and trace.disagreement is disagreement
         assert len(priced) == params.iterations * len(tables)
 
-    def test_a_trace_builds_from_arrays(self):
-        ext_values, disagreement, best_rounded = np.ones((2, 3)), np.zeros(2), np.array([4.0, 3.0])
-        trace = solvers.SolveTrace(ext_values=ext_values, disagreement=disagreement, best_rounded=best_rounded)
-        assert trace.ext_values is ext_values
-        assert trace.disagreement is disagreement
-        assert trace.best_rounded is best_rounded
+    def test_a_read_trace_holds_none_of_the_solves_log(self, monkeypatch):
+        logs = []
+
+        class Recorded(solvers.SolveTrace):
+            def __init__(self, *log):
+                logs.append(log)
+                super().__init__(*log)
+
+        monkeypatch.setattr(solvers, "SolveTrace", Recorded)
+        space, tables, matrix, params = self.case()
+        _, _, trace = distributed_minimize([Oracle(t.__getitem__, space) for t in tables], space, matrix, params)
+        ((_, _, mixed, walks, projected, rounds, price),) = logs
+        assert mixed.shape == projected.shape == (params.iterations, len(tables), space.sort_length)
+        trace.ext_values, trace.disagreement, trace.best_rounded
+        # Everything the trace's attributes reach through containers, views and closures.
+        held, pending = set(), list(vars(trace).values())
+        while pending:
+            obj = pending.pop()
+            if id(obj) not in held and not isinstance(obj, (type, types.ModuleType)):
+                held.add(id(obj))
+                pending += gc.get_referents(obj)
+                if isinstance(obj, np.ndarray) and obj.base is not None:
+                    pending.append(obj.base)
+        logs = {"mixed": mixed, "walks": walks, "projected": projected, "rounds": rounds, "price": price}
+        for name, log in logs.items():
+            assert id(log) not in held, name
 
 
 class TestStepRecovery:
