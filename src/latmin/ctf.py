@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lattice import ChainProduct, Oracle, _left_sum
+from .lattice import ChainProduct, Oracle, _integer, _left_sum, _real
 from .solvers import distributed_minimize
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,6 +107,14 @@ def _joint_space(n_chains: int, side: int) -> ChainProduct:
     return ChainProduct([side] * n_chains)
 
 
+def _int_cells(name: str, cells) -> list[Cell]:
+    """`cells` as tuples of Python ints; a coordinate that is not an integer raises, naming `name`."""
+    for c in cells:
+        if not all(map(_integer, c)):
+            raise ValueError(f"{name}: cell {tuple(c)} has a coordinate that is not an integer")
+    return [tuple(map(int, c)) for c in cells]
+
+
 @dataclass
 class Arena:
     """Grid, protected zone with per-defender responsibilities, obstacles.
@@ -122,13 +130,17 @@ class Arena:
     obstacles: set[Cell]
 
     def __post_init__(self):
-        self.zone = [tuple(c) for c in self.zone]
-        self.responsibilities = [[tuple(c) for c in r] for r in self.responsibilities]
-        self.obstacles = {tuple(c) for c in self.obstacles}
-        if self.size < 2:
-            raise ValueError("size: must be at least 2")
-        if self.horizon < 1:
-            raise ValueError("horizon: must be at least 1")
+        for name, least in (("size", 2), ("horizon", 1)):
+            value = getattr(self, name)
+            if not _integer(value):
+                raise ValueError(f"{name}: need an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name}: must be at least {least}")
+            setattr(self, name, int(value))
+        self.zone = _int_cells("defense_zone", self.zone)
+        sets = enumerate(self.responsibilities)
+        self.responsibilities = [_int_cells(f"responsibilities[{i}]", r) for i, r in sets]
+        self.obstacles = set(_int_cells("obstacles", self.obstacles))
         zone_set = set(self.zone)
         for name, cells in (("defense_zone", self.zone), ("obstacles", self.obstacles)):
             for c in cells:
@@ -152,11 +164,15 @@ class Arena:
 
 
 def _check_nominal(params, first: str, second: str, what: str) -> None:
-    """Reject a NaN or infinite value in any numeric field, then nominal
-    `what` weights `first` and `second` that do not sum to 1 or leave [0,1],
-    naming the field."""
+    """Refuse, naming the field, a `float` field that is not a real number (one
+    that is, is stored as a Python float), a NaN or infinite numeric field,
+    and nominal `what` weights `first` and `second` off [0,1] or not summing to 1."""
     for field in dataclasses.fields(params):
         value = getattr(params, field.name)
+        if field.type == "float":
+            if not _real(value):
+                raise ValueError(f"{field.name}: need a real number, got {value!r}")
+            setattr(params, field.name, float(value))
         if not isinstance(value, str) and not np.all(np.isfinite(value)):
             raise ValueError(f"{field.name}: not finite: {value}")
     a, b = getattr(params, first), getattr(params, second)

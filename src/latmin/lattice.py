@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -28,6 +29,16 @@ class CapExceededError(ValueError):
     """Raised when an exhaustive operation would enumerate too many points."""
 
 
+def _integer(x) -> bool:
+    """Whether x is an integer, a numpy one included, and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _real(x) -> bool:
+    """Whether x is a real number, a numpy one included, and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ChainProduct:
     """A product of integer chains, given by the size of each chain.
@@ -42,8 +53,7 @@ class ChainProduct:
         if len(dims) == 0:
             raise ValueError("empty product: need at least one chain")
         for i, m in enumerate(dims):
-            # What `operator.index` takes, ints and numpy ints, but no bool.
-            if isinstance(m, bool) or not hasattr(type(m), "__index__"):
+            if not _integer(m):
                 raise ValueError(f"chain {i} has size {m!r}; chain sizes must be integers")
             if m < 2:
                 raise ValueError(f"chain {i} has size {m}; every chain needs at least 2 elements")

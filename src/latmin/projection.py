@@ -12,25 +12,25 @@ straight-line function per chain-product shape, a *kernel*, generated
 and compiled once (`_kernel`).  It takes a row, a subgradient and a step
 gamma, computes each stepped entry `m - gamma * g` as a local, refuses a
 non-finite one before it projects anything, and projects chain by chain.
-A chain of one or two coordinates is written out in the source
-(`_source`), one of three or four is a call of `_pool3` or `_pool4`, and
-a longer one calls the stack loop, `_pool`; each keeps the stack's exact
-arithmetic and operand order.  The stack's means never rise and the clip
-is monotone, so no running minimum is needed.  Each chain's output is
-non-increasing, so an entry counts toward the rounded point exactly when
-it is at least the threshold t: the kernel counts what `extension.theta`
-counts, adding the chain's stride for each such entry, and returns the
-rounded point's number with the projected row.  The kernel is the one
-projection: `project_product` calls it with a zero step and no threshold.
+There is one pooling rule, the stack loop `_pool`; `_pooling` writes out
+its tree of tests and pooled means on a chain's names, in its arithmetic
+and operand order.  A chain of one or two coordinates is written so into
+the kernel, one of three or four calls `_pool3` or `_pool4`, written so
+and compiled once at import, and a longer one calls `_pool`.  Each
+chain's output is non-increasing, so an entry counts toward the rounded
+point exactly when it is at least the threshold t: the kernel counts
+what `extension.theta` counts, adding the chain's stride for each such
+entry, and returns the rounded point's number with the projected row.
+The kernel is the one projection: `project_product` calls it with a zero
+step and no threshold.
 
 Kernels are kept in a cache keyed by `dims` and bounded at
-`KERNEL_CACHE_SIZE`, least recently used first out.  A kernel's code
-grows with the shape's coordinate count, so a solve reuses its shape's
-kernel while a process that meets shape after shape (a sweep over random
-lattices, a property test) holds at most that many and compiles each new
-one.  The compile stays per shape: a kernel composed of one call per chain
-would need none but runs slower per round, and writing `_pool3` and
-`_pool4` into the source would lengthen every compile.
+`KERNEL_CACHE_SIZE`, least recently used first out: a solve reuses its
+shape's kernel, while a process that meets shape after shape (a sweep
+over random lattices, a property test) holds at most that many.  The
+compile stays per shape: a kernel of one call per chain would need none
+but runs slower per round, and writing `_pool3` and `_pool4` into each
+kernel would lengthen every compile.
 """
 
 from __future__ import annotations
@@ -45,66 +45,6 @@ from .lattice import ChainProduct
 
 # The most kernels kept at once, each for one lattice shape.
 KERNEL_CACHE_SIZE = 256
-
-def _pool3(a: float, b: float, c: float, t: float) -> tuple[float, float, float, int]:
-    """A chain of 3 coordinates projected, and its count of entries >= t.
-
-    Each decision of the pooling stack is one comparison and each pooled
-    mean has its arithmetic, (mean*n + x*count)/(n + count) with a factor
-    1 dropped, exactly; each comparison keeps the value np.clip and
-    np.minimum.accumulate would keep, down to the sign of a zero.
-    """
-    if a < b:
-        a = b = (a + b) / 2
-        if a < c:
-            a = b = c = (a * 2 + c) / 3
-    elif b < c:
-        b = c = (b + c) / 2
-        if a < b:
-            a = b = c = (a + b * 2) / 3
-    a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
-    b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
-    c = 0.0 if c < 0.0 else 1.0 if c > 1.0 else c
-    # The chain is non-increasing: its last entry >= t means all count.
-    return a, b, c, 3 if c >= t else 2 if b >= t else 1 if a >= t else 0
-
-
-def _pool4(a: float, b: float, c: float, d: float, t: float) -> tuple[float, float, float, float, int]:
-    """A chain of 4 coordinates projected, and its count of entries >= t,
-    as `_pool3` does it: the first three as there, then d against the
-    blocks they left."""
-    if a < b:
-        a = b = (a + b) / 2
-        if a < c:
-            a = b = c = (a * 2 + c) / 3
-            if a < d:
-                a = b = c = d = (a * 3 + d) / 4
-        elif c < d:
-            c = d = (c + d) / 2
-            if a < c:
-                a = b = c = d = (a * 2 + c * 2) / 4
-    elif b < c:
-        b = c = (b + c) / 2
-        if a < b:
-            a = b = c = (a + b * 2) / 3
-            if a < d:
-                a = b = c = d = (a * 3 + d) / 4
-        elif b < d:
-            b = c = d = (b * 2 + d) / 3
-            if a < b:
-                a = b = c = d = (a + b * 3) / 4
-    elif c < d:
-        c = d = (c + d) / 2
-        if b < c:
-            b = c = d = (b + c * 2) / 3
-            if a < b:
-                a = b = c = d = (a + b * 3) / 4
-    a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
-    b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
-    c = 0.0 if c < 0.0 else 1.0 if c > 1.0 else c
-    d = 0.0 if d < 0.0 else 1.0 if d > 1.0 else d
-    return a, b, c, d, 4 if d >= t else 3 if c >= t else 2 if b >= t else 1 if a >= t else 0
-
 
 # The most terms of one sum in the finiteness test.  A sum nests one level
 # per term, and on Python 3.11 one of 3000 terms exceeds the compiler's
@@ -142,6 +82,54 @@ def _pool(values: list[float], t: float) -> tuple[list[float], int]:
     return row, above
 
 
+def _pooling(names: list[str], blocks=(), indent: str = "    ", keyword: str = "if") -> list[str]:
+    """Function-body lines that project `names` in place: `_pool`'s stack run on
+    them and written out as a tree, then a clip of each to [0,1].
+
+    In the recursion `blocks` is the stack, the incoming block last, each a
+    run of names whose first holds its mean, and `names` are those to come.
+    Each `means[-1] < x` is an `if` whose body gives both blocks the pooled
+    mean in the stack's arithmetic, (mean*n + x*count)/(n + count) with a
+    factor 1 dropped, and tests again; after a failed test the next name
+    comes in, its first test an `elif`.  Each comparison keeps the value
+    np.clip and np.minimum.accumulate would keep, down to the sign of a zero.
+    """
+    lines = []
+    if len(blocks) > 1:
+        *stack, top, x = blocks
+        mean = " + ".join(b[0] if len(b) == 1 else f"{b[0]} * {len(b)}" for b in (top, x))
+        lines += [
+            f"{indent}{keyword} {top[0]} < {x[0]}:",
+            f"{indent}    {' = '.join(top + x)} = ({mean}) / {len(top + x)}",
+            *_pooling(names, [*stack, top + x], indent + "    "),
+        ]
+        keyword = "elif"
+    if names:
+        lines += _pooling(names[1:], [*blocks, names[:1]], indent, keyword)
+    if not blocks:
+        lines += (f"    {x} = 0.0 if {x} < 0.0 else 1.0 if {x} > 1.0 else {x}" for x in names)
+    return lines
+
+
+def _pool_source(m: int) -> str:
+    """The source of `_pool{m}(a, ..., t)`: a chain of m coordinates projected
+    by `_pooling`, returned with its count of entries >= t."""
+    chain = list("abcd"[:m])
+    args = ", ".join(chain)
+    # The chain is non-increasing: its last entry >= t means all count.
+    above = "".join(f"{k} if {chain[k - 1]} >= t else " for k in range(m, 0, -1))
+    return "\n".join([f"def _pool{m}({args}, t):", *_pooling(chain), f"    return {args}, {above}0"]) + "\n"
+
+
+def _function(source: str, name: str, filename: str, **namespace):
+    """The function `name` that `source` defines, compiled with `namespace` as its globals."""
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+_pool3, _pool4 = (_function(_pool_source(m), f"_pool{m}", f"<projection _pool{m}>") for m in (3, 4))
+
+
 def _source(space: ChainProduct) -> str:
     """The kernel's source for `space`: only the integers of its chain spans
     are written into it."""
@@ -165,40 +153,26 @@ def _source(space: ChainProduct) -> str:
     row = []
     for start, end, stride in space.chain_spans:
         chain = names[start:end]
-        if len(chain) > 2:
-            args = ", ".join(chain)
-            if len(chain) > 4:
-                lines.append(f"    p{start}, above = _pool([{args}], t)")
-                row.append(f"*p{start}")
-            else:
-                lines.append(f"    {args}, above = _pool{len(chain)}({args}, t)")
-                row += chain
-            lines.append(f"    number += above * {stride}")
-            continue
-        if len(chain) == 2:
-            # The pooling stack's one decision, and the pooled mean in its arithmetic
-            # (mean*n + x*count)/(n + count) with a factor 1 dropped, exactly.  The
-            # comparison keeps the value np.clip and np.minimum.accumulate would keep,
-            # down to the sign of a zero.
-            a, b = chain
-            lines += [f"    if {a} < {b}:", f"        {a} = {b} = ({a} + {b}) / 2"]
-        lines += (f"    {x} = 0.0 if {x} < 0.0 else 1.0 if {x} > 1.0 else {x}" for x in chain)
-        # The chain is non-increasing: its last entry >= t means all count.
-        keyword = "if"
-        for size in range(len(chain), 0, -1):
-            lines.append(f"    {keyword} {chain[size - 1]} >= t:")
-            lines.append(f"        number += {size * stride}")
-            keyword = "elif"
-        row += chain
+        args = ", ".join(chain)
+        if len(chain) > 4:
+            lines += [f"    p{start}, above = _pool([{args}], t)", f"    number += above * {stride}"]
+        elif len(chain) > 2:
+            lines += [f"    {args}, above = _pool{len(chain)}({args}, t)", f"    number += above * {stride}"]
+        else:
+            lines += _pooling(chain)
+            # The chain is non-increasing: its last entry >= t means all count.
+            for size in range(len(chain), 0, -1):
+                keyword = "if" if size == len(chain) else "elif"
+                lines += [f"    {keyword} {chain[size - 1]} >= t:", f"        number += {size * stride}"]
+        row += [f"*p{start}"] if len(chain) > 4 else chain
     lines.append(f"    return [{', '.join(row)}], number")
     return "\n".join(lines) + "\n"
 
 
 def _compile(space: ChainProduct):
     """The kernel of `space`'s shape, compiled."""
-    namespace = {"_pool": _pool, "_pool3": _pool3, "_pool4": _pool4}
-    exec(compile(_source(space), f"<projection kernel {space.dims}>", "exec"), namespace)
-    return namespace["kernel"]
+    pools = {"_pool": _pool, "_pool3": _pool3, "_pool4": _pool4}
+    return _function(_source(space), "kernel", f"<projection kernel {space.dims}>", **pools)
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)

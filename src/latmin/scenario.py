@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .ctf import Arena, AttackerParams, DefenderParams
-from .lattice import ChainProduct, Oracle, _left_sum
+from .ctf import Arena, AttackerParams, DefenderParams, _int_cells
+from .lattice import ChainProduct, Oracle, _integer, _left_sum
 from .solvers import SolverParams, WeightMatrix
 
 
@@ -290,8 +290,9 @@ class Problem:
 
     def __post_init__(self):
         self.solver = dataclasses.replace(self.solver, seed=self.seed)
+        self.seed = self.solver.seed
         try:
-            self.space()
+            self.dims = list(self.space().dims)
         except ValueError as exc:
             raise ScenarioInvariantError(f"dims: {exc}") from exc
         if not self.objectives:
@@ -318,11 +319,11 @@ class Problem:
 class Scenario:
     """A full game configuration, loaded from file or built in code.
 
-    Construction rejects a speed other than u_max = 1, start cells off the
-    grid, on an obstacle, or shared by two defenders, and per-defender
-    fields (responsibilities, delta_th, mobility, cohesion, network) sized
-    for another team, naming the field.  A single delta_th or mobility
-    value is taken for every defender.
+    Construction rejects, naming the field, a seed that is not a non-negative
+    integer, a speed other than u_max = 1, start cells not of integers, off
+    the grid, on an obstacle or shared by two defenders, and per-defender
+    fields (responsibilities, delta_th, mobility, cohesion, network) sized for
+    another team.  One delta_th or mobility value is taken for every defender.
     """
 
     seed: int
@@ -336,10 +337,14 @@ class Scenario:
     solver: SolverParams
 
     def __post_init__(self):
-        if self.u_max != 1:
+        if not (_integer(self.seed) and self.seed >= 0):
+            raise ScenarioInvariantError(f"seed: need a non-negative integer, got {self.seed!r}")
+        if not (_integer(self.u_max) and self.u_max == 1):
             raise ScenarioInvariantError(f"players.u_max: avoidance planes need 1, got {self.u_max}")
+        self.seed, self.u_max = int(self.seed), 1
+        self.defenders_start = _int_cells("players.defenders", self.defenders_start)
+        self.attackers_start = _int_cells("players.attackers", self.attackers_start)
         for team, cells in (("defenders", self.defenders_start), ("attackers", self.attackers_start)):
-            cells = [tuple(c) for c in cells]
             for i, c in enumerate(cells):
                 where = f"players.{team}[{i}]: start {c}"
                 if not self.arena.in_grid(c):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -30,7 +29,7 @@ from .extension import (
     check_rows,
     uniform_random_profile,
 )
-from .lattice import ChainProduct, Oracle, _left_sum, _require_oracle_space
+from .lattice import ChainProduct, Oracle, _integer, _left_sum, _real, _require_oracle_space
 from .projection import _kernel
 
 STOCHASTIC_TOL = 1e-9
@@ -60,11 +59,6 @@ class MatrixReport:
 
     def failures(self) -> list[str]:
         return [message for name, message in _CONDITIONS.items() if not getattr(self, name)]
-
-
-def _real(x) -> bool:
-    """Whether x is a real number and not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _strongly_connected(support: np.ndarray) -> bool:
@@ -127,6 +121,7 @@ class WeightMatrix:
         report = validate_weight_matrix(self.entries, self.eta)
         if not report.ok:
             raise ValueError("matrix: " + "; ".join(report.failures()))
+        object.__setattr__(self, "eta", float(self.eta))
 
     def __eq__(self, other):
         return (
@@ -169,7 +164,7 @@ class SolverParams:
 
     def __post_init__(self):
         # Each message starts with the name of the offending field.
-        if isinstance(self.iterations, bool) or not isinstance(self.iterations, numbers.Integral):
+        if not _integer(self.iterations):
             raise ValueError(f"iterations: need an integer, got {self.iterations!r}")
         if self.iterations < 1:
             raise ValueError("iterations: ≥ 1 required")
@@ -179,11 +174,11 @@ class SolverParams:
             raise ValueError(f"schedule: unknown step schedule {self.schedule!r}")
         if not (_real(self.t_hat) and 0.0 < self.t_hat < 1.0):
             raise ValueError("t_hat: rounding threshold must be strictly inside (0,1)")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not (_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed: need a non-negative integer, got {self.seed!r}")
-        # Held as Python floats: a numpy float32 would carry the whole solve into single precision.
-        self.gamma = float(self.gamma)
-        self.t_hat = float(self.t_hat)
+        # Python numbers, which a file can hold; a numpy float32 would make the solve single precision.
+        self.iterations, self.seed = int(self.iterations), int(self.seed)
+        self.gamma, self.t_hat = float(self.gamma), float(self.t_hat)
 
 
 def _step_sizes(params: SolverParams) -> list[float]:

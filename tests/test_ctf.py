@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -861,6 +862,32 @@ class TestArenaValidation:
             Arena(size=6, horizon=5, zone=[(1, 6)], responsibilities=[[(1, 6)]],
                   obstacles=set())
 
+    # A file's loader makes these ints; a record built in code is held to the same rule.
+    NOT_INTEGERS = [7.5, "7", True, None]
+
+    @pytest.mark.parametrize("field", ["size", "horizon"])
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_a_size_or_horizon_that_is_not_an_integer_is_refused_by_name(self, field, bad):
+        fields = dict(size=6, horizon=5, zone=[(1, 5)], responsibilities=[[(1, 5)]], obstacles=set())
+        with pytest.raises(ValueError, match=rf"^{field}: need an integer, got {re.escape(repr(bad))}$"):
+            Arena(**{**fields, field: bad})
+
+    @pytest.mark.parametrize("field", ["defense_zone", "obstacles"])
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_a_cell_coordinate_that_is_not_an_integer_is_refused_by_name(self, field, bad):
+        cells = {"defense_zone": [(1, 5)], "obstacles": set()}
+        cells[field] = [(3, 5), (bad, 4)] if field == "defense_zone" else {(bad, 4)}
+        with pytest.raises(ValueError, match=rf"^{field}: cell \({re.escape(repr(bad))}, 4\) has a coordinate that is not an integer$"):
+            Arena(size=6, horizon=5, zone=cells["defense_zone"], responsibilities=[[(1, 5)]],
+                  obstacles=cells["obstacles"])
+
+    def test_numpy_integers_are_held_as_python_ints(self):
+        arena = Arena(size=np.int64(6), horizon=np.int32(5), zone=[(np.int64(1), 5)],
+                      responsibilities=[[(1, np.int8(5))]], obstacles={(np.int16(2), 2)})
+        values = [arena.size, arena.horizon, *arena.zone[0], *arena.responsibilities[0][0], *next(iter(arena.obstacles))]
+        assert values == [6, 5, 1, 5, 1, 5, 2, 2]
+        assert {type(v) for v in values} == {int}
+
 
 class TestParamValidation:
     @pytest.mark.parametrize(
@@ -894,6 +921,28 @@ class TestParamValidation:
         assert math.isfinite(attacker_modes((0, 0), [(0, 0)], attacker)[0])
         with pytest.raises(ValueError, match=r"^delta_th: kappa \* delta_th must be at most 709\.782712893, got 720$"):
             dataclasses.replace(attacker, kappa=0.9, delta_th=800.0)
+
+    NOT_REALS = pytest.mark.parametrize("bad", ["7", True, None, np.True_], ids=repr)
+
+    @pytest.mark.parametrize("field", ["pursuit_gain", "zeta1", "zeta2", "alpha_f_nom", "alpha_a_nom", "beta"])
+    @NOT_REALS
+    def test_a_defender_scalar_that_is_not_a_real_number_is_refused_by_name(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field}: need a real number, got {re.escape(repr(bad))}$"):
+            toy_defender_params(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["eta_avoid_nom", "eta_base_nom", "delta_th", "kappa"])
+    @NOT_REALS
+    def test_an_attacker_field_that_is_not_a_real_number_is_refused_by_name(self, field, bad):
+        fields = dict(eta_avoid_nom=0.7, eta_base_nom=0.3, delta_th=4.0, kappa=0.9)
+        with pytest.raises(ValueError, match=rf"^{field}: need a real number, got {re.escape(repr(bad))}$"):
+            AttackerParams(**{**fields, field: bad})
+
+    def test_numpy_scalars_are_held_as_python_floats(self):
+        defender = toy_defender_params(pursuit_gain=np.int64(20), zeta1=np.float32(200.0), beta=np.float64(0.5))
+        attacker = AttackerParams(eta_avoid_nom=np.float32(0.75), eta_base_nom=0.25, delta_th=np.int64(4), kappa=np.float64(0.9))
+        values = [defender.pursuit_gain, defender.zeta1, defender.beta, attacker.eta_avoid_nom, attacker.delta_th, attacker.kappa]
+        assert values == [20.0, 200.0, 0.5, 0.75, 4.0, 0.9]
+        assert {type(v) for v in values} == {float}
 
     @pytest.mark.parametrize("field", ["eta_avoid_nom", "eta_base_nom", "delta_th", "kappa"])
     def test_non_finite_attacker_field_named(self, field):

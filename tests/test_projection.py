@@ -158,7 +158,7 @@ class TestProjectRow:
     # Signed zeros, the smallest subnormal, both box ends, past them, and ties.
     POOL_ENTRIES = [-0.5, -0.0, 0.0, 5e-324, 0.3, 0.7, 1.0, 1.5]
 
-    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_every_pool_path_of_a_written_out_chain(self, m):
         # The chain goes first, at stride 2; a fixed 1-coordinate chain follows.
         space = ChainProduct([m + 1, 2])
@@ -224,6 +224,24 @@ class TestKernel:
         source = projection._source(ChainProduct(dims))
         assert "_pool" not in source
         assert hashlib.sha256(source.encode()).hexdigest() == digest
+
+    # The sha256 of the generated `_pool3` and `_pool4` source and of the kernel source
+    # of a shape with every chain form: 1 and 2 coordinates inline, 3 and 4 through
+    # `_pool3` and `_pool4`, 6 through `_pool`.  A change to the generator changes them.
+    @pytest.mark.parametrize(
+        "source, digest",
+        [
+            (lambda: projection._pool_source(3), "ddac910160415bdfc5e0c50f4cd7c0c17456f5c3ab9225e94c10e5c72ec835a1"),
+            (lambda: projection._pool_source(4), "f3fabd75cfb931f111031d7bc114b845c775075b20515c57670123f601e23f5a"),
+            (
+                lambda: projection._source(ChainProduct([2, 3, 4, 5, 7])),
+                "f7bd67e8676ddbc16874aef2aa175d0256a2736e2a769bb81a316546a8d2c053",
+            ),
+        ],
+        ids=["pool3", "pool4", "every-chain-form"],
+    )
+    def test_generated_pooling_source_is_pinned(self, source, digest):
+        assert hashlib.sha256(source().encode()).hexdigest() == digest
 
     def test_a_two_and_a_one_coordinate_chain_are_written_out(self):
         assert projection._source(ChainProduct([3, 2])) == (

@@ -195,6 +195,17 @@ class TestStartChecks:
         with pytest.raises(ScenarioInvariantError, match=r"players\.defenders\[0\].*obstacle"):
             dataclasses.replace(s, defenders_start=[(4, 10), (8, 17), (12, 17), (16, 17)])
 
+    @pytest.mark.parametrize("bad", [4.5, "4", True, None], ids=repr)
+    def test_programmatic_starts_seeds_and_speeds_must_be_integers(self, bad):
+        s = load_scenario(GOLDEN)
+        cell = re.escape(f"({bad!r}, 2)")
+        with pytest.raises(ValueError, match=rf"^players\.attackers: cell {cell} has a coordinate that is not an integer$"):
+            dataclasses.replace(s, attackers_start=[(bad, 2)])
+        with pytest.raises(ScenarioInvariantError, match=rf"^seed: need a non-negative integer, got {re.escape(repr(bad))}$"):
+            dataclasses.replace(s, seed=bad)
+        with pytest.raises(ScenarioInvariantError, match=rf"^players\.u_max: avoidance planes need 1, got {re.escape(str(bad))}$"):
+            dataclasses.replace(s, u_max=bad)
+
     def test_programmatic_defender_counts_are_checked(self):
         s = load_scenario(GOLDEN)
         with pytest.raises(ScenarioInvariantError, match="4 sets for 5 defenders"):

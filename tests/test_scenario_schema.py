@@ -8,6 +8,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, assume, given, settings
@@ -291,6 +292,18 @@ class TestWriting:
         write_scenario(out, load_scenario(source))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITTEN[name]
 
+    @pytest.mark.parametrize("name", sorted(WRITTEN))
+    def test_a_record_built_from_numpy_scalars_writes_and_loads_back_equal(self, tmp_path, name):
+        source = tmp_path / "source.cfg"
+        source.write_text(README_PROBLEM if name == "problem" else GOLDEN.read_text())
+        original = load_scenario(source)
+        rebuilt = numpy_scalars(original)
+        out = tmp_path / "written.cfg"
+        write_scenario(out, rebuilt)
+        assert load_scenario(out) == original
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITTEN[name]
+        assert type(rebuilt.seed) is int and type(rebuilt.solver.iterations) is int
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_write_then_load_is_identity_on_generated_games(self, data):
@@ -300,6 +313,20 @@ class TestWriting:
     @given(data=st.data())
     def test_write_then_load_is_identity_on_generated_problems(self, data):
         assert_round_trip(data.draw(problems()))
+
+
+def numpy_scalars(value):
+    """`value` with each Python int and float in it, through records, lists, tuples
+    and sets, made a numpy scalar; arrays, strings and mappings are kept."""
+    if value is None or isinstance(value, (bool, str, dict, np.ndarray)):
+        return value
+    if isinstance(value, int):
+        return np.int64(value)
+    if isinstance(value, float):
+        return np.float64(value)
+    if isinstance(value, (list, tuple, set)):
+        return type(value)(map(numpy_scalars, value))
+    return type(value)(**{f.name: numpy_scalars(getattr(value, f.name)) for f in dataclasses.fields(value)})
 
 
 def assert_round_trip(data: dict):
