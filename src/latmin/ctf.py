@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lattice import ChainProduct, Oracle, _integer, _left_sum, _real
+from .lattice import ChainProduct, Oracle, _integer, _left_sum, _numbers, _real
+from .projection import _function
 from .solvers import distributed_minimize
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -163,18 +164,27 @@ class Arena:
         return 0 <= c[0] < self.size and 0 <= c[1] < self.size
 
 
-def _check_nominal(params, first: str, second: str, what: str) -> None:
-    """Refuse, naming the field, a `float` field that is not a real number (one
-    that is, is stored as a Python float), a NaN or infinite numeric field,
-    and nominal `what` weights `first` and `second` off [0,1] or not summing to 1."""
+def _check_nominal(params, first: str, second: str, what: str, arrays=(), text=()) -> None:
+    """Refuse, naming the field, a field in `text` that is not a string, one in
+    `arrays` that is or holds a string or a boolean or cannot be read as a float
+    array, any other that is not a real number, a NaN or infinite number, and
+    nominal `what` weights `first` and `second` off [0,1] or not summing to 1.
+    A real number is stored as a Python float, an array field as a float array."""
     for field in dataclasses.fields(params):
-        value = getattr(params, field.name)
-        if field.type == "float":
-            if not _real(value):
-                raise ValueError(f"{field.name}: need a real number, got {value!r}")
-            setattr(params, field.name, float(value))
-        if not isinstance(value, str) and not np.all(np.isfinite(value)):
-            raise ValueError(f"{field.name}: not finite: {value}")
+        name, value = field.name, getattr(params, field.name)
+        if name in text:
+            if not isinstance(value, str):
+                raise ValueError(f"{name}: need a string, got {value!r}")
+            continue
+        if name not in arrays and not _real(value):
+            raise ValueError(f"{name}: need a real number, got {value!r}")
+        try:
+            value = np.asarray(_numbers(value), dtype=float) if name in arrays else float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name}: not finite: {value}")
+        setattr(params, name, value)
     a, b = getattr(params, first), getattr(params, second)
     if abs(a + b - 1.0) > 1e-9:
         raise ValueError(f"{first}, {second}: nominal {what} weights must sum to 1, got {a} and {b}")
@@ -214,10 +224,9 @@ class DefenderParams:
     distance: str = "manhattan"
 
     def __post_init__(self):
-        self.cohesion = np.asarray(self.cohesion, dtype=float)
-        self.mobility = np.atleast_1d(np.asarray(self.mobility, dtype=float))
-        self.delta_th = np.atleast_1d(np.asarray(self.delta_th, dtype=float))
-        _check_nominal(self, "alpha_f_nom", "alpha_a_nom", "behavior")
+        arrays, text = ("cohesion", "mobility", "delta_th"), ("distance",)
+        _check_nominal(self, "alpha_f_nom", "alpha_a_nom", "behavior", arrays=arrays, text=text)
+        self.mobility, self.delta_th = np.atleast_1d(self.mobility), np.atleast_1d(self.delta_th)
         for name in ("zeta1", "zeta2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: barrier constants zeta1, zeta2 must be at least 1")
@@ -475,12 +484,10 @@ def _cost_source(k: int, partners: tuple[int, ...], side: int) -> str:
 
 @functools.lru_cache(maxsize=FIELD_TABLES)
 def _cost_maker(k: int, partners: tuple[int, ...], side: int):
-    """`_cost_source`'s `make` for this layout, compiled once per process
-    (at most FIELD_TABLES layouts are kept)."""
-    namespace: dict = {}
+    """`_cost_source`'s `make` for this layout, compiled by `projection._function`
+    once per process (at most FIELD_TABLES layouts are kept)."""
     filename = f"<defender cost: chain {k}, partners {partners}, side {side}>"
-    exec(compile(_cost_source(k, partners, side), filename, "exec"), namespace)
-    return namespace["make"]
+    return _function(_cost_source(k, partners, side), "make", filename)
 
 
 def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:

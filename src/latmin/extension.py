@@ -74,8 +74,8 @@ def check_rows(rows, space: ChainProduct) -> None:
     chain that leaves [0,1] is named so even if it also rises.  Rows go in
     batches of at most `_BATCH_FLOATS` entries.  A batch passes on three
     reductions, its least and largest entry and its largest in-chain rise,
-    any NaN failing all three; only a batch that fails them is searched
-    row by row for its first bad row.
+    any NaN failing all three; only a batch that fails them is scanned
+    row by row and chain by chain, in order.
     """
     rows = np.asarray(rows, dtype=float)
     steps = np.array(space.in_chain_steps, dtype=np.intp)
@@ -89,22 +89,14 @@ def check_rows(rows, space: ChainProduct) -> None:
             and (block[:, steps + 1] - block[:, steps]).max(initial=-np.inf) <= FEASIBILITY_TOL
         ):
             continue
-        # Written as "inside" so that NaN entries count as outside.
-        outside = ~((block >= -FEASIBILITY_TOL) & (block <= 1.0 + FEASIBILITY_TOL))
-        # A rise from the last entry of one chain to the first of the next is fine.
-        # Infinite or huge entries give NaN or overflowing rises, which do not count.
-        with np.errstate(invalid="ignore", over="ignore"):
-            rises = block[:, steps + 1] - block[:, steps] > FEASIBILITY_TOL
-        bad = outside.any(axis=1) | rises.any(axis=1)
-        if bad.any():
-            i = bad.argmax()
-            n = space.n_chains
-            leaves = space.chain_of[outside[i].argmax()] if outside[i].any() else n
-            rising = space.chain_of[steps[rises[i].argmax()]] if rises[i].any() else n
-            chain = min(leaves, rising)
-            p = block[i, space.offsets[chain] : space.offsets[chain + 1]]
-            what = "leaves [0,1]" if leaves <= rising else "is not non-increasing"
-            raise ValueError(f"profile chain {chain} {what}: {p}")
+        for row in block.tolist():
+            for chain, (a, b) in enumerate(itertools.pairwise(space.offsets)):
+                p = row[a:b]
+                # "Not inside" counts NaN as outside; inside entries and their rises are finite.
+                if not all(-FEASIBILITY_TOL <= v <= 1.0 + FEASIBILITY_TOL for v in p):
+                    raise ValueError(f"profile chain {chain} leaves [0,1]: {np.array(p)}")
+                if any(w - v > FEASIBILITY_TOL for v, w in itertools.pairwise(p)):
+                    raise ValueError(f"profile chain {chain} is not non-increasing: {np.array(p)}")
 
 
 def uniform_random_profile(space: ChainProduct, seed) -> Profile:

@@ -39,11 +39,36 @@ def _real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _holds(value, kind) -> bool:
+    """Whether value is a `kind`, or a list, tuple or array that holds one at any depth.
+
+    Each list is walked once: a YAML alias can make a list that holds itself.
+    """
+    pending, seen = [value], set()
+    while pending:
+        value = pending.pop()
+        if isinstance(value, kind):
+            return True
+        if isinstance(value, (list, tuple, np.ndarray)) and id(value) not in seen:
+            seen.add(id(value))
+            pending.extend(value.ravel().tolist() if isinstance(value, np.ndarray) else value)
+    return False
+
+
+def _numbers(value):
+    """value unless it is or holds a string or a boolean, numpy's included:
+    neither "7" nor true is a number."""
+    for kind, name in ((str, "a string"), ((bool, np.bool_), "a boolean")):
+        if _holds(value, kind):
+            raise ValueError(f"expected a number, got {name}")
+    return value
+
+
 @dataclass(frozen=True)
 class ChainProduct:
     """A product of integer chains, given by the size of each chain.
 
-    It fixes the flat profile layout: r = sum(m_i) - N coordinates, chain by chain.
+    It fixes the flat profile layout: r = sum(m_i) - N coordinates, chain i's from offsets[i].
     """
 
     dims: tuple[int, ...]
@@ -86,12 +111,6 @@ class ChainProduct:
     def strides(self) -> tuple[int, ...]:
         """Row-major place values: point x is number sum(x_i * strides_i) of `points()`."""
         return tuple(itertools.accumulate(reversed(self.dims[1:]), operator.mul, initial=1))[::-1]
-
-    @cached_property
-    def chain_spans(self) -> tuple[tuple[int, int, int], ...]:
-        """Each chain's (start, end, stride): its coordinates are flat[start:end], and
-        each of them that rounds up adds the chain's stride to the point's number."""
-        return tuple(zip(self.offsets, self.offsets[1:], self.strides))
 
     @cached_property
     def in_chain_steps(self) -> tuple[int, ...]:

@@ -131,8 +131,8 @@ _pool3, _pool4 = (_function(_pool_source(m), f"_pool{m}", f"<projection _pool{m}
 
 
 def _source(space: ChainProduct) -> str:
-    """The kernel's source for `space`: only the integers of its chain spans
-    are written into it."""
+    """The kernel's source for `space`, into which only integers are written: chain i's
+    span flat[offsets[i]:offsets[i + 1]], and strides[i], added per entry that rounds up."""
     r = space.sort_length
     names = [f"x{k}" for k in range(r)]
     lines = [
@@ -151,7 +151,7 @@ def _source(space: ChainProduct) -> str:
         "    number = 0",
     ]
     row = []
-    for start, end, stride in space.chain_spans:
+    for start, end, stride in zip(space.offsets, space.offsets[1:], space.strides):
         chain = names[start:end]
         args = ", ".join(chain)
         if len(chain) > 4:

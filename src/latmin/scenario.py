@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .ctf import Arena, AttackerParams, DefenderParams, _int_cells
-from .lattice import ChainProduct, Oracle, _integer, _left_sum
+from .lattice import ChainProduct, Oracle, _integer, _left_sum, _numbers
 from .solvers import SolverParams, WeightMatrix
 
 
@@ -51,30 +51,6 @@ def _convert(value, convert, where: str):
         # Cut short in depth and length: a file can nest lists deeper than
         # `repr` can recurse, or make a list that holds itself.
         raise ScenarioSchemaError(f"{where}: cannot read {reprlib.repr(value)}: {exc}") from exc
-
-
-def _holds(value, kind) -> bool:
-    """Whether value is a `kind`, or a list that holds one at any depth.
-
-    Each list is walked once: a YAML alias can make a list that holds itself.
-    """
-    pending, seen = [value], set()
-    while pending:
-        value = pending.pop()
-        if isinstance(value, kind):
-            return True
-        if isinstance(value, list) and id(value) not in seen:
-            seen.add(id(value))
-            pending.extend(value)
-    return False
-
-
-def _numbers(value):
-    """value unless it is or holds a string or a boolean: neither "7" nor true is a number."""
-    for kind, name in ((str, "a string"), (bool, "a boolean")):
-        if _holds(value, kind):
-            raise ValueError(f"expected a number, got {name}")
-    return value
 
 
 def _whole(value) -> int:
@@ -138,10 +114,6 @@ def _each(read):
     return lambda value, where: [
         read(v, f"{where}[{i}]") for i, v in enumerate(_convert(value, _items, where))
     ]
-
-
-def _cell_lists(cells) -> list[list[int]]:
-    return [list(c) for c in cells]
 
 
 @dataclass(frozen=True)
@@ -276,10 +248,11 @@ def _check_network(network: WeightMatrix, n_agents: int, team: str) -> None:
 
 @dataclass(eq=False)
 class Problem:
-    """A standalone minimization instance loaded from file.
+    """A standalone minimization instance, loaded from file or built in code.
 
     Construction checks `dims`, the objectives and the network's size, if
-    any, naming the field.  The solver runs at the problem's seed.
+    any, naming the field, and holds each objective as a file's loader reads
+    it.  The solver runs at the problem's seed.
     """
 
     seed: int
@@ -297,6 +270,7 @@ class Problem:
             raise ScenarioInvariantError(f"dims: {exc}") from exc
         if not self.objectives:
             raise ScenarioInvariantError("objectives: need a non-empty list")
+        self.objectives = [_objective(o, f"objectives[{k}]") for k, o in enumerate(self.objectives)]
         self.oracles()
         if self.network is not None:
             _check_network(self.network, len(self.objectives), "objectives")
@@ -403,14 +377,14 @@ GAME = Table((
     Field("arena", Table((
         Field("size", WHOLE),
         Field("horizon", WHOLE),
-        Field("defense_zone", CELLS, attr="zone", write=_cell_lists),
-        Field("responsibilities", _each(CELLS), write=lambda sets: [_cell_lists(r) for r in sets]),
-        Field("obstacles", CELLS, (), write=lambda cells: _cell_lists(sorted(cells))),
+        Field("defense_zone", CELLS, attr="zone"),
+        Field("responsibilities", _each(CELLS)),
+        Field("obstacles", CELLS, (), write=sorted),
     ), Arena)),
     Field("players", Table((
         Field("u_max", WHOLE, 1),
-        Field("defenders", CELLS, attr="defenders_start", write=_cell_lists),
-        Field("attackers", CELLS, attr="attackers_start", write=_cell_lists),
+        Field("defenders", CELLS, attr="defenders_start"),
+        Field("attackers", CELLS, attr="attackers_start"),
     ))),
     Field("defenders", Table((
         Field("pursuit_gain", FLOAT),
@@ -437,7 +411,7 @@ GAME = Table((
 PROBLEM = Table((
     Field("seed", _leaf(_seed)),
     Field("dims", _leaf(lambda ms: [_whole(m) for m in _items(ms)])),
-    Field("objectives", _each(_objective), write=lambda specs: [dict(s) for s in specs]),
+    Field("objectives", _each(_objective)),
     SOLVER,
     Field("network", NETWORK, None),
 ), Problem)

@@ -944,6 +944,38 @@ class TestParamValidation:
         assert values == [20.0, 200.0, 0.5, 0.75, 4.0, 0.9]
         assert {type(v) for v in values} == {float}
 
+    @pytest.mark.parametrize("bad", [None, 3, ["manhattan"]], ids=repr)
+    def test_a_distance_that_is_not_a_string_is_refused_by_name(self, bad):
+        with pytest.raises(ValueError, match=rf"^distance: need a string, got {re.escape(repr(bad))}$"):
+            toy_defender_params(distance=bad)
+
+    ARRAY_FIELDS = pytest.mark.parametrize("field", ["cohesion", "mobility", "delta_th"])
+
+    @ARRAY_FIELDS
+    @pytest.mark.parametrize("bad, kind", [
+        ("x", "string"),
+        ("0.5", "string"),
+        ([1.0, "0.5"], "string"),
+        (np.array(["1.0"]), "string"),
+        (True, "boolean"),
+        (np.True_, "boolean"),
+        ([[0.0, True], [0.5, 0.0]], "boolean"),
+        (np.array([True, False]), "boolean"),
+    ], ids=repr)
+    def test_an_array_field_of_strings_or_booleans_is_refused_by_name(self, field, bad, kind):
+        with pytest.raises(ValueError, match=rf"^{field}: expected a number, got a {kind}$"):
+            toy_defender_params(**{field: bad})
+
+    @ARRAY_FIELDS
+    @pytest.mark.parametrize("bad", [{}, object(), [[1.0], [1.0, 2.0]], 10**400], ids=["mapping", "object", "ragged", "huge-int"])
+    def test_an_array_field_that_cannot_be_read_is_refused_by_name(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field}: "):
+            toy_defender_params(**{field: bad})
+
+    def test_a_scalar_too_large_for_a_float_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^zeta1: int too large to convert to float$"):
+            toy_defender_params(zeta1=10**400)
+
     @pytest.mark.parametrize("field", ["eta_avoid_nom", "eta_base_nom", "delta_th", "kappa"])
     def test_non_finite_attacker_field_named(self, field):
         fields = dict(eta_avoid_nom=0.7, eta_base_nom=0.3, delta_th=4.0, kappa=0.9)

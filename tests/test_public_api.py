@@ -18,7 +18,7 @@ REMOVED = {
     solvers: ("step_size",),
     ctf: ("defender_cost", "step_tables", "StepTables", "reachable_cells", "decode_actions"),
     ctf.Arena: ("clamp",),
-    ChainProduct: ("in_chain_pairs",),
+    ChainProduct: ("in_chain_pairs", "chain_spans"),
     Profile: ("zeros", "ones", "chain"),
     ExtensionResult: ("points", "order"),
     Oracle: ("reset_calls",),
@@ -136,3 +136,20 @@ def test_readme_lists_the_entry_points_the_program_does_not_call():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (line,) = re.findall(r"^Entry points the program does not call: (.*)$", readme, re.M)
     assert set(re.findall(r"`(\w+)`", line)) == public - referenced
+
+
+def test_generated_code_has_one_compile_site():
+    # Kernels, pools and defender costs are all compiled by projection._function.
+    sites = set()
+
+    def visit(node, module, owner):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "compile"):
+            sites.add((module, owner, node.func.id))
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, module, child.name if named else owner)
+
+    src = Path(latmin.__file__).resolve().parent
+    for path in sorted(src.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert sites == {("projection", "_function", "exec"), ("projection", "_function", "compile")}

@@ -316,10 +316,12 @@ class TestWriting:
 
 
 def numpy_scalars(value):
-    """`value` with each Python int and float in it, through records, lists, tuples
-    and sets, made a numpy scalar; arrays, strings and mappings are kept."""
-    if value is None or isinstance(value, (bool, str, dict, np.ndarray)):
+    """`value` with each Python int and float in it, through records, mappings'
+    values, lists, tuples and sets, made a numpy scalar; arrays and strings are kept."""
+    if value is None or isinstance(value, (bool, str, np.ndarray)):
         return value
+    if isinstance(value, dict):
+        return {key: numpy_scalars(v) for key, v in value.items()}
     if isinstance(value, int):
         return np.int64(value)
     if isinstance(value, float):
