@@ -41,14 +41,6 @@ Cell = tuple[int, int]
 _AXIS_TERMS = {"manhattan": abs, "squared": lambda d: d * d}
 
 
-def cell_distances(metric: str, a, b) -> np.ndarray:
-    """The `metric` distance between cells, |dx| + |dy| ("manhattan") or
-    dx^2 + dy^2 ("squared") cast to float, elementwise over integer arrays
-    whose last axis is (x, y); the other axes broadcast as in `a - b`."""
-    terms = _AXIS_TERMS[metric](np.subtract(a, b))
-    return (terms[..., 0] + terms[..., 1]).astype(float)
-
-
 def _gap(cell: Cell, cells) -> int:
     """Smallest Manhattan distance from cell to any of cells."""
     x, y = cell
@@ -65,6 +57,8 @@ FIELD_KEYS = 4096
 
 class _Field(dict):
     """`fill(key)` by key, computed on first read and kept while there is room."""
+
+    __slots__ = ("fill",)
 
     def __init__(self, fill):
         super().__init__()
@@ -100,6 +94,67 @@ def _mean_distances(metric: str, targets: tuple[Cell, ...]) -> _Field:
 def _walls(zeta1: float, zeta2: float) -> _Field:
     """Barrier wall height at integer offset d from a plane, by d."""
     return _Field(lambda d: zeta1 * math.exp(-zeta2 * d ** 2))
+
+
+def _offsets(pattern: tuple[int, int, int, int], u_max: int) -> list[Cell]:
+    """Landing cell minus own cell, in move order, for a cell whose clamp pattern
+    (left, right, down, up) is how far its clamped moves reach on each side."""
+    left, right, down, up = pattern
+    steps = range(-u_max, u_max + 1)
+    return [(min(max(ux, -left), right), min(max(uy, -down), up)) for ux in steps for uy in steps]
+
+
+# A step's rows depend only on relative geometry.  An integer offset (dx, dy) is keyed
+# as complex(dx, dy): exact below 2**53, and 32 bytes where a tuple of two ints takes 56.
+@functools.lru_cache(maxsize=FIELD_TABLES)
+def _rows(metric: str, weight: float, u_max: int) -> _Field:
+    """weight * distance from a cell to each landing cell of another, by the other's
+    clamp pattern, then by complex(dx, dy), the cell minus the other's.  A distance
+    has one float, so equal rows are one kept tuple.  Pursuit reads weight 1.0."""
+    term = _AXIS_TERMS[metric]
+    values, unique = _Field(lambda d: weight * float(d)), _Field(lambda row: row)
+
+    def by_offset(pattern):
+        offsets = _offsets(pattern, u_max)
+
+        def row(r):
+            dx, dy = int(r.real), int(r.imag)
+            return unique[tuple([values[term(dx - ox) + term(dy - oy)] for ox, oy in offsets])]
+
+        return _Field(row)
+
+    return _Field(by_offset)
+
+
+@functools.lru_cache(maxsize=FIELD_TABLES)
+def _pulls(metric: str, weight: float, u_max: int) -> _Field:
+    """A pair's pull table: row a is `_rows` from defender i's landing cell
+    under its move a to j's landing cells.  By (pattern_i, pattern_j), then by
+    complex(xi - xj, yi - yj); tables share the rows where i lands alike."""
+    rows = _rows(metric, weight, u_max)
+
+    def by_offset(patterns):
+        offsets, row = _offsets(patterns[0], u_max), rows[patterns[1]]
+        return _Field(lambda r: tuple([row[r + complex(ox, oy)] for ox, oy in offsets]))
+
+    return _Field(by_offset)
+
+
+@functools.lru_cache(maxsize=FIELD_TABLES)
+def _barriers(zeta1: float, zeta2: float, u_max: int) -> _Field:
+    """Gaussian walls on a defender's avoidance planes at each landing cell, by
+    (pattern, sorted x planes - x, sorted y planes - y), each axis's walls summed
+    once per distinct offset, in plane order, from kept wall heights."""
+    walls = _walls(zeta1, zeta2)
+
+    def row(key):
+        pattern, x_planes, y_planes = key
+        offsets = _offsets(pattern, u_max)
+        wall_x = {ox: _left_sum(walls[ox - cx] for cx in x_planes) for ox, _ in offsets}
+        wall_y = {oy: _left_sum(walls[oy - cy] for cy in y_planes) for _, oy in offsets}
+        return tuple([float(wall_x[ox] + wall_y[oy]) for ox, oy in offsets])
+
+    return _Field(row)
 
 
 @functools.lru_cache(maxsize=FIELD_TABLES)
@@ -440,27 +495,24 @@ class StepContext:
         return len(self.defenders)
 
     @functools.cached_property
+    def _cells(self) -> list[tuple[Cell, tuple[int, int, int, int], list[Cell]]]:
+        """Per defender, in Python ints: its cell, its clamp pattern (x - least landing x,
+        greatest landing x - x, the same in y: (min(x, u_max), min(size - 1 - x, u_max), ...)
+        on the grid) and its landing cells in move order a = lx * side + ly."""
+        top, steps, out = self.arena.size - 1, range(-self.u_max, self.u_max + 1), []
+        for x, y in self.defenders:
+            x, y = int(x), int(y)
+            xs, ys = ([min(max(v + s, 0), top) for s in steps] for v in (x, y))
+            pattern = (x - xs[0], xs[-1] - x, y - ys[0], ys[-1] - y)
+            out.append(((x, y), pattern, [(cx, cy) for cx in xs for cy in ys]))
+        return out
+
+    @functools.cached_property
     def landing(self) -> np.ndarray:
         """landing[i, lx, ly]: defender i's cell after the move its chain
         levels (lx, ly) encode, clamped to the grid.  Computed on first read."""
         side = 2 * self.u_max + 1
-        cells = np.reshape(self.defenders, (-1, 1, 2)) + _one_step_moves(self.u_max)
-        return np.clip(cells, 0, self.arena.size - 1).reshape(-1, side, side, 2)
-
-
-def _barrier(ctx: StepContext, i: int, cells: list[list[int]]) -> list[float]:
-    """Gaussian walls on defender i's avoidance planes at each landing cell.
-
-    The x planes' walls depend only on a cell's x and the y planes' only on
-    its y, so each is summed once per distinct coordinate, from wall
-    heights kept per pair of barrier constants.
-    """
-    walls = _walls(ctx.params.zeta1, ctx.params.zeta2)
-    x_planes, y_planes = (sorted(planes) for planes in ctx.planes[i])
-    xs, ys = {x for x, _ in cells}, {y for _, y in cells}
-    wall_x = {x: _left_sum(walls[x - cx] for cx in x_planes) for x in xs}
-    wall_y = {y: _left_sum(walls[y - cy] for cy in y_planes) for y in ys}
-    return [float(wall_x[x] + wall_y[y]) for x, y in cells]
+        return np.array([landing for _, _, landing in self._cells]).reshape(-1, side, side, 2)
 
 
 def _cost_source(k: int, partners: tuple[int, ...], side: int) -> str:
@@ -503,12 +555,13 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     applies, which keeps the decision space a full chain product.
 
     Each defender's own terms are evaluated once per own move.  Its zone
-    pull and its walls are read from tables kept per responsibility set
-    and per pair of barrier constants; the distances to predicted attackers
-    and between the landing cells of each pair whose pull an oracle reads
-    come from integer coordinate arrays, once per step.  So the oracles
-    capture the context as it is now: changing `ctx` afterwards does not
-    change them.
+    pull is read from a table kept per responsibility set; its pursuit
+    distances (`_rows` at weight 1.0), its walls (`_barriers`) and each pull
+    table its oracle reads (`_pulls`, for a nonzero off-diagonal cohesion
+    weight) are kept per process by clamp pattern and relative offset, so a
+    step computes only head and mobility per own move.  Kept rows are
+    tuples, so the oracles capture the context as it is now: changing `ctx`
+    afterwards does not change them.
 
     Pricing a point is straight-line table lookups: each defender's cost
     is a function generated from its layout (its chain, its partners in
@@ -516,39 +569,41 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     by `_cost_maker` and bound here to this step's head, barrier, mobility
     and pull tables.  It sums in the order above, one statement per pull.
     """
-    metric, weights = ctx.params.distance, ctx.params.cohesion
-    n, side, moves = ctx.n_defenders, 2 * ctx.u_max + 1, _one_step_moves(ctx.u_max)
-    # cells[i, a]: defender i's landing cell under its move a.
-    cells = ctx.landing.reshape(n, side * side, 2)
-    landing = cells.tolist()
+    metric, weights, u_max = ctx.params.distance, ctx.params.cohesion, ctx.u_max
+    n, side, cells, moves = ctx.n_defenders, 2 * u_max + 1, ctx._cells, _one_step_moves(u_max)
     space = _joint_space(2 * n, side)
     # The pairs (i, j) with j's pull in defender i's cost, i then j increasing.
     own, partner = np.nonzero((weights[:n, :n] != 0.0) & ~np.eye(n, dtype=bool))
     # Each pair's pull[a][b], when i moves by a and j by b.
-    pulls = (weights[own, partner, None, None] * cell_distances(
-        metric, cells[own, :, None], cells[partner, None, :]
-    )).tolist()
     partners, tables = [[] for _ in range(n)], [[] for _ in range(n)]
-    for i, j, pull in zip(own.tolist(), partner.tolist(), pulls):
+    for i, j, w in zip(own.tolist(), partner.tolist(), weights[own, partner].tolist()):
+        ((xi, yi), pattern_i, _), ((xj, yj), pattern_j, _) = cells[i], cells[j]
         partners[i].append(j)
-        tables[i].append(pull)
+        tables[i].append(_pulls(metric, w, u_max)[pattern_i, pattern_j][complex(xi - xj, yi - yj)])
+    distances, barriers = _rows(metric, 1.0, u_max), _barriers(ctx.params.zeta1, ctx.params.zeta2, u_max)
 
     def head_terms(i):
         """Zone pull and pursuit at each landing cell, weighted by defender i's alphas."""
+        (x, y), pattern, landing = cells[i]
         alpha_a, alpha_f = ctx.alphas[i]
         mean = _mean_distances(metric, tuple(ctx.arena.responsibilities[i]))
-        pursuit = [0.0] * len(landing[i])
+        pursuit = [0.0] * len(landing)
         for g, w in enumerate(ctx.pursuit[i].tolist()):
             if w != 0.0:
-                dist = cell_distances(metric, cells[i], ctx.predicted[g]).tolist()
-                pursuit = [p + w * d for p, d in zip(pursuit, dist)]
-        return [alpha_f * mean[x, y] + alpha_a * p for (x, y), p in zip(landing[i], pursuit)]
+                gx, gy = ctx.predicted[g]
+                pursuit = [p + w * d for p, d in zip(pursuit, distances[pattern][complex(gx - x, gy - y)])]
+        return [alpha_f * mean[c] + alpha_a * p for c, p in zip(landing, pursuit)]
+
+    def barrier(i):
+        (x, y), pattern, _ = cells[i]
+        x_planes, y_planes = ctx.planes[i]
+        return barriers[pattern, tuple(sorted(cx - x for cx in x_planes)), tuple(sorted(cy - y for cy in y_planes))]
 
     def oracle(i):
         weight = float(ctx.params.mobility[i])
         mobility = [weight * (ux * ux + uy * uy) for ux, uy in moves]
         make = _cost_maker(2 * i, tuple(partners[i]), side)
-        return Oracle(make(head_terms(i), _barrier(ctx, i, landing[i]), mobility, *tables[i]), space)
+        return Oracle(make(head_terms(i), barrier(i), mobility, *tables[i]), space)
 
     return [oracle(i) for i in range(n)], space
 
@@ -658,7 +713,7 @@ def run_game(scenario: "Scenario") -> GameResult:
     aparams = scenario.attacker_params
     defenders, attackers, captured, streams = game_start(scenario)
     defender_rngs, attacker_rngs, solver_seed_stream = streams
-    n_a = len(attackers)
+    n_a, side = len(attackers), 2 * scenario.u_max + 1
     zone = set(arena.zone)
 
     steps: list[StepRecord] = []
@@ -689,7 +744,7 @@ def run_game(scenario: "Scenario") -> GameResult:
         # Only the points: the trace, which holds the step's memos until read, is dropped here.
         points = distributed_minimize(oracles, space, scenario.network, params)[0]
         # Each defender applies its own slice of its own answer.
-        defenders = [tuple(ctx.landing[i, p[2 * i], p[2 * i + 1]].tolist()) for i, p in enumerate(points)]
+        defenders = [ctx._cells[i][2][p[2 * i] * side + p[2 * i + 1]] for i, p in enumerate(points)]
 
         # Safety audit: violations become events, silence means all clear.
         seen: dict[Cell, int] = {}

@@ -56,9 +56,9 @@ def _holds(value, kind) -> bool:
 
 
 def _numbers(value):
-    """value unless it is or holds a string or a boolean, numpy's included:
-    neither "7" nor true is a number."""
-    for kind, name in ((str, "a string"), ((bool, np.bool_), "a boolean")):
+    """value unless it is or holds a string, a boolean (numpy's included) or
+    None: neither "7" nor true nor null is a number."""
+    for kind, name in ((str, "a string"), ((bool, np.bool_), "a boolean"), (type(None), "null")):
         if _holds(value, kind):
             raise ValueError(f"expected a number, got {name}")
     return value

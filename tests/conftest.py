@@ -4,8 +4,10 @@ from latmin import ctf
 from latmin.projection import _kernel
 
 # The game's per-process tables: distances to fixed cells, wall heights, joint
-# lattices and the compiled defender costs.
-FIELD_CACHES = (ctf._gaps, ctf._mean_distances, ctf._walls, ctf._joint_space, ctf._cost_maker)
+# lattices, the compiled defender costs, and the pull, pursuit and barrier rows
+# kept by relative geometry.
+FIELD_CACHES = (ctf._gaps, ctf._mean_distances, ctf._walls, ctf._joint_space, ctf._cost_maker,
+                ctf._rows, ctf._pulls, ctf._barriers)
 
 
 @pytest.fixture

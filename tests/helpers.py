@@ -42,6 +42,15 @@ DISTANCES = {
 }
 
 
+def cell_distances(metric: str, a, b) -> np.ndarray:
+    """The `metric` distance between cells, |dx| + |dy| ("manhattan") or
+    dx^2 + dy^2 ("squared") cast to float, elementwise over integer arrays
+    whose last axis is (x, y); the other axes broadcast as in `a - b`.  The
+    broadcast reference that the game's kept rows are checked against."""
+    terms = {"manhattan": np.abs, "squared": np.square}[metric](np.subtract(a, b))
+    return (terms[..., 0] + terms[..., 1]).astype(float)
+
+
 def left_sum(values) -> float:
     """Floats added one at a time from 0.0, left to right: `sum()` before Python 3.12."""
     total = 0.0

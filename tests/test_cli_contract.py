@@ -143,6 +143,19 @@ CASES = [
     Case("simulate-attacker-delta-th-overflow", "simulate given.cfg --out out",
          fig3_with(b"delta_th: 4.0\n", b"delta_th: 5000.0\n"), 2, "",
          "error: attackers.delta_th: kappa * delta_th must be at most 709.782712893, got 4500"),
+    # A null is not a number: it is refused by name, never read as NaN.
+    Case("check-defender-mobility-null", "check given.cfg",
+         fig3_with(b"mobility: [1.0, 1.0, 1.0, 1.0]\n", b"mobility: null\n"), 2, "",
+         "error: defenders.mobility: cannot read None: expected a number, got null"),
+    Case("check-defender-mobility-null-entry", "check given.cfg",
+         fig3_with(b"mobility: [1.0, 1.0, 1.0, 1.0]\n", b"mobility: [1.0, null, 1.0, 1.0]\n"), 2, "",
+         "error: defenders.mobility: cannot read [1.0, None, 1.0, 1.0]: expected a number, got null"),
+    Case("check-defender-delta-th-null", "check given.cfg", fig3_with(b"delta_th: 20\n", b"delta_th: null\n"), 2, "",
+         "error: defenders.delta_th: cannot read None: expected a number, got null"),
+    Case("simulate-network-matrix-null-entry", "simulate given.cfg --out out",
+         fig3_with(b"- [0.7, 0.3, 0.0, 0.0]\n", b"- [0.7, null, 0.0, 0.0]\n"), 2, "",
+         "error: network.matrix: cannot read [[0.7, None, 0.0, 0.0], [0.3, 0.6, 0.1, 0.0], [0.0, 0.1, 0.6, 0.3], "
+         "[0.0, 0.0, 0.3, 0.7]]: expected a number, got null"),
 ]
 
 

@@ -36,6 +36,8 @@ from latmin.solvers import SolverParams, WeightMatrix, distributed_minimize
 from helpers import (
     DISTANCES,
     as_bytes,
+    cell_distances,
+    left_sum,
     line_matrix,
     reference_attacker_modes,
     reference_attacker_policy,
@@ -502,12 +504,12 @@ CELL_SETS = st.lists(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), min_size
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.sampled_from(sorted(DISTANCES)), CELL_SETS, CELL_SETS, st.integers(2, 7))
 def test_cell_distances_equal_the_scalar_distances(metric, a, b, size):
-    """The array helper gives `DISTANCES[metric]` byte for byte between every
-    pair of cells, raw (some off the grid) and clamped to the grid."""
+    """The broadcast reference gives `DISTANCES[metric]` byte for byte between
+    every pair of cells, raw (some off the grid) and clamped to the grid."""
     d = DISTANCES[metric]
     clamped_a, clamped_b = ([reference_clamp(c, size) for c in cells] for cells in (a, b))
     for cells_a, cells_b in ((a, b), (clamped_a, clamped_b)):
-        table = ctf.cell_distances(metric, np.array(cells_a)[:, None], np.array(cells_b)[None])
+        table = cell_distances(metric, np.array(cells_a)[:, None], np.array(cells_b)[None])
         assert table.dtype == np.float64
         assert [[as_bytes(v) for v in row] for row in table.tolist()] == [
             [as_bytes(d(p, q)) for q in cells_b] for p in cells_a
@@ -544,7 +546,7 @@ def test_field_tables_equal_what_they_keep(arena, metric, z1, z2):
         gaps = ctf._gaps(tuple(targets))
         assert [gaps[c] for c in grid] == [ctf._gap(c, targets) for c in grid]
         means = ctf._mean_distances(metric, tuple(targets))
-        rows = ctf.cell_distances(metric, np.array(grid)[:, None], np.array(targets)[None])
+        rows = cell_distances(metric, np.array(grid)[:, None], np.array(targets)[None])
         assert [as_bytes(means[c]) for c in grid] == list(map(as_bytes, (rows.sum(axis=1) / len(targets)).tolist()))
     walls = ctf._walls(z1, z2)
     for d in range(-8, 9):
@@ -552,18 +554,24 @@ def test_field_tables_equal_what_they_keep(arena, metric, z1, z2):
 
 
 def test_equal_targets_share_one_table_and_changed_ones_get_their_own(fresh_fields):
-    gaps, means, walls, spaces, makers = fresh_fields
+    gaps, means, walls, spaces, makers, rows, pulls, barriers = fresh_fields
     zone = [(1, 5), (2, 5)]
     assert [threat_distance([(0, 0)], [True], cells) for cells in (zone, list(zone), zone + [(0, 1)])] == [6, 6, 1]
     assert gaps.cache_info()[:2] == (1, 2)
-    # Each build reads one mean table per defender and one wall table per defender;
-    # every toy arena and parameter record is a new object with equal content.
+    # Each build reads one mean table per defender, one pull table per pair (both
+    # weigh 0.1), the distance rows (weight 1.0) and one barrier table; every toy
+    # arena and parameter record is a new object with equal content.
     for params in (toy_defender_params(), toy_defender_params(), toy_defender_params(zeta1=300.0)):
         build_step_problem(toy_context(
             defenders=[(2, 2), (4, 4)], planes=[({3}, set()), (set(), {3})], params=params, arena=toy_arena()
         ))
     assert means.cache_info()[:2] == (4, 2)
-    assert walls.cache_info()[:2] == (4, 2)
+    assert pulls.cache_info()[:2] == (5, 1)
+    # The new pull table reads the rows of its weight once, when it is made.
+    assert rows.cache_info()[:2] == (2, 2)
+    assert barriers.cache_info()[:2] == (1, 2)
+    # Wall heights are read only by a new barrier table, once per pair of barrier constants.
+    assert walls.cache_info()[:2] == (0, 2)
     assert spaces.cache_info()[:2] == (2, 1)
     assert makers.cache_info()[:2] == (4, 2)
 
@@ -585,13 +593,98 @@ def test_each_field_cache_stops_at_its_bound(fresh_fields):
         ctf._walls(1.0 + k, 1.0)
         ctf._joint_space(k + 1, 3)
         ctf._cost_maker(0, (k + 1,), 3)
-    assert [cache.cache_info()[2:] for cache in fresh_fields] == [(bound, bound)] * 5
+        ctf._rows("squared", 1.0 + k, 1)
+        ctf._pulls("manhattan", 1.0 + k, 1)
+        ctf._barriers(1.0 + k, 1.0, 1)
+    assert [cache.cache_info()[2:] for cache in fresh_fields] == [(bound, bound)] * 8
     # A table keeps FIELD_KEYS values and computes the rest on every read.
     table = ctf._gaps(((0, 0),))
     cells = [(x, 0) for x in range(ctf.FIELD_KEYS + 10)]
     assert [table[c] for c in cells] == list(range(ctf.FIELD_KEYS + 10))
     assert [table[c] for c in cells[::-1]] == list(range(ctf.FIELD_KEYS + 10))[::-1]
     assert len(table) == ctf.FIELD_KEYS
+
+
+@st.composite
+def kept_row_cases(draw):
+    """Two cells, a target and avoidance planes on a 2-8 grid, the cells drawn
+    from the border half the time, so that every clamp pattern comes up."""
+    size = draw(st.integers(2, 8))
+    grid = [(x, y) for x in range(size) for y in range(size)]
+    border = [c for c in grid if {0, size - 1} & set(c)]
+    cells = st.one_of(st.sampled_from(border), st.sampled_from(grid))
+    a, b, target = draw(cells), draw(cells), draw(st.sampled_from(grid))
+    offsets = st.sets(st.integers(-3, 3), max_size=3)
+    planes = ({a[0] + d for d in draw(offsets)}, {a[1] + d for d in draw(offsets)})
+    return size, a, b, target, planes
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(kept_row_cases(), st.sampled_from(sorted(DISTANCES)), st.sampled_from([1, 2]),
+       st.floats(0.001, 2.0), st.floats(1.0, 300.0), st.floats(1.0, 10.0))
+def test_kept_rows_equal_the_broadcast_formula(case, metric, u_max, weight, z1, z2):
+    """Each kept pull table, distance row (what pursuit reads) and barrier row
+    is, byte for byte, the broadcast of `cell_distances` or the wall sum over
+    the clamped landing cells.  The tables are kept across examples, so two
+    geometries that shared a key would show as a mismatch."""
+    size, a, b, target, planes = case
+    arena = Arena(size=size, horizon=1, zone=[(0, 0)], responsibilities=[[(0, 0)]], obstacles=set())
+    ctx = dataclasses.replace(toy_context(defenders=[a, b], arena=arena), u_max=u_max)
+    (_, pattern_a, _), (_, pattern_b, _) = ctx._cells
+    moves = range(-u_max, u_max + 1)
+    land_a, land_b = ([reference_clamp((x + ux, y + uy), size) for ux in moves for uy in moves] for x, y in (a, b))
+
+    pull = ctf._pulls(metric, weight, u_max)[pattern_a, pattern_b][complex(a[0] - b[0], a[1] - b[1])]
+    expected = weight * cell_distances(metric, np.array(land_a)[:, None], np.array(land_b)[None])
+    assert [list(map(as_bytes, row)) for row in pull] == [list(map(as_bytes, row)) for row in expected.tolist()]
+
+    distances = ctf._rows(metric, 1.0, u_max)[pattern_a][complex(target[0] - a[0], target[1] - a[1])]
+    expected = cell_distances(metric, np.array(land_a), target)
+    assert list(map(as_bytes, distances)) == list(map(as_bytes, expected.tolist()))
+
+    x_planes, y_planes = (sorted(p) for p in planes)
+    key = (pattern_a, tuple(c - a[0] for c in x_planes), tuple(c - a[1] for c in y_planes))
+    walls = [left_sum(z1 * math.exp(-z2 * (x - c) ** 2) for c in x_planes)
+             + left_sum(z1 * math.exp(-z2 * (y - c) ** 2) for c in y_planes) for x, y in land_a]
+    assert list(map(as_bytes, ctf._barriers(z1, z2, u_max)[key])) == list(map(as_bytes, walls))
+
+
+@pytest.mark.parametrize("metric", sorted(DISTANCES))
+def test_oracles_on_the_grid_border_equal_the_reference_cost(metric):
+    """Defenders on a corner and two edges, with planes and pursuit, so that
+    every kept row is read at a clamp pattern: every oracle equals
+    `reference_defender_cost` at every point."""
+    arena = Arena(size=6, horizon=8, zone=[(1, 5), (2, 5), (3, 5)],
+                  responsibilities=[[(1, 5)], [(2, 5)], [(3, 5)]], obstacles={(1, 1)})
+    ctx = toy_context(
+        defenders=[(0, 0), (5, 2), (2, 5)],
+        predicted=[(0, 1), (5, 5)],
+        alphas=[(0.3, 0.7), (0.6, 0.4), (0.1, 0.9)],
+        pursuit=np.array([[20.0, 0.0], [0.0, 20.0], [5.0, 7.0]]),
+        planes=[({1}, {1}), (set(), {3}), ({1, 3}, {4})],
+        params=toy_defender_params(
+            cohesion=np.array([[0.0, 0.5, 0.1], [0.5, 0.0, 0.01], [0.2, 0.3, 0.0]]),
+            mobility=[1.0, 2.0, 0.5], delta_th=[5.0] * 3, distance=metric,
+        ),
+        arena=arena,
+    )
+    assert_oracles_equal_defender_cost(ctx, ChainProduct([3] * 6).points())
+
+
+def test_the_kept_rows_stay_few_after_a_fig3_game(fresh_fields):
+    """Rows are kept by relative geometry, so the first fig3 game at seed 7
+    (480 pull-table, 160 pursuit and 160 barrier reads) keeps 191 pull
+    tables, 84 distance rows, 564 rows in all and 11 barrier rows.  Keyed
+    by absolute cells, the first three kinds would keep 435, 147 and 117."""
+    scenario = load_scenario(GOLDEN)
+    run_game(scenario)
+    dp, u_max = scenario.defender_params, scenario.u_max
+    weights = sorted({float(w) for w in dp.cohesion.ravel() if w})
+    tables = sum(len(f) for w in weights for f in ctf._pulls(dp.distance, w, u_max).values())
+    rows = sum(len(f) for w in [*weights, 1.0] for f in ctf._rows(dp.distance, w, u_max).values())
+    distances = sum(len(f) for f in ctf._rows(dp.distance, 1.0, u_max).values())
+    barriers = len(ctf._barriers(dp.zeta1, dp.zeta2, u_max))
+    assert tables <= 240 and distances <= 105 and rows <= 700 and barriers <= 15, (tables, distances, rows, barriers)
 
 
 def test_import_and_load_fill_no_field_table():
@@ -602,13 +695,14 @@ def test_import_and_load_fill_no_field_table():
         "from latmin import ctf\n"
         "from latmin.scenario import bundled_scenario_path, load_scenario\n"
         "load_scenario(bundled_scenario_path('paper_fig3.cfg'))\n"
-        "caches = (ctf._gaps, ctf._mean_distances, ctf._walls, ctf._joint_space, ctf._cost_maker)\n"
+        "caches = (ctf._gaps, ctf._mean_distances, ctf._walls, ctf._joint_space, ctf._cost_maker,\n"
+        "          ctf._rows, ctf._pulls, ctf._barriers)\n"
         "print([f.cache_info().currsize for f in caches])\n"
     )
     # The rest of the environment is passed on, PYTHONDONTWRITEBYTECODE included.
     env = {**os.environ, "PYTHONPATH": str(Path(latmin.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "[0, 0, 0, 0, 0]\n", "")
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[0, 0, 0, 0, 0, 0, 0, 0]\n", "")
 
 
 def test_an_unknown_distance_is_rejected_naming_both_metrics():
@@ -967,6 +1061,12 @@ class TestParamValidation:
             toy_defender_params(**{field: bad})
 
     @ARRAY_FIELDS
+    @pytest.mark.parametrize("bad", [None, [1.0, None], [[0.0, None], [0.5, 0.0]]], ids=repr)
+    def test_an_array_field_holding_none_is_refused_by_name_not_read_as_nan(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field}: expected a number, got null$"):
+            toy_defender_params(**{field: bad})
+
+    @ARRAY_FIELDS
     @pytest.mark.parametrize("bad", [{}, object(), [[1.0], [1.0, 2.0]], 10**400], ids=["mapping", "object", "ragged", "huge-int"])
     def test_an_array_field_that_cannot_be_read_is_refused_by_name(self, field, bad):
         with pytest.raises(ValueError, match=rf"^{field}: "):
@@ -1238,7 +1338,7 @@ class TestStepOracles:
         # fig3's cohesion matrix has no zero off the diagonal.
         assert layouts == [(2 * i, tuple(j for j in range(4) if j != i)) for i in range(4)]
         assert [f.fn.__code__ for f in first] == [f.fn.__code__ for f in again]
-        assert fresh_fields[-1].cache_info()[:2] == (4, 4)
+        assert ctf._cost_maker.cache_info()[:2] == (4, 4)
 
     def test_the_cost_code_names_its_layout(self):
         oracles, _ = build_step_problem(swarm8_context())

@@ -16,7 +16,7 @@ REMOVED = {
     extension: ("profile_from_point", "check_row", "rounding_rule", "point_of_number"),
     projection: ("project_row", "_project"),
     solvers: ("step_size",),
-    ctf: ("defender_cost", "step_tables", "StepTables", "reachable_cells", "decode_actions"),
+    ctf: ("defender_cost", "step_tables", "StepTables", "reachable_cells", "decode_actions", "cell_distances"),
     ctf.Arena: ("clamp",),
     ChainProduct: ("in_chain_pairs", "chain_spans"),
     Profile: ("zeros", "ones", "chain"),
