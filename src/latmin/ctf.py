@@ -90,18 +90,16 @@ def _mean_distances(metric: str, targets: tuple[Cell, ...]) -> _Field:
     return _Field(mean)
 
 
-@functools.lru_cache(maxsize=FIELD_TABLES)
-def _walls(zeta1: float, zeta2: float) -> _Field:
-    """Barrier wall height at integer offset d from a plane, by d."""
-    return _Field(lambda d: zeta1 * math.exp(-zeta2 * d ** 2))
-
-
 def _offsets(pattern: tuple[int, int, int, int], u_max: int) -> list[Cell]:
-    """Landing cell minus own cell, in move order, for a cell whose clamp pattern
-    (left, right, down, up) is how far its clamped moves reach on each side."""
+    """Landing cell minus own cell for each one-step move, ux outer, so chain levels
+    (lx, ly) are move lx * side + ly, for a cell whose clamp pattern (left, right,
+    down, up) is how far its moves reach on each side; pattern (u_max,) * 4 gives
+    the moves themselves.  The game's one move list and one clamp."""
     left, right, down, up = pattern
     steps = range(-u_max, u_max + 1)
-    return [(min(max(ux, -left), right), min(max(uy, -down), up)) for ux in steps for uy in steps]
+    xs = [min(max(s, -left), right) for s in steps]
+    ys = [min(max(s, -down), up) for s in steps]
+    return [(ox, oy) for ox in xs for oy in ys]
 
 
 # A step's rows depend only on relative geometry.  An integer offset (dx, dy) is keyed
@@ -142,16 +140,18 @@ def _pulls(metric: str, weight: float, u_max: int) -> _Field:
 
 @functools.lru_cache(maxsize=FIELD_TABLES)
 def _barriers(zeta1: float, zeta2: float, u_max: int) -> _Field:
-    """Gaussian walls on a defender's avoidance planes at each landing cell, by
-    (pattern, sorted x planes - x, sorted y planes - y), each axis's walls summed
-    once per distinct offset, in plane order, from kept wall heights."""
-    walls = _walls(zeta1, zeta2)
+    """Gaussian walls zeta1 * exp(-zeta2 * d**2) on a defender's avoidance planes
+    at each landing cell, by (pattern, sorted x planes - x, sorted y planes - y),
+    each axis's walls summed once per distinct offset, in plane order."""
+
+    def walls(offsets, planes):
+        return {o: _left_sum(zeta1 * math.exp(-zeta2 * (o - c) ** 2) for c in planes) for o in set(offsets)}
 
     def row(key):
         pattern, x_planes, y_planes = key
         offsets = _offsets(pattern, u_max)
-        wall_x = {ox: _left_sum(walls[ox - cx] for cx in x_planes) for ox, _ in offsets}
-        wall_y = {oy: _left_sum(walls[oy - cy] for cy in y_planes) for _, oy in offsets}
+        xs, ys = zip(*offsets)
+        wall_x, wall_y = walls(xs, x_planes), walls(ys, y_planes)
         return tuple([float(wall_x[ox] + wall_y[oy]) for ox, oy in offsets])
 
     return _Field(row)
@@ -316,14 +316,6 @@ class AttackerParams:
         _check_switch_exponent(self, "kappa")
 
 
-def _one_step_moves(u_max: int) -> list[Cell]:
-    """Every one-step move (ux, uy), ux in the outer loop: chain levels
-    (lx, ly) encode move lx * side + ly, and a cell's landing cells come
-    out in (x, y) order."""
-    steps = range(-u_max, u_max + 1)
-    return [(ux, uy) for ux in steps for uy in steps]
-
-
 def avoidance_planes(
     i: int,
     defenders: list[Cell],
@@ -355,6 +347,15 @@ def avoidance_planes(
     return x_planes, y_planes
 
 
+def _switch(nominal: float, other: float, exponent: float) -> float:
+    """The boosted weight b / (b + other), b = nominal * exp(exponent), of a switch
+    whose nominal weights are `nominal` and `other`.  When b + other is 0 (other is
+    0, so nominal is 1, and exp underflows) it is 1.0, the limit."""
+    boosted = nominal * math.exp(exponent)
+    total = boosted + other
+    return boosted / total if total else 1.0
+
+
 def adaptive_alpha(
     delta: float,
     delta_th: float,
@@ -373,8 +374,7 @@ def adaptive_alpha(
         raise ValueError("threat distance cannot be negative")
     if math.isinf(delta):
         return 0.0, 1.0
-    boosted = alpha_a_nom * math.exp(beta * (delta_th - delta))
-    alpha_a = boosted / (boosted + alpha_f_nom)
+    alpha_a = _switch(alpha_a_nom, alpha_f_nom, beta * (delta_th - delta))
     return alpha_a, 1.0 - alpha_a
 
 
@@ -426,7 +426,7 @@ def predict_attackers(
 
     # One-step cells come in sorted order, so the first nearest one is the
     # smallest (x, y) among the ties.
-    moves = _one_step_moves(u_max)
+    moves = _offsets((u_max,) * 4, u_max)
     return [
         min(((x + ux, y + uy) for ux, uy in moves), key=gap) if live else (x, y)
         for (x, y), live in zip(attackers, active)
@@ -440,8 +440,7 @@ def attacker_modes(
 ) -> tuple[float, float]:
     """(eta_avoid, eta_base) mode probabilities at the current separation."""
     gap = float(_gap(pos, defenders))
-    boosted = params.eta_avoid_nom * math.exp(params.kappa * (params.delta_th - gap))
-    eta_avoid = boosted / (params.eta_base_nom + boosted)
+    eta_avoid = _switch(params.eta_avoid_nom, params.eta_base_nom, params.kappa * (params.delta_th - gap))
     return eta_avoid, 1.0 - eta_avoid
 
 
@@ -464,7 +463,7 @@ def attacker_policy(
     eta_avoid, _ = attacker_modes(pos, defenders, params)
     avoid_mode = rng.uniform() < eta_avoid
     candidates = [
-        c for c in ((pos[0] + ux, pos[1] + uy) for ux, uy in _one_step_moves(u_max))
+        c for c in ((pos[0] + ux, pos[1] + uy) for ux, uy in _offsets((u_max,) * 4, u_max))
         if arena.in_grid(c) and c not in arena.obstacles
     ]
     if avoid_mode:
@@ -495,24 +494,18 @@ class StepContext:
         return len(self.defenders)
 
     @functools.cached_property
-    def _cells(self) -> list[tuple[Cell, tuple[int, int, int, int], list[Cell]]]:
-        """Per defender, in Python ints: its cell, its clamp pattern (x - least landing x,
-        greatest landing x - x, the same in y: (min(x, u_max), min(size - 1 - x, u_max), ...)
-        on the grid) and its landing cells in move order a = lx * side + ly."""
-        top, steps, out = self.arena.size - 1, range(-self.u_max, self.u_max + 1), []
-        for x, y in self.defenders:
-            x, y = int(x), int(y)
-            xs, ys = ([min(max(v + s, 0), top) for s in steps] for v in (x, y))
-            pattern = (x - xs[0], xs[-1] - x, y - ys[0], ys[-1] - y)
-            out.append(((x, y), pattern, [(cx, cy) for cx in xs for cy in ys]))
-        return out
+    def _cells(self) -> list[tuple[Cell, tuple[int, int, int, int]]]:
+        """Per defender, in Python ints: its cell and its clamp pattern
+        (min(x, u_max), min(size - 1 - x, u_max), the same in y)."""
+        top, u = self.arena.size - 1, self.u_max
+        return [((x, y), (min(x, u), min(top - x, u), min(y, u), min(top - y, u)))
+                for x, y in (map(int, c) for c in self.defenders)]
 
     @functools.cached_property
-    def landing(self) -> np.ndarray:
-        """landing[i, lx, ly]: defender i's cell after the move its chain
-        levels (lx, ly) encode, clamped to the grid.  Computed on first read."""
-        side = 2 * self.u_max + 1
-        return np.array([landing for _, _, landing in self._cells]).reshape(-1, side, side, 2)
+    def landing(self) -> list[list[Cell]]:
+        """landing[i][a]: defender i's cell after move a = lx * side + ly, which
+        its chain levels (lx, ly) encode, clamped to the grid.  Computed on first read."""
+        return [[(x + ox, y + oy) for ox, oy in _offsets(pattern, self.u_max)] for (x, y), pattern in self._cells]
 
 
 def _cost_source(k: int, partners: tuple[int, ...], side: int) -> str:
@@ -548,7 +541,7 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     One chain of size side = 2*u_max + 1 per decision coordinate, in the
     order (ux_0, uy_0, ux_1, uy_1, ...); index u + u_max encodes move u, so
     defender i's move index is a = point[2i] * side + point[2i+1].  Its
-    cost at landing cell z_i = ctx.landing[i, point[2i], point[2i+1]] is
+    cost at landing cell z_i = ctx.landing[i][point[2i] * side + point[2i+1]] is
     ((head + cohesion) + barrier) + mobility, with the pulls of its
     cohesion partners added in increasing j.  Moves that would leave the
     grid are priced at the clamped landing cell, the cell `run_game`
@@ -570,21 +563,21 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     and pull tables.  It sums in the order above, one statement per pull.
     """
     metric, weights, u_max = ctx.params.distance, ctx.params.cohesion, ctx.u_max
-    n, side, cells, moves = ctx.n_defenders, 2 * u_max + 1, ctx._cells, _one_step_moves(u_max)
+    n, side, cells, moves = ctx.n_defenders, 2 * u_max + 1, ctx._cells, _offsets((u_max,) * 4, u_max)
     space = _joint_space(2 * n, side)
     # The pairs (i, j) with j's pull in defender i's cost, i then j increasing.
     own, partner = np.nonzero((weights[:n, :n] != 0.0) & ~np.eye(n, dtype=bool))
     # Each pair's pull[a][b], when i moves by a and j by b.
     partners, tables = [[] for _ in range(n)], [[] for _ in range(n)]
     for i, j, w in zip(own.tolist(), partner.tolist(), weights[own, partner].tolist()):
-        ((xi, yi), pattern_i, _), ((xj, yj), pattern_j, _) = cells[i], cells[j]
+        ((xi, yi), pattern_i), ((xj, yj), pattern_j) = cells[i], cells[j]
         partners[i].append(j)
         tables[i].append(_pulls(metric, w, u_max)[pattern_i, pattern_j][complex(xi - xj, yi - yj)])
     distances, barriers = _rows(metric, 1.0, u_max), _barriers(ctx.params.zeta1, ctx.params.zeta2, u_max)
 
     def head_terms(i):
         """Zone pull and pursuit at each landing cell, weighted by defender i's alphas."""
-        (x, y), pattern, landing = cells[i]
+        ((x, y), pattern), landing = cells[i], ctx.landing[i]
         alpha_a, alpha_f = ctx.alphas[i]
         mean = _mean_distances(metric, tuple(ctx.arena.responsibilities[i]))
         pursuit = [0.0] * len(landing)
@@ -595,7 +588,7 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
         return [alpha_f * mean[c] + alpha_a * p for c, p in zip(landing, pursuit)]
 
     def barrier(i):
-        (x, y), pattern, _ = cells[i]
+        (x, y), pattern = cells[i]
         x_planes, y_planes = ctx.planes[i]
         return barriers[pattern, tuple(sorted(cx - x for cx in x_planes)), tuple(sorted(cy - y for cy in y_planes))]
 
@@ -744,7 +737,7 @@ def run_game(scenario: "Scenario") -> GameResult:
         # Only the points: the trace, which holds the step's memos until read, is dropped here.
         points = distributed_minimize(oracles, space, scenario.network, params)[0]
         # Each defender applies its own slice of its own answer.
-        defenders = [ctx._cells[i][2][p[2 * i] * side + p[2 * i + 1]] for i, p in enumerate(points)]
+        defenders = [ctx.landing[i][p[2 * i] * side + p[2 * i + 1]] for i, p in enumerate(points)]
 
         # Safety audit: violations become events, silence means all clear.
         seen: dict[Cell, int] = {}

@@ -3,10 +3,10 @@ import pytest
 from latmin import ctf
 from latmin.projection import _kernel
 
-# The game's per-process tables: distances to fixed cells, wall heights, joint
-# lattices, the compiled defender costs, and the pull, pursuit and barrier rows
-# kept by relative geometry.
-FIELD_CACHES = (ctf._gaps, ctf._mean_distances, ctf._walls, ctf._joint_space, ctf._cost_maker,
+# The game's per-process tables: distances to fixed cells, joint lattices, the
+# compiled defender costs, and the pull, pursuit and barrier rows kept by
+# relative geometry.
+FIELD_CACHES = (ctf._gaps, ctf._mean_distances, ctf._joint_space, ctf._cost_maker,
                 ctf._rows, ctf._pulls, ctf._barriers)
 
 

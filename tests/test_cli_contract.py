@@ -143,6 +143,15 @@ CASES = [
     Case("simulate-attacker-delta-th-overflow", "simulate given.cfg --out out",
          fig3_with(b"delta_th: 4.0\n", b"delta_th: 5000.0\n"), 2, "",
          "error: attackers.delta_th: kappa * delta_th must be at most 709.782712893, got 4500"),
+    # A nominal weight of 1 whose switch boost exp(rate * (delta_th - gap)) underflows stays 1, never 0/0.
+    Case("simulate-defender-switch-underflow", "simulate given.cfg --out out",
+         fig3_with(b"alpha_f_nom: 0.9\n  alpha_a_nom: 0.1\n  beta: 0.7\n  delta_th: 20\n",
+                   b"alpha_f_nom: 0.0\n  alpha_a_nom: 1.0\n  beta: 0.7\n  delta_th: -2000\n"), 0,
+         "40 steps, outcome defense, 6 captures, 10 events -> out\n", files=("events.csv", "trajectories.csv")),
+    Case("simulate-attacker-switch-underflow", "simulate given.cfg --out out",
+         fig3_with(b"eta_avoid_nom: 0.7\n  eta_base_nom: 0.3\n  delta_th: 4.0\n",
+                   b"eta_avoid_nom: 1.0\n  eta_base_nom: 0.0\n  delta_th: -2000.0\n"), 0,
+         "40 steps, outcome defense, 0 captures, 0 events -> out\n", files=("events.csv", "trajectories.csv")),
     # A null is not a number: it is refused by name, never read as NaN.
     Case("check-defender-mobility-null", "check given.cfg",
          fig3_with(b"mobility: [1.0, 1.0, 1.0, 1.0]\n", b"mobility: null\n"), 2, "",

@@ -141,7 +141,7 @@ def toy_scenario(**overrides):
 
 def landing_cells(ctx, i):
     """The distinct cells defender i can land on, sorted."""
-    return sorted({tuple(c) for c in ctx.landing[i].reshape(-1, 2).tolist()})
+    return sorted(set(ctx.landing[i]))
 
 
 class TestLanding:
@@ -153,7 +153,7 @@ class TestLanding:
 
     def test_zero_speed_is_singleton(self):
         ctx = dataclasses.replace(toy_context(defenders=[(2, 5)]), u_max=0)
-        assert ctx.landing.tolist() == [[[[2, 5]]]]
+        assert ctx.landing == [[(2, 5)]]
 
     @pytest.mark.parametrize("u_max", [0, 1, 2])
     def test_every_chain_level_lands_on_the_clamped_cell(self, u_max):
@@ -162,14 +162,14 @@ class TestLanding:
         starts = [(x, y) for x in range(4) for y in range(4)]
         ctx = dataclasses.replace(toy_context(defenders=starts, arena=arena), u_max=u_max)
         side = 2 * u_max + 1
-        assert ctx.landing.shape == (len(starts), side, side, 2)
+        assert [len(cells) for cells in ctx.landing] == [side * side] * len(starts)
         for i, pos in enumerate(starts):
             assert landing_cells(ctx, i) == reference_reachable_cells(pos, u_max, 4)
             for lx in range(side):
                 for ly in range(side):
                     (ux, uy), = reference_decode((lx, ly), 1, u_max)
                     expected = reference_clamp((pos[0] + ux, pos[1] + uy), 4)
-                    assert tuple(ctx.landing[i, lx, ly].tolist()) == expected
+                    assert ctx.landing[i][lx * side + ly] == expected
 
 
 class TestAvoidancePlanes:
@@ -319,6 +319,24 @@ class TestAdaptiveAlpha:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             adaptive_alpha(-1.0, 20.0, 0.7, 0.1, 0.9)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), st.floats(0.0, 1.0),
+       st.floats(-1e4, 700.0), st.integers(0, 10**6))
+def test_switch_weights_split_one_at_every_nominal_and_gap(nominal, rate, delta_th, gap):
+    """At nominal weights 0 and 1 and at gaps and thresholds where exp underflows,
+    `adaptive_alpha` and `attacker_modes` give finite weights in [0,1] that sum to
+    1, byte for byte b / (b + other) wherever that did not divide 0 by 0, else 1.0."""
+    other = 1.0 - nominal
+    boosted = nominal * math.exp(rate * (delta_th - gap))
+    expected = boosted / (boosted + other) if boosted + other else 1.0
+    params = AttackerParams(eta_avoid_nom=nominal, eta_base_nom=other, delta_th=delta_th, kappa=rate)
+    alphas = adaptive_alpha(float(gap), delta_th, rate, nominal, other)
+    for weights in (alphas, attacker_modes((0, 0), [(gap, 0)], params)):
+        assert all(math.isfinite(w) and 0.0 <= w <= 1.0 for w in weights)
+        assert sum(weights) == 1.0
+        assert as_bytes(weights[0]) == as_bytes(expected)
 
 
 class TestPursuitWeights:
@@ -539,8 +557,9 @@ def field_arenas(draw):
 @given(field_arenas(), st.sampled_from(sorted(DISTANCES)), st.floats(1.0, 300.0), st.floats(1.0, 10.0))
 def test_field_tables_equal_what_they_keep(arena, metric, z1, z2):
     """At every grid cell, each kept gap is `_gap` and each kept mean distance
-    the row mean from `cell_distances`; each kept wall height is the Gaussian,
-    also at offsets past the +-2 of a step (a hand-built context can have them)."""
+    the row mean from `cell_distances`; each barrier row is the Gaussian wall of
+    its plane, also at planes past the +-2 of a step (a hand-built context can
+    have them)."""
     grid = [(x, y) for x in range(arena.size) for y in range(arena.size)]
     for targets in (arena.zone, *arena.responsibilities):
         gaps = ctf._gaps(tuple(targets))
@@ -548,13 +567,19 @@ def test_field_tables_equal_what_they_keep(arena, metric, z1, z2):
         means = ctf._mean_distances(metric, tuple(targets))
         rows = cell_distances(metric, np.array(grid)[:, None], np.array(targets)[None])
         assert [as_bytes(means[c]) for c in grid] == list(map(as_bytes, (rows.sum(axis=1) / len(targets)).tolist()))
-    walls = ctf._walls(z1, z2)
-    for d in range(-8, 9):
-        assert as_bytes(walls[d]) == as_bytes(z1 * math.exp(-z2 * d ** 2))
+
+    def wall(d):
+        return as_bytes(z1 * math.exp(-z2 * d ** 2))
+
+    barriers, pattern = ctf._barriers(z1, z2, 1), (1, 1, 1, 1)
+    xs, ys = zip(*ctf._offsets(pattern, 1))
+    for c in range(-8, 9):
+        assert list(map(as_bytes, barriers[pattern, (c,), ()])) == [wall(x - c) for x in xs]
+        assert list(map(as_bytes, barriers[pattern, (), (c,)])) == [wall(y - c) for y in ys]
 
 
 def test_equal_targets_share_one_table_and_changed_ones_get_their_own(fresh_fields):
-    gaps, means, walls, spaces, makers, rows, pulls, barriers = fresh_fields
+    gaps, means, spaces, makers, rows, pulls, barriers = fresh_fields
     zone = [(1, 5), (2, 5)]
     assert [threat_distance([(0, 0)], [True], cells) for cells in (zone, list(zone), zone + [(0, 1)])] == [6, 6, 1]
     assert gaps.cache_info()[:2] == (1, 2)
@@ -570,8 +595,6 @@ def test_equal_targets_share_one_table_and_changed_ones_get_their_own(fresh_fiel
     # The new pull table reads the rows of its weight once, when it is made.
     assert rows.cache_info()[:2] == (2, 2)
     assert barriers.cache_info()[:2] == (1, 2)
-    # Wall heights are read only by a new barrier table, once per pair of barrier constants.
-    assert walls.cache_info()[:2] == (0, 2)
     assert spaces.cache_info()[:2] == (2, 1)
     assert makers.cache_info()[:2] == (4, 2)
 
@@ -590,13 +613,12 @@ def test_each_field_cache_stops_at_its_bound(fresh_fields):
     for k in range(bound + 5):
         ctf._gaps(((k, 0),))
         ctf._mean_distances("squared", ((k, 0),))
-        ctf._walls(1.0 + k, 1.0)
         ctf._joint_space(k + 1, 3)
         ctf._cost_maker(0, (k + 1,), 3)
         ctf._rows("squared", 1.0 + k, 1)
         ctf._pulls("manhattan", 1.0 + k, 1)
         ctf._barriers(1.0 + k, 1.0, 1)
-    assert [cache.cache_info()[2:] for cache in fresh_fields] == [(bound, bound)] * 8
+    assert [cache.cache_info()[2:] for cache in fresh_fields] == [(bound, bound)] * 7
     # A table keeps FIELD_KEYS values and computes the rest on every read.
     table = ctf._gaps(((0, 0),))
     cells = [(x, 0) for x in range(ctf.FIELD_KEYS + 10)]
@@ -630,7 +652,7 @@ def test_kept_rows_equal_the_broadcast_formula(case, metric, u_max, weight, z1, 
     size, a, b, target, planes = case
     arena = Arena(size=size, horizon=1, zone=[(0, 0)], responsibilities=[[(0, 0)]], obstacles=set())
     ctx = dataclasses.replace(toy_context(defenders=[a, b], arena=arena), u_max=u_max)
-    (_, pattern_a, _), (_, pattern_b, _) = ctx._cells
+    (_, pattern_a), (_, pattern_b) = ctx._cells
     moves = range(-u_max, u_max + 1)
     land_a, land_b = ([reference_clamp((x + ux, y + uy), size) for ux in moves for uy in moves] for x, y in (a, b))
 
@@ -695,14 +717,14 @@ def test_import_and_load_fill_no_field_table():
         "from latmin import ctf\n"
         "from latmin.scenario import bundled_scenario_path, load_scenario\n"
         "load_scenario(bundled_scenario_path('paper_fig3.cfg'))\n"
-        "caches = (ctf._gaps, ctf._mean_distances, ctf._walls, ctf._joint_space, ctf._cost_maker,\n"
+        "caches = (ctf._gaps, ctf._mean_distances, ctf._joint_space, ctf._cost_maker,\n"
         "          ctf._rows, ctf._pulls, ctf._barriers)\n"
         "print([f.cache_info().currsize for f in caches])\n"
     )
     # The rest of the environment is passed on, PYTHONDONTWRITEBYTECODE included.
     env = {**os.environ, "PYTHONPATH": str(Path(latmin.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "[0, 0, 0, 0, 0, 0, 0, 0]\n", "")
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[0, 0, 0, 0, 0, 0, 0]\n", "")
 
 
 def test_an_unknown_distance_is_rejected_naming_both_metrics():
@@ -727,8 +749,8 @@ class TestStepProblem:
 
     def test_chain_levels_pick_the_landing_cell(self):
         ctx = toy_context(defenders=[(2, 2), (4, 4)])
-        assert ctx.landing[0, 0, 1].tolist() == [1, 2]
-        assert ctx.landing[1, 2, 1].tolist() == [5, 4]
+        assert ctx.landing[0][0 * 3 + 1] == (1, 2)
+        assert ctx.landing[1][2 * 3 + 1] == (5, 4)
 
     def test_oracle_matches_defender_cost(self):
         ctx = toy_context(defenders=[(2, 2), (4, 4)])

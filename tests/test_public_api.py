@@ -138,13 +138,14 @@ def test_readme_lists_the_entry_points_the_program_does_not_call():
     assert set(re.findall(r"`(\w+)`", line)) == public - referenced
 
 
-def test_generated_code_has_one_compile_site():
-    # Kernels, pools and defender costs are all compiled by projection._function.
+def call_sites(kind) -> set:
+    """(module, innermost named definition, kind(call)) for each call of a plain
+    name in `latmin`'s source for which `kind(call)` is not None."""
     sites = set()
 
     def visit(node, module, owner):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "compile"):
-            sites.add((module, owner, node.func.id))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (what := kind(node)) is not None:
+            sites.add((module, owner, what))
         for child in ast.iter_child_nodes(node):
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, module, child.name if named else owner)
@@ -152,4 +153,24 @@ def test_generated_code_has_one_compile_site():
     src = Path(latmin.__file__).resolve().parent
     for path in sorted(src.rglob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
+    return sites
+
+
+def test_generated_code_has_one_compile_site():
+    # Kernels, pools and defender costs are all compiled by projection._function.
+    sites = call_sites(lambda call: call.func.id if call.func.id in ("exec", "compile") else None)
     assert sites == {("projection", "_function", "exec"), ("projection", "_function", "compile")}
+
+
+def test_moves_are_listed_and_clamped_only_in_offsets():
+    # ctf._offsets is the one move list, range(-u, u + 1) per axis, and the one
+    # clamp, min(max(...)): every other move and landing cell is read from it.
+    def kind(call):
+        first = call.args[0] if call.args else None
+        if call.func.id == "range" and isinstance(first, ast.UnaryOp) and isinstance(first.op, ast.USub):
+            return "range(-u, ...)"
+        if call.func.id == "min" and isinstance(first, ast.Call) and getattr(first.func, "id", None) == "max":
+            return "min(max(...))"
+        return None
+
+    assert call_sites(kind) == {("ctf", "_offsets", "range(-u, ...)"), ("ctf", "_offsets", "min(max(...))")}
