@@ -47,50 +47,29 @@ def _gap(cell: Cell, cells) -> int:
     return min(abs(x - cx) + abs(y - cy) for cx, cy in cells)
 
 
-# Quantities whose targets never move during a game (the zone, each
-# defender's responsibility cells, the barrier constants) are kept per
-# process: one table per distinct target content, at most FIELD_TABLES
-# tables of each kind, each holding at most FIELD_KEYS values.
-FIELD_TABLES = 64
+# Every quantity that depends only on targets fixed for a game (the zone, each
+# defender's responsibility cells, the barrier constants) or on relative geometry
+# is a plain function of its whole key, kept per process for the FIELD_KEYS keys
+# read most recently.
 FIELD_KEYS = 4096
+_kept = functools.lru_cache(maxsize=FIELD_KEYS)
 
 
-class _Field(dict):
-    """`fill(key)` by key, computed on first read and kept while there is room."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self.fill(key)
-        if len(self) < FIELD_KEYS:
-            self[key] = value
-        return value
+@_kept
+def _zone_gap(targets: tuple[Cell, ...], cell: Cell) -> int:
+    return _gap(cell, targets)
 
 
-@functools.lru_cache(maxsize=FIELD_TABLES)
-def _gaps(targets: tuple[Cell, ...]) -> _Field:
-    """`_gap` from a cell to `targets`, by cell."""
-    return _Field(lambda cell: _gap(cell, targets))
+@_kept
+def _mean_distance(metric: str, targets: tuple[Cell, ...], cell: Cell) -> float:
+    """Mean `metric` distance from cell to `targets`.  The distances are
+    integers, so the sum is exact in any order."""
+    term, (x, y) = _AXIS_TERMS[metric], cell
+    return sum(term(x - tx) + term(y - ty) for tx, ty in targets) / len(targets)
 
 
-@functools.lru_cache(maxsize=FIELD_TABLES)
-def _mean_distances(metric: str, targets: tuple[Cell, ...]) -> _Field:
-    """Mean `metric` distance from a cell to `targets`, by cell.  The
-    distances are integers, so the sum is exact in any order."""
-    term = _AXIS_TERMS[metric]
-
-    def mean(cell):
-        x, y = cell
-        return sum(term(x - tx) + term(y - ty) for tx, ty in targets) / len(targets)
-
-    return _Field(mean)
-
-
-def _offsets(pattern: tuple[int, int, int, int], u_max: int) -> list[Cell]:
+@_kept
+def _offsets(pattern: tuple[int, int, int, int], u_max: int) -> tuple[Cell, ...]:
     """Landing cell minus own cell for each one-step move, ux outer, so chain levels
     (lx, ly) are move lx * side + ly, for a cell whose clamp pattern (left, right,
     down, up) is how far its moves reach on each side; pattern (u_max,) * 4 gives
@@ -99,65 +78,47 @@ def _offsets(pattern: tuple[int, int, int, int], u_max: int) -> list[Cell]:
     steps = range(-u_max, u_max + 1)
     xs = [min(max(s, -left), right) for s in steps]
     ys = [min(max(s, -down), up) for s in steps]
-    return [(ox, oy) for ox in xs for oy in ys]
+    return tuple([(ox, oy) for ox in xs for oy in ys])
 
 
-# A step's rows depend only on relative geometry.  An integer offset (dx, dy) is keyed
-# as complex(dx, dy): exact below 2**53, and 32 bytes where a tuple of two ints takes 56.
-@functools.lru_cache(maxsize=FIELD_TABLES)
-def _rows(metric: str, weight: float, u_max: int) -> _Field:
-    """weight * distance from a cell to each landing cell of another, by the other's
-    clamp pattern, then by complex(dx, dy), the cell minus the other's.  A distance
-    has one float, so equal rows are one kept tuple.  Pursuit reads weight 1.0."""
+@_kept
+def _scaled(weight: float, d: int) -> float:
+    """weight * d, one float object per distinct value, which the rows share."""
+    return weight * float(d)
+
+
+@_kept
+def _row(metric: str, weight: float, u_max: int, pattern, dx: int, dy: int) -> tuple[float, ...]:
+    """weight * distance from a cell to each landing cell of another whose clamp
+    pattern is `pattern`, (dx, dy) being the cell minus the other's.  Pursuit
+    reads weight 1.0."""
     term = _AXIS_TERMS[metric]
-    values, unique = _Field(lambda d: weight * float(d)), _Field(lambda row: row)
-
-    def by_offset(pattern):
-        offsets = _offsets(pattern, u_max)
-
-        def row(r):
-            dx, dy = int(r.real), int(r.imag)
-            return unique[tuple([values[term(dx - ox) + term(dy - oy)] for ox, oy in offsets])]
-
-        return _Field(row)
-
-    return _Field(by_offset)
+    return tuple([_scaled(weight, term(dx - ox) + term(dy - oy)) for ox, oy in _offsets(pattern, u_max)])
 
 
-@functools.lru_cache(maxsize=FIELD_TABLES)
-def _pulls(metric: str, weight: float, u_max: int) -> _Field:
-    """A pair's pull table: row a is `_rows` from defender i's landing cell
-    under its move a to j's landing cells.  By (pattern_i, pattern_j), then by
-    complex(xi - xj, yi - yj); tables share the rows where i lands alike."""
-    rows = _rows(metric, weight, u_max)
-
-    def by_offset(patterns):
-        offsets, row = _offsets(patterns[0], u_max), rows[patterns[1]]
-        return _Field(lambda r: tuple([row[r + complex(ox, oy)] for ox, oy in offsets]))
-
-    return _Field(by_offset)
+@_kept
+def _pull(metric: str, weight: float, u_max: int, pattern_i, pattern_j, dx: int, dy: int):
+    """A pair's pull table: row a is `_row` from defender i's landing cell under
+    its move a to j's landing cells, (dx, dy) being i's cell minus j's."""
+    return tuple([_row(metric, weight, u_max, pattern_j, dx + ox, dy + oy) for ox, oy in _offsets(pattern_i, u_max)])
 
 
-@functools.lru_cache(maxsize=FIELD_TABLES)
-def _barriers(zeta1: float, zeta2: float, u_max: int) -> _Field:
-    """Gaussian walls zeta1 * exp(-zeta2 * d**2) on a defender's avoidance planes
-    at each landing cell, by (pattern, sorted x planes - x, sorted y planes - y),
-    each axis's walls summed once per distinct offset, in plane order."""
+@_kept
+def _barrier(zeta1: float, zeta2: float, u_max: int, pattern, x_planes, y_planes) -> tuple[float, ...]:
+    """Gaussian walls zeta1 * exp(-zeta2 * d**2) at each landing cell of a cell with
+    clamp pattern `pattern` and sorted avoidance planes `x_planes`, `y_planes`
+    relative to it, each axis's walls summed once per distinct offset, in plane order."""
 
     def walls(offsets, planes):
         return {o: _left_sum(zeta1 * math.exp(-zeta2 * (o - c) ** 2) for c in planes) for o in set(offsets)}
 
-    def row(key):
-        pattern, x_planes, y_planes = key
-        offsets = _offsets(pattern, u_max)
-        xs, ys = zip(*offsets)
-        wall_x, wall_y = walls(xs, x_planes), walls(ys, y_planes)
-        return tuple([float(wall_x[ox] + wall_y[oy]) for ox, oy in offsets])
-
-    return _Field(row)
+    offsets = _offsets(pattern, u_max)
+    xs, ys = zip(*offsets)
+    wall_x, wall_y = walls(xs, x_planes), walls(ys, y_planes)
+    return tuple([float(wall_x[ox] + wall_y[oy]) for ox, oy in offsets])
 
 
-@functools.lru_cache(maxsize=FIELD_TABLES)
+@_kept
 def _joint_space(n_chains: int, side: int) -> ChainProduct:
     """The joint action lattice, one per team size, so its layout is computed once."""
     return ChainProduct([side] * n_chains)
@@ -380,8 +341,8 @@ def adaptive_alpha(
 
 def threat_distance(attackers: list[Cell], active: list[bool], zone_cells: list[Cell]) -> float:
     """Smallest Manhattan distance from any active attacker to the cells."""
-    gaps = _gaps(tuple(map(tuple, zone_cells)))
-    return float(min((gaps[tuple(pos)] for pos, live in zip(attackers, active) if live), default=math.inf))
+    zone = tuple(map(tuple, zone_cells))
+    return float(min((_zone_gap(zone, tuple(pos)) for pos, live in zip(attackers, active) if live), default=math.inf))
 
 
 def attacker_pursuit_weights(
@@ -398,8 +359,8 @@ def attacker_pursuit_weights(
     exact ties are broken by a draw from the defender's stream.  With no
     active attacker the row is all zeros.
     """
-    table = _gaps(tuple(map(tuple, responsibility)))
-    gaps = [table[tuple(pos)] if live else math.inf for pos, live in zip(attackers, active)]
+    cells = tuple(map(tuple, responsibility))
+    gaps = [_zone_gap(cells, tuple(pos)) if live else math.inf for pos, live in zip(attackers, active)]
     row = np.zeros(len(gaps))
     best = min(gaps, default=math.inf)
     if math.isinf(best):
@@ -419,10 +380,10 @@ def predict_attackers(
     """Defense-side mobility model: every active attacker takes the one-step
     move that most reduces its Manhattan distance to the defense zone
     (ties to the smaller x, then smaller y cell); captured attackers stay."""
-    gaps = _gaps(tuple(arena.zone))
+    zone = tuple(arena.zone)
 
     def gap(cell):
-        return gaps[cell] if arena.in_grid(cell) else math.inf
+        return _zone_gap(zone, cell) if arena.in_grid(cell) else math.inf
 
     # One-step cells come in sorted order, so the first nearest one is the
     # smallest (x, y) among the ties.
@@ -469,8 +430,8 @@ def attacker_policy(
     if avoid_mode:
         scores = [-_gap(c, defenders) for c in candidates]
     else:
-        gaps = _gaps(tuple(arena.zone))
-        scores = [gaps[c] for c in candidates]
+        zone = tuple(arena.zone)
+        scores = [_zone_gap(zone, c) for c in candidates]
     best = min(scores)
     tied = [c for c, score in zip(candidates, scores) if score == best]
     return tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
@@ -496,10 +457,13 @@ class StepContext:
     @functools.cached_property
     def _cells(self) -> list[tuple[Cell, tuple[int, int, int, int]]]:
         """Per defender, in Python ints: its cell and its clamp pattern
-        (min(x, u_max), min(size - 1 - x, u_max), the same in y)."""
-        top, u = self.arena.size - 1, self.u_max
-        return [((x, y), (min(x, u), min(top - x, u), min(y, u), min(top - y, u)))
-                for x, y in (map(int, c) for c in self.defenders)]
+        (min(x, u_max), min(size - 1 - x, u_max), the same in y).  A defender
+        off the grid raises, naming it."""
+        top, u, cells = self.arena.size - 1, self.u_max, [tuple(map(int, c)) for c in self.defenders]
+        for i, c in enumerate(cells):
+            if not self.arena.in_grid(c):
+                raise ValueError(f"defenders[{i}]: cell {c} outside the grid of size {self.arena.size}")
+        return [((x, y), (min(x, u), min(top - x, u), min(y, u), min(top - y, u))) for x, y in cells]
 
     @functools.cached_property
     def landing(self) -> list[list[Cell]]:
@@ -527,10 +491,10 @@ def _cost_source(k: int, partners: tuple[int, ...], side: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-@functools.lru_cache(maxsize=FIELD_TABLES)
+@_kept
 def _cost_maker(k: int, partners: tuple[int, ...], side: int):
     """`_cost_source`'s `make` for this layout, compiled by `projection._function`
-    once per process (at most FIELD_TABLES layouts are kept)."""
+    once per process."""
     filename = f"<defender cost: chain {k}, partners {partners}, side {side}>"
     return _function(_cost_source(k, partners, side), "make", filename)
 
@@ -548,13 +512,13 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     applies, which keeps the decision space a full chain product.
 
     Each defender's own terms are evaluated once per own move.  Its zone
-    pull is read from a table kept per responsibility set; its pursuit
-    distances (`_rows` at weight 1.0), its walls (`_barriers`) and each pull
-    table its oracle reads (`_pulls`, for a nonzero off-diagonal cohesion
-    weight) are kept per process by clamp pattern and relative offset, so a
-    step computes only head and mobility per own move.  Kept rows are
-    tuples, so the oracles capture the context as it is now: changing `ctx`
-    afterwards does not change them.
+    pull (`_mean_distance`), its pursuit distances (`_row` at weight 1.0),
+    its walls (`_barrier`) and each pull table its oracle reads (`_pull`,
+    for a nonzero off-diagonal cohesion weight) are kept per process, the
+    last three by clamp pattern and relative offset, so a step computes only
+    head and mobility per own move.  Kept rows are tuples, so the oracles
+    capture the context as it is now: changing `ctx` afterwards does not
+    change them.
 
     Pricing a point is straight-line table lookups: each defender's cost
     is a function generated from its layout (its chain, its partners in
@@ -572,25 +536,25 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     for i, j, w in zip(own.tolist(), partner.tolist(), weights[own, partner].tolist()):
         ((xi, yi), pattern_i), ((xj, yj), pattern_j) = cells[i], cells[j]
         partners[i].append(j)
-        tables[i].append(_pulls(metric, w, u_max)[pattern_i, pattern_j][complex(xi - xj, yi - yj)])
-    distances, barriers = _rows(metric, 1.0, u_max), _barriers(ctx.params.zeta1, ctx.params.zeta2, u_max)
+        tables[i].append(_pull(metric, w, u_max, pattern_i, pattern_j, xi - xj, yi - yj))
 
     def head_terms(i):
         """Zone pull and pursuit at each landing cell, weighted by defender i's alphas."""
         ((x, y), pattern), landing = cells[i], ctx.landing[i]
         alpha_a, alpha_f = ctx.alphas[i]
-        mean = _mean_distances(metric, tuple(ctx.arena.responsibilities[i]))
+        targets = tuple(ctx.arena.responsibilities[i])
         pursuit = [0.0] * len(landing)
         for g, w in enumerate(ctx.pursuit[i].tolist()):
             if w != 0.0:
                 gx, gy = ctx.predicted[g]
-                pursuit = [p + w * d for p, d in zip(pursuit, distances[pattern][complex(gx - x, gy - y)])]
-        return [alpha_f * mean[c] + alpha_a * p for c, p in zip(landing, pursuit)]
+                pursuit = [p + w * d for p, d in zip(pursuit, _row(metric, 1.0, u_max, pattern, gx - x, gy - y))]
+        return [alpha_f * _mean_distance(metric, targets, c) + alpha_a * p for c, p in zip(landing, pursuit)]
 
     def barrier(i):
         (x, y), pattern = cells[i]
         x_planes, y_planes = ctx.planes[i]
-        return barriers[pattern, tuple(sorted(cx - x for cx in x_planes)), tuple(sorted(cy - y for cy in y_planes))]
+        return _barrier(ctx.params.zeta1, ctx.params.zeta2, u_max, pattern,
+                        tuple(sorted(cx - x for cx in x_planes)), tuple(sorted(cy - y for cy in y_planes)))
 
     def oracle(i):
         weight = float(ctx.params.mobility[i])

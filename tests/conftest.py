@@ -3,11 +3,11 @@ import pytest
 from latmin import ctf
 from latmin.projection import _kernel
 
-# The game's per-process tables: distances to fixed cells, joint lattices, the
-# compiled defender costs, and the pull, pursuit and barrier rows kept by
-# relative geometry.
-FIELD_CACHES = (ctf._gaps, ctf._mean_distances, ctf._joint_space, ctf._cost_maker,
-                ctf._rows, ctf._pulls, ctf._barriers)
+# The game's per-process tables: every function of `ctf` that `ctf._kept`
+# memoizes, in definition order (an AST test keeps `lru_cache` in `ctf` to
+# `_kept` alone, so these are all of its memos).
+FIELD_CACHES = tuple(f for f in vars(ctf).values()
+                     if hasattr(f, "cache_info") and getattr(f, "__module__", None) == ctf.__name__)
 
 
 @pytest.fixture

@@ -33,6 +33,7 @@ from latmin.ctf import (
 from latmin.scenario import Scenario, bundled_scenario_path, load_scenario
 from latmin.solvers import SolverParams, WeightMatrix, distributed_minimize
 
+from conftest import FIELD_CACHES
 from helpers import (
     DISTANCES,
     as_bytes,
@@ -170,6 +171,25 @@ class TestLanding:
                     (ux, uy), = reference_decode((lx, ly), 1, u_max)
                     expected = reference_clamp((pos[0] + ux, pos[1] + uy), 4)
                     assert ctx.landing[i][lx * side + ly] == expected
+
+    @pytest.mark.parametrize("u_max", [0, 1, 2])
+    def test_the_move_list_is_built_once_per_speed(self, u_max):
+        moves = ctf._offsets((u_max,) * 4, u_max)
+        assert type(moves) is tuple and ctf._offsets((u_max,) * 4, u_max) is moves
+
+    @pytest.mark.parametrize("cell", [(-3, 2), (8, 0), (2, 8), (0, -1)])
+    def test_a_defender_off_the_grid_is_refused_naming_it(self, cell):
+        ctx = toy_context(defenders=[(1, 1), cell], arena=toy_arena(size=8))
+        message = re.escape(f"defenders[1]: cell {cell} outside the grid of size 8")
+        for read in (lambda: ctx._cells, lambda: ctx.landing, lambda: build_step_problem(ctx)):
+            with pytest.raises(ValueError, match=message):
+                read()
+
+    @pytest.mark.parametrize("cells", [[(0, 0), (7, 7)], [(0, 7), (7, 0)], [(0, 3), (7, 4)], [(3, 0), (4, 7)]])
+    def test_corner_and_edge_defenders_still_build(self, cells):
+        ctx = toy_context(defenders=cells, arena=toy_arena(size=8))
+        oracles, space = build_step_problem(ctx)
+        assert [c for c, _ in ctx._cells] == cells and len(oracles) == 2 and space.dims == (3,) * 4
 
 
 class TestAvoidancePlanes:
@@ -562,41 +582,45 @@ def test_field_tables_equal_what_they_keep(arena, metric, z1, z2):
     have them)."""
     grid = [(x, y) for x in range(arena.size) for y in range(arena.size)]
     for targets in (arena.zone, *arena.responsibilities):
-        gaps = ctf._gaps(tuple(targets))
-        assert [gaps[c] for c in grid] == [ctf._gap(c, targets) for c in grid]
-        means = ctf._mean_distances(metric, tuple(targets))
+        kept = tuple(targets)
+        assert [ctf._zone_gap(kept, c) for c in grid] == [ctf._gap(c, targets) for c in grid]
         rows = cell_distances(metric, np.array(grid)[:, None], np.array(targets)[None])
-        assert [as_bytes(means[c]) for c in grid] == list(map(as_bytes, (rows.sum(axis=1) / len(targets)).tolist()))
+        assert [as_bytes(ctf._mean_distance(metric, kept, c)) for c in grid] == list(
+            map(as_bytes, (rows.sum(axis=1) / len(targets)).tolist()))
 
     def wall(d):
         return as_bytes(z1 * math.exp(-z2 * d ** 2))
 
-    barriers, pattern = ctf._barriers(z1, z2, 1), (1, 1, 1, 1)
+    pattern = (1, 1, 1, 1)
     xs, ys = zip(*ctf._offsets(pattern, 1))
     for c in range(-8, 9):
-        assert list(map(as_bytes, barriers[pattern, (c,), ()])) == [wall(x - c) for x in xs]
-        assert list(map(as_bytes, barriers[pattern, (), (c,)])) == [wall(y - c) for y in ys]
+        assert list(map(as_bytes, ctf._barrier(z1, z2, 1, pattern, (c,), ()))) == [wall(x - c) for x in xs]
+        assert list(map(as_bytes, ctf._barrier(z1, z2, 1, pattern, (), (c,)))) == [wall(y - c) for y in ys]
 
 
 def test_equal_targets_share_one_table_and_changed_ones_get_their_own(fresh_fields):
-    gaps, means, spaces, makers, rows, pulls, barriers = fresh_fields
+    def hits_and_misses(f):
+        return f.cache_info()[:2]
+
     zone = [(1, 5), (2, 5)]
     assert [threat_distance([(0, 0)], [True], cells) for cells in (zone, list(zone), zone + [(0, 1)])] == [6, 6, 1]
-    assert gaps.cache_info()[:2] == (1, 2)
-    # Each build reads one mean table per defender, one pull table per pair (both
-    # weigh 0.1), the distance rows (weight 1.0) and one barrier table; every toy
-    # arena and parameter record is a new object with equal content.
+    assert hits_and_misses(ctf._zone_gap) == (1, 2)
+    # Each build reads a mean distance at each of a defender's 9 landing cells,
+    # one pull table per pair (both weigh 0.1), each made of 9 rows, and one
+    # barrier row per defender; every toy arena and parameter record is a new
+    # object with equal content, so the second build and the third's means,
+    # pulls, lattice and costs are all read from what the first kept.
     for params in (toy_defender_params(), toy_defender_params(), toy_defender_params(zeta1=300.0)):
         build_step_problem(toy_context(
             defenders=[(2, 2), (4, 4)], planes=[({3}, set()), (set(), {3})], params=params, arena=toy_arena()
         ))
-    assert means.cache_info()[:2] == (4, 2)
-    assert pulls.cache_info()[:2] == (5, 1)
-    # The new pull table reads the rows of its weight once, when it is made.
-    assert rows.cache_info()[:2] == (2, 2)
-    assert barriers.cache_info()[:2] == (1, 2)
-    assert spaces.cache_info()[:2] == (2, 1)
-    assert makers.cache_info()[:2] == (4, 2)
+    assert hits_and_misses(ctf._mean_distance) == (36, 18)
+    assert hits_and_misses(ctf._pull) == (4, 2)
+    # A row is read only when its pull table is made.
+    assert hits_and_misses(ctf._row) == (0, 18)
+    assert hits_and_misses(ctf._barrier) == (2, 4)
+    assert hits_and_misses(ctf._joint_space) == (2, 1)
+    assert hits_and_misses(ctf._cost_maker) == (4, 2)
 
 
 def test_cells_given_as_lists_read_the_tables_of_their_tuples(fresh_fields):
@@ -605,26 +629,19 @@ def test_cells_given_as_lists_read_the_tables_of_their_tuples(fresh_fields):
         assert threat_distance(positions, [True, True], cells) == 2.0
         row = attacker_pursuit_weights(0, positions, [True, True], cells, 20.0, np.random.default_rng(0))
         assert row.tolist() == [0.0, 20.0]
-    assert fresh_fields[0].cache_info()[:3] == (3, 1, ctf.FIELD_TABLES)
+    # Two attackers, two reads each per round: only the first round's threat
+    # distance misses.
+    assert ctf._zone_gap.cache_info()[:3] == (6, 2, ctf.FIELD_KEYS)
 
 
 def test_each_field_cache_stops_at_its_bound(fresh_fields):
-    bound = ctf.FIELD_TABLES
-    for k in range(bound + 5):
-        ctf._gaps(((k, 0),))
-        ctf._mean_distances("squared", ((k, 0),))
-        ctf._joint_space(k + 1, 3)
-        ctf._cost_maker(0, (k + 1,), 3)
-        ctf._rows("squared", 1.0 + k, 1)
-        ctf._pulls("manhattan", 1.0 + k, 1)
-        ctf._barriers(1.0 + k, 1.0, 1)
-    assert [cache.cache_info()[2:] for cache in fresh_fields] == [(bound, bound)] * 7
-    # A table keeps FIELD_KEYS values and computes the rest on every read.
-    table = ctf._gaps(((0, 0),))
-    cells = [(x, 0) for x in range(ctf.FIELD_KEYS + 10)]
-    assert [table[c] for c in cells] == list(range(ctf.FIELD_KEYS + 10))
-    assert [table[c] for c in cells[::-1]] == list(range(ctf.FIELD_KEYS + 10))[::-1]
-    assert len(table) == ctf.FIELD_KEYS
+    bound = ctf.FIELD_KEYS
+    assert [cache.cache_parameters() for cache in fresh_fields] == [{"maxsize": bound, "typed": False}] * len(fresh_fields)
+    # A cache keeps the FIELD_KEYS keys read last and computes the rest again.
+    cells = [(x, 0) for x in range(bound + 10)]
+    assert [ctf._zone_gap(((0, 0),), c) for c in cells] == list(range(bound + 10))
+    assert [ctf._zone_gap(((0, 0),), c) for c in cells[::-1]] == list(range(bound + 10))[::-1]
+    assert ctf._zone_gap.cache_info()[2:] == (bound, bound)
 
 
 @st.composite
@@ -656,19 +673,19 @@ def test_kept_rows_equal_the_broadcast_formula(case, metric, u_max, weight, z1, 
     moves = range(-u_max, u_max + 1)
     land_a, land_b = ([reference_clamp((x + ux, y + uy), size) for ux in moves for uy in moves] for x, y in (a, b))
 
-    pull = ctf._pulls(metric, weight, u_max)[pattern_a, pattern_b][complex(a[0] - b[0], a[1] - b[1])]
+    pull = ctf._pull(metric, weight, u_max, pattern_a, pattern_b, a[0] - b[0], a[1] - b[1])
     expected = weight * cell_distances(metric, np.array(land_a)[:, None], np.array(land_b)[None])
     assert [list(map(as_bytes, row)) for row in pull] == [list(map(as_bytes, row)) for row in expected.tolist()]
 
-    distances = ctf._rows(metric, 1.0, u_max)[pattern_a][complex(target[0] - a[0], target[1] - a[1])]
+    distances = ctf._row(metric, 1.0, u_max, pattern_a, target[0] - a[0], target[1] - a[1])
     expected = cell_distances(metric, np.array(land_a), target)
     assert list(map(as_bytes, distances)) == list(map(as_bytes, expected.tolist()))
 
     x_planes, y_planes = (sorted(p) for p in planes)
-    key = (pattern_a, tuple(c - a[0] for c in x_planes), tuple(c - a[1] for c in y_planes))
+    relative = (tuple(c - a[0] for c in x_planes), tuple(c - a[1] for c in y_planes))
     walls = [left_sum(z1 * math.exp(-z2 * (x - c) ** 2) for c in x_planes)
              + left_sum(z1 * math.exp(-z2 * (y - c) ** 2) for c in y_planes) for x, y in land_a]
-    assert list(map(as_bytes, ctf._barriers(z1, z2, u_max)[key])) == list(map(as_bytes, walls))
+    assert list(map(as_bytes, ctf._barrier(z1, z2, u_max, pattern_a, *relative))) == list(map(as_bytes, walls))
 
 
 @pytest.mark.parametrize("metric", sorted(DISTANCES))
@@ -693,20 +710,23 @@ def test_oracles_on_the_grid_border_equal_the_reference_cost(metric):
     assert_oracles_equal_defender_cost(ctx, ChainProduct([3] * 6).points())
 
 
-def test_the_kept_rows_stay_few_after_a_fig3_game(fresh_fields):
+def test_the_kept_rows_stay_few_after_a_fig3_game(fresh_fields, monkeypatch):
     """Rows are kept by relative geometry, so the first fig3 game at seed 7
     (480 pull-table, 160 pursuit and 160 barrier reads) keeps 191 pull
-    tables, 84 distance rows, 564 rows in all and 11 barrier rows.  Keyed
-    by absolute cells, the first three kinds would keep 435, 147 and 117."""
-    scenario = load_scenario(GOLDEN)
-    run_game(scenario)
-    dp, u_max = scenario.defender_params, scenario.u_max
-    weights = sorted({float(w) for w in dp.cohesion.ravel() if w})
-    tables = sum(len(f) for w in weights for f in ctf._pulls(dp.distance, w, u_max).values())
-    rows = sum(len(f) for w in [*weights, 1.0] for f in ctf._rows(dp.distance, w, u_max).values())
-    distances = sum(len(f) for f in ctf._rows(dp.distance, 1.0, u_max).values())
-    barriers = len(ctf._barriers(dp.zeta1, dp.zeta2, u_max))
-    assert tables <= 240 and distances <= 105 and rows <= 700 and barriers <= 15, (tables, distances, rows, barriers)
+    tables, 84 distance rows (weight 1.0), 564 rows in all and 11 barrier
+    rows.  Keyed by absolute cells, the first three kinds would keep 435,
+    147 and 117."""
+    row, keys = ctf._row, set()
+
+    def seen(*key):
+        keys.add(key)
+        return row(*key)
+
+    monkeypatch.setattr(ctf, "_row", seen)
+    run_game(load_scenario(GOLDEN))
+    distances = sum(1 for key in keys if key[1] == 1.0)
+    kept = [f.cache_info().currsize for f in (ctf._pull, row, ctf._barrier)]
+    assert (*kept, len(keys), distances) == (191, 564, 11, 564, 84)
 
 
 def test_import_and_load_fill_no_field_table():
@@ -714,17 +734,17 @@ def test_import_and_load_fill_no_field_table():
     importing `latmin` or loading a scenario."""
     code = (
         "import latmin\n"
-        "from latmin import ctf\n"
         "from latmin.scenario import bundled_scenario_path, load_scenario\n"
         "load_scenario(bundled_scenario_path('paper_fig3.cfg'))\n"
-        "caches = (ctf._gaps, ctf._mean_distances, ctf._joint_space, ctf._cost_maker,\n"
-        "          ctf._rows, ctf._pulls, ctf._barriers)\n"
-        "print([f.cache_info().currsize for f in caches])\n"
+        "from conftest import FIELD_CACHES\n"
+        "print([(f.__name__, f.cache_info().currsize) for f in FIELD_CACHES])\n"
     )
     # The rest of the environment is passed on, PYTHONDONTWRITEBYTECODE included.
-    env = {**os.environ, "PYTHONPATH": str(Path(latmin.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "[0, 0, 0, 0, 0, 0, 0]\n", "")
+    path = os.pathsep.join([str(Path(latmin.__file__).parents[1]), str(Path(__file__).parent)])
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=60)
+    empty = [(f.__name__, 0) for f in FIELD_CACHES]
+    assert len(empty) >= 9 and (run.returncode, run.stdout, run.stderr) == (0, f"{empty}\n", "")
 
 
 def test_an_unknown_distance_is_rejected_naming_both_metrics():

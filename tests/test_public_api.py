@@ -138,17 +138,27 @@ def test_readme_lists_the_entry_points_the_program_does_not_call():
     assert set(re.findall(r"`(\w+)`", line)) == public - referenced
 
 
+def called(call) -> str | None:
+    """The plain name a call calls, or None for any other callee."""
+    return call.func.id if isinstance(call.func, ast.Name) else None
+
+
 def call_sites(kind) -> set:
-    """(module, innermost named definition, kind(call)) for each call of a plain
-    name in `latmin`'s source for which `kind(call)` is not None."""
+    """(module, innermost named definition, kind(call)) for each call in
+    `latmin`'s source for which `kind(call)` is not None.  A module-level
+    assignment to one name is a named definition."""
     sites = set()
 
     def visit(node, module, owner):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (what := kind(node)) is not None:
+        if isinstance(node, ast.Call) and (what := kind(node)) is not None:
             sites.add((module, owner, what))
         for child in ast.iter_child_nodes(node):
-            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            visit(child, module, child.name if named else owner)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, child.name)
+            elif isinstance(node, ast.Module) and isinstance(child, ast.Assign) and len(child.targets) == 1:
+                visit(child, module, getattr(child.targets[0], "id", owner))
+            else:
+                visit(child, module, owner)
 
     src = Path(latmin.__file__).resolve().parent
     for path in sorted(src.rglob("*.py")):
@@ -158,7 +168,7 @@ def call_sites(kind) -> set:
 
 def test_generated_code_has_one_compile_site():
     # Kernels, pools and defender costs are all compiled by projection._function.
-    sites = call_sites(lambda call: call.func.id if call.func.id in ("exec", "compile") else None)
+    sites = call_sites(lambda call: called(call) if called(call) in ("exec", "compile") else None)
     assert sites == {("projection", "_function", "exec"), ("projection", "_function", "compile")}
 
 
@@ -167,10 +177,21 @@ def test_moves_are_listed_and_clamped_only_in_offsets():
     # clamp, min(max(...)): every other move and landing cell is read from it.
     def kind(call):
         first = call.args[0] if call.args else None
-        if call.func.id == "range" and isinstance(first, ast.UnaryOp) and isinstance(first.op, ast.USub):
+        if called(call) == "range" and isinstance(first, ast.UnaryOp) and isinstance(first.op, ast.USub):
             return "range(-u, ...)"
-        if call.func.id == "min" and isinstance(first, ast.Call) and getattr(first.func, "id", None) == "max":
+        if called(call) == "min" and isinstance(first, ast.Call) and called(first) == "max":
             return "min(max(...))"
         return None
 
     assert call_sites(kind) == {("ctf", "_offsets", "range(-u, ...)"), ("ctf", "_offsets", "min(max(...))")}
+
+
+def test_the_game_memoizes_only_through_kept():
+    # `_kept = functools.lru_cache(maxsize=FIELD_KEYS)` is ctf's one memo rule: the
+    # only call of lru_cache in ctf, and ctf names lru_cache nowhere else.
+    def kind(call):
+        return "lru_cache" if getattr(call.func, "attr", called(call)) == "lru_cache" else None
+
+    assert {site for site in call_sites(kind) if site[0] == "ctf"} == {("ctf", "_kept", "lru_cache")}
+    names = [getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(ast.parse(Path(ctf.__file__).read_text()))]
+    assert names.count("lru_cache") == 1
