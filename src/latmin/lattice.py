@@ -133,7 +133,11 @@ class ChainProduct:
         )
 
     def check_point(self, point: Sequence[int]) -> tuple[int, ...]:
-        point = tuple(int(x) for x in point)
+        """`point` as a tuple of Python ints, refused unless each coordinate is an integer in its chain."""
+        point = tuple(point)
+        if not all(map(_integer, point)):
+            raise ValueError(f"point {point} has a coordinate that is not an integer")
+        point = tuple(map(operator.index, point))
         if not self.contains(point):
             raise ValueError(f"point {point} outside lattice with dims {self.dims}")
         return point
@@ -144,6 +148,9 @@ class ChainProduct:
 
     def point(self, number: int) -> tuple[int, ...]:
         """The lattice point numbered `number` in `points()` order, decoded by `strides`."""
+        last = self.cardinality - 1
+        if not (_integer(number) and 0 <= number <= last):
+            raise ValueError(f"point number {number!r} is not an integer from 0 to {last} for dims {self.dims}")
         return tuple(number // s % m for s, m in zip(self.strides, self.dims))
 
 
@@ -221,10 +228,10 @@ def cross_difference(f: Oracle, point: Sequence[int], i: int, j: int) -> float:
     """
     x = f.space.check_point(point)
     n = f.space.n_chains
+    if not (_integer(i) and _integer(j) and 0 <= i < n and 0 <= j < n):
+        raise ValueError(f"chain indices {i!r}, {j!r}: need two integers from 0 to {n - 1}")
     if i == j:
         raise ValueError("cross difference needs two distinct chains")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"chain index out of range for {n} chains")
     dims = f.space.dims
     if x[i] + 1 > dims[i] - 1 or x[j] + 1 > dims[j] - 1:
         raise ValueError(f"unit shift along chains {i},{j} leaves the lattice at {x}")

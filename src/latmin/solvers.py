@@ -8,7 +8,7 @@ so they agree whenever the minimizer is unique.  Centralized is the
 one-agent case: iterate project(rho - gamma_k * subgrad) and round once at
 the end.  A round prices nothing for its trace: `SolveTrace` computes the
 extension values, the disagreement and `best_rounded` from the solve's
-logs when first read, so a caller that never reads them, as a game does
+log, each when first read, so a caller that never reads them, as a game does
 not, never pays for them.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -191,59 +192,50 @@ def _step_sizes(params: SolverParams) -> list[float]:
     return [gamma / root for root in np.sqrt(np.arange(1, n + 1)).tolist()]
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class SolveTrace:
-    """Per-round diagnostics of one solve, computed when first read.
+    """Per-round diagnostics of one solve, each column computed from the log on its first read.
 
-    Row k of `ext_values` holds each agent's extension value where it walked
-    in round k + 1; `disagreement[k]` is the largest Euclidean distance
-    between two agents' profiles after that round (0 for one agent); and
-    `best_rounded[k]` is the lowest total cost of any point an agent has
-    rounded to in the rounds up to it.
-
-    Built from the solve's log: its lattice, each agent's f(bottom), the
-    (iterations, n_agents, r) buffers of mixed and of projected rows, each
-    agent-round's walk (order, subgradient) in round then agent order, each
-    round's rounded point numbers and the solve's `price`.  The first read
-    of `ext_values` or `disagreement` computes both, with `_value` on each
-    mixed row and `_disagreement_trace` on the projected ones.
-    `best_rounded` is the running minimum of the prices in round then agent
-    order; a non-finite cost met there raises, naming its point, on every
-    read.  Each column drops the log it read once it is computed.
+    The log is the solve's lattice, each agent's f(bottom), the (iterations,
+    n_agents, r) buffers of mixed and of projected rows, each agent-round's
+    walk (order, subgradient) in round then agent order, each round's rounded
+    point numbers and its `price`; the trace holds it as long as it lives.
+    Row k of `ext_values` is `_value` at each agent's mixed row of round k + 1;
+    `disagreement[k]` is the largest Euclidean distance between two agents'
+    projected rows of that round (0 for one agent); `best_rounded[k]` is the
+    lowest total cost of any point an agent rounded to up to it, the running
+    minimum of the prices in round then agent order.  A non-finite cost met
+    there raises, naming its point, on every read of `best_rounded`.
     """
 
-    def __init__(self, space, bottoms, mixed, walks, projected, rounds, price):
-        self._log = space, bottoms, mixed, walks, projected
-        self._rounds = rounds, price
+    space: ChainProduct
+    bottoms: list[float]
+    mixed: np.ndarray
+    walks: list[tuple[tuple[int, ...], list[float]]]
+    projected: np.ndarray
+    rounds: list[list[int]]
+    price: Callable[[int], float]
 
     @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        space, bottoms, mixed, walks, projected = self._log
-        rows = mixed.reshape(-1, mixed.shape[2]).tolist()
-        values = [
-            _value(bottom, row, order, subgradient, space)
-            for bottom, row, (order, subgradient) in zip(itertools.cycle(bottoms), rows, walks)
-        ]
-        columns = np.array(values).reshape(mixed.shape[:2]), _disagreement_trace(projected)
-        del self._log
-        return columns
-
-    @property
     def ext_values(self) -> np.ndarray:
-        return self._columns[0]
+        rows = self.mixed.reshape(-1, self.mixed.shape[2]).tolist()
+        values = [
+            _value(bottom, row, order, subgradient, self.space)
+            for bottom, row, (order, subgradient) in zip(itertools.cycle(self.bottoms), rows, self.walks)
+        ]
+        return np.array(values).reshape(self.mixed.shape[:2])
 
-    @property
+    @cached_property
     def disagreement(self) -> np.ndarray:
-        return self._columns[1]
+        return _disagreement_trace(self.projected)
 
     @cached_property
     def best_rounded(self) -> np.ndarray:
-        rounds, price = self._rounds
         best, running = math.inf, []
-        for rounded in rounds:
+        for rounded in self.rounds:
             for number in rounded:
-                best = min(best, price(number))
+                best = min(best, self.price(number))
             running.append(best)
-        del self._rounds
         return np.array(running)
 
 
@@ -293,10 +285,13 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     of `_slot_arrays`, computed in one array step and added in slot order,
     each entry through the same operations in the same order as one
     neighbor at a time.  `state` and `weights` may be arrays or nested
-    lists; the result is a new float array.
+    lists, weights of shape (n, n) for n rows; the result is a new float array.
     """
-    state = np.asarray(state, dtype=float)
-    return _mix(state, *_slot_arrays(np.asarray(weights, dtype=float)), np.empty(state.shape))
+    state, weights = np.asarray(state, dtype=float), np.asarray(weights, dtype=float)
+    n = len(state)
+    if weights.shape != (n, n):
+        raise ValueError(f"weights: need shape {(n, n)} for {n} rows, got {weights.shape}")
+    return _mix(state, *_slot_arrays(weights), np.empty(state.shape))
 
 
 def _disagreement_trace(history: np.ndarray) -> np.ndarray:
@@ -358,7 +353,7 @@ def distributed_minimize(
     iterations * n_agents * r bytes; per agent, at most one walk (the
     order's key and r floats) per round; and per agent-round, a reference
     to its walk and a point number.  The trace holds these and the value
-    dicts until it is read or dropped.
+    dicts until it is dropped.
 
     Every mixed row must pass `extension.check_rows`, the one row check.  It
     runs once over the buffer after the last round, or when anything raises
@@ -401,14 +396,13 @@ def distributed_minimize(
     # Round k's mixed rows are kept[k - 1], checked once the loop ends however it ends:
     # a walk, oracle or projection failure may follow from a bad row, which outranks it.
     kept = np.empty_like(history)
-    mixed_rounds = 0
     flat = range(space.sort_length)
 
     try:
         for k, gamma_k in enumerate(_step_sizes(params), 1):
             mixed = _mix(state, neighbors, ws, kept[k - 1]).tolist()
-            mixed_rounds = k
             rows, rounded = [], []
+            rounds.append(rounded)
             for f, memo, walked, row in zip(oracles, memos, walks, mixed):
                 # The stable descending sort of flat indices, as `extension._descending` sorts.
                 key = tuple(sorted(flat, key=row.__getitem__, reverse=True))
@@ -421,9 +415,8 @@ def distributed_minimize(
                 rounded.append(number)
             state = history[k - 1]
             state[:] = rows
-            rounds.append(rounded)
     finally:
-        check_rows(kept[:mixed_rounds].reshape(-1, space.sort_length), space)
+        check_rows(kept[: len(rounds)].reshape(-1, space.sort_length), space)
 
     # Total costs by point number, each priced once: the final points' now, the rest on read.
     totals = {}

@@ -447,6 +447,10 @@ class TestProfiles:
         assert np.array_equal(profile_chain(rho, 0), [1.0, 0.0])
         assert np.array_equal(profile_chain(rho, 1), [0.0])
 
+    def test_a_point_that_is_not_an_integer_makes_no_profile(self):
+        with pytest.raises(ValueError, match=r"^point \(1\.9, 0\) has a coordinate that is not an integer$"):
+            Profile.from_point(ChainProduct([3, 2]), (1.9, 0))
+
     def test_random_profile_deterministic_per_seed(self):
         X = ChainProduct([3, 3])
         a = uniform_random_profile(X, 123)

@@ -77,6 +77,23 @@ class TestChainProduct:
         with pytest.raises(ValueError, match="outside lattice"):
             X.check_point((0, 2))
 
+    @pytest.mark.parametrize("coordinate", [0.7, 1.0, True, "1", None])
+    def test_a_coordinate_that_is_not_an_integer_is_refused(self, coordinate):
+        X = ChainProduct([3, 3])
+        point = X.check_point((np.int64(1), 1))
+        assert point == (1, 1) and all(type(x) is int for x in point)
+        message = f"point {(coordinate, 1)} has a coordinate that is not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            X.check_point((coordinate, 1))
+
+    @pytest.mark.parametrize("number", [-1, 9, 100, True, 1.0])
+    def test_a_point_number_outside_the_lattice_is_refused(self, number):
+        X = ChainProduct([3, 3])
+        assert X.point(0) == (0, 0) and X.point(8) == (2, 2)
+        message = f"point number {number!r} is not an integer from 0 to 8 for dims (3, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            X.point(number)
+
     @pytest.mark.parametrize("dims", [[2], [3, 2, 4], [5, 3]])
     def test_strides_number_points_in_enumeration_order(self, dims):
         X = ChainProduct(dims)
@@ -116,6 +133,13 @@ class TestCrossDifference:
         f = quad_distance_oracle()
         with pytest.raises(ValueError, match="distinct"):
             cross_difference(f, (0, 0, 0, 0), 1, 1)
+
+    @pytest.mark.parametrize("i, j", [(True, 0), (0, 1.0), (0.5, 1), (0, 4), (-1, 0)])
+    def test_a_chain_index_that_is_not_an_integer_in_range_is_refused(self, i, j):
+        f = quad_distance_oracle()
+        message = f"chain indices {i!r}, {j!r}: need two integers from 0 to 3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cross_difference(f, (0, 0, 0, 0), i, j)
 
     def test_out_of_lattice_shift_rejected(self):
         f = quad_distance_oracle()

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import itertools
 import math
 import re
 import tracemalloc
@@ -1027,6 +1028,12 @@ class TestWholeStateRounds:
             assert mix_profiles(state, ws).tobytes() == expected.tobytes()
         assert mix_profiles(np.eye(2), [[0.5, 0.5], [0.5, 0.5]]).tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
+    @pytest.mark.parametrize("weights", [[[1.0]], np.eye(3), np.full((2, 3), 1 / 3)], ids=["1x1", "3x3", "2x3"])
+    def test_weights_of_another_shape_than_the_rows_are_refused(self, weights):
+        message = f"weights: need shape (2, 2) for 2 rows, got {np.shape(weights)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mix_profiles(np.eye(2), weights)
+
     def test_zero_padded_mixing_fails_the_byte_comparison(self):
         def zero_padded(state, weights):
             # Every row takes a term from every other agent, zero weight or not.
@@ -1087,10 +1094,11 @@ class TestBatchedDisagreement:
 
 
 class TestTraceOnRead:
-    """A solve's `ext_values` and `disagreement` are computed when first read."""
+    """Each column of a solve's trace is computed from its log when first read, and only that column."""
 
     X = ChainProduct([4, 3, 5])
     PARAMS = SolverParams(iterations=60, gamma=0.3, schedule="diminishing", seed=4)
+    COLUMNS = ("ext_values", "disagreement", "best_rounded")
 
     def case(self):
         rng = np.random.default_rng(8)
@@ -1117,16 +1125,18 @@ class TestTraceOnRead:
         assert trace.best_rounded.shape == (params.iterations,)
         assert priced == []
         trace.disagreement
+        assert priced == []
+        trace.ext_values
         assert len(priced) == params.iterations * len(tables)
 
-    def test_a_read_trace_has_the_per_agent_loops_bytes(self):
+    @pytest.mark.parametrize("order", itertools.permutations(COLUMNS), ids="-".join)
+    def test_a_read_trace_has_the_per_agent_loops_bytes(self, order):
         space, tables, matrix, params = self.case()
         traces = [
             solver([Oracle(t.__getitem__, space) for t in tables], space, matrix, params)[2]
             for solver in (distributed_minimize, reference_distributed_minimize)
         ]
-        # Read in the other order than `solve_bytes` reads: disagreement first.
-        got, expected = [(t.disagreement.tobytes(), t.ext_values.tobytes(), t.best_rounded.tobytes()) for t in traces]
+        got, expected = [[getattr(t, name).tobytes() for name in order] for t in traces]
         assert got == expected
 
     def test_a_second_read_returns_the_same_arrays(self, priced):
@@ -1137,7 +1147,7 @@ class TestTraceOnRead:
         assert trace.ext_values is ext_values and trace.disagreement is disagreement
         assert len(priced) == params.iterations * len(tables)
 
-    def test_a_read_trace_holds_none_of_the_solves_log(self, monkeypatch):
+    def test_a_read_trace_still_holds_the_solves_log(self, monkeypatch):
         logs = []
 
         class Recorded(solvers.SolveTrace):
@@ -1162,7 +1172,7 @@ class TestTraceOnRead:
                     pending.append(obj.base)
         logs = {"mixed": mixed, "walks": walks, "projected": projected, "rounds": rounds, "price": price}
         for name, log in logs.items():
-            assert id(log) not in held, name
+            assert id(log) in held, name
 
 
 class TestStepRecovery:
