@@ -61,6 +61,13 @@ def _zone_gap(targets: tuple[Cell, ...], cell: Cell) -> int:
 
 
 @_kept
+def _step_gaps(targets: tuple[Cell, ...], u_max: int, cell: Cell) -> tuple[int, ...]:
+    """The gap to `targets` from each one-step cell of cell, unclamped, in `_offsets` order."""
+    x, y = cell
+    return tuple([_gap((x + ox, y + oy), targets) for ox, oy in _offsets((u_max,) * 4, u_max)])
+
+
+@_kept
 def _mean_distance(metric: str, targets: tuple[Cell, ...], cell: Cell) -> float:
     """Mean `metric` distance from cell to `targets`.  The distances are
     integers, so the sum is exact in any order."""
@@ -381,17 +388,16 @@ def predict_attackers(
     move that most reduces its Manhattan distance to the defense zone
     (ties to the smaller x, then smaller y cell); captured attackers stay."""
     zone = tuple(arena.zone)
-
-    def gap(cell):
-        return _zone_gap(zone, cell) if arena.in_grid(cell) else math.inf
-
-    # One-step cells come in sorted order, so the first nearest one is the
-    # smallest (x, y) among the ties.
     moves = _offsets((u_max,) * 4, u_max)
-    return [
-        min(((x + ux, y + uy) for ux, uy in moves), key=gap) if live else (x, y)
-        for (x, y), live in zip(attackers, active)
-    ]
+
+    def step(x, y):
+        # One-step cells come in sorted order, so the first nearest one is the
+        # smallest (x, y) among the ties.
+        cells = [(x + ux, y + uy) for ux, uy in moves]
+        gaps = [g if arena.in_grid(c) else math.inf for c, g in zip(cells, _step_gaps(zone, u_max, (x, y)))]
+        return cells[gaps.index(min(gaps))]
+
+    return [step(x, y) if live else (x, y) for (x, y), live in zip(attackers, active)]
 
 
 def attacker_modes(
@@ -423,15 +429,15 @@ def attacker_policy(
     pos = attackers[i]
     eta_avoid, _ = attacker_modes(pos, defenders, params)
     avoid_mode = rng.uniform() < eta_avoid
-    candidates = [
-        c for c in ((pos[0] + ux, pos[1] + uy) for ux, uy in _offsets((u_max,) * 4, u_max))
-        if arena.in_grid(c) and c not in arena.obstacles
-    ]
+    x, y = pos
+    cells = [(x + ux, y + uy) for ux, uy in _offsets((u_max,) * 4, u_max)]
+    allowed = [a for a, c in enumerate(cells) if arena.in_grid(c) and c not in arena.obstacles]
+    candidates = [cells[a] for a in allowed]
     if avoid_mode:
         scores = [-_gap(c, defenders) for c in candidates]
     else:
-        zone = tuple(arena.zone)
-        scores = [_zone_gap(zone, c) for c in candidates]
+        gaps = _step_gaps(tuple(arena.zone), u_max, (x, y))
+        scores = [gaps[a] for a in allowed]
     best = min(scores)
     tied = [c for c, score in zip(candidates, scores) if score == best]
     return tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]

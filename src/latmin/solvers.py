@@ -7,9 +7,9 @@ subgradient, and project.  All agents round at the same shared threshold
 so they agree whenever the minimizer is unique.  Centralized is the
 one-agent case: iterate project(rho - gamma_k * subgrad) and round once at
 the end.  A round prices nothing for its trace: `SolveTrace` computes the
-extension values, the disagreement and `best_rounded` from the solve's
-log, each when first read, so a caller that never reads them, as a game does
-not, never pays for them.
+extension values, the disagreement, `best_rounded` and the lower bound from
+the solve's log, each when first read, so a caller that never reads them, as
+a game does not, never pays for them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -31,9 +31,27 @@ from .extension import (
     uniform_random_profile,
 )
 from .lattice import ChainProduct, Oracle, _integer, _left_sum, _real, _require_oracle_space
-from .projection import _kernel
+from .projection import KERNEL_CACHE_SIZE, _function, _kernel
 
 STOCHASTIC_TOL = 1e-9
+
+# A solve is certified when its best total cost UB and its lower bound LB, as
+# `SolveTrace` reports them, have UB - LB <= CERTIFY_TOL * max(1, |UB|).  The
+# bound is valid only when every agent's cost is submodular, and the walk's
+# f(bottom) and its steps sum to f(top) only to about 1e-13, hence the slack.
+CERTIFY_TOL = 1e-9
+
+# The most corrections, r * (the number of nonzero off-diagonal weights), that a
+# round mixes in a generated mixer; a round with more mixes in numpy, `_mix`.
+# Per round, numpy (`_mix`, `tolist` and the write-back of the new rows) against
+# the mixer (and its two block writes), fastest of 27 runs of 1,000 rounds on a
+# 2-core x86-64 VM, Python 3.11, numpy 2.4: line of 2 at r 8 (16 corrections)
+# 4.8 against 1.9 us; line of 3 at r 9 (36) 6.2 against 3.3; line of 4 at r 16
+# (96) 7.9 against 7.3; line of 4 at r 24 (144) 9.4 against 10.9; complete 4 at
+# r 16 (192) 8.6 against 9.9; line of 8 at r 32 (448) 16.8 against 30.0;
+# complete 8 at r 32 (1,792) 23.3 against 70.2.  A mixer of 96 corrections
+# compiles in about 1.5 ms.
+_MIXER_CORRECTIONS = 128
 
 
 # Each condition's report field and the message its failure prints, in order.
@@ -136,19 +154,19 @@ class WeightMatrix:
         return self.entries.shape[0]
 
     @cached_property
-    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """The slot table `_slot_arrays` builds from `entries`, built on first use,
-        kept for every later solve on this network and read-only."""
-        table = _slot_arrays(self.entries)
-        for array in table:
+    def _plan(self):
+        """`_mixing_plan(entries)`, built on first use and kept for every later solve
+        on this network, its slot table read-only."""
+        plan = _mixing_plan(self.entries)
+        for array in plan[2]:
             array.flags.writeable = False
-        return table
+        return plan
 
 
 @cache
 def _lone_agent() -> WeightMatrix:
     """The one-agent network of every central solve, checked on the first one and kept,
-    its slot table with it; built on first use, so an import that solves nothing pays
+    its mixing plan with it; built on first use, so an import that solves nothing pays
     nothing for it."""
     return WeightMatrix([[1.0]], eta=0.5)
 
@@ -198,14 +216,23 @@ class SolveTrace:
 
     The log is the solve's lattice, each agent's f(bottom), the (iterations,
     n_agents, r) buffers of mixed and of projected rows, each agent-round's
-    walk (order, subgradient) in round then agent order, each round's rounded
-    point numbers and its `price`; the trace holds it as long as it lives.
+    walk (order, subgradient) in round then agent order, each round's step
+    size and rounded point numbers, and its `price`; the trace holds it as
+    long as it lives.
     Row k of `ext_values` is `_value` at each agent's mixed row of round k + 1;
     `disagreement[k]` is the largest Euclidean distance between two agents'
     projected rows of that round (0 for one agent); `best_rounded[k]` is the
     lowest total cost of any point an agent rounded to up to it, the running
-    minimum of the prices in round then agent order.  A non-finite cost met
-    there raises, naming its point, on every read of `best_rounded`.
+    minimum of the prices in round then agent order, and `best_point` the first
+    point priced at the last one.  A non-finite cost met there raises, naming
+    its point, on every read of `best_rounded` or `best_point`.
+    `lower_bound[k]` is the running maximum, up to round k + 1, of two bounds on
+    the least total cost, each the sum of the agents' f(bottom) plus, per chain,
+    the least prefix sum (0 for none) of a vector: the sum G of the round's walk
+    subgradients, and the step-weighted mean of G over the rounds so far.  Both
+    hold when every agent's cost is submodular, since each walk's subgradient is
+    then a subgradient of the agent's convex extension; `certified` says whether
+    the last `best_rounded` is within `CERTIFY_TOL` of the last bound.
     """
 
     space: ChainProduct
@@ -213,7 +240,7 @@ class SolveTrace:
     mixed: np.ndarray
     walks: list[tuple[tuple[int, ...], list[float]]]
     projected: np.ndarray
-    rounds: list[list[int]]
+    rounds: list[tuple[float, list[int]]]
     price: Callable[[int], float]
 
     @cached_property
@@ -232,11 +259,31 @@ class SolveTrace:
     @cached_property
     def best_rounded(self) -> np.ndarray:
         best, running = math.inf, []
-        for rounded in self.rounds:
+        for _, rounded in self.rounds:
             for number in rounded:
                 best = min(best, self.price(number))
             running.append(best)
         return np.array(running)
+
+    @cached_property
+    def best_point(self) -> tuple[int, ...]:
+        return self.space.point(min((n for _, rounded in self.rounds for n in rounded), key=self.price))
+
+    @cached_property
+    def lower_bound(self) -> np.ndarray:
+        iterations, n_agents, r = self.mixed.shape
+        sums = np.array([g for _, g in self.walks]).reshape(iterations, n_agents, r).sum(axis=1)
+        steps = np.array([gamma for gamma, _ in self.rounds])[:, None]
+        vectors = np.stack([sums, np.cumsum(steps * sums, axis=0) / np.cumsum(steps, axis=0)])
+        bound = np.full((2, iterations), _left_sum(self.bottoms))
+        for a, b in itertools.pairwise(self.space.offsets):
+            bound += np.minimum(0.0, np.cumsum(vectors[:, :, a:b], axis=2).min(axis=2))
+        return np.maximum.accumulate(bound.max(axis=0))
+
+    @cached_property
+    def certified(self) -> bool:
+        ub = self.best_rounded[-1].item()
+        return ub - self.lower_bound[-1].item() <= CERTIFY_TOL * max(1.0, abs(ub))
 
 
 def _slot_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,6 +304,17 @@ def _slot_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     neighbors = np.where(filled, order, np.arange(n))
     ws = np.where(filled, weights[np.arange(n), order], -0.0)[:, :, None]
     return neighbors, ws
+
+
+def _mixing_plan(weights: np.ndarray):
+    """A network's way to mix: each agent's neighbors by increasing index and their
+    weights, flat in agent then neighbor order, which a generated mixer reads, and
+    the slot table of `_slot_arrays`, which `_mix` reads.  A zero or -0.0 weight is
+    no neighbor."""
+    table = _slot_arrays(weights)
+    neighbors, ws = table[0].T, table[1][:, :, 0].T
+    edges = ws != 0.0
+    return tuple(tuple(row[edge].tolist()) for row, edge in zip(neighbors, edges)), ws[edges].tolist(), table
 
 
 def _mix(state: np.ndarray, neighbors: np.ndarray, ws: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -294,6 +352,41 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return _mix(state, *_slot_arrays(weights), np.empty(state.shape))
 
 
+def _mixer_source(neighbors: tuple[tuple[int, ...], ...], r: int) -> str:
+    """The source of `mix(x, w)` for agents whose neighbors, by increasing index, are
+    `neighbors`, into which only integers are written: x the agents' rows of r
+    floats, w their weights flat in agent then neighbor order.  Entry k of agent i's
+    row is x_i + w_1 * (x_j1 - x_i) + w_2 * (x_j2 - x_i) + ..., left to right, where
+    `_mix` pads with -0.0 * (x_i - x_i), which adds nothing to a finite entry; an
+    agent with no neighbor keeps its row."""
+    mixing = [i for i, js in enumerate(neighbors) if js]
+    read = sorted({*mixing, *(j for js in neighbors for j in js)})
+    slots = "".join(f"w{i}_{s}, " for i in mixing for s in range(len(neighbors[i])))
+    lines = [
+        "def mix(x, w):",
+        f"    {''.join(f'x{i}, ' for i in range(len(neighbors)))}= x",
+        *(f"    {''.join(f'x{i}_{k}, ' for k in range(r))}= x{i}" for i in read),
+        *([f"    {slots}= w"] if slots else []),
+    ]
+    rows = [
+        "[" + ", ".join(
+            f"x{i}_{k}" + "".join(f" + w{i}_{s} * (x{j}_{k} - x{i}_{k})" for s, j in enumerate(js))
+            for k in range(r)
+        ) + "]" if js else f"x{i}"
+        for i, js in enumerate(neighbors)
+    ]
+    lines.append(f"    return [{', '.join(rows)}]")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _mixer(neighbors: tuple[tuple[int, ...], ...], r: int):
+    """`mix(rows, weights) -> rows`, `_mix` on lists byte for byte, its weights as
+    `_mixing_plan` lists them; compiled once per (neighbors, r) and kept, like the
+    projection kernels, in a cache of at most `KERNEL_CACHE_SIZE`."""
+    return _function(_mixer_source(neighbors, r), "mix", f"<solvers mixer {neighbors} r={r}>")
+
+
 def _disagreement_trace(history: np.ndarray) -> np.ndarray:
     """Per round, the largest Euclidean distance between two agents' rows of
     `history`, an (iterations, n_agents, r) array of every round's state.
@@ -316,6 +409,12 @@ def _disagreement_trace(history: np.ndarray) -> np.ndarray:
     return disagreement
 
 
+def _fill(buffer: np.ndarray, end: int, rounds: list[list[list[float]]]) -> None:
+    """Write `rounds`, each a round's rows as lists, into `buffer` as its rounds up to `end`."""
+    block = buffer[end - len(rounds) : end].reshape(-1)
+    block[:] = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(rounds)), float, len(block))
+
+
 def distributed_minimize(
     oracles: list[Oracle],
     space: ChainProduct,
@@ -332,12 +431,16 @@ def distributed_minimize(
     a shared one makes identical-cost runs exactly symmetric); each of a
     caller's `initial` profiles is checked in turn.  Rounds are synchronous
     and gather-then-update: all mixing reads use the previous round's
-    profiles, so execution order within a round cannot matter.  In a round
-    each agent walks its extension at its mixed row, then steps, projects
-    and rounds the row in one call of the projection kernel of `space`'s
-    shape.  The extension is linear on each sort order's cone, so an agent
-    walks each order once per solve and steps along the kept subgradient
-    when it meets the order again.
+    profiles, so execution order within a round cannot matter.  A round
+    mixes the rows as `mix_profiles` does, byte for byte: with at most
+    `_MIXER_CORRECTIONS` corrections (r times the network's nonzero
+    off-diagonal weights) in the generated mixer of the network's neighbor
+    lists and r, on the lists the kernel returned, and with more in numpy,
+    with the network's slot table.  Then each agent walks its extension at
+    its mixed row, steps, projects and rounds the row in one call of the
+    projection kernel of `space`'s shape.  The extension is linear on each
+    sort order's cone, so an agent walks each order once per solve and
+    steps along the kept subgradient when it meets the order again.
 
     Returns (points, values, trace): each agent's point rounded at t_hat in
     the last round, the *total* cost of each, and the per-round
@@ -350,8 +453,10 @@ def distributed_minimize(
     `best_rounded` is first read, where a non-finite cost raises.
 
     Memory: the mixed and the projected rows of every round, each 8 *
-    iterations * n_agents * r bytes; per agent, at most one walk (the
-    order's key and r floats) per round; and per agent-round, a reference
+    iterations * n_agents * r bytes, allocated before the first round (a
+    generated mixer's rounds wait there as lists of at most a quarter of
+    `_BATCH_FLOATS` floats); per agent, at most one walk (the order's key and
+    r floats) per round; and per agent-round, a reference
     to its walk and a point number.  The trace holds these and the value
     dicts until it is dropped.
 
@@ -378,8 +483,9 @@ def distributed_minimize(
             p.validate(space)
         starts = initial
     # Row i is agent i's profile.
-    state = np.array([p.values for p in starts])
-    neighbors, ws = matrix._slots
+    state = np.array([p.values for p in starts], dtype=float)
+    lists, weights, (neighbors, ws) = matrix._plan
+    r = space.sort_length
     project = _kernel(space.dims)
     # Agent i's oracle values by point number, as `_walk` keys them.
     memos = [{} for _ in oracles]
@@ -391,18 +497,30 @@ def distributed_minimize(
     rounds = []
     t_hat = params.t_hat
     # Round k's projected rows are history[k - 1].
-    history = np.empty((params.iterations, n_agents, space.sort_length))
+    history = np.empty((params.iterations, n_agents, r))
 
     # Round k's mixed rows are kept[k - 1], checked once the loop ends however it ends:
     # a walk, oracle or projection failure may follow from a bad row, which outranks it.
     kept = np.empty_like(history)
-    flat = range(space.sort_length)
+    flat = range(r)
+    # A small round mixes the kernel's own lists in generated code, and its rows reach the
+    # buffers in blocks; a larger one mixes in numpy.  A float in a list takes 32 bytes
+    # against 8 in an array, so a block holds a quarter of _BATCH_FLOATS floats.
+    mix = _mixer(lists, r) if r * len(weights) <= _MIXER_CORRECTIONS else None
+    block = max(1, _BATCH_FLOATS // (4 * n_agents * r))
+    mixed_rounds, projected_rounds = [], []
+    if mix is not None:
+        state = state.tolist()
 
     try:
         for k, gamma_k in enumerate(_step_sizes(params), 1):
-            mixed = _mix(state, neighbors, ws, kept[k - 1]).tolist()
+            if mix is None:
+                mixed = _mix(state, neighbors, ws, kept[k - 1]).tolist()
+            else:
+                mixed = mix(state, weights)
+                mixed_rounds.append(mixed)
             rows, rounded = [], []
-            rounds.append(rounded)
+            rounds.append((gamma_k, rounded))
             for f, memo, walked, row in zip(oracles, memos, walks, mixed):
                 # The stable descending sort of flat indices, as `extension._descending` sorts.
                 key = tuple(sorted(flat, key=row.__getitem__, reverse=True))
@@ -413,10 +531,20 @@ def distributed_minimize(
                 projected, number = project(row, walk[1], gamma_k, t_hat)
                 rows.append(projected)
                 rounded.append(number)
-            state = history[k - 1]
-            state[:] = rows
+            if mix is None:
+                state = history[k - 1]
+                state[:] = rows
+            else:
+                state = rows
+                projected_rounds.append(rows)
+                if len(mixed_rounds) == block:
+                    _fill(kept, k, mixed_rounds)
+                    _fill(history, k, projected_rounds)
+                    mixed_rounds, projected_rounds = [], []
     finally:
-        check_rows(kept[: len(rounds)].reshape(-1, space.sort_length), space)
+        _fill(kept, len(rounds), mixed_rounds)
+        check_rows(kept[: len(rounds)].reshape(-1, r), space)
+    _fill(history, len(rounds), projected_rounds)
 
     # Total costs by point number, each priced once: the final points' now, the rest on read.
     totals = {}

@@ -584,6 +584,10 @@ def test_field_tables_equal_what_they_keep(arena, metric, z1, z2):
     for targets in (arena.zone, *arena.responsibilities):
         kept = tuple(targets)
         assert [ctf._zone_gap(kept, c) for c in grid] == [ctf._gap(c, targets) for c in grid]
+        for u in (1, 2):
+            steps = ctf._offsets((u,) * 4, u)
+            assert [ctf._step_gaps(kept, u, c) for c in grid] == [
+                tuple(ctf._gap((x + ox, y + oy), targets) for ox, oy in steps) for x, y in grid]
         rows = cell_distances(metric, np.array(grid)[:, None], np.array(targets)[None])
         assert [as_bytes(ctf._mean_distance(metric, kept, c)) for c in grid] == list(
             map(as_bytes, (rows.sum(axis=1) / len(targets)).tolist()))
@@ -632,6 +636,18 @@ def test_cells_given_as_lists_read_the_tables_of_their_tuples(fresh_fields):
     # Two attackers, two reads each per round: only the first round's threat
     # distance misses.
     assert ctf._zone_gap.cache_info()[:3] == (6, 2, ctf.FIELD_KEYS)
+
+
+def test_each_attacker_reads_its_one_step_zone_gaps_from_one_row(fresh_fields):
+    arena = toy_arena()
+    attackers, active = [(2, 1), (4, 2), (2, 1)], [True, True, False]
+    assert predict_attackers(attackers, active, arena, 1) == reference_predict_attackers(attackers, active, arena, 1)
+    # Two live attackers on two cells: one row each, and no gap read cell by cell.
+    assert ctf._step_gaps.cache_info()[:2] == (0, 2)
+    base = AttackerParams(eta_avoid_nom=0.0, eta_base_nom=1.0, delta_th=4.0, kappa=0.9)
+    attacker_policy(0, attackers, [(5, 5)], base, arena, 1, np.random.default_rng(0))
+    assert ctf._step_gaps.cache_info()[:2] == (1, 2)
+    assert ctf._zone_gap.cache_info().currsize == 0
 
 
 def test_each_field_cache_stops_at_its_bound(fresh_fields):

@@ -221,11 +221,13 @@ class TestNetworkInternals:
             assert g.tobytes() == w.tobytes()
 
 
-class TestSlotTable:
-    def test_two_solves_on_one_network_build_its_slot_table_once(self, monkeypatch):
+class TestMixingPlan:
+    """A network's mixing plan is built once per `WeightMatrix`, and each mixer once per (neighbor lists, r)."""
+
+    def test_two_solves_on_one_network_build_its_plan_once(self, monkeypatch):
         built = []
-        slot_arrays = solvers._slot_arrays
-        monkeypatch.setattr(solvers, "_slot_arrays", lambda weights: built.append(weights) or slot_arrays(weights))
+        mixing_plan = solvers._mixing_plan
+        monkeypatch.setattr(solvers, "_mixing_plan", lambda weights: built.append(weights) or mixing_plan(weights))
         matrix = WeightMatrix(LINE_GRAPH_MATRIX, eta=0.1)
         X = ChainProduct([3, 3])
         rng = np.random.default_rng(8)
@@ -233,19 +235,24 @@ class TestSlotTable:
         for seed in (1, 2):
             distributed_minimize(fs, X, matrix, SolverParams(iterations=5, gamma=0.2, seed=seed))
         assert len(built) == 1
-        for kept, fresh in zip(matrix._slots, slot_arrays(matrix.entries), strict=True):
+        lists, weights, table = matrix._plan
+        assert lists == ((1,), (0, 2), (1, 3), (2,))
+        assert weights == [0.3, 0.3, 0.1, 0.1, 0.3, 0.3]
+        for kept, fresh in zip(table, solvers._slot_arrays(matrix.entries), strict=True):
             assert not kept.flags.writeable
             assert kept.tobytes() == fresh.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 kept[0] = 0
         state = np.array([uniform_random_profile(X, seed).values for seed in range(4)])
         expected = mix_profiles(state, LINE_GRAPH_MATRIX).tobytes()
-        assert solvers._mix(state, *matrix._slots, np.empty_like(state)).tobytes() == expected
+        assert solvers._mix(state, *table, np.empty_like(state)).tobytes() == expected
+        mixed = solvers._mixer(lists, X.sort_length)(state.tolist(), weights)
+        assert np.array(mixed).tobytes() == expected
 
-    def test_central_solves_build_the_lone_agents_slot_table_at_most_once(self, monkeypatch):
+    def test_central_solves_build_the_lone_agents_plan_at_most_once(self, monkeypatch):
         built = []
-        slot_arrays = solvers._slot_arrays
-        monkeypatch.setattr(solvers, "_slot_arrays", lambda weights: built.append(weights) or slot_arrays(weights))
+        mixing_plan = solvers._mixing_plan
+        monkeypatch.setattr(solvers, "_mixing_plan", lambda weights: built.append(weights) or mixing_plan(weights))
         X = ChainProduct([3, 4])
         rng = np.random.default_rng(10)
         for seed in (1, 2):
@@ -257,6 +264,28 @@ class TestSlotTable:
             assert trace.ext_values.tobytes() == ref_ext.tobytes()
             assert trace.best_rounded.tobytes() == ref_best.tobytes()
         assert len(built) <= 1
+
+    def test_each_mixer_is_compiled_once_per_neighbor_lists_and_r(self, monkeypatch):
+        compiled = []
+        function = solvers._function
+        monkeypatch.setattr(solvers, "_function", lambda source, name, filename: compiled.append(filename) or function(source, name, filename))
+        solvers._mixer.cache_clear()
+        try:
+            rng = np.random.default_rng(9)
+            # Two line networks of three with other weights share their lists, a star does not.
+            line = [[0.6, 0.4, 0.0], [0.4, 0.2, 0.4], [0.0, 0.4, 0.6]]
+            star = [[0.5, 0.25, 0.25], [0.25, 0.75, 0.0], [0.25, 0.0, 0.75]]
+            for entries, dims in ((line_matrix(3), [3, 3]), (line, [3, 3]), (line, [4, 3]), (star, [3, 3]), (line_matrix(3), [4, 3])):
+                X = ChainProduct(dims)
+                fs = [random_submodular_oracle(X, rng) for _ in range(3)]
+                distributed_minimize(fs, X, WeightMatrix(entries, eta=0.1), SolverParams(iterations=3, gamma=0.2))
+        finally:
+            solvers._mixer.cache_clear()
+        assert compiled == [
+            "<solvers mixer ((1,), (0, 2), (1,)) r=4>",
+            "<solvers mixer ((1,), (0, 2), (1,)) r=5>",
+            "<solvers mixer ((1, 2), (0,), (0,)) r=4>",
+        ]
 
 
 class TestStepSize:
@@ -426,6 +455,19 @@ class TestDistributed:
         bad = Profile(X, np.array([0.6, 0.2, np.nan]))
         with pytest.raises(ValueError, match="chain 1 leaves"):
             distributed_minimize(fs, X, matrix, params, initial=[good, bad])
+
+    # A line of 2 at r 4 mixes in generated code, a complete network of 5 at r 10 in numpy.
+    @pytest.mark.parametrize("n, dims", [(2, [3, 3]), (5, [3] * 5)])
+    def test_a_boolean_initial_profile_solves_as_its_floats(self, n, dims):
+        X = ChainProduct(dims)
+        start = np.array([True, False] * X.n_chains)
+        fns = [random_submodular_fn(X, np.random.default_rng(i)) for i in range(n)]
+        tables = [{x: float(fn(x)) for x in X.points()} for fn in fns]
+        matrix = WeightMatrix(np.full((n, n), 1.0 / n), eta=0.1)
+        params = SolverParams(iterations=10, gamma=0.2)
+        solves = [solve_bytes(distributed_minimize, X, tables, matrix, params, [Profile(X, v)] * n)
+                  for v in (start, start.astype(float))]
+        assert solves[0] == solves[1]
 
     def test_initial_profile_of_another_lattice_rejected(self):
         X = ChainProduct([3, 2])
@@ -1048,6 +1090,77 @@ class TestWholeStateRounds:
             self.assert_mixing_matches_per_row(zero_padded, self.STAR_STATE, star_matrix(5))
 
 
+class TestGeneratedMixer:
+    """A small round mixes in generated code on lists, with `mix_profiles`'s bytes."""
+
+    @staticmethod
+    def generated(state, weights):
+        lists, ws, _ = solvers._mixing_plan(np.asarray(weights, dtype=float))
+        return np.array(solvers._mixer(lists, state.shape[1])(state.tolist(), ws))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(weight_matrices(), st.data())
+    def test_rows_equal_mix_profiles_byte_for_byte(self, weights, data):
+        # Zeros and -0.0 among the weights, in one direction of an edge or both, and in the rows.
+        n, r = len(weights), data.draw(st.integers(1, 5))
+        entry = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 0.3, 1.0]) | st.floats(0.0, 1.0)
+        state = np.array(data.draw(st.lists(entry, min_size=n * r, max_size=n * r))).reshape(n, r)
+        assert self.generated(state, weights).tobytes() == mix_profiles(state, weights).tobytes()
+
+    def test_rows_equal_mix_profiles_on_the_star_with_negative_zeros(self):
+        state, weights = TestWholeStateRounds.STAR_STATE, star_matrix(5)
+        assert self.generated(state, weights).tobytes() == mix_profiles(state, weights).tobytes()
+
+    def test_a_lone_agents_row_is_returned_unchanged(self):
+        row = [0.5, -0.0, 0.25]
+        (mixed,) = solvers._mixer(((),), 3)([row], [])
+        assert mixed is row and mixed == [0.5, -0.0, 0.25]
+
+    # A line of 3 at r 6 mixes 24 corrections in generated code; a complete
+    # network of 5 at r 8, 160, is past the crossover and mixes in numpy.
+    @pytest.mark.parametrize("graph, n, dims, generated", [
+        ("line", 3, [3, 3, 3, 2], True),
+        ("complete", 5, [4, 4, 3], False),
+    ])
+    def test_a_solve_on_each_side_of_the_crossover_matches_the_per_agent_loop(self, monkeypatch, graph, n, dims, generated):
+        space = ChainProduct(dims)
+        matrix = WeightMatrix(GRAPHS[graph](n), eta=0.05)
+        assert (space.sort_length * len(matrix._plan[1]) <= solvers._MIXER_CORRECTIONS) == generated
+        rng = np.random.default_rng(n)
+        fns = [random_submodular_fn(space, rng) for _ in range(n)]
+        tables = [{x: float(fn(x)) for x in space.points()} for fn in fns]
+        params = SolverParams(iterations=150, gamma=0.2, schedule="diminishing", seed=4)
+        expected = solve_bytes(reference_distributed_minimize, space, tables, matrix, params)
+        mixed = []
+        mix = solvers._mix
+        monkeypatch.setattr(solvers, "_mix", lambda *args: mixed.append(1) or mix(*args))
+        assert solve_bytes(distributed_minimize, space, tables, matrix, params) == expected
+        assert len(mixed) == (0 if generated else params.iterations)
+
+    # A line of 3 at r 9 writes 27 floats a round: blocks of 1, 3 and 4 rounds, and the default.
+    @pytest.mark.parametrize("cap", [4 * 27, 4 * 81, 4 * 108 + 3, None])
+    def test_rows_reach_the_buffers_over_ragged_blocks(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(solvers, "_BATCH_FLOATS", cap)
+        space = ChainProduct([5, 3, 4])
+        rng = np.random.default_rng(3)
+        fns = [random_submodular_fn(space, rng) for _ in range(3)]
+        tables = [{x: float(fn(x)) for x in space.points()} for fn in fns]
+        # 37 rounds: a multiple of none of the block lengths 3 < 4 < 37.
+        case = (space, tables, WeightMatrix(line_matrix(3), eta=0.1), SolverParams(iterations=37, gamma=0.4, seed=7))
+        assert solve_bytes(distributed_minimize, *case) == solve_bytes(reference_distributed_minimize, *case)
+
+    def test_sharing_an_edges_difference_between_its_agents_is_not_exact(self):
+        # Each agent takes its own x_j - x_i.  Agent 1 reusing agent 0's x_1 - x_0 as
+        # x_1 - w * (x_1 - x_0) turns the 0.0 that -0.0 + w * (-0.0 - -0.0) gives into -0.0.
+        state, weights = np.array([[-0.0], [-0.0]]), np.full((2, 2), 0.5)
+        d = state[1, 0] - state[0, 0]
+        shared = [state[0, 0] + 0.5 * d, state[1, 0] - 0.5 * d]
+        mixed = mix_profiles(state, weights)
+        assert math.copysign(1.0, mixed[1, 0]) == 1.0 and math.copysign(1.0, shared[1]) == -1.0
+        assert self.generated(state, weights).tobytes() == mixed.tobytes()
+
+
 class TestBatchedDisagreement:
     """The disagreement trace, computed in batches when the trace is read,
     has the bytes of the per-round largest pairwise norm."""
@@ -1175,6 +1288,75 @@ class TestTraceOnRead:
             assert id(log) in held, name
 
 
+@st.composite
+def certificate_cases(draw):
+    """A solve of 1-3 agents on a line, each with a random submodular cost on 1-3 chains of 2-4."""
+    space = ChainProduct(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fns = [random_submodular_fn(space, rng) for _ in range(n)]
+    tables = [{x: float(fn(x)) for x in space.points()} for fn in fns]
+    params = SolverParams(
+        iterations=draw(st.integers(1, 60)),
+        gamma=draw(st.floats(0.01, 0.5)),
+        schedule=draw(st.sampled_from(["constant", "diminishing"])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return space, tables, WeightMatrix(line_matrix(n), eta=0.1), params
+
+
+class TestCertificate:
+    """The trace's lower bound and best point, read from the solve's log."""
+
+    @staticmethod
+    def total(tables, point):
+        return left_sum(t[point] for t in tables) if len(tables) > 1 else tables[0][point]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(certificate_cases())
+    def test_the_bound_is_below_the_minimum_and_the_best_point_above_it(self, case):
+        space, tables, matrix, params = case
+        fs = [Oracle(t.__getitem__, space) for t in tables]
+        _, _, trace = distributed_minimize(fs, space, matrix, params)
+        calls = [f.calls for f in fs]
+        lb = trace.lower_bound
+        # The bound asks no oracle for anything.
+        assert [f.calls for f in fs] == calls
+        least = min(self.total(tables, x) for x in space.points())
+        ub = trace.best_rounded[-1].item()
+        assert lb.shape == (params.iterations,) and (np.diff(lb) >= 0.0).all()
+        assert lb[-1] <= least + solvers.CERTIFY_TOL * max(1.0, abs(least)) and least <= ub
+        assert as_bytes(self.total(tables, trace.best_point)) == as_bytes(ub)
+        assert trace.certified == (ub - lb[-1] <= solvers.CERTIFY_TOL * max(1.0, abs(ub)))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_a_modular_cost_is_bounded_exactly_from_the_first_round(self, n):
+        # A sum of per-chain terms has one linear extension, so each round's
+        # subgradients price every point.
+        space = ChainProduct([4, 3, 5])
+        rng = np.random.default_rng(n)
+        terms = [[rng.uniform(-2.0, 2.0, m).tolist() for m in space.dims] for _ in range(n)]
+        tables = [{x: left_sum(c[v] for c, v in zip(t, x)) for x in space.points()} for t in terms]
+        fs = [Oracle(t.__getitem__, space) for t in tables]
+        _, _, trace = distributed_minimize(fs, space, WeightMatrix(line_matrix(n), eta=0.1), SolverParams(iterations=5, gamma=0.2))
+        least = min(self.total(tables, x) for x in space.points())
+        assert trace.lower_bound == pytest.approx([least] * 5, abs=1e-12)
+
+    def test_half_the_fig3_steps_are_certified_at_the_bundled_block(self, monkeypatch):
+        from latmin import ctf
+
+        certified = []
+
+        def recorded(*args):
+            solve = distributed_minimize(*args)
+            certified.append(solve[2].certified)
+            return solve
+
+        monkeypatch.setattr(ctf, "distributed_minimize", recorded)
+        ctf.run_game(load_scenario(bundled_scenario_path("paper_fig3.cfg")))
+        assert (len(certified), sum(certified)) == (40, 20)
+
+
 class TestStepRecovery:
     """A trace read recovers each visit's f-step from the walk's subgradient by
     replaying the chain levels along the order, so `ext_values` are the sum over
@@ -1256,21 +1438,26 @@ def spoil(row, kind):
 
 
 def spoiling_mix(monkeypatch, spoiled):
-    """Wrap `solvers._mix` so that round k's mixed state has row i spoiled as
-    `spoiled[k][i]` says.  Returns the list of rounds mixed so far and a dict
-    that gets each spoiled row, by (round, agent), as a list."""
-    mix = solvers._mix
+    """Wrap the mixers `solvers._mixer` makes so that round k's mixed rows have row i
+    spoiled as `spoiled[k][i]` says.  Returns the list of rounds mixed so far and a
+    dict that gets each spoiled row, by (round, agent), as a list."""
+    mixer = solvers._mixer
     rounds, rows = [], {}
 
-    def spoiling(*args):
-        mixed = mix(*args)
-        rounds.append(len(rounds) + 1)
-        for i, kind in spoiled.get(len(rounds), {}).items():
-            spoil(mixed[i], kind)
-            rows[len(rounds), i] = mixed[i].tolist()
-        return mixed
+    def spoiling_mixer(*plan):
+        mix = mixer(*plan)
 
-    monkeypatch.setattr(solvers, "_mix", spoiling)
+        def spoiling(*args):
+            mixed = [list(row) for row in mix(*args)]
+            rounds.append(len(rounds) + 1)
+            for i, kind in spoiled.get(len(rounds), {}).items():
+                spoil(mixed[i], kind)
+                rows[len(rounds), i] = list(mixed[i])
+            return mixed
+
+        return spoiling
+
+    monkeypatch.setattr(solvers, "_mixer", spoiling_mixer)
     return rounds, rows
 
 
