@@ -44,7 +44,7 @@ CERTIFY_TOL = 1e-9
 # The most corrections, r * (the number of nonzero off-diagonal weights), that a
 # round mixes in a generated mixer; a round with more mixes in numpy, `_mix`.
 # Per round, numpy (`_mix`, `tolist` and the write-back of the new rows) against
-# the mixer (and its two block writes), fastest of 27 runs of 1,000 rounds on a
+# the mixer (and its block writes, then to two buffers), fastest of 27 runs of 1,000 rounds on a
 # 2-core x86-64 VM, Python 3.11, numpy 2.4: line of 2 at r 8 (16 corrections)
 # 4.8 against 1.9 us; line of 3 at r 9 (36) 6.2 against 3.3; line of 4 at r 16
 # (96) 7.9 against 7.3; line of 4 at r 24 (144) 9.4 against 10.9; complete 4 at
@@ -215,10 +215,11 @@ class SolveTrace:
     """Per-round diagnostics of one solve, each column computed from the log on its first read.
 
     The log is the solve's lattice, each agent's f(bottom), the (iterations,
-    n_agents, r) buffers of mixed and of projected rows, each agent-round's
-    walk (order, subgradient) in round then agent order, each round's step
-    size and rounded point numbers, and its `price`; the trace holds it as
-    long as it lives.
+    n_agents, r) buffer of mixed rows, each agent-round's walk (order,
+    subgradient) in round then agent order, each round's step size and rounded
+    point numbers, and its `price`; the trace holds it as long as it lives.
+    `projected` replays each agent-round's kernel call from the log, with the
+    solve's bytes: the kernel is pure, and its inputs passed its finiteness test.
     Row k of `ext_values` is `_value` at each agent's mixed row of round k + 1;
     `disagreement[k]` is the largest Euclidean distance between two agents'
     projected rows of that round (0 for one agent); `best_rounded[k]` is the
@@ -239,9 +240,19 @@ class SolveTrace:
     bottoms: list[float]
     mixed: np.ndarray
     walks: list[tuple[tuple[int, ...], list[float]]]
-    projected: np.ndarray
     rounds: list[tuple[float, list[int]]]
     price: Callable[[int], float]
+
+    @cached_property
+    def projected(self) -> np.ndarray:
+        _, n_agents, r = self.mixed.shape
+        project = _kernel(self.space.dims)
+        steps = (gamma for gamma, _ in self.rounds for _ in range(n_agents))
+        rows = (
+            project(row.tolist(), subgradient, gamma, math.inf)[0]
+            for row, (_, subgradient), gamma in zip(self.mixed.reshape(-1, r), self.walks, steps)
+        )
+        return np.fromiter(itertools.chain.from_iterable(rows), float, self.mixed.size).reshape(self.mixed.shape)
 
     @cached_property
     def ext_values(self) -> np.ndarray:
@@ -254,7 +265,20 @@ class SolveTrace:
 
     @cached_property
     def disagreement(self) -> np.ndarray:
-        return _disagreement_trace(self.projected)
+        """sqrt is monotone and `np.vecdot` of a float vector with itself gives
+        the bytes of BLAS `d.dot(d)`, which `np.linalg.norm` takes too, so each
+        entry equals the largest pairwise norm bit for bit.  Rounds go in
+        batches of at most `_BATCH_FLOATS` differences."""
+        iterations, n_agents, r = self.mixed.shape
+        disagreement = np.zeros(iterations)
+        first, second = np.triu_indices(n_agents, 1)
+        if len(first):
+            step = max(1, _BATCH_FLOATS // (len(first) * r))
+            for start in range(0, iterations, step):
+                rounds = self.projected[start : start + step]
+                d = rounds[:, first] - rounds[:, second]
+                disagreement[start : start + step] = np.sqrt(np.vecdot(d, d).max(axis=1))
+        return disagreement
 
     @cached_property
     def best_rounded(self) -> np.ndarray:
@@ -344,8 +368,13 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     each entry through the same operations in the same order as one
     neighbor at a time.  `state` and `weights` may be arrays or nested
     lists, weights of shape (n, n) for n rows; the result is a new float array.
+    A non-finite entry of `state` raises a ValueError naming it: the slot
+    table's -0.0 padding is an identity only on finite rows.
     """
     state, weights = np.asarray(state, dtype=float), np.asarray(weights, dtype=float)
+    if not np.isfinite(state).all():
+        index = tuple(np.argwhere(~np.isfinite(state))[0].tolist())
+        raise ValueError(f"state: entry {index} is {state[index].item()}; rows must be finite")
     n = len(state)
     if weights.shape != (n, n):
         raise ValueError(f"weights: need shape {(n, n)} for {n} rows, got {weights.shape}")
@@ -385,28 +414,6 @@ def _mixer(neighbors: tuple[tuple[int, ...], ...], r: int):
     `_mixing_plan` lists them; compiled once per (neighbors, r) and kept, like the
     projection kernels, in a cache of at most `KERNEL_CACHE_SIZE`."""
     return _function(_mixer_source(neighbors, r), "mix", f"<solvers mixer {neighbors} r={r}>")
-
-
-def _disagreement_trace(history: np.ndarray) -> np.ndarray:
-    """Per round, the largest Euclidean distance between two agents' rows of
-    `history`, an (iterations, n_agents, r) array of every round's state.
-
-    sqrt is monotone and `np.vecdot` of a float vector with itself gives
-    the bytes of BLAS `d.dot(d)`, which `np.linalg.norm` takes too, so each
-    entry equals the largest pairwise norm bit for bit.  Rounds go in
-    batches of at most `_BATCH_FLOATS` differences.  One agent has no
-    pairs and keeps zeros.
-    """
-    iterations, n_agents, r = history.shape
-    disagreement = np.zeros(iterations)
-    first, second = np.triu_indices(n_agents, 1)
-    if len(first):
-        step = max(1, _BATCH_FLOATS // (len(first) * r))
-        for start in range(0, iterations, step):
-            rounds = history[start : start + step]
-            d = rounds[:, first] - rounds[:, second]
-            disagreement[start : start + step] = np.sqrt(np.vecdot(d, d).max(axis=1))
-    return disagreement
 
 
 def _fill(buffer: np.ndarray, end: int, rounds: list[list[list[float]]]) -> None:
@@ -452,13 +459,13 @@ def distributed_minimize(
     points; a point only an earlier round rounded to is asked for when
     `best_rounded` is first read, where a non-finite cost raises.
 
-    Memory: the mixed and the projected rows of every round, each 8 *
-    iterations * n_agents * r bytes, allocated before the first round (a
-    generated mixer's rounds wait there as lists of at most a quarter of
-    `_BATCH_FLOATS` floats); per agent, at most one walk (the order's key and
-    r floats) per round; and per agent-round, a reference
-    to its walk and a point number.  The trace holds these and the value
-    dicts until it is dropped.
+    Memory: one buffer of the mixed rows of every round, 8 * iterations *
+    n_agents * r bytes, allocated before the first round (a generated mixer's
+    rounds wait for it as lists of at most a quarter of `_BATCH_FLOATS`
+    floats); per agent, at most one walk (the order's key and r floats) per
+    round; and per agent-round, a reference to its walk and a point number.
+    The trace holds these and the value dicts until it is dropped; its
+    `projected` rows, another such buffer, exist only once read.
 
     Every mixed row must pass `extension.check_rows`, the one row check.  It
     runs once over the buffer after the last round, or when anything raises
@@ -496,19 +503,16 @@ def distributed_minimize(
     logged = log.append
     rounds = []
     t_hat = params.t_hat
-    # Round k's projected rows are history[k - 1].
-    history = np.empty((params.iterations, n_agents, r))
-
     # Round k's mixed rows are kept[k - 1], checked once the loop ends however it ends:
     # a walk, oracle or projection failure may follow from a bad row, which outranks it.
-    kept = np.empty_like(history)
+    kept = np.empty((params.iterations, n_agents, r))
     flat = range(r)
-    # A small round mixes the kernel's own lists in generated code, and its rows reach the
-    # buffers in blocks; a larger one mixes in numpy.  A float in a list takes 32 bytes
+    # A small round mixes the kernel's own lists in generated code, and its mixed rows reach
+    # the buffer in blocks; a larger one mixes in numpy.  A float in a list takes 32 bytes
     # against 8 in an array, so a block holds a quarter of _BATCH_FLOATS floats.
     mix = _mixer(lists, r) if r * len(weights) <= _MIXER_CORRECTIONS else None
     block = max(1, _BATCH_FLOATS // (4 * n_agents * r))
-    mixed_rounds, projected_rounds = [], []
+    mixed_rounds = []
     if mix is not None:
         state = state.tolist()
 
@@ -532,19 +536,15 @@ def distributed_minimize(
                 rows.append(projected)
                 rounded.append(number)
             if mix is None:
-                state = history[k - 1]
                 state[:] = rows
             else:
                 state = rows
-                projected_rounds.append(rows)
                 if len(mixed_rounds) == block:
                     _fill(kept, k, mixed_rounds)
-                    _fill(history, k, projected_rounds)
-                    mixed_rounds, projected_rounds = [], []
+                    mixed_rounds = []
     finally:
         _fill(kept, len(rounds), mixed_rounds)
         check_rows(kept[: len(rounds)].reshape(-1, r), space)
-    _fill(history, len(rounds), projected_rounds)
 
     # Total costs by point number, each priced once: the final points' now, the rest on read.
     totals = {}
@@ -564,7 +564,7 @@ def distributed_minimize(
     points = [space.point(number) for number in rounded]
     values = [price(number) for number in rounded]
     bottoms = [memo[0] for memo in memos]
-    return points, values, SolveTrace(space, bottoms, kept, log, history, rounds, price)
+    return points, values, SolveTrace(space, bottoms, kept, log, rounds, price)
 
 
 def centralized_minimize(f: Oracle, space: ChainProduct, params: SolverParams):

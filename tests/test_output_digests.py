@@ -7,8 +7,9 @@ The inputs are the bundled fig3 game at its seed, at the bundled budget
 and at 200 rounds, and an 8-defender game written out below, whose
 defenders reach the top row, so moves off the grid are clamped, and whose
 attackers are captured, freed and finally breach the zone. fig3's
-`--svg` drawing is pinned too, and so are the README problem's
-`solution.csv` and `trace.csv` in both solve modes.
+`--svg` drawing is pinned too, and so are the `solution.csv` and
+`trace.csv` of two problems in both solve modes: the README's, whose
+consensus rounds mix in a generated mixer, and one whose rounds mix in numpy.
 """
 
 import hashlib
@@ -161,12 +162,57 @@ SOLVE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(SOLVE_DIGESTS))
-def test_solve_writes_the_pinned_bytes(mode, tmp_path, capsys):
+# 3 agents on a line at r = 48: 4 off-diagonal weights times r is 192 corrections,
+# above the 128 a generated mixer takes, so the consensus rounds mix in numpy.
+NUMPY_MIXING_PROBLEM = """\
+kind: problem
+seed: 5
+dims: [5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5]
+objectives:
+  - {type: linear, coefficients: [1.0, -0.5, 0.25, -1.0, 0.5, -0.25, 0.75, -0.75, 1.5, -1.5, 0.1, -0.1]}
+  - {type: quadratic, centers: [2.0, 1.0, 3.0, 0.0, 4.0, 2.0, 1.0, 3.0, 2.0, 0.0, 4.0, 1.0]}
+  - {type: quadratic, centers: [1.0, 3.0, 2.0, 4.0, 0.0, 1.0, 2.0, 2.0, 3.0, 1.0, 0.0, 4.0],
+     weights: [0.5, 1.0, 2.0, 0.5, 1.0, 2.0, 0.5, 1.0, 2.0, 0.5, 1.0, 2.0]}
+network:
+  eta: 0.1
+  matrix:
+    - [0.7, 0.3, 0.0]
+    - [0.3, 0.4, 0.3]
+    - [0.0, 0.3, 0.7]
+solver:
+  iterations: 300
+  gamma: 0.05
+  schedule: diminishing
+  t_hat: 0.7
+"""
+
+NUMPY_MIXING_DIGESTS = {
+    "central": (
+        "2b1d345574fc528888d4ced4671f65637ad4c94ed46e8599b428b22795815200",
+        "1cbcef209cf0d6b1d7e445086e64ceac6a93d65c9d2020a256bee701047277b6",
+    ),
+    "distributed": (
+        "22cac0b00b5bec94f5cc1aa1ffdb535e73dee4374f4b235d97406c5f606b15ee",
+        "9161db05ab04ba371c2cd4bfb4467b658f30126a4a2935869cc519db5fb48dbf",
+    ),
+}
+
+
+def solve_digests(problem, mode, tmp_path, capsys):
+    """`latmin solve`'s (solution.csv, trace.csv) sha256 digests on the problem file `problem`."""
     path = tmp_path / "problem.cfg"
-    path.write_text(README_PROBLEM)
+    path.write_text(problem)
     out = tmp_path / "out"
     assert main(["solve", str(path), "--mode", mode, "--out", str(out)]) == 0
     capsys.readouterr()
-    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("solution.csv", "trace.csv"))
-    assert digests == SOLVE_DIGESTS[mode]
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("solution.csv", "trace.csv"))
+
+
+@pytest.mark.parametrize("mode", sorted(SOLVE_DIGESTS))
+def test_solve_writes_the_pinned_bytes(mode, tmp_path, capsys):
+    assert solve_digests(README_PROBLEM, mode, tmp_path, capsys) == SOLVE_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(NUMPY_MIXING_DIGESTS))
+def test_solve_mixing_in_numpy_writes_the_pinned_bytes(mode, tmp_path, capsys):
+    assert solve_digests(NUMPY_MIXING_PROBLEM, mode, tmp_path, capsys) == NUMPY_MIXING_DIGESTS[mode]

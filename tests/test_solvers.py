@@ -1076,6 +1076,15 @@ class TestWholeStateRounds:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             mix_profiles(np.eye(2), weights)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=str)
+    def test_a_non_finite_entry_is_refused_before_mixing(self, bad):
+        # Agent 0 has no neighbor, so it pads its correction slot with its own row at
+        # weight -0.0, and -0.0 * (inf - inf) would be NaN where one neighbor at a time keeps inf.
+        weights = [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]
+        message = f"state: entry (0, 1) is {bad}; rows must be finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mix_profiles([[0.5, bad], [0.0, 0.0], [1.0, 1.0]], weights)
+
     def test_zero_padded_mixing_fails_the_byte_comparison(self):
         def zero_padded(state, weights):
             # Every row takes a term from every other agent, zero weight or not.
@@ -1271,8 +1280,8 @@ class TestTraceOnRead:
         monkeypatch.setattr(solvers, "SolveTrace", Recorded)
         space, tables, matrix, params = self.case()
         _, _, trace = distributed_minimize([Oracle(t.__getitem__, space) for t in tables], space, matrix, params)
-        ((_, _, mixed, walks, projected, rounds, price),) = logs
-        assert mixed.shape == projected.shape == (params.iterations, len(tables), space.sort_length)
+        ((_, _, mixed, walks, rounds, price),) = logs
+        assert mixed.shape == (params.iterations, len(tables), space.sort_length)
         trace.ext_values, trace.disagreement, trace.best_rounded
         # Everything the trace's attributes reach through containers, views and closures.
         held, pending = set(), list(vars(trace).values())
@@ -1283,9 +1292,91 @@ class TestTraceOnRead:
                 pending += gc.get_referents(obj)
                 if isinstance(obj, np.ndarray) and obj.base is not None:
                     pending.append(obj.base)
-        logs = {"mixed": mixed, "walks": walks, "projected": projected, "rounds": rounds, "price": price}
+        logs = {"mixed": mixed, "walks": walks, "rounds": rounds, "price": price}
         for name, log in logs.items():
             assert id(log) in held, name
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """Every row that a kernel `solvers._kernel` returns gives back, in call order."""
+    rows = []
+    kernel = solvers._kernel
+
+    def recording_kernel(dims):
+        project = kernel(dims)
+
+        def recorded(*args):
+            row, number = project(*args)
+            rows.append(row)
+            return row, number
+
+        return recorded
+
+    monkeypatch.setattr(solvers, "_kernel", recording_kernel)
+    return rows
+
+
+class TestProjectionReplay:
+    """`projected` replays each agent-round's kernel call from the log, with the solve's bytes."""
+
+    ITERATIONS = 40
+    # (agents, graph, dims, mixed in a generated mixer): a line of 3 at r = 6 has 24
+    # corrections, a complete network of 4 at r = 16 has 192, a lone agent none.
+    CASES = {
+        "generated": (3, line_matrix, [3, 4, 2], True),
+        "numpy": (4, GRAPHS["complete"], [5, 5, 5, 5], False),
+        "lone": (1, line_matrix, [4, 3, 5], True),
+    }
+
+    def solve(self, case, schedule):
+        n, graph, dims, generated = self.CASES[case]
+        space, matrix = ChainProduct(dims), WeightMatrix(graph(n), eta=0.1)
+        assert (space.sort_length * len(matrix._plan[1]) <= solvers._MIXER_CORRECTIONS) == generated
+        rng = np.random.default_rng(n)
+        fs = [random_submodular_oracle(space, rng) for _ in range(n)]
+        params = SolverParams(iterations=self.ITERATIONS, gamma=0.3, schedule=schedule, seed=3)
+        if n == 1:
+            return centralized_minimize(fs[0], space, params)[2]
+        return distributed_minimize(fs, space, matrix, params)[2]
+
+    @pytest.mark.parametrize("schedule", ["constant", "diminishing"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_replayed_rows_are_the_solves_rows(self, kernel_rows, case, schedule):
+        trace = self.solve(case, schedule)
+        solved = np.array(kernel_rows).tobytes()
+        assert trace.projected.tobytes() == solved
+
+    def test_only_the_first_read_of_disagreement_replays(self, kernel_rows):
+        trace = self.solve("generated", "diminishing")
+        calls = self.ITERATIONS * 3
+        assert len(kernel_rows) == calls
+        trace.ext_values, trace.best_rounded, trace.lower_bound
+        assert len(kernel_rows) == calls
+        trace.disagreement
+        assert len(kernel_rows) == 2 * calls
+        trace.disagreement, trace.projected
+        assert len(kernel_rows) == 2 * calls
+
+
+def test_a_solve_keeps_one_round_buffer():
+    space, matrix = ChainProduct([5] * 6), WeightMatrix(line_matrix(3), eta=0.1)
+    costs = [lambda x, c=c: left_sum(c * xi for xi in x) for c in (1.0, -0.5, 0.25)]
+    params = SolverParams(iterations=2000, gamma=0.05, seed=1)
+    # A one-round solve first, so the compiled kernel and mixer are not counted.
+    distributed_minimize([Oracle(c, space) for c in costs], space, matrix, SolverParams(iterations=1, gamma=0.05))
+    fs = [Oracle(c, space) for c in costs]
+    tracemalloc.start()
+    try:
+        _, _, trace = distributed_minimize(fs, space, matrix, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = 8 * params.iterations * len(fs) * space.sort_length
+    assert trace.mixed.nbytes == buffer
+    # The mixed rows' buffer, 1,125 KiB, and the log: about 1.5 buffers; a second
+    # round buffer would take it to about 2.5.
+    assert peak < 1.75 * buffer
 
 
 @st.composite
