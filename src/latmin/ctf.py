@@ -28,7 +28,7 @@ import numpy as np
 
 from .lattice import ChainProduct, Oracle, _integer, _left_sum, _numbers, _real
 from .projection import _function
-from .solvers import distributed_minimize
+from .solvers import _links, distributed_minimize
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -513,16 +513,17 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     defender i's move index is a = point[2i] * side + point[2i+1].  Its
     cost at landing cell z_i = ctx.landing[i][point[2i] * side + point[2i+1]] is
     ((head + cohesion) + barrier) + mobility, with the pulls of its
-    cohesion partners added in increasing j.  Moves that would leave the
-    grid are priced at the clamped landing cell, the cell `run_game`
-    applies, which keeps the decision space a full chain product.
+    cohesion partners, its `solvers._links` in the cohesion weights, added
+    in increasing j.  Moves that would leave the grid are priced at the
+    clamped landing cell, the cell `run_game` applies, which keeps the
+    decision space a full chain product.
 
     Each defender's own terms are evaluated once per own move.  Its zone
     pull (`_mean_distance`), its pursuit distances (`_row` at weight 1.0),
     its walls (`_barrier`) and each pull table its oracle reads (`_pull`,
-    for a nonzero off-diagonal cohesion weight) are kept per process, the
-    last three by clamp pattern and relative offset, so a step computes only
-    head and mobility per own move.  Kept rows are tuples, so the oracles
+    one per partner) are kept per process, the last three by clamp
+    pattern and relative offset, so a step computes only head and
+    mobility per own move.  Kept rows are tuples, so the oracles
     capture the context as it is now: changing `ctx` afterwards does not
     change them.
 
@@ -535,14 +536,15 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     metric, weights, u_max = ctx.params.distance, ctx.params.cohesion, ctx.u_max
     n, side, cells, moves = ctx.n_defenders, 2 * u_max + 1, ctx._cells, _offsets((u_max,) * 4, u_max)
     space = _joint_space(2 * n, side)
-    # The pairs (i, j) with j's pull in defender i's cost, i then j increasing.
-    own, partner = np.nonzero((weights[:n, :n] != 0.0) & ~np.eye(n, dtype=bool))
-    # Each pair's pull[a][b], when i moves by a and j by b.
-    partners, tables = [[] for _ in range(n)], [[] for _ in range(n)]
-    for i, j, w in zip(own.tolist(), partner.tolist(), weights[own, partner].tolist()):
-        ((xi, yi), pattern_i), ((xj, yj), pattern_j) = cells[i], cells[j]
-        partners[i].append(j)
-        tables[i].append(_pull(metric, w, u_max, pattern_i, pattern_j, xi - xj, yi - yj))
+    # Defender i's cohesion partners, in increasing j, are its `_links` in the weights.
+    links = _links(weights[:n, :n])
+    # Each partner j's pull[a][b], when i moves by a and j by b.
+    tables = [[] for _ in range(n)]
+    for i, row in enumerate(links):
+        (xi, yi), pattern_i = cells[i]
+        for j, w in row:
+            (xj, yj), pattern_j = cells[j]
+            tables[i].append(_pull(metric, w, u_max, pattern_i, pattern_j, xi - xj, yi - yj))
 
     def head_terms(i):
         """Zone pull and pursuit at each landing cell, weighted by defender i's alphas."""
@@ -565,7 +567,7 @@ def build_step_problem(ctx: StepContext) -> tuple[list[Oracle], ChainProduct]:
     def oracle(i):
         weight = float(ctx.params.mobility[i])
         mobility = [weight * (ux * ux + uy * uy) for ux, uy in moves]
-        make = _cost_maker(2 * i, tuple(partners[i]), side)
+        make = _cost_maker(2 * i, tuple(j for j, _ in links[i]), side)
         return Oracle(make(head_terms(i), barrier(i), mobility, *tables[i]), space)
 
     return [oracle(i) for i in range(n)], space

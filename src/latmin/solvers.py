@@ -44,13 +44,15 @@ CERTIFY_TOL = 1e-9
 # The most corrections, r * (the number of nonzero off-diagonal weights), that a
 # round mixes in a generated mixer; a round with more mixes in numpy, `_mix`.
 # Per round, numpy (`_mix`, `tolist` and the write-back of the new rows) against
-# the mixer (and its block writes, then to two buffers), fastest of 27 runs of 1,000 rounds on a
-# 2-core x86-64 VM, Python 3.11, numpy 2.4: line of 2 at r 8 (16 corrections)
-# 4.8 against 1.9 us; line of 3 at r 9 (36) 6.2 against 3.3; line of 4 at r 16
-# (96) 7.9 against 7.3; line of 4 at r 24 (144) 9.4 against 10.9; complete 4 at
-# r 16 (192) 8.6 against 9.9; line of 8 at r 32 (448) 16.8 against 30.0;
-# complete 8 at r 32 (1,792) 23.3 against 70.2.  A mixer of 96 corrections
-# compiles in about 1.5 ms.
+# the mixer (and its block writes to the one buffer), fastest of 27 runs of 1,000
+# rounds on a 2-core x86-64 VM, Python 3.11, numpy 2.4: line of 2 at r 8 (16
+# corrections) 4.3 against 1.2 us; line of 3 at r 9 (36) 5.5 against 2.2; line of
+# 4 at r 16 (96) 6.9 against 4.9; line of 4 at r 24 (144) 8.1 against 7.0;
+# complete 4 at r 16 (192) 7.6 against 7.0; line of 8 at r 32 (448) 14.6 against
+# 21.6; complete 8 at r 32 (1,792) 19.8 against 58.5.  So the crossover lies
+# between 192 and 448, but no benchmark workload lies between population's and
+# fig3's 96 and swarm8's 448, so the benchmark cannot place the threshold.  A
+# mixer of 96 corrections compiles in about 1.2 ms.
 _MIXER_CORRECTIONS = 128
 
 
@@ -156,11 +158,8 @@ class WeightMatrix:
     @cached_property
     def _plan(self):
         """`_mixing_plan(entries)`, built on first use and kept for every later solve
-        on this network, its slot table read-only."""
-        plan = _mixing_plan(self.entries)
-        for array in plan[2]:
-            array.flags.writeable = False
-        return plan
+        on this network."""
+        return _mixing_plan(self.entries)
 
 
 @cache
@@ -256,12 +255,12 @@ class SolveTrace:
 
     @cached_property
     def ext_values(self) -> np.ndarray:
-        rows = self.mixed.reshape(-1, self.mixed.shape[2]).tolist()
-        values = [
+        rows = (row.tolist() for row in self.mixed.reshape(-1, self.mixed.shape[2]))
+        values = (
             _value(bottom, row, order, subgradient, self.space)
             for bottom, row, (order, subgradient) in zip(itertools.cycle(self.bottoms), rows, self.walks)
-        ]
-        return np.array(values).reshape(self.mixed.shape[:2])
+        )
+        return np.fromiter(values, float, len(self.walks)).reshape(self.mixed.shape[:2])
 
     @cached_property
     def disagreement(self) -> np.ndarray:
@@ -310,39 +309,33 @@ class SolveTrace:
         return ub - self.lower_bound[-1].item() <= CERTIFY_TOL * max(1.0, abs(ub))
 
 
-def _slot_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every agent's nonzero off-diagonal weights as correction slots: slot s holds
-    each agent's s-th neighbor, by increasing index, in an (S, n) neighbor array
-    and its weight in an (S, n, 1) array, S the most neighbors any agent has.  An
-    agent with fewer takes its own row at weight -0.0 there, since
-    -0.0 * (x - x) = -0.0 and y + -0.0 = y, even for y = -0.0: an exact identity
-    on finite rows.  A -0.0 weight is zero and gets no slot.
-    """
-    n = len(weights)
-    edges = (weights != 0.0) & ~np.eye(n, dtype=bool)
-    counts = edges.sum(axis=1)
-    slots = np.arange(counts.max(initial=0))[:, None]
-    # A stable sort of "not an edge" lists each agent's neighbors first, in index order.
-    order = np.argsort(~edges, axis=1, kind="stable").T[: len(slots)]
-    filled = slots < counts
-    neighbors = np.where(filled, order, np.arange(n))
-    ws = np.where(filled, weights[np.arange(n), order], -0.0)[:, :, None]
-    return neighbors, ws
+def _links(weights: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Each agent's (neighbor, weight) pairs, one per nonzero off-diagonal entry of its
+    row of `weights`, by increasing index; -0.0 is zero.  The one rule for who is a
+    neighbor: the mixing plan and the game's cohesion partners read it."""
+    rows = enumerate(weights.tolist())
+    return [[(j, w) for j, w in enumerate(row) if w != 0.0 and j != i] for i, row in rows]
 
 
 def _mixing_plan(weights: np.ndarray):
-    """A network's way to mix: each agent's neighbors by increasing index and their
-    weights, flat in agent then neighbor order, which a generated mixer reads, and
-    the slot table of `_slot_arrays`, which `_mix` reads.  A zero or -0.0 weight is
-    no neighbor."""
-    table = _slot_arrays(weights)
-    neighbors, ws = table[0].T, table[1][:, :, 0].T
-    edges = ws != 0.0
-    return tuple(tuple(row[edge].tolist()) for row, edge in zip(neighbors, edges)), ws[edges].tolist(), table
+    """A network's way to mix, from its `_links`: each agent's neighbors and their weights,
+    flat in agent then neighbor order, which a generated mixer reads, and the read-only
+    slot table `_mix` reads.  Slot s is each agent's s-th link, in an (S, n) neighbor
+    array and an (S, n, 1) weight array; an agent with fewer links takes its own row at
+    weight -0.0 there, since -0.0 * (x - x) = -0.0 and y + -0.0 = y, even for y = -0.0:
+    an exact identity on finite rows."""
+    links = _links(weights)
+    lists = tuple(tuple(j for j, _ in row) for row in links)
+    slots = range(max(map(len, lists), default=0))
+    padded = [[row[s] if s < len(row) else (i, -0.0) for i, row in enumerate(links)] for s in slots]
+    neighbors = np.array([[j for j, _ in slot] for slot in padded], dtype=np.intp).reshape(len(slots), len(links))
+    ws = np.array([[w for _, w in slot] for slot in padded], dtype=float).reshape(len(slots), len(links), 1)
+    neighbors.flags.writeable = ws.flags.writeable = False
+    return lists, tuple(w for row in links for _, w in row), (neighbors, ws)
 
 
 def _mix(state: np.ndarray, neighbors: np.ndarray, ws: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`mix_profiles` with the slot table `_slot_arrays` builds, written into `out` and returned:
+    """`mix_profiles` with a `_mixing_plan`'s slot table, written into `out` and returned:
     every slot's corrections in one array step, then added to `state` in slot order;
     a copy of `state` when there are none."""
     if not len(ws):
@@ -364,21 +357,25 @@ def mix_profiles(state: np.ndarray, weights: np.ndarray) -> np.ndarray:
     agents agreeing bit-exactly.  A row receives only its neighbors'
     corrections, added in increasing neighbor index: a zero-weight term
     would turn its -0.0 into 0.0.  The corrections come from the slot table
-    of `_slot_arrays`, computed in one array step and added in slot order,
+    of `_mixing_plan`, computed in one array step and added in slot order,
     each entry through the same operations in the same order as one
     neighbor at a time.  `state` and `weights` may be arrays or nested
-    lists, weights of shape (n, n) for n rows; the result is a new float array.
-    A non-finite entry of `state` raises a ValueError naming it: the slot
-    table's -0.0 padding is an identity only on finite rows.
+    lists, `state` 2-D and weights of shape (n, n) for n rows; the result is
+    a new float array.  A non-finite entry of either raises a ValueError
+    naming it: the slot table's -0.0 padding is an identity only on finite
+    rows, and a non-finite weight turns a finite row into NaN or inf.
     """
     state, weights = np.asarray(state, dtype=float), np.asarray(weights, dtype=float)
-    if not np.isfinite(state).all():
-        index = tuple(np.argwhere(~np.isfinite(state))[0].tolist())
-        raise ValueError(f"state: entry {index} is {state[index].item()}; rows must be finite")
+    if state.ndim != 2:
+        raise ValueError(f"state: need a 2-D array, one row per agent, got shape {state.shape}")
     n = len(state)
     if weights.shape != (n, n):
         raise ValueError(f"weights: need shape {(n, n)} for {n} rows, got {weights.shape}")
-    return _mix(state, *_slot_arrays(weights), np.empty(state.shape))
+    for name, a, entries in (("state", state, "rows"), ("weights", weights, "weights")):
+        if not np.isfinite(a).all():
+            index = tuple(np.argwhere(~np.isfinite(a))[0].tolist())
+            raise ValueError(f"{name}: entry {index} is {a[index].item()}; {entries} must be finite")
+    return _mix(state, *_mixing_plan(weights)[2], np.empty(state.shape))
 
 
 def _mixer_source(neighbors: tuple[tuple[int, ...], ...], r: int) -> str:

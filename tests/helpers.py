@@ -230,6 +230,41 @@ def reference_brute_force(f: Oracle, space: ChainProduct):
     return best, argmins
 
 
+def forest_minimum(unary, edges, pairwise) -> float:
+    """The least total of unary[v][x_v] over every vertex v plus
+    pairwise[e][x_i][x_j] over every edge e = (i, j), by min-sum dynamic
+    programming from the leaves up, each tree rooted at its least vertex.
+    `edges` must form a forest on the vertices 0 .. len(unary) - 1."""
+    belief = [np.array(u, dtype=float) for u in unary]
+    # around[v]: each neighbor u of v with the edge's table indexed [x_v][x_u].
+    around = [[] for _ in belief]
+    for (i, j), table in zip(edges, pairwise, strict=True):
+        table = np.asarray(table, dtype=float)
+        around[i].append((j, table))
+        around[j].append((i, table.T))
+    total, seen, trees = 0.0, set(), 0
+    for root in range(len(belief)):
+        if root in seen:
+            continue
+        seen.add(root)
+        trees += 1
+        # Each vertex after its parent, with the table from the parent to it.
+        order, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            for u, table in around[v]:
+                if u not in seen:
+                    seen.add(u)
+                    order.append((v, u, table))
+                    stack.append(u)
+        for parent, v, table in reversed(order):
+            belief[parent] += (table + belief[v]).min(axis=1)
+        total += belief[root].min().item()
+    if len(edges) != len(belief) - trees:
+        raise ValueError("edges: not a forest")
+    return total
+
+
 def reference_check_row(values: list[float], space: ChainProduct) -> None:
     """The row check as two generators over the entries, then a chain-by-chain
     numpy pass that raises the message naming the first offending chain."""

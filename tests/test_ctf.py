@@ -31,7 +31,7 @@ from latmin.ctf import (
     threat_distance,
 )
 from latmin.scenario import Scenario, bundled_scenario_path, load_scenario
-from latmin.solvers import SolverParams, WeightMatrix, distributed_minimize
+from latmin.solvers import SolverParams, WeightMatrix, _mixing_plan, distributed_minimize
 
 from conftest import FIELD_CACHES
 from helpers import (
@@ -1334,6 +1334,14 @@ class TestGameScaleRounds:
         self.assert_rounds_match_the_per_agent_loop(swarm8_context(), matrix, params)
 
 
+@st.composite
+def cohesion_matrices(draw):
+    """Non-negative cohesion weights for 1-5 defenders, with zeros and -0.0 on and off the diagonal."""
+    n = draw(st.integers(1, 5))
+    weight = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 2.0)
+    return np.array(draw(st.lists(weight, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+
 class TestStepOracles:
     def test_fig3_step_zero_every_point(self):
         ctx = fig3_step_zero()
@@ -1397,6 +1405,26 @@ class TestStepOracles:
         assert layouts == [(2 * i, tuple(j for j in range(4) if j != i)) for i in range(4)]
         assert [f.fn.__code__ for f in first] == [f.fn.__code__ for f in again]
         assert ctf._cost_maker.cache_info()[:2] == (4, 4)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(cohesion_matrices())
+    def test_each_defenders_partners_are_its_mixing_neighbors(self, weights):
+        # Zeros and -0.0 off the diagonal are no partner, as they are no neighbor in mixing.
+        n = len(weights)
+        arena = Arena(size=6, horizon=8, zone=[(1, 5)], responsibilities=[[(1, 5)]] * n, obstacles=set())
+        params = toy_defender_params(cohesion=weights, mobility=[1.0] * n, delta_th=[5.0] * n)
+        layouts, source = [], ctf._cost_source
+
+        def counted(k, partners, side):
+            layouts.append((k, partners))
+            return source(k, partners, side)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ctf, "_cost_source", counted)
+            ctf._cost_maker.cache_clear()
+            build_step_problem(toy_context([(i, 2) for i in range(n)], params=params, arena=arena))
+        ctf._cost_maker.cache_clear()
+        assert layouts == [(2 * i, partners) for i, partners in enumerate(_mixing_plan(weights)[0])]
 
     def test_the_cost_code_names_its_layout(self):
         oracles, _ = build_step_problem(swarm8_context())

@@ -15,7 +15,7 @@ REMOVED = {
     lattice: ("make_chain_product",),
     extension: ("profile_from_point", "check_row", "rounding_rule", "point_of_number"),
     projection: ("project_row", "_project"),
-    solvers: ("step_size",),
+    solvers: ("step_size", "_slot_arrays"),
     ctf: ("defender_cost", "step_tables", "StepTables", "reachable_cells", "decode_actions", "cell_distances"),
     ctf.Arena: ("clamp",),
     ChainProduct: ("in_chain_pairs", "chain_spans"),

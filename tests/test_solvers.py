@@ -34,6 +34,7 @@ from latmin.scenario import bundled_scenario_path, load_scenario
 
 from helpers import (
     as_bytes,
+    forest_minimum,
     left_sum,
     line_matrix,
     profile_chain,
@@ -216,7 +217,7 @@ class TestNetworkInternals:
             np.array(want_neighbors, dtype=np.intp).reshape(len(want_neighbors), n_agents),
             np.array(want_ws, dtype=float).reshape(len(want_ws), n_agents, 1),
         )
-        for g, w in zip(solvers._slot_arrays(weights), want, strict=True):
+        for g, w in zip(solvers._mixing_plan(weights)[2], want, strict=True):
             assert (g.dtype, g.shape) == (w.dtype, w.shape)
             assert g.tobytes() == w.tobytes()
 
@@ -237,8 +238,8 @@ class TestMixingPlan:
         assert len(built) == 1
         lists, weights, table = matrix._plan
         assert lists == ((1,), (0, 2), (1, 3), (2,))
-        assert weights == [0.3, 0.3, 0.1, 0.1, 0.3, 0.3]
-        for kept, fresh in zip(table, solvers._slot_arrays(matrix.entries), strict=True):
+        assert weights == (0.3, 0.3, 0.1, 0.1, 0.3, 0.3)
+        for kept, fresh in zip(table, solvers._mixing_plan(matrix.entries)[2], strict=True):
             assert not kept.flags.writeable
             assert kept.tobytes() == fresh.tobytes()
             with pytest.raises(ValueError, match="read-only"):
@@ -1085,6 +1086,19 @@ class TestWholeStateRounds:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             mix_profiles([[0.5, bad], [0.0, 0.0], [1.0, 1.0]], weights)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    def test_a_non_finite_weight_is_refused_before_mixing(self, bad):
+        # Mixed, a NaN weight gives a NaN row and an inf weight a -inf row.
+        message = f"weights: entry (0, 1) is {bad}; weights must be finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mix_profiles([[0.5, 0.2], [0.3, 0.1]], [[0.5, bad], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("state", [0.5, [0.5, 0.2], np.zeros((2, 2, 1))], ids=["scalar", "1-D", "3-D"])
+    def test_a_state_that_is_not_rows_is_refused(self, state):
+        message = f"state: need a 2-D array, one row per agent, got shape {np.shape(state)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mix_profiles(state, np.full((2, 2), 0.5))
+
     def test_zero_padded_mixing_fails_the_byte_comparison(self):
         def zero_padded(state, weights):
             # Every row takes a term from every other agent, zero weight or not.
@@ -1377,6 +1391,23 @@ def test_a_solve_keeps_one_round_buffer():
     # The mixed rows' buffer, 1,125 KiB, and the log: about 1.5 buffers; a second
     # round buffer would take it to about 2.5.
     assert peak < 1.75 * buffer
+
+
+def test_reading_ext_values_streams_the_buffer():
+    space, matrix = ChainProduct([5] * 6), WeightMatrix(line_matrix(3), eta=0.1)
+    costs = [lambda x, c=c: left_sum(c * xi for xi in x) for c in (1.0, -0.5, 0.25)]
+    params = SolverParams(iterations=2000, gamma=0.05, seed=1)
+    _, _, trace = distributed_minimize([Oracle(c, space) for c in costs], space, matrix, params)
+    tracemalloc.start()
+    try:
+        values = trace.ext_values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The values take a 24th of the 1,125 KiB buffer; the buffer as one list of
+    # Python floats would take about 4.5 buffers.
+    assert values.shape == (2000, 3)
+    assert peak < 0.25 * trace.mixed.nbytes
 
 
 @st.composite
@@ -1704,3 +1735,59 @@ class TestMixedRowCheck:
         monkeypatch.setattr(solvers, "check_rows", lambda rows, space: checked.append(rows.shape))
         spoiled_solve(n, iterations=30)
         assert checked == [(30 * n, SPOILED_SPACE.sort_length)]
+
+
+@st.composite
+def forests(draw):
+    """Unary tables on 1-8 chains of 2-4 levels and a pairwise table on each edge
+    of a random forest: vertex v joins an earlier vertex in either direction, or none."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=8))
+    cost = st.floats(-10.0, 10.0)
+    unary = [draw(st.lists(cost, min_size=m, max_size=m)) for m in sizes]
+    edges, pairwise = [], []
+    for v in range(1, len(sizes)):
+        u = draw(st.none() | st.integers(0, v - 1))
+        if u is not None:
+            i, j = (u, v) if draw(st.booleans()) else (v, u)
+            edges.append((i, j))
+            pairwise.append([draw(st.lists(cost, min_size=sizes[j], max_size=sizes[j])) for _ in range(sizes[i])])
+    return sizes, unary, edges, pairwise
+
+
+class TestBeyondTheBruteForceCap:
+    """Exactness where brute force cannot reach, against a min-sum dynamic program on a forest."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(forests())
+    def test_the_forest_minimum_is_the_brute_force_minimum(self, forest):
+        sizes, unary, edges, pairwise = forest
+        space = ChainProduct(sizes)
+
+        def cost(x):
+            terms = [u[xv] for u, xv in zip(unary, x)]
+            return left_sum(terms + [t[x[i]][x[j]] for (i, j), t in zip(edges, pairwise)])
+
+        best, _ = brute_force_minimize(Oracle(cost, space))
+        assert forest_minimum(unary, edges, pairwise) == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    def test_a_cycle_is_refused(self):
+        table = [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(ValueError, match="^edges: not a forest$"):
+            forest_minimum([[0.0, 0.0]] * 3, [(0, 1), (1, 2), (2, 0)], [table] * 3)
+
+    def test_three_agents_reach_the_minimum_at_9e20_points(self):
+        # 30 chains of 5: 5 ** 30 = 9.3e20 points, r = 120.  The terms are 30
+        # unary tables and |x_i - x_{i+1}| along the path, dealt to 3 agents in turn.
+        rng = np.random.default_rng(0)
+        unary = np.round(rng.normal(size=(30, 5)), 3).tolist()
+        space = ChainProduct([5] * 30)
+        terms = [lambda x, i=i: unary[i][x[i]] for i in range(30)]
+        terms += [lambda x, i=i: abs(x[i] - x[i + 1]) for i in range(29)]
+        fs = [Oracle(lambda x, mine=terms[a::3]: left_sum(t(x) for t in mine), space) for a in range(3)]
+        matrix = WeightMatrix(np.full((3, 3), 1 / 3), eta=0.1)
+        _, values, trace = distributed_minimize(fs, space, matrix, SolverParams(2000, 0.5, "diminishing", seed=0))
+        gaps = [[abs(a - b) for b in range(5)] for a in range(5)]
+        best = forest_minimum(unary, [(i, i + 1) for i in range(29)], [gaps] * 29)
+        assert best == pytest.approx(-14.786, abs=1e-9)
+        assert values == pytest.approx([best] * 3, abs=1e-9)
+        assert trace.lower_bound[-1] == pytest.approx(-14.987, abs=5e-4)
